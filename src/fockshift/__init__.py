@@ -1,6 +1,6 @@
 """Weighted left/right creation operators on depth-truncated Fock space."""
 
-from .words import BasisEnumeration, Word, concat, eval_word, parse_word
+from .words import BasisEnumeration, Word, eval_word, parse_word
 from .weights import (
     CommutantMu,
     Condition6Report,
@@ -25,8 +25,6 @@ from .weights import (
 from .fock import (
     GradedOperator,
     TruncatedFock,
-    adjoint,
-    build_shift,
     commutation_defect,
     left_creation,
     norm_check,

@@ -21,7 +21,7 @@ from .weights import (
     require_bounded_mu,
     right_weight,
 )
-from .fock import GradedOperator, TruncatedFock, weighted_right_shift
+from .fock import GradedOperator, TruncatedFock, column_norms, weighted_right_shift
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,22 @@ def cesaro_sum(x: GradedOperator, k: int) -> GradedOperator:
 
 
 def word_operator(space: TruncatedFock, ws: WeightSystem, w: Word) -> GradedOperator:
-    """The compressed operator T_w: xi_u -> W(u,w) xi_{w*u}."""
-    rows, cols, values = [], [], []
-    for k in range(space.depth - len(w) + 1):
-        for u in space.basis.level_words(k):
-            cols.append(space.index_of(u))
-            rows.append(space.index_of(w * u))
-            values.append(left_weight(ws, u, w))
+    """The compressed operator T_w: xi_u -> W(u,w) xi_{w*u}, with W(u,w)
+    multiplied up one letter of w at a time from the right."""
+    n, offsets = space.n, space.basis.level_offsets
+    lams = {a: ws.lambda_levels(a, space.depth - 1) for a in set(w.letters)}
+    top = max(space.depth - len(w) + 1, 0)
+    cols = np.arange(offsets[top])
+    rows = np.empty_like(cols)
+    values = np.ones(cols.size)
+    for k in range(top):
+        rank = np.arange(n**k)
+        level = k
+        for letter in reversed(w.letters):
+            values[space.level_slice(k)] *= lams[letter][level][rank]
+            rank = (letter - 1) * n**level + rank
+            level += 1
+        rows[space.level_slice(k)] = offsets[level] + rank
     return GradedOperator.from_entries(space, rows, cols, values)
 
 
@@ -159,8 +168,7 @@ def commutant_extract(
     col_mask = levels <= space.depth - 2
     for i in range(1, space.n + 1):
         s_i = weighted_right_shift(space, mu, i)
-        diff = (x @ s_i - s_i @ x).mat
-        col_norms = np.sqrt(np.asarray(abs(diff).power(2).sum(axis=0)).ravel())
+        col_norms = column_norms((x @ s_i - s_i @ x).mat)
         col_norms[~col_mask] = 0.0
         idx = int(np.argmax(col_norms))
         if col_norms[idx] > commutation_tol:

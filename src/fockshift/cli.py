@@ -32,8 +32,8 @@ from .weights import (
     WeightSystem,
     check_cocycles,
     check_intertwining,
-    commutant_mu,
     condition6_sup,
+    mu_table,
     table_from_strings,
 )
 from .fock import TruncatedFock, commutation_defect, norm_check, vacuum_kernel_check
@@ -87,8 +87,19 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_number(value: Any) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value: Any, path: str, minimum: int) -> int:
+    _expect(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+            path, f"expected an integer >= {minimum}")
+    return value
+
+
 def _positive_number(value: Any, path: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
+    _expect(_is_number(value), path, "expected a number")
     if not float(value) > 0:
         raise ConfigError(f"{path}: {POSITIVITY_MESSAGE}")
     return float(value)
@@ -127,8 +138,7 @@ def parse_config(document: Any) -> RunConfig:
     _expect(isinstance(document, dict), "$", "config must be a JSON object")
     _expect("n" in document, "$.n", "missing alphabet size")
     _expect("family" in document, "$.family", "missing weight family")
-    n = document["n"]
-    _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "$.n", "expected an integer >= 1")
+    n = _integer(document["n"], "$.n", 1)
     family = document["family"]
     _expect(family in FAMILY_FIELDS, "$.family", f"unknown family {family!r}, expected one of {sorted(FAMILY_FIELDS)}")
 
@@ -144,17 +154,14 @@ def parse_config(document: Any) -> RunConfig:
         elif family == "scaled":
             weights = ScaledWeights(n, _positive_list(document["scales"], n, "$.scales"))
         elif family == "finite_perturbation":
-            cutoff = document["cutoff"]
-            _expect(isinstance(cutoff, int) and cutoff >= 0, "$.cutoff", "expected an integer >= 0")
             weights = FinitePerturbationWeights(
                 n,
-                cutoff,
+                _integer(document["cutoff"], "$.cutoff", 0),
                 _weight_table(document["table"], n, "$.table"),
                 _positive_list(document["tail"], n, "$.tail"),
             )
         elif family == "periodic":
-            period = document["period"]
-            _expect(isinstance(period, int) and period >= 1, "$.period", "expected an integer >= 1")
+            period = _integer(document["period"], "$.period", 1)
             weights = PeriodicWeights(n, period, _weight_table(document["remainders"], n, "$.remainders"))
         else:
             _expect(n == 2, "$.n", "family 'two_letter_m' requires n = 2")
@@ -167,12 +174,11 @@ def parse_config(document: Any) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"$.{family}: {exc}") from exc
 
-    depth = document.get("depth", DEFAULT_DEPTH)
-    _expect(isinstance(depth, int) and depth >= 1, "$.depth", "expected an integer >= 1")
+    depth = _integer(document.get("depth", DEFAULT_DEPTH), "$.depth", 1)
     tolerance = document.get("tolerance", DEFAULT_TOLERANCE)
-    _expect(isinstance(tolerance, (int, float)) and tolerance > 0, "$.tolerance", "expected a positive number")
+    _expect(_is_number(tolerance) and tolerance > 0, "$.tolerance", "expected a positive number")
     epsilon = document.get("epsilon", DEFAULT_EPSILON)
-    _expect(isinstance(epsilon, (int, float)) and epsilon > 0, "$.epsilon", "expected a positive number")
+    _expect(_is_number(epsilon) and epsilon > 0, "$.epsilon", "expected a positive number")
     return RunConfig(weights, dict(document), depth, float(tolerance), float(epsilon))
 
 
@@ -226,14 +232,6 @@ def parse_lambda(text: str) -> tuple[complex, ...]:
         except ValueError as exc:
             raise ConfigError(f"malformed complex literal {token!r}") from exc
     return tuple(values)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("FOCKSHIFT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"FOCKSHIFT_THREADS must be an integer, got {raw!r}") from None
 
 
 class _CheckRecorder:
@@ -371,11 +369,7 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
         }
         return 0, report
 
-    table = {}
-    basis = TruncatedFock(ws.n, config.depth).basis
-    for w in basis.words():
-        for i in range(1, ws.n + 1):
-            table[f"{i}:{w}"] = commutant_mu(ws, i, w)
+    table = {f"{i}:{w}": value for (i, w), value in mu_table(ws, config.depth).items()}
     for key in table:
         print(f"mu {key} = {table[key]:.17g}")
 
@@ -412,7 +406,7 @@ def _cmd_region(config: RunConfig, args) -> tuple[int, dict]:
     if not args.grid:
         raise ConfigError("region requires --grid lo:hi:step")
     grid = GridSpec.parse(args.grid)
-    samples = region_sample(config.weights, grid, config.depth, config.epsilon, workers=_worker_count())
+    samples = region_sample(config.weights, grid, config.depth, config.epsilon)
     if args.out:
         import io
 
@@ -452,7 +446,7 @@ def _cmd_cesaro(config: RunConfig, args) -> tuple[int, dict]:
     if not args.coeffs:
         raise ConfigError("cesaro requires --coeffs PATH")
     coeffs = _load_fourier_coeffs(args.coeffs)
-    order = args.k or 4
+    order = 4 if args.k is None else args.k
     ws = config.weights
     space = TruncatedFock(ws.n, config.depth)
     element = FourierElement.build(coeffs, ws)
@@ -521,7 +515,7 @@ def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
                     {"lambda": list(point), "mode": mode, "verdict": "unknown", "defects": {}, "witness": {}, "pass": True}
                 )
                 continue
-            cert = left_growth_certificate(point, args.k or 16, args.bound)
+            cert = left_growth_certificate(point, 16 if args.k is None else args.k, args.bound)
             reports.append(
                 {
                     "lambda": list(point),
@@ -638,7 +632,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a weight product under- or overflowed at this depth
         print(f"precondition error: {exc}", file=sys.stderr)
         return 2
 

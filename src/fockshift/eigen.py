@@ -127,25 +127,36 @@ def level_sums(ws: WeightSystem, moduli: Sequence[float], depth: int) -> np.ndar
     total_words = sum(ws.n**k for k in range(depth + 1))
     if total_words > MAX_DP_WORDS:
         raise ValueError(f"level enumeration of {total_words} words exceeds the {MAX_DP_WORDS} guard")
-    log_moduli = [math.log(r) if r > 0 else -math.inf for r in moduli]
+    log_moduli = np.array([math.log(r) if r > 0 else -math.inf for r in moduli])
+    n = ws.n
+    # log lambda_{i,w} at row rank(w), column i-1: one table per level
+    per_letter = [ws.lambda_levels(i, depth - 1) for i in range(1, n + 1)]
+    log_lams = [_exact_logs(np.stack(level, axis=1)) for level in zip(*per_letter)]
 
+    # Words sit in frontier order, the order in which prepending builds them:
+    # i*w follows w at position p n + i-1, the graded-lex rank of the reversed
+    # word.  ``ranks`` maps a frontier position to the word's own rank.
     sums = np.empty(depth + 1)
     sums[0] = 1.0
-    frontier: list[tuple[Word, float]] = [(EMPTY, 0.0)]  # (word, log r(w)/W(e,w))
+    terms = np.zeros(1)  # log r(w)/W(e,w), in frontier order
+    ranks = np.zeros(1, dtype=np.int64)
     for k in range(1, depth + 1):
-        nxt: list[tuple[Word, float]] = []
-        for w, log_term in frontier:
-            for i in range(1, ws.n + 1):
-                step = log_moduli[i - 1] - ws.log_lambda_of(i, w)
-                nxt.append((prepend(i, w), log_term + step))
-        frontier = nxt
-        logs = np.array([2.0 * t for _, t in frontier])
+        terms = (terms[:, None] + (log_moduli - log_lams[k - 1][ranks])).ravel()
+        ranks = (ranks[:, None] + np.arange(n) * n ** (k - 1)).ravel()
+        logs = 2.0 * terms
         peak = np.max(logs)
         if peak == -math.inf:
             sums[k] = 0.0
         else:
             sums[k] = math.exp(peak) * float(np.sum(np.exp(logs - peak)))
     return sums
+
+
+def _exact_logs(values: np.ndarray) -> np.ndarray:
+    """Elementwise math.log, which np.log can miss by an ulp, taken once per
+    distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([math.log(v) for v in distinct.tolist()])[inverse].reshape(values.shape)
 
 
 def membership_verdict(sums: Sequence[float], epsilon: float) -> tuple[str, float]:
@@ -236,20 +247,10 @@ def region_sample(
     grid: GridSpec,
     depth: int,
     epsilon: float,
-    workers: int = 1,
 ) -> list[RegionSample]:
     """One RegionSample per grid point over moduli space, in lexicographic
-    grid order regardless of how the evaluation was scheduled."""
-    points = list(_grid_points(grid, ws.n))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(lambda p: sample_point(ws, p, depth, epsilon), points))
-    else:
-        samples = [sample_point(ws, p, depth, epsilon) for p in points]
-    samples.sort(key=lambda s: s.moduli)
-    return samples
+    grid order."""
+    return [sample_point(ws, p, depth, epsilon) for p in _grid_points(grid, ws.n)]
 
 
 def write_region_csv(samples: Sequence[RegionSample], stream: TextIO) -> None:

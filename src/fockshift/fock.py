@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .words import BasisEnumeration, Word, append, prepend
+from .words import BasisEnumeration, Word
 from .weights import (
     CommutantMu,
     ConstantWeights,
@@ -26,11 +26,6 @@ from .weights import (
 )
 
 DENSE_LIMIT = 4096
-
-LEFT_WEIGHTED = "left_weighted"
-RIGHT_WEIGHTED = "right_weighted"
-LEFT_UNWEIGHTED = "left_unweighted"
-RIGHT_UNWEIGHTED = "right_unweighted"
 
 
 class TruncatedFock:
@@ -148,29 +143,35 @@ class GradedOperator:
         return f"GradedOperator(dim={self.space.dimension}, nnz={self.mat.nnz})"
 
 
+def _level_shift(space: TruncatedFock, i: int, levels: list[np.ndarray], left: bool) -> GradedOperator:
+    """The compressed shift xi_w -> levels[|w|][rank of w] xi_{i*w} (left) or
+    xi_{w*i} (right), for |w| < depth.
+
+    Prepending i moves rank r at level k to (i-1) n^k + r at level k+1;
+    appending i moves it to r n + i-1.
+    """
+    n, offsets = space.n, space.basis.level_offsets
+    cols = np.arange(offsets[space.depth])
+    rows = np.empty_like(cols)
+    values = np.empty(cols.size)
+    for k in range(space.depth):
+        rank = np.arange(n**k)
+        target = (i - 1) * n**k + rank if left else rank * n + (i - 1)
+        rows[space.level_slice(k)] = offsets[k + 1] + target
+        values[space.level_slice(k)] = levels[k]
+    return GradedOperator.from_entries(space, rows, cols, values)
+
+
 def weighted_left_shift(space: TruncatedFock, ws: WeightSystem, i: int) -> GradedOperator:
     """The compressed i-th weighted left shift: xi_w -> lambda_{i,w} xi_{i*w}."""
-    ws._check_letter(i)
-    rows, cols, values = [], [], []
-    for k in range(space.depth):
-        for w in space.basis.level_words(k):
-            cols.append(space.index_of(w))
-            rows.append(space.index_of(prepend(i, w)))
-            values.append(ws.lambda_of(i, w))
-    return GradedOperator.from_entries(space, rows, cols, values)
+    return _level_shift(space, i, ws.lambda_levels(i, space.depth - 1), left=True)
 
 
 def weighted_right_shift(space: TruncatedFock, mu: MuSystem, i: int) -> GradedOperator:
     """The compressed i-th weighted right shift: xi_w -> mu_{i,w} xi_{w*i}."""
     if isinstance(mu, CommutantMu):
         require_bounded_mu(mu.weights)
-    rows, cols, values = [], [], []
-    for k in range(space.depth):
-        for w in space.basis.level_words(k):
-            cols.append(space.index_of(w))
-            rows.append(space.index_of(append(w, i)))
-            values.append(mu.mu_of(i, w))
-    return GradedOperator.from_entries(space, rows, cols, values)
+    return _level_shift(space, i, mu.mu_levels(i, space.depth - 1), left=False)
 
 
 def left_creation(space: TruncatedFock, i: int) -> GradedOperator:
@@ -178,37 +179,13 @@ def left_creation(space: TruncatedFock, i: int) -> GradedOperator:
 
 
 def right_creation(space: TruncatedFock, i: int) -> GradedOperator:
-    rows, cols, values = [], [], []
-    for k in range(space.depth):
-        for w in space.basis.level_words(k):
-            cols.append(space.index_of(w))
-            rows.append(space.index_of(append(w, i)))
-            values.append(1.0)
-    return GradedOperator.from_entries(space, rows, cols, values)
+    unit = ConstantWeights(space.n, 1.0).lambda_levels(i, space.depth - 1)
+    return _level_shift(space, i, unit, left=False)
 
 
-def build_shift(space: TruncatedFock, kind: str, i: int, weights=None) -> GradedOperator:
-    """Dispatch on the four shift kinds.
-
-    ``weights`` is a WeightSystem for ``left_weighted``, a MuSystem (or a
-    WeightSystem, whose commutant weights are then taken) for
-    ``right_weighted``, and ignored for the unweighted kinds.
-    """
-    if kind == LEFT_WEIGHTED:
-        return weighted_left_shift(space, weights, i)
-    if kind == RIGHT_WEIGHTED:
-        mu = CommutantMu(weights) if isinstance(weights, WeightSystem) else weights
-        return weighted_right_shift(space, mu, i)
-    if kind == LEFT_UNWEIGHTED:
-        return left_creation(space, i)
-    if kind == RIGHT_UNWEIGHTED:
-        return right_creation(space, i)
-    raise ValueError(f"unknown shift kind {kind!r}")
-
-
-def adjoint(x: GradedOperator) -> GradedOperator:
-    """Conjugate transpose; an involution."""
-    return x.adjoint()
+def column_norms(mat) -> np.ndarray:
+    """The Euclidean norm of every column of a sparse matrix."""
+    return np.sqrt(np.asarray(abs(mat).power(2).sum(axis=0)).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +217,7 @@ def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | No
     rights = [weighted_right_shift(space, mu, j) for j in range(1, space.n + 1)]
     for i, t_i in enumerate(lefts, start=1):
         for j, s_j in enumerate(rights, start=1):
-            diff = (t_i @ s_j - s_j @ t_i).mat
-            col_norms = np.sqrt(np.asarray(abs(diff).power(2).sum(axis=0)).ravel())
+            col_norms = column_norms((t_i @ s_j - s_j @ t_i).mat)
             col_norms[~col_mask] = 0.0
             idx = int(np.argmax(col_norms))
             if col_norms[idx] > worst:
@@ -287,10 +263,7 @@ def norm_check(space: TruncatedFock, ws: WeightSystem) -> list[NormReport]:
     reports = []
     for i in range(1, space.n + 1):
         op = weighted_left_shift(space, ws, i)
-        sup = 0.0
-        for k in range(space.depth):
-            for w in space.basis.level_words(k):
-                sup = max(sup, ws.lambda_of(i, w))
+        sup = float(op.mat.data.real.max(initial=0.0))
         reports.append(NormReport(i, spectral_norm(op), sup))
     return reports
 

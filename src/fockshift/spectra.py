@@ -11,9 +11,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .words import EMPTY, Word
+from .words import Word
 from .weights import ConstantWeights
-from .fock import DENSE_LIMIT, GradedOperator, TruncatedFock, left_creation
+from .fock import DENSE_LIMIT, GradedOperator, TruncatedFock, column_norms, left_creation
 from .eigen import eigen_residual, eigenvector_coeffs
 
 BOUNDARY_TOL = 1e-9
@@ -34,22 +34,6 @@ class SpectrumReport:
     verdict: str
     defects: dict[str, float]
     witness: dict
-
-
-def _conj_word_values(point: Sequence[complex], depth: int) -> dict[Word, complex]:
-    """conj(w(point)) for every |w| <= depth, built by prefix recursion."""
-    n = len(point)
-    conj = [complex(z).conjugate() for z in point]
-    values: dict[Word, complex] = {EMPTY: 1.0}
-    frontier = {EMPTY: complex(1.0)}
-    for _ in range(depth):
-        nxt: dict[Word, complex] = {}
-        for w, val in frontier.items():
-            for i in range(1, n + 1):
-                nxt[Word(bytes([i]) + w.letters)] = val * conj[i - 1]
-        values.update(nxt)
-        frontier = nxt
-    return values
 
 
 def _series_operator(space: TruncatedFock, term_values: Mapping[Word, complex]) -> GradedOperator:
@@ -73,11 +57,7 @@ def _split_defect(space: TruncatedFock, diff: GradedOperator) -> tuple[float, fl
     at the top level."""
     top = space.level_slice(space.depth)
     mat = diff.mat.tocsr()
-    low_block = mat[: top.start, :]
-    top_block = mat[top, :]
-    low_cols = np.sqrt(np.asarray(abs(low_block).power(2).sum(axis=0)).ravel())
-    top_cols = np.sqrt(np.asarray(abs(top_block).power(2).sum(axis=0)).ravel())
-    return float(np.max(low_cols)), float(np.max(top_cols))
+    return float(np.max(column_norms(mat[: top.start, :]))), float(np.max(column_norms(mat[top, :])))
 
 
 @dataclass(frozen=True)
@@ -100,7 +80,8 @@ def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
     if norm >= 1.0:
         raise ValueError(f"resolvent series needs ||point|| < 1, got {norm}")
     space = TruncatedFock(len(point), depth)
-    series = _series_operator(space, _conj_word_values(point, depth - 1))
+    unit_coeffs = eigenvector_coeffs(ConstantWeights(len(point), 1.0), point, depth - 1).coeffs
+    series = _series_operator(space, unit_coeffs)
     affine = GradedOperator.identity(space)
     for i in range(1, space.n + 1):
         affine = affine - point[i - 1].conjugate() * left_creation(space, i)
@@ -138,8 +119,7 @@ def right_membership(point: Sequence[complex], depth: int, tol: float = BOUNDARY
         )
     # ||point|| > 1: right inverse B_i = (conj(z_i)/||z||^2) sum_w conj(w(z)) ||z||^(-2|w|) L_w
     scaled = tuple(z / norm**2 for z in point)
-    terms = _conj_word_values(scaled, depth - 1)
-    series = _series_operator(space, terms)
+    series = _series_operator(space, eigenvector_coeffs(unweighted, scaled, depth - 1).coeffs)
     total = GradedOperator.zero(space)
     for i in range(1, n + 1):
         b_i = (point[i - 1].conjugate() / norm**2) * series

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .words import EMPTY, BasisEnumeration, Word, append, parse_word, prepend
+import numpy as np
 
-# beyond this many factors, weight products are accumulated in log space
-LOG_CHUNK = 32
+from .words import EMPTY, BasisEnumeration, Word, append, parse_word, prepend
 
 # enumeration guards for sweeps over all words of bounded length
 MAX_SWEEP_WORDS = 1 << 21
@@ -36,6 +35,13 @@ def _check_positive(value: float, what: str) -> float:
     if not value > 0.0 or math.isinf(value):
         raise ValueError(f"{what} must be strictly positive and finite, got {value}")
     return value
+
+
+def _word_levels(n: int, depth: int, value) -> list[np.ndarray]:
+    """value(w) for every |w| <= depth: one array per level, indexed by the
+    graded-lex rank of w within its level."""
+    basis = BasisEnumeration(n, max(depth, 0))
+    return [np.array([value(w) for w in basis.level_words(k)], dtype=float) for k in range(depth + 1)]
 
 
 def weight_key(i: int, w: Word | str) -> tuple[int, Word]:
@@ -68,8 +74,10 @@ class WeightSystem:
     def lambda_of(self, i: int, w: Word) -> float:
         raise NotImplementedError
 
-    def log_lambda_of(self, i: int, w: Word) -> float:
-        return math.log(self.lambda_of(i, w))
+    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
+        """lambda_{i,w} for every |w| <= depth, one array per level in graded-lex order."""
+        self._check_letter(i)
+        return _word_levels(self.n, depth, lambda w: self.lambda_of(i, w))
 
     def _check_letter(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -98,6 +106,10 @@ class ConstantWeights(WeightSystem):
         self._check_letter(i)
         return self.value
 
+    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
+        self._check_letter(i)
+        return [np.full(self.n**k, self.value) for k in range(depth + 1)]
+
     def exact_min_weight(self, i: int) -> float:
         return self.value
 
@@ -120,6 +132,10 @@ class ScaledWeights(WeightSystem):
     def lambda_of(self, i: int, w: Word) -> float:
         self._check_letter(i)
         return self.scales[i - 1]
+
+    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
+        self._check_letter(i)
+        return [np.full(self.n**k, self.scales[i - 1]) for k in range(depth + 1)]
 
     def exact_min_weight(self, i: int) -> float:
         return self.scales[i - 1]
@@ -156,6 +172,10 @@ class FinitePerturbationWeights(WeightSystem):
             return self.table[(i, w)]
         return self.tail[i - 1]
 
+    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
+        head = super().lambda_levels(i, min(depth, self.cutoff))
+        return head + [np.full(self.n**k, self.tail[i - 1]) for k in range(self.cutoff + 1, depth + 1)]
+
     def exact_min_weight(self, i: int) -> float:
         vals = [v for (j, _), v in self.table.items() if j == i]
         return min(min(vals), self.tail[i - 1])
@@ -187,6 +207,12 @@ class PeriodicWeights(WeightSystem):
         self._check_letter(i)
         u = w[: len(w) % self.period]
         return self.remainders[(i, u)]
+
+    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
+        # the remainder prefix of the rank-r word at level k has rank r // n^(k - k mod p)
+        remainders = super().lambda_levels(i, min(depth, self.period - 1))
+        n, p = self.n, self.period
+        return [remainders[k % p][np.arange(n**k) // n ** (k - k % p)] for k in range(depth + 1)]
 
     def exact_min_weight(self, i: int) -> float:
         return min(v for (j, _), v in self.remainders.items() if j == i)
@@ -225,6 +251,17 @@ class TwoLetterRunWeights(WeightSystem):
                 return 1.0 / math.sqrt(self.m)
         return self.c
 
+    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
+        self._check_letter(i)
+        levels = [np.full(2**k, self.c) for k in range(depth + 1)]
+        if i == 1:
+            # rank 0 is the run 1^k, rank 1 the word 1^(k-1) 2
+            for k, level in enumerate(levels):
+                level[0] = 1.0 / self.m
+                if k > 0:
+                    level[1] = 1.0 / math.sqrt(self.m)
+        return levels
+
     def exact_min_weight(self, i: int) -> float:
         if i == 1:
             return min(1.0 / self.m, 1.0 / math.sqrt(self.m), self.c)
@@ -259,24 +296,12 @@ class TabulatedWeights(WeightSystem):
 def left_weight(ws: WeightSystem, u: Word, w: Word) -> float:
     """W(u, w): the product of edge weights on the path from xi_u to xi_{wu}.
 
-    W(u, e) = 1.  Long products are accumulated in log space to dodge
-    under/overflow.
+    W(u, e) = 1.
     """
-    if len(w) > LOG_CHUNK:
-        return math.exp(log_left_weight(ws, u, w))
     total = 1.0
     base = u
     for letter in reversed(w.letters):
         total *= ws.lambda_of(letter, base)
-        base = prepend(letter, base)
-    return total
-
-
-def log_left_weight(ws: WeightSystem, u: Word, w: Word) -> float:
-    total = 0.0
-    base = u
-    for letter in reversed(w.letters):
-        total += ws.log_lambda_of(letter, base)
         base = prepend(letter, base)
     return total
 
@@ -292,6 +317,10 @@ class MuSystem:
     def log_mu_of(self, i: int, w: Word) -> float:
         return math.log(self.mu_of(i, w))
 
+    def mu_levels(self, i: int, depth: int) -> list[np.ndarray]:
+        """mu_{i,w} for every |w| <= depth, one array per level in graded-lex order."""
+        return _word_levels(self.n, depth, lambda w: self.mu_of(i, w))
+
 
 @dataclass(frozen=True)
 class CommutantMu(MuSystem):
@@ -306,9 +335,19 @@ class CommutantMu(MuSystem):
     def mu_of(self, i: int, w: Word) -> float:
         return commutant_mu(self.weights, i, w)
 
-    def log_mu_of(self, i: int, w: Word) -> float:
+    def mu_levels(self, i: int, depth: int) -> list[np.ndarray]:
+        """The ratio recursion of ``commutant_mu``, one level at a time: the
+        word j*w has rank (j-1) n^k + r, and w*i sits at rank r n + i-1."""
         ws = self.weights
-        return log_left_weight(ws, Word([i]), w) - log_left_weight(ws, EMPTY, w)
+        ws._check_letter(i)
+        n = ws.n
+        lams = [ws.lambda_levels(j, depth) for j in range(1, n + 1)]
+        levels = [np.ones(1)]
+        for k in range(depth):
+            mu = levels[-1]
+            appended = np.arange(n**k) * n + (i - 1)
+            levels.append(np.concatenate([mu * lam[k + 1][appended] / lam[k] for lam in lams]))
+        return levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,13 +388,19 @@ class TableMu(MuSystem):
 
 def commutant_mu(ws: WeightSystem, i: int, w: Word) -> float:
     """mu_{i,w} = W(i,w) / W(e,w), the unique right-shift weights commuting
-    with the left shifts under the mu_{i,e} = 1 normalization."""
+    with the left shifts under the mu_{i,e} = 1 normalization.
+
+    Computed by the ratio recursion mu_{i,jw} = mu_{i,w} lambda_{j,wi} / lambda_{j,w},
+    which never forms the products W(i,w) and W(e,w): those under- or
+    overflow on long words even where their ratio stays bounded.
+    """
     ws._check_letter(i)
-    if len(w) > LOG_CHUNK:
-        return math.exp(
-            log_left_weight(ws, Word([i]), w) - log_left_weight(ws, EMPTY, w)
-        )
-    return left_weight(ws, Word([i]), w) / left_weight(ws, EMPTY, w)
+    mu = 1.0
+    tail = EMPTY
+    for letter in reversed(w.letters):
+        mu = mu * ws.lambda_of(letter, append(tail, i)) / ws.lambda_of(letter, tail)
+        tail = prepend(letter, tail)
+    return mu
 
 
 def right_weight(mu: MuSystem, v: Word, w: Word) -> float:
@@ -363,8 +408,6 @@ def right_weight(mu: MuSystem, v: Word, w: Word) -> float:
 
     W_mu(v, e) = 1.
     """
-    if len(w) > LOG_CHUNK:
-        return math.exp(log_right_weight(mu, v, w))
     total = 1.0
     base = v
     for letter in w.letters:
@@ -382,14 +425,22 @@ def log_right_weight(mu: MuSystem, v: Word, w: Word) -> float:
     return total
 
 
+def _table_from_levels(n: int, depth: int, per_letter: list[list[np.ndarray]]) -> dict[tuple[int, Word], float]:
+    """Key per-letter level arrays by (letter, word), words in graded-lex order."""
+    basis = BasisEnumeration(n, depth)
+    table: dict[tuple[int, Word], float] = {}
+    for k in range(depth + 1):
+        rows = [levels[k].tolist() for levels in per_letter]
+        for r, w in enumerate(basis.level_words(k)):
+            for i, row in enumerate(rows, start=1):
+                table[(i, w)] = row[r]
+    return table
+
+
 def mu_table(ws: WeightSystem, depth: int) -> dict[tuple[int, Word], float]:
     """Tabulate the commutant weights for all base words up to ``depth``."""
-    basis = BasisEnumeration(ws.n, depth)
-    return {
-        (i, w): commutant_mu(ws, i, w)
-        for w in basis.words()
-        for i in range(1, ws.n + 1)
-    }
+    mu = CommutantMu(ws)
+    return _table_from_levels(ws.n, depth, [mu.mu_levels(i, depth) for i in range(1, ws.n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +456,6 @@ class DefectReport:
     max_defect: float
     witness: tuple | None
     checks: int
-
-    @property
-    def ok(self) -> bool:
-        return self.max_defect <= 1e-12
 
 
 def _relative_defect(lhs: float, rhs: float) -> float:
@@ -510,18 +557,18 @@ def _sweep_guard(n: int, depth: int) -> None:
 
 def _enumerated_sup(ws: WeightSystem, depth: int) -> tuple[float, tuple[int, Word]]:
     _sweep_guard(ws.n, depth)
+    mu = CommutantMu(ws)
+    per_letter = [mu.mu_levels(i, depth) for i in range(1, ws.n + 1)]
     basis = BasisEnumeration(ws.n, depth)
     best = 0.0
     witness = (1, EMPTY)
-    for w in basis.words():
-        log_we = log_left_weight(ws, EMPTY, w) if len(w) > LOG_CHUNK else None
-        for i in range(1, ws.n + 1):
-            if log_we is None:
-                ratio = left_weight(ws, Word([i]), w) / left_weight(ws, EMPTY, w)
-            else:
-                ratio = math.exp(log_left_weight(ws, Word([i]), w) - log_we)
-            if ratio > best:
-                best, witness = ratio, (i, w)
+    for k in range(depth + 1):
+        # rank-major, letter-minor: argmax keeps the first maximum in sweep order
+        ratios = np.stack([levels[k] for levels in per_letter], axis=1).ravel()
+        idx = int(np.argmax(ratios))
+        if ratios[idx] > best:
+            rank, letter = divmod(idx, ws.n)
+            best, witness = float(ratios[idx]), (letter + 1, basis.word_at(basis.level_offsets[k] + rank))
     return best, witness
 
 
@@ -730,16 +777,15 @@ def lambda_from_mu(mu: MuSystem, depth: int) -> TabulatedWeights:
         if abs(mu.mu_of(i, EMPTY) - 1.0) > 1e-12:
             raise ValueError(f"right weights must be normalized: mu_({i}, e) != 1")
     _sweep_guard(mu.n, depth)
-    basis = BasisEnumeration(mu.n, depth)
-    table: dict[tuple[int, Word], float] = {}
-    for w in basis.words():
-        long = len(w) > LOG_CHUNK
-        log_base = log_right_weight(mu, EMPTY, w) if long else None
-        for i in range(1, mu.n + 1):
-            iw = Word([i])
-            if long:
-                value = math.exp(log_right_weight(mu, iw, w) - log_base)
-            else:
-                value = right_weight(mu, iw, w) / right_weight(mu, EMPTY, w)
-            table[(i, w)] = value
-    return TabulatedWeights(mu.n, depth, table)
+    # ratio recursion lambda_{i,wj} = lambda_{i,w} mu_{j,iw} / mu_{j,w}: the word
+    # w*j has rank r n + j-1, and i*w sits at rank (i-1) n^k + r
+    n = mu.n
+    mus = [mu.mu_levels(j, depth) for j in range(1, n + 1)]
+    per_letter = []
+    for i in range(1, n + 1):
+        levels = [np.ones(1)]
+        for k in range(depth):
+            prepended = (i - 1) * n**k + np.arange(n**k)
+            levels.append(np.stack([levels[k] * m[k + 1][prepended] / m[k] for m in mus], axis=1).ravel())
+        per_letter.append(levels)
+    return TabulatedWeights(n, depth, _table_from_levels(n, depth, per_letter))

@@ -68,11 +68,6 @@ class Word:
 EMPTY = Word()
 
 
-def concat(u: Word, w: Word) -> Word:
-    """Semigroup product: the word whose string form is str(u) + str(w)."""
-    return u * w
-
-
 def prepend(i: int, w: Word) -> Word:
     """The word i*w, indexing the target of the i-th left shift applied at w."""
     return Word(bytes([i]) + w.letters)

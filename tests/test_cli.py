@@ -125,16 +125,6 @@ def test_region_command_csv(tmp_path):
     assert rerun.read_bytes() == out_csv.read_bytes()
 
 
-def test_region_parallel_is_deterministic(tmp_path, monkeypatch):
-    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
-    serial = tmp_path / "serial.csv"
-    main(["region", "--config", config, "--grid", "0:0.8:0.2", "--out", str(serial)])
-    monkeypatch.setenv("FOCKSHIFT_THREADS", "4")
-    parallel = tmp_path / "parallel.csv"
-    main(["region", "--config", config, "--grid", "0:0.8:0.2", "--out", str(parallel)])
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_commutant_command(tmp_path, capsys):
     config = _write_config(tmp_path, "per.json", {
         "n": 2, "family": "periodic", "period": 2,
@@ -204,3 +194,44 @@ def test_exit_code_2_on_schema_violation(tmp_path, capsys):
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", ["cesaro", "left_growth"])
+def test_k_zero_is_rejected(tmp_path, capsys, verb):
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    if verb == "cesaro":
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps({"coeffs": {"e": [0.5, 0], "1": [1, -0.5]}}))
+        argv = ["cesaro", "--config", config, "--coeffs", str(coeffs), "--k", "0"]
+    else:
+        argv = ["spectra", "--config", config, "--mode", "left_growth", "--lambda", "1,0", "--k", "0"]
+    assert main(argv) == 2
+    assert "precondition error" in capsys.readouterr().err
+
+
+BOOLEAN_FIELD_DOCUMENTS = {
+    "depth": {"n": 2, "family": "constant", "value": 1.0},
+    "tolerance": {"n": 2, "family": "constant", "value": 1.0},
+    "epsilon": {"n": 2, "family": "constant", "value": 1.0},
+    "cutoff": {"n": 1, "family": "finite_perturbation", "table": {"1:e": 1.0, "1:1": 1.0}, "tail": [1.0]},
+    "period": {"n": 1, "family": "periodic", "remainders": {"1:e": 1.0}},
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_FIELD_DOCUMENTS))
+def test_boolean_numeric_fields_rejected(tmp_path, capsys, field):
+    document = dict(BOOLEAN_FIELD_DOCUMENTS[field], **{field: True})
+    config = _write_config(tmp_path, "bool.json", document)
+    assert main(["check", "--config", config]) == 2
+    assert f"$.{field}" in capsys.readouterr().err
+
+
+def test_arithmetic_error_exits_2(tmp_path, capsys):
+    # W_mu(e, v) ~ 4 * 0.0002^(|v|-2) underflows to 0 in the round-trip expansion
+    config = _write_config(tmp_path, "deep.json", {
+        "n": 1, "family": "finite_perturbation", "cutoff": 1,
+        "table": {"1:e": 0.5, "1:1": 2.0}, "tail": [0.0001],
+    })
+    assert main(["commutant", "--config", config, "--depth", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition error:") and len(err.strip().splitlines()) == 1

@@ -190,13 +190,6 @@ def test_region_csv_schema(unweighted):
     assert int(first[2]) == 7
 
 
-def test_region_parallel_matches_serial(unweighted):
-    grid = GridSpec(0.0, 0.8, 0.2)
-    serial = region_sample(unweighted, grid, 8, 0.02, workers=1)
-    parallel = region_sample(unweighted, grid, 8, 0.02, workers=4)
-    assert serial == parallel
-
-
 def test_inside_implies_small_residual(periodic_example):
     # every inside verdict is backed by a true truncated eigenvector
     space = TruncatedFock(2, 8)

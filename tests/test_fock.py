@@ -6,9 +6,8 @@ from fockshift import (
     GradedOperator,
     TruncatedFock,
     TwoLetterRunWeights,
-    adjoint,
-    build_shift,
     commutation_defect,
+    left_creation,
     norm_check,
     parse_word,
     right_creation,
@@ -17,7 +16,6 @@ from fockshift import (
     weighted_left_shift,
     weighted_right_shift,
 )
-from fockshift.fock import LEFT_UNWEIGHTED, RIGHT_WEIGHTED
 from fockshift.weights import TableMu, mu_table
 from fockshift.words import EMPTY, prepend
 
@@ -28,7 +26,7 @@ def space():
 
 
 def test_left_unweighted_columns(space):
-    l1 = build_shift(space, LEFT_UNWEIGHTED, 1)
+    l1 = left_creation(space, 1)
     col = l1.column(EMPTY)
     assert col[space.index_of(parse_word("1"))] == 1.0
     assert np.count_nonzero(col) == 1
@@ -46,7 +44,7 @@ def test_left_weighted_entry(space, periodic_example):
 
 
 def test_right_weighted_from_unweighted_is_creation(space, unweighted):
-    s1 = build_shift(space, RIGHT_WEIGHTED, 1, unweighted)
+    s1 = weighted_right_shift(space, CommutantMu(unweighted), 1)
     r1 = right_creation(space, 1)
     assert abs((s1 - r1).mat).max() == 0.0
     w = parse_word("21")
@@ -60,20 +58,20 @@ def test_right_weighted_refuses_diverging(space, run_weights_diverging):
 
 def test_adjoint_involution(space, periodic_example):
     t1 = weighted_left_shift(space, periodic_example, 1)
-    assert abs((adjoint(adjoint(t1)) - t1).mat).max() == 0.0
+    assert abs((t1.adjoint().adjoint() - t1).mat).max() == 0.0
     ident = GradedOperator.identity(space)
-    assert abs((adjoint(ident) - ident).mat).max() == 0.0
+    assert abs((ident.adjoint() - ident).mat).max() == 0.0
     # adjoint lowers: T_1* xi_{1w} = lambda_{1,w} xi_w and kills the vacuum
     w = parse_word("21")
-    image = adjoint(t1).column(prepend(1, w))
+    image = t1.adjoint().column(prepend(1, w))
     assert image[space.index_of(w)] == pytest.approx(periodic_example.lambda_of(1, w))
-    assert np.count_nonzero(adjoint(t1).column(EMPTY)) == 0
+    assert np.count_nonzero(t1.adjoint().column(EMPTY)) == 0
 
 
 def test_band_structure(space, periodic_example):
     t1 = weighted_left_shift(space, periodic_example, 1)
     assert t1.bands == frozenset({-1})
-    assert adjoint(t1).bands == frozenset({1})
+    assert t1.adjoint().bands == frozenset({1})
     assert GradedOperator.identity(space).bands == frozenset({0})
 
 
@@ -81,7 +79,7 @@ def test_columns_orthogonal(space, periodic_example):
     # T_i* T_i is diagonal with entries lambda_{i,w}^2, zero at the top level
     for i in (1, 2):
         t_i = weighted_left_shift(space, periodic_example, i)
-        gram = (adjoint(t_i) @ t_i).to_dense()
+        gram = (t_i.adjoint() @ t_i).to_dense()
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) == 0.0
         for k in range(space.depth):

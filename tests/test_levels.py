@@ -1,0 +1,202 @@
+"""The per-level array paths against the scalar, per-word oracle.
+
+Every comparison is exact: the array paths perform the same floating-point
+operations in the same order as the per-word loops over ``lambda_of``,
+``mu_of`` and ``commutant_mu``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fockshift import (
+    BasisEnumeration,
+    CommutantMu,
+    ConstantWeights,
+    FinitePerturbationWeights,
+    GradedOperator,
+    PeriodicWeights,
+    ScaledWeights,
+    TableMu,
+    TruncatedFock,
+    TwoLetterRunWeights,
+    commutant_mu,
+    condition6_sup,
+    lambda_from_mu,
+    left_creation,
+    left_weight,
+    level_sums,
+    right_creation,
+    weighted_left_shift,
+    weighted_right_shift,
+    word_operator,
+)
+from fockshift.cli import main
+from fockshift.weights import mu_table, table_from_strings
+from fockshift.words import EMPTY, Word, append, prepend
+
+from conftest import random_finite_perturbation
+
+
+def _periodic(n: int, seed: int) -> PeriodicWeights:
+    # lambda_{a,e} = alpha_a and lambda_{a,b} = t alpha_a: every cycle ratio is 1
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.5, 2.0, n)
+    t = float(rng.uniform(1.5, 2.5))
+    remainders = {(a, EMPTY): float(alpha[a - 1]) for a in range(1, n + 1)}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            remainders[(a, Word([b]))] = t * float(alpha[a - 1])
+    return PeriodicWeights(n, 2, remainders)
+
+
+def _table_mu(n: int, seed: int) -> TableMu:
+    rng = np.random.default_rng(seed)
+    entries = {(i, w): float(rng.uniform(0.5, 2.0)) for w in BasisEnumeration(n, 2).words() for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        entries[(i, EMPTY)] = 1.0
+    return TableMu(n, 2, entries, fill=1.25)
+
+
+def _depth(n: int) -> int:
+    return 8 if n < 3 else 6
+
+
+def _systems():
+    for n in (1, 2, 3):
+        depth = _depth(n)
+        # np.log(1.05) is one ulp off math.log(1.05): level sums must use the latter
+        yield f"constant-n{n}", ConstantWeights(n, 1.05), depth
+        yield f"scaled-n{n}", ScaledWeights(n, tuple(0.5 + 0.75 * j for j in range(n))), depth
+        yield f"finite_perturbation-n{n}", random_finite_perturbation(40 + n, n=n, cutoff=2), depth
+        yield f"periodic-n{n}", _periodic(n, 50 + n), depth
+        yield f"tabulated-n{n}", lambda_from_mu(_table_mu(n, 60 + n), depth), depth
+    yield "two_letter_m", TwoLetterRunWeights(0.81, 0.9), 8
+
+
+SYSTEMS = list(_systems())
+
+
+def _oracle_shift(space: TruncatedFock, weight, i: int, left: bool) -> GradedOperator:
+    rows, cols, values = [], [], []
+    for k in range(space.depth):
+        for w in space.basis.level_words(k):
+            cols.append(space.index_of(w))
+            rows.append(space.index_of(prepend(i, w) if left else append(w, i)))
+            values.append(weight(i, w))
+    return GradedOperator.from_entries(space, rows, cols, values)
+
+
+def _oracle_word_operator(space: TruncatedFock, ws, w: Word) -> GradedOperator:
+    rows, cols, values = [], [], []
+    for k in range(space.depth - len(w) + 1):
+        for u in space.basis.level_words(k):
+            cols.append(space.index_of(u))
+            rows.append(space.index_of(w * u))
+            values.append(left_weight(ws, u, w))
+    return GradedOperator.from_entries(space, rows, cols, values)
+
+
+def _oracle_lambda_from_mu(mu, depth: int) -> dict:
+    """lambda_{i,wj} = lambda_{i,w} mu_{j,iw} / mu_{j,w}, one word at a time."""
+    table = {}
+    for w in BasisEnumeration(mu.n, depth).words():
+        for i in range(1, mu.n + 1):
+            value = 1.0
+            for pos, letter in enumerate(w.letters):
+                prefix = Word(w.letters[:pos])
+                value = value * mu.mu_of(letter, prepend(i, prefix)) / mu.mu_of(letter, prefix)
+            table[(i, w)] = value
+    return table
+
+
+def _oracle_level_sums(ws, moduli, depth: int) -> np.ndarray:
+    log_moduli = [math.log(r) if r > 0 else -math.inf for r in moduli]
+    sums = np.empty(depth + 1)
+    sums[0] = 1.0
+    frontier = [(EMPTY, 0.0)]
+    for k in range(1, depth + 1):
+        frontier = [
+            (prepend(i, w), t + (log_moduli[i - 1] - math.log(ws.lambda_of(i, w))))
+            for w, t in frontier
+            for i in range(1, ws.n + 1)
+        ]
+        logs = np.array([2.0 * t for _, t in frontier])
+        peak = np.max(logs)
+        sums[k] = 0.0 if peak == -math.inf else math.exp(peak) * float(np.sum(np.exp(logs - peak)))
+    return sums
+
+
+def _same(a: GradedOperator, b: GradedOperator) -> bool:
+    return a.mat.nnz == b.mat.nnz and (a.mat != b.mat).nnz == 0
+
+
+@pytest.mark.parametrize("label, ws, depth", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+def test_level_arrays_equal_scalar_oracle(label, ws, depth):
+    n = ws.n
+    basis = BasisEnumeration(n, depth)
+    space = TruncatedFock(n, depth)
+    mu = CommutantMu(ws)
+    for i in range(1, n + 1):
+        levels = ws.lambda_levels(i, depth)
+        assert len(levels) == depth + 1
+        for k, level in enumerate(levels):
+            assert level.tolist() == [ws.lambda_of(i, w) for w in basis.level_words(k)]
+        for k, level in enumerate(mu.mu_levels(i, depth)):
+            assert level.tolist() == [commutant_mu(ws, i, w) for w in basis.level_words(k)]
+        assert _same(weighted_left_shift(space, ws, i), _oracle_shift(space, ws.lambda_of, i, left=True))
+        assert _same(weighted_right_shift(space, mu, i), _oracle_shift(space, mu.mu_of, i, left=False))
+
+    words = list(BasisEnumeration(n, 2).words()) + [Word([n, 1, n])]
+    for w in words:
+        assert _same(word_operator(space, ws, w), _oracle_word_operator(space, ws, w))
+
+    oracle = {(i, w): commutant_mu(ws, i, w) for w in basis.words() for i in range(1, n + 1)}
+    table = mu_table(ws, depth)
+    assert list(table) == list(oracle)
+    assert table == oracle
+    assert lambda_from_mu(mu, depth).table == _oracle_lambda_from_mu(mu, depth)
+
+    best, witness = 0.0, None
+    for (i, w), value in oracle.items():
+        if value > best:
+            best, witness = value, (i, w)
+    report = condition6_sup(ws, depth)
+    assert (report.value, report.witness) == (best, witness)
+
+    for (i, w), value in oracle.items():
+        ratio = left_weight(ws, Word([i]), w) / left_weight(ws, EMPTY, w)
+        assert abs(value - ratio) <= 1e-14 * ratio
+
+    # log r = 0 at r = 1 keeps every bit of log lambda in the terms
+    for moduli in ((0.0,) * n, tuple(1.0 - 0.2 * j for j in range(n))):
+        assert np.array_equal(level_sums(ws, moduli, depth), _oracle_level_sums(ws, moduli, depth))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_table_mu_and_unweighted_shifts_equal_scalar_oracle(n):
+    depth = _depth(n)
+    space = TruncatedFock(n, depth)
+    mu = _table_mu(n, 70 + n)
+    unit = lambda i, w: 1.0  # noqa: E731
+    for i in range(1, n + 1):
+        assert _same(weighted_right_shift(space, mu, i), _oracle_shift(space, mu.mu_of, i, left=False))
+        assert _same(left_creation(space, i), _oracle_shift(space, unit, i, left=True))
+        assert _same(right_creation(space, i), _oracle_shift(space, unit, i, left=False))
+    assert lambda_from_mu(mu, depth).table == _oracle_lambda_from_mu(mu, depth)
+
+
+def test_deep_single_letter_system(tmp_path):
+    # W(e, 1^k) ~ 0.01^k underflows long before depth 200; the ratios settle at 0.02
+    table = table_from_strings({"1:e": 0.5, "1:1": 2.0})
+    ws = FinitePerturbationWeights(1, 1, table, (0.01,))
+    for (_, w), value in mu_table(ws, 200).items():
+        if len(w) >= 2:
+            assert value == pytest.approx(0.02, rel=1e-12)
+    config = tmp_path / "deep.json"
+    config.write_text(
+        '{"n": 1, "family": "finite_perturbation", "cutoff": 1,'
+        ' "table": {"1:e": 0.5, "1:1": 2.0}, "tail": [0.01]}'
+    )
+    assert main(["check", "--config", str(config), "--depth", "200"]) == 0

@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
 
-from fockshift import BasisEnumeration, Word, concat, eval_word, parse_word
+from fockshift import BasisEnumeration, Word, eval_word, parse_word
 from fockshift.words import EMPTY, append, prepend, validate_word
 
 
 def test_concat_unit_laws():
     w = parse_word("21")
-    assert concat(EMPTY, w) == w
-    assert concat(w, EMPTY) == w
-    assert str(concat(w, w)) == "2121"
-    assert str(concat(parse_word("1"), parse_word("2"))) == "12"
+    assert EMPTY * w == w
+    assert w * EMPTY == w
+    assert str(w * w) == "2121"
+    assert str(parse_word("1") * parse_word("2")) == "12"
 
 
 def test_concat_associative():
     u, v, w = parse_word("12"), parse_word("2"), parse_word("211")
-    assert concat(concat(u, v), w) == concat(u, concat(v, w))
-    assert len(concat(u, w)) == len(u) + len(w)
+    assert (u * v) * w == u * (v * w)
+    assert len(u * w) == len(u) + len(w)
 
 
 def test_prepend_append():
@@ -94,7 +94,7 @@ def test_eval_word_multiplicative():
     point = tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     for v in words:
         for w in words:
-            assert eval_word(concat(v, w), point) == pytest.approx(
+            assert eval_word(v * w, point) == pytest.approx(
                 eval_word(v, point) * eval_word(w, point)
             )
 
