@@ -39,6 +39,7 @@ from .algebra import (
     apply_fourier,
     cesaro_sum,
     commutant_extract,
+    expansion_operator,
     fourier_power_coeffs,
     injectivity_pairing,
     operator_from_fourier,

@@ -16,12 +16,11 @@ from .weights import (
     CommutantMu,
     MuSystem,
     WeightSystem,
-    left_weight,
     log_right_weight,
     require_bounded_mu,
     right_weight,
 )
-from .fock import GradedOperator, TruncatedFock, column_norms, weighted_right_shift
+from .fock import GradedOperator, TruncatedFock, max_column_norm, weighted_right_shift
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,6 @@ class FourierElement:
             mu = CommutantMu(weights)
         return cls(cleaned, weights, mu)
 
-    @property
-    def support(self) -> list[Word]:
-        return sorted(self.coeffs)
-
     def support_length(self) -> int:
         return max((len(w) for w in self.coeffs), default=0)
 
@@ -61,8 +56,41 @@ class FourierElement:
         return min(self.coeffs)
 
 
+def _assemble(space: TruncatedFock, pieces: list[tuple]) -> GradedOperator:
+    """One operator from (rows, columns, values) pieces."""
+    if not pieces:
+        return GradedOperator.zero(space)
+    return GradedOperator.from_entries(space, *(np.concatenate(part) for part in zip(*pieces)))
+
+
+def expansion_operator(a: FourierElement, space: TruncatedFock) -> GradedOperator:
+    """The compressed operator with columns A xi_v = W_mu(e,v)^{-1} sum_w a_w W_mu(w,v) xi_{w*v},
+    less the terms with |w| + |v| > depth.
+
+    The weight is carried as ratio(w, v) = W_mu(w,v) / W_mu(e,v), one appended
+    letter at a time, since the products under- or overflow on long words:
+    ratio(w, v*j) = ratio(w, v) mu_{j,w*v} / mu_{j,v}.  For w of rank b and v
+    of rank r at level k, w*v has rank b n^k + r and v*j has rank r n + j-1.
+    """
+    n, depth, offsets = space.n, space.depth, space.basis.level_offsets
+    mus = [a.mu.mu_levels(j, depth - 1) for j in range(1, n + 1)]
+    pieces = []
+    for w, coeff in a.coeffs.items():
+        m = len(w)
+        if m > depth:
+            continue
+        b = space.index_of(w) - offsets[m]
+        ratio = np.ones(1)
+        for k in range(depth - m + 1):
+            r = np.arange(n**k)
+            pieces.append((offsets[m + k] + b * n**k + r, offsets[k] + r, coeff * ratio))
+            if k < depth - m:
+                ratio = np.stack([ratio * mu[m + k][b * n**k + r] / mu[k][r] for mu in mus], axis=1).ravel()
+    return _assemble(space, pieces)
+
+
 def apply_fourier(a: FourierElement, v: Word, depth: int) -> dict[Word, complex]:
-    """Evaluate A xi_v = W_mu(e,v)^{-1} sum_w a_w W_mu(w,v) xi_{w*v}.
+    """The nonzero components of A xi_v = W_mu(e,v)^{-1} sum_w a_w W_mu(w,v) xi_{w*v}.
 
     Exact on the truncation; support words with |w| + |v| > depth are refused
     rather than silently dropped.
@@ -71,11 +99,8 @@ def apply_fourier(a: FourierElement, v: Word, depth: int) -> dict[Word, complex]
         raise ValueError(
             f"support length {a.support_length()} plus |v| = {len(v)} exceeds depth {depth}"
         )
-    base = right_weight(a.mu, EMPTY, v)
-    out: dict[Word, complex] = {}
-    for w, coeff in a.coeffs.items():
-        out[w * v] = coeff * right_weight(a.mu, w, v) / base
-    return out
+    space = TruncatedFock(a.weights.n, a.support_length() + len(v))
+    return space.coeffs_from_vector(expansion_operator(a, space).column(v))
 
 
 def phi_band(x: GradedOperator, j: int) -> GradedOperator:
@@ -99,11 +124,10 @@ def cesaro_sum(x: GradedOperator, k: int) -> GradedOperator:
     return GradedOperator.from_entries(x.space, coo.row, coo.col, coo.data * factors)
 
 
-def word_operator(space: TruncatedFock, ws: WeightSystem, w: Word) -> GradedOperator:
-    """The compressed operator T_w: xi_u -> W(u,w) xi_{w*u}, with W(u,w)
+def _word_entries(space: TruncatedFock, lams: Mapping[int, list[np.ndarray]], w: Word):
+    """Rows, columns and values of T_w: xi_u -> W(u,w) xi_{w*u}, with W(u,w)
     multiplied up one letter of w at a time from the right."""
     n, offsets = space.n, space.basis.level_offsets
-    lams = {a: ws.lambda_levels(a, space.depth - 1) for a in set(w.letters)}
     top = max(space.depth - len(w) + 1, 0)
     cols = np.arange(offsets[top])
     rows = np.empty_like(cols)
@@ -116,28 +140,35 @@ def word_operator(space: TruncatedFock, ws: WeightSystem, w: Word) -> GradedOper
             rank = (letter - 1) * n**level + rank
             level += 1
         rows[space.level_slice(k)] = offsets[level] + rank
-    return GradedOperator.from_entries(space, rows, cols, values)
+    return rows, cols, values
+
+
+def word_operator(space: TruncatedFock, ws: WeightSystem, w: Word) -> GradedOperator:
+    """The compressed operator T_w: xi_u -> W(u,w) xi_{w*u}."""
+    lams = {a: ws.lambda_levels(a, space.depth - 1) for a in set(w.letters)}
+    return GradedOperator.from_entries(space, *_word_entries(space, lams, w))
 
 
 def operator_from_fourier(a: FourierElement, space: TruncatedFock) -> GradedOperator:
-    """The compressed operator sum_w a_w W(e,w)^{-1} T_w of an expansion."""
-    total = GradedOperator.zero(space)
+    """The compressed operator sum_w a_w W(e,w)^{-1} T_w of an expansion, with
+    W(e,w) read off column e of T_w.  Words longer than the depth have T_w = 0."""
+    lams = {i: a.weights.lambda_levels(i, space.depth - 1) for i in range(1, space.n + 1)}
+    pieces = []
     for w, coeff in a.coeffs.items():
-        total = total + (coeff / left_weight(a.weights, EMPTY, w)) * word_operator(space, a.weights, w)
-    return total
+        if len(w) > space.depth:
+            continue
+        rows, cols, values = _word_entries(space, lams, w)
+        # a scalar division: a W(e,w) that underflowed to 0 raises, where numpy gives NaN
+        pieces.append((rows, cols, (coeff / complex(values[0])) * values.astype(complex)))
+    return _assemble(space, pieces)
 
 
 def pk_polynomial(a: FourierElement, k: int, space: TruncatedFock) -> GradedOperator:
     """The Fejer-weighted polynomial sum_{|w|<k} (1 - |w|/k) a_w W(e,w)^{-1} T_w."""
     if k < 1:
         raise ValueError("polynomial order must be at least 1")
-    total = GradedOperator.zero(space)
-    for w, coeff in a.coeffs.items():
-        if len(w) >= k:
-            continue
-        scale = (1.0 - len(w) / k) * coeff / left_weight(a.weights, EMPTY, w)
-        total = total + scale * word_operator(space, a.weights, w)
-    return total
+    fejer = {w: (1.0 - len(w) / k) * coeff for w, coeff in a.coeffs.items() if len(w) < k}
+    return operator_from_fourier(FourierElement(fejer, a.weights, a.mu), space)
 
 
 @dataclass(frozen=True)
@@ -165,31 +196,19 @@ def commutant_extract(
     if mu is None:
         mu = CommutantMu(ws)
     levels = space.levels()
-    col_mask = levels <= space.depth - 2
     for i in range(1, space.n + 1):
         s_i = weighted_right_shift(space, mu, i)
-        col_norms = column_norms((x @ s_i - s_i @ x).mat)
-        col_norms[~col_mask] = 0.0
-        idx = int(np.argmax(col_norms))
-        if col_norms[idx] > commutation_tol:
+        defect, idx = max_column_norm((x @ s_i - s_i @ x).mat, levels <= space.depth - 2)
+        if not defect <= commutation_tol:
             raise ValueError(
                 f"operator does not commute with right shift {i}: defect "
-                f"{col_norms[idx]:.3e} at column {space.word_at(idx)}"
+                f"{defect:.3e} at column {space.word_at(idx)}"
             )
 
-    vacuum_column = x.column(EMPTY)
-    coeffs = space.coeffs_from_vector(vacuum_column)
-    element = FourierElement.build(coeffs, ws, mu)
-    support_length = element.support_length()
-
-    worst = 0.0
-    checked = 0
-    for k in range(space.depth - support_length + 1):
-        for v in space.basis.level_words(k):
-            predicted = space.vector_from_coeffs(apply_fourier(element, v, space.depth))
-            worst = max(worst, float(np.linalg.norm(x.column(v) - predicted)))
-            checked += 1
-    return ExtractionResult(element, worst, checked)
+    element = FourierElement.build(space.coeffs_from_vector(x.column(EMPTY)), ws, mu)
+    reach = space.depth - element.support_length()
+    residual, _ = max_column_norm((x - expansion_operator(element, space)).mat, levels <= reach)
+    return ExtractionResult(element, residual, space.basis.level_offsets[reach + 1])
 
 
 @dataclass(frozen=True)
@@ -221,22 +240,9 @@ def injectivity_pairing(
         raise ValueError(f"{v2} is not of minimal length in the vector support")
 
     target = v1 * v2
-    total = complex(0.0)
-    for w in xi_support:
-        # coefficient of xi_target in A xi_w, per the expansion formula
-        if len(w) > len(target):
-            continue
-        u_letters = target.letters[: len(target) - len(w)]
-        if target.letters[len(target) - len(w):] != w.letters:
-            continue
-        u = Word(u_letters)
-        if u in a.coeffs:
-            total += (
-                xi[w]
-                * a.coeffs[u]
-                * right_weight(a.mu, u, w)
-                / right_weight(a.mu, EMPTY, w)
-            )
+    space = TruncatedFock(a.weights.n, len(target))
+    vec = space.vector_from_coeffs({w: b for w, b in xi.items() if len(w) <= space.depth})
+    total = complex(expansion_operator(a, space).apply(vec)[space.index_of(target)])
     closed = (
         a.coeffs[v1]
         * xi[v2]
@@ -251,18 +257,12 @@ def fourier_power_coeffs(a: FourierElement, k: int, depth: int) -> dict[Word, co
     components beyond the depth are dropped, matching the compression."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    state: dict[Word, complex] = {EMPTY: 1.0}
+    space = TruncatedFock(a.weights.n, depth)
+    op = expansion_operator(a, space)
+    state = space.basis_vector(EMPTY)
     for _ in range(k):
-        nxt: dict[Word, complex] = {}
-        for v, value in state.items():
-            base = right_weight(a.mu, EMPTY, v)
-            for w, coeff in a.coeffs.items():
-                if len(w) + len(v) > depth:
-                    continue
-                target = w * v
-                nxt[target] = nxt.get(target, 0.0) + value * coeff * right_weight(a.mu, w, v) / base
-        state = nxt
-    return state
+        state = op.apply(state)
+    return space.coeffs_from_vector(state)
 
 
 @dataclass(frozen=True)
@@ -297,9 +297,12 @@ def spectral_radius_lower(a: FourierElement, v: Word, k_max: int, depth: int) ->
     closed_forms: list[complex] = []
     a_v = a.coeffs[v]
     log_base = log_right_weight(a.mu, EMPTY, v)
+    space = TruncatedFock(a.weights.n, depth)
+    op = expansion_operator(a, space)
+    state = space.basis_vector(EMPTY)
     for k in range(1, k_max + 1):
-        coeffs_k = fourier_power_coeffs(a, k, depth)
-        value = coeffs_k.get(v**k, 0.0)
+        state = op.apply(state)
+        value = complex(state[space.index_of(v**k)])
         closed = (
             a_v**k
             * math.exp(-(k - 1) * log_base)

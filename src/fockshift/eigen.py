@@ -11,7 +11,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .words import EMPTY, BasisEnumeration, Word, prepend
+from .words import BasisEnumeration, Word
 from .weights import WeightSystem
 from .fock import DENSE_LIMIT, TruncatedFock, weighted_left_shift
 
@@ -36,22 +36,23 @@ class EigenCandidate:
 
 
 def eigenvector_coeffs(ws: WeightSystem, point: Sequence[complex], depth: int) -> EigenCandidate:
-    """Coefficients conj(w(point)) W(e,w)^{-1}, built level by level."""
+    """Coefficients conj(w(point)) W(e,w)^{-1}, built level by level: the word
+    i*w has rank (i-1) n^k + r, so level k+1 is the concatenation over i of
+    level k times conj(point_i) / lambda_{i,w}."""
     if len(point) != ws.n:
         raise ValueError(f"expected {ws.n} coordinates, got {len(point)}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     point = tuple(complex(z) for z in point)
-    coeffs: dict[Word, complex] = {EMPTY: 1.0}
-    frontier: dict[Word, complex] = {EMPTY: 1.0}
-    for _ in range(depth):
-        nxt: dict[Word, complex] = {}
-        for w, value in frontier.items():
-            for i in range(1, ws.n + 1):
-                nxt[prepend(i, w)] = value * point[i - 1].conjugate() / ws.lambda_of(i, w)
-        coeffs.update(nxt)
-        frontier = nxt
-    return EigenCandidate(point, depth, coeffs)
+    conj = [z.conjugate() for z in point]
+    lams = [ws.lambda_levels(i, depth - 1) for i in range(1, ws.n + 1)]
+    # Python's complex arithmetic part by part; numpy's differs in the last bit
+    re, im = [np.ones(1)], [np.zeros(1)]
+    for k in range(depth):
+        re.append(np.concatenate([(re[k] * z.real - im[k] * z.imag) / lam[k] for z, lam in zip(conj, lams)]))
+        im.append(np.concatenate([(re[k] * z.imag + im[k] * z.real) / lam[k] for z, lam in zip(conj, lams)]))
+    values = map(complex, np.concatenate(re).tolist(), np.concatenate(im).tolist())
+    return EigenCandidate(point, depth, dict(zip(BasisEnumeration(ws.n, depth).words(), values)))
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,14 @@ def column_norms(mat) -> np.ndarray:
     return np.sqrt(np.asarray(abs(mat).power(2).sum(axis=0)).ravel())
 
 
+def max_column_norm(mat, mask: np.ndarray) -> tuple[float, int | None]:
+    """The largest column norm over the columns in ``mask`` and the first column
+    attaining it, None if it is 0.  A NaN norm counts as the largest."""
+    norms = np.where(mask, column_norms(mat), 0.0)
+    idx = int(np.argmax(norms))
+    return float(norms[idx]), (None if norms[idx] == 0.0 else idx)
+
+
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
@@ -208,21 +216,18 @@ def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | No
     """
     if mu is None:
         mu = CommutantMu(ws)
-    levels = space.levels()
     cap = space.depth - 2
-    col_mask = levels <= cap
-    worst = 0.0
-    witness = None
+    col_mask = space.levels() <= cap
     lefts = [weighted_left_shift(space, ws, i) for i in range(1, space.n + 1)]
     rights = [weighted_right_shift(space, mu, j) for j in range(1, space.n + 1)]
-    for i, t_i in enumerate(lefts, start=1):
-        for j, s_j in enumerate(rights, start=1):
-            col_norms = column_norms((t_i @ s_j - s_j @ t_i).mat)
-            col_norms[~col_mask] = 0.0
-            idx = int(np.argmax(col_norms))
-            if col_norms[idx] > worst:
-                worst = float(col_norms[idx])
-                witness = (i, j, space.word_at(idx))
+    defects = [
+        (*max_column_norm((t_i @ s_j - s_j @ t_i).mat, col_mask), i, j)
+        for i, t_i in enumerate(lefts, start=1)
+        for j, s_j in enumerate(rights, start=1)
+    ]
+    # the first pair attaining the maximum, a NaN defect counting as the largest
+    worst, idx, i, j = defects[int(np.argmax([d[0] for d in defects]))]
+    witness = None if idx is None else (i, j, space.word_at(idx))
     return CommutationReport(worst, witness, cap)
 
 

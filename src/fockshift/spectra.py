@@ -14,6 +14,7 @@ import numpy as np
 from .words import Word
 from .weights import ConstantWeights
 from .fock import DENSE_LIMIT, GradedOperator, TruncatedFock, column_norms, left_creation
+from .algebra import FourierElement, operator_from_fourier
 from .eigen import eigen_residual, eigenvector_coeffs
 
 BOUNDARY_TOL = 1e-9
@@ -34,22 +35,6 @@ class SpectrumReport:
     verdict: str
     defects: dict[str, float]
     witness: dict
-
-
-def _series_operator(space: TruncatedFock, term_values: Mapping[Word, complex]) -> GradedOperator:
-    """sum_w c_w L_w as a compressed operator, for finitely many terms."""
-    rows, cols, values = [], [], []
-    basis = space.basis
-    for v in basis.words():
-        room = space.depth - len(v)
-        col = basis.index_of(v)
-        for w, c_w in term_values.items():
-            if len(w) > room:
-                continue
-            rows.append(basis.index_of(w * v))
-            cols.append(col)
-            values.append(c_w)
-    return GradedOperator.from_entries(space, rows, cols, values)
 
 
 def _split_defect(space: TruncatedFock, diff: GradedOperator) -> tuple[float, float]:
@@ -80,8 +65,8 @@ def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
     if norm >= 1.0:
         raise ValueError(f"resolvent series needs ||point|| < 1, got {norm}")
     space = TruncatedFock(len(point), depth)
-    unit_coeffs = eigenvector_coeffs(ConstantWeights(len(point), 1.0), point, depth - 1).coeffs
-    series = _series_operator(space, unit_coeffs)
+    unit = ConstantWeights(len(point), 1.0)
+    series = operator_from_fourier(FourierElement.build(eigenvector_coeffs(unit, point, depth - 1).coeffs, unit), space)
     affine = GradedOperator.identity(space)
     for i in range(1, space.n + 1):
         affine = affine - point[i - 1].conjugate() * left_creation(space, i)
@@ -119,7 +104,8 @@ def right_membership(point: Sequence[complex], depth: int, tol: float = BOUNDARY
         )
     # ||point|| > 1: right inverse B_i = (conj(z_i)/||z||^2) sum_w conj(w(z)) ||z||^(-2|w|) L_w
     scaled = tuple(z / norm**2 for z in point)
-    series = _series_operator(space, eigenvector_coeffs(unweighted, scaled, depth - 1).coeffs)
+    series_coeffs = eigenvector_coeffs(unweighted, scaled, depth - 1).coeffs
+    series = operator_from_fourier(FourierElement.build(series_coeffs, unweighted), space)
     total = GradedOperator.zero(space)
     for i in range(1, n + 1):
         b_i = (point[i - 1].conjugate() / norm**2) * series

@@ -78,6 +78,7 @@ def test_check_command_unweighted(tmp_path, capsys):
     assert report["config"]["weights"]["family"] == "constant"
     assert report["config"]["depth"] == 8
     assert all(entry.get("pass", True) for entry in report["checks"])
+    assert set(report["timing_seconds"]) == {entry["check"] for entry in report["checks"]}
 
 
 def test_check_command_diverging_is_a_finding(tmp_path, capsys):
@@ -226,12 +227,40 @@ def test_boolean_numeric_fields_rejected(tmp_path, capsys, field):
     assert f"$.{field}" in capsys.readouterr().err
 
 
+DEEP_N1 = {
+    "n": 1, "family": "finite_perturbation", "cutoff": 1,
+    "table": {"1:e": 0.5, "1:1": 2.0}, "tail": [0.01],
+}
+
+
 def test_arithmetic_error_exits_2(tmp_path, capsys):
-    # W_mu(e, v) ~ 4 * 0.0002^(|v|-2) underflows to 0 in the round-trip expansion
-    config = _write_config(tmp_path, "deep.json", {
-        "n": 1, "family": "finite_perturbation", "cutoff": 1,
-        "table": {"1:e": 0.5, "1:1": 2.0}, "tail": [0.0001],
-    })
-    assert main(["commutant", "--config", config, "--depth", "100"]) == 2
+    # W(e, 1^90) = 0.0001^88 underflows to 0, and operator_from_fourier divides by it
+    config = _write_config(tmp_path, "deep.json", dict(DEEP_N1, tail=[0.0001]))
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"coeffs": {"1" * 90: [1, 0]}}))
+    assert main(["cesaro", "--config", config, "--coeffs", str(coeffs), "--depth", "100"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition error:") and len(err.strip().splitlines()) == 1
+
+
+def test_deep_commutant_round_trip(tmp_path, capsys):
+    # W_mu(e, v) underflows near |v| = 190; the expansion carries only its ratios
+    config = _write_config(tmp_path, "deep.json", DEEP_N1)
+    assert main(["commutant", "--config", config, "--depth", "200"]) == 0
+    assert "round-trip: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["cesaro", "zero_left_inverse"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_nonfinite_coefficients_rejected(tmp_path, capsys, mode, bad):
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    coeffs = tmp_path / "coeffs.json"
+    if mode == "cesaro":
+        coeffs.write_text(f'{{"coeffs": {{"1": [{bad}, 0], "e": [1, 0]}}}}')
+        argv = ["cesaro", "--config", config, "--coeffs", str(coeffs)]
+    else:
+        coeffs.write_text(f'{{"eta1": {{"e": [0, {bad}]}}}}')
+        argv = ["spectra", "--config", config, "--mode", mode, "--lambda", "0,0", "--depth", "5",
+                "--coeffs", str(coeffs)]
+    assert main(argv) == 2
+    assert "finite numbers" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fockshift import (
     CommutantMu,
@@ -16,6 +17,7 @@ from fockshift import (
     weighted_left_shift,
     weighted_right_shift,
 )
+from fockshift.fock import max_column_norm
 from fockshift.weights import TableMu, mu_table
 from fockshift.words import EMPTY, prepend
 
@@ -153,3 +155,16 @@ def test_grading_moves_levels(space, periodic_example):
     for op in (t1, s2):
         coo = op.mat.tocoo()
         assert np.all(levels[coo.row] == levels[coo.col] + 1)
+
+
+def test_max_column_norm_witness_and_nan():
+    mask = np.array([True, True, True, False])
+    values = np.array([[0.0, 3.0, 0.0, 9.0], [0.0, 4.0, 5.0, 0.0]])
+    assert max_column_norm(sp.csr_array(values), mask) == (5.0, 1)  # the first column attaining it
+    assert max_column_norm(sp.csr_array((2, 4)), mask) == (0.0, None)
+    values[0, 2] = np.nan
+    value, idx = max_column_norm(sp.csr_array(values), mask)
+    assert np.isnan(value) and idx == 2
+    values[0, 2] = 0.0
+    values[1, 3] = np.nan  # outside the mask
+    assert max_column_norm(sp.csr_array(values), mask) == (5.0, 1)

@@ -1,10 +1,14 @@
 """The per-level array paths against the scalar, per-word oracle.
 
-Every comparison is exact: the array paths perform the same floating-point
-operations in the same order as the per-word loops over ``lambda_of``,
-``mu_of`` and ``commutant_mu``.
+Every comparison but one is exact: the array paths perform the same
+floating-point operations in the same order as the per-word loops over
+``lambda_of``, ``mu_of`` and ``commutant_mu``.  The expansion operator is
+compared at 1e-14 relative: it carries W_mu(w,v) / W_mu(e,v) as a ratio,
+where the per-word formula divides two products.
 """
 
+import cmath
+import functools
 import math
 
 import numpy as np
@@ -15,6 +19,7 @@ from fockshift import (
     CommutantMu,
     ConstantWeights,
     FinitePerturbationWeights,
+    FourierElement,
     GradedOperator,
     PeriodicWeights,
     ScaledWeights,
@@ -23,17 +28,22 @@ from fockshift import (
     TwoLetterRunWeights,
     commutant_mu,
     condition6_sup,
+    eigenvector_coeffs,
+    expansion_operator,
     lambda_from_mu,
     left_creation,
     left_weight,
     level_sums,
+    operator_from_fourier,
+    pk_polynomial,
     right_creation,
+    right_weight,
     weighted_left_shift,
     weighted_right_shift,
     word_operator,
 )
 from fockshift.cli import main
-from fockshift.weights import mu_table, table_from_strings
+from fockshift.weights import MuSystem, mu_table, table_from_strings
 from fockshift.words import EMPTY, Word, append, prepend
 
 from conftest import random_finite_perturbation
@@ -128,8 +138,85 @@ def _oracle_level_sums(ws, moduli, depth: int) -> np.ndarray:
     return sums
 
 
+def _oracle_fourier_sum(space: TruncatedFock, ws, coeffs: dict) -> GradedOperator:
+    """sum_w c_w W(e,w)^{-1} T_w, one sparse add per word."""
+    total = GradedOperator.zero(space)
+    for w, coeff in coeffs.items():
+        total = total + (coeff / left_weight(ws, EMPTY, w)) * _oracle_word_operator(space, ws, w)
+    return total
+
+
+def _oracle_series(space: TruncatedFock, coeffs: dict) -> GradedOperator:
+    """sum_w c_w L_w, one entry per column and term."""
+    rows, cols, values = [], [], []
+    for v in space.basis.words():
+        for w, c_w in coeffs.items():
+            if len(w) <= space.depth - len(v):
+                rows.append(space.index_of(w * v))
+                cols.append(space.index_of(v))
+                values.append(c_w)
+    return GradedOperator.from_entries(space, rows, cols, values)
+
+
+class _CachedMu(MuSystem):
+    """Memoised ``mu_of``, which keeps the scalar ``right_weight`` fast."""
+
+    def __init__(self, mu):
+        self.n = mu.n
+        self.mu_of = functools.cache(mu.mu_of)
+
+
+def _oracle_expansion(space: TruncatedFock, a: FourierElement) -> dict:
+    """(row, column) -> a_w W_mu(w,v) / W_mu(e,v) for every |w| + |v| <= depth."""
+    mu = _CachedMu(a.mu)
+    entries = {}
+    for v in space.basis.words():
+        base = right_weight(mu, EMPTY, v)
+        for w, coeff in a.coeffs.items():
+            if len(w) + len(v) <= space.depth:
+                entries[(space.index_of(w * v), space.index_of(v))] = coeff * right_weight(mu, w, v) / base
+    return entries
+
+
+def _oracle_eigenvector(ws, point, depth: int) -> dict:
+    coeffs = {EMPTY: 1.0}
+    frontier = {EMPTY: 1.0}
+    for _ in range(depth):
+        frontier = {
+            prepend(i, w): value * point[i - 1].conjugate() / ws.lambda_of(i, w)
+            for w, value in frontier.items()
+            for i in range(1, ws.n + 1)
+        }
+        coeffs.update(frontier)
+    return coeffs
+
+
 def _same(a: GradedOperator, b: GradedOperator) -> bool:
     return a.mat.nnz == b.mat.nnz and (a.mat != b.mat).nnz == 0
+
+
+def _close(values: dict, oracle: dict) -> bool:
+    return values.keys() == oracle.keys() and all(abs(values[key] - x) <= 1e-14 * abs(x) for key, x in oracle.items())
+
+
+def _element(ws, seed: int, mu=None) -> FourierElement:
+    rng = np.random.default_rng(seed)
+    words = list(BasisEnumeration(ws.n, 2).words()) + [Word([ws.n, 1, ws.n])]
+    return FourierElement.build({w: complex(*rng.standard_normal(2)) for w in words}, ws, mu)
+
+
+def _check_expansions(space: TruncatedFock, a: FourierElement) -> None:
+    """The level-array builders against the per-word formulas."""
+    ws = a.weights
+    assert _same(operator_from_fourier(a, space), _oracle_fourier_sum(space, ws, a.coeffs))
+    for k in (1, 2, space.depth):
+        fejer = {w: (1.0 - len(w) / k) * c for w, c in a.coeffs.items() if len(w) < k}
+        assert _same(pk_polynomial(a, k, space), _oracle_fourier_sum(space, ws, fejer))
+    coo = expansion_operator(a, space).mat.tocoo()
+    produced = dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))
+    assert _close(produced, _oracle_expansion(space, a))
+    point = tuple(cmath.rect(0.6, 0.4 + j) for j in range(ws.n))
+    assert eigenvector_coeffs(ws, point, space.depth).coeffs == _oracle_eigenvector(ws, point, space.depth)
 
 
 @pytest.mark.parametrize("label, ws, depth", SYSTEMS, ids=[s[0] for s in SYSTEMS])
@@ -173,6 +260,8 @@ def test_level_arrays_equal_scalar_oracle(label, ws, depth):
     for moduli in ((0.0,) * n, tuple(1.0 - 0.2 * j for j in range(n))):
         assert np.array_equal(level_sums(ws, moduli, depth), _oracle_level_sums(ws, moduli, depth))
 
+    _check_expansions(space, _element(ws, 80 + n))
+
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_table_mu_and_unweighted_shifts_equal_scalar_oracle(n):
@@ -185,6 +274,13 @@ def test_table_mu_and_unweighted_shifts_equal_scalar_oracle(n):
         assert _same(left_creation(space, i), _oracle_shift(space, unit, i, left=True))
         assert _same(right_creation(space, i), _oracle_shift(space, unit, i, left=False))
     assert lambda_from_mu(mu, depth).table == _oracle_lambda_from_mu(mu, depth)
+    _check_expansions(space, _element(lambda_from_mu(mu, depth), 90 + n, mu))
+
+    # the resolvent series of the spectra checks
+    unweighted = ConstantWeights(n, 1.0)
+    point = tuple(cmath.rect(0.3, 0.9 + j) for j in range(n))
+    coeffs = eigenvector_coeffs(unweighted, point, depth - 1).coeffs
+    assert _same(operator_from_fourier(FourierElement.build(coeffs, unweighted), space), _oracle_series(space, coeffs))
 
 
 def test_deep_single_letter_system(tmp_path):
