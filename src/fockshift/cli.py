@@ -177,9 +177,9 @@ def parse_config(document: Any) -> RunConfig:
 
     depth = _integer(document.get("depth", DEFAULT_DEPTH), "$.depth", 1)
     tolerance = document.get("tolerance", DEFAULT_TOLERANCE)
-    _expect(_is_number(tolerance) and tolerance > 0, "$.tolerance", "expected a positive number")
+    _expect(_is_number(tolerance) and 0 < tolerance < math.inf, "$.tolerance", "expected a positive finite number")
     epsilon = document.get("epsilon", DEFAULT_EPSILON)
-    _expect(_is_number(epsilon) and epsilon > 0, "$.epsilon", "expected a positive number")
+    _expect(_is_number(epsilon) and 0 < epsilon < math.inf, "$.epsilon", "expected a positive finite number")
     return RunConfig(weights, dict(document), depth, float(tolerance), float(epsilon))
 
 
@@ -280,17 +280,17 @@ def _print_check_lines(entries: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _defect_entry(report) -> tuple:
+    return report.max_defect, report.witness, report
+
+
 def _cmd_check(config: RunConfig, args) -> tuple[int, dict]:
     ws = config.weights
     recorder = _CheckRecorder()
     tol = config.tolerance
 
     cocycle_depth = min(config.depth, 6)
-    recorder.run(
-        "cocycles",
-        tol,
-        lambda: (lambda rep: (rep.max_defect, rep.witness, rep))(check_cocycles(ws, None, cocycle_depth)),
-    )
+    recorder.run("cocycles", tol, lambda: _defect_entry(check_cocycles(ws, None, cocycle_depth)))
 
     start = time.perf_counter()
     condition = condition6_sup(ws, config.depth)
@@ -315,16 +315,8 @@ def _cmd_check(config: RunConfig, args) -> tuple[int, dict]:
         recorder.skip("intertwining", "commutant weights diverge; identity not meaningful here")
         recorder.skip("commutation", "right shifts unbounded; commutant checks skipped")
     else:
-        recorder.run(
-            "intertwining",
-            tol,
-            lambda: (lambda rep: (rep.max_defect, rep.witness, rep))(check_intertwining(ws, cocycle_depth)),
-        )
-        recorder.run(
-            "commutation",
-            tol,
-            lambda: (lambda rep: (rep.max_defect, rep.witness, rep))(commutation_defect(space, ws)),
-        )
+        recorder.run("intertwining", tol, lambda: _defect_entry(check_intertwining(ws, cocycle_depth)))
+        recorder.run("commutation", tol, lambda: _defect_entry(commutation_defect(space, ws)))
 
     recorder.run(
         "norms",
@@ -625,8 +617,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("--depth must be at least 1")
             config.depth = args.depth
         if args.tol is not None:
-            if args.tol <= 0:
-                raise ConfigError("--tol must be positive")
+            if not 0 < args.tol < math.inf:
+                raise ConfigError("--tol must be positive and finite")
             config.tolerance = args.tol
         return run_command(args.verb, config, args)
     except ConfigError as exc:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .words import BasisEnumeration, Word
 from .weights import WeightSystem
-from .fock import DENSE_LIMIT, TruncatedFock, weighted_left_shift
+from .fock import TruncatedFock, weighted_left_shift
 
 MAX_DP_WORDS = 1 << 21
 
@@ -92,20 +92,31 @@ def joint_eigenspace_dim(
     rtol: float = 1e-8,
 ) -> int:
     """Numerical dimension of the joint eigenspace at a point: the nullity of
-    the stacked operators (T_i* - conj(point_i)) restricted to levels <= depth-1."""
-    if space.dimension > DENSE_LIMIT:
-        raise ValueError(f"eigenspace check needs the dense fallback (dimension <= {DENSE_LIMIT})")
-    keep = space.levels() <= space.depth - 1
-    blocks = []
-    for i in range(1, space.n + 1):
-        t_star = weighted_left_shift(space, ws, i).adjoint().to_dense()
-        block = t_star - complex(point[i - 1]).conjugate() * np.eye(space.dimension)
-        blocks.append(block[keep, :])
-    stacked = np.vstack(blocks)
-    singular = np.linalg.svd(stacked, compute_uv=False)
-    scale = singular[0] if singular[0] > 0 else 1.0
-    rank = int(np.sum(singular > rtol * scale))
-    return stacked.shape[1] - rank
+    the stacked operators (T_i* - conj(point_i)) restricted to levels <= depth-1.
+
+    Row (i, w) reads lambda_{i,w} x_{i*w} - conj(point_i) x_w, with entries at
+    or below rtol times the largest entry taken as zero.  A row keeping both
+    entries joins w to i*w on the word tree, a row keeping one pins its word,
+    and each tree component that no row pins adds one to the nullity.
+    """
+    conj = [complex(z).conjugate() for z in point]
+    lams = [ws.lambda_levels(i, space.depth - 1) for i in range(1, space.n + 1)]
+    cut = rtol * max([abs(z) for z in conj] + [float(level.max()) for lam in lams for level in lam])
+    pinned = np.zeros(space.dimension, dtype=bool)  # by component
+    components, count = np.zeros(1, dtype=np.int64), 1  # the component of each word at level k
+    for k in range(space.depth):
+        children = []
+        for z, lam in zip(conj, lams, strict=True):
+            pivot, coupled = lam[k] > cut, abs(z) > cut
+            fresh = ~pivot | (not coupled)
+            ids = np.where(fresh, count + np.cumsum(fresh) - 1, components)
+            count += int(np.count_nonzero(fresh))
+            pinned[ids[fresh]] = pivot[fresh] & (not coupled)
+            if coupled:
+                pinned[components[~pivot]] = True
+            children.append(ids)
+        components = np.concatenate(children)
+    return count - int(np.count_nonzero(pinned))
 
 
 # ---------------------------------------------------------------------------

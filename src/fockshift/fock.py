@@ -232,12 +232,13 @@ def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | No
 
 
 def spectral_norm(op: GradedOperator, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Operator norm by power iteration on X*X with a deterministic start."""
+    """Operator norm by power iteration on X*X with a deterministic start;
+    ArithmeticError when it has not converged within ``max_iter`` steps."""
     dim = op.space.dimension
     vec = np.ones(dim, dtype=complex) / math.sqrt(dim)
     mat = op.mat
     mat_h = mat.conj().T
-    estimate = 0.0
+    estimate, change = 0.0, math.inf
     for _ in range(max_iter):
         nxt = mat_h @ (mat @ vec)
         norm = float(np.linalg.norm(nxt))
@@ -245,10 +246,9 @@ def spectral_norm(op: GradedOperator, tol: float = 1e-10, max_iter: int = 10_000
             return 0.0
         vec = nxt / norm
         if abs(norm - estimate) <= tol * max(norm, 1.0):
-            estimate = norm
-            break
-        estimate = norm
-    return math.sqrt(estimate)
+            return math.sqrt(norm)
+        change, estimate = abs(norm - estimate), norm
+    raise ArithmeticError(f"power iteration did not converge (max_iter={max_iter}, last change {change:.3e})")
 
 
 @dataclass(frozen=True)
@@ -279,30 +279,36 @@ class VacuumReport:
     projection_defect: float | None
 
 
+def partial_permutation_rank(mat) -> int:
+    """The rank, as ``np.linalg.matrix_rank`` counts it, of a sparse matrix with
+    at most one entry per row and column (ValueError for any other pattern):
+    its singular values are the absolute values of its entries, so the rank
+    counts those above the cutoff sigma_max * max(rows, cols) * eps."""
+    mat = sp.csr_array(mat, copy=True)
+    mat.eliminate_zeros()
+    rows, cols = mat.shape
+    if np.diff(mat.indptr).max(initial=0) > 1 or np.bincount(mat.indices, minlength=cols).max(initial=0) > 1:
+        raise ValueError(f"the {rows}x{cols} matrix is not a partial permutation with scaled entries")
+    singular = np.abs(mat.data)
+    return int(np.count_nonzero(singular > singular.max(initial=0.0) * max(rows, cols) * np.finfo(float).eps))
+
+
 def vacuum_kernel_check(space: TruncatedFock, ws: WeightSystem) -> VacuumReport:
     """The joint kernel of the adjoint shifts is the vacuum line.
 
-    Verified by the rank of the stacked adjoints; for the unweighted system
-    the vacuum projection identity I - sum_i L_i L_i* = P_e is also checked
-    on levels <= depth-1.
+    The stacked adjoints [T_1*; ...; T_n*] hold lambda_{i,w} at row (i, w) and
+    column i*w, so ``partial_permutation_rank`` certifies their rank.  For the
+    unweighted system the vacuum projection identity I - sum_i L_i L_i* = P_e
+    is also checked on levels <= depth-1, exactly: every entry is 0 or 1.
     """
-    if space.dimension > DENSE_LIMIT:
-        raise ValueError(f"rank check needs the dense fallback (dimension <= {DENSE_LIMIT})")
-    stacked = np.vstack(
-        [weighted_left_shift(space, ws, i).adjoint().to_dense() for i in range(1, space.n + 1)]
-    )
-    rank = np.linalg.matrix_rank(stacked)
-    kernel_dim = space.dimension - int(rank)
+    stacked = sp.vstack([weighted_left_shift(space, ws, i).adjoint().mat for i in range(1, space.n + 1)])
+    kernel_dim = space.dimension - partial_permutation_rank(stacked)
 
     projection_defect = None
     if isinstance(ws, ConstantWeights) and ws.value == 1.0:
-        total = np.zeros((space.dimension, space.dimension), dtype=complex)
-        for i in range(1, space.n + 1):
-            l_i = left_creation(space, i).to_dense()
-            total += l_i @ l_i.conj().T
-        vacuum = np.zeros_like(total)
-        vacuum[0, 0] = 1.0
-        diff = np.eye(space.dimension) - total - vacuum
-        keep = space.levels() <= space.depth - 1
-        projection_defect = float(np.max(np.abs(diff[np.ix_(keep, keep)])))
+        diff = GradedOperator.identity(space) - GradedOperator.from_entries(space, [0], [0], [1.0])
+        for l_i in (left_creation(space, i) for i in range(1, space.n + 1)):
+            diff = diff - l_i @ l_i.adjoint()
+        top = space.level_slice(space.depth).start
+        projection_defect = float(abs(diff.mat[:top, :top]).max())
     return VacuumReport(kernel_dim, projection_defect)

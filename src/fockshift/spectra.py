@@ -10,10 +10,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .words import Word
 from .weights import ConstantWeights
-from .fock import DENSE_LIMIT, GradedOperator, TruncatedFock, column_norms, left_creation
+from .fock import GradedOperator, TruncatedFock, column_norms, left_creation
 from .algebra import FourierElement, operator_from_fourier
 from .eigen import eigen_residual, eigenvector_coeffs
 
@@ -198,8 +199,8 @@ def left_growth_certificate(
 @dataclass(frozen=True)
 class ZeroLeftReport:
     """Verification that rank-one perturbations of the adjoint creation
-    operators solve the left-inverse equations at the origin, and that a
-    least-squares solve recovers exactly that form."""
+    operators solve the left-inverse equations at the origin, and that the
+    minimum-norm solve recovers exactly that form."""
 
     identity_defects: dict[tuple[int, int], float]
     max_identity_defect: float
@@ -212,37 +213,30 @@ def zero_left_inverses(
     depth: int,
 ) -> ZeroLeftReport:
     """Check A_i = L_i* + (eta_i at the vacuum column) against A_i L_j = delta_ij
-    on levels <= depth-1, then solve X L_j = delta_1j by least squares and
-    verify X = L_1* + (X xi_e) at the vacuum column to truncation accuracy."""
+    on levels <= depth-1 (exactly: each column of L_j is a single 1), then
+    solve X L_j = delta_1j for the minimum-norm X and verify X = L_1* + (X xi_e)
+    at the vacuum column.  V = [L_1 L_2] is a partial isometry, certified by
+    V V* being a diagonal 0/1 projection, so V* is its pseudo-inverse and
+    X = [I 0] V*."""
     space = TruncatedFock(2, depth)
-    if space.dimension > DENSE_LIMIT:
-        raise ValueError(f"least-squares solve needs the dense fallback (dimension <= {DENSE_LIMIT})")
     shifts = [left_creation(space, i) for i in (1, 2)]
-    keep = space.levels() <= space.depth - 1
+    top = space.level_slice(space.depth).start  # levels <= depth-1 come first
+    identity, zero = GradedOperator.identity(space), GradedOperator.zero(space)
 
-    perturbations = []
-    for eta in (eta1, eta2):
-        column = space.vector_from_coeffs(eta)
-        perturbations.append(column)
-
-    identity = np.eye(space.dimension, dtype=complex)
     defects: dict[tuple[int, int], float] = {}
-    for i in (1, 2):
-        a_i = shifts[i - 1].adjoint().to_dense()
-        a_i[:, 0] += perturbations[i - 1]
+    for i, eta in ((1, eta1), (2, eta2)):
+        a_i = shifts[i - 1].adjoint() + GradedOperator.from_entries(
+            space, [space.index_of(w) for w in eta], [0] * len(eta), list(eta.values()))
         for j in (1, 2):
-            product = a_i @ shifts[j - 1].to_dense()
-            target = identity if i == j else np.zeros_like(identity)
-            diff = (product - target)[:, keep]
-            defects[(i, j)] = float(np.max(np.sqrt(np.sum(np.abs(diff) ** 2, axis=0))))
+            diff = a_i @ shifts[j - 1] - (identity if i == j else zero)
+            defects[(i, j)] = float(np.max(column_norms(diff.mat[:, :top])))
 
-    # least squares: X [L_1 L_2] = [I 0], solved column-block-wise through the
-    # transposed system; the minimum-norm solution leaves the vacuum image free
-    stacked = np.hstack([shifts[0].to_dense(), shifts[1].to_dense()])
-    target = np.hstack([identity, np.zeros_like(identity)])
-    solution, *_ = np.linalg.lstsq(stacked.T, target.T, rcond=None)
-    x = solution.T
-    reconstructed = shifts[0].adjoint().to_dense()
-    reconstructed[:, 0] += x[:, 0]
-    residual = float(np.max(np.abs((x - reconstructed)[np.ix_(keep, keep)])))
+    stacked = sp.hstack([shifts[0].mat, shifts[1].mat])
+    gram = (stacked @ stacked.conj().T).tocoo()
+    gram.eliminate_zeros()
+    if np.any(gram.row != gram.col) or np.any(gram.data != 1.0):
+        raise ValueError(f"[L_1 L_2] of shape {stacked.shape} is not a partial isometry")
+    x = GradedOperator(space, sp.hstack([identity.mat, zero.mat]) @ stacked.conj().T)
+    reconstructed = shifts[0].adjoint() + x @ GradedOperator.from_entries(space, [0], [0], [1.0])
+    residual = float(abs((x - reconstructed).mat[:top, :top]).max())
     return ZeroLeftReport(defects, max(defects.values()), residual)

@@ -44,12 +44,6 @@ def _word_levels(n: int, depth: int, value) -> list[np.ndarray]:
     return [np.array([value(w) for w in basis.level_words(k)], dtype=float) for k in range(depth + 1)]
 
 
-def weight_key(i: int, w: Word | str) -> tuple[int, Word]:
-    if isinstance(w, str):
-        w = parse_word(w)
-    return (int(i), w)
-
-
 def table_from_strings(entries: Mapping[str, float], n: int | None = None) -> dict[tuple[int, Word], float]:
     """Convert a mapping with 'i:w' string keys into a (letter, Word) table."""
     table: dict[tuple[int, Word], float] = {}
@@ -478,11 +472,13 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
 
         W(u, v*w)    = W(w*u, v) * W(u, w)
         W_mu(u, v*w) = W_mu(u, v) * W_mu(u*v, w)
+
+    ``mu`` None means the commutant weights of ``ws``, tabulated once.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if mu is None:
-        mu = CommutantMu(ws)
+        mu = TableMu(ws.n, depth, mu_table(ws, depth))
     basis = BasisEnumeration(ws.n, depth)
     worst = 0.0
     witness = None
@@ -504,9 +500,11 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
 
 def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
     """Sweep the intertwining identity mu_{i,v} W(v*i, w) = mu_{i,w*v} W(v, w)
-    over all i, v, w with |v| + |w| + 1 <= depth."""
+    over all i, v, w with |v| + |w| + 1 <= depth, reading the commutant
+    weights mu from one ``mu_table``."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    mu = mu_table(ws, depth - 1)
     basis = BasisEnumeration(ws.n, depth)
     worst = 0.0
     witness = None
@@ -516,8 +514,8 @@ def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
             for lw in range(depth - lv):
                 for w in basis.level_words(lw):
                     for i in range(1, ws.n + 1):
-                        lhs = commutant_mu(ws, i, v) * left_weight(ws, append(v, i), w)
-                        rhs = commutant_mu(ws, i, w * v) * left_weight(ws, v, w)
+                        lhs = mu[(i, v)] * left_weight(ws, append(v, i), w)
+                        rhs = mu[(i, w * v)] * left_weight(ws, v, w)
                         defect = _relative_defect(lhs, rhs)
                         if defect > worst:
                             worst, witness = defect, (i, v, w)

@@ -172,9 +172,6 @@ class BasisEnumeration:
             raise ValueError(f"level {k} outside [0, {self.depth}]")
         return slice(self.level_offsets[k], self.level_offsets[k + 1])
 
-    def level_dimension(self, k: int) -> int:
-        return self.n**k
-
     def level_words(self, k: int) -> Iterator[Word]:
         if k == 0:
             yield EMPTY

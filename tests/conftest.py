@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from fockshift import (
+    BasisEnumeration,
     ConstantWeights,
     FinitePerturbationWeights,
     PeriodicWeights,
     ScaledWeights,
+    TableMu,
     TwoLetterRunWeights,
+    lambda_from_mu,
 )
 from fockshift.weights import table_from_strings
+from fockshift.words import EMPTY, Word
 
 
 @pytest.fixture(scope="session")
@@ -41,8 +45,6 @@ def run_weights_diverging():
 
 
 def random_finite_perturbation(seed: int, n: int = 2, cutoff: int = 2) -> FinitePerturbationWeights:
-    from fockshift import BasisEnumeration
-
     rng = np.random.default_rng(seed)
     basis = BasisEnumeration(n, cutoff)
     table = {
@@ -57,3 +59,62 @@ def random_finite_perturbation(seed: int, n: int = 2, cutoff: int = 2) -> Finite
 @pytest.fixture(scope="session")
 def finite_perturbation():
     return random_finite_perturbation(12345)
+
+
+def periodic_weights(n: int, seed: int) -> PeriodicWeights:
+    # lambda_{a,e} = alpha_a and lambda_{a,b} = t alpha_a: every cycle ratio is 1
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.5, 2.0, n)
+    t = float(rng.uniform(1.5, 2.5))
+    remainders = {(a, EMPTY): float(alpha[a - 1]) for a in range(1, n + 1)}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            remainders[(a, Word([b]))] = t * float(alpha[a - 1])
+    return PeriodicWeights(n, 2, remainders)
+
+
+def table_mu(n: int, seed: int) -> TableMu:
+    rng = np.random.default_rng(seed)
+    entries = {(i, w): float(rng.uniform(0.5, 2.0)) for w in BasisEnumeration(n, 2).words() for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        entries[(i, EMPTY)] = 1.0
+    return TableMu(n, 2, entries, fill=1.25)
+
+
+def system_depth(n: int) -> int:
+    return 8 if n < 3 else 6
+
+
+def _systems():
+    """(label, system, depth): the five families and a tabulated system from
+    ``lambda_from_mu``, for n in {1, 2, 3}."""
+    for n in (1, 2, 3):
+        depth = system_depth(n)
+        # np.log(1.05) is one ulp off math.log(1.05): level sums must use the latter
+        yield f"constant-n{n}", ConstantWeights(n, 1.05), depth
+        yield f"scaled-n{n}", ScaledWeights(n, tuple(0.5 + 0.75 * j for j in range(n))), depth
+        yield f"finite_perturbation-n{n}", random_finite_perturbation(40 + n, n=n, cutoff=2), depth
+        yield f"periodic-n{n}", periodic_weights(n, 50 + n), depth
+        yield f"tabulated-n{n}", lambda_from_mu(table_mu(n, 60 + n), depth), depth
+    yield "two_letter_m", TwoLetterRunWeights(0.81, 0.9), 8
+
+
+SYSTEMS = list(_systems())
+
+# depths at which the dense oracles stay fast
+ORACLE_DEPTH = {1: 8, 2: 7, 3: 5}
+
+# Systems with pivots of 1e-14, below the rank cutoffs of both the dense
+# oracles and the structural counts, so kernels grow past the vacuum line.
+# The finite perturbation has its tiny pivot at one word only.
+ILL_CONDITIONED = [
+    ("scaled-1e-14", ScaledWeights(2, (1.0, 1e-14)), 8),
+    ("scaled-n3-1e-14", ScaledWeights(3, (2.0, 1e-14, 1.0)), 5),
+    (
+        "finite_perturbation-1e-14",
+        FinitePerturbationWeights(
+            2, 1, table_from_strings({"1:e": 1, "2:e": 1, "1:1": 1, "2:1": 1e-14, "1:2": 1, "2:2": 1}), (1.0, 1.0)
+        ),
+        8,
+    ),
+]

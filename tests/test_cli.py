@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -225,6 +226,30 @@ def test_boolean_numeric_fields_rejected(tmp_path, capsys, field):
     config = _write_config(tmp_path, "bool.json", document)
     assert main(["check", "--config", config]) == 2
     assert f"$.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field, argv", [("tolerance", ["check"]), ("epsilon", ["region", "--grid", "0:1:0.5"])])
+def test_nonfinite_run_fields_rejected(tmp_path, capsys, field, argv, value):
+    # an infinite tolerance passed every check; an infinite epsilon left every point inconclusive
+    config = _write_config(tmp_path, "inf.json", {"n": 2, "family": "constant", "value": 1.0, field: value})
+    assert main([argv[0], "--config", config, *argv[1:]]) == 2
+    assert f"$.{field}" in capsys.readouterr().err
+    if field == "tolerance":
+        config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+        assert main(["check", "--config", config, "--tol", str(value)]) == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, depth", [(2, 12), (3, 8)])
+def test_check_runs_past_the_dense_limit(tmp_path, capsys, n, depth):
+    # dimensions 8191 and 9841: the parent's dense rank was capped at 4096
+    config = _write_config(tmp_path, "unw.json", {"n": n, "family": "constant", "value": 1.0})
+    report_path = tmp_path / "report.json"
+    assert main(["check", "--config", config, "--depth", str(depth), "--report", str(report_path)]) == 0
+    assert "check vacuum_kernel: PASS" in capsys.readouterr().out
+    vacuum = json.loads(report_path.read_text())["checks"][-1]["witness"]
+    assert vacuum == {"joint_kernel_dim": 1, "projection_defect": 0.0}
 
 
 DEEP_N1 = {

@@ -19,12 +19,14 @@ from fockshift import (
     membership_verdict,
     parse_word,
     region_sample,
+    weighted_left_shift,
     write_region_csv,
 )
 from fockshift.eigen import INCONCLUSIVE, INSIDE, OUTSIDE, sample_point
 from fockshift.words import EMPTY, Word
 
-from conftest import random_finite_perturbation
+from conftest import ILL_CONDITIONED, ORACLE_DEPTH, SYSTEMS, random_finite_perturbation
+
 
 
 def test_eigenvector_coeffs_origin(periodic_example):
@@ -73,6 +75,34 @@ def test_joint_eigenspace_dimension(periodic_example):
     space = TruncatedFock(2, 6)
     for point in ((0.5, 0.5), (0.3 + 0.2j, -0.1), (0.0, 0.0)):
         assert joint_eigenspace_dim(periodic_example, space, point) == 1
+
+
+def _svd_nullity(ws, space, point, rtol=1e-8):
+    """The dense SVD that joint_eigenspace_dim replaced."""
+    keep = space.levels() <= space.depth - 1
+    blocks = []
+    for i in range(1, space.n + 1):
+        t_star = weighted_left_shift(space, ws, i).adjoint().to_dense()
+        block = t_star - complex(point[i - 1]).conjugate() * np.eye(space.dimension)
+        blocks.append(block[keep, :])
+    stacked = np.vstack(blocks)
+    singular = np.linalg.svd(stacked, compute_uv=False)
+    scale = singular[0] if singular[0] > 0 else 1.0
+    return stacked.shape[1] - int(np.sum(singular > rtol * scale))
+
+
+@pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED, ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED])
+def test_joint_eigenspace_dim_matches_svd_oracle(label, ws, depth):
+    n = ws.n
+    space = TruncatedFock(n, min(depth, ORACLE_DEPTH[n]))
+    rng = np.random.default_rng(17 + n)
+    points = [(0.0,) * n, (0.5,) + (0.0,) * (n - 1), (0.0,) * (n - 1) + (0.5,), (0.0,) * (n - 1) + (1e-12,)]
+    for radius in (0.3, 0.9, 2.5):
+        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        points.append(tuple(radius * direction / np.linalg.norm(direction)))
+    dims = [joint_eigenspace_dim(ws, space, p) for p in points]
+    assert dims == [_svd_nullity(ws, space, p) for p in points]
+    assert (max(dims) > 1) == (label in {s[0] for s in ILL_CONDITIONED})
 
 
 def test_level_sums_unweighted_geometric():

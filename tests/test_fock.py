@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from fockshift import (
     CommutantMu,
+    ConstantWeights,
     GradedOperator,
     TruncatedFock,
     TwoLetterRunWeights,
@@ -17,9 +18,11 @@ from fockshift import (
     weighted_left_shift,
     weighted_right_shift,
 )
-from fockshift.fock import max_column_norm
+from fockshift.fock import max_column_norm, partial_permutation_rank
 from fockshift.weights import TableMu, mu_table
 from fockshift.words import EMPTY, prepend
+
+from conftest import ILL_CONDITIONED, ORACLE_DEPTH, SYSTEMS
 
 
 @pytest.fixture(scope="module")
@@ -140,12 +143,56 @@ def test_spectral_norm_zero_operator(space):
     assert spectral_norm(GradedOperator.zero(space)) == 0.0
 
 
+def test_spectral_norm_fails_loudly(space, periodic_example):
+    op = weighted_left_shift(space, periodic_example, 1)
+    with pytest.raises(ArithmeticError, match="max_iter=1"):
+        spectral_norm(op, max_iter=1)
+    assert spectral_norm(op) == pytest.approx(2.0, abs=1e-8)
+
+
 def test_vacuum_kernel(space, unweighted, periodic_example):
     assert vacuum_kernel_check(space, unweighted).joint_kernel_dim == 1
     assert vacuum_kernel_check(space, periodic_example).joint_kernel_dim == 1
     report = vacuum_kernel_check(space, unweighted)
     assert report.projection_defect == 0.0
     assert vacuum_kernel_check(space, periodic_example).projection_defect is None
+
+
+def _dense_vacuum_oracle(space, ws):
+    """The dense rank and projection identity that vacuum_kernel_check replaced."""
+    stacked = np.vstack([weighted_left_shift(space, ws, i).adjoint().to_dense() for i in range(1, space.n + 1)])
+    kernel_dim = space.dimension - int(np.linalg.matrix_rank(stacked))
+    diff = np.eye(space.dimension, dtype=complex)
+    diff[0, 0] -= 1.0
+    for i in range(1, space.n + 1):
+        l_i = left_creation(space, i).to_dense()
+        diff -= l_i @ l_i.conj().T
+    keep = space.levels() <= space.depth - 1
+    return kernel_dim, float(np.max(np.abs(diff[np.ix_(keep, keep)])))
+
+
+@pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED, ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED])
+def test_vacuum_kernel_matches_dense_oracle(label, ws, depth):
+    space = TruncatedFock(ws.n, min(depth, ORACLE_DEPTH[ws.n]))
+    kernel_dim, projection_defect = _dense_vacuum_oracle(space, ws)
+    assert vacuum_kernel_check(space, ws).joint_kernel_dim == kernel_dim
+    assert (kernel_dim > 1) == (label in {s[0] for s in ILL_CONDITIONED})
+    assert vacuum_kernel_check(space, ConstantWeights(ws.n, 1.0)).projection_defect == projection_defect == 0.0
+
+
+def test_partial_permutation_guard(space):
+    # an explicit zero is no entry; the cutoff sigma_max * max(rows, cols) * eps is matrix_rank's
+    tiny = 3.5 * np.finfo(float).eps
+    for shape in ((4, 3), (3, 4)):
+        mat = sp.csr_array(([1.0, 0.0, tiny], ([0, 0, 2], [1, 0, 2])), shape=shape)
+        assert partial_permutation_rank(mat) == np.linalg.matrix_rank(mat.toarray()) == 1
+        assert partial_permutation_rank(mat * 1e100) == 1
+    # L_1 + L_2 maps xi_w to xi_{1w} + xi_{2w}: two entries in a column, and in a row of its adjoint
+    both = left_creation(space, 1) + left_creation(space, 2)
+    dim = space.dimension
+    for mat in (both.mat, both.adjoint().mat):
+        with pytest.raises(ValueError, match=f"{dim}x{dim} matrix is not a partial permutation"):
+            partial_permutation_rank(mat)
 
 
 def test_grading_moves_levels(space, periodic_example):

@@ -21,11 +21,10 @@ from fockshift import (
     FinitePerturbationWeights,
     FourierElement,
     GradedOperator,
-    PeriodicWeights,
-    ScaledWeights,
-    TableMu,
     TruncatedFock,
     TwoLetterRunWeights,
+    check_cocycles,
+    check_intertwining,
     commutant_mu,
     condition6_sup,
     eigenvector_coeffs,
@@ -43,49 +42,11 @@ from fockshift import (
     word_operator,
 )
 from fockshift.cli import main
-from fockshift.weights import MuSystem, mu_table, table_from_strings
+from fockshift.weights import DefectReport, MuSystem, _relative_defect, mu_table, table_from_strings
 from fockshift.words import EMPTY, Word, append, prepend
 
-from conftest import random_finite_perturbation
+from conftest import SYSTEMS, system_depth, table_mu
 
-
-def _periodic(n: int, seed: int) -> PeriodicWeights:
-    # lambda_{a,e} = alpha_a and lambda_{a,b} = t alpha_a: every cycle ratio is 1
-    rng = np.random.default_rng(seed)
-    alpha = rng.uniform(0.5, 2.0, n)
-    t = float(rng.uniform(1.5, 2.5))
-    remainders = {(a, EMPTY): float(alpha[a - 1]) for a in range(1, n + 1)}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            remainders[(a, Word([b]))] = t * float(alpha[a - 1])
-    return PeriodicWeights(n, 2, remainders)
-
-
-def _table_mu(n: int, seed: int) -> TableMu:
-    rng = np.random.default_rng(seed)
-    entries = {(i, w): float(rng.uniform(0.5, 2.0)) for w in BasisEnumeration(n, 2).words() for i in range(1, n + 1)}
-    for i in range(1, n + 1):
-        entries[(i, EMPTY)] = 1.0
-    return TableMu(n, 2, entries, fill=1.25)
-
-
-def _depth(n: int) -> int:
-    return 8 if n < 3 else 6
-
-
-def _systems():
-    for n in (1, 2, 3):
-        depth = _depth(n)
-        # np.log(1.05) is one ulp off math.log(1.05): level sums must use the latter
-        yield f"constant-n{n}", ConstantWeights(n, 1.05), depth
-        yield f"scaled-n{n}", ScaledWeights(n, tuple(0.5 + 0.75 * j for j in range(n))), depth
-        yield f"finite_perturbation-n{n}", random_finite_perturbation(40 + n, n=n, cutoff=2), depth
-        yield f"periodic-n{n}", _periodic(n, 50 + n), depth
-        yield f"tabulated-n{n}", lambda_from_mu(_table_mu(n, 60 + n), depth), depth
-    yield "two_letter_m", TwoLetterRunWeights(0.81, 0.9), 8
-
-
-SYSTEMS = list(_systems())
 
 
 def _oracle_shift(space: TruncatedFock, weight, i: int, left: bool) -> GradedOperator:
@@ -265,9 +226,9 @@ def test_level_arrays_equal_scalar_oracle(label, ws, depth):
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_table_mu_and_unweighted_shifts_equal_scalar_oracle(n):
-    depth = _depth(n)
+    depth = system_depth(n)
     space = TruncatedFock(n, depth)
-    mu = _table_mu(n, 70 + n)
+    mu = table_mu(n, 70 + n)
     unit = lambda i, w: 1.0  # noqa: E731
     for i in range(1, n + 1):
         assert _same(weighted_right_shift(space, mu, i), _oracle_shift(space, mu.mu_of, i, left=False))
@@ -281,6 +242,35 @@ def test_table_mu_and_unweighted_shifts_equal_scalar_oracle(n):
     point = tuple(cmath.rect(0.3, 0.9 + j) for j in range(n))
     coeffs = eigenvector_coeffs(unweighted, point, depth - 1).coeffs
     assert _same(operator_from_fourier(FourierElement.build(coeffs, unweighted), space), _oracle_series(space, coeffs))
+
+
+def _oracle_intertwining(ws, depth: int) -> DefectReport:
+    """The intertwining sweep with commutant_mu run from the empty word for every value."""
+    basis = BasisEnumeration(ws.n, depth)
+    worst, witness, checks = 0.0, None, 0
+    for lv in range(depth):
+        for v in basis.level_words(lv):
+            for lw in range(depth - lv):
+                for w in basis.level_words(lw):
+                    for i in range(1, ws.n + 1):
+                        lhs = commutant_mu(ws, i, v) * left_weight(ws, append(v, i), w)
+                        rhs = commutant_mu(ws, i, w * v) * left_weight(ws, v, w)
+                        defect = _relative_defect(lhs, rhs)
+                        if defect > worst:
+                            worst, witness = defect, (i, v, w)
+                        checks += 1
+    return DefectReport(worst, witness, checks)
+
+
+SWEEP_SYSTEMS = SYSTEMS + [("two_letter_m_diverging", TwoLetterRunWeights(4.0, 1.0), 8)]
+
+
+@pytest.mark.parametrize("label, ws, depth", SWEEP_SYSTEMS, ids=[s[0] for s in SWEEP_SYSTEMS])
+def test_sweeps_read_one_mu_table(label, ws, depth):
+    # the per-word path: CommutantMu.mu_of re-runs commutant_mu for every letter
+    depth = min(depth, 5 if ws.n < 3 else 4)
+    assert check_cocycles(ws, None, depth) == check_cocycles(ws, CommutantMu(ws), depth)
+    assert check_intertwining(ws, depth) == _oracle_intertwining(ws, depth)
 
 
 def test_deep_single_letter_system(tmp_path):

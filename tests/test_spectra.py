@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from fockshift import (
+    TruncatedFock,
+    left_creation,
     left_growth_certificate,
     parse_word,
     resolvent_check,
@@ -123,3 +125,38 @@ def test_zero_left_inverses_perturbed():
     report = zero_left_inverses({parse_word("21"): 1.0}, {EMPTY: 0.5 - 0.25j}, 6)
     assert report.max_identity_defect == 0.0
     assert report.reconstruction_residual <= 1e-9
+
+
+def _dense_zero_left_oracle(eta1, eta2, depth):
+    """The dense products and least-squares solve that zero_left_inverses replaced."""
+    space = TruncatedFock(2, depth)
+    shifts = [left_creation(space, i).to_dense() for i in (1, 2)]
+    keep = space.levels() <= space.depth - 1
+    identity = np.eye(space.dimension, dtype=complex)
+    defects = {}
+    for i, eta in ((1, eta1), (2, eta2)):
+        a_i = shifts[i - 1].conj().T.copy()
+        a_i[:, 0] += space.vector_from_coeffs(eta)
+        for j in (1, 2):
+            diff = (a_i @ shifts[j - 1] - (identity if i == j else 0.0))[:, keep]
+            defects[(i, j)] = float(np.max(np.sqrt(np.sum(np.abs(diff) ** 2, axis=0))))
+    stacked = np.hstack(shifts)
+    target = np.hstack([identity, np.zeros_like(identity)])
+    x = np.linalg.lstsq(stacked.T, target.T, rcond=None)[0].T
+    reconstructed = shifts[0].conj().T.copy()
+    reconstructed[:, 0] += x[:, 0]
+    return defects, float(np.max(np.abs((x - reconstructed)[np.ix_(keep, keep)])))
+
+
+@pytest.mark.parametrize("depth", (1, 4, 8))
+def test_zero_left_inverses_match_dense_oracle(depth):
+    rng = np.random.default_rng(depth)
+    words = [EMPTY, parse_word("1"), parse_word("21")][: depth + 1]
+    eta1 = {w: complex(*rng.standard_normal(2)) for w in words}
+    eta2 = {EMPTY: 0.5 - 0.25j}
+    defects, residual = _dense_zero_left_oracle(eta1, eta2, depth)
+    report = zero_left_inverses(eta1, eta2, depth)
+    assert report.identity_defects == defects
+    # the pseudo-inverse of the partial isometry [L_1 L_2] is its adjoint: no rounding
+    assert report.reconstruction_residual == 0.0
+    assert residual <= 1e-12
