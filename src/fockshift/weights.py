@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -35,6 +35,15 @@ def _check_positive(value: float, what: str) -> float:
     if not value > 0.0 or math.isinf(value):
         raise ValueError(f"{what} must be strictly positive and finite, got {value}")
     return value
+
+
+def _check_table(table: Mapping[tuple[int, Word], float], n: int, depth: int, entry: str, what: str) -> None:
+    """Every (i, w) with |w| <= depth present and strictly positive."""
+    for w in BasisEnumeration(n, depth).words():
+        for i in range(1, n + 1):
+            if (i, w) not in table:
+                raise ValueError(f"missing {entry} for ({i}, {w})")
+            _check_positive(table[(i, w)], f"{what} ({i}, {w})")
 
 
 def _word_levels(n: int, depth: int, value) -> list[np.ndarray]:
@@ -153,12 +162,7 @@ class FinitePerturbationWeights(WeightSystem):
         if len(self.tail) != self.n:
             raise ValueError(f"expected {self.n} tail scales, got {len(self.tail)}")
         object.__setattr__(self, "tail", tuple(_check_positive(c, "tail scale") for c in self.tail))
-        basis = BasisEnumeration(self.n, self.cutoff)
-        for w in basis.words():
-            for i in range(1, self.n + 1):
-                if (i, w) not in self.table:
-                    raise ValueError(f"missing table entry for ({i}, {w})")
-                _check_positive(self.table[(i, w)], f"weight ({i}, {w})")
+        _check_table(self.table, self.n, self.cutoff, "table entry", "weight")
 
     def lambda_of(self, i: int, w: Word) -> float:
         self._check_letter(i)
@@ -190,12 +194,7 @@ class PeriodicWeights(WeightSystem):
     def __post_init__(self):
         if self.period < 1:
             raise ValueError("period must be at least 1")
-        basis = BasisEnumeration(self.n, self.period - 1)
-        for u in basis.words():
-            for i in range(1, self.n + 1):
-                if (i, u) not in self.remainders:
-                    raise ValueError(f"missing remainder scalar for ({i}, {u})")
-                _check_positive(self.remainders[(i, u)], f"remainder ({i}, {u})")
+        _check_table(self.remainders, self.n, self.period - 1, "remainder scalar", "remainder")
 
     def lambda_of(self, i: int, w: Word) -> float:
         self._check_letter(i)
@@ -362,12 +361,7 @@ class TableMu(MuSystem):
         if self.cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         _check_positive(self.fill, "fill value")
-        basis = BasisEnumeration(self.n, self.cutoff)
-        for w in basis.words():
-            for i in range(1, self.n + 1):
-                if (i, w) not in self.entries:
-                    raise ValueError(f"missing right weight for ({i}, {w})")
-                _check_positive(self.entries[(i, w)], f"right weight ({i}, {w})")
+        _check_table(self.entries, self.n, self.cutoff, "right weight", "right weight")
         for i in range(1, self.n + 1):
             if self.entries[(i, EMPTY)] != 1.0:
                 raise ValueError(f"right weights must be normalized: mu_({i}, e) != 1")
@@ -452,19 +446,55 @@ class DefectReport:
     checks: int
 
 
-def _relative_defect(lhs: float, rhs: float) -> float:
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) / scale
+def _left_tables(ws: WeightSystem, depth: int) -> list[list[np.ndarray]]:
+    """The left table: [a][b] holds W(u, w) for |u| = a, |w| = b <= depth - a at
+    [rank w, rank u], by the recursion W(u, j*w) = W(u, w) lambda_{j,w*u} of
+    ``left_weight``; j*w has rank (j-1) n^b + rank w, w*u rank w n^a + rank u."""
+    n = ws.n
+    lams = [ws.lambda_levels(j, max(depth - 1, 0)) for j in range(1, n + 1)]
+    tables = [[np.ones((1, n**a))] for a in range(depth + 1)]
+    for a, row in enumerate(tables):
+        for b in range(depth - a):
+            row.append(np.concatenate([row[b] * lam[a + b].reshape(n**b, n**a) for lam in lams]))
+    return tables
 
 
-def _triples(basis: BasisEnumeration, budget: int) -> Iterator[tuple[Word, Word, Word]]:
-    for lu in range(budget + 1):
-        for u in basis.level_words(lu):
-            for lv in range(budget - lu + 1):
-                for v in basis.level_words(lv):
-                    for lw in range(budget - lu - lv + 1):
-                        for w in basis.level_words(lw):
-                            yield u, v, w
+def _right_tables(mu: MuSystem, depth: int) -> list[list[np.ndarray]]:
+    """The right table: [a][b] holds W_mu(v, w) for |v| = a, |w| = b <= depth - a
+    at [rank v, rank w], by the recursion W_mu(v, w*j) = W_mu(v, w) mu_{j,v*w} of
+    ``right_weight``; w*j has rank rank w n + j-1, v*w rank v n^b + rank w."""
+    n = mu.n
+    mus = [mu.mu_levels(j, max(depth - 1, 0)) for j in range(1, n + 1)]
+    tables = [[np.ones((n**a, 1))] for a in range(depth + 1)]
+    for a, row in enumerate(tables):
+        for b in range(depth - a):
+            row.append(np.stack([row[b] * m[a + b].reshape(n**a, n**b) for m in mus], axis=2).reshape(n**a, -1))
+    return tables
+
+
+def _sweep_report(block, blocks: list[tuple[int, ...]], n: int, labels) -> DefectReport:
+    """The relative defects |lhs - rhs| / max(|lhs|, |rhs|, 1) of the sides
+    ``block(*levels)`` returns for each entry of ``blocks``: arrays with one
+    rank axis per word length in ``levels`` and a last axis indexing
+    ``labels``.  The sweep visits (length, rank) pairs in order, the label
+    last; the witness is the first maximum in that order, a NaN defect
+    counting as the largest."""
+    candidates, checks = [], 0
+    for levels in blocks:
+        lhs, rhs = block(*levels)
+        defects = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+        # argmax finds the first maximum in C order, or the first NaN
+        idx = tuple(int(x) for x in np.unravel_index(int(np.argmax(defects)), defects.shape))
+        candidates.append((float(defects[idx]), sum(zip(levels, idx), ()) + idx[-1:]))
+        checks += defects.size
+    nans = [key for value, key in candidates if math.isnan(value)]
+    worst = math.nan if nans else max(value for value, _ in candidates)
+    if worst == 0.0:
+        return DefectReport(0.0, None, checks)
+    *pairs, label = min(nans or [key for value, key in candidates if value == worst])
+    basis = BasisEnumeration(n, max(pairs[::2]))
+    words = (basis.word_at(basis.level_offsets[k] + rank) for k, rank in zip(pairs[::2], pairs[1::2]))
+    return DefectReport(worst, (labels[label], *words), checks)
 
 
 def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectReport:
@@ -473,54 +503,60 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
         W(u, v*w)    = W(w*u, v) * W(u, w)
         W_mu(u, v*w) = W_mu(u, v) * W_mu(u*v, w)
 
-    ``mu`` None means the commutant weights of ``ws``, tabulated once.
+    ``mu`` None means ``CommutantMu(ws)``.  Both sides are read off the left
+    and right tables (``_left_tables``, ``_right_tables``) one block of fixed
+    |u|, |v|, |w| at a time.  The witness is the first maximum in the order
+    u, v, w, left before right; a NaN defect (an overflowed product) counts
+    as the largest.  More than ``MAX_SWEEP_WORDS`` triples raise
+    ``ValueError`` before any table is built.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if mu is None:
-        mu = TableMu(ws.n, depth, mu_table(ws, depth))
-    basis = BasisEnumeration(ws.n, depth)
-    worst = 0.0
-    witness = None
-    checks = 0
-    for u, v, w in _triples(basis, depth):
-        lhs = left_weight(ws, u, v * w)
-        rhs = left_weight(ws, w * u, v) * left_weight(ws, u, w)
-        defect = _relative_defect(lhs, rhs)
-        if defect > worst:
-            worst, witness = defect, ("left", u, v, w)
-        lhs = right_weight(mu, u, v * w)
-        rhs = right_weight(mu, u, v) * right_weight(mu, u * v, w)
-        defect = _relative_defect(lhs, rhs)
-        if defect > worst:
-            worst, witness = defect, ("right", u, v, w)
-        checks += 2
-    return DefectReport(worst, witness, checks)
+    n = ws.n
+    _sweep_guard(n, depth, lambda k: math.comb(k + 2, 2), "triples")
+
+    def block(a, b, c):
+        # [rank u, rank v, rank w]: v*w has rank rank v n^c + rank w, w*u
+        # rank w n^a + rank u, and u*v rank u n^b + rank v
+        by_w, shape = (n**b, n**c, n**a), (n**a, n**b, n**c)
+        lhs = [left[a][b + c].reshape(by_w).transpose(2, 0, 1), right[a][b + c].reshape(shape)]
+        rhs = [
+            left[a + c][b].reshape(by_w).transpose(2, 0, 1) * left[a][c].T[:, None, :],
+            right[a][b][:, :, None] * right[a + b][c].reshape(shape),
+        ]
+        return np.stack(lhs, axis=3), np.stack(rhs, axis=3)
+
+    triples = [(a, b, c) for a in range(depth + 1) for b in range(depth - a + 1) for c in range(depth - a - b + 1)]
+    # products overflow as the scalar ones do, and inf - inf is a NaN defect
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = _left_tables(ws, depth), _right_tables(CommutantMu(ws) if mu is None else mu, depth)
+        return _sweep_report(block, triples, n, ("left", "right"))
 
 
 def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
     """Sweep the intertwining identity mu_{i,v} W(v*i, w) = mu_{i,w*v} W(v, w)
-    over all i, v, w with |v| + |w| + 1 <= depth, reading the commutant
-    weights mu from one ``mu_table``."""
+    over all i, v, w with |v| + |w| + 1 <= depth.
+
+    W is read off the left table (``_left_tables``) and mu_{i,x} = W_mu(x, i)
+    off the right table (``_right_tables``) of ``CommutantMu(ws)``, one block
+    of fixed |v|, |w| at a time.  The witness is the first maximum in the
+    order v, w, i; a NaN defect counts as the largest.  More than
+    ``MAX_SWEEP_WORDS`` triples raise ``ValueError`` before any table is built.
+    """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    mu = mu_table(ws, depth - 1)
-    basis = BasisEnumeration(ws.n, depth)
-    worst = 0.0
-    witness = None
-    checks = 0
-    for lv in range(depth):
-        for v in basis.level_words(lv):
-            for lw in range(depth - lv):
-                for w in basis.level_words(lw):
-                    for i in range(1, ws.n + 1):
-                        lhs = mu[(i, v)] * left_weight(ws, append(v, i), w)
-                        rhs = mu[(i, w * v)] * left_weight(ws, v, w)
-                        defect = _relative_defect(lhs, rhs)
-                        if defect > worst:
-                            worst, witness = defect, (i, v, w)
-                        checks += 1
-    return DefectReport(worst, witness, checks)
+    n = ws.n
+    _sweep_guard(n, depth - 1, lambda k: (k + 1) * n, "triples")
+
+    def block(a, b):
+        # [rank v, rank w, i]: v*i has rank rank v n + i-1, w*v rank w n^a + rank v
+        lhs = right[a][1][:, None, :] * left[a + 1][b].reshape(n**b, n**a, n).transpose(1, 0, 2)
+        return lhs, right[a + b][1].reshape(n**b, n**a, n).transpose(1, 0, 2) * left[a][b].T[:, :, None]
+
+    pairs = [(a, b) for a in range(depth) for b in range(depth - a)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = _left_tables(ws, depth), _right_tables(CommutantMu(ws), depth)
+        return _sweep_report(block, pairs, n, range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +581,11 @@ class Condition6Report:
     certificate: dict
 
 
-def _sweep_guard(n: int, depth: int) -> None:
-    total = sum(n**k for k in range(depth + 1))
+def _sweep_guard(n: int, depth: int, per_word=lambda k: 1, what: str = "words") -> None:
+    # per_word(k) items for each word of length k <= depth
+    total = sum(per_word(k) * n**k for k in range(depth + 1))
     if total > MAX_SWEEP_WORDS:
-        raise ValueError(
-            f"sweep over {total} words exceeds the {MAX_SWEEP_WORDS} guard; lower depth or n"
-        )
+        raise ValueError(f"sweep over {total} {what} exceeds the {MAX_SWEEP_WORDS} guard; lower depth or n")
 
 
 def _enumerated_sup(ws: WeightSystem, depth: int) -> tuple[float, tuple[int, Word]]:
@@ -600,10 +635,7 @@ def _periodic_decision(ws: PeriodicWeights) -> tuple[str, dict]:
 
     basis = BasisEnumeration(n, k - 1)
     # transient: ratios for all |w| <= k-1 computed directly
-    transient_best = 0.0
-    for w in basis.words():
-        for i in range(1, n + 1):
-            transient_best = max(transient_best, commutant_mu(ws, i, w))
+    transient_best, _ = _enumerated_sup(ws, k - 1)
 
     # recurrent states: (first k-1 letters of w, |w| mod k); prepending a letter
     # multiplies the ratio by remainders[a, new prefix] / remainders[a, old prefix]

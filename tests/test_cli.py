@@ -252,6 +252,22 @@ def test_check_runs_past_the_dense_limit(tmp_path, capsys, n, depth):
     assert vacuum == {"joint_kernel_dim": 1, "projection_defect": 0.0}
 
 
+def test_overflowed_weights_fail_the_sweeps(tmp_path, capsys):
+    # W(e, 11) = 1e600 overflows: the NaN defects used to be skipped, printing PASS
+    config = _write_config(tmp_path, "huge.json", {"n": 2, "family": "scaled", "scales": [1e300, 1]})
+    assert main(["check", "--config", config, "--depth", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "check cocycles: FAIL (defect nan" in out
+    assert "check intertwining: FAIL (defect nan" in out
+
+
+def test_sweep_guard_exits_2_before_sweeping(tmp_path, capsys):
+    # n = 10 at depth 6: 30,260,631 cocycle triples
+    config = _write_config(tmp_path, "n10.json", {"n": 10, "family": "constant", "value": 1.0})
+    assert main(["check", "--config", config, "--depth", "6"]) == 2
+    assert "sweep over 30260631 triples exceeds" in capsys.readouterr().err
+
+
 DEEP_N1 = {
     "n": 1, "family": "finite_perturbation", "cutoff": 1,
     "table": {"1:e": 0.5, "1:1": 2.0}, "tail": [0.01],

@@ -21,6 +21,7 @@ from fockshift import (
     FinitePerturbationWeights,
     FourierElement,
     GradedOperator,
+    ScaledWeights,
     TruncatedFock,
     TwoLetterRunWeights,
     check_cocycles,
@@ -42,10 +43,10 @@ from fockshift import (
     word_operator,
 )
 from fockshift.cli import main
-from fockshift.weights import DefectReport, MuSystem, _relative_defect, mu_table, table_from_strings
+from fockshift.weights import DefectReport, MuSystem, WeightSystem, mu_table, table_from_strings
 from fockshift.words import EMPTY, Word, append, prepend
 
-from conftest import SYSTEMS, system_depth, table_mu
+from conftest import ILL_CONDITIONED, SYSTEMS, system_depth, table_mu
 
 
 
@@ -244,6 +245,41 @@ def test_table_mu_and_unweighted_shifts_equal_scalar_oracle(n):
     assert _same(operator_from_fourier(FourierElement.build(coeffs, unweighted), space), _oracle_series(space, coeffs))
 
 
+def _relative_defect(lhs: float, rhs: float) -> float:
+    scale = max(abs(lhs), abs(rhs), 1.0)
+    return abs(lhs - rhs) / scale
+
+
+def _worse(defect: float, worst: float) -> bool:
+    """Strictly larger, with a NaN larger than any number."""
+    return defect > worst or (math.isnan(defect) and not math.isnan(worst))
+
+
+def _oracle_cocycles(ws, mu, depth: int) -> DefectReport:
+    """Both cocycle laws, one triple at a time through the scalar weight functions."""
+    mu = _CachedMu(CommutantMu(ws) if mu is None else mu)
+    basis = BasisEnumeration(ws.n, depth)
+    worst, witness, checks = 0.0, None, 0
+    for lu in range(depth + 1):
+        for u in basis.level_words(lu):
+            for lv in range(depth - lu + 1):
+                for v in basis.level_words(lv):
+                    for lw in range(depth - lu - lv + 1):
+                        for w in basis.level_words(lw):
+                            lhs = left_weight(ws, u, v * w)
+                            rhs = left_weight(ws, w * u, v) * left_weight(ws, u, w)
+                            defect = _relative_defect(lhs, rhs)
+                            if _worse(defect, worst):
+                                worst, witness = defect, ("left", u, v, w)
+                            lhs = right_weight(mu, u, v * w)
+                            rhs = right_weight(mu, u, v) * right_weight(mu, u * v, w)
+                            defect = _relative_defect(lhs, rhs)
+                            if _worse(defect, worst):
+                                worst, witness = defect, ("right", u, v, w)
+                            checks += 2
+    return DefectReport(worst, witness, checks)
+
+
 def _oracle_intertwining(ws, depth: int) -> DefectReport:
     """The intertwining sweep with commutant_mu run from the empty word for every value."""
     basis = BasisEnumeration(ws.n, depth)
@@ -256,21 +292,61 @@ def _oracle_intertwining(ws, depth: int) -> DefectReport:
                         lhs = commutant_mu(ws, i, v) * left_weight(ws, append(v, i), w)
                         rhs = commutant_mu(ws, i, w * v) * left_weight(ws, v, w)
                         defect = _relative_defect(lhs, rhs)
-                        if defect > worst:
+                        if _worse(defect, worst):
                             worst, witness = defect, (i, v, w)
                         checks += 1
     return DefectReport(worst, witness, checks)
 
 
-SWEEP_SYSTEMS = SYSTEMS + [("two_letter_m_diverging", TwoLetterRunWeights(4.0, 1.0), 8)]
+SWEEP_SYSTEMS = SYSTEMS + [("two_letter_m_diverging", TwoLetterRunWeights(4.0, 1.0), 8)] + ILL_CONDITIONED
 
 
 @pytest.mark.parametrize("label, ws, depth", SWEEP_SYSTEMS, ids=[s[0] for s in SWEEP_SYSTEMS])
 def test_sweeps_read_one_mu_table(label, ws, depth):
-    # the per-word path: CommutantMu.mu_of re-runs commutant_mu for every letter
-    depth = min(depth, 5 if ws.n < 3 else 4)
-    assert check_cocycles(ws, None, depth) == check_cocycles(ws, CommutantMu(ws), depth)
-    assert check_intertwining(ws, depth) == _oracle_intertwining(ws, depth)
+    # the sweeps read one set of mu levels and one left table; the oracle
+    # evaluates every weight product word by word
+    mu = table_mu(ws.n, 75)
+    for d in range(7 if ws.n < 3 else 6):
+        assert check_cocycles(ws, None, d) == _oracle_cocycles(ws, None, d)
+        assert check_cocycles(ws, mu, d) == _oracle_cocycles(ws, mu, d)
+        if d >= 1:
+            assert check_intertwining(ws, d) == _oracle_intertwining(ws, d)
+
+
+def test_overflowed_products_are_nan_defects():
+    # W(e, 11) = 1e600 overflows: inf - inf is NaN, and the first NaN is the witness
+    ws = ScaledWeights(2, (1e300, 1.0))
+    for report, oracle in (
+        (check_cocycles(ws, None, 4), _oracle_cocycles(ws, None, 4)),
+        (check_intertwining(ws, 4), _oracle_intertwining(ws, 4)),
+    ):
+        assert math.isnan(report.max_defect) and math.isnan(oracle.max_defect)
+        assert report.witness is not None
+        assert (report.witness, report.checks) == (oracle.witness, oracle.checks)
+
+
+class _Unbuildable(WeightSystem):
+    def __init__(self, n: int):
+        self.n = n
+
+    def lambda_of(self, i, w):
+        raise AssertionError("the guard must fire before any weight is read")
+
+    lambda_levels = lambda_of
+
+
+def test_sweep_guards_raise_before_allocating():
+    ws = _Unbuildable(10)
+    # sum over k <= 6 of C(k+2, 2) 10^k triples
+    with pytest.raises(ValueError, match=r"sweep over 30260631 triples exceeds"):
+        check_cocycles(ws, None, 6)
+    with pytest.raises(ValueError, match=r"sweep over 30260631 triples exceeds"):
+        check_cocycles(ws, table_mu(10, 1), 6)
+    # sum over k <= 5 of (k+1) 10^(k+1) triples
+    with pytest.raises(ValueError, match=r"sweep over 6543210 triples exceeds"):
+        check_intertwining(ws, 6)
+    # below the guard the sweeps run
+    assert check_cocycles(ConstantWeights(10, 1.0), None, 4).max_defect == 0.0
 
 
 def test_deep_single_letter_system(tmp_path):
