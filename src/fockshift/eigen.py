@@ -1,7 +1,13 @@
 """Joint eigenvectors of the adjoint shifts and the eigenvalue-region
 machinery: the coefficient formula, residual verification, the level-sum
 convergence series, hereditary domination, the ellipse lower bound, and the
-region-sampling harness with its CSV emission."""
+region-sampling harness with its CSV emission.
+
+Region sampling builds the log-weight tables once per grid and sums the
+points in blocks of about BLOCK_FLOATS terms at the deepest level, with the
+same float operations per point as ``level_sums``.  A level sum past the
+float range is inf, and the point is judged outside.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +22,8 @@ from .weights import WeightSystem
 from .fock import TruncatedFock, weighted_left_shift
 
 MAX_DP_WORDS = 1 << 21
+# region grids sum this many terms at a time: 256 KiB per level array
+BLOCK_FLOATS = 1 << 15
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -129,39 +137,61 @@ def level_sums(ws: WeightSystem, moduli: Sequence[float], depth: int) -> np.ndar
 
     The series deciding eigenvalue membership depends only on coordinate
     moduli.  Terms are tracked in log space, one per word, so geometric decay
-    of the weights cannot overflow the partial sums prematurely.
+    of the weights cannot overflow the partial sums prematurely; a level sum
+    past the float range is inf.
     """
     if len(moduli) != ws.n:
         raise ValueError(f"expected {ws.n} moduli, got {len(moduli)}")
     moduli = [float(r) for r in moduli]
     if any(r < 0 for r in moduli):
         raise ValueError("moduli must be nonnegative")
-    total_words = sum(ws.n**k for k in range(depth + 1))
+    return _level_sums_block(_log_tables(ws, depth), np.array([moduli]), depth)[0]
+
+
+def _log_tables(ws: WeightSystem, depth: int) -> list[np.ndarray]:
+    """log lambda_{i,w} for |w| < depth, one (n^k, n) table per level k with
+    column i-1 and words in frontier order, the order in which prepending
+    builds them: i*w follows w at position p n + i-1, the graded-lex rank of
+    the reversed word."""
+    n = ws.n
+    total_words = sum(n**k for k in range(depth + 1))
     if total_words > MAX_DP_WORDS:
         raise ValueError(f"level enumeration of {total_words} words exceeds the {MAX_DP_WORDS} guard")
-    log_moduli = np.array([math.log(r) if r > 0 else -math.inf for r in moduli])
-    n = ws.n
-    # log lambda_{i,w} at row rank(w), column i-1: one table per level
     per_letter = [ws.lambda_levels(i, depth - 1) for i in range(1, n + 1)]
-    log_lams = [_exact_logs(np.stack(level, axis=1)) for level in zip(*per_letter)]
+    tables = []
+    ranks = np.zeros(1, dtype=np.int64)  # the word's own rank at each frontier position
+    for k, level in enumerate(zip(*per_letter)):
+        tables.append(_exact_logs(np.stack(level, axis=1))[ranks])
+        ranks = (ranks[:, None] + np.arange(n) * n**k).ravel()
+    return tables
 
-    # Words sit in frontier order, the order in which prepending builds them:
-    # i*w follows w at position p n + i-1, the graded-lex rank of the reversed
-    # word.  ``ranks`` maps a frontier position to the word's own rank.
-    sums = np.empty(depth + 1)
-    sums[0] = 1.0
-    terms = np.zeros(1)  # log r(w)/W(e,w), in frontier order
-    ranks = np.zeros(1, dtype=np.int64)
+
+def _level_sums_block(log_lams: list[np.ndarray], moduli: np.ndarray, depth: int) -> np.ndarray:
+    """Level sums for a (P, n) array of moduli, one row per point.  Level k
+    extends each frontier term of level k-1 by log r_i - log lambda_{i,w}
+    for every letter i; each row takes the same float operations in the same
+    order whatever P is, so a point's sums do not depend on its block."""
+    points = len(moduli)
+    log_moduli = np.array([[math.log(r) if r > 0 else -math.inf for r in row] for row in moduli.tolist()])
+    sums = np.empty((points, depth + 1))
+    sums[:, 0] = 1.0
+    terms = np.zeros((points, 1))  # log r(w)/W(e,w), in frontier order
     for k in range(1, depth + 1):
-        terms = (terms[:, None] + (log_moduli - log_lams[k - 1][ranks])).ravel()
-        ranks = (ranks[:, None] + np.arange(n) * n ** (k - 1)).ravel()
+        terms = (terms[:, :, None] + (log_moduli[:, None, :] - log_lams[k - 1])).reshape(points, -1)
         logs = 2.0 * terms
-        peak = np.max(logs)
-        if peak == -math.inf:
-            sums[k] = 0.0
-        else:
-            sums[k] = math.exp(peak) * float(np.sum(np.exp(logs - peak)))
+        peaks = np.max(logs, axis=1)
+        peaks[peaks == -math.inf] = 0.0  # every term -inf: the sum is 0
+        totals = np.sum(np.exp(logs - peaks[:, None]), axis=1)
+        sums[:, k] = [_scaled(peak, total) for peak, total in zip(peaks.tolist(), totals.tolist())]
     return sums
+
+
+def _scaled(peak: float, total: float) -> float:
+    """exp(peak) * total, inf past the float range."""
+    try:
+        return math.exp(peak) * total
+    except OverflowError:
+        return math.inf
 
 
 def _exact_logs(values: np.ndarray) -> np.ndarray:
@@ -182,9 +212,8 @@ def membership_verdict(sums: Sequence[float], epsilon: float) -> tuple[str, floa
     sums = np.asarray(sums, dtype=float)
     if sums.size < 4:
         raise ValueError("need at least 4 level sums")
-    ratios = np.empty(sums.size - 1)
-    for k in range(sums.size - 1):
-        ratios[k] = sums[k + 1] / sums[k] if sums[k] > 0 else 0.0
+    with np.errstate(invalid="ignore"):  # two overflowed levels: inf / inf is nan
+        ratios = np.divide(sums[1:], sums[:-1], out=np.zeros(sums.size - 1), where=sums[:-1] > 0)
     window = ratios[-max(1, ratios.size // 4):]
     tail_ratio = float(window[-1])
     partial = float(np.sum(sums))
@@ -207,7 +236,10 @@ class RegionSample:
 
 
 def sample_point(ws: WeightSystem, moduli: Sequence[float], depth: int, epsilon: float) -> RegionSample:
-    sums = level_sums(ws, moduli, depth)
+    return _judged(moduli, level_sums(ws, moduli, depth), epsilon)
+
+
+def _judged(moduli: Sequence[float], sums: np.ndarray, epsilon: float) -> RegionSample:
     verdict, tail_ratio = membership_verdict(sums, epsilon)
     return RegionSample(
         tuple(float(r) for r in moduli),
@@ -261,8 +293,18 @@ def region_sample(
     epsilon: float,
 ) -> list[RegionSample]:
     """One RegionSample per grid point over moduli space, in lexicographic
-    grid order."""
-    return [sample_point(ws, p, depth, epsilon) for p in _grid_points(grid, ws.n)]
+    grid order.  The log-weight tables are built once per grid, and the
+    points go through the level-sum kernel in blocks of about BLOCK_FLOATS
+    terms at the deepest level."""
+    log_lams = _log_tables(ws, depth)
+    points = list(_grid_points(grid, ws.n))
+    block = max(1, BLOCK_FLOATS // ws.n**depth)
+    samples = []
+    for start in range(0, len(points), block):
+        chunk = points[start:start + block]
+        rows = _level_sums_block(log_lams, np.array(chunk, dtype=float), depth)
+        samples.extend(_judged(p, sums, epsilon) for p, sums in zip(chunk, rows))
+    return samples
 
 
 def write_region_csv(samples: Sequence[RegionSample], stream: TextIO) -> None:

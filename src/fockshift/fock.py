@@ -233,10 +233,19 @@ def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | No
 
 def spectral_norm(op: GradedOperator, tol: float = 1e-10, max_iter: int = 10_000) -> float:
     """Operator norm by power iteration on X*X with a deterministic start;
-    ArithmeticError when it has not converged within ``max_iter`` steps."""
+    ArithmeticError when it has not converged within ``max_iter`` steps.
+
+    The iteration runs on X / 2^e, for 2^e the largest power of two at or
+    below the largest |entry| (e >= 0), so that X*X cannot overflow where X
+    does not.  The power of two scales every step exactly, the stopping
+    floor included, so the iterates are those of X itself scaled by 4^-e.
+    """
     dim = op.space.dimension
     vec = np.ones(dim, dtype=complex) / math.sqrt(dim)
-    mat = op.mat
+    exponent = max(0, math.frexp(float(np.abs(op.mat.data).max(initial=0.0)))[1] - 1)
+    scale = math.ldexp(1.0, exponent)
+    floor = math.ldexp(1.0, -2 * exponent)
+    mat = op.mat / scale
     mat_h = mat.conj().T
     estimate, change = 0.0, math.inf
     for _ in range(max_iter):
@@ -245,10 +254,12 @@ def spectral_norm(op: GradedOperator, tol: float = 1e-10, max_iter: int = 10_000
         if norm == 0.0:
             return 0.0
         vec = nxt / norm
-        if abs(norm - estimate) <= tol * max(norm, 1.0):
-            return math.sqrt(norm)
+        if abs(norm - estimate) <= tol * max(norm, floor):
+            return scale * math.sqrt(norm)
         change, estimate = abs(norm - estimate), norm
-    raise ArithmeticError(f"power iteration did not converge (max_iter={max_iter}, last change {change:.3e})")
+    raise ArithmeticError(
+        f"power iteration did not converge (max_iter={max_iter}, last change {change * scale * scale:.3e})"
+    )
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,16 @@ def test_overflowed_weights_fail_the_sweeps(tmp_path, capsys):
     assert "check intertwining: FAIL (defect nan" in out
 
 
+def test_overflowed_level_sums_are_outside(tmp_path):
+    # (r / 1e-20)^(2k) passes the float range at k = 8: inf level sums, not a math range error
+    config = _write_config(tmp_path, "tiny.json", {"n": 1, "family": "scaled", "scales": [1e-20]})
+    out_csv = tmp_path / "region.csv"
+    assert main(["region", "--config", config, "--grid", "0:1:0.5", "--depth", "10", "--out", str(out_csv)]) == 0
+    rows = [line.split(",") for line in out_csv.read_text().strip().split("\n")[1:]]
+    assert [(row[0], row[-1]) for row in rows] == [("0", "inside"), ("0.5", "outside"), ("1", "outside")]
+    assert [row[2] for row in rows[1:]] == ["inf", "inf"]
+
+
 def test_sweep_guard_exits_2_before_sweeping(tmp_path, capsys):
     # n = 10 at depth 6: 30,260,631 cocycle triples
     config = _write_config(tmp_path, "n10.json", {"n": 10, "family": "constant", "value": 1.0})

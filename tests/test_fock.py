@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ from fockshift import (
     CommutantMu,
     ConstantWeights,
     GradedOperator,
+    ScaledWeights,
     TruncatedFock,
     TwoLetterRunWeights,
     commutation_defect,
@@ -148,6 +151,15 @@ def test_spectral_norm_fails_loudly(space, periodic_example):
     with pytest.raises(ArithmeticError, match="max_iter=1"):
         spectral_norm(op, max_iter=1)
     assert spectral_norm(op) == pytest.approx(2.0, abs=1e-8)
+
+
+def test_spectral_norm_near_the_float_range(space):
+    # X*X has norm 1e600: the iteration runs on X / 2^996 and scales back
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = norm_check(space, ScaledWeights(2, (1e300, 1.0)))
+    assert abs(reports[0].operator_norm - 1e300) <= 1e-12 * 1e300
+    assert reports[1].operator_norm == pytest.approx(1.0, abs=1e-8)
 
 
 def test_vacuum_kernel(space, unweighted, periodic_example):

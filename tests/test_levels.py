@@ -9,6 +9,7 @@ where the per-word formula divides two products.
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from fockshift import (
     FinitePerturbationWeights,
     FourierElement,
     GradedOperator,
+    GridSpec,
     ScaledWeights,
     TruncatedFock,
     TwoLetterRunWeights,
@@ -36,12 +38,14 @@ from fockshift import (
     level_sums,
     operator_from_fourier,
     pk_polynomial,
+    region_sample,
     right_creation,
     right_weight,
     weighted_left_shift,
     weighted_right_shift,
     word_operator,
 )
+from fockshift import eigen
 from fockshift.cli import main
 from fockshift.weights import DefectReport, MuSystem, WeightSystem, mu_table, table_from_strings
 from fockshift.words import EMPTY, Word, append, prepend
@@ -223,6 +227,52 @@ def test_level_arrays_equal_scalar_oracle(label, ws, depth):
         assert np.array_equal(level_sums(ws, moduli, depth), _oracle_level_sums(ws, moduli, depth))
 
     _check_expansions(space, _element(ws, 80 + n))
+
+
+def _oracle_region(monkeypatch, ws, grid: GridSpec, depth: int) -> list:
+    """sample_point at every grid point, with the per-word level sums."""
+    with monkeypatch.context() as patched:
+        patched.setattr(eigen, "level_sums", _oracle_level_sums)
+        points = itertools.product(grid.values(), repeat=ws.n)
+        return [eigen.sample_point(ws, p, depth, 0.02) for p in points]
+
+
+@pytest.mark.parametrize("label, ws, depth", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+def test_region_blocks_equal_scalar_oracle(monkeypatch, label, ws, depth):
+    # grids from r = 0 on every axis, through r = 1.05, where np.log misses
+    # math.log by an ulp; blocks of 4 points, so the last block is partial
+    grid = GridSpec(0.0, 1.2, 0.15) if ws.n < 3 else GridSpec(0.0, 1.05, 0.525)
+    oracle = _oracle_region(monkeypatch, ws, grid, depth)
+    monkeypatch.setattr(eigen, "BLOCK_FLOATS", 4 * ws.n**depth + ws.n**depth - 1)
+    calls = {"lambda_levels": 0, "_exact_logs": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(type(ws), "lambda_levels", counted("lambda_levels", type(ws).lambda_levels))
+    monkeypatch.setattr(eigen, "_exact_logs", counted("_exact_logs", eigen._exact_logs))
+    samples = region_sample(ws, grid, depth, 0.02)
+    assert len(samples) == len(oracle) >= 9 and oracle[0].moduli == (0.0,) * ws.n
+    assert samples == oracle
+    # the tables are built once per grid: one lambda_levels per letter, one log per level
+    assert calls == {"lambda_levels": ws.n, "_exact_logs": depth}
+
+
+def test_region_blocks_at_the_block_size(monkeypatch):
+    # 2^13 words at the deepest level: 4 points per block, 9 points in 3 blocks
+    ws = SYSTEMS[[s[0] for s in SYSTEMS].index("periodic-n2")][1]
+    grid = GridSpec(0.0, 1.0, 0.5)
+    assert eigen.BLOCK_FLOATS // 2**13 == 4
+    assert region_sample(ws, grid, 13, 0.02) == _oracle_region(monkeypatch, ws, grid, 13)
+
+
+def test_region_guard_raises_before_building_tables():
+    # sum over k <= 7 of 10^k words
+    with pytest.raises(ValueError, match=r"level enumeration of 11111111 words exceeds"):
+        region_sample(_Unbuildable(10), GridSpec(0.0, 1.0, 0.5), 7, 0.02)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
