@@ -1,7 +1,12 @@
 """Fourier expansions of operators in the shift algebra and the machinery
 around them: band decompositions, Cesaro smoothing, polynomial approximants,
 extraction of expansion coefficients from commutant members, the injectivity
-pairing, and spectral-radius lower bounds from leading coefficients."""
+pairing, and spectral-radius lower bounds from leading coefficients.
+
+``word_operator``, ``operator_from_fourier`` and ``pk_polynomial`` read W(u,w)
+off the left table the identity sweeps use (``weights._left_tables``), built
+up to the longest support word.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +21,7 @@ from .weights import (
     CommutantMu,
     MuSystem,
     WeightSystem,
+    _left_tables,
     log_right_weight,
     require_bounded_mu,
     right_weight,
@@ -124,43 +130,42 @@ def cesaro_sum(x: GradedOperator, k: int) -> GradedOperator:
     return GradedOperator.from_entries(x.space, coo.row, coo.col, coo.data * factors)
 
 
-def _word_entries(space: TruncatedFock, lams: Mapping[int, list[np.ndarray]], w: Word):
-    """Rows, columns and values of T_w: xi_u -> W(u,w) xi_{w*u}, with W(u,w)
-    multiplied up one letter of w at a time from the right."""
-    n, offsets = space.n, space.basis.level_offsets
-    top = max(space.depth - len(w) + 1, 0)
-    cols = np.arange(offsets[top])
-    rows = np.empty_like(cols)
-    values = np.ones(cols.size)
-    for k in range(top):
-        rank = np.arange(n**k)
-        level = k
-        for letter in reversed(w.letters):
-            values[space.level_slice(k)] *= lams[letter][level][rank]
-            rank = (letter - 1) * n**level + rank
-            level += 1
-        rows[space.level_slice(k)] = offsets[level] + rank
-    return rows, cols, values
+def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normalized: bool) -> GradedOperator:
+    """sum_w c_w T_w, or sum_w c_w W(e,w)^{-1} T_w if ``normalized``, for
+    ``coeffs`` holding c_w for every word of length <= m_max <= depth in basis
+    order; a zero c_w is off the support.  W(u,w) for |u| = k is row rank w of
+    block [k][|w|] of the left table (``_left_tables``), built up to |w| =
+    m_max, and w*u has rank (rank w) n^k + rank u."""
+    n, depth, offsets = space.n, space.depth, space.basis.level_offsets
+    longest = offsets.index(coeffs.size) - 1
+    left = _left_tables(ws, depth, longest)
+    pieces = []
+    for m in range(longest + 1):
+        ranks = np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]])
+        scale = coeffs[offsets[m] + ranks].tolist()
+        if normalized:  # scalar divisions: a W(e,w) that underflowed to 0 raises, where numpy gives NaN
+            scale = [c / complex(x) for c, x in zip(scale, left[0][m][ranks, 0].tolist())]
+        scale = np.array(scale, dtype=complex)[:, None]
+        for k in range(depth - m + 1):
+            rows = offsets[m + k] + ranks[:, None] * n**k + np.arange(n**k)
+            cols = np.tile(np.arange(offsets[k], offsets[k + 1]), ranks.size)
+            pieces.append((rows.ravel(), cols, (scale * left[k][m][ranks]).ravel()))
+    return _assemble(space, pieces)
 
 
 def word_operator(space: TruncatedFock, ws: WeightSystem, w: Word) -> GradedOperator:
-    """The compressed operator T_w: xi_u -> W(u,w) xi_{w*u}."""
-    lams = {a: ws.lambda_levels(a, space.depth - 1) for a in set(w.letters)}
-    return GradedOperator.from_entries(space, *_word_entries(space, lams, w))
+    """The compressed operator T_w: xi_u -> W(u,w) xi_{w*u}, 0 when |w| > depth."""
+    if len(w) > space.depth:
+        return GradedOperator.zero(space)
+    return _word_sum(space, ws, TruncatedFock(space.n, len(w)).basis_vector(w), normalized=False)
 
 
 def operator_from_fourier(a: FourierElement, space: TruncatedFock) -> GradedOperator:
-    """The compressed operator sum_w a_w W(e,w)^{-1} T_w of an expansion, with
-    W(e,w) read off column e of T_w.  Words longer than the depth have T_w = 0."""
-    lams = {i: a.weights.lambda_levels(i, space.depth - 1) for i in range(1, space.n + 1)}
-    pieces = []
-    for w, coeff in a.coeffs.items():
-        if len(w) > space.depth:
-            continue
-        rows, cols, values = _word_entries(space, lams, w)
-        # a scalar division: a W(e,w) that underflowed to 0 raises, where numpy gives NaN
-        pieces.append((rows, cols, (coeff / complex(values[0])) * values.astype(complex)))
-    return _assemble(space, pieces)
+    """The compressed operator sum_w a_w W(e,w)^{-1} T_w of an expansion.
+    Words longer than the depth have T_w = 0."""
+    support = TruncatedFock(space.n, min(a.support_length(), space.depth))
+    coeffs = support.vector_from_coeffs({w: c for w, c in a.coeffs.items() if len(w) <= support.depth})
+    return _word_sum(space, a.weights, coeffs, normalized=True)
 
 
 def pk_polynomial(a: FourierElement, k: int, space: TruncatedFock) -> GradedOperator:

@@ -3,6 +3,9 @@ machinery: the coefficient formula, residual verification, the level-sum
 convergence series, hereditary domination, the ellipse lower bound, and the
 region-sampling harness with its CSV emission.
 
+An ``EigenCandidate`` holds its coefficients as a vector in basis order and
+builds the ``Word``-keyed dict only on request.
+
 Region sampling builds the log-weight tables once per grid and sums the
 points in blocks of about BLOCK_FLOATS terms at the deepest level, with the
 same float operations per point as ``level_sums``.  A level sum past the
@@ -11,9 +14,10 @@ float range is inf, and the point is judged outside.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -32,15 +36,21 @@ INCONCLUSIVE = "inconclusive"
 PARTIAL_SUM_OVERFLOW = 1e18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenCandidate:
     """The joint-eigenvector candidate at a point of complex n-space: the
     vector whose coefficient at w is conj(w(point)) / W(e,w), normalized to 1
-    at the vacuum."""
+    at the vacuum, with the words of length <= depth in basis order."""
 
     point: tuple[complex, ...]
     depth: int
-    coeffs: dict[Word, complex]
+    vector: np.ndarray
+
+    @property
+    def coeffs(self) -> dict[Word, complex]:
+        """The coefficients keyed by word, built on each request."""
+        words = BasisEnumeration(len(self.point), self.depth).words()
+        return dict(zip(words, map(complex, self.vector.real.tolist(), self.vector.imag.tolist())))
 
 
 def eigenvector_coeffs(ws: WeightSystem, point: Sequence[complex], depth: int) -> EigenCandidate:
@@ -59,8 +69,9 @@ def eigenvector_coeffs(ws: WeightSystem, point: Sequence[complex], depth: int) -
     for k in range(depth):
         re.append(np.concatenate([(re[k] * z.real - im[k] * z.imag) / lam[k] for z, lam in zip(conj, lams)]))
         im.append(np.concatenate([(re[k] * z.imag + im[k] * z.real) / lam[k] for z, lam in zip(conj, lams)]))
-    values = map(complex, np.concatenate(re).tolist(), np.concatenate(im).tolist())
-    return EigenCandidate(point, depth, dict(zip(BasisEnumeration(ws.n, depth).words(), values)))
+    vector = np.empty(sum(level.size for level in re), dtype=complex)
+    vector.real, vector.imag = np.concatenate(re), np.concatenate(im)
+    return EigenCandidate(point, depth, vector)
 
 
 @dataclass(frozen=True)
@@ -80,10 +91,12 @@ def eigen_residual(
     coeffs: dict[Word, complex] | None = None,
 ) -> ResidualReport:
     """Max over i of ||(T_i* - conj(point_i)) nu|| on levels <= depth-1, where
-    the top level is excluded because the compression cannot see it."""
+    the top level is excluded because the compression cannot see it.  The
+    vector nu is ``coeffs``, or the eigenvector candidate at the point."""
     if coeffs is None:
-        coeffs = eigenvector_coeffs(ws, point, space.depth).coeffs
-    vec = space.vector_from_coeffs(coeffs)
+        vec = eigenvector_coeffs(ws, point, space.depth).vector
+    else:
+        vec = space.vector_from_coeffs(coeffs)
     keep = space.levels() <= space.depth - 1
     residuals = []
     for i in range(1, space.n + 1):
@@ -272,20 +285,6 @@ class GridSpec:
         return cls(float(parts[0]), float(parts[1]), float(parts[2]))
 
 
-def _grid_points(grid: GridSpec, n: int) -> Iterator[tuple[float, ...]]:
-    values = grid.values()
-    point = [0] * n
-    while True:
-        yield tuple(values[j] for j in point)
-        axis = n - 1
-        while axis >= 0 and point[axis] == len(values) - 1:
-            point[axis] = 0
-            axis -= 1
-        if axis < 0:
-            return
-        point[axis] += 1
-
-
 def region_sample(
     ws: WeightSystem,
     grid: GridSpec,
@@ -297,7 +296,7 @@ def region_sample(
     points go through the level-sum kernel in blocks of about BLOCK_FLOATS
     terms at the deepest level."""
     log_lams = _log_tables(ws, depth)
-    points = list(_grid_points(grid, ws.n))
+    points = list(itertools.product(grid.values(), repeat=ws.n))
     block = max(1, BLOCK_FLOATS // ws.n**depth)
     samples = []
     for start in range(0, len(points), block):
@@ -363,12 +362,9 @@ def ellipse_predicate(ws: WeightSystem, moduli: Sequence[float], depth_for_inf: 
         raise ValueError(f"expected {ws.n} moduli, got {len(moduli)}")
     axes = []
     for i in range(1, ws.n + 1):
-        exact = ws.exact_min_weight(i)
-        if exact is not None:
-            c_i = exact
-        else:
-            basis = BasisEnumeration(ws.n, depth_for_inf)
-            c_i = min(ws.lambda_of(i, w) for w in basis.words())
+        c_i = ws.exact_min_weight(i)
+        if c_i is None:
+            c_i = min(float(level.min()) for level in ws.lambda_levels(i, depth_for_inf))
         if c_i <= 1e-12:
             raise ValueError(f"weight infimum for letter {i} vanishes within tolerance")
         axes.append(c_i)

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .words import Word
 from .weights import ConstantWeights
 from .fock import GradedOperator, TruncatedFock, column_norms, left_creation
-from .algebra import FourierElement, operator_from_fourier
+from .algebra import _word_sum
 from .eigen import eigen_residual, eigenvector_coeffs
 
 BOUNDARY_TOL = 1e-9
@@ -67,7 +67,7 @@ def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
         raise ValueError(f"resolvent series needs ||point|| < 1, got {norm}")
     space = TruncatedFock(len(point), depth)
     unit = ConstantWeights(len(point), 1.0)
-    series = operator_from_fourier(FourierElement.build(eigenvector_coeffs(unit, point, depth - 1).coeffs, unit), space)
+    series = _word_sum(space, unit, eigenvector_coeffs(unit, point, depth - 1).vector, normalized=True)
     affine = GradedOperator.identity(space)
     for i in range(1, space.n + 1):
         affine = affine - point[i - 1].conjugate() * left_creation(space, i)
@@ -94,8 +94,7 @@ def right_membership(point: Sequence[complex], depth: int, tol: float = BOUNDARY
     space = TruncatedFock(n, depth)
     unweighted = ConstantWeights(n, 1.0)
     if norm < 1.0:
-        candidate = eigenvector_coeffs(unweighted, point, depth)
-        report = eigen_residual(unweighted, space, point, candidate.coeffs)
+        report = eigen_residual(unweighted, space, point)
         return SpectrumReport(
             point,
             MODE_RIGHT,
@@ -105,8 +104,7 @@ def right_membership(point: Sequence[complex], depth: int, tol: float = BOUNDARY
         )
     # ||point|| > 1: right inverse B_i = (conj(z_i)/||z||^2) sum_w conj(w(z)) ||z||^(-2|w|) L_w
     scaled = tuple(z / norm**2 for z in point)
-    series_coeffs = eigenvector_coeffs(unweighted, scaled, depth - 1).coeffs
-    series = operator_from_fourier(FourierElement.build(series_coeffs, unweighted), space)
+    series = _word_sum(space, unweighted, eigenvector_coeffs(unweighted, scaled, depth - 1).vector, normalized=True)
     total = GradedOperator.zero(space)
     for i in range(1, n + 1):
         b_i = (point[i - 1].conjugate() / norm**2) * series

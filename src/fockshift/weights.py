@@ -446,15 +446,15 @@ class DefectReport:
     checks: int
 
 
-def _left_tables(ws: WeightSystem, depth: int) -> list[list[np.ndarray]]:
-    """The left table: [a][b] holds W(u, w) for |u| = a, |w| = b <= depth - a at
-    [rank w, rank u], by the recursion W(u, j*w) = W(u, w) lambda_{j,w*u} of
+def _left_tables(ws: WeightSystem, depth: int, longest: int) -> list[list[np.ndarray]]:
+    """The left table: [a][b] holds W(u, w) for |u| = a, |w| = b <= min(depth - a, longest)
+    at [rank w, rank u], by the recursion W(u, j*w) = W(u, w) lambda_{j,w*u} of
     ``left_weight``; j*w has rank (j-1) n^b + rank w, w*u rank w n^a + rank u."""
     n = ws.n
     lams = [ws.lambda_levels(j, max(depth - 1, 0)) for j in range(1, n + 1)]
     tables = [[np.ones((1, n**a))] for a in range(depth + 1)]
     for a, row in enumerate(tables):
-        for b in range(depth - a):
+        for b in range(min(depth - a, longest)):
             row.append(np.concatenate([row[b] * lam[a + b].reshape(n**b, n**a) for lam in lams]))
     return tables
 
@@ -529,7 +529,7 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
     triples = [(a, b, c) for a in range(depth + 1) for b in range(depth - a + 1) for c in range(depth - a - b + 1)]
     # products overflow as the scalar ones do, and inf - inf is a NaN defect
     with np.errstate(over="ignore", invalid="ignore"):
-        left, right = _left_tables(ws, depth), _right_tables(CommutantMu(ws) if mu is None else mu, depth)
+        left, right = _left_tables(ws, depth, depth), _right_tables(CommutantMu(ws) if mu is None else mu, depth)
         return _sweep_report(block, triples, n, ("left", "right"))
 
 
@@ -555,7 +555,7 @@ def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
 
     pairs = [(a, b) for a in range(depth) for b in range(depth - a)]
     with np.errstate(over="ignore", invalid="ignore"):
-        left, right = _left_tables(ws, depth), _right_tables(CommutantMu(ws), depth)
+        left, right = _left_tables(ws, depth, depth), _right_tables(CommutantMu(ws), depth)
         return _sweep_report(block, pairs, n, range(1, n + 1))
 
 
@@ -660,10 +660,9 @@ def _periodic_decision(ws: PeriodicWeights) -> tuple[str, dict]:
     neg_inf = float("-inf")
     best = [neg_inf] * num
     entry_residue = (k - 1) % k
-    for p in prefixes:
-        idx = state_index[(p.letters, entry_residue)]
-        for i in range(1, n + 1):
-            best[idx] = max(best[idx], math.log(commutant_mu(ws, i, p)))
+    seeds = [CommutantMu(ws).mu_levels(i, k - 1)[k - 1].tolist() for i in range(1, n + 1)]
+    for rank, p in enumerate(prefixes):  # the level k-1 words in rank order
+        best[state_index[(p.letters, entry_residue)]] = max(math.log(ratios[rank]) for ratios in seeds)
     overall = max(v for v in best if v > neg_inf)
 
     # Bellman-Ford value iteration: with every cycle ratio <= 1, path maxima

@@ -31,6 +31,7 @@ from fockshift import (
     commutant_mu,
     condition6_sup,
     eigenvector_coeffs,
+    ellipse_predicate,
     expansion_operator,
     lambda_from_mu,
     left_creation,
@@ -45,7 +46,7 @@ from fockshift import (
     weighted_right_shift,
     word_operator,
 )
-from fockshift import eigen
+from fockshift import algebra, eigen
 from fockshift.cli import main
 from fockshift.weights import DefectReport, MuSystem, WeightSystem, mu_table, table_from_strings
 from fockshift.words import EMPTY, Word, append, prepend
@@ -183,9 +184,14 @@ def _check_expansions(space: TruncatedFock, a: FourierElement) -> None:
     assert _close(produced, _oracle_expansion(space, a))
     point = tuple(cmath.rect(0.6, 0.4 + j) for j in range(ws.n))
     assert eigenvector_coeffs(ws, point, space.depth).coeffs == _oracle_eigenvector(ws, point, space.depth)
+    # an empty expansion, and a support word past the depth, whose T_w is 0
+    assert _same(operator_from_fourier(FourierElement.build({}, ws, a.mu), space), _oracle_fourier_sum(space, ws, {}))
+    longer = {**a.coeffs, Word([ws.n] * (space.depth + 1)): 0.5 - 0.25j}
+    produced = operator_from_fourier(FourierElement.build(longer, ws, a.mu), space)
+    assert _same(produced, _oracle_fourier_sum(space, ws, longer))
 
 
-@pytest.mark.parametrize("label, ws, depth", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+@pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED, ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED])
 def test_level_arrays_equal_scalar_oracle(label, ws, depth):
     n = ws.n
     basis = BasisEnumeration(n, depth)
@@ -210,6 +216,15 @@ def test_level_arrays_equal_scalar_oracle(label, ws, depth):
     assert list(table) == list(oracle)
     assert table == oracle
     assert lambda_from_mu(mu, depth).table == _oracle_lambda_from_mu(mu, depth)
+
+    # the ellipse axes: the per-letter minimum over lambda_of where no exact infimum is known
+    axes = [ws.exact_min_weight(i) for i in range(1, n + 1)]
+    axes = [min(ws.lambda_of(i, w) for w in basis.words()) if c is None else c for i, c in enumerate(axes, 1)]
+    if min(axes) > 1e-12:
+        assert ellipse_predicate(ws, (0.5,) * n, depth).axes == tuple(axes)
+    else:
+        with pytest.raises(ValueError, match="vanishes within tolerance"):
+            ellipse_predicate(ws, (0.5,) * n, depth)
 
     best, witness = 0.0, None
     for (i, w), value in oracle.items():
@@ -291,8 +306,10 @@ def test_table_mu_and_unweighted_shifts_equal_scalar_oracle(n):
     # the resolvent series of the spectra checks
     unweighted = ConstantWeights(n, 1.0)
     point = tuple(cmath.rect(0.3, 0.9 + j) for j in range(n))
-    coeffs = eigenvector_coeffs(unweighted, point, depth - 1).coeffs
-    assert _same(operator_from_fourier(FourierElement.build(coeffs, unweighted), space), _oracle_series(space, coeffs))
+    candidate = eigenvector_coeffs(unweighted, point, depth - 1)
+    oracle = _oracle_series(space, candidate.coeffs)
+    assert _same(operator_from_fourier(FourierElement.build(candidate.coeffs, unweighted), space), oracle)
+    assert _same(algebra._word_sum(space, unweighted, candidate.vector, normalized=True), oracle)
 
 
 def _relative_defect(lhs: float, rhs: float) -> float:

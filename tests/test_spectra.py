@@ -4,16 +4,30 @@ import numpy as np
 import pytest
 
 from fockshift import (
+    ConstantWeights,
+    FourierElement,
+    GradedOperator,
     TruncatedFock,
+    eigen_residual,
+    eigenvector_coeffs,
     left_creation,
     left_growth_certificate,
+    operator_from_fourier,
     parse_word,
     resolvent_check,
     right_membership,
     zero_left_inverses,
 )
-from fockshift.spectra import IN_SPECTRUM, INCONCLUSIVE, NOT_IN_SPECTRUM
-from fockshift.words import EMPTY
+from fockshift.spectra import (
+    IN_SPECTRUM,
+    INCONCLUSIVE,
+    MODE_RIGHT,
+    NOT_IN_SPECTRUM,
+    ResolventReport,
+    SpectrumReport,
+    _split_defect,
+)
+from fockshift.words import EMPTY, BasisEnumeration, Word
 
 
 def test_resolvent_origin():
@@ -160,3 +174,75 @@ def test_zero_left_inverses_match_dense_oracle(depth):
     # the pseudo-inverse of the partial isometry [L_1 L_2] is its adjoint: no rounding
     assert report.reconstruction_residual == 0.0
     assert residual <= 1e-12
+
+
+def _dict_series(space, point):
+    """The resolvent series through the Word-keyed eigenvector coefficients."""
+    unit = ConstantWeights(space.n, 1.0)
+    coeffs = eigenvector_coeffs(unit, point, space.depth - 1).coeffs
+    return operator_from_fourier(FourierElement.build(coeffs, unit), space)
+
+
+def _dict_resolvent_check(point, depth):
+    point = tuple(complex(z) for z in point)
+    space = TruncatedFock(len(point), depth)
+    affine = GradedOperator.identity(space)
+    for i in range(1, space.n + 1):
+        affine = affine - point[i - 1].conjugate() * left_creation(space, i)
+    low, top = _split_defect(space, affine @ _dict_series(space, point) - GradedOperator.identity(space))
+    return ResolventReport(point, depth, low, top)
+
+
+def _dict_right_membership(point, depth):
+    point = tuple(complex(z) for z in point)
+    n = len(point)
+    norm = math.sqrt(sum(abs(z) ** 2 for z in point))
+    space = TruncatedFock(n, depth)
+    unweighted = ConstantWeights(n, 1.0)
+    if norm < 1.0:
+        coeffs = eigenvector_coeffs(unweighted, point, depth).coeffs
+        residual = eigen_residual(unweighted, space, point, coeffs).max_residual
+        witness = {"norm": norm, "witness": "joint eigenvector of the adjoint tuple"}
+        return SpectrumReport(point, MODE_RIGHT, IN_SPECTRUM, {"eigen_residual": residual}, witness)
+    series = _dict_series(space, tuple(z / norm**2 for z in point))
+    total = GradedOperator.zero(space)
+    for i in range(1, n + 1):
+        factor = GradedOperator.identity(space) * point[i - 1] - left_creation(space, i)
+        total = total + factor @ ((point[i - 1].conjugate() / norm**2) * series)
+    low, top = _split_defect(space, total - GradedOperator.identity(space))
+    defects = {"identity_low_levels": low, "identity_top_level": top}
+    witness = {"norm": norm, "witness": "resolvent-series right inverse"}
+    return SpectrumReport(point, MODE_RIGHT, NOT_IN_SPECTRUM, defects, witness)
+
+
+# inside the ball, outside it, and with a zero coordinate, which empties most of the support
+INSIDE_POINTS = [(0.6, 0.3j), (0.3 + 0.2j, -0.4 + 0.1j), (0.5, 0.0), (0.0, 0.0), (0.2 - 0.5j,), (0.3, 0.0, 0.4j)]
+OUTSIDE_POINTS = [(2.0, 0.5), (0.9 - 0.8j, 1.1j), (0.0, 1.7), (1.5,), (0.0, 1.2, 0.3 - 0.4j)]
+
+
+def test_spectra_vector_path_equals_dict_path():
+    for point in INSIDE_POINTS:
+        depth = 8 if len(point) < 3 else 5
+        assert resolvent_check(point, depth) == _dict_resolvent_check(point, depth)
+        assert right_membership(point, depth) == _dict_right_membership(point, depth)
+    for point in OUTSIDE_POINTS:
+        depth = 8 if len(point) < 3 else 5
+        assert right_membership(point, depth) == _dict_right_membership(point, depth)
+
+
+def test_spectra_allocate_no_words(monkeypatch):
+    # the eigenvector stays a vector: no Word is built or looked up on these paths
+    calls = {"Word": 0, "index_of": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(Word, "__init__", counted("Word", Word.__init__))
+    monkeypatch.setattr(BasisEnumeration, "index_of", counted("index_of", BasisEnumeration.index_of))
+    assert right_membership((0.6, 0.3j), 8).verdict == IN_SPECTRUM
+    assert right_membership((2.0, 0.5), 8).verdict == NOT_IN_SPECTRUM
+    assert resolvent_check((0.4, 0.3), 8).low_level_defect <= 1e-12
+    assert calls == {"Word": 0, "index_of": 0}
