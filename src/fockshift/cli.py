@@ -5,7 +5,9 @@ Subcommands: check, commutant, region, cesaro, spectra.  Every report embeds
 the fully resolved configuration; all content except the timing block is
 byte-identical across runs of the same config and version.  Exit code 0 means
 every executed check passed (a divergence finding is not a failure), 1 means
-a check failed, 2 means a precondition or configuration error.
+a check failed, 2 means a precondition or configuration error.  ``commutant``
+keys its mu table by ``level_labels`` strings, building no ``Word`` per
+entry, and prints it in one write.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from typing import Any
 
 import numpy as np
 
-from .words import Word, parse_word
+from .words import Word, level_labels, parse_word
 from .weights import (
     DIVERGING,
+    CommutantMu,
     ConstantWeights,
     FinitePerturbationWeights,
     PeriodicWeights,
@@ -34,7 +37,6 @@ from .weights import (
     check_cocycles,
     check_intertwining,
     condition6_sup,
-    mu_table,
     table_from_strings,
 )
 from .fock import TruncatedFock, commutation_defect, max_column_norm, norm_check, vacuum_kernel_check
@@ -189,6 +191,9 @@ def parse_config(document: Any) -> RunConfig:
 
 
 def _to_jsonable(value: Any) -> Any:
+    # exact types: np.float64 subclasses float and still goes through .item()
+    if type(value) in (str, float, int, bool, type(None)):
+        return value
     if isinstance(value, Word):
         return str(value)
     if isinstance(value, complex):
@@ -364,9 +369,14 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
         }
         return 0, report
 
-    table = {f"{i}:{w}": value for (i, w), value in mu_table(ws, config.depth).items()}
-    for key in table:
-        print(f"mu {key} = {table[key]:.17g}")
+    # 'i:w' keys word by word, and letter by letter within a word, as in mu_table
+    letters = range(1, ws.n + 1)
+    per_letter = [CommutantMu(ws).mu_levels(i, config.depth) for i in letters]
+    table = {}
+    for k, labels in enumerate(level_labels(ws.n, config.depth)):
+        keys = [f"{i}:{label}" for label in labels for i in letters]
+        table.update(zip(keys, np.stack([levels[k] for levels in per_letter], axis=1).ravel().tolist()))
+    sys.stdout.write("".join(f"mu {key} = {value:.17g}\n" for key, value in table.items()))
 
     # round-trip a deterministic polynomial through coefficient extraction
     space = TruncatedFock(ws.n, config.depth)

@@ -8,8 +8,9 @@ builds the ``Word``-keyed dict only on request.
 
 Region sampling builds the log-weight tables once per grid and sums the
 points in blocks of about BLOCK_FLOATS terms at the deepest level, with the
-same float operations per point as ``level_sums``.  A level sum past the
-float range is inf, and the point is judged outside.
+same float operations per point as ``level_sums``, and judges each block at
+once by the rule of ``membership_verdict``.  A level sum past the float
+range is inf, and the point is judged outside.
 """
 
 from __future__ import annotations
@@ -222,21 +223,25 @@ def membership_verdict(sums: Sequence[float], epsilon: float) -> tuple[str, floa
     Returns (verdict, tail ratio).  The raw sums stay with the caller, who can
     always re-judge; the boundary is genuinely undecidable from finite data.
     """
-    sums = np.asarray(sums, dtype=float)
-    if sums.size < 4:
+    verdicts, tail_ratios, _ = _verdicts(np.asarray(sums, dtype=float)[None, :], epsilon)
+    return verdicts[0], tail_ratios[0]
+
+
+def _verdicts(sums: np.ndarray, epsilon: float) -> tuple[list[str], list[float], list[float]]:
+    """The rule of ``membership_verdict`` on a (P, levels) block of level
+    sums, one row per point: the verdicts, tail ratios and partial sums."""
+    if sums.shape[1] < 4:
         raise ValueError("need at least 4 level sums")
     with np.errstate(invalid="ignore"):  # two overflowed levels: inf / inf is nan
-        ratios = np.divide(sums[1:], sums[:-1], out=np.zeros(sums.size - 1), where=sums[:-1] > 0)
-    window = ratios[-max(1, ratios.size // 4):]
-    tail_ratio = float(window[-1])
-    partial = float(np.sum(sums))
-    if not math.isfinite(partial) or partial > PARTIAL_SUM_OVERFLOW:
-        return OUTSIDE, tail_ratio
-    if np.all(window <= 1.0 - epsilon):
-        return INSIDE, tail_ratio
-    if np.all(window >= 1.0 + epsilon):
-        return OUTSIDE, tail_ratio
-    return INCONCLUSIVE, tail_ratio
+        ratios = np.divide(sums[:, 1:], sums[:, :-1], out=np.zeros((len(sums), sums.shape[1] - 1)),
+                           where=sums[:, :-1] > 0)
+    window = ratios[:, -max(1, ratios.shape[1] // 4):]
+    partials = np.sum(sums, axis=1)
+    overflowed = ~np.isfinite(partials) | (partials > PARTIAL_SUM_OVERFLOW)
+    inside = np.all(window <= 1.0 - epsilon, axis=1)
+    growing = np.all(window >= 1.0 + epsilon, axis=1)
+    verdicts = np.select([overflowed, inside, growing], [OUTSIDE, INSIDE, OUTSIDE], INCONCLUSIVE)
+    return verdicts.tolist(), window[:, -1].tolist(), partials.tolist()
 
 
 @dataclass(frozen=True)
@@ -249,18 +254,16 @@ class RegionSample:
 
 
 def sample_point(ws: WeightSystem, moduli: Sequence[float], depth: int, epsilon: float) -> RegionSample:
-    return _judged(moduli, level_sums(ws, moduli, depth), epsilon)
+    return _judged([moduli], level_sums(ws, moduli, depth)[None, :], epsilon)[0]
 
 
-def _judged(moduli: Sequence[float], sums: np.ndarray, epsilon: float) -> RegionSample:
-    verdict, tail_ratio = membership_verdict(sums, epsilon)
-    return RegionSample(
-        tuple(float(r) for r in moduli),
-        tuple(float(s) for s in sums),
-        float(np.sum(sums)),
-        tail_ratio,
-        verdict,
-    )
+def _judged(points: Sequence[Sequence[float]], sums: np.ndarray, epsilon: float) -> list[RegionSample]:
+    """One RegionSample per row of a (P, levels) block of level sums."""
+    verdicts, tail_ratios, partials = _verdicts(sums, epsilon)
+    return [
+        RegionSample(tuple(float(r) for r in moduli), tuple(row), partial, tail_ratio, verdict)
+        for moduli, row, partial, tail_ratio, verdict in zip(points, sums.tolist(), partials, tail_ratios, verdicts)
+    ]
 
 
 @dataclass(frozen=True)
@@ -301,8 +304,7 @@ def region_sample(
     samples = []
     for start in range(0, len(points), block):
         chunk = points[start:start + block]
-        rows = _level_sums_block(log_lams, np.array(chunk, dtype=float), depth)
-        samples.extend(_judged(p, sums, epsilon) for p, sums in zip(chunk, rows))
+        samples.extend(_judged(chunk, _level_sums_block(log_lams, np.array(chunk, dtype=float), depth), epsilon))
     return samples
 
 

@@ -190,3 +190,17 @@ class BasisEnumeration:
     def words(self) -> Iterator[Word]:
         for k in range(self.depth + 1):
             yield from self.level_words(k)
+
+
+def level_labels(n: int, depth: int) -> list[list[str]]:
+    """``str(w)`` for every word of each level k <= depth, in graded-lex
+    order, without building a ``Word``: level k appends each letter to level
+    k-1, so w*j sits at rank r n + j-1."""
+    letters = [str(j) for j in range(1, n + 1)]
+    labels, plain, dotted = [["e"]], [""], [""]  # plain is None once a letter above 9 appears
+    for k in range(depth):
+        plain = [u + j if u is not None and len(j) == 1 else None for u in plain for j in letters]
+        if n > 9:
+            dotted = [u + "." + j if k else j for u in dotted for j in letters]
+        labels.append(plain if n <= 9 else [d if u is None else u for u, d in zip(plain, dotted)])
+    return labels

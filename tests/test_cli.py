@@ -1,15 +1,21 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from fockshift import ConstantWeights, PeriodicWeights, TwoLetterRunWeights
+from fockshift import ConstantWeights, PeriodicWeights, TwoLetterRunWeights, cli
+from fockshift.algebra import FourierElement, commutant_extract, operator_from_fourier
 from fockshift.cli import (
     ConfigError,
+    _emit_report,
     main,
     parse_config,
     parse_lambda,
 )
+from fockshift.fock import TruncatedFock
+from fockshift.weights import DIVERGING, condition6_sup, mu_table
+from fockshift.words import EMPTY, Word
 
 
 def test_parse_config_constant_defaults():
@@ -315,3 +321,135 @@ def test_nonfinite_coefficients_rejected(tmp_path, capsys, mode, bad):
                 "--coeffs", str(coeffs)]
     assert main(argv) == 2
     assert "finite numbers" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the commutant output path against a copy of its Word-keyed predecessor
+# ---------------------------------------------------------------------------
+
+
+def _parent_to_jsonable(value):
+    if isinstance(value, Word):
+        return str(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, dict):
+        return {str(_parent_to_jsonable(k)): _parent_to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, frozenset, set)):
+        return [_parent_to_jsonable(v) for v in value]
+    return value
+
+
+def _parent_cmd_commutant(config, args):
+    """The commutant command keyed through mu_table and printed line by line."""
+    ws = config.weights
+    condition = condition6_sup(ws, config.depth)
+    if condition.verdict == DIVERGING:
+        print(f"commutant weights diverge: {condition.certificate}")
+        report = {
+            "command": "commutant",
+            "config": config.echo(),
+            "condition6": {"verdict": condition.verdict, "certificate": condition.certificate},
+            "mu_table": None,
+        }
+        return 0, report
+
+    table = {f"{i}:{w}": value for (i, w), value in mu_table(ws, config.depth).items()}
+    for key in table:
+        print(f"mu {key} = {table[key]:.17g}")
+
+    space = TruncatedFock(ws.n, config.depth)
+    rng = np.random.default_rng(0)
+    support_cap = max(0, min(3, config.depth - 2))
+    coeffs = {}
+    for w in TruncatedFock(ws.n, support_cap).basis.words():
+        coeffs[w] = complex(rng.standard_normal(), rng.standard_normal())
+    element = FourierElement.build(coeffs, ws)
+    extraction = commutant_extract(operator_from_fourier(element, space), ws)
+    recovery = max(abs(extraction.element.coeffs.get(w, 0.0) - a) for w, a in coeffs.items())
+    defect = max(extraction.residual, recovery)
+    passed = defect <= config.tolerance
+    print(f"round-trip: {'PASS' if passed else 'FAIL'} (residual {extraction.residual:.3e}, recovery {recovery:.3e})")
+
+    report = {
+        "command": "commutant",
+        "config": config.echo(),
+        "condition6": {"verdict": condition.verdict, "sup_value": condition.value},
+        "mu_table": table,
+        "round_trip": {
+            "residual": extraction.residual,
+            "coefficient_recovery": recovery,
+            "tolerance": config.tolerance,
+            "pass": passed,
+        },
+    }
+    return (0 if passed else 1), report
+
+
+PERIODIC = {
+    "n": 2, "family": "periodic", "period": 2,
+    "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2},
+}
+
+
+@pytest.mark.parametrize("document, depth", [
+    ({"n": 2, "family": "constant", "value": 1.5}, 7),
+    (PERIODIC, 8),
+    ({"n": 2, "family": "finite_perturbation", "cutoff": 1,
+      "table": {"1:e": 0.5, "2:e": 1.5, "1:1": 2.0, "2:1": 0.75, "1:2": 1.25, "2:2": 3.0}, "tail": [0.9, 1.1]}, 7),
+    ({"n": 2, "family": "two_letter_m", "m": 0.81, "c": 0.9}, 7),
+    ({"n": 2, "family": "two_letter_m", "m": 4, "c": 1}, 7),  # diverging
+    ({"n": 3, "family": "scaled", "scales": [0.5, 1.0, 2.0]}, 5),
+    ({"n": 11, "family": "constant", "value": 1.0}, 2),
+    (DEEP_N1, 200),
+])
+def test_commutant_output_matches_word_keyed_path(tmp_path, capsys, monkeypatch, document, depth):
+    config = _write_config(tmp_path, "config.json", document)
+    outputs = []
+    for command, to_jsonable in ((cli._cmd_commutant, cli._to_jsonable), (_parent_cmd_commutant, _parent_to_jsonable)):
+        monkeypatch.setitem(cli.COMMANDS, "commutant", command)
+        monkeypatch.setattr(cli, "_to_jsonable", to_jsonable)
+        report = tmp_path / "report.json"
+        code = main(["commutant", "--config", config, "--depth", str(depth), "--report", str(report)])
+        outputs.append((code, capsys.readouterr().out, report.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+def test_commutant_builds_no_word_per_entry(tmp_path, capsys, monkeypatch):
+    config = _write_config(tmp_path, "per.json", PERIODIC)
+    built = [0]
+    init = Word.__init__
+
+    def counted_init(self, letters=()):
+        built[0] += 1
+        init(self, letters)
+
+    monkeypatch.setattr(Word, "__init__", counted_init)
+    counts = []
+    for depth in (6, 10):
+        built[0] = 0
+        assert main(["commutant", "--config", config, "--depth", str(depth)]) == 0
+        counts.append(built[0])
+    capsys.readouterr()
+    # the round trip's support is capped at length 3, so its Words do not grow with depth
+    assert counts[0] == counts[1]
+
+
+def test_emit_report_matches_recursive_conversion(tmp_path, capsys):
+    report = {
+        "floats": [np.float64(0.1), 1e-300, math.inf, np.float32(2.5)],
+        "ints": (np.int64(7), 3, True, None),
+        "complex": complex(1.5, -2.0),
+        "words": {Word([1, 2]): Word([12, 3]), EMPTY: [Word([1])]},
+        "set": frozenset({Word([2]), 4}),
+        "nested": [[{"x": (np.float64(1.25), [complex(0, 1)])}], {1: "one"}],
+    }
+    expected = json.dumps(_parent_to_jsonable(report), indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "report.json"
+    _emit_report(report, str(path))
+    assert path.read_text() == expected
+    _emit_report(report, None)
+    assert capsys.readouterr().out == expected

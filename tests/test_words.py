@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fockshift import BasisEnumeration, Word, eval_word, parse_word
-from fockshift.words import EMPTY, append, prepend, validate_word
+from fockshift.words import EMPTY, append, level_labels, prepend, validate_word
 
 
 def test_concat_unit_laws():
@@ -68,6 +68,17 @@ def test_enumeration_order_and_roundtrip():
         for w in words:
             if len(u) < len(w):
                 assert basis.index_of(u) < basis.index_of(w)
+
+
+@pytest.mark.parametrize("n, depth", [(1, 0), (1, 9), (2, 0), (2, 8), (3, 5), (10, 3), (11, 3)])
+def test_level_labels_match_word_strings(n, depth):
+    labels = level_labels(n, depth)
+    basis = BasisEnumeration(n, depth)
+    assert labels == [[str(w) for w in basis.level_words(k)] for k in range(depth + 1)]
+    if n >= 10:
+        # words with no letter above 9 stay plain, the others are dot-joined
+        assert labels[2][:2] == ["11", "12"] and labels[2][9] == "1.10"
+        assert labels[3][-1] == f"{n}.{n}.{n}"
 
 
 def test_level_slices_contiguous():
