@@ -231,6 +231,11 @@ def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | No
     return CommutationReport(worst, witness, cap)
 
 
+def _scale_exponent(mat) -> int:
+    """The e >= 0 of the largest power of two 2^e at or below the largest |entry|."""
+    return max(0, math.frexp(float(np.abs(mat.data).max(initial=0.0)))[1] - 1)
+
+
 def spectral_norm(op: GradedOperator, tol: float = 1e-10, max_iter: int = 10_000) -> float:
     """Operator norm by power iteration on X*X with a deterministic start;
     ArithmeticError when it has not converged within ``max_iter`` steps.
@@ -242,7 +247,7 @@ def spectral_norm(op: GradedOperator, tol: float = 1e-10, max_iter: int = 10_000
     """
     dim = op.space.dimension
     vec = np.ones(dim, dtype=complex) / math.sqrt(dim)
-    exponent = max(0, math.frexp(float(np.abs(op.mat.data).max(initial=0.0)))[1] - 1)
+    exponent = _scale_exponent(op.mat)
     scale = math.ldexp(1.0, exponent)
     floor = math.ldexp(1.0, -2 * exponent)
     mat = op.mat / scale
@@ -308,11 +313,14 @@ def vacuum_kernel_check(space: TruncatedFock, ws: WeightSystem) -> VacuumReport:
     """The joint kernel of the adjoint shifts is the vacuum line.
 
     The stacked adjoints [T_1*; ...; T_n*] hold lambda_{i,w} at row (i, w) and
-    column i*w, so ``partial_permutation_rank`` certifies their rank.  For the
-    unweighted system the vacuum projection identity I - sum_i L_i L_i* = P_e
-    is also checked on levels <= depth-1, exactly: every entry is 0 or 1.
+    column i*w, so ``partial_permutation_rank`` certifies their rank once each
+    letter's block is divided by the power of two at or below its largest
+    weight: row scaling keeps the exact rank.  For the unweighted system the
+    vacuum projection identity I - sum_i L_i L_i* = P_e is also checked on
+    levels <= depth-1, exactly: every entry is 0 or 1.
     """
-    stacked = sp.vstack([weighted_left_shift(space, ws, i).adjoint().mat for i in range(1, space.n + 1)])
+    blocks = [weighted_left_shift(space, ws, i).adjoint().mat for i in range(1, space.n + 1)]
+    stacked = sp.vstack([block / math.ldexp(1.0, _scale_exponent(block)) for block in blocks])
     kernel_dim = space.dimension - partial_permutation_rank(stacked)
 
     projection_defect = None

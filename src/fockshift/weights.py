@@ -2,13 +2,15 @@
 
 A weight system assigns a strictly positive scalar to every edge of the tree:
 ``lambda_of(i, w)`` weights the edge from the basis vector at ``w`` to the one
-at ``i*w``.  From it derive the left weight function W(u, w) (products of edge
-weights down the tree), the commutant weights mu, and the right weight
-function W_mu.  This module also houses the identities and conditions those
-functions satisfy: both cocycle laws, the intertwining identity, the
-boundedness condition governing the commutant description, a finite-range
-semisimplicity estimate, and the generation of left weights from prescribed
-right weights.
+at ``i*w``; ``lambda_levels`` gives them as one array per level.  The table
+families, ``TableMu`` included, hold their tables as read-only level arrays
+``levels[i-1][k]``, built once, at construction.  From the weights derive the
+left weight function W(u, w) (products of edge weights down the tree), the
+commutant weights mu, and the right weight function W_mu.  This module also
+houses the identities and conditions those functions satisfy: both cocycle
+laws, the intertwining identity, the boundedness condition governing the
+commutant description, a finite-range semisimplicity estimate, and the
+generation of left weights from prescribed right weights.
 """
 
 from __future__ import annotations
@@ -37,20 +39,20 @@ def _check_positive(value: float, what: str) -> float:
     return value
 
 
-def _check_table(table: Mapping[tuple[int, Word], float], n: int, depth: int, entry: str, what: str) -> None:
-    """Every (i, w) with |w| <= depth present and strictly positive."""
-    for w in BasisEnumeration(n, depth).words():
+def _table_levels(table: Mapping[tuple[int, Word], float], n: int, depth: int, entry: str, what: str) -> list:
+    """Read-only level arrays [i-1][k] of a (letter, word) table, for |w| = k <= depth
+    in graded-lex order; the first entry missing or not strictly positive, word
+    by word and letter by letter, raises ValueError."""
+    basis = BasisEnumeration(n, depth)
+    values = []
+    for w in basis.words():
         for i in range(1, n + 1):
             if (i, w) not in table:
                 raise ValueError(f"missing {entry} for ({i}, {w})")
-            _check_positive(table[(i, w)], f"{what} ({i}, {w})")
-
-
-def _word_levels(n: int, depth: int, value) -> list[np.ndarray]:
-    """value(w) for every |w| <= depth: one array per level, indexed by the
-    graded-lex rank of w within its level."""
-    basis = BasisEnumeration(n, max(depth, 0))
-    return [np.array([value(w) for w in basis.level_words(k)], dtype=float) for k in range(depth + 1)]
+            values.append(_check_positive(table[(i, w)], f"{what} ({i}, {w})"))
+    by_letter = np.array(values).reshape(-1, n).T.copy()
+    by_letter.setflags(write=False)  # the families hand these arrays out as they are
+    return [np.split(row, basis.level_offsets[1:-1]) for row in by_letter]
 
 
 def table_from_strings(entries: Mapping[str, float], n: int | None = None) -> dict[tuple[int, Word], float]:
@@ -79,8 +81,7 @@ class WeightSystem:
 
     def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
         """lambda_{i,w} for every |w| <= depth, one array per level in graded-lex order."""
-        self._check_letter(i)
-        return _word_levels(self.n, depth, lambda w: self.lambda_of(i, w))
+        raise NotImplementedError
 
     def _check_letter(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -88,10 +89,6 @@ class WeightSystem:
 
     # Exact infimum of lambda_{i,.}, when the family structure decides it.
     def exact_min_weight(self, i: int) -> float | None:
-        return None
-
-    # Depth by which the set of attained weight values has stabilized, when known.
-    def stabilization_depth(self) -> int | None:
         return None
 
 
@@ -115,9 +112,6 @@ class ConstantWeights(WeightSystem):
 
     def exact_min_weight(self, i: int) -> float:
         return self.value
-
-    def stabilization_depth(self) -> int:
-        return 0
 
 
 @dataclass(frozen=True)
@@ -143,9 +137,6 @@ class ScaledWeights(WeightSystem):
     def exact_min_weight(self, i: int) -> float:
         return self.scales[i - 1]
 
-    def stabilization_depth(self) -> int:
-        return 0
-
 
 @dataclass(frozen=True, eq=False)
 class FinitePerturbationWeights(WeightSystem):
@@ -162,7 +153,7 @@ class FinitePerturbationWeights(WeightSystem):
         if len(self.tail) != self.n:
             raise ValueError(f"expected {self.n} tail scales, got {len(self.tail)}")
         object.__setattr__(self, "tail", tuple(_check_positive(c, "tail scale") for c in self.tail))
-        _check_table(self.table, self.n, self.cutoff, "table entry", "weight")
+        object.__setattr__(self, "levels", _table_levels(self.table, self.n, self.cutoff, "table entry", "weight"))
 
     def lambda_of(self, i: int, w: Word) -> float:
         self._check_letter(i)
@@ -171,15 +162,12 @@ class FinitePerturbationWeights(WeightSystem):
         return self.tail[i - 1]
 
     def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
-        head = super().lambda_levels(i, min(depth, self.cutoff))
+        self._check_letter(i)
+        head = self.levels[i - 1][: depth + 1]
         return head + [np.full(self.n**k, self.tail[i - 1]) for k in range(self.cutoff + 1, depth + 1)]
 
     def exact_min_weight(self, i: int) -> float:
-        vals = [v for (j, _), v in self.table.items() if j == i]
-        return min(min(vals), self.tail[i - 1])
-
-    def stabilization_depth(self) -> int:
-        return self.cutoff + 1
+        return min(min(float(level.min()) for level in self.levels[i - 1]), self.tail[i - 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +182,8 @@ class PeriodicWeights(WeightSystem):
     def __post_init__(self):
         if self.period < 1:
             raise ValueError("period must be at least 1")
-        _check_table(self.remainders, self.n, self.period - 1, "remainder scalar", "remainder")
+        levels = _table_levels(self.remainders, self.n, self.period - 1, "remainder scalar", "remainder")
+        object.__setattr__(self, "levels", levels)
 
     def lambda_of(self, i: int, w: Word) -> float:
         self._check_letter(i)
@@ -203,15 +192,12 @@ class PeriodicWeights(WeightSystem):
 
     def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
         # the remainder prefix of the rank-r word at level k has rank r // n^(k - k mod p)
-        remainders = super().lambda_levels(i, min(depth, self.period - 1))
-        n, p = self.n, self.period
+        self._check_letter(i)
+        remainders, n, p = self.levels[i - 1], self.n, self.period
         return [remainders[k % p][np.arange(n**k) // n ** (k - k % p)] for k in range(depth + 1)]
 
     def exact_min_weight(self, i: int) -> float:
-        return min(v for (j, _), v in self.remainders.items() if j == i)
-
-    def stabilization_depth(self) -> int:
-        return self.period - 1
+        return min(float(level.min()) for level in self.levels[i - 1])
 
 
 @dataclass(frozen=True)
@@ -260,25 +246,32 @@ class TwoLetterRunWeights(WeightSystem):
             return min(1.0 / self.m, 1.0 / math.sqrt(self.m), self.c)
         return self.c
 
-    def stabilization_depth(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True, eq=False)
 class TabulatedWeights(WeightSystem):
-    """Explicitly tabulated weights for base words up to a depth; queries
-    beyond the table are an error."""
+    """Explicitly tabulated weights ``levels[i-1][k]`` (made read-only) for base
+    words up to a depth; queries beyond the table are an error."""
 
     n: int
     depth: int
-    table: Mapping[tuple[int, Word], float]
+    levels: list[list[np.ndarray]]
+
+    def __post_init__(self):
+        for level in (level for levels in self.levels for level in levels):
+            level.setflags(write=False)
 
     def lambda_of(self, i: int, w: Word) -> float:
         self._check_letter(i)
-        try:
-            return self.table[(i, w)]
-        except KeyError:
-            raise ValueError(f"weight ({i}, {w}) not tabulated (table depth {self.depth})") from None
+        if len(w) > self.depth or any(letter > self.n for letter in w.letters):
+            raise ValueError(f"weight ({i}, {w}) not tabulated (table depth {self.depth})")
+        rank = sum((letter - 1) * self.n**p for p, letter in enumerate(reversed(w.letters)))
+        return float(self.levels[i - 1][len(w)][rank])
+
+    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
+        self._check_letter(i)
+        if depth > self.depth:
+            self.lambda_of(i, Word([1] * (self.depth + 1)))  # raises: the first word past the table
+        return self.levels[i - 1][: depth + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +300,9 @@ class MuSystem:
     def mu_of(self, i: int, w: Word) -> float:
         raise NotImplementedError
 
-    def log_mu_of(self, i: int, w: Word) -> float:
-        return math.log(self.mu_of(i, w))
-
     def mu_levels(self, i: int, depth: int) -> list[np.ndarray]:
         """mu_{i,w} for every |w| <= depth, one array per level in graded-lex order."""
-        return _word_levels(self.n, depth, lambda w: self.mu_of(i, w))
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -361,17 +351,24 @@ class TableMu(MuSystem):
         if self.cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         _check_positive(self.fill, "fill value")
-        _check_table(self.entries, self.n, self.cutoff, "right weight", "right weight")
-        for i in range(1, self.n + 1):
-            if self.entries[(i, EMPTY)] != 1.0:
+        levels = _table_levels(self.entries, self.n, self.cutoff, "right weight", "right weight")
+        for i, letter_levels in enumerate(levels, start=1):
+            if letter_levels[0][0] != 1.0:
                 raise ValueError(f"right weights must be normalized: mu_({i}, e) != 1")
+        object.__setattr__(self, "levels", levels)
+
+    _check_letter = WeightSystem._check_letter
 
     def mu_of(self, i: int, w: Word) -> float:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"letter {i} outside [1, {self.n}]")
+        self._check_letter(i)
         if len(w) <= self.cutoff:
             return self.entries[(i, w)]
         return self.fill
+
+    def mu_levels(self, i: int, depth: int) -> list[np.ndarray]:
+        self._check_letter(i)
+        head = self.levels[i - 1][: depth + 1]
+        return head + [np.full(self.n**k, self.fill, dtype=float) for k in range(self.cutoff + 1, depth + 1)]
 
 
 def commutant_mu(ws: WeightSystem, i: int, w: Word) -> float:
@@ -408,14 +405,17 @@ def log_right_weight(mu: MuSystem, v: Word, w: Word) -> float:
     total = 0.0
     base = v
     for letter in w.letters:
-        total += mu.log_mu_of(letter, base)
+        total += math.log(mu.mu_of(letter, base))
         base = append(base, letter)
     return total
 
 
-def _table_from_levels(n: int, depth: int, per_letter: list[list[np.ndarray]]) -> dict[tuple[int, Word], float]:
-    """Key per-letter level arrays by (letter, word), words in graded-lex order."""
-    basis = BasisEnumeration(n, depth)
+def mu_table(ws: WeightSystem, depth: int) -> dict[tuple[int, Word], float]:
+    """Tabulate the commutant weights for all base words up to ``depth``,
+    keyed by (letter, word): words in graded-lex order, letters in order."""
+    mu = CommutantMu(ws)
+    per_letter = [mu.mu_levels(i, depth) for i in range(1, ws.n + 1)]
+    basis = BasisEnumeration(ws.n, depth)
     table: dict[tuple[int, Word], float] = {}
     for k in range(depth + 1):
         rows = [levels[k].tolist() for levels in per_letter]
@@ -423,12 +423,6 @@ def _table_from_levels(n: int, depth: int, per_letter: list[list[np.ndarray]]) -
             for i, row in enumerate(rows, start=1):
                 table[(i, w)] = row[r]
     return table
-
-
-def mu_table(ws: WeightSystem, depth: int) -> dict[tuple[int, Word], float]:
-    """Tabulate the commutant weights for all base words up to ``depth``."""
-    mu = CommutantMu(ws)
-    return _table_from_levels(ws.n, depth, [mu.mu_levels(i, depth) for i in range(1, ws.n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -629,40 +623,35 @@ def _periodic_decision(ws: PeriodicWeights) -> tuple[str, dict]:
     k, n = ws.period, ws.n
     if k == 1:
         return BOUNDED, {"exact_sup": 1.0, "method": "period-1 weights depend only on the letter"}
-    num_states = k * n ** (k - 1)
-    if num_states > MAX_AUTOMATON_STATES:
-        raise ValueError(f"remainder automaton with {num_states} states exceeds the guard")
+    num = k * n ** (k - 1)
+    if num > MAX_AUTOMATON_STATES:
+        raise ValueError(f"remainder automaton with {num} states exceeds the guard")
 
-    basis = BasisEnumeration(n, k - 1)
-    # transient: ratios for all |w| <= k-1 computed directly
-    transient_best, _ = _enumerated_sup(ws, k - 1)
+    # transient: the ratios for all |w| <= k-1, one mu_levels call per letter
+    per_letter = [CommutantMu(ws).mu_levels(i, k - 1) for i in range(1, n + 1)]
+    transient_best = max(float(level.max()) for levels in per_letter for level in levels)
 
-    # recurrent states: (first k-1 letters of w, |w| mod k); prepending a letter
-    # multiplies the ratio by remainders[a, new prefix] / remainders[a, old prefix]
-    prefixes = list(basis.level_words(k - 1))
-    state_index = {}
-    for p in prefixes:
-        for r in range(k):
-            state_index[(p.letters, r)] = len(state_index)
-    num = len(state_index)
+    # recurrent states p k + r, for p the rank of the first k-1 letters of w and r = |w| mod k;
+    # prepending a multiplies the ratio by remainders[a, new prefix] / remainders[a, old prefix].
+    # The length-r prefix of p has rank p // n^(k-1-r); a*p cut to k-1 letters, ((a-1) n^(k-1) + p) // n.
+    prefixes = n ** (k - 1)
+    remainders = [[level.tolist() for level in levels] for levels in ws.levels]
     edges = []  # (src, dst, log multiplier)
-    for p in prefixes:
+    for p in range(prefixes):
         for r in range(k):
-            src = state_index[(p.letters, r)]
             r_next = (r + 1) % k
             for a in range(1, n + 1):
-                new_prefix = (prepend(a, p))[: k - 1]
-                dst = state_index[(new_prefix.letters, r_next)]
-                num_w = ws.remainders[(a, p[:r_next])]
-                den_w = ws.remainders[(a, p[:r])]
-                edges.append((src, dst, math.log(num_w) - math.log(den_w)))
+                dst = (((a - 1) * prefixes + p) // n) * k + r_next
+                num_w = remainders[a - 1][r_next][p // n ** (k - 1 - r_next)]
+                den_w = remainders[a - 1][r][p // n ** (k - 1 - r)]
+                edges.append((p * k + r, dst, math.log(num_w) - math.log(den_w)))
 
     neg_inf = float("-inf")
     best = [neg_inf] * num
-    entry_residue = (k - 1) % k
-    seeds = [CommutantMu(ws).mu_levels(i, k - 1)[k - 1].tolist() for i in range(1, n + 1)]
-    for rank, p in enumerate(prefixes):  # the level k-1 words in rank order
-        best[state_index[(p.letters, entry_residue)]] = max(math.log(ratios[rank]) for ratios in seeds)
+    # the level k-1 words enter at residue k-1
+    seeds = [levels[k - 1].tolist() for levels in per_letter]
+    for p in range(prefixes):
+        best[p * k + k - 1] = max(math.log(ratios[p]) for ratios in seeds)
     overall = max(v for v in best if v > neg_inf)
 
     # Bellman-Ford value iteration: with every cycle ratio <= 1, path maxima
@@ -817,4 +806,4 @@ def lambda_from_mu(mu: MuSystem, depth: int) -> TabulatedWeights:
             prepended = (i - 1) * n**k + np.arange(n**k)
             levels.append(np.stack([levels[k] * m[k + 1][prepended] / m[k] for m in mus], axis=1).ravel())
         per_letter.append(levels)
-    return TabulatedWeights(n, depth, _table_from_levels(n, depth, per_letter))
+    return TabulatedWeights(n, depth, per_letter)

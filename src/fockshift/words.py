@@ -55,11 +55,12 @@ class Word:
         return self == other or self < other
 
     def __str__(self) -> str:
+        # digits up to 9, else dot-joined; a one-letter word above 9 keeps a trailing dot
         if not self.letters:
             return "e"
         if max(self.letters) <= 9:
             return "".join(str(b) for b in self.letters)
-        return ".".join(str(b) for b in self.letters)
+        return ".".join(str(b) for b in self.letters) + ("." if len(self.letters) == 1 else "")
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -80,12 +81,12 @@ def append(w: Word, i: int) -> Word:
 
 def parse_word(text: str, n: int | None = None) -> Word:
     """Parse the string form: 'e' is the unit, digits otherwise, dot-separated
-    decimal tokens for alphabets larger than 9."""
+    decimal tokens for alphabets larger than 9 ('11.' is the letter 11)."""
     text = text.strip()
     if text == "e" or text == "":
         return EMPTY
     if "." in text:
-        letters = [int(tok) for tok in text.split(".")]
+        letters = [int(tok) for tok in text.removesuffix(".").split(".")]
     else:
         if not text.isdigit():
             raise ValueError(f"malformed word {text!r}")
@@ -202,5 +203,6 @@ def level_labels(n: int, depth: int) -> list[list[str]]:
         plain = [u + j if u is not None and len(j) == 1 else None for u in plain for j in letters]
         if n > 9:
             dotted = [u + "." + j if k else j for u in dotted for j in letters]
-        labels.append(plain if n <= 9 else [d if u is None else u for u, d in zip(plain, dotted)])
+        suffix = "" if k else "."  # a one-letter word above 9 keeps a trailing dot, as in Word.__str__
+        labels.append(plain if n <= 9 else [d + suffix if u is None else u for u, d in zip(plain, dotted)])
     return labels

@@ -418,6 +418,17 @@ def test_commutant_output_matches_word_keyed_path(tmp_path, capsys, monkeypatch,
     assert outputs[0][0] == 0
 
 
+def test_commutant_keys_every_entry_above_nine_letters(tmp_path, capsys):
+    # 11 (1 + 11 + 121) entries: the letter 11 is '11.', the word 1*1 is '11'
+    config = _write_config(tmp_path, "n11.json", {"n": 11, "family": "constant", "value": 1.0})
+    report = tmp_path / "n11.report.json"
+    assert main(["commutant", "--config", config, "--depth", "2", "--report", str(report)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("mu ")]
+    table = json.loads(report.read_text())["mu_table"]
+    assert len(lines) == len(set(lines)) == len(table) == 1463
+    assert {"11:11.", "11:11", "1:1.11", "1:11.1"} <= table.keys()
+
+
 def test_commutant_builds_no_word_per_entry(tmp_path, capsys, monkeypatch):
     config = _write_config(tmp_path, "per.json", PERIODIC)
     built = [0]

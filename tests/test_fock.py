@@ -170,6 +170,14 @@ def test_vacuum_kernel(space, unweighted, periodic_example):
     assert vacuum_kernel_check(space, periodic_example).projection_defect is None
 
 
+def test_vacuum_kernel_near_the_float_range(space):
+    # the 1e300 block is divided by 2^996 first, so the cutoff keeps the unit weights
+    assert vacuum_kernel_check(space, ScaledWeights(2, (1e300, 1.0))).joint_kernel_dim == 1
+    # a block below 1 is not scaled up: the 1e-14 weights stay below the cutoff,
+    # as for scales (1, 1e-14), and the 2^depth words not starting with 1 span the kernel
+    assert vacuum_kernel_check(space, ScaledWeights(2, (1e300, 1e-14))).joint_kernel_dim == 2**space.depth
+
+
 def _dense_vacuum_oracle(space, ws):
     """The dense rank and projection identity that vacuum_kernel_check replaced."""
     stacked = np.vstack([weighted_left_shift(space, ws, i).adjoint().to_dense() for i in range(1, space.n + 1)])

@@ -46,9 +46,9 @@ from fockshift import (
     weighted_right_shift,
     word_operator,
 )
-from fockshift import algebra, eigen
+from fockshift import PeriodicWeights, TableMu, TabulatedWeights, algebra, eigen, weights
 from fockshift.cli import main
-from fockshift.weights import DefectReport, MuSystem, WeightSystem, mu_table, table_from_strings
+from fockshift.weights import BOUNDED, DIVERGING, DefectReport, MuSystem, WeightSystem, mu_table, table_from_strings
 from fockshift.words import EMPTY, Word, append, prepend
 
 from conftest import ILL_CONDITIONED, SYSTEMS, system_depth, table_mu
@@ -86,6 +86,11 @@ def _oracle_lambda_from_mu(mu, depth: int) -> dict:
                 value = value * mu.mu_of(letter, prepend(i, prefix)) / mu.mu_of(letter, prefix)
             table[(i, w)] = value
     return table
+
+
+def _lambda_table(ws, depth: int) -> dict:
+    """(i, w) -> ws.lambda_of(i, w) for every |w| <= depth."""
+    return {(i, w): ws.lambda_of(i, w) for w in BasisEnumeration(ws.n, depth).words() for i in range(1, ws.n + 1)}
 
 
 def _oracle_level_sums(ws, moduli, depth: int) -> np.ndarray:
@@ -215,7 +220,7 @@ def test_level_arrays_equal_scalar_oracle(label, ws, depth):
     table = mu_table(ws, depth)
     assert list(table) == list(oracle)
     assert table == oracle
-    assert lambda_from_mu(mu, depth).table == _oracle_lambda_from_mu(mu, depth)
+    assert _lambda_table(lambda_from_mu(mu, depth), depth) == _oracle_lambda_from_mu(mu, depth)
 
     # the ellipse axes: the per-letter minimum over lambda_of where no exact infimum is known
     axes = [ws.exact_min_weight(i) for i in range(1, n + 1)]
@@ -300,7 +305,7 @@ def test_table_mu_and_unweighted_shifts_equal_scalar_oracle(n):
         assert _same(weighted_right_shift(space, mu, i), _oracle_shift(space, mu.mu_of, i, left=False))
         assert _same(left_creation(space, i), _oracle_shift(space, unit, i, left=True))
         assert _same(right_creation(space, i), _oracle_shift(space, unit, i, left=False))
-    assert lambda_from_mu(mu, depth).table == _oracle_lambda_from_mu(mu, depth)
+    assert _lambda_table(lambda_from_mu(mu, depth), depth) == _oracle_lambda_from_mu(mu, depth)
     _check_expansions(space, _element(lambda_from_mu(mu, depth), 90 + n, mu))
 
     # the resolvent series of the spectra checks
@@ -429,3 +434,128 @@ def test_deep_single_letter_system(tmp_path):
         ' "table": {"1:e": 0.5, "1:1": 2.0}, "tail": [0.01]}'
     )
     assert main(["check", "--config", str(config), "--depth", "200"]) == 0
+
+
+def _oracle_periodic_decision(ws: PeriodicWeights) -> tuple[str, dict]:
+    """The remainder automaton on Word-keyed states: (first k-1 letters of w,
+    |w| mod k), multipliers read off the remainder table, and the transient
+    supremum and entry seeds from commutant_mu word by word."""
+    k, n = ws.period, ws.n
+    if k == 1:
+        return BOUNDED, {"exact_sup": 1.0, "method": "period-1 weights depend only on the letter"}
+    basis = BasisEnumeration(n, k - 1)
+    transient_best = max(commutant_mu(ws, i, w) for w in basis.words() for i in range(1, n + 1))
+    prefixes = list(basis.level_words(k - 1))
+    state_index = {}
+    for p in prefixes:
+        for r in range(k):
+            state_index[(p.letters, r)] = len(state_index)
+    num = len(state_index)
+    edges = []
+    for p in prefixes:
+        for r in range(k):
+            src = state_index[(p.letters, r)]
+            r_next = (r + 1) % k
+            for a in range(1, n + 1):
+                dst = state_index[(prepend(a, p)[: k - 1].letters, r_next)]
+                num_w = ws.remainders[(a, p[:r_next])]
+                den_w = ws.remainders[(a, p[:r])]
+                edges.append((src, dst, math.log(num_w) - math.log(den_w)))
+    neg_inf = float("-inf")
+    best = [neg_inf] * num
+    for p in prefixes:
+        best[state_index[(p.letters, k - 1)]] = max(math.log(commutant_mu(ws, i, p)) for i in range(1, n + 1))
+    overall = max(v for v in best if v > neg_inf)
+    tol = 1e-12
+    for _ in range(num + 1):
+        nxt = list(best)
+        improved = False
+        for src, dst, logw in edges:
+            if best[src] == neg_inf:
+                continue
+            cand = best[src] + logw
+            if cand > nxt[dst] + tol:
+                nxt[dst] = cand
+                improved = True
+        best = nxt
+        overall = max(overall, max(v for v in best if v > neg_inf))
+        if not improved:
+            break
+    else:
+        improved = True
+    if improved:
+        return DIVERGING, {"method": "remainder automaton holds a cycle with ratio product > 1", "states": num}
+    return BOUNDED, {
+        "exact_sup": max(transient_best, math.exp(overall)),
+        "method": "remainder automaton max-cycle-ratio check",
+        "states": num,
+    }
+
+
+def _random_periodic(seed: int) -> PeriodicWeights:
+    """n in 1..3, period in 1..4; odd seeds draw every remainder, even seeds
+    take lambda_{a,u} = alpha_a t_|u|, whose cycle ratios are all 1."""
+    rng = np.random.default_rng(seed)
+    n, period = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    alpha, t = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, period)
+    remainders = {
+        (a, w): float(rng.uniform(0.5, 2.0) if seed % 2 else alpha[a - 1] * t[len(w)])
+        for w in BasisEnumeration(n, period - 1).words()
+        for a in range(1, n + 1)
+    }
+    return PeriodicWeights(n, period, remainders)
+
+
+RANDOM_PERIODIC = [_random_periodic(seed) for seed in range(60)]
+
+
+def test_periodic_decision_equals_word_keyed_oracle():
+    verdicts = []
+    for ws in RANDOM_PERIODIC:
+        decision = weights._decide_condition6(ws)
+        assert decision == _oracle_periodic_decision(ws)
+        verdicts.append(decision[0])
+    assert verdicts.count(BOUNDED) >= 10 and verdicts.count(DIVERGING) >= 10
+
+
+def test_level_paths_build_no_word(monkeypatch):
+    # once a system is built, its level arrays and the periodic decision need no Word
+    systems = [(ws, depth) for _, ws, depth in SYSTEMS + ILL_CONDITIONED]
+    mus = [(table_mu(n, 70 + n), system_depth(n)) for n in (1, 2, 3)]
+    periodic = [ws for ws, _ in systems if isinstance(ws, PeriodicWeights)] + RANDOM_PERIODIC
+    built = [0]
+    init = Word.__init__
+
+    def counted_init(self, letters=()):
+        built[0] += 1
+        init(self, letters)
+
+    monkeypatch.setattr(Word, "__init__", counted_init)
+    for ws, depth in systems:
+        for i in range(1, ws.n + 1):
+            ws.lambda_levels(i, depth)
+            CommutantMu(ws).mu_levels(i, depth)
+    for mu, depth in mus:
+        for i in range(1, mu.n + 1):
+            mu.mu_levels(i, depth)
+    for ws in periodic:
+        weights._decide_condition6(ws)
+    assert built[0] == 0
+
+
+def test_table_families_hand_out_no_writable_stored_array():
+    tables = [ws for _, ws, _ in SYSTEMS + ILL_CONDITIONED if hasattr(ws, "levels")]
+    tables += [table_mu(n, 70 + n) for n in (1, 2, 3)]
+    kinds = {FinitePerturbationWeights, PeriodicWeights, TabulatedWeights, TableMu}
+    assert {type(system) for system in tables} == kinds
+    for system in tables:
+        stored = [level for levels in system.levels for level in levels]
+        assert not any(level.flags.writeable for level in stored)
+        with pytest.raises(ValueError, match="read-only"):
+            stored[-1][0] = 1.0
+        depth = len(system.levels[0]) - 1
+        levels = system.mu_levels if isinstance(system, MuSystem) else system.lambda_levels
+        for i in range(1, system.n + 1):
+            for level in levels(i, depth):
+                # a writable array is a fresh one: writing to it cannot reach the system
+                assert not level.flags.writeable or not any(np.shares_memory(level, s) for s in stored)

@@ -49,6 +49,33 @@ def test_lambda_positivity_enforced():
         PeriodicWeights(2, 2, table_from_strings({"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2}))
 
 
+def test_tables_name_their_first_bad_entry():
+    # word by word, letter by letter: (2, 1) is read before the missing (2, 2)
+    remainders = table_from_strings({"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 0, "1:2": 2})
+    with pytest.raises(ValueError, match=r"^remainder \(2, 1\) must be strictly positive and finite, got 0.0$"):
+        PeriodicWeights(2, 2, remainders)
+    remainders[(2, parse_word("1"))] = 2.0
+    with pytest.raises(ValueError, match=r"^missing remainder scalar for \(2, 2\)$"):
+        PeriodicWeights(2, 2, remainders)
+    with pytest.raises(ValueError, match=r"^missing table entry for \(1, 1\)$"):
+        FinitePerturbationWeights(2, 1, table_from_strings({"1:e": 1, "2:e": 1}), (1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^missing right weight for \(2, e\)$"):
+        TableMu(2, 0, {(1, EMPTY): 1.0})
+
+
+def test_tabulated_weights_refuse_queries_past_the_table():
+    entries = {(i, w): 1.0 for w in BasisEnumeration(2, 1).words() for i in (1, 2)}
+    ws = lambda_from_mu(TableMu(2, 1, entries), 2)
+    assert ws.lambda_of(2, parse_word("21")) == 1.0
+    for query in (lambda: ws.lambda_levels(1, 3), lambda: ws.lambda_of(1, parse_word("111"))):
+        with pytest.raises(ValueError, match=r"^weight \(1, 111\) not tabulated \(table depth 2\)$"):
+            query()
+    with pytest.raises(ValueError, match=r"weight \(1, 3\) not tabulated"):
+        ws.lambda_of(1, parse_word("3"))
+    with pytest.raises(ValueError, match=r"letter 3 outside \[1, 2\]"):
+        ws.lambda_levels(3, 1)
+
+
 def test_left_weight_periodic(periodic_example):
     # W(e, w_k) = (ad)^k and W(2, w_k) = (eb)^k for w_k = (21)^k
     w1 = parse_word("21")

@@ -76,7 +76,9 @@ def test_level_labels_match_word_strings(n, depth):
     basis = BasisEnumeration(n, depth)
     assert labels == [[str(w) for w in basis.level_words(k)] for k in range(depth + 1)]
     if n >= 10:
-        # words with no letter above 9 stay plain, the others are dot-joined
+        # words with no letter above 9 stay plain, the others are dot-joined,
+        # and a one-letter word above 9 keeps a trailing dot
+        assert labels[1][8:] == ["9"] + [f"{j}." for j in range(10, n + 1)]
         assert labels[2][:2] == ["11", "12"] and labels[2][9] == "1.10"
         assert labels[3][-1] == f"{n}.{n}.{n}"
 
@@ -121,3 +123,11 @@ def test_eval_word_modulus_depends_on_moduli_only():
         values.add(round(abs(eval_word(w, point)), 12))
     assert len(values) == 1
     assert abs(eval_word(w, moduli)) == pytest.approx(next(iter(values)))
+
+
+@pytest.mark.parametrize("n", (10, 11, 12))
+def test_word_strings_parse_back_above_nine_letters(n):
+    words = list(BasisEnumeration(n, 3).words())
+    assert [parse_word(str(w), n) for w in words] == words
+    assert len({str(w) for w in words}) == len(words)
+    assert (str(Word([11])), str(Word([1, 1])), str(Word([1, 11]))) == ("11.", "11", "1.11")
