@@ -411,7 +411,10 @@ def _cmd_region(config: RunConfig, args) -> tuple[int, dict]:
     if not args.grid:
         raise ConfigError("region requires --grid lo:hi:step")
     grid = GridSpec.parse(args.grid)
+    start = time.perf_counter()
     samples = region_sample(config.weights, grid, config.depth, config.epsilon)
+    timing = {"region_sample": time.perf_counter() - start}
+    start = time.perf_counter()
     if args.out:
         import io
 
@@ -420,6 +423,7 @@ def _cmd_region(config: RunConfig, args) -> tuple[int, dict]:
         _write_atomic(args.out, buffer.getvalue())
     else:
         write_region_csv(samples, sys.stdout)
+    timing["csv"] = time.perf_counter() - start
     counts = {"inside": 0, "outside": 0, "inconclusive": 0}
     for s in samples:
         counts[s.verdict] += 1
@@ -430,6 +434,7 @@ def _cmd_region(config: RunConfig, args) -> tuple[int, dict]:
         "samples": len(samples),
         "verdicts": counts,
         "csv": args.out,
+        "timing_seconds": timing,
     }
     return 0, report
 

@@ -6,11 +6,14 @@ region-sampling harness with its CSV emission.
 An ``EigenCandidate`` holds its coefficients as a vector in basis order and
 builds the ``Word``-keyed dict only on request.
 
-Region sampling builds the log-weight tables once per grid and sums the
-points in blocks of about BLOCK_FLOATS terms at the deepest level, with the
-same float operations per point as ``level_sums``, and judges each block at
-once by the rule of ``membership_verdict``.  A level sum past the float
-range is inf, and the point is judged outside.
+The level-sum kernel carries the doubled terms 2 log(r(w)/W(e,w)), exactly,
+since doubling a float only changes its exponent, and extends each level one
+letter at a time, so every numpy loop runs over a whole level of words.
+Region sampling builds the tables once per grid, sums the points in blocks
+of about BLOCK_FLOATS terms at the deepest level, with the same float
+operations per point as ``level_sums``, and judges the whole grid at once by
+the rule of ``membership_verdict``.  A level sum past the float range is
+inf, and the point is judged outside.
 """
 
 from __future__ import annotations
@@ -163,8 +166,8 @@ def level_sums(ws: WeightSystem, moduli: Sequence[float], depth: int) -> np.ndar
 
 
 def _log_tables(ws: WeightSystem, depth: int) -> list[np.ndarray]:
-    """log lambda_{i,w} for |w| < depth, one (n^k, n) table per level k with
-    column i-1 and words in frontier order, the order in which prepending
+    """2 log lambda_{i,w} for |w| < depth, one (n, n^k) table per level k with
+    row i-1 and words in frontier order, the order in which prepending
     builds them: i*w follows w at position p n + i-1, the graded-lex rank of
     the reversed word."""
     n = ws.n
@@ -175,28 +178,39 @@ def _log_tables(ws: WeightSystem, depth: int) -> list[np.ndarray]:
     tables = []
     ranks = np.zeros(1, dtype=np.int64)  # the word's own rank at each frontier position
     for k, level in enumerate(zip(*per_letter)):
-        tables.append(_exact_logs(np.stack(level, axis=1))[ranks])
+        tables.append(2.0 * _exact_logs(np.stack(level))[:, ranks])
         ranks = (ranks[:, None] + np.arange(n) * n**k).ravel()
     return tables
 
 
 def _level_sums_block(log_lams: list[np.ndarray], moduli: np.ndarray, depth: int) -> np.ndarray:
     """Level sums for a (P, n) array of moduli, one row per point.  Level k
-    extends each frontier term of level k-1 by log r_i - log lambda_{i,w}
-    for every letter i; each row takes the same float operations in the same
-    order whatever P is, so a point's sums do not depend on its block."""
-    points = len(moduli)
-    log_moduli = np.array([[math.log(r) if r > 0 else -math.inf for r in row] for row in moduli.tolist()])
+    extends each doubled frontier term of level k-1 by 2 log r_i - 2 log
+    lambda_{i,w}, letter i into column i-1 of a (P, n^(k-1), n) view; each
+    row takes the same float operations in the same order whatever P is, so
+    a point's sums do not depend on its block."""
+    points, n = moduli.shape
+    log_moduli = 2.0 * np.array([[math.log(r) if r > 0 else -math.inf for r in row] for row in moduli.tolist()])
+    size = points * n**depth
+    terms, nxt, shifted = np.zeros(size), np.empty(size), np.empty(size)  # level 0: the term of e is 0
     sums = np.empty((points, depth + 1))
     sums[:, 0] = 1.0
-    terms = np.zeros((points, 1))  # log r(w)/W(e,w), in frontier order
     for k in range(1, depth + 1):
-        terms = (terms[:, :, None] + (log_moduli[:, None, :] - log_lams[k - 1])).reshape(points, -1)
-        logs = 2.0 * terms
+        width = n**k
+        level = nxt[: points * width].reshape(points, width // n, n)
+        prev = terms[: points * width // n].reshape(points, width // n)
+        for i in range(n):
+            column = level[:, :, i]
+            np.subtract(log_moduli[:, i, None], log_lams[k - 1][i], out=column)
+            np.add(prev, column, out=column)
+        logs = level.reshape(points, width)
         peaks = np.max(logs, axis=1)
         peaks[peaks == -math.inf] = 0.0  # every term -inf: the sum is 0
-        totals = np.sum(np.exp(logs - peaks[:, None]), axis=1)
+        scaled = shifted[: points * width].reshape(points, width)
+        np.exp(np.subtract(logs, peaks[:, None], out=scaled), out=scaled)
+        totals = np.sum(scaled, axis=1)
         sums[:, k] = [_scaled(peak, total) for peak, total in zip(peaks.tolist(), totals.tolist())]
+        terms, nxt = nxt, terms
     return sums
 
 
@@ -295,17 +309,19 @@ def region_sample(
     epsilon: float,
 ) -> list[RegionSample]:
     """One RegionSample per grid point over moduli space, in lexicographic
-    grid order.  The log-weight tables are built once per grid, and the
-    points go through the level-sum kernel in blocks of about BLOCK_FLOATS
-    terms at the deepest level."""
+    grid order.  The log-weight tables are built once per grid, the points
+    go through the level-sum kernel in blocks of about BLOCK_FLOATS terms at
+    the deepest level, and the whole grid is judged at once."""
+    if depth < 3:
+        raise ValueError(f"region depth {depth} gives {depth + 1} level sums; the verdict needs depth at least 3")
     log_lams = _log_tables(ws, depth)
     points = list(itertools.product(grid.values(), repeat=ws.n))
+    moduli = np.array(points, dtype=float)
     block = max(1, BLOCK_FLOATS // ws.n**depth)
-    samples = []
+    sums = np.empty((len(points), depth + 1))
     for start in range(0, len(points), block):
-        chunk = points[start:start + block]
-        samples.extend(_judged(chunk, _level_sums_block(log_lams, np.array(chunk, dtype=float), depth), epsilon))
-    return samples
+        sums[start:start + block] = _level_sums_block(log_lams, moduli[start:start + block], depth)
+    return _judged(points, sums, epsilon)
 
 
 def write_region_csv(samples: Sequence[RegionSample], stream: TextIO) -> None:
@@ -314,15 +330,10 @@ def write_region_csv(samples: Sequence[RegionSample], stream: TextIO) -> None:
     if not samples:
         return
     n = len(samples[0].moduli)
-    header = ",".join(f"r{j + 1}" for j in range(n)) + ",levels,partial_sum,tail_ratio,verdict"
-    stream.write(header + "\n")
-    for s in samples:
-        cells = [f"{r:.17g}" for r in s.moduli]
-        cells.append(str(len(s.sums)))
-        cells.append(f"{s.partial_sum:.17g}")
-        cells.append(f"{s.tail_ratio:.17g}")
-        cells.append(s.verdict)
-        stream.write(",".join(cells) + "\n")
+    header = ",".join(f"r{j + 1}" for j in range(n)) + ",levels,partial_sum,tail_ratio,verdict\n"
+    row = ",".join(["%.17g"] * n) + ",%d,%.17g,%.17g,%s\n"
+    stream.write(header + "".join(row % (*s.moduli, len(s.sums), s.partial_sum, s.tail_ratio, s.verdict)
+                                  for s in samples))
 
 
 # ---------------------------------------------------------------------------

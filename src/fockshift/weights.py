@@ -9,7 +9,8 @@ left weight function W(u, w) (products of edge weights down the tree), the
 commutant weights mu, and the right weight function W_mu.  This module also
 houses the identities and conditions those functions satisfy: both cocycle
 laws, the intertwining identity, the boundedness condition governing the
-commutant description, a finite-range semisimplicity estimate, and the
+commutant description (decided once per weight-system object), a
+finite-range semisimplicity estimate, and the
 generation of left weights from prescribed right weights.
 """
 
@@ -687,6 +688,17 @@ def _periodic_decision(ws: PeriodicWeights) -> tuple[str, dict]:
 
 
 def _decide_condition6(ws: WeightSystem) -> tuple[str, dict]:
+    """The family's verdict and certificate, decided once per weight-system
+    object and kept on it; each caller gets its own copy of the certificate."""
+    decision = vars(ws).get("_condition6")
+    if decision is None:
+        decision = _decide_family(ws)
+        object.__setattr__(ws, "_condition6", decision)
+    verdict, certificate = decision
+    return verdict, dict(certificate)
+
+
+def _decide_family(ws: WeightSystem) -> tuple[str, dict]:
     if isinstance(ws, (ConstantWeights, ScaledWeights)):
         return BOUNDED, {"exact_sup": 1.0, "method": "weights do not depend on the base word"}
     if isinstance(ws, FinitePerturbationWeights):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fockshift import ConstantWeights, PeriodicWeights, TwoLetterRunWeights, cli
+from fockshift import ConstantWeights, PeriodicWeights, TwoLetterRunWeights, cli, eigen
 from fockshift.algebra import FourierElement, commutant_extract, operator_from_fourier
 from fockshift.cli import (
     ConfigError,
@@ -131,6 +131,27 @@ def test_region_command_csv(tmp_path):
     rerun = tmp_path / "region2.csv"
     main(["region", "--config", config, "--grid", "0:1.2:0.2", "--depth", "10", "--out", str(rerun)])
     assert rerun.read_bytes() == out_csv.read_bytes()
+
+
+def test_region_report_times_sampling_and_csv(tmp_path, capsys):
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    report = tmp_path / "region.json"
+    assert main(["region", "--config", config, "--grid", "0:1:0.5", "--depth", "6", "--report", str(report)]) == 0
+    timing = json.loads(report.read_text())["timing_seconds"]
+    assert sorted(timing) == ["csv", "region_sample"]
+    assert all(isinstance(value, float) and value >= 0 for value in timing.values())
+    assert capsys.readouterr().out.startswith("r1,r2,levels,partial_sum,tail_ratio,verdict\n")
+
+
+@pytest.mark.parametrize("depth", (1, 2))
+def test_region_depth_below_three_exits_2(tmp_path, capsys, monkeypatch, depth):
+    monkeypatch.setattr(eigen, "_log_tables", None)  # the depth is refused before any table is built
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    assert main(["region", "--config", config, "--grid", "0:1:0.5", "--depth", str(depth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"precondition error: region depth {depth} gives {depth + 1} level sums; "
+                            "the verdict needs depth at least 3\n")
 
 
 def test_commutant_command(tmp_path, capsys):

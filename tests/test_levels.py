@@ -10,6 +10,7 @@ where the per-word formula divides two products.
 import cmath
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -295,6 +296,78 @@ def test_region_guard_raises_before_building_tables():
         region_sample(_Unbuildable(10), GridSpec(0.0, 1.0, 0.5), 7, 0.02)
 
 
+def _parent_level_sums_block(ws, moduli: np.ndarray, depth: int) -> np.ndarray:
+    """The frontier kernel on undoubled terms: one (n^k, n) log-weight table
+    per level, and level k as a single broadcast over the n letters."""
+    n = ws.n
+    per_letter = [ws.lambda_levels(i, depth - 1) for i in range(1, n + 1)]
+    log_lams, ranks = [], np.zeros(1, dtype=np.int64)
+    for k, level in enumerate(zip(*per_letter)):
+        values = np.stack(level, axis=1)
+        distinct, inverse = np.unique(values, return_inverse=True)
+        log_lams.append(np.array([math.log(v) for v in distinct.tolist()])[inverse].reshape(values.shape)[ranks])
+        ranks = (ranks[:, None] + np.arange(n) * n**k).ravel()
+    points = len(moduli)
+    log_moduli = np.array([[math.log(r) if r > 0 else -math.inf for r in row] for row in moduli.tolist()])
+    sums = np.empty((points, depth + 1))
+    sums[:, 0] = 1.0
+    terms = np.zeros((points, 1))
+    for k in range(1, depth + 1):
+        terms = (terms[:, :, None] + (log_moduli[:, None, :] - log_lams[k - 1])).reshape(points, -1)
+        logs = 2.0 * terms
+        peaks = np.max(logs, axis=1)
+        peaks[peaks == -math.inf] = 0.0
+        totals = np.sum(np.exp(logs - peaks[:, None]), axis=1)
+        for row, (peak, total) in enumerate(zip(peaks.tolist(), totals.tolist())):
+            try:
+                sums[row, k] = math.exp(peak) * total
+            except OverflowError:
+                sums[row, k] = math.inf
+    return sums
+
+
+# rows the per-word oracle cannot take: level sums past the float range, zero moduli, n = 1 and n = 4
+KERNEL_CASES = [
+    ("scaled-1e-150", ScaledWeights(2, (1e-150, 1.0)), 8, [(1.0, 1.0), (0.5, 0.0), (1e-10, 2.0), (0.0, 0.9)]),
+    ("n1-scaled-1e-20", ScaledWeights(1, (1e-20,)), 10, [(0.0,), (0.5,), (1.0,), (1e-25,)]),
+    ("periodic-zero-moduli", SYSTEMS[[s[0] for s in SYSTEMS].index("periodic-n2")][1], 8,
+     [(0.0, 0.0), (0.0, 0.7), (1.3, 0.0), (0.0, 0.0)]),
+    ("n1-depth-30", ConstantWeights(1, 0.9), 30, [(0.5,), (0.9,), (1.05,), (0.0,)]),
+    ("n4", ScaledWeights(4, (0.5, 1.0, 1.5, 2.0)), 5,
+     [(0.1, 0.2, 0.3, 0.4), (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 2.0, 0.5), (0.25, 0.25, 0.25, 0.25)]),
+]
+
+
+@pytest.mark.parametrize("label, ws, depth, rows", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_kernel_equals_parent_kernel_past_the_oracle(label, ws, depth, rows):
+    moduli = np.array(rows, dtype=float)
+    for d in (0, 1, depth):
+        expected = _parent_level_sums_block(ws, moduli, d)
+        assert np.array_equal(eigen._level_sums_block(eigen._log_tables(ws, d), moduli, d), expected, equal_nan=True)
+        for row, sums in zip(rows, expected):
+            assert np.array_equal(level_sums(ws, row, d), sums, equal_nan=True)
+    # the overflow cases do overflow
+    if label == "scaled-1e-150":
+        assert np.isinf(expected[0, -1])
+    if label == "n1-scaled-1e-20":
+        assert np.isinf(expected[1:3, -1]).all() and expected[0, 1:].tolist() == [0.0] * depth
+
+
+def test_region_sample_judges_each_grid_once(monkeypatch):
+    # 289 points at depth 10: ten blocks of level sums, one judgement
+    calls = [0]
+    verdicts = eigen._verdicts
+
+    def counted(*args):
+        calls[0] += 1
+        return verdicts(*args)
+
+    monkeypatch.setattr(eigen, "_verdicts", counted)
+    samples = region_sample(ScaledWeights(2, (1.5, 2.0)), GridSpec(0.0, 3.2, 0.2), 10, 0.02)
+    assert len(samples) == 289 > eigen.BLOCK_FLOATS // 2**10
+    assert calls[0] == 1
+
+
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_table_mu_and_unweighted_shifts_equal_scalar_oracle(n):
     depth = system_depth(n)
@@ -516,6 +589,44 @@ def test_periodic_decision_equals_word_keyed_oracle():
         assert decision == _oracle_periodic_decision(ws)
         verdicts.append(decision[0])
     assert verdicts.count(BOUNDED) >= 10 and verdicts.count(DIVERGING) >= 10
+
+
+def test_condition6_decided_once_per_system(tmp_path, capsys, monkeypatch):
+    calls = [0]
+    decide = weights._periodic_decision
+
+    def counted(ws):
+        calls[0] += 1
+        return decide(ws)
+
+    monkeypatch.setattr(weights, "_periodic_decision", counted)
+    # fresh systems: the shared RANDOM_PERIODIC ones may already hold their decision
+    for seed in range(60):
+        ws = _random_periodic(seed)
+        calls[0] = 0
+        oracle = _oracle_periodic_decision(ws)
+        assert weights._decide_condition6(ws) == oracle
+        assert condition6_sup(ws, 3).certificate == oracle[1]
+        if oracle[0] == BOUNDED:
+            weights.require_bounded_mu(ws)
+        else:
+            with pytest.raises(ValueError, match="commutant weights diverge"):
+                weights.require_bounded_mu(ws)
+        assert calls[0] == 1
+        # each caller gets its own certificate: writing to one reaches no other
+        weights._decide_condition6(ws)[1]["method"] = None
+        assert weights._decide_condition6(ws) == oracle
+
+    config = tmp_path / "periodic.json"
+    config.write_text(json.dumps({
+        "n": 2, "family": "periodic", "period": 2,
+        "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2},
+    }))
+    for verb in ("check", "commutant"):
+        calls[0] = 0
+        assert main([verb, "--config", str(config), "--depth", "10"]) == 0
+        assert calls[0] == 1, verb
+    capsys.readouterr()
 
 
 def test_level_paths_build_no_word(monkeypatch):
