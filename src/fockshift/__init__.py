@@ -29,7 +29,6 @@ from .fock import (
     left_creation,
     norm_check,
     right_creation,
-    spectral_norm,
     vacuum_kernel_check,
     weighted_left_shift,
     weighted_right_shift,

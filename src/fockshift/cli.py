@@ -13,6 +13,7 @@ entry, and prints it in one write.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -325,7 +326,7 @@ def _cmd_check(config: RunConfig, args) -> tuple[int, dict]:
 
     recorder.run(
         "norms",
-        max(tol, 1e-8),  # power-iteration accuracy floor
+        max(tol, 1e-8),  # kept so the reported tolerance stays as pinned; the exact norms' defect is 0
         lambda: (
             lambda reports: (
                 max(r.gap for r in reports),
@@ -588,7 +589,9 @@ def run_command(verb: str, config: RunConfig, args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fockshift",
         description="Verification toolkit for weighted shifts on truncated Fock space.",

@@ -9,7 +9,6 @@ of truncation noise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -143,7 +142,20 @@ class GradedOperator:
         return f"GradedOperator(dim={self.space.dimension}, nnz={self.mat.nnz})"
 
 
-def _level_shift(space: TruncatedFock, i: int, levels: list[np.ndarray], left: bool) -> GradedOperator:
+@dataclass(frozen=True, eq=False)
+class ShiftMap:
+    """A compressed shift as its column map: column c (|w| < depth) goes to
+    row ``rows[c]`` with weight ``values[c]``, and the top-level columns are 0."""
+
+    space: TruncatedFock
+    rows: np.ndarray
+    values: np.ndarray
+
+    def operator(self) -> GradedOperator:
+        return GradedOperator.from_entries(self.space, self.rows, np.arange(self.rows.size), self.values)
+
+
+def _level_shift(space: TruncatedFock, i: int, levels: list[np.ndarray], left: bool) -> ShiftMap:
     """The compressed shift xi_w -> levels[|w|][rank of w] xi_{i*w} (left) or
     xi_{w*i} (right), for |w| < depth.
 
@@ -151,27 +163,34 @@ def _level_shift(space: TruncatedFock, i: int, levels: list[np.ndarray], left: b
     appending i moves it to r n + i-1.
     """
     n, offsets = space.n, space.basis.level_offsets
-    cols = np.arange(offsets[space.depth])
-    rows = np.empty_like(cols)
-    values = np.empty(cols.size)
+    rows = np.empty(offsets[space.depth], dtype=np.int64)
+    values = np.empty(rows.size)
     for k in range(space.depth):
         rank = np.arange(n**k)
         target = (i - 1) * n**k + rank if left else rank * n + (i - 1)
         rows[space.level_slice(k)] = offsets[k + 1] + target
         values[space.level_slice(k)] = levels[k]
-    return GradedOperator.from_entries(space, rows, cols, values)
+    return ShiftMap(space, rows, values)
+
+
+def left_shift_map(space: TruncatedFock, ws: WeightSystem, i: int) -> ShiftMap:
+    return _level_shift(space, i, ws.lambda_levels(i, space.depth - 1), left=True)
+
+
+def right_shift_map(space: TruncatedFock, mu: MuSystem, i: int) -> ShiftMap:
+    if isinstance(mu, CommutantMu):
+        require_bounded_mu(mu.weights)
+    return _level_shift(space, i, mu.mu_levels(i, space.depth - 1), left=False)
 
 
 def weighted_left_shift(space: TruncatedFock, ws: WeightSystem, i: int) -> GradedOperator:
     """The compressed i-th weighted left shift: xi_w -> lambda_{i,w} xi_{i*w}."""
-    return _level_shift(space, i, ws.lambda_levels(i, space.depth - 1), left=True)
+    return left_shift_map(space, ws, i).operator()
 
 
 def weighted_right_shift(space: TruncatedFock, mu: MuSystem, i: int) -> GradedOperator:
     """The compressed i-th weighted right shift: xi_w -> mu_{i,w} xi_{w*i}."""
-    if isinstance(mu, CommutantMu):
-        require_bounded_mu(mu.weights)
-    return _level_shift(space, i, mu.mu_levels(i, space.depth - 1), left=False)
+    return right_shift_map(space, mu, i).operator()
 
 
 def left_creation(space: TruncatedFock, i: int) -> GradedOperator:
@@ -180,7 +199,15 @@ def left_creation(space: TruncatedFock, i: int) -> GradedOperator:
 
 def right_creation(space: TruncatedFock, i: int) -> GradedOperator:
     unit = ConstantWeights(space.n, 1.0).lambda_levels(i, space.depth - 1)
-    return _level_shift(space, i, unit, left=False)
+    return _level_shift(space, i, unit, left=False).operator()
+
+
+def certify_injective(rows: np.ndarray, shape: tuple[int, int]) -> None:
+    """ValueError, naming ``shape``, unless no two columns of a column map share
+    a row: then its matrix has at most one entry per row and per column, and
+    its singular values are the absolute values of its entries."""
+    if np.bincount(rows).max(initial=0) > 1:
+        raise ValueError(f"the {shape[0]}x{shape[1]} matrix is not a partial permutation with scaled entries")
 
 
 def column_norms(mat) -> np.ndarray:
@@ -208,63 +235,39 @@ class CommutationReport:
     level_cap: int
 
 
+def _commutator_columns(t: ShiftMap, s: ShiftMap, cols: int) -> np.ndarray:
+    """||(T S - S T) xi_c|| for the first ``cols`` columns, whose products stay
+    below the top level: one entry each, |a - b| where both hit the same row."""
+    ts_rows, ts = t.rows[s.rows[:cols]], t.values[s.rows[:cols]] * s.values[:cols]
+    st_rows, st = s.rows[t.rows[:cols]], s.values[t.rows[:cols]] * t.values[:cols]
+    out, apart = np.abs(ts - st), ts_rows != st_rows
+    out[apart] = np.sqrt(ts[apart] * ts[apart] + st[apart] * st[apart])
+    return out
+
+
 def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | None = None) -> CommutationReport:
-    """Max over i, j and |w| <= depth-2 of ||(T_i S_j - S_j T_i) xi_w||.
+    """Max over i, j and |w| <= depth-2 of ||(T_i S_j - S_j T_i) xi_w||, composed
+    on the shifts' column maps.
 
     Both products stay within the truncation on those columns, so the defect
     vanishes exactly when mu carries the commutant weights of ws.
     """
     if mu is None:
         mu = CommutantMu(ws)
-    cap = space.depth - 2
-    col_mask = space.levels() <= cap
-    lefts = [weighted_left_shift(space, ws, i) for i in range(1, space.n + 1)]
-    rights = [weighted_right_shift(space, mu, j) for j in range(1, space.n + 1)]
-    defects = [
-        (*max_column_norm((t_i @ s_j - s_j @ t_i).mat, col_mask), i, j)
-        for i, t_i in enumerate(lefts, start=1)
-        for j, s_j in enumerate(rights, start=1)
-    ]
-    # the first pair attaining the maximum, a NaN defect counting as the largest
-    worst, idx, i, j = defects[int(np.argmax([d[0] for d in defects]))]
-    witness = None if idx is None else (i, j, space.word_at(idx))
+    cap, n = space.depth - 2, space.n
+    cols = space.basis.level_offsets[space.depth - 1]
+    if cols == 0:
+        return CommutationReport(0.0, None, cap)
+    lefts = [left_shift_map(space, ws, i) for i in range(1, n + 1)]
+    rights = [right_shift_map(space, mu, j) for j in range(1, n + 1)]
+    # products may overflow, and inf - inf is a NaN defect that fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = np.stack([_commutator_columns(t_i, s_j, cols) for t_i in lefts for s_j in rights])
+    # the first pair, then the first column, attaining the maximum, a NaN counting as the largest
+    pair, idx = divmod(int(np.argmax(defects)), cols)
+    worst = float(defects[pair, idx])
+    witness = None if worst == 0.0 else (pair // n + 1, pair % n + 1, space.word_at(idx))
     return CommutationReport(worst, witness, cap)
-
-
-def _scale_exponent(mat) -> int:
-    """The e >= 0 of the largest power of two 2^e at or below the largest |entry|."""
-    return max(0, math.frexp(float(np.abs(mat.data).max(initial=0.0)))[1] - 1)
-
-
-def spectral_norm(op: GradedOperator, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Operator norm by power iteration on X*X with a deterministic start;
-    ArithmeticError when it has not converged within ``max_iter`` steps.
-
-    The iteration runs on X / 2^e, for 2^e the largest power of two at or
-    below the largest |entry| (e >= 0), so that X*X cannot overflow where X
-    does not.  The power of two scales every step exactly, the stopping
-    floor included, so the iterates are those of X itself scaled by 4^-e.
-    """
-    dim = op.space.dimension
-    vec = np.ones(dim, dtype=complex) / math.sqrt(dim)
-    exponent = _scale_exponent(op.mat)
-    scale = math.ldexp(1.0, exponent)
-    floor = math.ldexp(1.0, -2 * exponent)
-    mat = op.mat / scale
-    mat_h = mat.conj().T
-    estimate, change = 0.0, math.inf
-    for _ in range(max_iter):
-        nxt = mat_h @ (mat @ vec)
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:
-            return 0.0
-        vec = nxt / norm
-        if abs(norm - estimate) <= tol * max(norm, floor):
-            return scale * math.sqrt(norm)
-        change, estimate = abs(norm - estimate), norm
-    raise ArithmeticError(
-        f"power iteration did not converge (max_iter={max_iter}, last change {change * scale * scale:.3e})"
-    )
 
 
 @dataclass(frozen=True)
@@ -279,13 +282,14 @@ class NormReport:
 
 
 def norm_check(space: TruncatedFock, ws: WeightSystem) -> list[NormReport]:
-    """Compare ||T_i|| (power iteration) with sup of lambda_{i,w} over the
-    columns the compression keeps (|w| < depth)."""
+    """||T_i||, the largest |weight| of its certified column map, against the
+    sup of lambda_{i,w} over the columns the compression keeps (|w| < depth)."""
     reports = []
     for i in range(1, space.n + 1):
-        op = weighted_left_shift(space, ws, i)
-        sup = float(op.mat.data.real.max(initial=0.0))
-        reports.append(NormReport(i, spectral_norm(op), sup))
+        levels = ws.lambda_levels(i, space.depth - 1)
+        shift = _level_shift(space, i, levels, left=True)
+        certify_injective(shift.rows, (space.dimension, space.dimension))
+        reports.append(NormReport(i, float(np.abs(shift.values).max()), float(np.concatenate(levels).max())))
     return reports
 
 
@@ -295,39 +299,31 @@ class VacuumReport:
     projection_defect: float | None
 
 
-def partial_permutation_rank(mat) -> int:
-    """The rank, as ``np.linalg.matrix_rank`` counts it, of a sparse matrix with
-    at most one entry per row and column (ValueError for any other pattern):
-    its singular values are the absolute values of its entries, so the rank
-    counts those above the cutoff sigma_max * max(rows, cols) * eps."""
-    mat = sp.csr_array(mat, copy=True)
-    mat.eliminate_zeros()
-    rows, cols = mat.shape
-    if np.diff(mat.indptr).max(initial=0) > 1 or np.bincount(mat.indices, minlength=cols).max(initial=0) > 1:
-        raise ValueError(f"the {rows}x{cols} matrix is not a partial permutation with scaled entries")
-    singular = np.abs(mat.data)
-    return int(np.count_nonzero(singular > singular.max(initial=0.0) * max(rows, cols) * np.finfo(float).eps))
-
-
 def vacuum_kernel_check(space: TruncatedFock, ws: WeightSystem) -> VacuumReport:
     """The joint kernel of the adjoint shifts is the vacuum line.
 
     The stacked adjoints [T_1*; ...; T_n*] hold lambda_{i,w} at row (i, w) and
-    column i*w, so ``partial_permutation_rank`` certifies their rank once each
-    letter's block is divided by the power of two at or below its largest
-    weight: row scaling keeps the exact rank.  For the unweighted system the
-    vacuum projection identity I - sum_i L_i L_i* = P_e is also checked on
-    levels <= depth-1, exactly: every entry is 0 or 1.
+    column i*w.  Once the images i*w of all letters are certified distinct,
+    the stack is a partial permutation, and its rank counts the weights above
+    the ``np.linalg.matrix_rank`` cutoff sigma_max * max(rows, cols) * eps,
+    after each letter's weights are divided by the power of two at or below
+    their largest: row scaling keeps the exact rank.  For the unweighted
+    system the vacuum projection identity I - sum_i L_i L_i* = P_e is also
+    checked on levels <= depth-1, exactly: each L_i L_i* is diagonal with the
+    squared weights at the images, and every entry is 0 or 1.
     """
-    blocks = [weighted_left_shift(space, ws, i).adjoint().mat for i in range(1, space.n + 1)]
-    stacked = sp.vstack([block / math.ldexp(1.0, _scale_exponent(block)) for block in blocks])
-    kernel_dim = space.dimension - partial_permutation_rank(stacked)
+    dim = space.dimension
+    shifts = [left_shift_map(space, ws, i) for i in range(1, space.n + 1)]
+    rows = np.concatenate([shift.rows for shift in shifts])
+    certify_injective(rows, (space.n * dim, dim))
+    weights = np.abs(np.stack([shift.values for shift in shifts]))
+    singular = np.ldexp(weights, -np.maximum(np.frexp(weights.max(axis=1))[1] - 1, 0)[:, None])
+    kernel_dim = dim - int(np.count_nonzero(singular > singular.max() * (space.n * dim) * np.finfo(float).eps))
 
     projection_defect = None
     if isinstance(ws, ConstantWeights) and ws.value == 1.0:
-        diff = GradedOperator.identity(space) - GradedOperator.from_entries(space, [0], [0], [1.0])
-        for l_i in (left_creation(space, i) for i in range(1, space.n + 1)):
-            diff = diff - l_i @ l_i.adjoint()
-        top = space.level_slice(space.depth).start
-        projection_defect = float(abs(diff.mat[:top, :top]).max())
+        diff = np.ones(dim)
+        diff[0] = 0.0
+        diff -= np.bincount(rows, weights=(weights**2).ravel(), minlength=dim)
+        projection_defect = float(np.abs(diff[: space.level_slice(space.depth).start]).max())
     return VacuumReport(kernel_dim, projection_defect)

@@ -485,3 +485,40 @@ def test_emit_report_matches_recursive_conversion(tmp_path, capsys):
     assert path.read_text() == expected
     _emit_report(report, None)
     assert capsys.readouterr().out == expected
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
+    periodic = _write_config(tmp_path, "periodic.json", {
+        "n": 2, "family": "periodic", "period": 2,
+        "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2},
+    })
+    scaled = _write_config(tmp_path, "scaled.json", {"n": 2, "family": "scaled", "scales": [2, 3]})
+    report = tmp_path / "report.json"
+    runs = [
+        ["spectra", "--config", scaled, "--lambda", "0.1,0.2", "--lambda", "3,0", "--depth", "5"],
+        ["check", "--config", periodic, "--depth", "5", "--tol", "1e-9"],
+        ["spectra", "--config", scaled, "--lambda", "0.3,0.1", "--depth", "5"],
+        ["region", "--config", scaled, "--grid", "0:1:0.5", "--depth", "6"],
+        ["check", "--config", scaled, "--depth", "0"],
+        ["commutant", "--config", periodic, "--depth", "3"],
+        ["spectra", "--config", scaled, "--mode", "left_growth", "--lambda", "2,0", "--k", "3", "--depth", "5"],
+        ["check", "--config", scaled],
+    ]
+
+    def outcome(argv, fresh):
+        if fresh:
+            cli.build_parser.cache_clear()
+        report.unlink(missing_ok=True)
+        code = main([*argv, "--report", str(report)])
+        text = json.loads(report.read_text()) if report.exists() else None
+        if text is not None:
+            text.pop("timing_seconds", None)
+        return code, capsys.readouterr(), text
+
+    cached = [outcome(argv, fresh=False) for argv in runs]
+    fresh = [outcome(argv, fresh=True) for argv in runs]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 2, 0, 0, 0]
+    # --lambda appends into a new list on every call
+    assert [len(text["results"]) for _, _, text in cached if text and text["command"] == "spectra"] == [2, 1, 1]
+    assert cli.build_parser() is cli.build_parser()

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -16,16 +17,90 @@ from fockshift import (
     norm_check,
     parse_word,
     right_creation,
-    spectral_norm,
     vacuum_kernel_check,
     weighted_left_shift,
     weighted_right_shift,
 )
-from fockshift.fock import max_column_norm, partial_permutation_rank
+from fockshift import fock
+from fockshift.fock import certify_injective, left_shift_map, max_column_norm, right_shift_map
 from fockshift.weights import TableMu, mu_table
 from fockshift.words import EMPTY, prepend
 
-from conftest import ILL_CONDITIONED, ORACLE_DEPTH, SYSTEMS
+from conftest import ILL_CONDITIONED, ORACLE_DEPTH, SYSTEMS, table_mu
+
+HUGE = ScaledWeights(2, (1e300, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# sparse oracles: the products, power iteration and rank the checks replaced
+# ---------------------------------------------------------------------------
+
+
+def _sparse_commutation(space, ws, mu=None):
+    """(max_defect, witness) of T_i S_j - S_j T_i formed as sparse products."""
+    mu = CommutantMu(ws) if mu is None else mu
+    col_mask = space.levels() <= space.depth - 2
+    letters = range(1, space.n + 1)
+    lefts = [weighted_left_shift(space, ws, i) for i in letters]
+    rights = [weighted_right_shift(space, mu, j) for j in letters]
+    defects = [
+        (*max_column_norm((t_i @ s_j - s_j @ t_i).mat, col_mask), i, j)
+        for i, t_i in enumerate(lefts, start=1)
+        for j, s_j in enumerate(rights, start=1)
+    ]
+    worst, idx, i, j = defects[int(np.argmax([d[0] for d in defects]))]
+    return worst, (None if idx is None else (i, j, space.word_at(idx)))
+
+
+def _scale_exponent(mat) -> int:
+    """The e >= 0 of the largest power of two 2^e at or below the largest |entry|."""
+    return max(0, math.frexp(float(np.abs(mat.data).max(initial=0.0)))[1] - 1)
+
+
+def spectral_norm(op, tol=1e-10, max_iter=10_000):
+    """Operator norm by power iteration on X*X / 4^e, 2^e from ``_scale_exponent``;
+    ArithmeticError when it has not converged within ``max_iter`` steps."""
+    dim = op.space.dimension
+    vec = np.ones(dim, dtype=complex) / math.sqrt(dim)
+    exponent = _scale_exponent(op.mat)
+    scale = math.ldexp(1.0, exponent)
+    floor = math.ldexp(1.0, -2 * exponent)
+    mat = op.mat / scale
+    mat_h = mat.conj().T
+    estimate, change = 0.0, math.inf
+    for _ in range(max_iter):
+        nxt = mat_h @ (mat @ vec)
+        norm = float(np.linalg.norm(nxt))
+        if norm == 0.0:
+            return 0.0
+        vec = nxt / norm
+        if abs(norm - estimate) <= tol * max(norm, floor):
+            return scale * math.sqrt(norm)
+        change, estimate = abs(norm - estimate), norm
+    raise ArithmeticError(
+        f"power iteration did not converge (max_iter={max_iter}, last change {change * scale * scale:.3e})"
+    )
+
+
+def partial_permutation_rank(mat) -> int:
+    """The ``np.linalg.matrix_rank`` count of a sparse matrix with at most one
+    entry per row and column (ValueError for any other pattern)."""
+    mat = sp.csr_array(mat, copy=True)
+    mat.eliminate_zeros()
+    rows, cols = mat.shape
+    if np.diff(mat.indptr).max(initial=0) > 1 or np.bincount(mat.indices, minlength=cols).max(initial=0) > 1:
+        raise ValueError(f"the {rows}x{cols} matrix is not a partial permutation with scaled entries")
+    singular = np.abs(mat.data)
+    return int(np.count_nonzero(singular > singular.max(initial=0.0) * max(rows, cols) * np.finfo(float).eps))
+
+
+def _sparse_vacuum_rank(space, ws):
+    blocks = [weighted_left_shift(space, ws, i).adjoint().mat for i in range(1, space.n + 1)]
+    return partial_permutation_rank(sp.vstack([block / math.ldexp(1.0, _scale_exponent(block)) for block in blocks]))
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +204,77 @@ def test_commutation_defect_perturbed(space, periodic_example):
     assert report.witness[2] in (target, EMPTY)
 
 
+ORACLE_SYSTEMS = SYSTEMS + ILL_CONDITIONED + [("scaled-1e300", HUGE, 6)]
+
+
+@pytest.mark.parametrize("label, ws, depth", ORACLE_SYSTEMS, ids=[s[0] for s in ORACLE_SYSTEMS])
+def test_commutation_matches_sparse_oracle(label, ws, depth):
+    space = TruncatedFock(ws.n, depth)
+    for mu in (None, table_mu(ws.n, 75)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the 1e300 products overflow
+            worst, witness = _sparse_commutation(space, ws, mu)
+        report = commutation_defect(space, ws, mu)
+        assert report.level_cap == depth - 2
+        if worst == math.inf:
+            # the oracle squares a defect near 1e300; the map takes |a - b|, which
+            # the oracle finds on the left weights divided by 2^996
+            assert label == "scaled-1e300" and mu is not None
+            scaled = ScaledWeights(2, tuple(math.ldexp(s, -996) for s in ws.scales))
+            worst, witness = _sparse_commutation(space, scaled, mu)
+            worst = math.ldexp(worst, 996)
+        assert _same(report.max_defect, worst) and report.witness == witness
+    assert worst > 0.0 and witness is not None  # the table breaks commutation
+
+
+def test_commutation_matches_oracle_on_a_perturbed_table(periodic_example):
+    # the demo's case: one right weight off by 1%
+    space = TruncatedFock(2, 8)
+    table = mu_table(periodic_example, 7)
+    table[(1, parse_word("1"))] *= 1.01
+    perturbed = TableMu(2, 7, table)
+    report = commutation_defect(space, periodic_example, perturbed)
+    assert (report.max_defect, report.witness) == _sparse_commutation(space, periodic_example, perturbed)
+    assert report.max_defect > 1e-3
+    # mu = 1e10 beyond the vacuum: |1e300 - inf| at the vacuum column, then inf - inf
+    overflowing = TableMu(2, 0, {(1, EMPTY): 1.0, (2, EMPTY): 1.0}, fill=1e10)
+    report = commutation_defect(space, HUGE, overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        worst, witness = _sparse_commutation(space, HUGE, overflowing)
+    assert math.isnan(report.max_defect) and math.isnan(worst)
+    assert report.witness == witness == (1, 1, parse_word("1"))  # a NaN counts as the largest
+    for depth in (1, 2):
+        shallow = TruncatedFock(2, depth)
+        assert (commutation_defect(shallow, periodic_example).max_defect, None) == _sparse_commutation(
+            shallow, periodic_example
+        )
+
+
+def test_commutator_columns_on_rows_apart(space, periodic_example):
+    # T_1 T_2 and T_2 T_1 send xi_w to xi_{12w} and xi_{21w}: two entries per column
+    maps = [left_shift_map(space, periodic_example, i) for i in (1, 2)]
+    maps.append(right_shift_map(space, table_mu(2, 75), 1))
+    cols = space.basis.level_offsets[space.depth - 1]
+    for t in maps:
+        for s in maps:
+            t_op, s_op = t.operator(), s.operator()
+            oracle = fock.column_norms((t_op @ s_op - s_op @ t_op).mat)[:cols]
+            assert np.array_equal(fock._commutator_columns(t, s, cols), oracle)
+    assert np.all(fock._commutator_columns(maps[0], maps[1], cols) > 0.0)
+
+
+@pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED, ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED])
+def test_norm_check_matches_power_iteration(label, ws, depth):
+    space = TruncatedFock(ws.n, depth)
+    for report in norm_check(space, ws):
+        levels = ws.lambda_levels(report.letter, depth - 1)
+        assert report.weight_sup == max(float(level.max()) for level in levels)
+        assert report.operator_norm == report.weight_sup and report.gap == 0.0
+        oracle = spectral_norm(weighted_left_shift(space, ws, report.letter))
+        assert report.operator_norm == pytest.approx(oracle, abs=1e-8)
+
+
 def test_norm_check_families(space, unweighted, scaled23):
     for report in norm_check(space, unweighted):
         assert report.operator_norm == pytest.approx(1.0, abs=1e-8)
@@ -168,6 +314,37 @@ def test_vacuum_kernel(space, unweighted, periodic_example):
     report = vacuum_kernel_check(space, unweighted)
     assert report.projection_defect == 0.0
     assert vacuum_kernel_check(space, periodic_example).projection_defect is None
+
+
+@pytest.mark.parametrize("label, ws, depth", ORACLE_SYSTEMS, ids=[s[0] for s in ORACLE_SYSTEMS])
+def test_vacuum_rank_matches_sparse_oracle(label, ws, depth):
+    space = TruncatedFock(ws.n, depth)
+    assert vacuum_kernel_check(space, ws).joint_kernel_dim == space.dimension - _sparse_vacuum_rank(space, ws)
+
+
+def test_maps_that_are_not_injective_are_refused(monkeypatch, space):
+    # every column sent to the vacuum row: no norm or rank is read off such a map
+    dim, cols = space.dimension, space.basis.level_offsets[space.depth]
+
+    def broken(space, i, levels, left):
+        return fock.ShiftMap(space, np.zeros(cols, dtype=np.int64), np.ones(cols))
+
+    monkeypatch.setattr(fock, "_level_shift", broken)
+    with pytest.raises(ValueError, match=f"the {dim}x{dim} matrix is not a partial permutation"):
+        norm_check(space, ConstantWeights(2, 1.0))
+    with pytest.raises(ValueError, match=f"the {2 * dim}x{dim} matrix is not a partial permutation"):
+        vacuum_kernel_check(space, ConstantWeights(2, 1.0))
+
+
+def test_checks_build_no_sparse_matrix(monkeypatch, space, periodic_example):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sparse matrix was built")
+
+    for name in ("coo_array", "csr_array"):
+        monkeypatch.setattr(fock.sp, name, refuse)
+    assert commutation_defect(space, periodic_example).max_defect == 0.0
+    assert [r.gap for r in norm_check(space, periodic_example)] == [0.0, 0.0]
+    assert vacuum_kernel_check(space, ConstantWeights(2, 1.0)) == fock.VacuumReport(1, 0.0)
 
 
 def test_vacuum_kernel_near_the_float_range(space):
@@ -213,6 +390,11 @@ def test_partial_permutation_guard(space):
     for mat in (both.mat, both.adjoint().mat):
         with pytest.raises(ValueError, match=f"{dim}x{dim} matrix is not a partial permutation"):
             partial_permutation_rank(mat)
+    # as a column map, (L_1 + L_2)* sends xi_{1w} and xi_{2w} both to xi_w: not injective
+    rows = np.concatenate([np.arange(left_shift_map(space, ConstantWeights(2, 1.0), i).rows.size) for i in (1, 2)])
+    with pytest.raises(ValueError, match=f"{dim}x{dim} matrix is not a partial permutation"):
+        certify_injective(rows, (dim, dim))
+    certify_injective(np.concatenate([left_shift_map(space, ConstantWeights(2, 1.0), i).rows for i in (1, 2)]), (dim, dim))
 
 
 def test_grading_moves_levels(space, periodic_example):
