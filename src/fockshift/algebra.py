@@ -187,13 +187,12 @@ def commutant_extract(
     x: GradedOperator,
     ws: WeightSystem,
     mu: MuSystem | None = None,
-    commutation_tol: float = 1e-9,
 ) -> ExtractionResult:
     """Read the expansion coefficients a_w = <X xi_e, xi_w> off a commutant
     member and certify them by re-predicting every column within reach.
 
     X must commute with the compressed right shifts on levels <= depth-2 up
-    to ``commutation_tol`` (absolute, per basis column); the returned residual
+    to 1e-9 (absolute, per basis column); the returned residual
     is the worst mismatch between X xi_v and the expansion's prediction over
     |v| <= depth - support length.
     """
@@ -204,7 +203,7 @@ def commutant_extract(
     for i in range(1, space.n + 1):
         s_i = weighted_right_shift(space, mu, i)
         defect, idx = max_column_norm((x @ s_i - s_i @ x).mat, levels <= space.depth - 2)
-        if not defect <= commutation_tol:
+        if not defect <= 1e-9:
             raise ValueError(
                 f"operator does not commute with right shift {i}: defect "
                 f"{defect:.3e} at column {space.word_at(idx)}"

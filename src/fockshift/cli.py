@@ -230,14 +230,18 @@ def _emit_report(report: dict, path: str | None) -> None:
 
 
 def parse_lambda(text: str) -> tuple[complex, ...]:
-    """Comma-separated complex literals, 'a+bi' with reals as shorthand."""
+    """Comma-separated complex literals, 'a+bi' with reals as shorthand; each part must be finite."""
     values = []
     for token in text.split(","):
-        token = token.strip().replace("i", "j")
+        token = token.strip()
         try:
-            values.append(complex(token))
+            value = complex(token.replace("i", "j"))
         except ValueError as exc:
             raise ConfigError(f"malformed complex literal {token!r}") from exc
+        # 'nan' parses, and '1e400' overflows to inf: no verdict can be trusted on either
+        _expect(math.isfinite(value.real) and math.isfinite(value.imag), f"complex literal {token!r}",
+                "expected finite numbers")
+        values.append(value)
     return tuple(values)
 
 
@@ -246,10 +250,12 @@ class _CheckRecorder:
         self.entries: list[dict] = []
         self.timing: dict[str, float] = {}
 
-    def run(self, name: str, tolerance: float, fn) -> Any:
+    def run(self, name: str, tolerance: float, fn, summary=lambda r: (r.max_defect, r.witness)) -> Any:
+        """Time ``fn()`` and record the (defect, witness) that ``summary`` reads off its result."""
         start = time.perf_counter()
-        defect, witness, result = fn()
+        result = fn()
         self.timing[name] = time.perf_counter() - start
+        defect, witness = summary(result)
         self.entries.append(
             {
                 "check": name,
@@ -286,34 +292,19 @@ def _print_check_lines(entries: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _defect_entry(report) -> tuple:
-    return report.max_defect, report.witness, report
-
-
 def _cmd_check(config: RunConfig, args) -> tuple[int, dict]:
     ws = config.weights
     recorder = _CheckRecorder()
     tol = config.tolerance
 
     cocycle_depth = min(config.depth, 6)
-    recorder.run("cocycles", tol, lambda: _defect_entry(check_cocycles(ws, None, cocycle_depth)))
-
-    start = time.perf_counter()
-    condition = condition6_sup(ws, config.depth)
-    recorder.timing["condition6"] = time.perf_counter() - start
-    recorder.entries.append(
-        {
-            "check": "condition6",
-            "max_defect": 0.0,
-            "tolerance": tol,
-            "pass": True,
-            "witness": {
-                "sup_value": condition.value,
-                "verdict": condition.verdict,
-                "argmax": [condition.witness[0], condition.witness[1]],
-                "certificate": condition.certificate,
-            },
-        }
+    recorder.run("cocycles", tol, lambda: check_cocycles(ws, None, cocycle_depth))
+    condition = recorder.run(
+        "condition6",
+        tol,
+        lambda: condition6_sup(ws, config.depth),
+        lambda c: (0.0, {"sup_value": c.value, "verdict": c.verdict,
+                         "argmax": [c.witness[0], c.witness[1]], "certificate": c.certificate}),
     )
 
     space = TruncatedFock(ws.n, config.depth)
@@ -321,30 +312,26 @@ def _cmd_check(config: RunConfig, args) -> tuple[int, dict]:
         recorder.skip("intertwining", "commutant weights diverge; identity not meaningful here")
         recorder.skip("commutation", "right shifts unbounded; commutant checks skipped")
     else:
-        recorder.run("intertwining", tol, lambda: _defect_entry(check_intertwining(ws, cocycle_depth)))
-        recorder.run("commutation", tol, lambda: _defect_entry(commutation_defect(space, ws)))
+        recorder.run("intertwining", tol, lambda: check_intertwining(ws, cocycle_depth))
+        recorder.run("commutation", tol, lambda: commutation_defect(space, ws))
 
     recorder.run(
         "norms",
         max(tol, 1e-8),  # kept so the reported tolerance stays as pinned; the exact norms' defect is 0
-        lambda: (
-            lambda reports: (
-                max(r.gap for r in reports),
-                [{"letter": r.letter, "operator_norm": r.operator_norm, "weight_sup": r.weight_sup} for r in reports],
-                reports,
-            )
-        )(norm_check(space, ws)),
+        lambda: norm_check(space, ws),
+        lambda reports: (
+            max(r.gap for r in reports),
+            [{"letter": r.letter, "operator_norm": r.operator_norm, "weight_sup": r.weight_sup} for r in reports],
+        ),
     )
     recorder.run(
         "vacuum_kernel",
         tol,
-        lambda: (
-            lambda rep: (
-                max(float(abs(rep.joint_kernel_dim - 1)), rep.projection_defect or 0.0),
-                {"joint_kernel_dim": rep.joint_kernel_dim, "projection_defect": rep.projection_defect},
-                rep,
-            )
-        )(vacuum_kernel_check(space, ws)),
+        lambda: vacuum_kernel_check(space, ws),
+        lambda rep: (
+            max(float(abs(rep.joint_kernel_dim - 1)), rep.projection_defect or 0.0),
+            {"joint_kernel_dim": rep.joint_kernel_dim, "projection_defect": rep.projection_defect},
+        ),
     )
 
     _print_check_lines(recorder.entries)
@@ -409,8 +396,6 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
 
 
 def _cmd_region(config: RunConfig, args) -> tuple[int, dict]:
-    if not args.grid:
-        raise ConfigError("region requires --grid lo:hi:step")
     grid = GridSpec.parse(args.grid)
     start = time.perf_counter()
     samples = region_sample(config.weights, grid, config.depth, config.epsilon)
@@ -456,10 +441,8 @@ def _load_fourier_coeffs(path: str) -> dict[Word, complex]:
 
 
 def _cmd_cesaro(config: RunConfig, args) -> tuple[int, dict]:
-    if not args.coeffs:
-        raise ConfigError("cesaro requires --coeffs PATH")
     coeffs = _load_fourier_coeffs(args.coeffs)
-    order = 4 if args.k is None else args.k
+    order = args.k
     ws = config.weights
     space = TruncatedFock(ws.n, config.depth)
     element = FourierElement.build(coeffs, ws)
@@ -488,8 +471,6 @@ def _cmd_cesaro(config: RunConfig, args) -> tuple[int, dict]:
 
 
 def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
-    if not args.lam:
-        raise ConfigError("spectra requires at least one --lambda LIST")
     mode = args.mode
     reports = []
     failed = False
@@ -523,7 +504,7 @@ def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
                     {"lambda": list(point), "mode": mode, "verdict": "unknown", "defects": {}, "witness": {}, "pass": True}
                 )
                 continue
-            cert = left_growth_certificate(point, 16 if args.k is None else args.k, args.bound)
+            cert = left_growth_certificate(point, args.k, args.bound)
             reports.append(
                 {
                     "lambda": list(point),
@@ -540,7 +521,7 @@ def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
                     "pass": True,
                 }
             )
-        elif mode == MODE_ZERO_LEFT_INVERSE:
+        else:  # MODE_ZERO_LEFT_INVERSE
             etas = {"eta1": {}, "eta2": {}}
             if args.coeffs:
                 with open(args.coeffs) as handle:
@@ -565,8 +546,6 @@ def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
                     "pass": ok,
                 }
             )
-        else:
-            raise ConfigError(f"unknown spectra mode {mode!r}")
     for entry in reports:
         print(f"lambda {entry['lambda']}: {entry['verdict']} ({'PASS' if entry['pass'] else 'FAIL'})")
     report = {"command": "spectra", "config": config.echo(), "mode": mode, "results": reports}
@@ -589,31 +568,48 @@ def run_command(verb: str, config: RunConfig, args) -> int:
     return code
 
 
+_CONFIG = ("--config", {"required": True, "help": "weight-system JSON document"})
+_DEPTH = ("--depth", {"type": int, "help": "truncation depth override"})
+_TOL = ("--tol", {"type": float, "help": "tolerance override"})
+_REPORT = ("--report", {"help": "JSON report path"})
+
+# each verb's own options, in usage order; any other option exits 2
+VERB_OPTIONS = {
+    "check": (_CONFIG, _DEPTH, _TOL, _REPORT),
+    "commutant": (_CONFIG, _DEPTH, _TOL, _REPORT),
+    "region": (_CONFIG, _DEPTH, ("--grid", {"required": True, "help": "grid spec lo:hi:step"}),
+               ("--out", {"help": "CSV output path"}), _REPORT),
+    "cesaro": (_CONFIG, _DEPTH, _TOL, ("--coeffs", {"required": True, "help": "Fourier coefficient JSON path"}),
+               ("--k", {"type": int, "default": 4, "help": "Cesaro order"}), _REPORT),
+    "spectra": (
+        _CONFIG, _DEPTH, _TOL,
+        ("--lambda", {"dest": "lam", "action": "append", "required": True,
+                      "help": "comma-separated complex literals a+bi; repeatable"}),
+        ("--mode", {"default": MODE_RIGHT, "choices": [MODE_RIGHT, MODE_LEFT_GROWTH, MODE_ZERO_LEFT_INVERSE]}),
+        ("--k", {"type": int, "default": 16, "help": "growth-table length (left_growth)"}),
+        ("--bound", {"type": float, "default": 0.0, "help": "assumed vacuum-image bound (left_growth)"}),
+        ("--coeffs", {"help": "eta1/eta2 JSON path (zero_left_inverse)"}),
+        _REPORT,
+    ),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+    """The argument parser, built once per process: parsing leaves it unchanged.
+
+    Handlers stay out of it: ``run_command`` looks them up in ``COMMANDS`` at
+    call time, so a wrapped or replaced entry there is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="fockshift",
         description="Verification toolkit for weighted shifts on truncated Fock space.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in COMMANDS:
+    for verb, options in VERB_OPTIONS.items():
         cmd = sub.add_parser(verb)
-        cmd.add_argument("--config", required=True, help="weight-system JSON document")
-        cmd.add_argument("--depth", type=int, default=None, help="truncation depth override")
-        cmd.add_argument("--tol", type=float, default=None, help="tolerance override")
-        cmd.add_argument("--grid", default=None, help="grid spec lo:hi:step (region)")
-        cmd.add_argument("--lambda", dest="lam", action="append", default=None,
-                         help="comma-separated complex literals a+bi; repeatable (spectra)")
-        cmd.add_argument("--coeffs", default=None, help="coefficient JSON path (cesaro, spectra zero-left)")
-        cmd.add_argument("--k", type=int, default=None, help="Cesaro order / growth-table length")
-        cmd.add_argument("--mode", default=MODE_RIGHT,
-                         choices=[MODE_RIGHT, MODE_LEFT_GROWTH, MODE_ZERO_LEFT_INVERSE],
-                         help="spectra mode")
-        cmd.add_argument("--bound", type=float, default=0.0,
-                         help="assumed vacuum-image bound for growth certificates")
-        cmd.add_argument("--out", default=None, help="CSV output path (region)")
-        cmd.add_argument("--report", default=None, help="JSON report path")
+        for flag, settings in options:
+            cmd.add_argument(flag, **settings)
     return parser
 
 
@@ -634,10 +630,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.depth < 1:
                 raise ConfigError("--depth must be at least 1")
             config.depth = args.depth
-        if args.tol is not None:
-            if not 0 < args.tol < math.inf:
+        tol = getattr(args, "tol", None)  # region has no --tol
+        if tol is not None:
+            if not 0 < tol < math.inf:
                 raise ConfigError("--tol must be positive and finite")
-            config.tolerance = args.tol
+            config.tolerance = tol
         return run_command(args.verb, config, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

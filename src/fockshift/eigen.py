@@ -114,19 +114,18 @@ def joint_eigenspace_dim(
     ws: WeightSystem,
     space: TruncatedFock,
     point: Sequence[complex],
-    rtol: float = 1e-8,
 ) -> int:
     """Numerical dimension of the joint eigenspace at a point: the nullity of
     the stacked operators (T_i* - conj(point_i)) restricted to levels <= depth-1.
 
     Row (i, w) reads lambda_{i,w} x_{i*w} - conj(point_i) x_w, with entries at
-    or below rtol times the largest entry taken as zero.  A row keeping both
+    or below 1e-8 times the largest entry taken as zero.  A row keeping both
     entries joins w to i*w on the word tree, a row keeping one pins its word,
     and each tree component that no row pins adds one to the nullity.
     """
     conj = [complex(z).conjugate() for z in point]
     lams = [ws.lambda_levels(i, space.depth - 1) for i in range(1, space.n + 1)]
-    cut = rtol * max([abs(z) for z in conj] + [float(level.max()) for lam in lams for level in lam])
+    cut = 1e-8 * max([abs(z) for z in conj] + [float(level.max()) for lam in lams for level in lam])
     pinned = np.zeros(space.dimension, dtype=bool)  # by component
     components, count = np.zeros(1, dtype=np.int64), 1  # the component of each word at level k
     for k in range(space.depth):

@@ -64,9 +64,9 @@ class TruncatedFock:
             vec[self.basis.index_of(w)] = value
         return vec
 
-    def coeffs_from_vector(self, vec: np.ndarray, tol: float = 0.0) -> dict[Word, complex]:
+    def coeffs_from_vector(self, vec: np.ndarray) -> dict[Word, complex]:
         out: dict[Word, complex] = {}
-        for idx in np.nonzero(np.abs(vec) > tol)[0]:
+        for idx in np.nonzero(np.abs(vec) > 0)[0]:  # NaN entries are dropped too
             out[self.basis.word_at(int(idx))] = complex(vec[idx])
         return out
 

@@ -76,20 +76,20 @@ def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
     return ResolventReport(point, depth, low, top)
 
 
-def right_membership(point: Sequence[complex], depth: int, tol: float = BOUNDARY_TOL) -> SpectrumReport:
+def right_membership(point: Sequence[complex], depth: int) -> SpectrumReport:
     """Membership of a point in the joint right spectrum of the creation tuple.
 
     Inside the unit ball the joint eigenvector of the adjoints witnesses
     membership (a right inverse would contradict it); outside, the scaled
     resolvent series yields an explicit right inverse, verified on levels
     <= depth-1 with the top-level truncation defect reported.  Points within
-    ``tol`` of the unit sphere are inconclusive: boundary membership follows
+    ``BOUNDARY_TOL`` of the unit sphere are inconclusive: boundary membership follows
     from verdict continuity, not from a finite witness.
     """
     point = tuple(complex(z) for z in point)
     n = len(point)
     norm = math.sqrt(sum(abs(z) ** 2 for z in point))
-    if abs(norm - 1.0) <= tol:
+    if abs(norm - 1.0) <= BOUNDARY_TOL:
         return SpectrumReport(point, MODE_RIGHT, INCONCLUSIVE, {}, {"norm": norm})
     space = TruncatedFock(n, depth)
     unweighted = ConstantWeights(n, 1.0)
@@ -169,8 +169,8 @@ def left_growth_certificate(
         raise ValueError("growth certificates are implemented for n = 2")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    if assumed_bound < 0:
-        raise ValueError("assumed bound must be nonnegative")
+    if not 0 <= assumed_bound < math.inf:
+        raise ValueError(f"assumed bound must be nonnegative and finite, got {assumed_bound}")
     z1, z2 = (complex(z) for z in point)
     parameters = None
     for modulus, letter in ((abs(z1), 1), (abs(z2), 2)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
 MAX_ALPHABET = 255
@@ -154,19 +155,13 @@ class BasisEnumeration:
     def word_at(self, index: int) -> Word:
         if not 0 <= index < self.dimension:
             raise IndexError(f"index {index} outside [0, {self.dimension})")
-        k = self.level_of_index(index)
+        k = bisect_right(self.level_offsets, index) - 1
         rank = index - self.level_offsets[k]
         letters = bytearray(k)
         for pos in range(k - 1, -1, -1):
             rank, digit = divmod(rank, self.n)
             letters[pos] = digit + 1
         return Word(letters)
-
-    def level_of_index(self, index: int) -> int:
-        k = 0
-        while self.level_offsets[k + 1] <= index:
-            k += 1
-        return k
 
     def level_slice(self, k: int) -> slice:
         if not 0 <= k <= self.depth:

@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +69,10 @@ def test_parse_lambda_forms():
     assert parse_lambda("2,0") == (2 + 0j, 0j)
     with pytest.raises(ConfigError):
         parse_lambda("nope+1x")
+    # nan parses and 1e400 overflows to inf: both are refused, naming the token as written
+    for text, token in (("nan,0", "nan"), ("0.5,1e400", "1e400"), ("-1e400i", "-1e400i"), ("1+nani", "1+nani")):
+        with pytest.raises(ConfigError, match=f"complex literal '{re.escape(token)}': expected finite numbers"):
+            parse_lambda(text)
 
 
 def _write_config(tmp_path, name, document):
@@ -342,6 +349,133 @@ def test_nonfinite_coefficients_rejected(tmp_path, capsys, mode, bad):
                 "--coeffs", str(coeffs)]
     assert main(argv) == 2
     assert "finite numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "right", "--lambda", "nan,0"], "complex literal 'nan': expected finite numbers"),
+    (["--mode", "right", "--lambda=1e400,0"], "complex literal '1e400': expected finite numbers"),
+    (["--mode", "left_growth", "--lambda=1e400,0"], "complex literal '1e400': expected finite numbers"),
+    (["--mode", "left_growth", "--lambda=2,0", "--bound", "nan"], "assumed bound must be nonnegative and finite"),
+    (["--mode", "left_growth", "--lambda=2,0", "--bound", "inf"], "assumed bound must be nonnegative and finite"),
+])
+def test_nonfinite_spectra_inputs_rejected(tmp_path, capsys, argv, message):
+    # these used to exit 1 (not_in_spectrum) or 0 (inconclusive, in_spectrum) on a NaN or inf
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    report = tmp_path / "spectra.json"
+    assert main(["spectra", "--config", config, "--depth", "5", *argv, "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    assert message in captured.err
+
+
+# ---------------------------------------------------------------------------
+# each verb's own options
+# ---------------------------------------------------------------------------
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _options(subparser: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [a for a in subparser._actions if a.option_strings and a.dest != "help"]
+
+
+def test_each_verb_has_exactly_its_options():
+    table = {
+        "check": {"--config", "--depth", "--tol", "--report"},
+        "commutant": {"--config", "--depth", "--tol", "--report"},
+        "region": {"--config", "--depth", "--grid", "--out", "--report"},
+        "cesaro": {"--config", "--depth", "--tol", "--coeffs", "--k", "--report"},
+        "spectra": {"--config", "--depth", "--tol", "--lambda", "--coeffs", "--k", "--mode", "--bound", "--report"},
+    }
+    subparsers = _subparsers()
+    assert list(subparsers) == list(cli.COMMANDS)
+    options = {verb: [flag for a in _options(sub) for flag in a.option_strings] for verb, sub in subparsers.items()}
+    assert {verb: set(flags) for verb, flags in options.items()} == table
+    assert sum(len(flags) for flags in options.values()) == 28
+    required = {verb: {a.option_strings[0] for a in _options(sub) if a.required} for verb, sub in subparsers.items()}
+    assert required == {"check": {"--config"}, "commutant": {"--config"}, "region": {"--config", "--grid"},
+                        "cesaro": {"--config", "--coeffs"}, "spectra": {"--config", "--lambda"}}
+
+
+def _written_command(tmp_path, verb):
+    """A valid command line for each verb, with every file it may write under tmp_path."""
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"coeffs": {"e": [0.5, 0], "1": [1, -0.5]}}))
+    extra = {
+        "check": [], "commutant": [],
+        "region": ["--grid", "0:1:0.5", "--out", str(tmp_path / "region.csv")],
+        "cesaro": ["--coeffs", str(coeffs)],
+        "spectra": ["--lambda", "0.3,0.1"],
+    }[verb]
+    return [verb, "--config", config, "--depth", "4", *extra, "--report", str(tmp_path / "report.json")]
+
+
+@pytest.mark.parametrize("verb, foreign", [
+    ("check", ["--grid", "0:1:0.1"]),
+    ("commutant", ["--k", "7"]),
+    ("region", ["--tol", "1e-9"]),
+    ("cesaro", ["--mode", "left_growth"]),
+    ("spectra", ["--out", "x.csv"]),
+])
+def test_foreign_option_exits_2_before_any_output(tmp_path, capsys, monkeypatch, verb, foreign):
+    # the flat parser accepted every option on every verb and ignored the foreign ones
+    argv = _written_command(tmp_path, verb)
+    assert main(argv) == 0
+    capsys.readouterr()
+    for path in ("report.json", "region.csv"):
+        (tmp_path / path).unlink(missing_ok=True)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *foreign])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(foreign)}" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coeffs.json", "unw.json"]
+
+
+@pytest.mark.parametrize("verb, option", [("region", "--grid"), ("cesaro", "--coeffs"), ("spectra", "--lambda")])
+def test_missing_required_option_exits_2(tmp_path, capsys, verb, option):
+    argv = _written_command(tmp_path, verb)
+    at = argv.index(option)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:at] + argv[at + 2:])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the following arguments are required: {option}" in captured.err
+
+
+def test_k_defaults_per_verb(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(_written_command(tmp_path, "cesaro")) == 0
+    assert json.loads(report.read_text())["order"] == 4
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    assert main(["spectra", "--config", config, "--mode", "left_growth", "--lambda", "2,0",
+                 "--report", str(report)]) == 0
+    assert len(json.loads(report.read_text())["results"][0]["witness"]["bounds"]) == 16
+    capsys.readouterr()
+
+
+def test_readme_usage_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.replace("\\\n", " ").splitlines()]
+    assert [line[1] for line in lines] == list(_subparsers())
+    resolved = {"--depth": cli.DEFAULT_DEPTH, "--tol": cli.DEFAULT_TOLERANCE}  # None in the parser
+    for line in lines:
+        shown = re.findall(r"(\[?)(--\S+) ([^\s\]]+)\]?", " ".join(line[2:]))
+        actions = _options(_subparsers()[line[1]])
+        assert [flag for _, flag, _ in shown] == [a.option_strings[0] for a in actions], line[1]
+        for (bracket, flag, value), action in zip(shown, actions):
+            assert bool(bracket) == (not action.required), (line[1], flag)
+            default = action.default if action.default is not None else resolved.get(flag)
+            if bracket and default is not None:
+                assert (action.type or str)(value) == default, (line[1], flag)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,13 @@ def test_growth_requires_admissible_point():
         left_growth_certificate((0.5, 0.5), 10, 1.0)
 
 
+@pytest.mark.parametrize("bound", [-1.0, math.nan, math.inf])
+def test_growth_requires_a_finite_nonnegative_bound(bound):
+    # a NaN bound gave NaN tables, and an infinite one certified membership
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        left_growth_certificate((2.0, 0.0), 10, bound)
+
+
 def test_zero_left_inverses_unperturbed():
     report = zero_left_inverses({}, {}, 6)
     assert report.max_identity_defect == 0.0
