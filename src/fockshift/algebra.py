@@ -26,7 +26,7 @@ from .weights import (
     require_bounded_mu,
     right_weight,
 )
-from .fock import GradedOperator, TruncatedFock, max_column_norm, weighted_right_shift
+from .fock import GradedOperator, TruncatedFock, max_column_norm, right_shift_maps
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def expansion_operator(a: FourierElement, space: TruncatedFock) -> GradedOperato
     of rank r at level k, w*v has rank b n^k + r and v*j has rank r n + j-1.
     """
     n, depth, offsets = space.n, space.depth, space.basis.level_offsets
-    mus = [a.mu.mu_levels(j, depth - 1) for j in range(1, n + 1)]
+    mu = a.mu.mu_levels(depth - 1)
     pieces = []
     for w, coeff in a.coeffs.items():
         m = len(w)
@@ -91,7 +91,7 @@ def expansion_operator(a: FourierElement, space: TruncatedFock) -> GradedOperato
             r = np.arange(n**k)
             pieces.append((offsets[m + k] + b * n**k + r, offsets[k] + r, coeff * ratio))
             if k < depth - m:
-                ratio = np.stack([ratio * mu[m + k][b * n**k + r] / mu[k][r] for mu in mus], axis=1).ravel()
+                ratio = (ratio[:, None] * mu[m + k][:, b * n**k:(b + 1) * n**k].T / mu[k].T).ravel()
     return _assemble(space, pieces)
 
 
@@ -200,8 +200,9 @@ def commutant_extract(
     if mu is None:
         mu = CommutantMu(ws)
     levels = space.levels()
+    shifts = right_shift_maps(space, mu)
     for i in range(1, space.n + 1):
-        s_i = weighted_right_shift(space, mu, i)
+        s_i = shifts.operator(i)
         defect, idx = max_column_norm((x @ s_i - s_i @ x).mat, levels <= space.depth - 2)
         if not defect <= 1e-9:
             raise ValueError(

@@ -359,11 +359,11 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
 
     # 'i:w' keys word by word, and letter by letter within a word, as in mu_table
     letters = range(1, ws.n + 1)
-    per_letter = [CommutantMu(ws).mu_levels(i, config.depth) for i in letters]
+    levels = CommutantMu(ws).mu_levels(config.depth)
     table = {}
     for k, labels in enumerate(level_labels(ws.n, config.depth)):
         keys = [f"{i}:{label}" for label in labels for i in letters]
-        table.update(zip(keys, np.stack([levels[k] for levels in per_letter], axis=1).ravel().tolist()))
+        table.update(zip(keys, levels[k].T.ravel().tolist()))
     sys.stdout.write("".join(f"mu {key} = {value:.17g}\n" for key, value in table.items()))
 
     # round-trip a deterministic polynomial through coefficient extraction

@@ -27,7 +27,7 @@ import numpy as np
 
 from .words import BasisEnumeration, Word
 from .weights import WeightSystem
-from .fock import TruncatedFock, weighted_left_shift
+from .fock import TruncatedFock, left_shift_maps
 
 MAX_DP_WORDS = 1 << 21
 # region grids sum this many terms at a time: 256 KiB per level array
@@ -59,20 +59,19 @@ class EigenCandidate:
 
 def eigenvector_coeffs(ws: WeightSystem, point: Sequence[complex], depth: int) -> EigenCandidate:
     """Coefficients conj(w(point)) W(e,w)^{-1}, built level by level: the word
-    i*w has rank (i-1) n^k + r, so level k+1 is the concatenation over i of
-    level k times conj(point_i) / lambda_{i,w}."""
+    i*w has rank (i-1) n^k + r, so row i-1 of the (n, n^k) view of level k+1
+    is level k times conj(point_i) / lambda_{i,w}."""
     if len(point) != ws.n:
         raise ValueError(f"expected {ws.n} coordinates, got {len(point)}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     point = tuple(complex(z) for z in point)
-    conj = [z.conjugate() for z in point]
-    lams = [ws.lambda_levels(i, depth - 1) for i in range(1, ws.n + 1)]
+    conj, lam = np.conj(np.array(point))[:, None], ws.lambda_levels(depth - 1)
     # Python's complex arithmetic part by part; numpy's differs in the last bit
     re, im = [np.ones(1)], [np.zeros(1)]
     for k in range(depth):
-        re.append(np.concatenate([(re[k] * z.real - im[k] * z.imag) / lam[k] for z, lam in zip(conj, lams)]))
-        im.append(np.concatenate([(re[k] * z.imag + im[k] * z.real) / lam[k] for z, lam in zip(conj, lams)]))
+        re.append(((re[k] * conj.real - im[k] * conj.imag) / lam[k]).ravel())
+        im.append(((re[k] * conj.imag + im[k] * conj.real) / lam[k]).ravel())
     vector = np.empty(sum(level.size for level in re), dtype=complex)
     vector.real, vector.imag = np.concatenate(re), np.concatenate(im)
     return EigenCandidate(point, depth, vector)
@@ -102,10 +101,10 @@ def eigen_residual(
     else:
         vec = space.vector_from_coeffs(coeffs)
     keep = space.levels() <= space.depth - 1
+    shifts = left_shift_maps(space, ws)
     residuals = []
     for i in range(1, space.n + 1):
-        t_i = weighted_left_shift(space, ws, i)
-        res = t_i.adjoint().apply(vec) - complex(point[i - 1]).conjugate() * vec
+        res = shifts.operator(i).adjoint().apply(vec) - complex(point[i - 1]).conjugate() * vec
         residuals.append(float(np.linalg.norm(res[keep])))
     return ResidualReport(tuple(residuals), space.depth - 1)
 
@@ -124,14 +123,14 @@ def joint_eigenspace_dim(
     and each tree component that no row pins adds one to the nullity.
     """
     conj = [complex(z).conjugate() for z in point]
-    lams = [ws.lambda_levels(i, space.depth - 1) for i in range(1, space.n + 1)]
-    cut = 1e-8 * max([abs(z) for z in conj] + [float(level.max()) for lam in lams for level in lam])
+    lam = ws.lambda_levels(space.depth - 1)
+    cut = 1e-8 * max([abs(z) for z in conj] + [float(level.max()) for level in lam])
     pinned = np.zeros(space.dimension, dtype=bool)  # by component
     components, count = np.zeros(1, dtype=np.int64), 1  # the component of each word at level k
     for k in range(space.depth):
         children = []
-        for z, lam in zip(conj, lams, strict=True):
-            pivot, coupled = lam[k] > cut, abs(z) > cut
+        for z, weights in zip(conj, lam[k], strict=True):
+            pivot, coupled = weights > cut, abs(z) > cut
             fresh = ~pivot | (not coupled)
             ids = np.where(fresh, count + np.cumsum(fresh) - 1, components)
             count += int(np.count_nonzero(fresh))
@@ -173,43 +172,47 @@ def _log_tables(ws: WeightSystem, depth: int) -> list[np.ndarray]:
     total_words = sum(n**k for k in range(depth + 1))
     if total_words > MAX_DP_WORDS:
         raise ValueError(f"level enumeration of {total_words} words exceeds the {MAX_DP_WORDS} guard")
-    per_letter = [ws.lambda_levels(i, depth - 1) for i in range(1, n + 1)]
     tables = []
     ranks = np.zeros(1, dtype=np.int64)  # the word's own rank at each frontier position
-    for k, level in enumerate(zip(*per_letter)):
-        tables.append(2.0 * _exact_logs(np.stack(level))[:, ranks])
+    for k, level in enumerate(ws.lambda_levels(depth - 1)):
+        tables.append(2.0 * _exact_logs(level)[:, ranks])
         ranks = (ranks[:, None] + np.arange(n) * n**k).ravel()
     return tables
 
 
 def _level_sums_block(log_lams: list[np.ndarray], moduli: np.ndarray, depth: int) -> np.ndarray:
-    """Level sums for a (P, n) array of moduli, one row per point.  Level k
-    extends each doubled frontier term of level k-1 by 2 log r_i - 2 log
-    lambda_{i,w}, letter i into column i-1 of a (P, n^(k-1), n) view; each
-    row takes the same float operations in the same order whatever P is, so
-    a point's sums do not depend on its block."""
-    points, n = moduli.shape
+    """Level sums for a (P, n) array of moduli, one row per point, in blocks of
+    about BLOCK_FLOATS terms at the deepest level that share one set of work
+    arrays.  Level k extends each doubled frontier term of level k-1 by
+    2 log r_i - 2 log lambda_{i,w}, letter i into column i-1 of a (points,
+    n^(k-1), n) view; a row's float operations do not depend on its block."""
+    n = moduli.shape[1]
     log_moduli = 2.0 * np.array([[math.log(r) if r > 0 else -math.inf for r in row] for row in moduli.tolist()])
-    size = points * n**depth
-    terms, nxt, shifted = np.zeros(size), np.empty(size), np.empty(size)  # level 0: the term of e is 0
-    sums = np.empty((points, depth + 1))
+    block = max(1, BLOCK_FLOATS // n**depth)
+    size = min(block, len(moduli)) * n**depth
+    terms, nxt, shifted = np.empty(size), np.empty(size), np.empty(size)
+    sums = np.empty((len(moduli), depth + 1))
     sums[:, 0] = 1.0
-    for k in range(1, depth + 1):
-        width = n**k
-        level = nxt[: points * width].reshape(points, width // n, n)
-        prev = terms[: points * width // n].reshape(points, width // n)
-        for i in range(n):
-            column = level[:, :, i]
-            np.subtract(log_moduli[:, i, None], log_lams[k - 1][i], out=column)
-            np.add(prev, column, out=column)
-        logs = level.reshape(points, width)
-        peaks = np.max(logs, axis=1)
-        peaks[peaks == -math.inf] = 0.0  # every term -inf: the sum is 0
-        scaled = shifted[: points * width].reshape(points, width)
-        np.exp(np.subtract(logs, peaks[:, None], out=scaled), out=scaled)
-        totals = np.sum(scaled, axis=1)
-        sums[:, k] = [_scaled(peak, total) for peak, total in zip(peaks.tolist(), totals.tolist())]
-        terms, nxt = nxt, terms
+    for start in range(0, len(moduli), block):
+        rows = log_moduli[start:start + block]
+        points = len(rows)
+        terms[:points] = 0.0  # level 0: the term of e is 0
+        for k in range(1, depth + 1):
+            width = n**k
+            level = nxt[: points * width].reshape(points, width // n, n)
+            prev = terms[: points * width // n].reshape(points, width // n)
+            for i in range(n):
+                column = level[:, :, i]
+                np.subtract(rows[:, i, None], log_lams[k - 1][i], out=column)
+                np.add(prev, column, out=column)
+            logs = level.reshape(points, width)
+            peaks = np.max(logs, axis=1)
+            peaks[peaks == -math.inf] = 0.0  # every term -inf: the sum is 0
+            scaled = shifted[: points * width].reshape(points, width)
+            np.exp(np.subtract(logs, peaks[:, None], out=scaled), out=scaled)
+            totals = np.sum(scaled, axis=1).tolist()
+            sums[start:start + points, k] = [_scaled(peak, total) for peak, total in zip(peaks.tolist(), totals)]
+            terms, nxt = nxt, terms
     return sums
 
 
@@ -286,12 +289,21 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
+        spec = f"{self.lo!r}:{self.hi!r}:{self.step!r}"
+        for field, value in (("lo", self.lo), ("hi", self.hi), ("step", self.step)):
+            if not math.isfinite(value):
+                raise ValueError(f"grid {spec}: {field} is not finite")
         if self.lo < 0 or self.hi < self.lo or self.step <= 0:
             raise ValueError("grid requires 0 <= lo <= hi and step > 0")
+        if not math.isfinite((self.hi - self.lo) / self.step):
+            raise ValueError(f"grid {spec}: the point count (hi - lo) / step is not finite")
+
+    def count(self) -> int:
+        """The number of values along each axis."""
+        return int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
 
     def values(self) -> list[float]:
-        count = int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
-        return [self.lo + j * self.step for j in range(count)]
+        return [self.lo + j * self.step for j in range(self.count())]
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
@@ -308,19 +320,16 @@ def region_sample(
     epsilon: float,
 ) -> list[RegionSample]:
     """One RegionSample per grid point over moduli space, in lexicographic
-    grid order.  The log-weight tables are built once per grid, the points
-    go through the level-sum kernel in blocks of about BLOCK_FLOATS terms at
-    the deepest level, and the whole grid is judged at once."""
+    grid order.  The log-weight tables are built once per grid, the level-sum
+    kernel takes all the points in one call, and the whole grid is judged at
+    once."""
     if depth < 3:
         raise ValueError(f"region depth {depth} gives {depth + 1} level sums; the verdict needs depth at least 3")
+    if grid.count() ** ws.n > MAX_DP_WORDS:
+        raise ValueError(f"region grid of {grid.count() ** ws.n} points exceeds the {MAX_DP_WORDS} guard")
     log_lams = _log_tables(ws, depth)
     points = list(itertools.product(grid.values(), repeat=ws.n))
-    moduli = np.array(points, dtype=float)
-    block = max(1, BLOCK_FLOATS // ws.n**depth)
-    sums = np.empty((len(points), depth + 1))
-    for start in range(0, len(points), block):
-        sums[start:start + block] = _level_sums_block(log_lams, moduli[start:start + block], depth)
-    return _judged(points, sums, epsilon)
+    return _judged(points, _level_sums_block(log_lams, np.array(points, dtype=float), depth), epsilon)
 
 
 def write_region_csv(samples: Sequence[RegionSample], stream: TextIO) -> None:
@@ -372,13 +381,12 @@ def ellipse_predicate(ws: WeightSystem, moduli: Sequence[float], depth_for_inf: 
     """
     if len(moduli) != ws.n:
         raise ValueError(f"expected {ws.n} moduli, got {len(moduli)}")
-    axes = []
-    for i in range(1, ws.n + 1):
-        c_i = ws.exact_min_weight(i)
-        if c_i is None:
-            c_i = min(float(level.min()) for level in ws.lambda_levels(i, depth_for_inf))
+    axes = [ws.exact_min_weight(i) for i in range(1, ws.n + 1)]
+    if None in axes:
+        lows = zip(*(level.min(axis=1).tolist() for level in ws.lambda_levels(depth_for_inf)))
+        axes = [min(low) if c_i is None else c_i for c_i, low in zip(axes, lows)]
+    for i, c_i in enumerate(axes, start=1):
         if c_i <= 1e-12:
             raise ValueError(f"weight infimum for letter {i} vanishes within tolerance")
-        axes.append(c_i)
     value = sum((float(r) / c) ** 2 for r, c in zip(moduli, axes))
     return EllipseReport(value < 1.0, tuple(axes))

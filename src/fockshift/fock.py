@@ -144,53 +144,59 @@ class GradedOperator:
 
 @dataclass(frozen=True, eq=False)
 class ShiftMap:
-    """A compressed shift as its column map: column c (|w| < depth) goes to
-    row ``rows[c]`` with weight ``values[c]``, and the top-level columns are 0."""
+    """The compressed shifts of all n letters as their column maps: shift i
+    sends column c (|w| < depth) to row ``rows[i-1, c]`` with weight
+    ``values[i-1, c]``, and its top-level columns to 0."""
 
     space: TruncatedFock
     rows: np.ndarray
     values: np.ndarray
 
-    def operator(self) -> GradedOperator:
-        return GradedOperator.from_entries(self.space, self.rows, np.arange(self.rows.size), self.values)
+    def operator(self, i: int) -> GradedOperator:
+        """The sparse matrix of shift i."""
+        if not 1 <= i <= self.space.n:
+            raise ValueError(f"letter {i} outside [1, {self.space.n}]")
+        rows, values = self.rows[i - 1], self.values[i - 1]
+        return GradedOperator.from_entries(self.space, rows, np.arange(rows.size), values)
 
 
-def _level_shift(space: TruncatedFock, i: int, levels: list[np.ndarray], left: bool) -> ShiftMap:
-    """The compressed shift xi_w -> levels[|w|][rank of w] xi_{i*w} (left) or
-    xi_{w*i} (right), for |w| < depth.
+def _level_shifts(space: TruncatedFock, levels: list[np.ndarray], left: bool) -> ShiftMap:
+    """The compressed shifts xi_w -> levels[|w|][i-1, rank of w] xi_{i*w} (left)
+    or xi_{w*i} (right), for |w| < depth and every letter i.
 
     Prepending i moves rank r at level k to (i-1) n^k + r at level k+1;
     appending i moves it to r n + i-1.
     """
     n, offsets = space.n, space.basis.level_offsets
-    rows = np.empty(offsets[space.depth], dtype=np.int64)
-    values = np.empty(rows.size)
+    rows = np.empty((n, offsets[space.depth]), dtype=np.int64)
+    values = np.empty(rows.shape)
+    letters = np.arange(n)[:, None]
     for k in range(space.depth):
         rank = np.arange(n**k)
-        target = (i - 1) * n**k + rank if left else rank * n + (i - 1)
-        rows[space.level_slice(k)] = offsets[k + 1] + target
-        values[space.level_slice(k)] = levels[k]
+        target = letters * n**k + rank if left else rank * n + letters
+        rows[:, space.level_slice(k)] = offsets[k + 1] + target
+        values[:, space.level_slice(k)] = levels[k]
     return ShiftMap(space, rows, values)
 
 
-def left_shift_map(space: TruncatedFock, ws: WeightSystem, i: int) -> ShiftMap:
-    return _level_shift(space, i, ws.lambda_levels(i, space.depth - 1), left=True)
+def left_shift_maps(space: TruncatedFock, ws: WeightSystem) -> ShiftMap:
+    return _level_shifts(space, ws.lambda_levels(space.depth - 1), left=True)
 
 
-def right_shift_map(space: TruncatedFock, mu: MuSystem, i: int) -> ShiftMap:
+def right_shift_maps(space: TruncatedFock, mu: MuSystem) -> ShiftMap:
     if isinstance(mu, CommutantMu):
         require_bounded_mu(mu.weights)
-    return _level_shift(space, i, mu.mu_levels(i, space.depth - 1), left=False)
+    return _level_shifts(space, mu.mu_levels(space.depth - 1), left=False)
 
 
 def weighted_left_shift(space: TruncatedFock, ws: WeightSystem, i: int) -> GradedOperator:
     """The compressed i-th weighted left shift: xi_w -> lambda_{i,w} xi_{i*w}."""
-    return left_shift_map(space, ws, i).operator()
+    return left_shift_maps(space, ws).operator(i)
 
 
 def weighted_right_shift(space: TruncatedFock, mu: MuSystem, i: int) -> GradedOperator:
     """The compressed i-th weighted right shift: xi_w -> mu_{i,w} xi_{w*i}."""
-    return right_shift_map(space, mu, i).operator()
+    return right_shift_maps(space, mu).operator(i)
 
 
 def left_creation(space: TruncatedFock, i: int) -> GradedOperator:
@@ -198,8 +204,8 @@ def left_creation(space: TruncatedFock, i: int) -> GradedOperator:
 
 
 def right_creation(space: TruncatedFock, i: int) -> GradedOperator:
-    unit = ConstantWeights(space.n, 1.0).lambda_levels(i, space.depth - 1)
-    return _level_shift(space, i, unit, left=False).operator()
+    unit = ConstantWeights(space.n, 1.0).lambda_levels(space.depth - 1)
+    return _level_shifts(space, unit, left=False).operator(i)
 
 
 def certify_injective(rows: np.ndarray, shape: tuple[int, int]) -> None:
@@ -235,11 +241,12 @@ class CommutationReport:
     level_cap: int
 
 
-def _commutator_columns(t: ShiftMap, s: ShiftMap, cols: int) -> np.ndarray:
-    """||(T S - S T) xi_c|| for the first ``cols`` columns, whose products stay
-    below the top level: one entry each, |a - b| where both hit the same row."""
-    ts_rows, ts = t.rows[s.rows[:cols]], t.values[s.rows[:cols]] * s.values[:cols]
-    st_rows, st = s.rows[t.rows[:cols]], s.values[t.rows[:cols]] * t.values[:cols]
+def _commutator_columns(t: ShiftMap, i: int, s: ShiftMap, j: int, cols: int) -> np.ndarray:
+    """||(T_i S_j - S_j T_i) xi_c|| for the first ``cols`` columns, whose products
+    stay below the top level: one entry each, |a - b| where both hit the same row."""
+    t_rows, t_values, s_rows, s_values = t.rows[i - 1], t.values[i - 1], s.rows[j - 1], s.values[j - 1]
+    ts_rows, ts = t_rows[s_rows[:cols]], t_values[s_rows[:cols]] * s_values[:cols]
+    st_rows, st = s_rows[t_rows[:cols]], s_values[t_rows[:cols]] * t_values[:cols]
     out, apart = np.abs(ts - st), ts_rows != st_rows
     out[apart] = np.sqrt(ts[apart] * ts[apart] + st[apart] * st[apart])
     return out
@@ -258,11 +265,11 @@ def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | No
     cols = space.basis.level_offsets[space.depth - 1]
     if cols == 0:
         return CommutationReport(0.0, None, cap)
-    lefts = [left_shift_map(space, ws, i) for i in range(1, n + 1)]
-    rights = [right_shift_map(space, mu, j) for j in range(1, n + 1)]
+    lefts, rights = left_shift_maps(space, ws), right_shift_maps(space, mu)
+    letters = range(1, n + 1)
     # products may overflow, and inf - inf is a NaN defect that fails the check
     with np.errstate(over="ignore", invalid="ignore"):
-        defects = np.stack([_commutator_columns(t_i, s_j, cols) for t_i in lefts for s_j in rights])
+        defects = np.stack([_commutator_columns(lefts, i, rights, j, cols) for i in letters for j in letters])
     # the first pair, then the first column, attaining the maximum, a NaN counting as the largest
     pair, idx = divmod(int(np.argmax(defects)), cols)
     worst = float(defects[pair, idx])
@@ -284,13 +291,12 @@ class NormReport:
 def norm_check(space: TruncatedFock, ws: WeightSystem) -> list[NormReport]:
     """||T_i||, the largest |weight| of its certified column map, against the
     sup of lambda_{i,w} over the columns the compression keeps (|w| < depth)."""
-    reports = []
-    for i in range(1, space.n + 1):
-        levels = ws.lambda_levels(i, space.depth - 1)
-        shift = _level_shift(space, i, levels, left=True)
-        certify_injective(shift.rows, (space.dimension, space.dimension))
-        reports.append(NormReport(i, float(np.abs(shift.values).max()), float(np.concatenate(levels).max())))
-    return reports
+    levels = ws.lambda_levels(space.depth - 1)
+    shifts = _level_shifts(space, levels, left=True)
+    for rows in shifts.rows:
+        certify_injective(rows, (space.dimension, space.dimension))
+    norms, sups = np.abs(shifts.values).max(axis=1).tolist(), np.concatenate(levels, axis=1).max(axis=1).tolist()
+    return [NormReport(i, norm, sup) for i, (norm, sup) in enumerate(zip(norms, sups), start=1)]
 
 
 @dataclass(frozen=True)
@@ -313,10 +319,10 @@ def vacuum_kernel_check(space: TruncatedFock, ws: WeightSystem) -> VacuumReport:
     squared weights at the images, and every entry is 0 or 1.
     """
     dim = space.dimension
-    shifts = [left_shift_map(space, ws, i) for i in range(1, space.n + 1)]
-    rows = np.concatenate([shift.rows for shift in shifts])
+    shifts = left_shift_maps(space, ws)
+    rows = shifts.rows.ravel()
     certify_injective(rows, (space.n * dim, dim))
-    weights = np.abs(np.stack([shift.values for shift in shifts]))
+    weights = np.abs(shifts.values)
     singular = np.ldexp(weights, -np.maximum(np.frexp(weights.max(axis=1))[1] - 1, 0)[:, None])
     kernel_dim = dim - int(np.count_nonzero(singular > singular.max() * (space.n * dim) * np.finfo(float).eps))
 

@@ -2,9 +2,10 @@
 
 A weight system assigns a strictly positive scalar to every edge of the tree:
 ``lambda_of(i, w)`` weights the edge from the basis vector at ``w`` to the one
-at ``i*w``; ``lambda_levels`` gives them as one array per level.  The table
-families, ``TableMu`` included, hold their tables as read-only level arrays
-``levels[i-1][k]``, built once, at construction.  From the weights derive the
+at ``i*w``; ``lambda_levels`` gives them as one (n, n^k) array per level k,
+row i-1 for letter i.  The table families, ``TableMu`` included, hold their
+tables in that layout as read-only arrays ``levels[k]``, built once, at
+construction.  From the weights derive the
 left weight function W(u, w) (products of edge weights down the tree), the
 commutant weights mu, and the right weight function W_mu.  This module also
 houses the identities and conditions those functions satisfy: both cocycle
@@ -41,9 +42,9 @@ def _check_positive(value: float, what: str) -> float:
 
 
 def _table_levels(table: Mapping[tuple[int, Word], float], n: int, depth: int, entry: str, what: str) -> list:
-    """Read-only level arrays [i-1][k] of a (letter, word) table, for |w| = k <= depth
-    in graded-lex order; the first entry missing or not strictly positive, word
-    by word and letter by letter, raises ValueError."""
+    """Read-only (n, n^k) level arrays [k][i-1] of a (letter, word) table, for |w| = k
+    <= depth in graded-lex order; the first entry missing or not strictly
+    positive, word by word and letter by letter, raises ValueError."""
     basis = BasisEnumeration(n, depth)
     values = []
     for w in basis.words():
@@ -53,7 +54,7 @@ def _table_levels(table: Mapping[tuple[int, Word], float], n: int, depth: int, e
             values.append(_check_positive(table[(i, w)], f"{what} ({i}, {w})"))
     by_letter = np.array(values).reshape(-1, n).T.copy()
     by_letter.setflags(write=False)  # the families hand these arrays out as they are
-    return [np.split(row, basis.level_offsets[1:-1]) for row in by_letter]
+    return np.split(by_letter, basis.level_offsets[1:-1], axis=1)
 
 
 def table_from_strings(entries: Mapping[str, float], n: int | None = None) -> dict[tuple[int, Word], float]:
@@ -80,8 +81,9 @@ class WeightSystem:
     def lambda_of(self, i: int, w: Word) -> float:
         raise NotImplementedError
 
-    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
-        """lambda_{i,w} for every |w| <= depth, one array per level in graded-lex order."""
+    def lambda_levels(self, depth: int) -> list[np.ndarray]:
+        """lambda_{i,w} for every |w| <= depth: one (n, n^k) array per level k,
+        row i-1 for letter i, words in graded-lex order."""
         raise NotImplementedError
 
     def _check_letter(self, i: int) -> None:
@@ -107,9 +109,8 @@ class ConstantWeights(WeightSystem):
         self._check_letter(i)
         return self.value
 
-    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
-        self._check_letter(i)
-        return [np.full(self.n**k, self.value) for k in range(depth + 1)]
+    def lambda_levels(self, depth: int) -> list[np.ndarray]:
+        return [np.full((self.n, self.n**k), self.value) for k in range(depth + 1)]
 
     def exact_min_weight(self, i: int) -> float:
         return self.value
@@ -131,9 +132,8 @@ class ScaledWeights(WeightSystem):
         self._check_letter(i)
         return self.scales[i - 1]
 
-    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
-        self._check_letter(i)
-        return [np.full(self.n**k, self.scales[i - 1]) for k in range(depth + 1)]
+    def lambda_levels(self, depth: int) -> list[np.ndarray]:
+        return [np.repeat(np.array(self.scales)[:, None], self.n**k, axis=1) for k in range(depth + 1)]
 
     def exact_min_weight(self, i: int) -> float:
         return self.scales[i - 1]
@@ -162,13 +162,12 @@ class FinitePerturbationWeights(WeightSystem):
             return self.table[(i, w)]
         return self.tail[i - 1]
 
-    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
-        self._check_letter(i)
-        head = self.levels[i - 1][: depth + 1]
-        return head + [np.full(self.n**k, self.tail[i - 1]) for k in range(self.cutoff + 1, depth + 1)]
+    def lambda_levels(self, depth: int) -> list[np.ndarray]:
+        tail = [np.repeat(np.array(self.tail)[:, None], self.n**k, axis=1) for k in range(self.cutoff + 1, depth + 1)]
+        return self.levels[: depth + 1] + tail
 
     def exact_min_weight(self, i: int) -> float:
-        return min(min(float(level.min()) for level in self.levels[i - 1]), self.tail[i - 1])
+        return min(min(float(level[i - 1].min()) for level in self.levels), self.tail[i - 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,14 +190,13 @@ class PeriodicWeights(WeightSystem):
         u = w[: len(w) % self.period]
         return self.remainders[(i, u)]
 
-    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
+    def lambda_levels(self, depth: int) -> list[np.ndarray]:
         # the remainder prefix of the rank-r word at level k has rank r // n^(k - k mod p)
-        self._check_letter(i)
-        remainders, n, p = self.levels[i - 1], self.n, self.period
-        return [remainders[k % p][np.arange(n**k) // n ** (k - k % p)] for k in range(depth + 1)]
+        n, p = self.n, self.period
+        return [np.repeat(self.levels[k % p], n ** (k - k % p), axis=1) for k in range(depth + 1)]
 
     def exact_min_weight(self, i: int) -> float:
-        return min(float(level.min()) for level in self.levels[i - 1])
+        return min(float(level[i - 1].min()) for level in self.levels)
 
 
 @dataclass(frozen=True)
@@ -231,15 +229,11 @@ class TwoLetterRunWeights(WeightSystem):
                 return 1.0 / math.sqrt(self.m)
         return self.c
 
-    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
-        self._check_letter(i)
-        levels = [np.full(2**k, self.c) for k in range(depth + 1)]
-        if i == 1:
-            # rank 0 is the run 1^k, rank 1 the word 1^(k-1) 2
-            for k, level in enumerate(levels):
-                level[0] = 1.0 / self.m
-                if k > 0:
-                    level[1] = 1.0 / math.sqrt(self.m)
+    def lambda_levels(self, depth: int) -> list[np.ndarray]:
+        levels = [np.full((2, 2**k), self.c) for k in range(depth + 1)]
+        # letter 1: rank 0 is the run 1^k, rank 1 the word 1^(k-1) 2
+        for level in levels:
+            level[0, :2] = [1.0 / self.m, 1.0 / math.sqrt(self.m)][: level.shape[1]]
         return levels
 
     def exact_min_weight(self, i: int) -> float:
@@ -250,15 +244,16 @@ class TwoLetterRunWeights(WeightSystem):
 
 @dataclass(frozen=True, eq=False)
 class TabulatedWeights(WeightSystem):
-    """Explicitly tabulated weights ``levels[i-1][k]`` (made read-only) for base
-    words up to a depth; queries beyond the table are an error."""
+    """Explicitly tabulated weights ``levels[k][i-1]``, one (n, n^k) array per
+    level (made read-only), for base words up to a depth; queries beyond the
+    table are an error."""
 
     n: int
     depth: int
-    levels: list[list[np.ndarray]]
+    levels: list[np.ndarray]
 
     def __post_init__(self):
-        for level in (level for levels in self.levels for level in levels):
+        for level in self.levels:
             level.setflags(write=False)
 
     def lambda_of(self, i: int, w: Word) -> float:
@@ -266,13 +261,12 @@ class TabulatedWeights(WeightSystem):
         if len(w) > self.depth or any(letter > self.n for letter in w.letters):
             raise ValueError(f"weight ({i}, {w}) not tabulated (table depth {self.depth})")
         rank = sum((letter - 1) * self.n**p for p, letter in enumerate(reversed(w.letters)))
-        return float(self.levels[i - 1][len(w)][rank])
+        return float(self.levels[len(w)][i - 1, rank])
 
-    def lambda_levels(self, i: int, depth: int) -> list[np.ndarray]:
-        self._check_letter(i)
+    def lambda_levels(self, depth: int) -> list[np.ndarray]:
         if depth > self.depth:
-            self.lambda_of(i, Word([1] * (self.depth + 1)))  # raises: the first word past the table
-        return self.levels[i - 1][: depth + 1]
+            self.lambda_of(1, Word([1] * (self.depth + 1)))  # raises: the first word past the table
+        return self.levels[: depth + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +295,9 @@ class MuSystem:
     def mu_of(self, i: int, w: Word) -> float:
         raise NotImplementedError
 
-    def mu_levels(self, i: int, depth: int) -> list[np.ndarray]:
-        """mu_{i,w} for every |w| <= depth, one array per level in graded-lex order."""
+    def mu_levels(self, depth: int) -> list[np.ndarray]:
+        """mu_{i,w} for every |w| <= depth: one (n, n^k) array per level k, row
+        i-1 for letter i, words in graded-lex order."""
         raise NotImplementedError
 
 
@@ -319,18 +314,15 @@ class CommutantMu(MuSystem):
     def mu_of(self, i: int, w: Word) -> float:
         return commutant_mu(self.weights, i, w)
 
-    def mu_levels(self, i: int, depth: int) -> list[np.ndarray]:
-        """The ratio recursion of ``commutant_mu``, one level at a time: the
-        word j*w has rank (j-1) n^k + r, and w*i sits at rank r n + i-1."""
-        ws = self.weights
-        ws._check_letter(i)
-        n = ws.n
-        lams = [ws.lambda_levels(j, depth) for j in range(1, n + 1)]
-        levels = [np.ones(1)]
+    def mu_levels(self, depth: int) -> list[np.ndarray]:
+        """The ratio recursion of ``commutant_mu``, one level at a time: j*w has
+        rank (j-1) n^k + r, and lambda_{j,w*i} sits at [i-1, j-1, r] of level k+1."""
+        n = self.weights.n
+        lam = self.weights.lambda_levels(depth)
+        levels = [np.ones((n, 1))]
         for k in range(depth):
-            mu = levels[-1]
-            appended = np.arange(n**k) * n + (i - 1)
-            levels.append(np.concatenate([mu * lam[k + 1][appended] / lam[k] for lam in lams]))
+            appended = lam[k + 1].reshape(n, n**k, n).transpose(2, 0, 1)
+            levels.append((levels[k][:, None, :] * appended / lam[k]).reshape(n, n ** (k + 1)))
         return levels
 
 
@@ -353,8 +345,8 @@ class TableMu(MuSystem):
             raise ValueError("cutoff must be nonnegative")
         _check_positive(self.fill, "fill value")
         levels = _table_levels(self.entries, self.n, self.cutoff, "right weight", "right weight")
-        for i, letter_levels in enumerate(levels, start=1):
-            if letter_levels[0][0] != 1.0:
+        for i, mu_e in enumerate(levels[0][:, 0].tolist(), start=1):
+            if mu_e != 1.0:
                 raise ValueError(f"right weights must be normalized: mu_({i}, e) != 1")
         object.__setattr__(self, "levels", levels)
 
@@ -366,10 +358,9 @@ class TableMu(MuSystem):
             return self.entries[(i, w)]
         return self.fill
 
-    def mu_levels(self, i: int, depth: int) -> list[np.ndarray]:
-        self._check_letter(i)
-        head = self.levels[i - 1][: depth + 1]
-        return head + [np.full(self.n**k, self.fill, dtype=float) for k in range(self.cutoff + 1, depth + 1)]
+    def mu_levels(self, depth: int) -> list[np.ndarray]:
+        tail = [np.full((self.n, self.n**k), self.fill, dtype=float) for k in range(self.cutoff + 1, depth + 1)]
+        return self.levels[: depth + 1] + tail
 
 
 def commutant_mu(ws: WeightSystem, i: int, w: Word) -> float:
@@ -414,15 +405,12 @@ def log_right_weight(mu: MuSystem, v: Word, w: Word) -> float:
 def mu_table(ws: WeightSystem, depth: int) -> dict[tuple[int, Word], float]:
     """Tabulate the commutant weights for all base words up to ``depth``,
     keyed by (letter, word): words in graded-lex order, letters in order."""
-    mu = CommutantMu(ws)
-    per_letter = [mu.mu_levels(i, depth) for i in range(1, ws.n + 1)]
+    levels = CommutantMu(ws).mu_levels(depth)
     basis = BasisEnumeration(ws.n, depth)
     table: dict[tuple[int, Word], float] = {}
-    for k in range(depth + 1):
-        rows = [levels[k].tolist() for levels in per_letter]
-        for r, w in enumerate(basis.level_words(k)):
-            for i, row in enumerate(rows, start=1):
-                table[(i, w)] = row[r]
+    for k, level in enumerate(levels):
+        for w, column in zip(basis.level_words(k), level.T.tolist()):
+            table.update(((i, w), value) for i, value in enumerate(column, start=1))
     return table
 
 
@@ -446,11 +434,11 @@ def _left_tables(ws: WeightSystem, depth: int, longest: int) -> list[list[np.nda
     at [rank w, rank u], by the recursion W(u, j*w) = W(u, w) lambda_{j,w*u} of
     ``left_weight``; j*w has rank (j-1) n^b + rank w, w*u rank w n^a + rank u."""
     n = ws.n
-    lams = [ws.lambda_levels(j, max(depth - 1, 0)) for j in range(1, n + 1)]
+    lam = ws.lambda_levels(max(depth - 1, 0))
     tables = [[np.ones((1, n**a))] for a in range(depth + 1)]
     for a, row in enumerate(tables):
         for b in range(min(depth - a, longest)):
-            row.append(np.concatenate([row[b] * lam[a + b].reshape(n**b, n**a) for lam in lams]))
+            row.append((row[b] * lam[a + b].reshape(n, n**b, n**a)).reshape(n ** (b + 1), n**a))
     return tables
 
 
@@ -459,11 +447,11 @@ def _right_tables(mu: MuSystem, depth: int) -> list[list[np.ndarray]]:
     at [rank v, rank w], by the recursion W_mu(v, w*j) = W_mu(v, w) mu_{j,v*w} of
     ``right_weight``; w*j has rank rank w n + j-1, v*w rank v n^b + rank w."""
     n = mu.n
-    mus = [mu.mu_levels(j, max(depth - 1, 0)) for j in range(1, n + 1)]
+    m = mu.mu_levels(max(depth - 1, 0))
     tables = [[np.ones((n**a, 1))] for a in range(depth + 1)]
     for a, row in enumerate(tables):
         for b in range(depth - a):
-            row.append(np.stack([row[b] * m[a + b].reshape(n**a, n**b) for m in mus], axis=2).reshape(n**a, -1))
+            row.append((row[b][:, :, None] * m[a + b].reshape(n, n**a, n**b).transpose(1, 2, 0)).reshape(n**a, -1))
     return tables
 
 
@@ -585,14 +573,13 @@ def _sweep_guard(n: int, depth: int, per_word=lambda k: 1, what: str = "words") 
 
 def _enumerated_sup(ws: WeightSystem, depth: int) -> tuple[float, tuple[int, Word]]:
     _sweep_guard(ws.n, depth)
-    mu = CommutantMu(ws)
-    per_letter = [mu.mu_levels(i, depth) for i in range(1, ws.n + 1)]
+    levels = CommutantMu(ws).mu_levels(depth)
     basis = BasisEnumeration(ws.n, depth)
     best = 0.0
     witness = (1, EMPTY)
     for k in range(depth + 1):
         # rank-major, letter-minor: argmax keeps the first maximum in sweep order
-        ratios = np.stack([levels[k] for levels in per_letter], axis=1).ravel()
+        ratios = levels[k].T.ravel()
         idx = int(np.argmax(ratios))
         if ratios[idx] > best:
             rank, letter = divmod(idx, ws.n)
@@ -628,31 +615,31 @@ def _periodic_decision(ws: PeriodicWeights) -> tuple[str, dict]:
     if num > MAX_AUTOMATON_STATES:
         raise ValueError(f"remainder automaton with {num} states exceeds the guard")
 
-    # transient: the ratios for all |w| <= k-1, one mu_levels call per letter
-    per_letter = [CommutantMu(ws).mu_levels(i, k - 1) for i in range(1, n + 1)]
-    transient_best = max(float(level.max()) for levels in per_letter for level in levels)
+    # transient: the ratios for all |w| <= k-1
+    ratios = CommutantMu(ws).mu_levels(k - 1)
+    transient_best = max(float(level.max()) for level in ratios)
 
     # recurrent states p k + r, for p the rank of the first k-1 letters of w and r = |w| mod k;
     # prepending a multiplies the ratio by remainders[a, new prefix] / remainders[a, old prefix].
     # The length-r prefix of p has rank p // n^(k-1-r); a*p cut to k-1 letters, ((a-1) n^(k-1) + p) // n.
     prefixes = n ** (k - 1)
-    remainders = [[level.tolist() for level in levels] for levels in ws.levels]
+    remainders = [level.tolist() for level in ws.levels]
     edges = []  # (src, dst, log multiplier)
     for p in range(prefixes):
         for r in range(k):
             r_next = (r + 1) % k
             for a in range(1, n + 1):
                 dst = (((a - 1) * prefixes + p) // n) * k + r_next
-                num_w = remainders[a - 1][r_next][p // n ** (k - 1 - r_next)]
-                den_w = remainders[a - 1][r][p // n ** (k - 1 - r)]
+                num_w = remainders[r_next][a - 1][p // n ** (k - 1 - r_next)]
+                den_w = remainders[r][a - 1][p // n ** (k - 1 - r)]
                 edges.append((p * k + r, dst, math.log(num_w) - math.log(den_w)))
 
     neg_inf = float("-inf")
     best = [neg_inf] * num
     # the level k-1 words enter at residue k-1
-    seeds = [levels[k - 1].tolist() for levels in per_letter]
+    seeds = ratios[k - 1].tolist()
     for p in range(prefixes):
-        best[p * k + k - 1] = max(math.log(ratios[p]) for ratios in seeds)
+        best[p * k + k - 1] = max(math.log(row[p]) for row in seeds)
     overall = max(v for v in best if v > neg_inf)
 
     # Bellman-Ford value iteration: with every cycle ratio <= 1, path maxima
@@ -808,14 +795,11 @@ def lambda_from_mu(mu: MuSystem, depth: int) -> TabulatedWeights:
             raise ValueError(f"right weights must be normalized: mu_({i}, e) != 1")
     _sweep_guard(mu.n, depth)
     # ratio recursion lambda_{i,wj} = lambda_{i,w} mu_{j,iw} / mu_{j,w}: the word
-    # w*j has rank r n + j-1, and i*w sits at rank (i-1) n^k + r
+    # w*j has rank r n + j-1, and mu_{j,i*w} sits at [i-1, r, j-1] of level k+1
     n = mu.n
-    mus = [mu.mu_levels(j, depth) for j in range(1, n + 1)]
-    per_letter = []
-    for i in range(1, n + 1):
-        levels = [np.ones(1)]
-        for k in range(depth):
-            prepended = (i - 1) * n**k + np.arange(n**k)
-            levels.append(np.stack([levels[k] * m[k + 1][prepended] / m[k] for m in mus], axis=1).ravel())
-        per_letter.append(levels)
-    return TabulatedWeights(n, depth, per_letter)
+    m = mu.mu_levels(depth)
+    levels = [np.ones((n, 1))]
+    for k in range(depth):
+        prepended = m[k + 1].reshape(n, n, n**k).transpose(1, 2, 0)
+        levels.append((levels[k][:, :, None] * prepended / m[k].T).reshape(n, n ** (k + 1)))
+    return TabulatedWeights(n, depth, levels)

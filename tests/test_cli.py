@@ -161,6 +161,33 @@ def test_region_depth_below_three_exits_2(tmp_path, capsys, monkeypatch, depth):
                             "the verdict needs depth at least 3\n")
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("0:1:nan", "grid 0.0:1.0:nan: step is not finite"),
+    ("0:inf:0.5", "grid 0.0:inf:0.5: hi is not finite"),
+    ("nan:1:0.5", "grid nan:1.0:0.5: lo is not finite"),
+    ("0:1e308:1e-308", "grid 0.0:1e+308:1e-308: the point count (hi - lo) / step is not finite"),
+])
+def test_region_non_finite_grid_exits_2(tmp_path, capsys, monkeypatch, grid, message):
+    monkeypatch.setattr(eigen, "_log_tables", None)  # the grid is refused before any table is built
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    assert main(["region", "--config", config, "--grid", grid, "--depth", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"precondition error: {message}\n"
+
+
+def test_region_oversized_grid_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    # 11 values per axis make 121 points, past the guard lowered to 100
+    monkeypatch.setattr(eigen, "MAX_DP_WORDS", 100)
+    monkeypatch.setattr(eigen, "_log_tables", None)
+    monkeypatch.setattr(eigen.GridSpec, "values", None)
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    assert main(["region", "--config", config, "--grid", "0:1:0.1", "--depth", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "precondition error: region grid of 121 points exceeds the 100 guard\n"
+
+
 def test_commutant_command(tmp_path, capsys):
     config = _write_config(tmp_path, "per.json", {
         "n": 2, "family": "periodic", "period": 2,

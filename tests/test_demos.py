@@ -1,4 +1,8 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo script runs to completion and prints its committed output.
+
+The expected stdout of each demo lives in `tests/demo_output/<demo>.txt`,
+byte for byte, so a refactor that moves any printed float fails here.
+"""
 
 import os
 import pathlib
@@ -9,6 +13,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "demo_output"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -19,3 +24,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    assert result.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

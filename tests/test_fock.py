@@ -22,7 +22,7 @@ from fockshift import (
     weighted_right_shift,
 )
 from fockshift import fock
-from fockshift.fock import certify_injective, left_shift_map, max_column_norm, right_shift_map
+from fockshift.fock import certify_injective, left_shift_maps, max_column_norm, right_shift_maps
 from fockshift.weights import TableMu, mu_table
 from fockshift.words import EMPTY, prepend
 
@@ -253,23 +253,23 @@ def test_commutation_matches_oracle_on_a_perturbed_table(periodic_example):
 
 def test_commutator_columns_on_rows_apart(space, periodic_example):
     # T_1 T_2 and T_2 T_1 send xi_w to xi_{12w} and xi_{21w}: two entries per column
-    maps = [left_shift_map(space, periodic_example, i) for i in (1, 2)]
-    maps.append(right_shift_map(space, table_mu(2, 75), 1))
+    lefts = left_shift_maps(space, periodic_example)
+    maps = [(lefts, 1), (lefts, 2), (right_shift_maps(space, table_mu(2, 75)), 1)]
     cols = space.basis.level_offsets[space.depth - 1]
-    for t in maps:
-        for s in maps:
-            t_op, s_op = t.operator(), s.operator()
+    for t, i in maps:
+        for s, j in maps:
+            t_op, s_op = t.operator(i), s.operator(j)
             oracle = fock.column_norms((t_op @ s_op - s_op @ t_op).mat)[:cols]
-            assert np.array_equal(fock._commutator_columns(t, s, cols), oracle)
-    assert np.all(fock._commutator_columns(maps[0], maps[1], cols) > 0.0)
+            assert np.array_equal(fock._commutator_columns(t, i, s, j, cols), oracle)
+    assert np.all(fock._commutator_columns(lefts, 1, lefts, 2, cols) > 0.0)
 
 
 @pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED, ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED])
 def test_norm_check_matches_power_iteration(label, ws, depth):
     space = TruncatedFock(ws.n, depth)
+    levels = ws.lambda_levels(depth - 1)
     for report in norm_check(space, ws):
-        levels = ws.lambda_levels(report.letter, depth - 1)
-        assert report.weight_sup == max(float(level.max()) for level in levels)
+        assert report.weight_sup == max(float(level[report.letter - 1].max()) for level in levels)
         assert report.operator_norm == report.weight_sup and report.gap == 0.0
         oracle = spectral_norm(weighted_left_shift(space, ws, report.letter))
         assert report.operator_norm == pytest.approx(oracle, abs=1e-8)
@@ -326,10 +326,10 @@ def test_maps_that_are_not_injective_are_refused(monkeypatch, space):
     # every column sent to the vacuum row: no norm or rank is read off such a map
     dim, cols = space.dimension, space.basis.level_offsets[space.depth]
 
-    def broken(space, i, levels, left):
-        return fock.ShiftMap(space, np.zeros(cols, dtype=np.int64), np.ones(cols))
+    def broken(space, levels, left):
+        return fock.ShiftMap(space, np.zeros((space.n, cols), dtype=np.int64), np.ones((space.n, cols)))
 
-    monkeypatch.setattr(fock, "_level_shift", broken)
+    monkeypatch.setattr(fock, "_level_shifts", broken)
     with pytest.raises(ValueError, match=f"the {dim}x{dim} matrix is not a partial permutation"):
         norm_check(space, ConstantWeights(2, 1.0))
     with pytest.raises(ValueError, match=f"the {2 * dim}x{dim} matrix is not a partial permutation"):
@@ -391,10 +391,23 @@ def test_partial_permutation_guard(space):
         with pytest.raises(ValueError, match=f"{dim}x{dim} matrix is not a partial permutation"):
             partial_permutation_rank(mat)
     # as a column map, (L_1 + L_2)* sends xi_{1w} and xi_{2w} both to xi_w: not injective
-    rows = np.concatenate([np.arange(left_shift_map(space, ConstantWeights(2, 1.0), i).rows.size) for i in (1, 2)])
+    shifts = left_shift_maps(space, ConstantWeights(2, 1.0))
+    rows = np.concatenate([np.arange(shifts.rows[i - 1].size) for i in (1, 2)])
     with pytest.raises(ValueError, match=f"{dim}x{dim} matrix is not a partial permutation"):
         certify_injective(rows, (dim, dim))
-    certify_injective(np.concatenate([left_shift_map(space, ConstantWeights(2, 1.0), i).rows for i in (1, 2)]), (dim, dim))
+    certify_injective(np.concatenate([shifts.rows[i - 1] for i in (1, 2)]), (dim, dim))
+
+
+def test_shift_letters_outside_the_alphabet_are_refused(space, periodic_example):
+    # letter 0 would otherwise read the last row of the all-letter map
+    for i in (0, 3):
+        for build in (
+            lambda: weighted_left_shift(space, periodic_example, i),
+            lambda: weighted_right_shift(space, CommutantMu(periodic_example), i),
+            lambda: right_creation(space, i),
+        ):
+            with pytest.raises(ValueError, match=rf"^letter {i} outside \[1, 2\]$"):
+                build()
 
 
 def test_grading_moves_levels(space, periodic_example):

@@ -47,7 +47,7 @@ from fockshift import (
     weighted_right_shift,
     word_operator,
 )
-from fockshift import PeriodicWeights, TableMu, TabulatedWeights, algebra, eigen, weights
+from fockshift import PeriodicWeights, TableMu, TabulatedWeights, algebra, eigen, fock, weights
 from fockshift.cli import main
 from fockshift.weights import BOUNDED, DIVERGING, DefectReport, MuSystem, WeightSystem, mu_table, table_from_strings
 from fockshift.words import EMPTY, Word, append, prepend
@@ -203,13 +203,13 @@ def test_level_arrays_equal_scalar_oracle(label, ws, depth):
     basis = BasisEnumeration(n, depth)
     space = TruncatedFock(n, depth)
     mu = CommutantMu(ws)
+    levels, mu_levels = ws.lambda_levels(depth), mu.mu_levels(depth)
+    assert len(levels) == len(mu_levels) == depth + 1
     for i in range(1, n + 1):
-        levels = ws.lambda_levels(i, depth)
-        assert len(levels) == depth + 1
         for k, level in enumerate(levels):
-            assert level.tolist() == [ws.lambda_of(i, w) for w in basis.level_words(k)]
-        for k, level in enumerate(mu.mu_levels(i, depth)):
-            assert level.tolist() == [commutant_mu(ws, i, w) for w in basis.level_words(k)]
+            assert level[i - 1].tolist() == [ws.lambda_of(i, w) for w in basis.level_words(k)]
+        for k, level in enumerate(mu_levels):
+            assert level[i - 1].tolist() == [commutant_mu(ws, i, w) for w in basis.level_words(k)]
         assert _same(weighted_left_shift(space, ws, i), _oracle_shift(space, ws.lambda_of, i, left=True))
         assert _same(weighted_right_shift(space, mu, i), _oracle_shift(space, mu.mu_of, i, left=False))
 
@@ -278,8 +278,8 @@ def test_region_blocks_equal_scalar_oracle(monkeypatch, label, ws, depth):
     samples = region_sample(ws, grid, depth, 0.02)
     assert len(samples) == len(oracle) >= 9 and oracle[0].moduli == (0.0,) * ws.n
     assert samples == oracle
-    # the tables are built once per grid: one lambda_levels per letter, one log per level
-    assert calls == {"lambda_levels": ws.n, "_exact_logs": depth}
+    # the tables are built once per grid: one lambda_levels, one log per level
+    assert calls == {"lambda_levels": 1, "_exact_logs": depth}
 
 
 def test_region_blocks_at_the_block_size(monkeypatch):
@@ -300,10 +300,9 @@ def _parent_level_sums_block(ws, moduli: np.ndarray, depth: int) -> np.ndarray:
     """The frontier kernel on undoubled terms: one (n^k, n) log-weight table
     per level, and level k as a single broadcast over the n letters."""
     n = ws.n
-    per_letter = [ws.lambda_levels(i, depth - 1) for i in range(1, n + 1)]
     log_lams, ranks = [], np.zeros(1, dtype=np.int64)
-    for k, level in enumerate(zip(*per_letter)):
-        values = np.stack(level, axis=1)
+    for k, level in enumerate(ws.lambda_levels(depth - 1)):
+        values = level.T
         distinct, inverse = np.unique(values, return_inverse=True)
         log_lams.append(np.array([math.log(v) for v in distinct.tolist()])[inverse].reshape(values.shape)[ranks])
         ranks = (ranks[:, None] + np.arange(n) * n**k).ravel()
@@ -629,6 +628,40 @@ def test_condition6_decided_once_per_system(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_level_arrays_built_once_per_use(tmp_path, capsys, monkeypatch, periodic_example):
+    # every letter's weights come from one lambda_levels call
+    calls = [0]
+    build = PeriodicWeights.lambda_levels
+
+    def counted(ws, depth):
+        calls[0] += 1
+        return build(ws, depth)
+
+    def count(run) -> int:
+        calls[0] = 0
+        run()
+        return calls[0]
+
+    monkeypatch.setattr(PeriodicWeights, "lambda_levels", counted)
+    space = TruncatedFock(2, 6)
+    assert count(lambda: CommutantMu(periodic_example).mu_levels(6)) == 1
+    assert count(lambda: fock.norm_check(space, periodic_example)) == 1
+    assert count(lambda: fock.vacuum_kernel_check(space, periodic_example)) == 1
+    assert count(lambda: fock.commutation_defect(space, periodic_example, table_mu(2, 75))) == 1
+    # the left map, and the right map through CommutantMu, once the system holds its condition-6 decision
+    weights.require_bounded_mu(periodic_example)
+    assert count(lambda: fock.commutation_defect(space, periodic_example)) == 2
+
+    config = tmp_path / "periodic.json"
+    config.write_text(json.dumps({
+        "n": 2, "family": "periodic", "period": 2,
+        "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2},
+    }))
+    # two for each of cocycles, condition 6, intertwining and commutation; one for norms and one for the vacuum
+    assert count(lambda: main(["check", "--config", str(config), "--depth", "9"])) <= 10
+    capsys.readouterr()
+
+
 def test_level_paths_build_no_word(monkeypatch):
     # once a system is built, its level arrays and the periodic decision need no Word
     systems = [(ws, depth) for _, ws, depth in SYSTEMS + ILL_CONDITIONED]
@@ -643,12 +676,10 @@ def test_level_paths_build_no_word(monkeypatch):
 
     monkeypatch.setattr(Word, "__init__", counted_init)
     for ws, depth in systems:
-        for i in range(1, ws.n + 1):
-            ws.lambda_levels(i, depth)
-            CommutantMu(ws).mu_levels(i, depth)
+        ws.lambda_levels(depth)
+        CommutantMu(ws).mu_levels(depth)
     for mu, depth in mus:
-        for i in range(1, mu.n + 1):
-            mu.mu_levels(i, depth)
+        mu.mu_levels(depth)
     for ws in periodic:
         weights._decide_condition6(ws)
     assert built[0] == 0
@@ -660,13 +691,12 @@ def test_table_families_hand_out_no_writable_stored_array():
     kinds = {FinitePerturbationWeights, PeriodicWeights, TabulatedWeights, TableMu}
     assert {type(system) for system in tables} == kinds
     for system in tables:
-        stored = [level for levels in system.levels for level in levels]
+        stored = system.levels
         assert not any(level.flags.writeable for level in stored)
         with pytest.raises(ValueError, match="read-only"):
-            stored[-1][0] = 1.0
-        depth = len(system.levels[0]) - 1
+            stored[-1][0, 0] = 1.0
+        depth = len(system.levels) - 1
         levels = system.mu_levels if isinstance(system, MuSystem) else system.lambda_levels
-        for i in range(1, system.n + 1):
-            for level in levels(i, depth):
-                # a writable array is a fresh one: writing to it cannot reach the system
-                assert not level.flags.writeable or not any(np.shares_memory(level, s) for s in stored)
+        for level in levels(depth):
+            # a writable array is a fresh one: writing to it cannot reach the system
+            assert not level.flags.writeable or not any(np.shares_memory(level, s) for s in stored)
