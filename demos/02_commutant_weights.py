@@ -3,7 +3,7 @@
 The right shifts S_i xi_w = mu_{i,w} xi_{w*i} commute with every weighted
 left shift exactly when mu_{i,w} = W(i,w)/W(e,w), and they are bounded
 exactly when those ratios are.  Some families satisfy the condition, some
-do not, and the decision is algorithmic family by family.
+do not, and one decision reads it off each family's prepend automaton.
 """
 
 from fockshift import (
@@ -25,7 +25,7 @@ periodic = PeriodicWeights(
 )
 
 # The ratio supremum for this periodic subclass is exactly c/a = 2, decided
-# by a max-cycle-ratio check on the finite automaton of remainder prefixes.
+# by a max-plus sweep of the ratio pairs of its prepend automaton.
 report = condition6_sup(periodic, 10)
 print(f"periodic subclass: sup ratio = {report.value:g}, verdict = {report.verdict}")
 print(f"  certificate: {report.certificate}")

@@ -472,6 +472,10 @@ def _cmd_cesaro(config: RunConfig, args) -> tuple[int, dict]:
 
 def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
     mode = args.mode
+    for flag, value, reader in (("--k", args.k, MODE_LEFT_GROWTH), ("--bound", args.bound, MODE_LEFT_GROWTH),
+                                ("--coeffs", args.coeffs, MODE_ZERO_LEFT_INVERSE)):
+        if value is not None and mode != reader:
+            raise ConfigError(f"{flag} is read only by --mode {reader}, not by --mode {mode}")
     reports = []
     failed = False
     for text in args.lam:
@@ -504,7 +508,8 @@ def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
                     {"lambda": list(point), "mode": mode, "verdict": "unknown", "defects": {}, "witness": {}, "pass": True}
                 )
                 continue
-            cert = left_growth_certificate(point, args.k, args.bound)
+            k, bound = 16 if args.k is None else args.k, 0.0 if args.bound is None else args.bound
+            cert = left_growth_certificate(point, k, bound)
             reports.append(
                 {
                     "lambda": list(point),
@@ -586,8 +591,8 @@ VERB_OPTIONS = {
         ("--lambda", {"dest": "lam", "action": "append", "required": True,
                       "help": "comma-separated complex literals a+bi; repeatable"}),
         ("--mode", {"default": MODE_RIGHT, "choices": [MODE_RIGHT, MODE_LEFT_GROWTH, MODE_ZERO_LEFT_INVERSE]}),
-        ("--k", {"type": int, "default": 16, "help": "growth-table length (left_growth)"}),
-        ("--bound", {"type": float, "default": 0.0, "help": "assumed vacuum-image bound (left_growth)"}),
+        ("--k", {"type": int, "help": "growth-table length (left_growth; default 16)"}),
+        ("--bound", {"type": float, "help": "assumed vacuum-image bound (left_growth; default 0)"}),
         ("--coeffs", {"help": "eta1/eta2 JSON path (zero_left_inverse)"}),
         _REPORT,
     ),

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from .words import Word
 from .weights import ConstantWeights
-from .fock import GradedOperator, TruncatedFock, column_norms, left_creation
+from .fock import GradedOperator, TruncatedFock, column_norms, left_shift_maps
 from .algebra import _word_sum
 from .eigen import eigen_residual, eigenvector_coeffs
 
@@ -68,9 +68,10 @@ def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
     space = TruncatedFock(len(point), depth)
     unit = ConstantWeights(len(point), 1.0)
     series = _word_sum(space, unit, eigenvector_coeffs(unit, point, depth - 1).vector, normalized=True)
+    shifts = left_shift_maps(space, unit)
     affine = GradedOperator.identity(space)
     for i in range(1, space.n + 1):
-        affine = affine - point[i - 1].conjugate() * left_creation(space, i)
+        affine = affine - point[i - 1].conjugate() * shifts.operator(i)
     diff = affine @ series - GradedOperator.identity(space)
     low, top = _split_defect(space, diff)
     return ResolventReport(point, depth, low, top)
@@ -105,10 +106,11 @@ def right_membership(point: Sequence[complex], depth: int) -> SpectrumReport:
     # ||point|| > 1: right inverse B_i = (conj(z_i)/||z||^2) sum_w conj(w(z)) ||z||^(-2|w|) L_w
     scaled = tuple(z / norm**2 for z in point)
     series = _word_sum(space, unweighted, eigenvector_coeffs(unweighted, scaled, depth - 1).vector, normalized=True)
+    shifts = left_shift_maps(space, unweighted)
     total = GradedOperator.zero(space)
     for i in range(1, n + 1):
         b_i = (point[i - 1].conjugate() / norm**2) * series
-        factor = GradedOperator.identity(space) * point[i - 1] - left_creation(space, i)
+        factor = GradedOperator.identity(space) * point[i - 1] - shifts.operator(i)
         total = total + factor @ b_i
     diff = total - GradedOperator.identity(space)
     low, top = _split_defect(space, diff)
@@ -217,7 +219,8 @@ def zero_left_inverses(
     V V* being a diagonal 0/1 projection, so V* is its pseudo-inverse and
     X = [I 0] V*."""
     space = TruncatedFock(2, depth)
-    shifts = [left_creation(space, i) for i in (1, 2)]
+    maps = left_shift_maps(space, ConstantWeights(2, 1.0))
+    shifts = [maps.operator(i) for i in (1, 2)]
     top = space.level_slice(space.depth).start  # levels <= depth-1 come first
     identity, zero = GradedOperator.identity(space), GradedOperator.zero(space)
 

@@ -5,7 +5,9 @@ A weight system assigns a strictly positive scalar to every edge of the tree:
 at ``i*w``; ``lambda_levels`` gives them as one (n, n^k) array per level k,
 row i-1 for letter i.  The table families, ``TableMu`` included, hold their
 tables in that layout as read-only arrays ``levels[k]``, built once, at
-construction.  From the weights derive the
+construction.  Every family but ``TabulatedWeights`` is also one finite
+automaton along the prepend direction (``automaton``), which gives its
+weight infima and commutant boundedness.  From the weights derive the
 left weight function W(u, w) (products of edge weights down the tree), the
 commutant weights mu, and the right weight function W_mu.  This module also
 houses the identities and conditions those functions satisfy: both cocycle
@@ -23,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .words import EMPTY, BasisEnumeration, Word, append, parse_word, prepend
+from .words import EMPTY, BasisEnumeration, Word, append, parse_word, prepend, word_label
 
 # enumeration guards for sweeps over all words of bounded length
 MAX_SWEEP_WORDS = 1 << 21
@@ -55,6 +57,11 @@ def _table_levels(table: Mapping[tuple[int, Word], float], n: int, depth: int, e
     by_letter = np.array(values).reshape(-1, n).T.copy()
     by_letter.setflags(write=False)  # the families hand these arrays out as they are
     return np.split(by_letter, basis.level_offsets[1:-1], axis=1)
+
+
+def _prepended_ranks(n: int, k: int) -> np.ndarray:
+    """[r, a-1]: the rank of a*w at level k+1 for w of rank r at level k."""
+    return np.arange(n) * n**k + np.arange(n**k)[:, None]
 
 
 def table_from_strings(entries: Mapping[str, float], n: int | None = None) -> dict[tuple[int, Word], float]:
@@ -90,9 +97,16 @@ class WeightSystem:
         if not 1 <= i <= self.n:
             raise ValueError(f"letter {i} outside [1, {self.n}]")
 
-    # Exact infimum of lambda_{i,.}, when the family structure decides it.
-    def exact_min_weight(self, i: int) -> float | None:
+    def automaton(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The family as a finite automaton along the prepend direction, or None
+        where it has none: ``next[s, a-1]`` is the state of a*w for w in state
+        s, ``lam[s, i-1]`` is lambda_{i,w}, and state 0 holds e."""
         return None
+
+    def exact_min_weight(self, i: int) -> float | None:
+        """The infimum of lambda_{i,.}, read off the automaton; None without one."""
+        automaton = self.automaton()
+        return None if automaton is None else float(automaton[1].min(axis=0)[i - 1])
 
 
 @dataclass(frozen=True)
@@ -112,8 +126,8 @@ class ConstantWeights(WeightSystem):
     def lambda_levels(self, depth: int) -> list[np.ndarray]:
         return [np.full((self.n, self.n**k), self.value) for k in range(depth + 1)]
 
-    def exact_min_weight(self, i: int) -> float:
-        return self.value
+    def automaton(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros((1, self.n), dtype=np.int64), np.full((1, self.n), self.value)
 
 
 @dataclass(frozen=True)
@@ -135,8 +149,8 @@ class ScaledWeights(WeightSystem):
     def lambda_levels(self, depth: int) -> list[np.ndarray]:
         return [np.repeat(np.array(self.scales)[:, None], self.n**k, axis=1) for k in range(depth + 1)]
 
-    def exact_min_weight(self, i: int) -> float:
-        return self.scales[i - 1]
+    def automaton(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros((1, self.n), dtype=np.int64), np.array([self.scales])
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +180,13 @@ class FinitePerturbationWeights(WeightSystem):
         tail = [np.repeat(np.array(self.tail)[:, None], self.n**k, axis=1) for k in range(self.cutoff + 1, depth + 1)]
         return self.levels[: depth + 1] + tail
 
-    def exact_min_weight(self, i: int) -> float:
-        return min(min(float(level[i - 1].min()) for level in self.levels), self.tail[i - 1])
+    def automaton(self) -> tuple[np.ndarray, np.ndarray]:
+        # one state per word up to the cutoff, in graded-lex order, then the tail
+        n, cutoff = self.n, self.cutoff
+        offsets = BasisEnumeration(n, cutoff).level_offsets
+        steps = [offsets[k + 1] + _prepended_ranks(n, k) for k in range(cutoff)]
+        next_state = np.concatenate(steps + [np.full((n**cutoff + 1, n), offsets[-1])])
+        return next_state, np.concatenate([level.T for level in self.levels] + [np.array([self.tail])])
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +214,20 @@ class PeriodicWeights(WeightSystem):
         n, p = self.n, self.period
         return [np.repeat(self.levels[k % p], n ** (k - k % p), axis=1) for k in range(depth + 1)]
 
-    def exact_min_weight(self, i: int) -> float:
-        return min(float(level[i - 1].min()) for level in self.levels)
+    def automaton(self) -> tuple[np.ndarray, np.ndarray]:
+        # the words shorter than p-1 in graded-lex order, then the state
+        # short + q p + r of the words with first p-1 letters of rank q and
+        # length r mod p, whose remainder prefix has rank q // n^(p-1-r)
+        n, p = self.n, self.period
+        offsets = BasisEnumeration(n, p - 1).level_offsets
+        short, heads = offsets[p - 1], n ** (p - 1)
+        steps = [offsets[k + 1] + _prepended_ranks(n, k) for k in range(p - 2)]
+        if p > 1:  # a*w for |w| = p-2 enters with residue p-1
+            steps.append(short + _prepended_ranks(n, p - 2) * p + p - 1)
+        q, r, a = np.ogrid[:heads, :p, :n]
+        steps.append((short + (a * heads + q) // n * p + (r + 1) % p).reshape(-1, n))
+        long = np.stack([self.levels[r][:, np.arange(heads) // n ** (p - 1 - r)].T for r in range(p)], axis=1)
+        return np.concatenate(steps), np.concatenate([level.T for level in self.levels[: p - 1]] + [long.reshape(-1, n)])
 
 
 @dataclass(frozen=True)
@@ -236,10 +267,11 @@ class TwoLetterRunWeights(WeightSystem):
             level[0, :2] = [1.0 / self.m, 1.0 / math.sqrt(self.m)][: level.shape[1]]
         return levels
 
-    def exact_min_weight(self, i: int) -> float:
-        if i == 1:
-            return min(1.0 / self.m, 1.0 / math.sqrt(self.m), self.c)
-        return self.c
+    def automaton(self) -> tuple[np.ndarray, np.ndarray]:
+        # states e, 1^k (k >= 1), 1^k 2, and every other word
+        next_state = np.array([[1, 2], [1, 3], [2, 3], [3, 3]])
+        run, end = 1.0 / self.m, 1.0 / math.sqrt(self.m)
+        return next_state, np.array([[run, self.c], [run, self.c], [end, self.c], [self.c, self.c]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,12 +582,12 @@ def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
 @dataclass(frozen=True)
 class Condition6Report:
     """Supremum of W(i,w)/W(e,w) over the swept range, with the verdict of the
-    family decision procedure.
+    decision on the family's automaton.
 
     ``value`` is the exact supremum over |w| <= depth.  ``verdict`` is
-    ``bounded`` or ``diverging`` when the family admits an exact decision and
+    ``bounded`` or ``diverging`` when the family has an automaton and
     ``bounded_so_far`` otherwise; ``certificate`` carries the reasoning
-    (exact supremum, or the pumping path whose ratios grow geometrically).
+    (exact supremum, or the cycle whose ratios grow geometrically).
     """
 
     value: float
@@ -587,131 +619,98 @@ def _enumerated_sup(ws: WeightSystem, depth: int) -> tuple[float, tuple[int, Wor
     return best, witness
 
 
-def _two_letter_decision(ws: TwoLetterRunWeights) -> tuple[str, dict]:
-    growth_run = math.sqrt(ws.m)  # per-letter ratio growth along 1-runs for i = 2
-    growth_tail = ws.c * math.sqrt(ws.m)  # per-letter growth along words ending in 2
-    if growth_run > 1.0:
-        return DIVERGING, {
-            "path": "1^k",
-            "letter": 2,
-            "per_step_factor": growth_run,
-            "reason": "W(2,1^k)/W(e,1^k) = m^(k/2)",
-        }
-    if growth_tail > 1.0:
-        return DIVERGING, {
-            "path": "1^k 2",
-            "letter": 1,
-            "per_step_factor": growth_tail,
-            "reason": "W(i,1^k 2)/W(e,1^k 2) = (c sqrt(m))^k",
-        }
-    return BOUNDED, {"exact_sup": 1.0, "method": "closed forms of the two-letter family"}
-
-
-def _periodic_decision(ws: PeriodicWeights) -> tuple[str, dict]:
-    k, n = ws.period, ws.n
-    if k == 1:
-        return BOUNDED, {"exact_sup": 1.0, "method": "period-1 weights depend only on the letter"}
-    num = k * n ** (k - 1)
-    if num > MAX_AUTOMATON_STATES:
-        raise ValueError(f"remainder automaton with {num} states exceeds the guard")
-
-    # transient: the ratios for all |w| <= k-1
-    ratios = CommutantMu(ws).mu_levels(k - 1)
-    transient_best = max(float(level.max()) for level in ratios)
-
-    # recurrent states p k + r, for p the rank of the first k-1 letters of w and r = |w| mod k;
-    # prepending a multiplies the ratio by remainders[a, new prefix] / remainders[a, old prefix].
-    # The length-r prefix of p has rank p // n^(k-1-r); a*p cut to k-1 letters, ((a-1) n^(k-1) + p) // n.
-    prefixes = n ** (k - 1)
-    remainders = [level.tolist() for level in ws.levels]
-    edges = []  # (src, dst, log multiplier)
-    for p in range(prefixes):
-        for r in range(k):
-            r_next = (r + 1) % k
-            for a in range(1, n + 1):
-                dst = (((a - 1) * prefixes + p) // n) * k + r_next
-                num_w = remainders[r_next][a - 1][p // n ** (k - 1 - r_next)]
-                den_w = remainders[r][a - 1][p // n ** (k - 1 - r)]
-                edges.append((p * k + r, dst, math.log(num_w) - math.log(den_w)))
-
-    neg_inf = float("-inf")
-    best = [neg_inf] * num
-    # the level k-1 words enter at residue k-1
-    seeds = ratios[k - 1].tolist()
-    for p in range(prefixes):
-        best[p * k + k - 1] = max(math.log(row[p]) for row in seeds)
-    overall = max(v for v in best if v > neg_inf)
-
-    # Bellman-Ford value iteration: with every cycle ratio <= 1, path maxima
-    # settle within num rounds; a further improving round certifies a cycle
-    # with ratio > 1 and hence divergence.
-    tol = 1e-12
-    for sweep in range(num + 1):
-        nxt = list(best)
-        improved = False
-        for src, dst, logw in edges:
-            if best[src] == neg_inf:
-                continue
-            cand = best[src] + logw
-            if cand > nxt[dst] + tol:
-                nxt[dst] = cand
-                improved = True
-        best = nxt
-        overall = max(overall, max(v for v in best if v > neg_inf))
-        if not improved:
-            break
-    else:
-        improved = True
-    if improved:
-        return DIVERGING, {
-            "method": "remainder automaton holds a cycle with ratio product > 1",
-            "states": num,
-        }
-    return BOUNDED, {
-        "exact_sup": max(transient_best, math.exp(overall)),
-        "method": "remainder automaton max-cycle-ratio check",
-        "states": num,
-    }
-
-
 def _decide_condition6(ws: WeightSystem) -> tuple[str, dict]:
     """The family's verdict and certificate, decided once per weight-system
     object and kept on it; each caller gets its own copy of the certificate."""
     decision = vars(ws).get("_condition6")
     if decision is None:
-        decision = _decide_family(ws)
+        automaton = ws.automaton()
+        decision = (BOUNDED_SO_FAR, {}) if automaton is None else _automaton_decision(*automaton)
         object.__setattr__(ws, "_condition6", decision)
     verdict, certificate = decision
     return verdict, dict(certificate)
 
 
-def _decide_family(ws: WeightSystem) -> tuple[str, dict]:
-    if isinstance(ws, (ConstantWeights, ScaledWeights)):
-        return BOUNDED, {"exact_sup": 1.0, "method": "weights do not depend on the base word"}
-    if isinstance(ws, FinitePerturbationWeights):
-        sup, _ = _enumerated_sup(ws, ws.cutoff + 1)
-        return BOUNDED, {
-            "exact_sup": sup,
-            "method": f"ratio factors cancel beyond length {ws.cutoff + 1}",
-        }
-    if isinstance(ws, TwoLetterRunWeights):
-        return _two_letter_decision(ws)
-    if isinstance(ws, PeriodicWeights):
-        return _periodic_decision(ws)
-    if isinstance(ws, TabulatedWeights):
-        return BOUNDED_SO_FAR, {"inspected_depth": ws.depth}
-    return BOUNDED_SO_FAR, {}
+def _ratio_pairs(next_state: np.ndarray) -> np.ndarray:
+    """The sorted codes s * states + t of the pairs (state of w*i, state of w)
+    over all words w and letters i, found breadth-first from the start pairs
+    (state of i, state of e).  More than ``MAX_AUTOMATON_STATES`` pairs raise
+    ``ValueError`` before any sweep."""
+    states = next_state.shape[0]
+    level = seen = np.unique(next_state[0]) * states
+    while level.size:
+        s, t = np.divmod(level, states)
+        reached = np.unique(next_state[s] * states + next_state[t])
+        at = np.searchsorted(seen, reached)
+        fresh = seen[np.minimum(at, seen.size - 1)] != reached
+        level = reached[fresh]
+        seen = np.sort(np.concatenate([seen, level]))
+        if seen.size > MAX_AUTOMATON_STATES:
+            raise ValueError(
+                f"condition-6 automaton reaches {seen.size} ratio pairs, over the {MAX_AUTOMATON_STATES} guard")
+    return seen
+
+
+def _automaton_decision(next_state: np.ndarray, lam: np.ndarray) -> tuple[str, dict]:
+    """Condition 6 on a prepend automaton: prepending a to w multiplies mu_{i,w}
+    by lambda_{a,w*i} / lambda_{a,w}, read off the ratio pair (state of w*i,
+    state of w); the start pair of i holds mu_{i,e} = 1.  A max-plus iteration
+    over the log factors finds the log of the supremum; a pair that still
+    gains more than 1e-12 after as many sweeps as pairs certifies a cycle u,
+    read off the predecessors, and a prefix x, read off the edges that first
+    reached each pair, with mu_{i,u^(k+1) x} = per_step_factor * mu_{i,u^k x}."""
+    states, n = next_state.shape
+    codes = _ratio_pairs(next_state)
+    s, t = np.divmod(codes, states)
+    target = np.searchsorted(codes, next_state[s] * states + next_state[t]).ravel()
+    by_target = np.argsort(target, kind="stable")
+    src, dst, letter = by_target // n, target[by_target], by_target % n + 1
+    log_lam = np.log(lam)
+    gain = (log_lam[s] - log_lam[t]).ravel()[by_target]
+    head = np.concatenate([[True], dst[1:] != dst[:-1]])  # the first edge into each target
+    heads, segment, targets = np.flatnonzero(head), np.cumsum(head) - 1, dst[head]
+    best, pred, parent = np.full(codes.size, -np.inf), np.full(codes.size, -1), np.full(codes.size, -1)
+    starts = np.searchsorted(codes, next_state[0] * states)  # the start pair of letter i at [i-1]
+    best[starts] = 0.0
+    for _ in range(codes.size):
+        candidate = best[src] + gain
+        top = np.maximum.reduceat(candidate, heads)
+        gains = top > best[targets] + 1e-12
+        if not gains.any():
+            return BOUNDED, {"exact_sup": math.exp(best.max()), "method": "max-plus sweep of the ratio pairs",
+                             "states": codes.size}
+        argmax = np.minimum.reduceat(np.where(candidate == top[segment], np.arange(dst.size), dst.size), heads)
+        improved, argmax = targets[gains], argmax[gains]
+        # a pair first reached in sweep d is reached from one first reached in sweep d - 1
+        first = best[improved] == -np.inf
+        parent[improved[first]] = argmax[first]
+        best[improved], pred[improved] = top[gains], argmax
+    # walking back as many predecessors as pairs from a pair that still gains ends on a cycle
+    node = improved[0]
+    for _ in range(codes.size):
+        node = src[pred[node]]
+    cycle, factor, at = [], 1.0, node
+    while not cycle or at != node:
+        edge, at = pred[at], src[pred[at]]
+        cycle.append(int(letter[edge]))
+        factor *= lam[s[at], letter[edge] - 1] / lam[t[at], letter[edge] - 1]
+    prefix = []
+    while parent[at] >= 0:
+        prefix.append(int(letter[parent[at]]))
+        at = src[parent[at]]
+    return DIVERGING, {"method": "the ratio pairs hold a cycle with factor > 1", "states": codes.size,
+                       "letter": int(np.flatnonzero(starts == at)[0]) + 1, "prefix": word_label(prefix),
+                       "cycle": word_label(cycle), "per_step_factor": float(factor)}
 
 
 def condition6_sup(ws: WeightSystem, depth: int) -> Condition6Report:
     """Supremum of the commutant ratios W(i,w)/W(e,w) over |w| <= depth,
-    together with the per-family boundedness verdict.
+    together with the boundedness verdict.
 
-    Constant and scaled families are trivially bounded with supremum 1; the
-    finite-perturbation ratios stabilize past the cutoff; the two-letter run
-    family is decided by its closed forms; and periodic families are decided
-    by a max-cycle-ratio check on the finite automaton of remainder-prefix
-    states.  Tabulated systems can only report ``bounded_so_far``.
+    Every family with a prepend automaton is decided exactly by one max-plus
+    sweep of its ratio pairs (``_automaton_decision``): ``bounded`` with the
+    exact supremum over all words, or ``diverging`` with a cycle whose factor
+    exceeds 1.  Tabulated systems can only report ``bounded_so_far``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")

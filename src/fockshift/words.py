@@ -56,15 +56,20 @@ class Word:
         return self == other or self < other
 
     def __str__(self) -> str:
-        # digits up to 9, else dot-joined; a one-letter word above 9 keeps a trailing dot
-        if not self.letters:
-            return "e"
-        if max(self.letters) <= 9:
-            return "".join(str(b) for b in self.letters)
-        return ".".join(str(b) for b in self.letters) + ("." if len(self.letters) == 1 else "")
+        return word_label(self.letters)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
+
+
+def word_label(letters: Sequence[int]) -> str:
+    """``str(w)`` of the word with these letters, built without a ``Word``: digits
+    up to 9, else dot-joined; a one-letter word above 9 keeps a trailing dot."""
+    if not letters:
+        return "e"
+    if max(letters) <= 9:
+        return "".join(str(b) for b in letters)
+    return ".".join(str(b) for b in letters) + ("." if len(letters) == 1 else "")
 
 
 EMPTY = Word()

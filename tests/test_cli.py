@@ -488,12 +488,34 @@ def test_k_defaults_per_verb(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode, flag", [
+    ("right", "--k"),
+    ("right", "--bound"),
+    ("right", "--coeffs"),
+    ("left_growth", "--coeffs"),
+    ("zero_left_inverse", "--k"),
+    ("zero_left_inverse", "--bound"),
+])
+def test_spectra_option_foreign_to_its_mode_exits_2(tmp_path, capsys, mode, flag):
+    # these used to be accepted and ignored
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    report = tmp_path / "spectra.json"
+    value = {"--k": "5", "--bound": "1", "--coeffs": "coeffs.json"}[flag]
+    argv = ["spectra", "--config", config, "--mode", mode, "--lambda", "0,0", "--depth", "4", flag, value]
+    assert main([*argv, "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    reader = "zero_left_inverse" if flag == "--coeffs" else "left_growth"
+    assert f"{flag} is read only by --mode {reader}, not by --mode {mode}" in captured.err
+
+
 def test_readme_usage_matches_the_parser():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line.split() for line in block.replace("\\\n", " ").splitlines()]
     assert [line[1] for line in lines] == list(_subparsers())
-    resolved = {"--depth": cli.DEFAULT_DEPTH, "--tol": cli.DEFAULT_TOLERANCE}  # None in the parser
+    # None in the parser: spectra resolves --k and --bound only for --mode left_growth
+    resolved = {"--depth": cli.DEFAULT_DEPTH, "--tol": cli.DEFAULT_TOLERANCE, "--k": 16, "--bound": 0.0}
     for line in lines:
         shown = re.findall(r"(\[?)(--\S+) ([^\s\]]+)\]?", " ".join(line[2:]))
         actions = _options(_subparsers()[line[1]])

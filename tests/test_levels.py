@@ -1,10 +1,12 @@
 """The per-level array paths against the scalar, per-word oracle.
 
-Every comparison but one is exact: the array paths perform the same
+Every comparison but two is exact: the array paths perform the same
 floating-point operations in the same order as the per-word loops over
 ``lambda_of``, ``mu_of`` and ``commutant_mu``.  The expansion operator is
 compared at 1e-14 relative: it carries W_mu(w,v) / W_mu(e,v) as a ratio,
-where the per-word formula divides two products.
+where the per-word formula divides two products.  The condition-6 supremum
+is compared at 1e-12 relative: the decision sums log factors along the
+prepend automaton, where the family oracles multiply ratios.
 """
 
 import cmath
@@ -12,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,9 +53,9 @@ from fockshift import (
 from fockshift import PeriodicWeights, TableMu, TabulatedWeights, algebra, eigen, fock, weights
 from fockshift.cli import main
 from fockshift.weights import BOUNDED, DIVERGING, DefectReport, MuSystem, WeightSystem, mu_table, table_from_strings
-from fockshift.words import EMPTY, Word, append, prepend
+from fockshift.words import EMPTY, Word, append, parse_word, prepend
 
-from conftest import ILL_CONDITIONED, SYSTEMS, system_depth, table_mu
+from conftest import ILL_CONDITIONED, SYSTEMS, random_finite_perturbation, system_depth, table_mu
 
 
 
@@ -581,31 +584,167 @@ def _random_periodic(seed: int) -> PeriodicWeights:
 RANDOM_PERIODIC = [_random_periodic(seed) for seed in range(60)]
 
 
+def _oracle_two_letter_decision(ws: TwoLetterRunWeights) -> tuple[str, dict]:
+    """The closed forms of the two-letter family: the ratios grow like m^(k/2)
+    along 1^k for i = 2, and like (c sqrt(m))^k along 1^k 2 for i = 1."""
+    growth_run = math.sqrt(ws.m)
+    growth_tail = ws.c * math.sqrt(ws.m)
+    if growth_run > 1.0:
+        return DIVERGING, {"path": "1^k", "letter": 2, "per_step_factor": growth_run}
+    if growth_tail > 1.0:
+        return DIVERGING, {"path": "1^k 2", "letter": 1, "per_step_factor": growth_tail}
+    return BOUNDED, {"exact_sup": 1.0}
+
+
+def _oracle_decision(ws: WeightSystem) -> tuple[str, dict]:
+    """Each family's decision as it was made family by family: constant and
+    scaled ratios are 1, finite-perturbation ratio factors cancel beyond
+    length cutoff + 1, so enumerating commutant_mu that far gives the
+    supremum, and the two-letter and periodic oracles above."""
+    if isinstance(ws, (ConstantWeights, ScaledWeights)):
+        return BOUNDED, {"exact_sup": 1.0}
+    if isinstance(ws, FinitePerturbationWeights):
+        words = BasisEnumeration(ws.n, ws.cutoff + 1).words()
+        return BOUNDED, {"exact_sup": max(commutant_mu(ws, i, w) for w in words for i in range(1, ws.n + 1))}
+    if isinstance(ws, TwoLetterRunWeights):
+        return _oracle_two_letter_decision(ws)
+    return _oracle_periodic_decision(ws)
+
+
+def _oracle_min_weight(ws: WeightSystem, i: int) -> float | None:
+    """The per-family closed forms of the infimum of lambda_{i,.}."""
+    if isinstance(ws, ConstantWeights):
+        return ws.value
+    if isinstance(ws, ScaledWeights):
+        return ws.scales[i - 1]
+    if isinstance(ws, FinitePerturbationWeights):
+        return min(min(float(level[i - 1].min()) for level in ws.levels), ws.tail[i - 1])
+    if isinstance(ws, PeriodicWeights):
+        return min(float(level[i - 1].min()) for level in ws.levels)
+    if isinstance(ws, TwoLetterRunWeights):
+        return min(1.0 / ws.m, 1.0 / math.sqrt(ws.m), ws.c) if i == 1 else ws.c
+    return None
+
+
+TWO_LETTER_GRID = [TwoLetterRunWeights(m, c) for m in (0.25, 0.81, 1.0, 1.44, 4.0) for c in (0.5, 0.9, 1.0, 1.5)]
+FINITE_PERTURBATIONS = [random_finite_perturbation(seed, n, cutoff)
+                        for seed, (n, cutoff) in enumerate(itertools.product((1, 2, 3), (0, 1, 2)))]
+AUTOMATON_SYSTEMS = [ws for _, ws, _ in SYSTEMS + ILL_CONDITIONED if not isinstance(ws, TabulatedWeights)]
+AUTOMATON_SYSTEMS += RANDOM_PERIODIC + FINITE_PERTURBATIONS + TWO_LETTER_GRID
+
+
+def _assert_decision_matches(decision: tuple[str, dict], oracle: tuple[str, dict]) -> None:
+    # the decision sums log factors where the oracles multiply ratios
+    assert decision[0] == oracle[0]
+    if oracle[0] == BOUNDED:
+        assert decision[1]["exact_sup"] == pytest.approx(oracle[1]["exact_sup"], rel=1e-12, abs=0.0)
+
+
 def test_periodic_decision_equals_word_keyed_oracle():
     verdicts = []
     for ws in RANDOM_PERIODIC:
         decision = weights._decide_condition6(ws)
-        assert decision == _oracle_periodic_decision(ws)
+        _assert_decision_matches(decision, _oracle_periodic_decision(ws))
         verdicts.append(decision[0])
     assert verdicts.count(BOUNDED) >= 10 and verdicts.count(DIVERGING) >= 10
 
 
+def test_every_family_decision_equals_its_oracle():
+    verdicts = []
+    for ws in AUTOMATON_SYSTEMS:
+        decision = weights._decide_condition6(ws)
+        _assert_decision_matches(decision, _oracle_decision(ws))
+        assert decision[1]["states"] >= 1
+        verdicts.append((type(ws), decision[0]))
+    for family in (TwoLetterRunWeights, PeriodicWeights):
+        assert {(family, BOUNDED), (family, DIVERGING)} <= set(verdicts)
+
+
+def _automaton_levels(ws: WeightSystem, depth: int) -> list[np.ndarray]:
+    """lambda levels read off the automaton walked from state 0: a*w has rank (a-1) n^k + r."""
+    next_state, lam = ws.automaton()
+    states, levels = np.zeros(1, dtype=np.int64), []
+    for _ in range(depth + 1):
+        levels.append(lam[states].T)
+        states = next_state[states].T.ravel()
+    return levels
+
+
+def test_automaton_walk_reproduces_the_weights():
+    for ws in AUTOMATON_SYSTEMS:
+        depth = max(4, getattr(ws, "period", 0) + 2, getattr(ws, "cutoff", 0) + 2)
+        walked, levels = _automaton_levels(ws, depth), ws.lambda_levels(depth)
+        assert len(walked) == len(levels) and all(np.array_equal(a, b) for a, b in zip(walked, levels))
+        basis = BasisEnumeration(ws.n, depth)
+        for k, level in enumerate(walked):
+            assert level.T.tolist() == [[ws.lambda_of(i, w) for i in range(1, ws.n + 1)] for w in basis.level_words(k)]
+        assert [ws.exact_min_weight(i) for i in range(1, ws.n + 1)] == [
+            _oracle_min_weight(ws, i) for i in range(1, ws.n + 1)
+        ]
+
+
+def test_every_weight_family_has_an_automaton_but_tables():
+    # a new family without an automaton would fall back to bounded_so_far unnoticed
+    families = {
+        value for value in vars(weights).values()
+        if isinstance(value, type) and issubclass(value, WeightSystem) and value is not WeightSystem
+    }
+    assert families == {type(ws) for _, ws, _ in SYSTEMS}
+    for _, ws, _ in SYSTEMS:
+        assert (ws.automaton() is None) == isinstance(ws, TabulatedWeights)
+        if isinstance(ws, TabulatedWeights):
+            assert weights._decide_condition6(ws) == (weights.BOUNDED_SO_FAR, {})
+            assert ws.exact_min_weight(1) is None
+
+
+def test_diverging_certificates_pump_the_ratios():
+    diverging = [ws for ws in AUTOMATON_SYSTEMS if weights._decide_condition6(ws)[0] == DIVERGING]
+    assert len(diverging) >= 20
+    for ws in diverging:
+        certificate = weights._decide_condition6(ws)[1]
+        i, factor = certificate["letter"], certificate["per_step_factor"]
+        prefix, cycle = parse_word(certificate["prefix"], ws.n), parse_word(certificate["cycle"], ws.n)
+        assert factor > 1.0 and len(cycle) >= 1
+        for k in range(4):
+            step = commutant_mu(ws, i, cycle ** (k + 1) * prefix) / commutant_mu(ws, i, cycle**k * prefix)
+            assert step == pytest.approx(factor, rel=1e-12, abs=0.0)
+    # the two-letter certificates keep their pumping paths: 1^k for i = 2, 1^k 2 for i = 1
+    runs = weights._decide_condition6(TwoLetterRunWeights(4.0, 1.0))[1]
+    assert (runs["letter"], runs["cycle"], runs["per_step_factor"]) == (2, "1", 2.0)
+    tail = weights._decide_condition6(TwoLetterRunWeights(0.81, 1.5))[1]
+    assert (tail["letter"], tail["cycle"], tail["prefix"][-1]) == (1, "1", "2")
+    assert tail["per_step_factor"] == pytest.approx(1.5 * 0.9, rel=1e-15)
+
+
+def test_condition6_guard_counts_ratio_pairs():
+    # an n = 2 finite perturbation has 3 * 2^cutoff - 1 ratio pairs
+    def tree(cutoff):
+        levels = [np.ones((2, 2**k)) for k in range(cutoff + 1)]
+        return FinitePerturbationWeights.automaton(SimpleNamespace(n=2, cutoff=cutoff, levels=levels, tail=(1.0, 1.0)))
+
+    assert weights._automaton_decision(*tree(15)) == (BOUNDED, {
+        "exact_sup": 1.0, "method": "max-plus sweep of the ratio pairs", "states": 98303})
+    with pytest.raises(ValueError, match="reaches 131070 ratio pairs, over the 100000 guard"):
+        weights._automaton_decision(*tree(16))
+
+
 def test_condition6_decided_once_per_system(tmp_path, capsys, monkeypatch):
     calls = [0]
-    decide = weights._periodic_decision
+    decide = weights._automaton_decision
 
-    def counted(ws):
+    def counted(next_state, lam):
         calls[0] += 1
-        return decide(ws)
+        return decide(next_state, lam)
 
-    monkeypatch.setattr(weights, "_periodic_decision", counted)
+    monkeypatch.setattr(weights, "_automaton_decision", counted)
     # fresh systems: the shared RANDOM_PERIODIC ones may already hold their decision
     for seed in range(60):
         ws = _random_periodic(seed)
         calls[0] = 0
         oracle = _oracle_periodic_decision(ws)
-        assert weights._decide_condition6(ws) == oracle
-        assert condition6_sup(ws, 3).certificate == oracle[1]
+        decision = weights._decide_condition6(ws)
+        _assert_decision_matches(decision, oracle)
+        assert condition6_sup(ws, 3).certificate == decision[1]
         if oracle[0] == BOUNDED:
             weights.require_bounded_mu(ws)
         else:
@@ -614,7 +753,7 @@ def test_condition6_decided_once_per_system(tmp_path, capsys, monkeypatch):
         assert calls[0] == 1
         # each caller gets its own certificate: writing to one reaches no other
         weights._decide_condition6(ws)[1]["method"] = None
-        assert weights._decide_condition6(ws) == oracle
+        assert weights._decide_condition6(ws) == decision
 
     config = tmp_path / "periodic.json"
     config.write_text(json.dumps({
@@ -657,16 +796,17 @@ def test_level_arrays_built_once_per_use(tmp_path, capsys, monkeypatch, periodic
         "n": 2, "family": "periodic", "period": 2,
         "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2},
     }))
-    # two for each of cocycles, condition 6, intertwining and commutation; one for norms and one for the vacuum
-    assert count(lambda: main(["check", "--config", str(config), "--depth", "9"])) <= 10
+    # two for each of cocycles, intertwining and commutation; one for each of condition 6 (its sweep, not its
+    # decision, which reads the stored remainders), norms and the vacuum
+    assert count(lambda: main(["check", "--config", str(config), "--depth", "9"])) <= 9
     capsys.readouterr()
 
 
 def test_level_paths_build_no_word(monkeypatch):
-    # once a system is built, its level arrays and the periodic decision need no Word
+    # once a system is built, its level arrays and every family's decision need no Word
     systems = [(ws, depth) for _, ws, depth in SYSTEMS + ILL_CONDITIONED]
     mus = [(table_mu(n, 70 + n), system_depth(n)) for n in (1, 2, 3)]
-    periodic = [ws for ws, _ in systems if isinstance(ws, PeriodicWeights)] + RANDOM_PERIODIC
+    tabulated = [ws for ws, _ in systems if isinstance(ws, TabulatedWeights)]
     built = [0]
     init = Word.__init__
 
@@ -680,7 +820,10 @@ def test_level_paths_build_no_word(monkeypatch):
         CommutantMu(ws).mu_levels(depth)
     for mu, depth in mus:
         mu.mu_levels(depth)
-    for ws in periodic:
+    for ws in AUTOMATON_SYSTEMS:
+        # past the decision each system may already hold, diverging certificates included
+        weights._automaton_decision(*ws.automaton())
+    for ws in tabulated:
         weights._decide_condition6(ws)
     assert built[0] == 0
 

@@ -253,3 +253,24 @@ def test_spectra_allocate_no_words(monkeypatch):
     assert right_membership((2.0, 0.5), 8).verdict == NOT_IN_SPECTRUM
     assert resolvent_check((0.4, 0.3), 8).low_level_defect <= 1e-12
     assert calls == {"Word": 0, "index_of": 0}
+
+
+def test_spectra_build_the_creation_tuple_once_per_call(monkeypatch):
+    # one column map holds every creation operator: one lambda build for all letters
+    calls = [0]
+    build = ConstantWeights.lambda_levels
+
+    def counted(ws, depth):
+        calls[0] += 1
+        return build(ws, depth)
+
+    def count(run) -> int:
+        calls[0] = 0
+        run()
+        return calls[0]
+
+    monkeypatch.setattr(ConstantWeights, "lambda_levels", counted)
+    # the resolvent series and its eigenvector coefficients take one build each
+    assert count(lambda: resolvent_check((0.4, 0.3), 6)) == 3
+    assert count(lambda: right_membership((2.0, 0.5), 6)) == 3
+    assert count(lambda: zero_left_inverses({}, {}, 6)) == 1
