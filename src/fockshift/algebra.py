@@ -22,7 +22,7 @@ from .weights import (
     MuSystem,
     WeightSystem,
     _left_tables,
-    log_right_weight,
+    _right_path,
     require_bounded_mu,
     right_weight,
 )
@@ -301,18 +301,15 @@ def spectral_radius_lower(a: FourierElement, v: Word, k_max: int, depth: int) ->
     power_values: list[complex] = []
     closed_forms: list[complex] = []
     a_v = a.coeffs[v]
-    log_base = log_right_weight(a.mu, EMPTY, v)
+    log_base = _right_path(a.mu, EMPTY, v, log=True)[-1]
+    path = _right_path(a.mu, v, v, k_max - 1)  # W_mu(v, v^(k-1)) at [k - 1]
     space = TruncatedFock(a.weights.n, depth)
     op = expansion_operator(a, space)
     state = space.basis_vector(EMPTY)
     for k in range(1, k_max + 1):
         state = op.apply(state)
         value = complex(state[space.index_of(v**k)])
-        closed = (
-            a_v**k
-            * math.exp(-(k - 1) * log_base)
-            * right_weight(a.mu, v, v ** (k - 1))
-        )
+        closed = a_v**k * math.exp(-(k - 1) * log_base) * path[k - 1]
         ks.append(k)
         power_values.append(value)
         closed_forms.append(closed)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -125,12 +126,21 @@ def _weight_table(value: Any, n: int, path: str) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-FAMILY_FIELDS = {
-    "constant": {"value"},
-    "scaled": {"scales"},
-    "finite_perturbation": {"cutoff", "table", "tail"},
-    "periodic": {"period", "remainders"},
-    "two_letter_m": {"m", "c"},
+def _two_letter(n: int, document: dict) -> TwoLetterRunWeights:
+    _expect(n == 2, "$.n", "family 'two_letter_m' requires n = 2")
+    return TwoLetterRunWeights(_positive_number(document["m"], "$.m"), _positive_number(document["c"], "$.c"))
+
+
+# each family's required fields, in the order they are checked, and its builder
+FAMILIES = {
+    "constant": (("value",), lambda n, d: ConstantWeights(n, _positive_number(d["value"], "$.value"))),
+    "scaled": (("scales",), lambda n, d: ScaledWeights(n, _positive_list(d["scales"], n, "$.scales"))),
+    "finite_perturbation": (("cutoff", "table", "tail"), lambda n, d: FinitePerturbationWeights(
+        n, _integer(d["cutoff"], "$.cutoff", 0), _weight_table(d["table"], n, "$.table"),
+        _positive_list(d["tail"], n, "$.tail"))),
+    "periodic": (("period", "remainders"), lambda n, d: PeriodicWeights(
+        n, _integer(d["period"], "$.period", 1), _weight_table(d["remainders"], n, "$.remainders"))),
+    "two_letter_m": (("m", "c"), _two_letter),
 }
 
 RUN_FIELDS = {"depth", "tolerance", "epsilon"}
@@ -144,35 +154,17 @@ def parse_config(document: Any) -> RunConfig:
     _expect("family" in document, "$.family", "missing weight family")
     n = _integer(document["n"], "$.n", 1)
     family = document["family"]
-    _expect(family in FAMILY_FIELDS, "$.family", f"unknown family {family!r}, expected one of {sorted(FAMILY_FIELDS)}")
+    _expect(family in FAMILIES, "$.family", f"unknown family {family!r}, expected one of {sorted(FAMILIES)}")
+    fields, build = FAMILIES[family]
 
-    allowed = {"n", "family"} | FAMILY_FIELDS[family] | RUN_FIELDS
+    allowed = {"n", "family", *fields} | RUN_FIELDS
     for key in document:
         _expect(key in allowed, f"$.{key}", f"unknown field for family {family!r}")
-    for key in FAMILY_FIELDS[family]:
+    for key in fields:
         _expect(key in document, f"$.{key}", "missing required field")
 
     try:
-        if family == "constant":
-            weights: WeightSystem = ConstantWeights(n, _positive_number(document["value"], "$.value"))
-        elif family == "scaled":
-            weights = ScaledWeights(n, _positive_list(document["scales"], n, "$.scales"))
-        elif family == "finite_perturbation":
-            weights = FinitePerturbationWeights(
-                n,
-                _integer(document["cutoff"], "$.cutoff", 0),
-                _weight_table(document["table"], n, "$.table"),
-                _positive_list(document["tail"], n, "$.tail"),
-            )
-        elif family == "periodic":
-            period = _integer(document["period"], "$.period", 1)
-            weights = PeriodicWeights(n, period, _weight_table(document["remainders"], n, "$.remainders"))
-        else:
-            _expect(n == 2, "$.n", "family 'two_letter_m' requires n = 2")
-            weights = TwoLetterRunWeights(
-                _positive_number(document["m"], "$.m"),
-                _positive_number(document["c"], "$.c"),
-            )
+        weights = build(n, document)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -221,12 +213,15 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit_report(report: dict, path: str | None) -> None:
-    text = json.dumps(_to_jsonable(report), indent=2, sort_keys=True) + "\n"
+def _emit(text: str, path: str | None) -> None:
     if path:
         _write_atomic(path, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_report(report: dict, path: str | None) -> None:
+    _emit(json.dumps(_to_jsonable(report), indent=2, sort_keys=True) + "\n", path)
 
 
 def parse_lambda(text: str) -> tuple[complex, ...]:
@@ -401,14 +396,9 @@ def _cmd_region(config: RunConfig, args) -> tuple[int, dict]:
     samples = region_sample(config.weights, grid, config.depth, config.epsilon)
     timing = {"region_sample": time.perf_counter() - start}
     start = time.perf_counter()
-    if args.out:
-        import io
-
-        buffer = io.StringIO()
-        write_region_csv(samples, buffer)
-        _write_atomic(args.out, buffer.getvalue())
-    else:
-        write_region_csv(samples, sys.stdout)
+    buffer = io.StringIO()
+    write_region_csv(samples, buffer)
+    _emit(buffer.getvalue(), args.out)
     timing["csv"] = time.perf_counter() - start
     counts = {"inside": 0, "outside": 0, "inconclusive": 0}
     for s in samples:
@@ -471,90 +461,66 @@ def _cmd_cesaro(config: RunConfig, args) -> tuple[int, dict]:
 
 
 def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
-    mode = args.mode
+    mode, ws = args.mode, config.weights
     for flag, value, reader in (("--k", args.k, MODE_LEFT_GROWTH), ("--bound", args.bound, MODE_LEFT_GROWTH),
                                 ("--coeffs", args.coeffs, MODE_ZERO_LEFT_INVERSE)):
         if value is not None and mode != reader:
             raise ConfigError(f"{flag} is read only by --mode {reader}, not by --mode {mode}")
+    if not (isinstance(ws, ConstantWeights) and ws.value == 1.0):
+        found = f"value {ws.value!r}" if isinstance(ws, ConstantWeights) else f"family {config.document['family']!r}"
+        raise ConfigError(f"spectra covers only the unweighted tuple (family 'constant', value 1), not {found}")
+    if mode == MODE_ZERO_LEFT_INVERSE and ws.n != 2:
+        raise ConfigError(f"--mode {mode} is defined for n = 2, not n = {ws.n}")
+    k, bound = 16 if args.k is None else args.k, 0.0 if args.bound is None else args.bound
+    zero_left = None  # the origin's outcome, computed at its first point: it depends on no point
     reports = []
-    failed = False
     for text in args.lam:
         point = parse_lambda(text)
-        if len(point) != config.weights.n:
-            raise ConfigError(f"--lambda {text!r} has {len(point)} coordinates, expected {config.weights.n}")
+        if len(point) != ws.n:
+            raise ConfigError(f"--lambda {text!r} has {len(point)} coordinates, expected {ws.n}")
         if mode == MODE_RIGHT:
             result = right_membership(point, config.depth)
             # the top-level defect is the truncated geometric tail, not a failure
-            ok = all(
-                d <= config.tolerance
-                for name, d in result.defects.items()
-                if name != "identity_top_level"
-            )
-            failed |= not ok
-            reports.append(
-                {
-                    "lambda": list(point),
-                    "mode": result.mode,
-                    "verdict": result.verdict,
-                    "defects": result.defects,
-                    "witness": result.witness,
-                    "pass": ok,
-                }
-            )
+            ok = all(d <= config.tolerance for name, d in result.defects.items() if name != "identity_top_level")
+            verdict, defects, witness = result.verdict, result.defects, result.witness
         elif mode == MODE_LEFT_GROWTH:
+            ok, defects = True, {}
             if all(abs(z) < 1.0 - 1e-12 for z in point):
                 # no certificate covers the polydisc interior; membership there is open
-                reports.append(
-                    {"lambda": list(point), "mode": mode, "verdict": "unknown", "defects": {}, "witness": {}, "pass": True}
-                )
-                continue
-            k, bound = 16 if args.k is None else args.k, 0.0 if args.bound is None else args.bound
-            cert = left_growth_certificate(point, k, bound)
-            reports.append(
-                {
-                    "lambda": list(point),
-                    "mode": mode,
-                    "verdict": "in_spectrum" if cert.unbounded else "inconclusive",
-                    "defects": {},
-                    "witness": {
-                        "case": cert.case,
-                        "operator_index": cert.operator_index,
-                        "run_letter": cert.run_letter,
-                        "assumed_bound": cert.assumed_bound,
-                        "bounds": cert.bounds,
-                    },
-                    "pass": True,
-                }
-            )
+                verdict, witness = "unknown", {}
+            else:
+                cert = left_growth_certificate(point, k, bound)
+                verdict = "in_spectrum" if cert.unbounded else "inconclusive"
+                witness = {"case": cert.case, "operator_index": cert.operator_index, "run_letter": cert.run_letter,
+                           "assumed_bound": cert.assumed_bound, "bounds": cert.bounds}
         else:  # MODE_ZERO_LEFT_INVERSE
-            etas = {"eta1": {}, "eta2": {}}
-            if args.coeffs:
-                with open(args.coeffs) as handle:
-                    document = json.load(handle)
-                for key in etas:
-                    entries = document.get(key, {})
-                    etas[key] = {parse_word(k): _complex_pair(v, f"{args.coeffs}: {key}.{k}") for k, v in entries.items()}
-            result = zero_left_inverses(etas["eta1"], etas["eta2"], config.depth)
-            tol = max(config.tolerance, 1e-9)
-            ok = result.max_identity_defect <= tol and result.reconstruction_residual <= tol
-            failed |= not ok
-            reports.append(
-                {
-                    "lambda": list(point),
-                    "mode": mode,
-                    "verdict": "solutions_exist" if ok else "check_failed",
-                    "defects": {
-                        "identity": result.max_identity_defect,
-                        "reconstruction": result.reconstruction_residual,
-                    },
-                    "witness": {"form": "rank-one perturbations of the adjoint shifts"},
-                    "pass": ok,
-                }
-            )
+            if any(point):
+                raise ConfigError(f"--lambda {text!r} is not the origin, the only point --mode {mode} checks")
+            if zero_left is None:
+                zero_left = _zero_left_outcome(args.coeffs, config)
+            verdict, defects, witness, ok = zero_left
+        reports.append({"lambda": list(point), "mode": mode, "verdict": verdict, "defects": defects,
+                        "witness": witness, "pass": ok})
     for entry in reports:
         print(f"lambda {entry['lambda']}: {entry['verdict']} ({'PASS' if entry['pass'] else 'FAIL'})")
     report = {"command": "spectra", "config": config.echo(), "mode": mode, "results": reports}
-    return (0 if not failed else 1), report
+    return (0 if all(entry["pass"] for entry in reports) else 1), report
+
+
+def _zero_left_outcome(path: str | None, config: RunConfig) -> tuple[str, dict, dict, bool]:
+    etas = {"eta1": {}, "eta2": {}}
+    if path:
+        with open(path) as handle:
+            document = json.load(handle)
+        for key in etas:
+            entries = document.get(key, {})
+            etas[key] = {parse_word(k): _complex_pair(v, f"{path}: {key}.{k}") for k, v in entries.items()}
+    result = zero_left_inverses(etas["eta1"], etas["eta2"], config.depth)
+    tol = max(config.tolerance, 1e-9)
+    ok = result.max_identity_defect <= tol and result.reconstruction_residual <= tol
+    defects = {"identity": result.max_identity_defect, "reconstruction": result.reconstruction_residual}
+    witness = {"form": "rank-one perturbations of the adjoint shifts"}
+    return ("solutions_exist" if ok else "check_failed"), defects, witness, ok
 
 
 COMMANDS = {

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from .words import BasisEnumeration, Word
 from .weights import (
+    MAX_SWEEP_WORDS,
     CommutantMu,
     ConstantWeights,
     MuSystem,
@@ -32,6 +33,9 @@ class TruncatedFock:
 
     def __init__(self, n: int, depth: int):
         self.basis = BasisEnumeration(n, depth)
+        if self.basis.dimension > MAX_SWEEP_WORDS:
+            raise ValueError(f"Fock space for n = {n}, depth = {depth} has dimension {self.basis.dimension}, "
+                             f"above the {MAX_SWEEP_WORDS} guard; lower depth or n")
         self.n = n
         self.depth = depth
         self.dimension = self.basis.dimension

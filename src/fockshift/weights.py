@@ -417,21 +417,22 @@ def right_weight(mu: MuSystem, v: Word, w: Word) -> float:
 
     W_mu(v, e) = 1.
     """
-    total = 1.0
-    base = v
-    for letter in w.letters:
-        total *= mu.mu_of(letter, base)
-        base = append(base, letter)
-    return total
+    return _right_path(mu, v, w)[-1]
 
 
-def log_right_weight(mu: MuSystem, v: Word, w: Word) -> float:
-    total = 0.0
+def _right_path(mu: MuSystem, v: Word, u: Word, count: int = 1, log: bool = False) -> list[float]:
+    """W_mu(v, u^m), or its log, for m = 0 .. count: one walk appending count
+    copies of u to v, read after each copy."""
+    total = 0.0 if log else 1.0
+    path = [total]
     base = v
-    for letter in w.letters:
-        total += math.log(mu.mu_of(letter, base))
-        base = append(base, letter)
-    return total
+    for _ in range(count):
+        for letter in u.letters:
+            value = mu.mu_of(letter, base)
+            total = total + math.log(value) if log else total * value
+            base = append(base, letter)
+        path.append(total)
+    return path
 
 
 def mu_table(ws: WeightSystem, depth: int) -> dict[tuple[int, Word], float]:
@@ -765,10 +766,9 @@ def semisimple_estimate(source: WeightSystem | MuSystem, max_v_len: int, max_k: 
     witness = Word([1])
     for length in range(1, max_v_len + 1):
         for v in basis.level_words(length):
-            log_base = log_right_weight(mu, EMPTY, v)
-            inner = min(
-                log_right_weight(mu, v, v ** (k - 1)) / k for k in range(k_lo, max_k + 1)
-            )
+            log_base = _right_path(mu, EMPTY, v, log=True)[-1]
+            logs = _right_path(mu, v, v, max_k - 1, log=True)  # log W_mu(v, v^(k-1)) at [k - 1]
+            inner = min(logs[k - 1] / k for k in range(k_lo, max_k + 1))
             value = math.exp(inner - log_base)
             if value < best:
                 best, witness = value, v

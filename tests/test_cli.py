@@ -676,15 +676,17 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
         "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2},
     })
     scaled = _write_config(tmp_path, "scaled.json", {"n": 2, "family": "scaled", "scales": [2, 3]})
+    # spectra answers only for the unweighted tuple and refuses any other weights
+    unweighted = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
     report = tmp_path / "report.json"
     runs = [
-        ["spectra", "--config", scaled, "--lambda", "0.1,0.2", "--lambda", "3,0", "--depth", "5"],
+        ["spectra", "--config", unweighted, "--lambda", "0.1,0.2", "--lambda", "3,0", "--depth", "5"],
         ["check", "--config", periodic, "--depth", "5", "--tol", "1e-9"],
-        ["spectra", "--config", scaled, "--lambda", "0.3,0.1", "--depth", "5"],
+        ["spectra", "--config", unweighted, "--lambda", "0.3,0.1", "--depth", "5"],
         ["region", "--config", scaled, "--grid", "0:1:0.5", "--depth", "6"],
         ["check", "--config", scaled, "--depth", "0"],
         ["commutant", "--config", periodic, "--depth", "3"],
-        ["spectra", "--config", scaled, "--mode", "left_growth", "--lambda", "2,0", "--k", "3", "--depth", "5"],
+        ["spectra", "--config", unweighted, "--mode", "left_growth", "--lambda", "2,0", "--k", "3", "--depth", "5"],
         ["check", "--config", scaled],
     ]
 
@@ -705,3 +707,275 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
     # --lambda appends into a new list on every call
     assert [len(text["results"]) for _, _, text in cached if text and text["command"] == "spectra"] == [2, 1, 1]
     assert cli.build_parser() is cli.build_parser()
+
+
+# ---------------------------------------------------------------------------
+# spectra and the config parser against copies of their predecessors
+# ---------------------------------------------------------------------------
+
+
+def _parent_cmd_spectra(config, args):
+    """The spectra command that built each mode's entry in its own dict and
+    re-read the eta document and re-ran zero_left_inverses at every point."""
+    mode = args.mode
+    for flag, value, reader in (("--k", args.k, cli.MODE_LEFT_GROWTH), ("--bound", args.bound, cli.MODE_LEFT_GROWTH),
+                                ("--coeffs", args.coeffs, cli.MODE_ZERO_LEFT_INVERSE)):
+        if value is not None and mode != reader:
+            raise ConfigError(f"{flag} is read only by --mode {reader}, not by --mode {mode}")
+    reports = []
+    failed = False
+    for text in args.lam:
+        point = parse_lambda(text)
+        if len(point) != config.weights.n:
+            raise ConfigError(f"--lambda {text!r} has {len(point)} coordinates, expected {config.weights.n}")
+        if mode == cli.MODE_RIGHT:
+            result = cli.right_membership(point, config.depth)
+            ok = all(d <= config.tolerance for name, d in result.defects.items() if name != "identity_top_level")
+            failed |= not ok
+            reports.append({"lambda": list(point), "mode": result.mode, "verdict": result.verdict,
+                            "defects": result.defects, "witness": result.witness, "pass": ok})
+        elif mode == cli.MODE_LEFT_GROWTH:
+            if all(abs(z) < 1.0 - 1e-12 for z in point):
+                reports.append(
+                    {"lambda": list(point), "mode": mode, "verdict": "unknown", "defects": {}, "witness": {}, "pass": True}
+                )
+                continue
+            k, bound = 16 if args.k is None else args.k, 0.0 if args.bound is None else args.bound
+            cert = cli.left_growth_certificate(point, k, bound)
+            reports.append({
+                "lambda": list(point), "mode": mode, "verdict": "in_spectrum" if cert.unbounded else "inconclusive",
+                "defects": {},
+                "witness": {"case": cert.case, "operator_index": cert.operator_index, "run_letter": cert.run_letter,
+                            "assumed_bound": cert.assumed_bound, "bounds": cert.bounds},
+                "pass": True,
+            })
+        else:
+            etas = {"eta1": {}, "eta2": {}}
+            if args.coeffs:
+                with open(args.coeffs) as handle:
+                    document = json.load(handle)
+                for key in etas:
+                    entries = document.get(key, {})
+                    etas[key] = {cli.parse_word(k): cli._complex_pair(v, f"{args.coeffs}: {key}.{k}")
+                                 for k, v in entries.items()}
+            result = cli.zero_left_inverses(etas["eta1"], etas["eta2"], config.depth)
+            tol = max(config.tolerance, 1e-9)
+            ok = result.max_identity_defect <= tol and result.reconstruction_residual <= tol
+            failed |= not ok
+            reports.append({
+                "lambda": list(point), "mode": mode, "verdict": "solutions_exist" if ok else "check_failed",
+                "defects": {"identity": result.max_identity_defect, "reconstruction": result.reconstruction_residual},
+                "witness": {"form": "rank-one perturbations of the adjoint shifts"},
+                "pass": ok,
+            })
+    for entry in reports:
+        print(f"lambda {entry['lambda']}: {entry['verdict']} ({'PASS' if entry['pass'] else 'FAIL'})")
+    report = {"command": "spectra", "config": config.echo(), "mode": mode, "results": reports}
+    return (0 if not failed else 1), report
+
+
+_PARENT_FAMILY_FIELDS = {
+    "constant": {"value"},
+    "scaled": {"scales"},
+    "finite_perturbation": {"cutoff", "table", "tail"},
+    "periodic": {"period", "remainders"},
+    "two_letter_m": {"m", "c"},
+}
+
+
+def _parent_parse_config(document):
+    """The parser that listed the schema in one table and read it in an if/elif chain."""
+    _expect, _integer, _positive_number = cli._expect, cli._integer, cli._positive_number
+    _expect(isinstance(document, dict), "$", "config must be a JSON object")
+    _expect("n" in document, "$.n", "missing alphabet size")
+    _expect("family" in document, "$.family", "missing weight family")
+    n = _integer(document["n"], "$.n", 1)
+    family = document["family"]
+    _expect(family in _PARENT_FAMILY_FIELDS, "$.family",
+            f"unknown family {family!r}, expected one of {sorted(_PARENT_FAMILY_FIELDS)}")
+    allowed = {"n", "family"} | _PARENT_FAMILY_FIELDS[family] | cli.RUN_FIELDS
+    for key in document:
+        _expect(key in allowed, f"$.{key}", f"unknown field for family {family!r}")
+    for key in _PARENT_FAMILY_FIELDS[family]:
+        _expect(key in document, f"$.{key}", "missing required field")
+    try:
+        if family == "constant":
+            weights = ConstantWeights(n, _positive_number(document["value"], "$.value"))
+        elif family == "scaled":
+            weights = cli.ScaledWeights(n, cli._positive_list(document["scales"], n, "$.scales"))
+        elif family == "finite_perturbation":
+            weights = cli.FinitePerturbationWeights(
+                n,
+                _integer(document["cutoff"], "$.cutoff", 0),
+                cli._weight_table(document["table"], n, "$.table"),
+                cli._positive_list(document["tail"], n, "$.tail"),
+            )
+        elif family == "periodic":
+            period = _integer(document["period"], "$.period", 1)
+            weights = PeriodicWeights(n, period, cli._weight_table(document["remainders"], n, "$.remainders"))
+        else:
+            _expect(n == 2, "$.n", "family 'two_letter_m' requires n = 2")
+            weights = TwoLetterRunWeights(_positive_number(document["m"], "$.m"), _positive_number(document["c"], "$.c"))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"$.{family}: {exc}") from exc
+    depth = _integer(document.get("depth", cli.DEFAULT_DEPTH), "$.depth", 1)
+    tolerance = document.get("tolerance", cli.DEFAULT_TOLERANCE)
+    _expect(cli._is_number(tolerance) and 0 < tolerance < math.inf, "$.tolerance", "expected a positive finite number")
+    epsilon = document.get("epsilon", cli.DEFAULT_EPSILON)
+    _expect(cli._is_number(epsilon) and 0 < epsilon < math.inf, "$.epsilon", "expected a positive finite number")
+    return cli.RunConfig(weights, dict(document), depth, float(tolerance), float(epsilon))
+
+
+def _outcomes(tmp_path, capsys, argv, report):
+    report.unlink(missing_ok=True)
+    code = main([*argv, "--report", str(report)])
+    captured = capsys.readouterr()
+    text = report.read_text() if report.exists() else ""
+    return code, captured.out, captured.err, re.sub(r'"timing_seconds": \{[^}]*\}', "", text)
+
+
+def _spectra_argvs(tmp_path):
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    etas = tmp_path / "etas.json"
+    etas.write_text(json.dumps({"eta1": {"21": [1, 0]}, "eta2": {"e": [0, 0.5]}}))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"eta1": {"e": [0, NaN]}}')
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({"eta1": {"1212121": [1, 0]}}))
+    zero = ["--mode", "zero_left_inverse"]
+    cases = [
+        ["--lambda", "0.3+0.1i,0.4", "--lambda", "2,0", "--lambda", "0.6,0.8"],
+        ["--lambda", "0.5,0.5", "--tol", "1e-40", "--depth", "6"],
+        ["--lambda", "0.3,0.4", "--lambda", "nope"],
+        ["--lambda", "0.3,0.4,1"],
+        ["--mode", "left_growth", "--lambda", "1,0", "--lambda", "0.9,0.9", "--lambda", "2,0.5", "--k", "5",
+         "--bound", "1.5"],
+        ["--mode", "left_growth", "--lambda", "0.1,0.1", "--lambda=-1i,0.5"],
+        ["--mode", "left_growth", "--lambda", "0.1,0.1", "--k", "0"],
+        ["--mode", "left_growth", "--lambda", "2,0", "--k", "0"],
+        [*zero, "--lambda", "0,0", "--lambda", "0,0", "--depth", "5"],
+        [*zero, "--lambda", "0,0", "--depth", "6", "--coeffs", str(etas)],
+        [*zero, "--lambda", "0,0", "--lambda", "bad", "--coeffs", str(bad)],  # the eta file fails first
+        [*zero, "--lambda", "bad", "--coeffs", str(bad)],  # the malformed point fails first
+        [*zero, "--lambda", "0,0", "--lambda", "0,0", "--depth", "4", "--coeffs", str(deep)],
+        [*zero, "--lambda", "0,0", "--tol", "1e-30"],
+        ["--lambda", "0,0", "--k", "3"],
+    ]
+    return [["spectra", "--config", config, "--depth", "5", *case] for case in cases]
+
+
+def test_spectra_output_matches_per_mode_entries(tmp_path, capsys, monkeypatch):
+    report = tmp_path / "report.json"
+    for argv in _spectra_argvs(tmp_path):
+        outputs = []
+        for command in (cli._cmd_spectra, _parent_cmd_spectra):
+            monkeypatch.setitem(cli.COMMANDS, "spectra", command)
+            outputs.append(_outcomes(tmp_path, capsys, argv, report))
+        assert outputs[0] == outputs[1], argv
+
+
+PARSER_DOCUMENTS = [
+    [], {"family": "constant"}, {"n": 2}, {"n": 0, "family": "constant", "value": 1},
+    {"n": 2, "family": "nope"}, {"n": 2, "family": "constant"}, {"n": 2, "family": "constant", "value": 1, "x": 1},
+    {"n": 2, "family": "constant", "value": -1}, {"n": 2, "family": "constant", "value": True},
+    {"n": 2, "family": "constant", "value": 1.5, "depth": 4, "tolerance": 1e-9, "epsilon": 0.1},
+    {"n": 2, "family": "scaled", "scales": [1]}, {"n": 2, "family": "scaled", "scales": [1, "a"]},
+    {"n": 3, "family": "scaled", "scales": [0.5, 1, 2]},
+    {"n": 2, "family": "finite_perturbation", "cutoff": -1, "table": {}, "tail": [1, 1]},
+    {"n": 2, "family": "finite_perturbation", "cutoff": 0, "table": {"1:e": 1}, "tail": [1, 1]},
+    {"n": 2, "family": "finite_perturbation", "cutoff": 0, "table": {"1:e": 1, "2:e": 1}, "tail": [1]},
+    {"n": 2, "family": "finite_perturbation", "cutoff": 0, "table": [], "tail": [1, 1]},
+    {"n": 2, "family": "finite_perturbation", "cutoff": 0, "table": {"1:e": 0.5, "2:e": 2}, "tail": [0.9, 1.1]},
+    {"n": 2, "family": "periodic", "period": 0, "remainders": {}},
+    {"n": 2, "family": "periodic", "period": 1, "remainders": {"1:e": 1}},
+    {"n": 2, "family": "periodic", "period": 1, "remainders": {"1:x": 1}},
+    {"n": 2, "family": "periodic", "remainders": {}}, PERIODIC,
+    {"n": 3, "family": "two_letter_m", "m": 1, "c": 1}, {"n": 3, "family": "two_letter_m", "m": -1, "c": 1},
+    {"n": 2, "family": "two_letter_m", "m": 0, "c": 1}, {"n": 2, "family": "two_letter_m", "m": 1, "c": "x"},
+    {"n": 2, "family": "two_letter_m", "m": 1}, {"n": 2, "family": "two_letter_m", "m": 4, "c": 1},
+    {"n": 2, "family": "constant", "value": 1, "depth": 0},
+    {"n": 2, "family": "constant", "value": 1, "tolerance": -1},
+    {"n": 2, "family": "constant", "value": 1, "epsilon": "x"},
+]
+
+
+@pytest.mark.parametrize("document", PARSER_DOCUMENTS)
+def test_parse_config_matches_if_elif_parser(tmp_path, capsys, monkeypatch, document):
+    # one missing field at most: the old parser iterated a set, whose order varied from run to run
+    argv = ["check", "--config", _write_config(tmp_path, "config.json", document), "--depth", "3"]
+    outputs = []
+    for parser in (cli.parse_config, _parent_parse_config):
+        monkeypatch.setattr(cli, "parse_config", parser)
+        outputs.append(_outcomes(tmp_path, capsys, argv, tmp_path / "report.json"))
+    assert outputs[0] == outputs[1]
+
+
+def test_family_table_keeps_the_schema():
+    assert {family: set(fields) for family, (fields, _) in cli.FAMILIES.items()} == _PARENT_FAMILY_FIELDS
+
+
+def test_zero_left_reads_the_eta_file_and_checks_once(tmp_path, capsys, monkeypatch):
+    # the outcome depends on no point: three origin points used to read the file and solve three times
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    etas = tmp_path / "etas.json"
+    etas.write_text(json.dumps({"eta1": {"21": [1, 0]}, "eta2": {"e": [0, 0.5]}}))
+    calls, opened = [0], []
+
+    def counted(*args):
+        calls[0] += 1
+        return zero_left_inverses(*args)
+
+    def counted_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    zero_left_inverses = cli.zero_left_inverses
+    monkeypatch.setattr(cli, "zero_left_inverses", counted)
+    monkeypatch.setattr(cli, "open", counted_open, raising=False)
+    argv = ["spectra", "--config", config, "--mode", "zero_left_inverse", "--depth", "5", "--coeffs", str(etas)]
+    assert main([*argv, "--lambda", "0,0", "--lambda", "0,0", "--lambda", "0,0"]) == 0
+    assert calls[0] == 1 and opened.count(str(etas)) == 1
+    assert capsys.readouterr().out.count("solutions_exist (PASS)") == 3
+
+
+@pytest.mark.parametrize("document, argv, message", [
+    ({"n": 3, "family": "constant", "value": 1.0}, ["--mode", "zero_left_inverse", "--lambda", "0,0,0"],
+     "--mode zero_left_inverse is defined for n = 2, not n = 3"),
+    ({"n": 2, "family": "constant", "value": 1.0}, ["--mode", "zero_left_inverse", "--lambda", "0.5,0"],
+     "--lambda '0.5,0' is not the origin, the only point --mode zero_left_inverse checks"),
+    ({"n": 2, "family": "constant", "value": 1.0},
+     ["--mode", "zero_left_inverse", "--lambda", "0,0", "--lambda", "0,1e-300i"],
+     "--lambda '0,1e-300i' is not the origin"),
+    (PERIODIC, ["--lambda", "0.5,0.5"],
+     "spectra covers only the unweighted tuple (family 'constant', value 1), not family 'periodic'"),
+    ({"n": 2, "family": "scaled", "scales": [2, 3]}, ["--mode", "left_growth", "--lambda", "2,0"],
+     "not family 'scaled'"),
+    ({"n": 2, "family": "constant", "value": 2}, ["--mode", "zero_left_inverse", "--lambda", "0,0"],
+     "spectra covers only the unweighted tuple (family 'constant', value 1), not value 2.0"),
+])
+def test_spectra_refuses_inputs_it_would_misread(tmp_path, capsys, document, argv, message):
+    # each of these used to print a PASS verdict for the unweighted n = 2 tuple at the origin
+    config = _write_config(tmp_path, "config.json", document)
+    report = tmp_path / "spectra.json"
+    assert main(["spectra", "--config", config, "--depth", "4", *argv, "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    assert captured.err.startswith("configuration error: ") and message in captured.err
+
+
+def test_fock_space_size_guard_exits_2_before_allocating(tmp_path, capsys):
+    # depth 45 used to ask numpy for 512 TiB and exit 1 with a traceback
+    with pytest.raises(ValueError, match=r"n = 2, depth = 21 has dimension 4194303, above the 2097152 guard"):
+        TruncatedFock(2, 21)
+    assert TruncatedFock(2, 20).dimension == 2**21 - 1  # the largest space admitted for n = 2
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"coeffs": {"e": [0.5, 0], "1": [1, -0.5]}}))
+    for argv in (["cesaro", "--coeffs", str(coeffs)], ["spectra", "--lambda", "2,0"]):
+        assert main([argv[0], "--config", config, "--depth", "45", *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("precondition error: Fock space for n = 2, depth = 45 has dimension "
+                                "70368744177663, above the 2097152 guard; lower depth or n\n")

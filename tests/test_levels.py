@@ -46,6 +46,8 @@ from fockshift import (
     region_sample,
     right_creation,
     right_weight,
+    semisimple_estimate,
+    spectral_radius_lower,
     weighted_left_shift,
     weighted_right_shift,
     word_operator,
@@ -843,3 +845,76 @@ def test_table_families_hand_out_no_writable_stored_array():
         for level in levels(depth):
             # a writable array is a fresh one: writing to it cannot reach the system
             assert not level.flags.writeable or not any(np.shares_memory(level, s) for s in stored)
+
+
+# ---------------------------------------------------------------------------
+# right-weight paths: one walk along v^(K-1) against one walk per power
+# ---------------------------------------------------------------------------
+
+
+def _parent_right_weight(mu, v: Word, w: Word) -> float:
+    total = 1.0
+    base = v
+    for letter in w.letters:
+        total *= mu.mu_of(letter, base)
+        base = append(base, letter)
+    return total
+
+
+def _parent_log_right_weight(mu, v: Word, w: Word) -> float:
+    total = 0.0
+    base = v
+    for letter in w.letters:
+        total += math.log(mu.mu_of(letter, base))
+        base = append(base, letter)
+    return total
+
+
+def _parent_semisimple(mu, max_v_len: int, max_k: int) -> tuple[float, Word]:
+    """Re-walks v^(k-1) from v for every power k."""
+    k_lo = max(1, math.ceil(max_k / 2))
+    best, witness = math.inf, Word([1])
+    for length in range(1, max_v_len + 1):
+        for v in BasisEnumeration(mu.n, max_v_len).level_words(length):
+            log_base = _parent_log_right_weight(mu, EMPTY, v)
+            inner = min(_parent_log_right_weight(mu, v, v ** (k - 1)) / k for k in range(k_lo, max_k + 1))
+            value = math.exp(inner - log_base)
+            if value < best:
+                best, witness = value, v
+    return best, witness
+
+
+def _parent_closed_forms(a: FourierElement, v: Word, k_max: int) -> list[complex]:
+    a_v = a.coeffs[v]
+    log_base = _parent_log_right_weight(a.mu, EMPTY, v)
+    return [a_v**k * math.exp(-(k - 1) * log_base) * _parent_right_weight(a.mu, v, v ** (k - 1))
+            for k in range(1, k_max + 1)]
+
+
+# tabulated weights end at their table depth, short of the walks along v^(k-1)
+WALK_SYSTEMS = [s for s in SYSTEMS + ILL_CONDITIONED if not isinstance(s[1], TabulatedWeights)]
+PATH_SYSTEMS = [ws for _, ws, _ in WALK_SYSTEMS] + [table_mu(n, 80 + n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("source", PATH_SYSTEMS, ids=lambda s: f"{type(s).__name__}-n{s.n}")
+def test_semisimple_estimate_equals_per_power_walks(source):
+    mu = CommutantMu(source) if isinstance(source, WeightSystem) else source
+    for max_v_len, max_k in ((1, 1), (2, 5), (3 if source.n < 3 else 2, 8)):
+        estimate = semisimple_estimate(source, max_v_len, max_k)
+        assert (estimate.value, estimate.witness_v) == _parent_semisimple(mu, max_v_len, max_k)
+
+
+@pytest.mark.parametrize("label, ws, depth", WALK_SYSTEMS, ids=[s[0] for s in WALK_SYSTEMS])
+def test_spectral_radius_closed_forms_equal_per_power_walks(label, ws, depth):
+    n = ws.n
+    cases = [
+        ({Word([n]): 0.7 - 0.2j, Word([1, n]): 0.3}, Word([n]), depth),
+        ({EMPTY: 0.5 + 0.5j, Word([1]): 1.0}, EMPTY, 3),  # the empty word's powers are all e
+        ({Word([n, 1]): -1.5j, Word([1, 1, n]): 0.25}, Word([n, 1]), depth // 2),
+    ]
+    for coeffs, v, k_max in cases:
+        element = FourierElement.build(coeffs, ws)
+        bounds = spectral_radius_lower(element, v, k_max, depth)
+        assert bounds.closed_forms == _parent_closed_forms(element, v, k_max)
+    for v, w in ((EMPTY, EMPTY), (Word([n]), Word([1, n, 1])), (Word([1, n]), Word([n] * depth))):
+        assert right_weight(element.mu, v, w) == _parent_right_weight(element.mu, v, w)
