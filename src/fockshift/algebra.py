@@ -79,7 +79,7 @@ def expansion_operator(a: FourierElement, space: TruncatedFock) -> GradedOperato
     of rank r at level k, w*v has rank b n^k + r and v*j has rank r n + j-1.
     """
     n, depth, offsets = space.n, space.depth, space.basis.level_offsets
-    mu = a.mu.mu_levels(depth - 1)
+    mu = a.mu.kept_mu_levels(depth - 1)
     pieces = []
     for w, coeff in a.coeffs.items():
         m = len(w)

@@ -49,7 +49,7 @@ from .algebra import (
     operator_from_fourier,
     pk_polynomial,
 )
-from .eigen import GridSpec, region_sample, write_region_csv
+from .eigen import GridSpec, region_sample, verdict_rule, write_region_csv
 from .spectra import (
     MODE_LEFT_GROWTH,
     MODE_RIGHT,
@@ -354,7 +354,7 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
 
     # 'i:w' keys word by word, and letter by letter within a word, as in mu_table
     letters = range(1, ws.n + 1)
-    levels = CommutantMu(ws).mu_levels(config.depth)
+    levels = CommutantMu(ws).kept_mu_levels(config.depth)
     table = {}
     for k, labels in enumerate(level_labels(ws.n, config.depth)):
         keys = [f"{i}:{label}" for label in labels for i in letters]
@@ -408,6 +408,7 @@ def _cmd_region(config: RunConfig, args) -> tuple[int, dict]:
         "config": config.echo(),
         "grid": {"lo": grid.lo, "hi": grid.hi, "step": grid.step},
         "samples": len(samples),
+        "verdict_rule": verdict_rule(config.weights, config.epsilon),
         "verdicts": counts,
         "csv": args.out,
         "timing_seconds": timing,
@@ -422,9 +423,20 @@ def _complex_pair(pair: Any, path: str) -> complex:
     return complex(pair[0], pair[1])
 
 
+def _read_json(path: str) -> Any:
+    """The JSON document at ``path``; a file that cannot be read or parsed is a
+    configuration error naming the path."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _load_fourier_coeffs(path: str) -> dict[Word, complex]:
-    with open(path) as handle:
-        document = json.load(handle)
+    document = _read_json(path)
     if not isinstance(document, dict) or "coeffs" not in document:
         raise ConfigError(f"{path}: expected an object with a 'coeffs' field")
     return {parse_word(key): _complex_pair(pair, f"{path}: coeffs.{key}") for key, pair in document["coeffs"].items()}
@@ -510,10 +522,11 @@ def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
 def _zero_left_outcome(path: str | None, config: RunConfig) -> tuple[str, dict, dict, bool]:
     etas = {"eta1": {}, "eta2": {}}
     if path:
-        with open(path) as handle:
-            document = json.load(handle)
+        document = _read_json(path)
+        _expect(isinstance(document, dict), path, "expected an object with 'eta1' and 'eta2' fields")
         for key in etas:
             entries = document.get(key, {})
+            _expect(isinstance(entries, dict), f"{path}: {key}", "expected an object with word keys")
             etas[key] = {parse_word(k): _complex_pair(v, f"{path}: {key}.{k}") for k, v in entries.items()}
     result = zero_left_inverses(etas["eta1"], etas["eta2"], config.depth)
     tol = max(config.tolerance, 1e-9)
@@ -587,16 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = parse_config(document)
+        config = parse_config(_read_json(args.config))
         if args.depth is not None:
             if args.depth < 1:
                 raise ConfigError("--depth must be at least 1")
@@ -606,6 +610,9 @@ def main(argv: list[str] | None = None) -> int:
             if not 0 < tol < math.inf:
                 raise ConfigError("--tol must be positive and finite")
             config.tolerance = tol
+        for flag, path in (("--report", args.report), ("--out", getattr(args, "out", None))):
+            directory = os.path.dirname(os.path.abspath(path)) if path else None
+            _expect(directory is None or os.path.isdir(directory), f"{flag} {path}", f"no directory {directory}")
         return run_command(args.verb, config, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -6,14 +6,24 @@ region-sampling harness with its CSV emission.
 An ``EigenCandidate`` holds its coefficients as a vector in basis order and
 builds the ``Word``-keyed dict only on request.
 
-The level-sum kernel carries the doubled terms 2 log(r(w)/W(e,w)), exactly,
-since doubling a float only changes its exponent, and extends each level one
-letter at a time, so every numpy loop runs over a whole level of words.
-Region sampling builds the tables once per grid, sums the points in blocks
-of about BLOCK_FLOATS terms at the deepest level, with the same float
-operations per point as ``level_sums``, and judges the whole grid at once by
-the rule of ``membership_verdict``.  A level sum past the float range is
-inf, and the point is judged outside.
+The level sums come from the transfer matrix M(r) of the family's prepend
+automaton, M(r)[s, next[s, j]] += (r_j / lam[s, j])^2: sigma_k is the mass
+of one state vector, started at state 0 (the word e), after k steps.  A
+system without an automaton (``TabulatedWeights``) runs through the same
+propagation with its word tree as per-level maps.  Each step rescales the
+vector by a power of two, carried as an exponent per point, so a level sum
+is inf only past the float range.  The work per point and level is one pass
+over the automaton's edges, so region depth is bounded by what the
+propagation allocates (points x states x letters, in blocks of about
+WORK_FLOATS), not by word counts.
+
+Region verdicts are exact wherever the family has an automaton: a point is
+inside when the spectral radius of M(r), on the states reachable from state
+0, is certified below 1 - DELTA, outside when it is certified above
+1 + DELTA, and inconclusive when its Collatz-Wielandt bracket lies within
+[1 - DELTA, 1 + DELTA] (``_bracket_verdicts``); DELTA = 1e-9 and no option
+sets it.  Systems without an automaton keep the tail heuristic of
+``membership_verdict``, which reads epsilon.
 """
 
 from __future__ import annotations
@@ -26,16 +36,21 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .words import BasisEnumeration, Word
-from .weights import WeightSystem
+from .weights import WeightSystem, _prepended_ranks
 from .fock import TruncatedFock, left_shift_maps
 
 MAX_DP_WORDS = 1 << 21
-# region grids sum this many terms at a time: 256 KiB per level array
-BLOCK_FLOATS = 1 << 15
+# region work arrays hold about this many floats per block of points
+WORK_FLOATS = 1 << 18
+# the half-width of the band around 1 in which a spectral radius is inconclusive
+DELTA = 1e-9
+# power-iteration sweeps a point's bracket may take before it is left inconclusive
+MAX_BRACKET_SWEEPS = 1000
 
 INSIDE = "inside"
 OUTSIDE = "outside"
 INCONCLUSIVE = "inconclusive"
+VERDICTS = (INSIDE, OUTSIDE, INCONCLUSIVE)
 
 PARTIAL_SUM_OVERFLOW = 1e18
 
@@ -66,7 +81,7 @@ def eigenvector_coeffs(ws: WeightSystem, point: Sequence[complex], depth: int) -
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     point = tuple(complex(z) for z in point)
-    conj, lam = np.conj(np.array(point))[:, None], ws.lambda_levels(depth - 1)
+    conj, lam = np.conj(np.array(point))[:, None], ws.kept_lambda_levels(depth - 1)
     # Python's complex arithmetic part by part; numpy's differs in the last bit
     re, im = [np.ones(1)], [np.zeros(1)]
     for k in range(depth):
@@ -123,7 +138,7 @@ def joint_eigenspace_dim(
     and each tree component that no row pins adds one to the nullity.
     """
     conj = [complex(z).conjugate() for z in point]
-    lam = ws.lambda_levels(space.depth - 1)
+    lam = ws.kept_lambda_levels(space.depth - 1)
     cut = 1e-8 * max([abs(z) for z in conj] + [float(level.max()) for level in lam])
     pinned = np.zeros(space.dimension, dtype=bool)  # by component
     components, count = np.zeros(1, dtype=np.int64), 1  # the component of each word at level k
@@ -148,96 +163,183 @@ def joint_eigenspace_dim(
 
 
 def level_sums(ws: WeightSystem, moduli: Sequence[float], depth: int) -> np.ndarray:
-    """sigma_k = sum over |w| = k of (r(w) / W(e,w))^2 for k = 0..depth.
+    """sigma_k = sum over |w| = k of (r(w) / W(e,w))^2 for k = 0..depth, which
+    depend only on the coordinate moduli: the masses of ``_propagate``; a
+    level sum past the float range is inf."""
+    return _propagate(_transfer_steps(ws, ws.automaton(), depth), _moduli(ws, [moduli]))[0]
 
-    The series deciding eigenvalue membership depends only on coordinate
-    moduli.  Terms are tracked in log space, one per word, so geometric decay
-    of the weights cannot overflow the partial sums prematurely; a level sum
-    past the float range is inf.
-    """
-    if len(moduli) != ws.n:
-        raise ValueError(f"expected {ws.n} moduli, got {len(moduli)}")
-    moduli = [float(r) for r in moduli]
-    if any(r < 0 for r in moduli):
+
+def _moduli(ws: WeightSystem, points: Sequence[Sequence[float]]) -> np.ndarray:
+    """The points as a (P, n) array of nonnegative moduli."""
+    for moduli in points:
+        if len(moduli) != ws.n:
+            raise ValueError(f"expected {ws.n} moduli, got {len(moduli)}")
+    array = np.array(points, dtype=float).reshape(len(points), ws.n)
+    if (array < 0).any():
         raise ValueError("moduli must be nonnegative")
-    return _level_sums_block(_log_tables(ws, depth), np.array([moduli]), depth)[0]
+    return array
 
 
-def _log_tables(ws: WeightSystem, depth: int) -> list[np.ndarray]:
-    """2 log lambda_{i,w} for |w| < depth, one (n, n^k) table per level k with
-    row i-1 and words in frontier order, the order in which prepending
-    builds them: i*w follows w at position p n + i-1, the graded-lex rank of
-    the reversed word."""
-    n = ws.n
-    total_words = sum(n**k for k in range(depth + 1))
-    if total_words > MAX_DP_WORDS:
-        raise ValueError(f"level enumeration of {total_words} words exceeds the {MAX_DP_WORDS} guard")
-    tables = []
-    ranks = np.zeros(1, dtype=np.int64)  # the word's own rank at each frontier position
-    for k, level in enumerate(ws.lambda_levels(depth - 1)):
-        tables.append(2.0 * _exact_logs(level)[:, ranks])
-        ranks = (ranks[:, None] + np.arange(n) * n**k).ravel()
-    return tables
+def _transfer_steps(ws: WeightSystem, automaton, depth: int) -> list[tuple[np.ndarray, ...]]:
+    """Per step k -> k+1 (k < depth), the edges s -> next[s, j] out of the
+    states holding level k, as (source, letter, lam[s, j]^-2, heads), sorted
+    by target: the edges into the i-th distinct target, state i of the next
+    step, start at heads[i].  The states are the automaton's states
+    reachable in exactly k steps from state 0, or, without an automaton, the
+    words of level k in graded-lex order (j*w has rank (j-1) n^k + rank w),
+    refused past MAX_DP_WORDS words before any weight is read.  Repeated
+    state sets share their step."""
+    if automaton is None:
+        total_words = sum(ws.n**k for k in range(depth + 1))
+        if total_words > MAX_DP_WORDS:
+            raise ValueError(f"level enumeration of {total_words} words exceeds the {MAX_DP_WORDS} guard")
+    maps = [automaton] * depth if automaton is not None else [
+        (_prepended_ranks(ws.n, k), level.T) for k, level in enumerate(ws.kept_lambda_levels(depth - 1))]
+    states, steps, built = np.zeros(1, dtype=np.int64), [], {}
+    for next_state, lam in maps:
+        key = (id(lam), states.tobytes())
+        if key not in built:
+            order = np.argsort(next_state[states], axis=None, kind="stable")
+            targets, heads = np.unique(next_state[states].ravel()[order], return_index=True)
+            built[key] = targets, (*np.divmod(order, ws.n), 1.0 / np.square(lam[states].ravel()[order]), heads)
+        states, step = built[key]
+        steps.append(step)
+    return steps
 
 
-def _level_sums_block(log_lams: list[np.ndarray], moduli: np.ndarray, depth: int) -> np.ndarray:
-    """Level sums for a (P, n) array of moduli, one row per point, in blocks of
-    about BLOCK_FLOATS terms at the deepest level that share one set of work
-    arrays.  Level k extends each doubled frontier term of level k-1 by
-    2 log r_i - 2 log lambda_{i,w}, letter i into column i-1 of a (points,
-    n^(k-1), n) view; a row's float operations do not depend on its block."""
-    n = moduli.shape[1]
-    log_moduli = 2.0 * np.array([[math.log(r) if r > 0 else -math.inf for r in row] for row in moduli.tolist()])
-    block = max(1, BLOCK_FLOATS // n**depth)
-    size = min(block, len(moduli)) * n**depth
-    terms, nxt, shifted = np.empty(size), np.empty(size), np.empty(size)
-    sums = np.empty((len(moduli), depth + 1))
-    sums[:, 0] = 1.0
-    for start in range(0, len(moduli), block):
-        rows = log_moduli[start:start + block]
-        points = len(rows)
-        terms[:points] = 0.0  # level 0: the term of e is 0
-        for k in range(1, depth + 1):
-            width = n**k
-            level = nxt[: points * width].reshape(points, width // n, n)
-            prev = terms[: points * width // n].reshape(points, width // n)
-            for i in range(n):
-                column = level[:, :, i]
-                np.subtract(rows[:, i, None], log_lams[k - 1][i], out=column)
-                np.add(prev, column, out=column)
-            logs = level.reshape(points, width)
-            peaks = np.max(logs, axis=1)
-            peaks[peaks == -math.inf] = 0.0  # every term -inf: the sum is 0
-            scaled = shifted[: points * width].reshape(points, width)
-            np.exp(np.subtract(logs, peaks[:, None], out=scaled), out=scaled)
-            totals = np.sum(scaled, axis=1).tolist()
-            sums[start:start + points, k] = [_scaled(peak, total) for peak, total in zip(peaks.tolist(), totals)]
-            terms, nxt = nxt, terms
+def _propagate(steps: list[tuple[np.ndarray, ...]], moduli: np.ndarray) -> np.ndarray:
+    """sigma_0 .. sigma_len(steps) for a (P, n) array of moduli, one row per
+    point: the total mass after each step of a state vector started as mass
+    1 at state 0, where an edge carries r_j^2 lam[s, j]^-2 of the mass at
+    its source.  Each step rescales the vector to peak in [0.5, 1) by a
+    power of two, exactly, and carries the exponent, so a sum is inf only
+    past the float range (or from the level of an edge weight past it on).
+    Points go in blocks of about WORK_FLOATS edge flows."""
+    sums = np.ones((len(moduli), len(steps) + 1))
+    block = max(1, WORK_FLOATS // max([len(step[0]) for step in steps], default=1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, len(moduli), block):
+            squares = np.square(moduli[start:start + block].T)
+            mass, exponent, lost = np.ones((1, squares.shape[1])), 0, np.zeros(squares.shape[1], dtype=bool)
+            for k, (source, letter, weight, heads) in enumerate(steps, start=1):
+                mass = np.add.reduceat(mass[source] * (squares[letter] * weight[:, None]), heads, axis=0)
+                peak = mass.max(axis=0)
+                lost |= ~np.isfinite(peak)
+                mass[:, lost] = 0.0
+                shift = np.frexp(peak)[1]
+                mass, exponent = np.ldexp(mass, -shift), exponent + shift.astype(np.int64)
+                sums[start:start + block, k] = np.where(lost, math.inf, np.ldexp(mass.sum(axis=0), exponent))
     return sums
 
 
-def _scaled(peak: float, total: float) -> float:
-    """exp(peak) * total, inf past the float range."""
-    try:
-        return math.exp(peak) * total
-    except OverflowError:
-        return math.inf
+def _classes(next_state: np.ndarray, letters: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states reachable from state 0 along ``letters``, grouped by strongly
+    connected class (Tarjan's algorithm, iteratively), each class's offset,
+    and each state's depth in the search tree, within which a class is a
+    subtree."""
+    successors = next_state[:, letters].tolist()
+    index, low, depth, on_stack, stack, order, heads = {0: 0}, {0: 0}, {0: 0}, {0}, [0], [], []
+    work = [(0, iter(successors[0]))]
+    while work:
+        state, edges = work[-1]
+        for target in edges:
+            if target not in index:
+                index[target] = low[target] = len(index)
+                depth[target] = depth[state] + 1
+                stack.append(target)
+                on_stack.add(target)
+                work.append((target, iter(successors[target])))
+                break
+            if target in on_stack:
+                low[state] = min(low[state], index[target])
+        else:
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[state])
+            if low[state] == index[state]:
+                heads.append(len(order))
+                while not order or order[-1] != state:
+                    order.append(stack.pop())
+                    on_stack.discard(order[-1])
+    return np.array(order), np.array(heads), np.array([depth[s] for s in order])
 
 
-def _exact_logs(values: np.ndarray) -> np.ndarray:
-    """Elementwise math.log, which np.log can miss by an ulp, taken once per
-    distinct value."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([math.log(v) for v in distinct.tolist()])[inverse].reshape(values.shape)
+def _cycles(next_state: np.ndarray, lam: np.ndarray, letters: np.ndarray) -> list[list[tuple[np.ndarray, ...]]]:
+    """Each class of ``_classes`` with a cycle, as its phases: a class's period
+    d is the gcd of depth[s] + 1 - depth[t] over its edges s -> t, each edge
+    advances the depth modulo d by one, and phase p holds, for each of its
+    states and letters, the successor's position in phase p+1 (mod d) and
+    lam[s, j]^-2, or 0 for an edge that leaves the class."""
+    states, heads, depth = _classes(next_state, letters)
+    local = np.full(len(next_state), -1)
+    local[states] = np.arange(len(states))
+    successor, cls = local[next_state[states]], np.repeat(np.arange(len(heads)), np.diff(heads, append=len(states)))
+    inner = (successor >= 0) & (cls[successor] == cls[:, None]) & letters  # the edges within a class
+    cycles = []
+    for c in np.flatnonzero(np.logical_or.reduceat(inner.any(axis=1), heads)).tolist():
+        members = np.flatnonzero(cls == c)
+        period = int(np.gcd.reduce(np.abs(depth[members, None] + 1 - depth[successor[members]])[inner[members]]))
+        phase, rank = (depth - depth[members[0]]) % period, np.zeros(len(states), dtype=np.int64)
+        groups = [members[phase[members] == p] for p in range(period)]
+        for group in groups:
+            rank[group] = np.arange(len(group))
+        cycles.append([(np.where(inner[group], rank[successor[group]], 0),
+                        np.where(inner[group], 1.0 / np.square(lam[states[group]]), 0.0)) for group in groups])
+    return cycles
+
+
+def _bracket_verdicts(next_state: np.ndarray, lam: np.ndarray, moduli: np.ndarray) -> list[str]:
+    """The verdict of each row of moduli from the spectral radius rho of M(r),
+    M[s, next[s, j]] += (r_j / lam[s, j])^2, on the states reachable from
+    state 0: the largest radius of a class of ``_cycles``, which the letters
+    with r_j > 0 fix, once per pattern of zero moduli.  A class with period d
+    has rho(M_C)^d = rho(A) for A = M_C^d on its phase 0, where A is
+    primitive, and for x > 0, min_s (A x)_s / x_s <= rho(A) <= max_s (A x)_s / x_s
+    (Collatz-Wielandt).  From x = 1, sweeps x <- x + A x, each one pass over
+    the class's edges, run until the bracket on rho lies below 1 - DELTA
+    (inside), above 1 + DELTA (outside) or within [1 - DELTA, 1 + DELTA]
+    (inconclusive), for at most MAX_BRACKET_SWEEPS sweeps, after which the
+    point is inconclusive."""
+    codes = np.full(len(moduli), 2)  # an index into VERDICTS
+    patterns, pattern_of = np.unique(moduli > 0, axis=0, return_inverse=True)
+    for pattern, letters in enumerate(patterns):
+        cycles = _cycles(next_state, lam, letters)
+        points = np.flatnonzero(pattern_of.ravel() == pattern)
+        block = max(1, WORK_FLOATS // max([weight.size for phases in cycles for _, weight in phases], default=1))
+        for start in range(0, len(points), block):
+            rows = points[start:start + block]
+            squares, xs = np.square(moduli[rows].T), [np.ones((len(phases[0][0]), len(rows))) for phases in cycles]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for _ in range(MAX_BRACKET_SWEEPS):
+                    upper, lower, images = np.zeros(len(rows)), np.zeros(len(rows)), []
+                    for phases, x in zip(cycles, xs):
+                        image = x
+                        for successor, weight in reversed(phases):  # phase d-1 first
+                            image = sum(weight[:, j, None] * squares[j] * image[successor[:, j]]
+                                        for j in range(len(squares)))
+                        ratio = (image / x) ** (1.0 / len(phases))
+                        upper, lower = np.maximum(upper, ratio.max(axis=0)), np.maximum(lower, ratio.min(axis=0))
+                        images.append(image)
+                    judged = np.select([upper < 1.0 - DELTA, lower > 1.0 + DELTA,
+                                        (lower >= 1.0 - DELTA) & (upper <= 1.0 + DELTA)], [0, 1, 2], -1)
+                    codes[rows[judged >= 0]] = judged[judged >= 0]
+                    keep = judged < 0
+                    if not keep.any():
+                        break
+                    rows, squares = rows[keep], squares[:, keep]
+                    xs = [(x + image)[:, keep] / (x + image)[:, keep].max(axis=0) for x, image in zip(xs, images)]
+    return [VERDICTS[code] for code in codes.tolist()]
 
 
 def membership_verdict(sums: Sequence[float], epsilon: float) -> tuple[str, float]:
-    """Judge the series from its level sums: inside when the last quartile of
-    consecutive ratios is uniformly below 1 - epsilon, outside when uniformly
-    above 1 + epsilon or the partial sum has overflowed, else inconclusive.
+    """Judge the series from its level sums by the tail heuristic: inside when
+    the last quartile of consecutive ratios is uniformly below 1 - epsilon,
+    outside when uniformly above 1 + epsilon or the partial sum has
+    overflowed, else inconclusive.
 
     Returns (verdict, tail ratio).  The raw sums stay with the caller, who can
     always re-judge; the boundary is genuinely undecidable from finite data.
+    Region sampling applies this rule only to systems without an automaton.
     """
     verdicts, tail_ratios, _ = _verdicts(np.asarray(sums, dtype=float)[None, :], epsilon)
     return verdicts[0], tail_ratios[0]
@@ -260,6 +362,13 @@ def _verdicts(sums: np.ndarray, epsilon: float) -> tuple[list[str], list[float],
     return verdicts.tolist(), window[:, -1].tolist(), partials.tolist()
 
 
+def verdict_rule(ws: WeightSystem, epsilon: float) -> dict:
+    """How ``region_sample`` judges the points of this system."""
+    if ws.automaton() is None:
+        return {"rule": "tail ratios of the level sums (heuristic)", "epsilon": epsilon}
+    return {"rule": "Collatz-Wielandt bracket on the transfer matrix's spectral radius", "delta": DELTA}
+
+
 @dataclass(frozen=True)
 class RegionSample:
     moduli: tuple[float, ...]
@@ -270,15 +379,22 @@ class RegionSample:
 
 
 def sample_point(ws: WeightSystem, moduli: Sequence[float], depth: int, epsilon: float) -> RegionSample:
-    return _judged([moduli], level_sums(ws, moduli, depth)[None, :], epsilon)[0]
+    return _samples(ws, _moduli(ws, [moduli]), depth, epsilon)[0]
 
 
-def _judged(points: Sequence[Sequence[float]], sums: np.ndarray, epsilon: float) -> list[RegionSample]:
-    """One RegionSample per row of a (P, levels) block of level sums."""
+def _samples(ws: WeightSystem, moduli: np.ndarray, depth: int, epsilon: float) -> list[RegionSample]:
+    """One RegionSample per row of a (P, n) array of moduli: the level sums, and
+    the tail columns and verdicts of the whole block at once, the verdicts
+    from the transfer matrix where the system has an automaton."""
+    automaton = ws.automaton()
+    sums = _propagate(_transfer_steps(ws, automaton, depth), moduli)
     verdicts, tail_ratios, partials = _verdicts(sums, epsilon)
+    if automaton is not None:
+        verdicts = _bracket_verdicts(*automaton, moduli)
     return [
-        RegionSample(tuple(float(r) for r in moduli), tuple(row), partial, tail_ratio, verdict)
-        for moduli, row, partial, tail_ratio, verdict in zip(points, sums.tolist(), partials, tail_ratios, verdicts)
+        RegionSample(tuple(point), tuple(row), partial, tail_ratio, verdict)
+        for point, row, partial, tail_ratio, verdict in zip(moduli.tolist(), sums.tolist(), partials, tail_ratios,
+                                                            verdicts)
     ]
 
 
@@ -320,16 +436,13 @@ def region_sample(
     epsilon: float,
 ) -> list[RegionSample]:
     """One RegionSample per grid point over moduli space, in lexicographic
-    grid order.  The log-weight tables are built once per grid, the level-sum
-    kernel takes all the points in one call, and the whole grid is judged at
-    once."""
+    grid order, all points propagated and judged together (``_samples``)."""
     if depth < 3:
         raise ValueError(f"region depth {depth} gives {depth + 1} level sums; the verdict needs depth at least 3")
     if grid.count() ** ws.n > MAX_DP_WORDS:
         raise ValueError(f"region grid of {grid.count() ** ws.n} points exceeds the {MAX_DP_WORDS} guard")
-    log_lams = _log_tables(ws, depth)
     points = list(itertools.product(grid.values(), repeat=ws.n))
-    return _judged(points, _level_sums_block(log_lams, np.array(points, dtype=float), depth), epsilon)
+    return _samples(ws, np.array(points, dtype=float), depth, epsilon)
 
 
 def write_region_csv(samples: Sequence[RegionSample], stream: TextIO) -> None:
@@ -383,7 +496,7 @@ def ellipse_predicate(ws: WeightSystem, moduli: Sequence[float], depth_for_inf: 
         raise ValueError(f"expected {ws.n} moduli, got {len(moduli)}")
     axes = [ws.exact_min_weight(i) for i in range(1, ws.n + 1)]
     if None in axes:
-        lows = zip(*(level.min(axis=1).tolist() for level in ws.lambda_levels(depth_for_inf)))
+        lows = zip(*(level.min(axis=1).tolist() for level in ws.kept_lambda_levels(depth_for_inf)))
         axes = [min(low) if c_i is None else c_i for c_i, low in zip(axes, lows)]
     for i, c_i in enumerate(axes, start=1):
         if c_i <= 1e-12:

@@ -184,13 +184,13 @@ def _level_shifts(space: TruncatedFock, levels: list[np.ndarray], left: bool) ->
 
 
 def left_shift_maps(space: TruncatedFock, ws: WeightSystem) -> ShiftMap:
-    return _level_shifts(space, ws.lambda_levels(space.depth - 1), left=True)
+    return _level_shifts(space, ws.kept_lambda_levels(space.depth - 1), left=True)
 
 
 def right_shift_maps(space: TruncatedFock, mu: MuSystem) -> ShiftMap:
     if isinstance(mu, CommutantMu):
         require_bounded_mu(mu.weights)
-    return _level_shifts(space, mu.mu_levels(space.depth - 1), left=False)
+    return _level_shifts(space, mu.kept_mu_levels(space.depth - 1), left=False)
 
 
 def weighted_left_shift(space: TruncatedFock, ws: WeightSystem, i: int) -> GradedOperator:
@@ -295,7 +295,7 @@ class NormReport:
 def norm_check(space: TruncatedFock, ws: WeightSystem) -> list[NormReport]:
     """||T_i||, the largest |weight| of its certified column map, against the
     sup of lambda_{i,w} over the columns the compression keeps (|w| < depth)."""
-    levels = ws.lambda_levels(space.depth - 1)
+    levels = ws.kept_lambda_levels(space.depth - 1)
     shifts = _level_shifts(space, levels, left=True)
     for rows in shifts.rows:
         certify_injective(rows, (space.dimension, space.dimension))

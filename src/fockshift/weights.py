@@ -3,7 +3,9 @@
 A weight system assigns a strictly positive scalar to every edge of the tree:
 ``lambda_of(i, w)`` weights the edge from the basis vector at ``w`` to the one
 at ``i*w``; ``lambda_levels`` gives them as one (n, n^k) array per level k,
-row i-1 for letter i.  The table families, ``TableMu`` included, hold their
+row i-1 for letter i, and ``kept_lambda_levels`` (``kept_mu_levels`` for
+mu) builds them once per object, at the deepest depth asked, and slices
+them.  The table families, ``TableMu`` included, hold their
 tables in that layout as read-only arrays ``levels[k]``, built once, at
 construction.  Every family but ``TabulatedWeights`` is also one finite
 automaton along the prepend direction (``automaton``), which gives its
@@ -59,6 +61,18 @@ def _table_levels(table: Mapping[tuple[int, Word], float], n: int, depth: int, e
     return np.split(by_letter, basis.level_offsets[1:-1], axis=1)
 
 
+def _kept_levels(owner, name: str, depth: int, build) -> list[np.ndarray]:
+    """``build(depth)``, kept read-only on ``owner`` under ``name`` at the deepest
+    depth asked so far and sliced to ``depth``; a deeper request builds again."""
+    kept = vars(owner).get(name)
+    if kept is None or len(kept) <= depth:
+        kept = build(depth)
+        for level in kept:
+            level.setflags(write=False)
+        object.__setattr__(owner, name, kept)
+    return kept[: depth + 1]
+
+
 def _prepended_ranks(n: int, k: int) -> np.ndarray:
     """[r, a-1]: the rank of a*w at level k+1 for w of rank r at level k."""
     return np.arange(n) * n**k + np.arange(n**k)[:, None]
@@ -92,6 +106,11 @@ class WeightSystem:
         """lambda_{i,w} for every |w| <= depth: one (n, n^k) array per level k,
         row i-1 for letter i, words in graded-lex order."""
         raise NotImplementedError
+
+    def kept_lambda_levels(self, depth: int) -> list[np.ndarray]:
+        """``lambda_levels(depth)``, built once per object at the deepest depth
+        asked and sliced; the arrays are read-only."""
+        return _kept_levels(self, "_lambda_levels", depth, self.lambda_levels)
 
     def _check_letter(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -332,6 +351,11 @@ class MuSystem:
         i-1 for letter i, words in graded-lex order."""
         raise NotImplementedError
 
+    def kept_mu_levels(self, depth: int) -> list[np.ndarray]:
+        """``mu_levels(depth)``, built once per object at the deepest depth asked
+        and sliced; the arrays are read-only."""
+        return _kept_levels(self, "_mu_levels", depth, self.mu_levels)
+
 
 @dataclass(frozen=True)
 class CommutantMu(MuSystem):
@@ -346,11 +370,15 @@ class CommutantMu(MuSystem):
     def mu_of(self, i: int, w: Word) -> float:
         return commutant_mu(self.weights, i, w)
 
+    def kept_mu_levels(self, depth: int) -> list[np.ndarray]:
+        # kept on the weight system, since each caller builds its own CommutantMu
+        return _kept_levels(self.weights, "_commutant_mu_levels", depth, self.mu_levels)
+
     def mu_levels(self, depth: int) -> list[np.ndarray]:
         """The ratio recursion of ``commutant_mu``, one level at a time: j*w has
         rank (j-1) n^k + r, and lambda_{j,w*i} sits at [i-1, j-1, r] of level k+1."""
         n = self.weights.n
-        lam = self.weights.lambda_levels(depth)
+        lam = self.weights.kept_lambda_levels(depth)
         levels = [np.ones((n, 1))]
         for k in range(depth):
             appended = lam[k + 1].reshape(n, n**k, n).transpose(2, 0, 1)
@@ -438,7 +466,7 @@ def _right_path(mu: MuSystem, v: Word, u: Word, count: int = 1, log: bool = Fals
 def mu_table(ws: WeightSystem, depth: int) -> dict[tuple[int, Word], float]:
     """Tabulate the commutant weights for all base words up to ``depth``,
     keyed by (letter, word): words in graded-lex order, letters in order."""
-    levels = CommutantMu(ws).mu_levels(depth)
+    levels = CommutantMu(ws).kept_mu_levels(depth)
     basis = BasisEnumeration(ws.n, depth)
     table: dict[tuple[int, Word], float] = {}
     for k, level in enumerate(levels):
@@ -467,7 +495,7 @@ def _left_tables(ws: WeightSystem, depth: int, longest: int) -> list[list[np.nda
     at [rank w, rank u], by the recursion W(u, j*w) = W(u, w) lambda_{j,w*u} of
     ``left_weight``; j*w has rank (j-1) n^b + rank w, w*u rank w n^a + rank u."""
     n = ws.n
-    lam = ws.lambda_levels(max(depth - 1, 0))
+    lam = ws.kept_lambda_levels(max(depth - 1, 0))
     tables = [[np.ones((1, n**a))] for a in range(depth + 1)]
     for a, row in enumerate(tables):
         for b in range(min(depth - a, longest)):
@@ -480,7 +508,7 @@ def _right_tables(mu: MuSystem, depth: int) -> list[list[np.ndarray]]:
     at [rank v, rank w], by the recursion W_mu(v, w*j) = W_mu(v, w) mu_{j,v*w} of
     ``right_weight``; w*j has rank rank w n + j-1, v*w rank v n^b + rank w."""
     n = mu.n
-    m = mu.mu_levels(max(depth - 1, 0))
+    m = mu.kept_mu_levels(max(depth - 1, 0))
     tables = [[np.ones((n**a, 1))] for a in range(depth + 1)]
     for a, row in enumerate(tables):
         for b in range(depth - a):
@@ -606,7 +634,7 @@ def _sweep_guard(n: int, depth: int, per_word=lambda k: 1, what: str = "words") 
 
 def _enumerated_sup(ws: WeightSystem, depth: int) -> tuple[float, tuple[int, Word]]:
     _sweep_guard(ws.n, depth)
-    levels = CommutantMu(ws).mu_levels(depth)
+    levels = CommutantMu(ws).kept_mu_levels(depth)
     basis = BasisEnumeration(ws.n, depth)
     best = 0.0
     witness = (1, EMPTY)
@@ -796,7 +824,7 @@ def lambda_from_mu(mu: MuSystem, depth: int) -> TabulatedWeights:
     # ratio recursion lambda_{i,wj} = lambda_{i,w} mu_{j,iw} / mu_{j,w}: the word
     # w*j has rank r n + j-1, and mu_{j,i*w} sits at [i-1, r, j-1] of level k+1
     n = mu.n
-    m = mu.mu_levels(depth)
+    m = mu.kept_mu_levels(depth)
     levels = [np.ones((n, 1))]
     for k in range(depth):
         prepended = m[k + 1].reshape(n, n, n**k).transpose(1, 2, 0)

@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +155,7 @@ def test_region_report_times_sampling_and_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("depth", (1, 2))
 def test_region_depth_below_three_exits_2(tmp_path, capsys, monkeypatch, depth):
-    monkeypatch.setattr(eigen, "_log_tables", None)  # the depth is refused before any table is built
+    monkeypatch.setattr(eigen, "_transfer_steps", None)  # the depth is refused before any map is built
     config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
     assert main(["region", "--config", config, "--grid", "0:1:0.5", "--depth", str(depth)]) == 2
     captured = capsys.readouterr()
@@ -168,7 +171,7 @@ def test_region_depth_below_three_exits_2(tmp_path, capsys, monkeypatch, depth):
     ("0:1e308:1e-308", "grid 0.0:1e+308:1e-308: the point count (hi - lo) / step is not finite"),
 ])
 def test_region_non_finite_grid_exits_2(tmp_path, capsys, monkeypatch, grid, message):
-    monkeypatch.setattr(eigen, "_log_tables", None)  # the grid is refused before any table is built
+    monkeypatch.setattr(eigen, "_transfer_steps", None)  # the grid is refused before any map is built
     config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
     assert main(["region", "--config", config, "--grid", grid, "--depth", "4"]) == 2
     captured = capsys.readouterr()
@@ -179,7 +182,7 @@ def test_region_non_finite_grid_exits_2(tmp_path, capsys, monkeypatch, grid, mes
 def test_region_oversized_grid_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
     # 11 values per axis make 121 points, past the guard lowered to 100
     monkeypatch.setattr(eigen, "MAX_DP_WORDS", 100)
-    monkeypatch.setattr(eigen, "_log_tables", None)
+    monkeypatch.setattr(eigen, "_transfer_steps", None)
     monkeypatch.setattr(eigen.GridSpec, "values", None)
     config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
     assert main(["region", "--config", config, "--grid", "0:1:0.1", "--depth", "3"]) == 2
@@ -360,6 +363,59 @@ def test_deep_commutant_round_trip(tmp_path, capsys):
     config = _write_config(tmp_path, "deep.json", DEEP_N1)
     assert main(["commutant", "--config", config, "--depth", "200"]) == 0
     assert "round-trip: PASS" in capsys.readouterr().out
+
+
+def _exits_2_naming(argv, capsys, text) -> None:
+    """Exit 2 with one stderr line naming ``text``, and nothing on stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and text in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cesaro", "--coeffs"],
+    ["spectra", "--mode", "zero_left_inverse", "--lambda", "0,0", "--coeffs"],
+])
+def test_missing_coefficient_file_exits_2(tmp_path, capsys, argv):
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    missing = str(tmp_path / "missing.json")
+    _exits_2_naming([argv[0], "--config", config, *argv[1:], missing], capsys, f"cannot read {missing}")
+
+
+@pytest.mark.parametrize("document", [[], {"eta1": [1, 0]}])
+def test_eta_document_of_the_wrong_shape_exits_2(tmp_path, capsys, document):
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    etas = _write_config(tmp_path, "etas.json", document)
+    argv = ["spectra", "--config", config, "--mode", "zero_left_inverse", "--lambda", "0,0", "--coeffs", etas]
+    _exits_2_naming(argv, capsys, etas)
+
+
+@pytest.mark.parametrize("verb, flag, extra", [
+    ("check", "--report", []),
+    ("region", "--out", ["--grid", "0:1:0.5"]),
+    ("region", "--report", ["--grid", "0:1:0.5"]),
+])
+def test_output_into_a_missing_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, verb, flag, extra):
+    monkeypatch.setitem(cli.COMMANDS, verb, lambda *args: pytest.fail("the command ran"))
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    missing = tmp_path / "absent"
+    argv = [verb, "--config", config, *extra, flag, str(missing / "out.file")]
+    _exits_2_naming(argv, capsys, f"no directory {missing}")
+    assert not missing.exists()
+
+
+def test_region_report_names_the_verdict_rule(tmp_path, capsys):
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    report = tmp_path / "region.json"
+    assert main(["region", "--config", config, "--grid", "0:1.2:0.2", "--depth", "6", "--report", str(report)]) == 0
+    capsys.readouterr()
+    document = json.loads(report.read_text())
+    assert document["verdict_rule"] == {"rule": "Collatz-Wielandt bracket on the transfer matrix's spectral radius",
+                                        "delta": 1e-9}
+    # 0.04 (a^2 + b^2) at grid point (0.2 a, 0.2 b): inside below 25, and the four boundary points
+    # (0, 5), (3, 4), (4, 3), (5, 0) in the band
+    assert document["verdicts"] == {"inside": 22, "outside": 23, "inconclusive": 4}
 
 
 @pytest.mark.parametrize("mode", ["cesaro", "zero_left_inverse"])
@@ -979,3 +1035,26 @@ def test_fock_space_size_guard_exits_2_before_allocating(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == ("precondition error: Fock space for n = 2, depth = 45 has dimension "
                                 "70368744177663, above the 2097152 guard; lower depth or n\n")
+
+
+def test_cli_loads_neither_csgraph_nor_linalg(tmp_path):
+    # a fresh interpreter: importing the CLI, or running region, must not pull in these scipy subpackages,
+    # whose import time every command would pay (scipy.sparse.csgraph alone takes about 0.1 s)
+    config = _write_config(tmp_path, "periodic.json", {
+        "n": 2, "family": "periodic", "period": 2,
+        "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2}})
+    code = (
+        "import sys\n"
+        "import fockshift.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith(('scipy.sparse.csgraph', 'scipy.linalg')))\n"
+        "print(loaded())\n"
+        f"fockshift.cli.main(['region', '--config', {config!r}, '--grid', '0:1.2:0.2', '--depth', '6',"
+        f" '--out', {str(tmp_path / 'region.csv')!r}])\n"
+        "print(loaded())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n[]\n"

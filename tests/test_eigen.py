@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockshift import (
+    BasisEnumeration,
     ConstantWeights,
     GridSpec,
+    PeriodicWeights,
     ScaledWeights,
+    TabulatedWeights,
     TruncatedFock,
+    TwoLetterRunWeights,
     eigen_residual,
     eigenvector_coeffs,
     ellipse_predicate,
@@ -22,7 +26,8 @@ from fockshift import (
     weighted_left_shift,
     write_region_csv,
 )
-from fockshift.eigen import INCONCLUSIVE, INSIDE, OUTSIDE, sample_point
+from fockshift import eigen
+from fockshift.eigen import DELTA, INCONCLUSIVE, INSIDE, OUTSIDE, sample_point
 from fockshift.words import EMPTY, Word
 
 from conftest import ILL_CONDITIONED, ORACLE_DEPTH, SYSTEMS, random_finite_perturbation
@@ -236,7 +241,144 @@ def test_inside_implies_small_residual(periodic_example):
         count += 1
 
 
-def test_level_sums_guard():
+def test_level_sums_past_the_word_guard():
+    # one state vector per point, not a level of words: depth 25 of n = 2 passes 2^21 words
     unweighted = ConstantWeights(2, 1.0)
-    with pytest.raises(ValueError):
-        level_sums(unweighted, (0.5, 0.5), 25)
+    assert level_sums(unweighted, (0.5, 0.5), 25).tolist() == [0.5**k for k in range(26)]
+    # a system without an automaton propagates on its word tree, which keeps the word guard
+    tabulated = TabulatedWeights(2, 2, [np.ones((2, 2**k)) for k in range(3)])
+    with pytest.raises(ValueError, match="level enumeration of 67108863 words exceeds"):
+        level_sums(tabulated, (0.5, 0.5), 25)
+
+
+# ---------------------------------------------------------------------------
+# exact regions: the spectral radius of the transfer matrix
+# ---------------------------------------------------------------------------
+
+
+def _dense_radius(automaton, moduli) -> float:
+    """rho(M(r)) by np.linalg.eigvals on the states reachable from e along the
+    letters with r_j > 0: the oracle of the Collatz-Wielandt bracket."""
+    next_state, lam = automaton
+    letters = [j for j, r in enumerate(moduli) if r > 0]
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [t for s in frontier for t in next_state[s, letters].tolist() if t not in reached]
+        reached.update(frontier)
+    states = sorted(reached)
+    position = {s: p for p, s in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for s in states:
+        for j in letters:
+            matrix[position[s], position[int(next_state[s, j])]] += (moduli[j] / lam[s, j]) ** 2
+    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+
+
+def _random_periodic(n: int, period: int, seed: int) -> PeriodicWeights:
+    rng = np.random.default_rng(seed)
+    words = BasisEnumeration(n, period - 1).words()
+    return PeriodicWeights(n, period, {(i, w): float(rng.uniform(0.5, 2.0)) for w in words for i in range(1, n + 1)})
+
+
+RAY_SYSTEMS = [
+    ("scaled", ScaledWeights(2, (2.0, 3.0))),
+    ("finite_perturbation", random_finite_perturbation(31)),
+    ("periodic-p3", _random_periodic(2, 3, 32)),
+    # its cycle class has period 6, whose rotating eigenvalues a plain power iteration settles only slowly
+    ("periodic-p6", _random_periodic(2, 6, 34)),
+    ("periodic-n3-p2", _random_periodic(3, 2, 33)),
+    ("two_letter_m", TwoLetterRunWeights(0.81, 0.9)),
+]
+
+
+@pytest.mark.parametrize("label, ws", RAY_SYSTEMS, ids=[s[0] for s in RAY_SYSTEMS])
+def test_verdicts_split_rays_at_the_radius(monkeypatch, label, ws):
+    # M(t r) = t^2 M(r): along a ray the boundary sits at t* = rho(M(r))^(-1/2)
+    # every family's brackets settle within a few sweeps, the periodic ones through their phase-0 powers
+    monkeypatch.setattr(eigen, "MAX_BRACKET_SWEEPS", 30)
+    rng = np.random.default_rng(len(label))
+    for _ in range(5):
+        direction = tuple(rng.uniform(0.1, 1.0, ws.n))
+        rho = _dense_radius(ws.automaton(), direction)
+        assert _dense_radius(ws.automaton(), tuple(3.0 * r for r in direction)) == pytest.approx(9.0 * rho, rel=1e-12)
+        boundary = rho ** -0.5
+        for factor in (0.5, 0.9, 1.0 - 1e-8, 1.0 + 1e-8, 1.1, 2.0):
+            point = tuple(factor * boundary * r for r in direction)
+            assert sample_point(ws, point, 8, 0.02).verdict == (INSIDE if factor < 1.0 else OUTSIDE), factor
+
+
+@pytest.mark.parametrize("period", (1, 3))
+@pytest.mark.parametrize("seed", range(4))
+def test_bracket_splits_rays_on_random_automata(seed, period):
+    # random prepend automata, whose classes have uneven ratios at x = 1 and, for period 3,
+    # edges that advance the state's residue mod 3: the rays split at t* = rho^(-1/2)
+    rng = np.random.default_rng(seed)
+    states = 9
+    next_state = np.empty((states, 2), dtype=np.int64)
+    for s in range(states):
+        targets = [t for t in range(1, states) if period == 1 or t % period == (s + 1) % period]
+        next_state[s] = rng.choice(targets, size=2)
+    automaton = (next_state, rng.uniform(0.5, 2.0, (states, 2)))
+    points, expected = [], []
+    for direction in [tuple(rng.uniform(0.1, 1.0, 2)) for _ in range(4)] + [(0.7, 0.0), (0.0, 0.4)]:
+        boundary = _dense_radius(automaton, direction) ** -0.5
+        for factor in (0.5, 1.0 - 1e-8, 1.0 + 1e-8, 2.0):
+            points.append(tuple(factor * boundary * r for r in direction))
+            expected.append(INSIDE if factor < 1.0 else OUTSIDE)
+    assert eigen._bracket_verdicts(*automaton, np.array(points)) == expected
+
+
+def _assert_region(samples, value) -> None:
+    """Inside where value(moduli) < 1 - 2 DELTA, outside where it is above
+    1 + 2 DELTA, and inconclusive exactly on the boundary value 1."""
+    for s in samples:
+        v = value(s.moduli)
+        if v < 1.0 - 2 * DELTA:
+            assert s.verdict == INSIDE, s.moduli
+        elif v > 1.0 + 2 * DELTA:
+            assert s.verdict == OUTSIDE, s.moduli
+        elif v == 1.0:
+            assert s.verdict == INCONCLUSIVE, s.moduli
+
+
+def test_scaled_region_is_the_ellipse(scaled23):
+    samples = region_sample(scaled23, GridSpec(0.0, 3.0, 0.25), 8, 0.02)
+    _assert_region(samples, lambda r: (r[0] / 2.0) ** 2 + (r[1] / 3.0) ** 2)
+    assert {s.moduli for s in samples if s.verdict == INCONCLUSIVE} == {(0.0, 3.0), (2.0, 0.0)}
+
+
+def test_periodic_example_region_is_the_disc_of_radius_sqrt2(periodic_example):
+    samples = region_sample(periodic_example, GridSpec(0.0, 1.2, 0.05), 10, 0.02)
+    _assert_region(samples, lambda r: (r[0] ** 2 + r[1] ** 2) / 2.0)
+    verdicts = [s.verdict for s in samples]
+    assert (verdicts.count(INSIDE), verdicts.count(OUTSIDE), verdicts.count(INCONCLUSIVE)) == (578, 46, 1)
+    assert sample_point(periodic_example, (1.0, 1.0), 10, 0.02).verdict == INCONCLUSIVE
+    # rho = (r1^2 + r2^2) / 2 = 1 + 0.7 DELTA lies in the band, though rho^2 for the period-2 class does not
+    assert sample_point(periodic_example, (math.sqrt(1.0 + 1.4 * DELTA), 1.0), 10, 0.02).verdict == INCONCLUSIVE
+    assert sample_point(periodic_example, (math.sqrt(1.0 + 2.2 * DELTA), 1.0), 10, 0.02).verdict == OUTSIDE
+
+
+@pytest.mark.parametrize("alpha, t", [((0.75, 1.25), 1.5), ((1.0, 1.0), 2.5), ((1.25, 0.75), 2.0), ((1.0, 0.5), 1.75)])
+def test_benchmark_periodic_region(alpha, t):
+    # lambda_{a,e} = alpha_a and lambda_{a,b} = t alpha_a: the region is sum_a r_a^2 / alpha_a^2 < t
+    remainders = {(a, EMPTY): alpha[a - 1] for a in (1, 2)}
+    remainders.update({(a, Word([b])): t * alpha[a - 1] for a in (1, 2) for b in (1, 2)})
+    ws = PeriodicWeights(2, 2, remainders)
+    samples = region_sample(ws, GridSpec(0.0, 1.2, 0.05), 10, 0.02)
+    _assert_region(samples, lambda r: sum((x / a) ** 2 for x, a in zip(r, alpha)) / t)
+    assert any(s.verdict == OUTSIDE for s in samples) and any(s.verdict == INSIDE for s in samples)
+
+
+def test_zero_coordinates_drop_their_letters_edges():
+    # two-letter runs with m = 0.5, c = 0.1: the 1-run state loops with (r1 m)^2, and every word
+    # holding a 2 reaches the state that loops with (r1^2 + r2^2) / c^2, which r2 = 0 cuts off
+    ws = TwoLetterRunWeights(0.5, 0.1)
+    assert sample_point(ws, (1.0, 0.0), 8, 0.02).verdict == INSIDE
+    assert level_sums(ws, (1.0, 0.0), 8).tolist() == [0.25**k for k in range(9)]
+    assert sample_point(ws, (1.0, 1e-300), 8, 0.02).verdict == OUTSIDE
+    assert sample_point(ws, (0.0, 0.09), 8, 0.02).verdict == INSIDE
+    assert sample_point(ws, (0.0, 0.11), 8, 0.02).verdict == OUTSIDE
+    assert sample_point(ws, (0.0, 0.0), 8, 0.02).verdict == INSIDE
+    # scaled weights: a zero coordinate leaves the other letter's ellipse axis
+    assert sample_point(ScaledWeights(2, (2.0, 3.0)), (0.0, 2.99), 8, 0.02).verdict == INSIDE
+    assert sample_point(ScaledWeights(2, (2.0, 3.0)), (0.0, 3.01), 8, 0.02).verdict == OUTSIDE

@@ -1,12 +1,15 @@
 """The per-level array paths against the scalar, per-word oracle.
 
-Every comparison but two is exact: the array paths perform the same
+Every comparison but three is exact: the array paths perform the same
 floating-point operations in the same order as the per-word loops over
 ``lambda_of``, ``mu_of`` and ``commutant_mu``.  The expansion operator is
 compared at 1e-14 relative: it carries W_mu(w,v) / W_mu(e,v) as a ratio,
 where the per-word formula divides two products.  The condition-6 supremum
 is compared at 1e-12 relative: the decision sums log factors along the
-prepend automaton, where the family oracles multiply ratios.
+prepend automaton, where the family oracles multiply ratios.  Level sums are
+compared at 1e-13 relative, with inf at the same levels: the transfer matrix
+sums linear masses state by state, where the per-word oracle and the
+frontier kernel (``level_sum_kernel``) exponentiate log terms word by word.
 """
 
 import cmath
@@ -14,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +45,7 @@ from fockshift import (
     left_creation,
     left_weight,
     level_sums,
+    membership_verdict,
     operator_from_fourier,
     pk_polynomial,
     region_sample,
@@ -54,10 +59,12 @@ from fockshift import (
 )
 from fockshift import PeriodicWeights, TableMu, TabulatedWeights, algebra, eigen, fock, weights
 from fockshift.cli import main
+from fockshift.eigen import INSIDE, OUTSIDE
 from fockshift.weights import BOUNDED, DIVERGING, DefectReport, MuSystem, WeightSystem, mu_table, table_from_strings
 from fockshift.words import EMPTY, Word, append, parse_word, prepend
 
 from conftest import ILL_CONDITIONED, SYSTEMS, random_finite_perturbation, system_depth, table_mu
+import level_sum_kernel as kernel
 
 
 
@@ -248,55 +255,95 @@ def test_level_arrays_equal_scalar_oracle(label, ws, depth):
         ratio = left_weight(ws, Word([i]), w) / left_weight(ws, EMPTY, w)
         assert abs(value - ratio) <= 1e-14 * ratio
 
-    # log r = 0 at r = 1 keeps every bit of log lambda in the terms
     for moduli in ((0.0,) * n, tuple(1.0 - 0.2 * j for j in range(n))):
-        assert np.array_equal(level_sums(ws, moduli, depth), _oracle_level_sums(ws, moduli, depth))
+        _assert_sums_close(level_sums(ws, moduli, depth), _oracle_level_sums(ws, moduli, depth))
 
     _check_expansions(space, _element(ws, 80 + n))
 
 
-def _oracle_region(monkeypatch, ws, grid: GridSpec, depth: int) -> list:
-    """sample_point at every grid point, with the per-word level sums."""
-    with monkeypatch.context() as patched:
-        patched.setattr(eigen, "level_sums", _oracle_level_sums)
-        points = itertools.product(grid.values(), repeat=ws.n)
-        return [eigen.sample_point(ws, p, depth, 0.02) for p in points]
+def _assert_sums_close(sums, oracle) -> None:
+    """The transfer matrix's level sums against an oracle's: inf at the same
+    levels, and the finite ones within 1e-13 relative."""
+    sums, oracle = np.asarray(sums), np.asarray(oracle)
+    assert np.array_equal(np.isinf(sums), np.isinf(oracle))
+    finite = np.isfinite(oracle)
+    assert np.all(np.abs(sums[finite] - oracle[finite]) <= 1e-13 * oracle[finite])
+
+
+def _closed_form_radius(ws, moduli) -> float:
+    """The spectral radius of the transfer matrix M(r) of each conftest family,
+    in closed form: the largest cycle class reachable from e along the
+    letters with r_j > 0."""
+    squares = [r * r for r in moduli]
+    if isinstance(ws, ConstantWeights):
+        return sum(squares) / ws.value**2
+    if isinstance(ws, ScaledWeights):
+        return sum(x / c**2 for x, c in zip(squares, ws.scales))
+    if isinstance(ws, FinitePerturbationWeights):  # only the tail state carries a cycle
+        return sum(x / c**2 for x, c in zip(squares, ws.tail))
+    if isinstance(ws, PeriodicWeights):  # lambda_{a,e} = alpha_a, lambda_{a,b} = t alpha_a: two steps give q^2 / t^2
+        alpha = [ws.remainders[(a, EMPTY)] for a in range(1, ws.n + 1)]
+        t = ws.remainders[(1, Word([1]))] / alpha[0]
+        return sum(x / a**2 for x, a in zip(squares, alpha)) / t
+    # two-letter runs: the 1-run state loops on letter 1, every word with a 2 past the first letter on both
+    run = (moduli[0] * ws.m) ** 2 if moduli[0] > 0 else 0.0
+    rest = (squares[0] + squares[1]) / ws.c**2 if moduli[1] > 0 else 0.0
+    return max(run, rest)
+
+
+def _assert_closed_form_verdicts(ws, samples) -> None:
+    """Every verdict off the band |rho - 1| <= 2 DELTA is the closed form's."""
+    for s in samples:
+        rho = _closed_form_radius(ws, s.moduli)
+        if abs(rho - 1.0) > 2 * eigen.DELTA:
+            assert s.verdict == (INSIDE if rho < 1.0 else OUTSIDE), (s.moduli, rho)
 
 
 @pytest.mark.parametrize("label, ws, depth", SYSTEMS, ids=[s[0] for s in SYSTEMS])
 def test_region_blocks_equal_scalar_oracle(monkeypatch, label, ws, depth):
-    # grids from r = 0 on every axis, through r = 1.05, where np.log misses
-    # math.log by an ulp; blocks of 4 points, so the last block is partial
+    # grids from r = 0 on every axis, through r = 1.05; blocks of 4 points, so the last block is partial
     grid = GridSpec(0.0, 1.2, 0.15) if ws.n < 3 else GridSpec(0.0, 1.05, 0.525)
-    oracle = _oracle_region(monkeypatch, ws, grid, depth)
-    monkeypatch.setattr(eigen, "BLOCK_FLOATS", 4 * ws.n**depth + ws.n**depth - 1)
-    calls = {"lambda_levels": 0, "_exact_logs": 0}
+    points = list(itertools.product(grid.values(), repeat=ws.n))
+    automaton = ws.automaton()
+    widest = ws.n ** (depth + 1) if automaton is None else automaton[0].size
+    monkeypatch.setattr(eigen, "WORK_FLOATS", 4 * widest + widest - 1)
+    calls = [0]
+    build = type(ws).automaton
 
-    def counted(name, function):
-        def wrapper(*args):
-            calls[name] += 1
-            return function(*args)
-        return wrapper
+    def counted(system):
+        calls[0] += 1
+        return build(system)
 
-    monkeypatch.setattr(type(ws), "lambda_levels", counted("lambda_levels", type(ws).lambda_levels))
-    monkeypatch.setattr(eigen, "_exact_logs", counted("_exact_logs", eigen._exact_logs))
+    monkeypatch.setattr(type(ws), "automaton", counted)
     samples = region_sample(ws, grid, depth, 0.02)
-    assert len(samples) == len(oracle) >= 9 and oracle[0].moduli == (0.0,) * ws.n
-    assert samples == oracle
-    # the tables are built once per grid: one lambda_levels, one log per level
-    assert calls == {"lambda_levels": 1, "_exact_logs": depth}
+    assert [s.moduli for s in samples] == points and len(points) >= 9 and points[0] == (0.0,) * ws.n
+    oracle = [_oracle_level_sums(ws, p, depth) for p in points]
+    for s, sums in zip(samples, oracle):
+        _assert_sums_close(s.sums, sums)
+    if automaton is None:
+        # tabulated weights keep the tail heuristic
+        assert [s.verdict for s in samples] == [membership_verdict(sums, 0.02)[0] for sums in oracle]
+    else:
+        _assert_closed_form_verdicts(ws, samples)
+    # the automaton is built once per grid
+    assert calls[0] == 1
 
 
-def test_region_blocks_at_the_block_size(monkeypatch):
-    # 2^13 words at the deepest level: 4 points per block, 9 points in 3 blocks
+def test_region_blocks_at_the_block_size():
+    # the kernel oracle at its block size: 2^13 words at the deepest level
+    # make 4 points per block, and 9 points take 3 blocks
     ws = SYSTEMS[[s[0] for s in SYSTEMS].index("periodic-n2")][1]
     grid = GridSpec(0.0, 1.0, 0.5)
-    assert eigen.BLOCK_FLOATS // 2**13 == 4
-    assert region_sample(ws, grid, 13, 0.02) == _oracle_region(monkeypatch, ws, grid, 13)
+    assert kernel.BLOCK_FLOATS // 2**13 == 4
+    points = list(itertools.product(grid.values(), repeat=2))
+    expected = np.array([_oracle_level_sums(ws, p, 13) for p in points])
+    assert np.array_equal(kernel.kernel_level_sums(ws, points, 13), expected)
+    for s, sums in zip(region_sample(ws, grid, 13, 0.02), expected):
+        _assert_sums_close(s.sums, sums)
 
 
 def test_region_guard_raises_before_building_tables():
-    # sum over k <= 7 of 10^k words
+    # a system without an automaton propagates on its word tree: sum over k <= 7 of 10^k words
     with pytest.raises(ValueError, match=r"level enumeration of 11111111 words exceeds"):
         region_sample(_Unbuildable(10), GridSpec(0.0, 1.0, 0.5), 7, 0.02)
 
@@ -347,9 +394,9 @@ def test_kernel_equals_parent_kernel_past_the_oracle(label, ws, depth, rows):
     moduli = np.array(rows, dtype=float)
     for d in (0, 1, depth):
         expected = _parent_level_sums_block(ws, moduli, d)
-        assert np.array_equal(eigen._level_sums_block(eigen._log_tables(ws, d), moduli, d), expected, equal_nan=True)
+        assert np.array_equal(kernel._level_sums_block(kernel._log_tables(ws, d), moduli, d), expected, equal_nan=True)
         for row, sums in zip(rows, expected):
-            assert np.array_equal(level_sums(ws, row, d), sums, equal_nan=True)
+            _assert_sums_close(level_sums(ws, row, d), sums)
     # the overflow cases do overflow
     if label == "scaled-1e-150":
         assert np.isinf(expected[0, -1])
@@ -357,19 +404,41 @@ def test_kernel_equals_parent_kernel_past_the_oracle(label, ws, depth, rows):
         assert np.isinf(expected[1:3, -1]).all() and expected[0, 1:].tolist() == [0.0] * depth
 
 
+def test_deep_single_letter_sums_match_exact_products():
+    # the CLI tests' deep n = 1 system, lambda = 0.5, 2, then 0.01 beyond the cutoff, over 200 levels: inf at
+    # the kernel's levels, and the finite sums within 1e-13 of the exact products, since the log kernel itself
+    # drifts by up to about 1e-12 relative there
+    ws = FinitePerturbationWeights(1, 1, table_from_strings({"1:e": 0.5, "1:1": 2.0}), (0.01,))
+    lams = [Fraction(0.5), Fraction(2.0)] + [Fraction(0.01)] * 198
+    for r in (0.5, 0.0099, 0.01, 0.0):
+        sums = level_sums(ws, (r,), 200)
+        assert np.array_equal(np.isinf(sums), np.isinf(kernel.kernel_level_sums(ws, [(r,)], 200)[0]))
+        exact = [Fraction(1)]
+        for lam in lams:
+            exact.append(exact[-1] * (Fraction(r) / lam) ** 2)
+        assert np.isinf(sums[-1]) == (r == 0.5)
+        for value, term in zip(sums.tolist(), exact):
+            if math.isfinite(value):
+                assert abs(Fraction(value) - term) <= Fraction(1e-13) * term
+
+
 def test_region_sample_judges_each_grid_once(monkeypatch):
-    # 289 points at depth 10: ten blocks of level sums, one judgement
-    calls = [0]
-    verdicts = eigen._verdicts
+    # 289 points at depth 10: one pass for the tail columns, one for the verdicts
+    calls = {"_verdicts": 0, "_bracket_verdicts": 0}
 
-    def counted(*args):
-        calls[0] += 1
-        return verdicts(*args)
+    def counted(name):
+        function = getattr(eigen, name)
 
-    monkeypatch.setattr(eigen, "_verdicts", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(eigen, name, counted(name))
     samples = region_sample(ScaledWeights(2, (1.5, 2.0)), GridSpec(0.0, 3.2, 0.2), 10, 0.02)
-    assert len(samples) == 289 > eigen.BLOCK_FLOATS // 2**10
-    assert calls[0] == 1
+    assert len(samples) == 289
+    assert calls == {"_verdicts": 1, "_bracket_verdicts": 1}
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -769,8 +838,8 @@ def test_condition6_decided_once_per_system(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_level_arrays_built_once_per_use(tmp_path, capsys, monkeypatch, periodic_example):
-    # every letter's weights come from one lambda_levels call
+def test_level_arrays_built_once_per_use(tmp_path, capsys, monkeypatch):
+    # a weight system builds its lambda levels once, at the deepest depth asked, and slices them
     calls = [0]
     build = PeriodicWeights.lambda_levels
 
@@ -783,24 +852,31 @@ def test_level_arrays_built_once_per_use(tmp_path, capsys, monkeypatch, periodic
         run()
         return calls[0]
 
+    remainders = {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2}
+
+    def fresh() -> PeriodicWeights:
+        return PeriodicWeights(2, 2, table_from_strings(remainders))
+
     monkeypatch.setattr(PeriodicWeights, "lambda_levels", counted)
-    space = TruncatedFock(2, 6)
-    assert count(lambda: CommutantMu(periodic_example).mu_levels(6)) == 1
-    assert count(lambda: fock.norm_check(space, periodic_example)) == 1
-    assert count(lambda: fock.vacuum_kernel_check(space, periodic_example)) == 1
-    assert count(lambda: fock.commutation_defect(space, periodic_example, table_mu(2, 75))) == 1
-    # the left map, and the right map through CommutantMu, once the system holds its condition-6 decision
-    weights.require_bounded_mu(periodic_example)
-    assert count(lambda: fock.commutation_defect(space, periodic_example)) == 2
+    space, ws = TruncatedFock(2, 6), fresh()
+    assert count(lambda: fock.norm_check(space, fresh())) == 1
+    assert count(lambda: CommutantMu(ws).mu_levels(6)) == 1
+    # every later use up to depth 6 slices the kept levels: the left map, and the right map through CommutantMu
+    assert count(lambda: fock.norm_check(space, ws)) == 0
+    assert count(lambda: fock.vacuum_kernel_check(space, ws)) == 0
+    assert count(lambda: fock.commutation_defect(space, ws, table_mu(2, 75))) == 0
+    weights.require_bounded_mu(ws)
+    assert count(lambda: fock.commutation_defect(space, ws)) == 0
+    # a deeper request builds once more; the slices equal a fresh build, and are read-only
+    assert count(lambda: ws.kept_lambda_levels(9)) == 1
+    assert [level.tolist() for level in ws.kept_lambda_levels(4)] == [level.tolist() for level in build(fresh(), 4)]
+    with pytest.raises(ValueError, match="read-only"):
+        ws.kept_lambda_levels(3)[1][0, 0] = 0.0
 
     config = tmp_path / "periodic.json"
-    config.write_text(json.dumps({
-        "n": 2, "family": "periodic", "period": 2,
-        "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2},
-    }))
-    # two for each of cocycles, intertwining and commutation; one for each of condition 6 (its sweep, not its
-    # decision, which reads the stored remainders), norms and the vacuum
-    assert count(lambda: main(["check", "--config", str(config), "--depth", "9"])) <= 9
+    config.write_text(json.dumps({"n": 2, "family": "periodic", "period": 2, "remainders": remainders}))
+    # one build for the sweeps at depth 6, one when condition 6 asks for depth 9; every other use slices
+    assert count(lambda: main(["check", "--config", str(config), "--depth", "9"])) <= 2
     capsys.readouterr()
 
 
