@@ -138,18 +138,19 @@ def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normal
     m_max, and w*u has rank (rank w) n^k + rank u."""
     n, depth, offsets = space.n, space.depth, space.basis.level_offsets
     longest = offsets.index(coeffs.size) - 1
-    left = _left_tables(ws, depth, longest)
-    pieces = []
-    for m in range(longest + 1):
-        ranks = np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]])
-        scale = coeffs[offsets[m] + ranks].tolist()
-        if normalized:  # scalar divisions: a W(e,w) that underflowed to 0 raises, where numpy gives NaN
-            scale = [c / complex(x) for c, x in zip(scale, left[0][m][ranks, 0].tolist())]
-        scale = np.array(scale, dtype=complex)[:, None]
-        for k in range(depth - m + 1):
-            rows = offsets[m + k] + ranks[:, None] * n**k + np.arange(n**k)
-            cols = np.tile(np.arange(offsets[k], offsets[k + 1]), ranks.size)
-            pieces.append((rows.ravel(), cols, (scale * left[k][m][ranks]).ravel()))
+    with np.errstate(over="ignore", invalid="ignore"):  # weights past the float range give inf or NaN entries
+        left = _left_tables(ws, depth, longest)
+        pieces = []
+        for m in range(longest + 1):
+            ranks = np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]])
+            scale = coeffs[offsets[m] + ranks].tolist()
+            if normalized:  # scalar divisions: a W(e,w) that underflowed to 0 raises, where numpy gives NaN
+                scale = [c / complex(x) for c, x in zip(scale, left[0][m][ranks, 0].tolist())]
+            scale = np.array(scale, dtype=complex)[:, None]
+            for k in range(depth - m + 1):
+                rows = offsets[m + k] + ranks[:, None] * n**k + np.arange(n**k)
+                cols = np.tile(np.arange(offsets[k], offsets[k + 1]), ranks.size)
+                pieces.append((rows.ravel(), cols, (scale * left[k][m][ranks]).ravel()))
     return _assemble(space, pieces)
 
 

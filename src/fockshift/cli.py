@@ -6,8 +6,8 @@ the fully resolved configuration; all content except the timing block is
 byte-identical across runs of the same config and version.  Exit code 0 means
 every executed check passed (a divergence finding is not a failure), 1 means
 a check failed, 2 means a precondition or configuration error.  ``commutant``
-keys its mu table by ``level_labels`` strings, building no ``Word`` per
-entry, and prints it in one write.
+builds its mu table once from the level arrays, formats each distinct value
+once, and writes the report's ``mu_table`` block as text in sorted-key order.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def parse_config(document: Any) -> RunConfig:
     _expect("n" in document, "$.n", "missing alphabet size")
     _expect("family" in document, "$.family", "missing weight family")
     n = _integer(document["n"], "$.n", 1)
-    family = document["family"]
-    _expect(family in FAMILIES, "$.family", f"unknown family {family!r}, expected one of {sorted(FAMILIES)}")
+    family = document["family"]  # any JSON value: compared with ==, not hashed
+    _expect(family in list(FAMILIES), "$.family", f"unknown family {family!r}, expected one of {sorted(FAMILIES)}")
     fields, build = FAMILIES[family]
 
     allowed = {"n", "family", *fields} | RUN_FIELDS
@@ -221,7 +221,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_report(report: dict, path: str | None) -> None:
-    _emit(json.dumps(_to_jsonable(report), indent=2, sort_keys=True) + "\n", path)
+    block = report.get("mu_table")  # as text, it is the JSON json.dumps would write there
+    spliced = isinstance(block, str)
+    text = json.dumps(_to_jsonable(dict(report, mu_table=None) if spliced else report), indent=2, sort_keys=True) + "\n"
+    # strings hold no raw newline, so only the top-level key starts a line at indent 2
+    _emit(text.replace('\n  "mu_table": null', '\n  "mu_table": ' + block, 1) if spliced else text, path)
 
 
 def parse_lambda(text: str) -> tuple[complex, ...]:
@@ -352,15 +356,6 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
         }
         return 0, report
 
-    # 'i:w' keys word by word, and letter by letter within a word, as in mu_table
-    letters = range(1, ws.n + 1)
-    levels = CommutantMu(ws).kept_mu_levels(config.depth)
-    table = {}
-    for k, labels in enumerate(level_labels(ws.n, config.depth)):
-        keys = [f"{i}:{label}" for label in labels for i in letters]
-        table.update(zip(keys, levels[k].T.ravel().tolist()))
-    sys.stdout.write("".join(f"mu {key} = {value:.17g}\n" for key, value in table.items()))
-
     # round-trip a deterministic polynomial through coefficient extraction
     space = TruncatedFock(ws.n, config.depth)
     rng = np.random.default_rng(0)
@@ -373,7 +368,20 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
     recovery = max(abs(extraction.element.coeffs.get(w, 0.0) - a) for w, a in coeffs.items())
     defect = max(extraction.residual, recovery)
     passed = defect <= config.tolerance
+
+    # printed only now, so a failed round trip leaves stdout empty; each distinct mu is formatted once
+    prefixes = [f"{i}:" for i in range(1, ws.n + 1)]
+    keys = [prefix + label for labels in level_labels(ws.n, config.depth) for label in labels for prefix in prefixes]
+    levels = CommutantMu(ws).kept_mu_levels(config.depth)
+    distinct, inverse = np.unique(np.concatenate([level.T.ravel() for level in levels]), return_inverse=True)
+    inverse, distinct = inverse.tolist(), distinct.tolist()
+    printed = [format(value, ".17g") for value in distinct]
+    sys.stdout.write("".join(f"mu {key} = {printed[j]}\n" for key, j in zip(keys, inverse)))
     print(f"round-trip: {'PASS' if passed else 'FAIL'} (residual {extraction.residual:.3e}, recovery {recovery:.3e})")
+    table = None
+    if args.report:  # mu_table as json.dumps writes it at indent 2; lines sort as their keys, all after '"'
+        encoded = [json.dumps(value) for value in distinct]
+        table = "{\n" + ",\n".join(sorted([f'    "{key}": {encoded[j]}' for key, j in zip(keys, inverse)])) + "\n  }"
 
     report = {
         "command": "commutant",
@@ -437,7 +445,7 @@ def _read_json(path: str) -> Any:
 
 def _load_fourier_coeffs(path: str) -> dict[Word, complex]:
     document = _read_json(path)
-    if not isinstance(document, dict) or "coeffs" not in document:
+    if not isinstance(document, dict) or not isinstance(document.get("coeffs"), dict):
         raise ConfigError(f"{path}: expected an object with a 'coeffs' field")
     return {parse_word(key): _complex_pair(pair, f"{path}: coeffs.{key}") for key, pair in document["coeffs"].items()}
 
@@ -478,6 +486,10 @@ def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
                                 ("--coeffs", args.coeffs, MODE_ZERO_LEFT_INVERSE)):
         if value is not None and mode != reader:
             raise ConfigError(f"{flag} is read only by --mode {reader}, not by --mode {mode}")
+    if args.lam is None and mode != MODE_ZERO_LEFT_INVERSE:  # argparse's refusal, as if --lambda were required
+        print(f"fockshift spectra: error: the following arguments are required: --lambda (--mode {mode})",
+              file=sys.stderr)
+        raise SystemExit(2)
     if not (isinstance(ws, ConstantWeights) and ws.value == 1.0):
         found = f"value {ws.value!r}" if isinstance(ws, ConstantWeights) else f"family {config.document['family']!r}"
         raise ConfigError(f"spectra covers only the unweighted tuple (family 'constant', value 1), not {found}")
@@ -486,7 +498,7 @@ def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
     k, bound = 16 if args.k is None else args.k, 0.0 if args.bound is None else args.bound
     zero_left = None  # the origin's outcome, computed at its first point: it depends on no point
     reports = []
-    for text in args.lam:
+    for text in args.lam or ["0,0"]:  # zero_left_inverse checks the origin when given no point
         point = parse_lambda(text)
         if len(point) != ws.n:
             raise ConfigError(f"--lambda {text!r} has {len(point)} coordinates, expected {ws.n}")
@@ -567,8 +579,8 @@ VERB_OPTIONS = {
                ("--k", {"type": int, "default": 4, "help": "Cesaro order"}), _REPORT),
     "spectra": (
         _CONFIG, _DEPTH, _TOL,
-        ("--lambda", {"dest": "lam", "action": "append", "required": True,
-                      "help": "comma-separated complex literals a+bi; repeatable"}),
+        ("--lambda", {"dest": "lam", "action": "append",
+                      "help": "comma-separated complex literals a+bi; repeatable (optional for zero_left_inverse)"}),
         ("--mode", {"default": MODE_RIGHT, "choices": [MODE_RIGHT, MODE_LEFT_GROWTH, MODE_ZERO_LEFT_INVERSE]}),
         ("--k", {"type": int, "help": "growth-table length (left_growth; default 16)"}),
         ("--bound", {"type": float, "help": "assumed vacuum-image bound (left_growth; default 0)"}),
@@ -613,6 +625,7 @@ def main(argv: list[str] | None = None) -> int:
         for flag, path in (("--report", args.report), ("--out", getattr(args, "out", None))):
             directory = os.path.dirname(os.path.abspath(path)) if path else None
             _expect(directory is None or os.path.isdir(directory), f"{flag} {path}", f"no directory {directory}")
+            _expect(not (path and os.path.isdir(path)), f"{flag} {path}", "is a directory, not a file path")
         return run_command(args.verb, config, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -201,7 +201,8 @@ def _transfer_steps(ws: WeightSystem, automaton, depth: int) -> list[tuple[np.nd
         if key not in built:
             order = np.argsort(next_state[states], axis=None, kind="stable")
             targets, heads = np.unique(next_state[states].ravel()[order], return_index=True)
-            built[key] = targets, (*np.divmod(order, ws.n), 1.0 / np.square(lam[states].ravel()[order]), heads)
+            with np.errstate(over="ignore", divide="ignore"):  # a weight past the float range: 0 or inf
+                built[key] = targets, (*np.divmod(order, ws.n), 1.0 / np.square(lam[states].ravel()[order]), heads)
         states, step = built[key]
         steps.append(step)
     return steps
@@ -302,14 +303,14 @@ def _bracket_verdicts(next_state: np.ndarray, lam: np.ndarray, moduli: np.ndarra
     point is inconclusive."""
     codes = np.full(len(moduli), 2)  # an index into VERDICTS
     patterns, pattern_of = np.unique(moduli > 0, axis=0, return_inverse=True)
-    for pattern, letters in enumerate(patterns):
-        cycles = _cycles(next_state, lam, letters)
-        points = np.flatnonzero(pattern_of.ravel() == pattern)
-        block = max(1, WORK_FLOATS // max([weight.size for phases in cycles for _, weight in phases], default=1))
-        for start in range(0, len(points), block):
-            rows = points[start:start + block]
-            squares, xs = np.square(moduli[rows].T), [np.ones((len(phases[0][0]), len(rows))) for phases in cycles]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # weights and radii past the float range
+        for pattern, letters in enumerate(patterns):
+            cycles = _cycles(next_state, lam, letters)
+            points = np.flatnonzero(pattern_of.ravel() == pattern)
+            block = max(1, WORK_FLOATS // max([weight.size for phases in cycles for _, weight in phases], default=1))
+            for start in range(0, len(points), block):
+                rows = points[start:start + block]
+                squares, xs = np.square(moduli[rows].T), [np.ones((len(phases[0][0]), len(rows))) for phases in cycles]
                 for _ in range(MAX_BRACKET_SWEEPS):
                     upper, lower, images = np.zeros(len(rows)), np.zeros(len(rows)), []
                     for phases, x in zip(cycles, xs):

@@ -1,14 +1,17 @@
 import argparse
+import itertools
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fockshift import ConstantWeights, PeriodicWeights, TwoLetterRunWeights, cli, eigen
 from fockshift.algebra import FourierElement, commutant_extract, operator_from_fourier
@@ -21,7 +24,7 @@ from fockshift.cli import (
 )
 from fockshift.fock import TruncatedFock
 from fockshift.weights import DIVERGING, condition6_sup, mu_table
-from fockshift.words import EMPTY, Word
+from fockshift.words import EMPTY, Word, level_labels
 
 
 def test_parse_config_constant_defaults():
@@ -250,11 +253,88 @@ def test_spectra_zero_left_mode(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("mode", ["right", "left_growth"])
+def test_spectra_without_lambda_exits_2_naming_the_mode(tmp_path, capsys, mode):
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    report = tmp_path / "spectra.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["spectra", "--config", config, "--mode", mode, "--depth", "4", "--report", str(report)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    assert captured.err == f"fockshift spectra: error: the following arguments are required: --lambda (--mode {mode})\n"
+
+
+@pytest.mark.parametrize("eta", [None, {"eta1": {"e": [0.1, 0]}, "eta2": {"1": [0, 0.2]}}])
+def test_spectra_zero_left_without_lambda_checks_the_origin(tmp_path, capsys, eta):
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    argv = ["spectra", "--config", config, "--mode", "zero_left_inverse", "--depth", "5"]
+    if eta is not None:
+        argv += ["--coeffs", _write_config(tmp_path, "eta.json", eta)]
+    outcomes = []
+    for points in ([], ["--lambda", "0,0"]):
+        report = tmp_path / "spectra.json"
+        assert main([*argv, *points, "--report", str(report)]) == 0
+        outcomes.append((capsys.readouterr(), report.read_bytes()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0].out == "lambda [0j, 0j]: solutions_exist (PASS)\n"
+
+
 def test_exit_code_2_on_schema_violation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "family": "constant"}))
     assert main(["check", "--config", str(bad)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", [[], {}, ["constant"]])
+def test_unhashable_family_exits_2(tmp_path, capsys, family):
+    # a list or object family used to escape as TypeError: unhashable type
+    config = _write_config(tmp_path, "bad.json", {"n": 2, "family": family, "value": 1.0})
+    assert main(["check", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: $.family: unknown family {family!r}, expected one of")
+
+
+@pytest.mark.parametrize("verb, flag, extra", [
+    ("check", "--report", []),
+    ("region", "--out", ["--grid", "0:1:0.5"]),
+])
+def test_output_path_that_is_a_directory_exits_2_before_any_work(tmp_path, capsys, verb, flag, extra):
+    # os.replace onto a directory used to escape as IsADirectoryError after the output was printed
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    assert main([verb, "--config", config, "--depth", "4", *extra, flag, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {flag} {tmp_path}: is a directory, not a file path\n"
+
+
+def test_coefficient_document_with_a_list_of_coeffs_exits_2(tmp_path, capsys):
+    # used to escape as AttributeError: 'list' object has no attribute 'items'
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    coeffs = _write_config(tmp_path, "coeffs.json", {"coeffs": []})
+    assert main(["cesaro", "--config", config, "--coeffs", coeffs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {coeffs}: expected an object with a 'coeffs' field\n"
+
+
+@pytest.mark.parametrize("value", [1e-200, 1e300])
+@pytest.mark.parametrize("verb, extra, code", [("region", ["--grid", "0:1:0.5"], 0), ("commutant", [], 2)])
+def test_weights_past_the_float_range_raise_no_numpy_warning(tmp_path, capsys, value, verb, extra, code):
+    # 1 / lam^2 in the transfer steps and classes, and the left table of the round trip, used to warn.
+    # commutant exits 2: W(e, w) leaves the float range by depth 2, and the round trip divides by it; its table
+    # used to be printed before that
+    config = _write_config(tmp_path, "far.json", {"n": 2, "family": "constant", "value": value})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exit_code = main([verb, "--config", config, "--depth", "4", *extra])
+    captured = capsys.readouterr()
+    assert caught == []
+    assert exit_code == code
+    if code == 2:
+        assert captured.out == "" and captured.err.startswith("precondition error:")
 
 
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
@@ -480,7 +560,7 @@ def test_each_verb_has_exactly_its_options():
     assert sum(len(flags) for flags in options.values()) == 28
     required = {verb: {a.option_strings[0] for a in _options(sub) if a.required} for verb, sub in subparsers.items()}
     assert required == {"check": {"--config"}, "commutant": {"--config"}, "region": {"--config", "--grid"},
-                        "cesaro": {"--config", "--coeffs"}, "spectra": {"--config", "--lambda"}}
+                        "cesaro": {"--config", "--coeffs"}, "spectra": {"--config"}}
 
 
 def _written_command(tmp_path, verb):
@@ -664,6 +744,8 @@ PERIODIC = {
     ({"n": 3, "family": "scaled", "scales": [0.5, 1.0, 2.0]}, 5),
     ({"n": 11, "family": "constant", "value": 1.0}, 2),
     (DEEP_N1, 200),
+    (PERIODIC, 1),
+    ({"n": 2, "family": "two_letter_m", "m": 0.5, "c": 0.75}, 10),  # bounded, as in the benchmark: c sqrt(m) <= 1
 ])
 def test_commutant_output_matches_word_keyed_path(tmp_path, capsys, monkeypatch, document, depth):
     config = _write_config(tmp_path, "config.json", document)
@@ -674,6 +756,10 @@ def test_commutant_output_matches_word_keyed_path(tmp_path, capsys, monkeypatch,
         report = tmp_path / "report.json"
         code = main(["commutant", "--config", config, "--depth", str(depth), "--report", str(report)])
         outputs.append((code, capsys.readouterr().out, report.read_bytes()))
+        report.unlink()
+        # without --report: the same stdout, and no report
+        assert main(["commutant", "--config", config, "--depth", str(depth)]) == code
+        assert capsys.readouterr().out == outputs[-1][1] and not report.exists()
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0
 
@@ -707,6 +793,46 @@ def test_commutant_builds_no_word_per_entry(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     # the round trip's support is capped at length 3, so its Words do not grow with depth
     assert counts[0] == counts[1]
+
+
+def test_spliced_mu_table_equals_json_dumps_of_the_table(tmp_path, capsys, monkeypatch):
+    # %.17g and repr differ on each: 0.10000000000000001 and 0.1, 1.0000000000000001e-300 and 1e-300, 1 and 1.0
+    values, depth = [0.1, 1 / 3, 1e-300, 1e300, 1.0, 2.5, 0.1], 3
+
+    class CyclingMu:
+        def __init__(self, ws):
+            self.n = ws.n
+
+        def kept_mu_levels(self, depth):
+            cells = itertools.cycle(values)
+            return [np.array([[next(cells) for _ in range(self.n**k)] for _ in range(self.n)])
+                    for k in range(depth + 1)]
+
+    monkeypatch.setattr(cli, "CommutantMu", CyclingMu)
+    returned, command = [], cli.COMMANDS["commutant"]
+
+    def recorded(config, args):
+        returned.append(command(config, args))
+        return returned[-1]
+
+    monkeypatch.setitem(cli.COMMANDS, "commutant", recorded)
+    path = tmp_path / "report.json"
+    assert main(["commutant", "--config", _write_config(tmp_path, "per.json", PERIODIC), "--depth", str(depth),
+                 "--report", str(path)]) == 0
+    levels = CyclingMu(parse_config(PERIODIC).weights).kept_mu_levels(depth)
+    table = {f"{i}:{label}": value for k, labels in enumerate(level_labels(2, depth))
+             for label, column in zip(labels, levels[k].T.tolist()) for i, value in zip((1, 2), column)}
+    assert len(table) == 30 and set(table.values()) == set(values)
+    out = capsys.readouterr().out
+    assert out.startswith("".join(f"mu {key} = {value:.17g}\n" for key, value in table.items()))
+    _, report = returned[0]
+    assert isinstance(report["mu_table"], str)
+    expected = json.dumps(_parent_to_jsonable({**report, "mu_table": table}), indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == expected
+    assert '"1:2": 1e+300' in expected and "mu 1:2 = 1.0000000000000001e+300\n" in out
+    assert '"1:e": 0.1' in expected and "mu 1:e = 0.10000000000000001\n" in out
+    _emit_report(report, None)
+    assert capsys.readouterr().out == expected
 
 
 def test_emit_report_matches_recursive_conversion(tmp_path, capsys):
@@ -1058,3 +1184,99 @@ def test_cli_loads_neither_csgraph_nor_linalg(tmp_path):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n[]\n"
+
+
+# ---------------------------------------------------------------------------
+# every verb over generated command lines, config documents and input files
+# ---------------------------------------------------------------------------
+
+
+_DOCUMENTS = [
+    {"n": 1, "family": "constant", "value": 2.0},
+    {"n": 2, "family": "constant", "value": 1.0},
+    {"n": 2, "family": "constant", "value": 1e-200},
+    {"n": 3, "family": "scaled", "scales": [0.5, 1.0, 2.0]},
+    PERIODIC,
+    {"n": 2, "family": "finite_perturbation", "cutoff": 1,
+     "table": {"1:e": 0.5, "2:e": 1.5, "1:1": 2.0, "2:1": 0.75, "1:2": 1.25, "2:2": 3.0}, "tail": [0.9, 1.1]},
+    {"n": 2, "family": "two_letter_m", "m": 0.81, "c": 0.9},
+    {"n": 2, "family": "two_letter_m", "m": 4, "c": 1},
+]
+_FIELDS = ["n", "family", "value", "scales", "period", "remainders", "cutoff", "table", "tail", "m", "c",
+           "depth", "tolerance", "epsilon", "bogus"]
+_ODD_VALUES = [0, -1, 1.5, 1e-300, 1e300, math.inf, math.nan, "x", None, True, [], {}, [1.0, 1.0]]
+_CONFIG_TEXTS = st.one_of(
+    st.sampled_from(_DOCUMENTS),
+    st.builds(lambda d, key, value: {**d, key: value},
+              st.sampled_from(_DOCUMENTS), st.sampled_from(_FIELDS), st.sampled_from(_ODD_VALUES)),
+    st.builds(lambda d, key: {k: v for k, v in d.items() if k != key},
+              st.sampled_from(_DOCUMENTS), st.sampled_from(_FIELDS)),
+    st.builds(lambda value: {"n": 2, "family": "constant", "value": value},
+              st.floats(min_value=1e-300, max_value=1e300)),
+).map(json.dumps) | st.sampled_from(["", "{", "[]", "null", "\x80"])
+_COEFF_TEXTS = st.sampled_from([
+    {"coeffs": {"e": [0.5, 0], "1": [1, -0.5]}}, {"coeffs": {"12": [1, 0], "2": [0, 2]}},
+    {"coeffs": {"11111111": [1, 0]}}, {"coeffs": {"3": [1, 0]}}, {"coeffs": {"e": [math.nan, 0]}},
+    {"coeffs": {"e": "x"}}, {"coeffs": {"1 2": [1, 0]}}, {"coeffs": []}, {}, [],
+]).map(json.dumps) | st.sampled_from(["", "{"])
+_ETA_TEXTS = st.sampled_from([
+    {"eta1": {"e": [0.1, 0]}, "eta2": {"1": [0, 0.2]}}, {"eta1": {}, "eta2": {}}, {"eta1": []},
+    {"eta1": {"e": [math.inf, 0]}}, {"eta2": {"zz": [1, 0]}}, [], {"eta1": {"e": [1]}},
+]).map(json.dumps) | st.sampled_from(["", "{"])
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_main_exits_0_1_or_2_and_exit_2_prints_nothing(tmp_path, capsys, data):
+    draw = data.draw
+    capsys.readouterr()
+    (tmp_path / "out").mkdir(exist_ok=True)
+    for stale in (tmp_path / "out").iterdir():
+        stale.unlink()
+
+    def written(name, texts):
+        # one of: a file holding a drawn text, or a path to no file
+        if draw(st.booleans(), label=f"{name} missing"):
+            return str(tmp_path / "absent" / name)
+        path = tmp_path / name
+        path.write_text(draw(texts, label=name))
+        return str(path)
+
+    def output(name):
+        where = draw(st.sampled_from(["none", "file", "missing directory", "directory"]), label=name)
+        return {"none": [], "file": [str(tmp_path / "out" / name)], "directory": [str(tmp_path / "out")],
+                "missing directory": [str(tmp_path / "absent" / name)]}[where]
+
+    def option(flag, values):
+        value = draw(st.sampled_from([None, *values]), label=flag)
+        return [] if value is None else [flag, value]
+
+    verb = draw(st.sampled_from(list(cli.COMMANDS)), label="verb")
+    argv = [verb, "--config", written("config.json", _CONFIG_TEXTS),
+            "--depth", draw(st.sampled_from(["-1", "0", "1", "2", "3", "4"]), label="depth")]
+    if verb != "region":
+        argv += option("--tol", ["1e-9", "0", "nan", "abc"])
+    if verb == "region":
+        argv += option("--grid", ["0:1:0.5", "0:1.2:0.4", "0:1:0", "1:0:0.5", "0:1:nan", "a:b:c", "0:1"])
+        out = output("region.csv")
+        argv += ["--out", *out] if out else []
+    elif verb == "cesaro":
+        argv += ["--coeffs", written("coeffs.json", _COEFF_TEXTS), *option("--k", ["0", "1", "4", "-1", "x"])]
+    elif verb == "spectra":
+        argv += option("--mode", ["right", "left_growth", "zero_left_inverse", "bogus"])
+        for point in draw(st.lists(st.sampled_from(["0,0", "0.3,0.1", "0.3+0.1i,0.4", "2,0", "1,0", "0.5",
+                                                   "1e400,0", "x,0", "0,0,0"]), max_size=2), label="points"):
+            argv += ["--lambda", point]
+        argv += option("--k", ["3", "0"]) + option("--bound", ["0", "-1", "nan"])
+        if draw(st.booleans(), label="eta file"):
+            argv += ["--coeffs", written("eta.json", _ETA_TEXTS)]
+    report = output("report.json")
+    argv += ["--report", *report] if report else []
+
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refused the command line
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), argv
+    assert code != 2 or out == "", argv
