@@ -36,10 +36,9 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .words import BasisEnumeration, Word
-from .weights import WeightSystem, _prepended_ranks
+from .weights import MAX_SWEEP_WORDS, WeightSystem, _prepended_ranks
 from .fock import TruncatedFock, left_shift_maps
 
-MAX_DP_WORDS = 1 << 21
 # region work arrays hold about this many floats per block of points
 WORK_FLOATS = 1 << 18
 # the half-width of the band around 1 in which a spectral radius is inconclusive
@@ -166,7 +165,7 @@ def level_sums(ws: WeightSystem, moduli: Sequence[float], depth: int) -> np.ndar
     """sigma_k = sum over |w| = k of (r(w) / W(e,w))^2 for k = 0..depth, which
     depend only on the coordinate moduli: the masses of ``_propagate``; a
     level sum past the float range is inf."""
-    return _propagate(_transfer_steps(ws, ws.automaton(), depth), _moduli(ws, [moduli]))[0]
+    return _propagate(_transfer_steps(ws, depth), _moduli(ws, [moduli]))[0]
 
 
 def _moduli(ws: WeightSystem, points: Sequence[Sequence[float]]) -> np.ndarray:
@@ -180,19 +179,20 @@ def _moduli(ws: WeightSystem, points: Sequence[Sequence[float]]) -> np.ndarray:
     return array
 
 
-def _transfer_steps(ws: WeightSystem, automaton, depth: int) -> list[tuple[np.ndarray, ...]]:
+def _transfer_steps(ws: WeightSystem, depth: int) -> list[tuple[np.ndarray, ...]]:
     """Per step k -> k+1 (k < depth), the edges s -> next[s, j] out of the
     states holding level k, as (source, letter, lam[s, j]^-2, heads), sorted
     by target: the edges into the i-th distinct target, state i of the next
-    step, start at heads[i].  The states are the automaton's states
+    step, start at heads[i].  The states are the kept automaton's states
     reachable in exactly k steps from state 0, or, without an automaton, the
     words of level k in graded-lex order (j*w has rank (j-1) n^k + rank w),
-    refused past MAX_DP_WORDS words before any weight is read.  Repeated
+    refused past MAX_SWEEP_WORDS words before any weight is read.  Repeated
     state sets share their step."""
+    automaton = ws.kept_automaton()
     if automaton is None:
         total_words = sum(ws.n**k for k in range(depth + 1))
-        if total_words > MAX_DP_WORDS:
-            raise ValueError(f"level enumeration of {total_words} words exceeds the {MAX_DP_WORDS} guard")
+        if total_words > MAX_SWEEP_WORDS:
+            raise ValueError(f"level enumeration of {total_words} words exceeds the {MAX_SWEEP_WORDS} guard")
     maps = [automaton] * depth if automaton is not None else [
         (_prepended_ranks(ws.n, k), level.T) for k, level in enumerate(ws.kept_lambda_levels(depth - 1))]
     states, steps, built = np.zeros(1, dtype=np.int64), [], {}
@@ -365,7 +365,7 @@ def _verdicts(sums: np.ndarray, epsilon: float) -> tuple[list[str], list[float],
 
 def verdict_rule(ws: WeightSystem, epsilon: float) -> dict:
     """How ``region_sample`` judges the points of this system."""
-    if ws.automaton() is None:
+    if ws.kept_automaton() is None:
         return {"rule": "tail ratios of the level sums (heuristic)", "epsilon": epsilon}
     return {"rule": "Collatz-Wielandt bracket on the transfer matrix's spectral radius", "delta": DELTA}
 
@@ -387,8 +387,8 @@ def _samples(ws: WeightSystem, moduli: np.ndarray, depth: int, epsilon: float) -
     """One RegionSample per row of a (P, n) array of moduli: the level sums, and
     the tail columns and verdicts of the whole block at once, the verdicts
     from the transfer matrix where the system has an automaton."""
-    automaton = ws.automaton()
-    sums = _propagate(_transfer_steps(ws, automaton, depth), moduli)
+    automaton = ws.kept_automaton()
+    sums = _propagate(_transfer_steps(ws, depth), moduli)
     verdicts, tail_ratios, partials = _verdicts(sums, epsilon)
     if automaton is not None:
         verdicts = _bracket_verdicts(*automaton, moduli)
@@ -440,8 +440,8 @@ def region_sample(
     grid order, all points propagated and judged together (``_samples``)."""
     if depth < 3:
         raise ValueError(f"region depth {depth} gives {depth + 1} level sums; the verdict needs depth at least 3")
-    if grid.count() ** ws.n > MAX_DP_WORDS:
-        raise ValueError(f"region grid of {grid.count() ** ws.n} points exceeds the {MAX_DP_WORDS} guard")
+    if grid.count() ** ws.n > MAX_SWEEP_WORDS:
+        raise ValueError(f"region grid of {grid.count() ** ws.n} points exceeds the {MAX_SWEEP_WORDS} guard")
     points = list(itertools.product(grid.values(), repeat=ws.n))
     return _samples(ws, np.array(points, dtype=float), depth, epsilon)
 

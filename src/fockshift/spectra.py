@@ -88,37 +88,26 @@ def right_membership(point: Sequence[complex], depth: int) -> SpectrumReport:
     from verdict continuity, not from a finite witness.
     """
     point = tuple(complex(z) for z in point)
-    n = len(point)
     norm = math.sqrt(sum(abs(z) ** 2 for z in point))
     if abs(norm - 1.0) <= BOUNDARY_TOL:
         return SpectrumReport(point, MODE_RIGHT, INCONCLUSIVE, {}, {"norm": norm})
-    space = TruncatedFock(n, depth)
-    unweighted = ConstantWeights(n, 1.0)
     if norm < 1.0:
-        report = eigen_residual(unweighted, space, point)
+        residual = eigen_residual(ConstantWeights(len(point), 1.0), TruncatedFock(len(point), depth), point)
         return SpectrumReport(
             point,
             MODE_RIGHT,
             IN_SPECTRUM,
-            {"eigen_residual": report.max_residual},
+            {"eigen_residual": residual.max_residual},
             {"norm": norm, "witness": "joint eigenvector of the adjoint tuple"},
         )
-    # ||point|| > 1: right inverse B_i = (conj(z_i)/||z||^2) sum_w conj(w(z)) ||z||^(-2|w|) L_w
-    scaled = tuple(z / norm**2 for z in point)
-    series = _word_sum(space, unweighted, eigenvector_coeffs(unweighted, scaled, depth - 1).vector, normalized=True)
-    shifts = left_shift_maps(space, unweighted)
-    total = GradedOperator.zero(space)
-    for i in range(1, n + 1):
-        b_i = (point[i - 1].conjugate() / norm**2) * series
-        factor = GradedOperator.identity(space) * point[i - 1] - shifts.operator(i)
-        total = total + factor @ b_i
-    diff = total - GradedOperator.identity(space)
-    low, top = _split_defect(space, diff)
+    # ||point|| > 1: the right inverse B_i = conj(z_i) / ||z||^2 R, for R the resolvent series at
+    # s = z / ||z||^2, has sum_i (z_i - L_i) B_i = (I - sum_i conj(s_i) L_i) R, which resolvent_check checks
+    report = resolvent_check(tuple(z / norm**2 for z in point), depth)
     return SpectrumReport(
         point,
         MODE_RIGHT,
         NOT_IN_SPECTRUM,
-        {"identity_low_levels": low, "identity_top_level": top},
+        {"identity_low_levels": report.low_level_defect, "identity_top_level": report.top_level_defect},
         {"norm": norm, "witness": "resolvent-series right inverse"},
     )
 

@@ -2,20 +2,21 @@
 
 A weight system assigns a strictly positive scalar to every edge of the tree:
 ``lambda_of(i, w)`` weights the edge from the basis vector at ``w`` to the one
-at ``i*w``; ``lambda_levels`` gives them as one (n, n^k) array per level k,
-row i-1 for letter i, and ``kept_lambda_levels`` (``kept_mu_levels`` for
-mu) builds them once per object, at the deepest depth asked, and slices
-them.  The table families, ``TableMu`` included, hold their
-tables in that layout as read-only arrays ``levels[k]``, built once, at
-construction.  Every family but ``TabulatedWeights`` is also one finite
-automaton along the prepend direction (``automaton``), which gives its
-weight infima and commutant boundedness.  From the weights derive the
-left weight function W(u, w) (products of edge weights down the tree), the
-commutant weights mu, and the right weight function W_mu.  This module also
-houses the identities and conditions those functions satisfy: both cocycle
-laws, the intertwining identity, the boundedness condition governing the
-commutant description (decided once per weight-system object), a
-finite-range semisimplicity estimate, and the
+at ``i*w``.  Every family but ``TabulatedWeights`` defines only that and one
+finite automaton along the prepend direction (``automaton``), built once per
+object and kept read-only (``kept_automaton``); its weight levels, weight
+infima and commutant boundedness are all read off that one copy.
+``lambda_levels`` gives the weights as one (n, n^k) array per level k, row
+i-1 for letter i, and ``kept_lambda_levels`` (``kept_mu_levels`` for mu)
+builds them once per object, at the deepest depth asked, and slices them.
+The table families, ``TableMu`` included, hold their tables in that layout
+as read-only arrays ``levels[k]``, built once, at construction.  From the
+weights derive the left weight function W(u, w) (products of edge weights
+down the tree), the commutant weights mu, and the right weight function
+W_mu.  This module also houses the identities and conditions those
+functions satisfy: both cocycle laws, the intertwining identity, the
+boundedness condition governing the commutant description (decided once per
+weight-system object), a finite-range semisimplicity estimate, and the
 generation of left weights from prescribed right weights.
 """
 
@@ -102,10 +103,35 @@ class WeightSystem:
     def lambda_of(self, i: int, w: Word) -> float:
         raise NotImplementedError
 
+    def automaton(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The family as a finite automaton along the prepend direction, or None
+        where it has none: ``next[s, a-1]`` is the state of a*w for w in state
+        s, ``lam[s, i-1]`` is lambda_{i,w}, and state 0 holds e.  Callers read
+        ``kept_automaton``."""
+        return None
+
+    def kept_automaton(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``automaton()``, built once per object and kept read-only on it."""
+        if "_automaton" not in vars(self):
+            automaton = self.automaton()
+            for array in automaton or ():
+                array.setflags(write=False)
+            object.__setattr__(self, "_automaton", automaton)
+        return vars(self)["_automaton"]
+
     def lambda_levels(self, depth: int) -> list[np.ndarray]:
         """lambda_{i,w} for every |w| <= depth: one (n, n^k) array per level k,
-        row i-1 for letter i, words in graded-lex order."""
-        raise NotImplementedError
+        row i-1 for letter i, words in graded-lex order, read off the kept
+        automaton walked from state 0: a*w has rank (a-1) n^k + r at level
+        k+1 for w of rank r at level k."""
+        next_state, lam = self.kept_automaton()
+        steps, weights = np.ascontiguousarray(next_state.T, dtype=np.int32), np.ascontiguousarray(lam.T)
+        states, levels = np.zeros(1, dtype=np.int32), []
+        for k in range(depth + 1):
+            levels.append(np.take(weights, states, axis=1))
+            if k < depth:
+                states = np.take(steps, states, axis=1).ravel()
+        return levels
 
     def kept_lambda_levels(self, depth: int) -> list[np.ndarray]:
         """``lambda_levels(depth)``, built once per object at the deepest depth
@@ -116,15 +142,9 @@ class WeightSystem:
         if not 1 <= i <= self.n:
             raise ValueError(f"letter {i} outside [1, {self.n}]")
 
-    def automaton(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The family as a finite automaton along the prepend direction, or None
-        where it has none: ``next[s, a-1]`` is the state of a*w for w in state
-        s, ``lam[s, i-1]`` is lambda_{i,w}, and state 0 holds e."""
-        return None
-
     def exact_min_weight(self, i: int) -> float | None:
         """The infimum of lambda_{i,.}, read off the automaton; None without one."""
-        automaton = self.automaton()
+        automaton = self.kept_automaton()
         return None if automaton is None else float(automaton[1].min(axis=0)[i - 1])
 
 
@@ -141,9 +161,6 @@ class ConstantWeights(WeightSystem):
     def lambda_of(self, i: int, w: Word) -> float:
         self._check_letter(i)
         return self.value
-
-    def lambda_levels(self, depth: int) -> list[np.ndarray]:
-        return [np.full((self.n, self.n**k), self.value) for k in range(depth + 1)]
 
     def automaton(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((1, self.n), dtype=np.int64), np.full((1, self.n), self.value)
@@ -164,9 +181,6 @@ class ScaledWeights(WeightSystem):
     def lambda_of(self, i: int, w: Word) -> float:
         self._check_letter(i)
         return self.scales[i - 1]
-
-    def lambda_levels(self, depth: int) -> list[np.ndarray]:
-        return [np.repeat(np.array(self.scales)[:, None], self.n**k, axis=1) for k in range(depth + 1)]
 
     def automaton(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((1, self.n), dtype=np.int64), np.array([self.scales])
@@ -194,10 +208,6 @@ class FinitePerturbationWeights(WeightSystem):
         if len(w) <= self.cutoff:
             return self.table[(i, w)]
         return self.tail[i - 1]
-
-    def lambda_levels(self, depth: int) -> list[np.ndarray]:
-        tail = [np.repeat(np.array(self.tail)[:, None], self.n**k, axis=1) for k in range(self.cutoff + 1, depth + 1)]
-        return self.levels[: depth + 1] + tail
 
     def automaton(self) -> tuple[np.ndarray, np.ndarray]:
         # one state per word up to the cutoff, in graded-lex order, then the tail
@@ -227,11 +237,6 @@ class PeriodicWeights(WeightSystem):
         self._check_letter(i)
         u = w[: len(w) % self.period]
         return self.remainders[(i, u)]
-
-    def lambda_levels(self, depth: int) -> list[np.ndarray]:
-        # the remainder prefix of the rank-r word at level k has rank r // n^(k - k mod p)
-        n, p = self.n, self.period
-        return [np.repeat(self.levels[k % p], n ** (k - k % p), axis=1) for k in range(depth + 1)]
 
     def automaton(self) -> tuple[np.ndarray, np.ndarray]:
         # the words shorter than p-1 in graded-lex order, then the state
@@ -278,13 +283,6 @@ class TwoLetterRunWeights(WeightSystem):
             if body[-1] == 2 and all(b == 1 for b in body[:-1]):
                 return 1.0 / math.sqrt(self.m)
         return self.c
-
-    def lambda_levels(self, depth: int) -> list[np.ndarray]:
-        levels = [np.full((2, 2**k), self.c) for k in range(depth + 1)]
-        # letter 1: rank 0 is the run 1^k, rank 1 the word 1^(k-1) 2
-        for level in levels:
-            level[0, :2] = [1.0 / self.m, 1.0 / math.sqrt(self.m)][: level.shape[1]]
-        return levels
 
     def automaton(self) -> tuple[np.ndarray, np.ndarray]:
         # states e, 1^k (k >= 1), 1^k 2, and every other word
@@ -653,7 +651,7 @@ def _decide_condition6(ws: WeightSystem) -> tuple[str, dict]:
     object and kept on it; each caller gets its own copy of the certificate."""
     decision = vars(ws).get("_condition6")
     if decision is None:
-        automaton = ws.automaton()
+        automaton = ws.kept_automaton()
         decision = (BOUNDED_SO_FAR, {}) if automaton is None else _automaton_decision(*automaton)
         object.__setattr__(ws, "_condition6", decision)
     verdict, certificate = decision

@@ -184,7 +184,7 @@ def test_region_non_finite_grid_exits_2(tmp_path, capsys, monkeypatch, grid, mes
 
 def test_region_oversized_grid_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
     # 11 values per axis make 121 points, past the guard lowered to 100
-    monkeypatch.setattr(eigen, "MAX_DP_WORDS", 100)
+    monkeypatch.setattr(eigen, "MAX_SWEEP_WORDS", 100)
     monkeypatch.setattr(eigen, "_transfer_steps", None)
     monkeypatch.setattr(eigen.GridSpec, "values", None)
     config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})

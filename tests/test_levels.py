@@ -307,11 +307,11 @@ def test_region_blocks_equal_scalar_oracle(monkeypatch, label, ws, depth):
     automaton = ws.automaton()
     widest = ws.n ** (depth + 1) if automaton is None else automaton[0].size
     monkeypatch.setattr(eigen, "WORK_FLOATS", 4 * widest + widest - 1)
-    calls = [0]
+    built = []
     build = type(ws).automaton
 
     def counted(system):
-        calls[0] += 1
+        built.append(system)
         return build(system)
 
     monkeypatch.setattr(type(ws), "automaton", counted)
@@ -325,8 +325,8 @@ def test_region_blocks_equal_scalar_oracle(monkeypatch, label, ws, depth):
         assert [s.verdict for s in samples] == [membership_verdict(sums, 0.02)[0] for sums in oracle]
     else:
         _assert_closed_form_verdicts(ws, samples)
-    # the automaton is built once per grid
-    assert calls[0] == 1
+    # the automaton is built at most once per object: a shared system may already keep it
+    assert len(built) <= 1 and all(system is ws for system in built)
 
 
 def test_region_blocks_at_the_block_size():
@@ -731,23 +731,14 @@ def test_every_family_decision_equals_its_oracle():
         assert {(family, BOUNDED), (family, DIVERGING)} <= set(verdicts)
 
 
-def _automaton_levels(ws: WeightSystem, depth: int) -> list[np.ndarray]:
-    """lambda levels read off the automaton walked from state 0: a*w has rank (a-1) n^k + r."""
-    next_state, lam = ws.automaton()
-    states, levels = np.zeros(1, dtype=np.int64), []
-    for _ in range(depth + 1):
-        levels.append(lam[states].T)
-        states = next_state[states].T.ravel()
-    return levels
-
-
 def test_automaton_walk_reproduces_the_weights():
+    # lambda_levels walks the automaton; past the period and the cutoff it still equals lambda_of
     for ws in AUTOMATON_SYSTEMS:
         depth = max(4, getattr(ws, "period", 0) + 2, getattr(ws, "cutoff", 0) + 2)
-        walked, levels = _automaton_levels(ws, depth), ws.lambda_levels(depth)
-        assert len(walked) == len(levels) and all(np.array_equal(a, b) for a, b in zip(walked, levels))
+        levels = ws.lambda_levels(depth)
+        assert len(levels) == depth + 1
         basis = BasisEnumeration(ws.n, depth)
-        for k, level in enumerate(walked):
+        for k, level in enumerate(levels):
             assert level.T.tolist() == [[ws.lambda_of(i, w) for i in range(1, ws.n + 1)] for w in basis.level_words(k)]
         assert [ws.exact_min_weight(i) for i in range(1, ws.n + 1)] == [
             _oracle_min_weight(ws, i) for i in range(1, ws.n + 1)
@@ -836,6 +827,38 @@ def test_condition6_decided_once_per_system(tmp_path, capsys, monkeypatch):
         assert main([verb, "--config", str(config), "--depth", "10"]) == 0
         assert calls[0] == 1, verb
     capsys.readouterr()
+
+
+def test_automaton_built_once_per_system(tmp_path, capsys, monkeypatch):
+    # every reader of a system's automaton reads the one copy kept on it, which is read-only
+    built = []
+    build = PeriodicWeights.automaton
+
+    def counted(ws):
+        built.append(ws)
+        return build(ws)
+
+    monkeypatch.setattr(PeriodicWeights, "automaton", counted)
+    remainders = {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2}
+    config = tmp_path / "periodic.json"
+    config.write_text(json.dumps({"n": 2, "family": "periodic", "period": 2, "remainders": remainders}))
+    for argv in (["check", "--depth", "9"], ["commutant", "--depth", "6"],
+                 ["region", "--grid", "0:1.2:0.3", "--depth", "8"]):
+        built.clear()
+        assert main([*argv[:1], "--config", str(config), *argv[1:]]) == 0
+        # the list keeps every system it saw alive, so two ids are equal only for one object
+        assert built and len(set(map(id, built))) == len(built), argv[0]
+    capsys.readouterr()
+    ws = PeriodicWeights(2, 2, table_from_strings(remainders))
+    built.clear()
+    ws.lambda_levels(5)
+    assert [ws.exact_min_weight(i) for i in (1, 2)] == [1.0, 1.0]
+    weights._decide_condition6(ws)
+    eigen.region_sample(ws, GridSpec(0.0, 1.0, 0.5), 5, 0.02)
+    assert len(built) == 1
+    for array in ws.kept_automaton():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
 
 
 def test_level_arrays_built_once_per_use(tmp_path, capsys, monkeypatch):

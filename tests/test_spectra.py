@@ -211,13 +211,9 @@ def _dict_right_membership(point, depth):
         residual = eigen_residual(unweighted, space, point, coeffs).max_residual
         witness = {"norm": norm, "witness": "joint eigenvector of the adjoint tuple"}
         return SpectrumReport(point, MODE_RIGHT, IN_SPECTRUM, {"eigen_residual": residual}, witness)
-    series = _dict_series(space, tuple(z / norm**2 for z in point))
-    total = GradedOperator.zero(space)
-    for i in range(1, n + 1):
-        factor = GradedOperator.identity(space) * point[i - 1] - left_creation(space, i)
-        total = total + factor @ ((point[i - 1].conjugate() / norm**2) * series)
-    low, top = _split_defect(space, total - GradedOperator.identity(space))
-    defects = {"identity_low_levels": low, "identity_top_level": top}
+    # sum_i (z_i - L_i) (conj(z_i) / ||z||^2) R = (I - sum_i conj(s_i) L_i) R for s = z / ||z||^2
+    report = _dict_resolvent_check(tuple(z / norm**2 for z in point), depth)
+    defects = {"identity_low_levels": report.low_level_defect, "identity_top_level": report.top_level_defect}
     witness = {"norm": norm, "witness": "resolvent-series right inverse"}
     return SpectrumReport(point, MODE_RIGHT, NOT_IN_SPECTRUM, defects, witness)
 
