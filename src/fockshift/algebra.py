@@ -3,9 +3,9 @@ around them: band decompositions, Cesaro smoothing, polynomial approximants,
 extraction of expansion coefficients from commutant members, the injectivity
 pairing, and spectral-radius lower bounds from leading coefficients.
 
-``word_operator``, ``operator_from_fourier`` and ``pk_polynomial`` read W(u,w)
-off the left table the identity sweeps use (``weights._left_tables``), built
-up to the longest support word.
+The operator forms read W(u,w) off ``weights._prepend_tables``, as the
+identity sweeps do, or the mu ratios off ``weights._append_tables``, and
+place their entries through one assembly, ``_support_operator``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .weights import (
     CommutantMu,
     MuSystem,
     WeightSystem,
-    _left_tables,
+    _append_tables,
+    _prepend_tables,
     _right_path,
     require_bounded_mu,
     right_weight,
@@ -61,38 +62,37 @@ class FourierElement:
             raise ValueError("empty Fourier expansion has no support")
         return min(self.coeffs)
 
+    def vector(self, depth: int) -> np.ndarray:
+        """a_w for every word of length <= min(support length, depth), in basis order."""
+        support = TruncatedFock(self.weights.n, min(self.support_length(), depth))
+        return support.vector_from_coeffs({w: c for w, c in self.coeffs.items() if len(w) <= support.depth})
 
-def _assemble(space: TruncatedFock, pieces: list[tuple]) -> GradedOperator:
-    """One operator from (rows, columns, values) pieces."""
-    if not pieces:
-        return GradedOperator.zero(space)
-    return GradedOperator.from_entries(space, *(np.concatenate(part) for part in zip(*pieces)))
+
+def _support_operator(space: TruncatedFock, coeffs: np.ndarray, columns) -> GradedOperator:
+    """The operator with entry x[index, rank u] at row w*u, column u, for u with
+    |u| = k <= depth - m and the support words w of length m, their ranks and
+    coefficients c given to ``columns(m, ranks, c)``, which returns x per k.
+    ``coeffs`` holds c_w for every word of length <= m_max <= depth in basis
+    order, 0 off the support; w*u has rank (rank w) n^k + rank u."""
+    n, depth, offsets = space.n, space.depth, space.basis.level_offsets
+    rows, cols, values = [], [], []
+    for m in range(offsets.index(coeffs.size)):
+        ranks = np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]])
+        for k, block in enumerate(columns(m, ranks, coeffs[offsets[m] + ranks])):
+            rows.append((offsets[m + k] + ranks[:, None] * n**k + np.arange(n**k)).ravel())
+            cols.append(np.tile(np.arange(offsets[k], offsets[k + 1]), ranks.size))
+            values.append(block.ravel())
+    return GradedOperator.from_entries(space, *map(np.concatenate, (rows, cols, values)))
 
 
 def expansion_operator(a: FourierElement, space: TruncatedFock) -> GradedOperator:
     """The compressed operator with columns A xi_v = W_mu(e,v)^{-1} sum_w a_w W_mu(w,v) xi_{w*v},
-    less the terms with |w| + |v| > depth.
-
-    The weight is carried as ratio(w, v) = W_mu(w,v) / W_mu(e,v), one appended
-    letter at a time, since the products under- or overflow on long words:
-    ratio(w, v*j) = ratio(w, v) mu_{j,w*v} / mu_{j,v}.  For w of rank b and v
-    of rank r at level k, w*v has rank b n^k + r and v*j has rank r n + j-1.
-    """
-    n, depth, offsets = space.n, space.depth, space.basis.level_offsets
-    mu = a.mu.kept_mu_levels(depth - 1)
-    pieces = []
-    for w, coeff in a.coeffs.items():
-        m = len(w)
-        if m > depth:
-            continue
-        b = space.index_of(w) - offsets[m]
-        ratio = np.ones(1)
-        for k in range(depth - m + 1):
-            r = np.arange(n**k)
-            pieces.append((offsets[m + k] + b * n**k + r, offsets[k] + r, coeff * ratio))
-            if k < depth - m:
-                ratio = (ratio[:, None] * mu[m + k][:, b * n**k:(b + 1) * n**k].T / mu[k].T).ravel()
-    return _assemble(space, pieces)
+    less the terms with |w| + |v| > depth.  The weight is carried as the ratio
+    W_mu(w,v) / W_mu(e,v) of the append tables (``_append_tables``), since the
+    products under- or overflow on long words."""
+    depth = space.depth
+    return _support_operator(space, a.vector(depth), lambda m, ranks, c: [
+        c[:, None] * ratio for ratio in _append_tables(a.mu, m, ranks, depth - m, ratio=True)])
 
 
 def apply_fourier(a: FourierElement, v: Word, depth: int) -> dict[Word, complex]:
@@ -132,26 +132,25 @@ def cesaro_sum(x: GradedOperator, k: int) -> GradedOperator:
 
 def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normalized: bool) -> GradedOperator:
     """sum_w c_w T_w, or sum_w c_w W(e,w)^{-1} T_w if ``normalized``, for
-    ``coeffs`` holding c_w for every word of length <= m_max <= depth in basis
-    order; a zero c_w is off the support.  W(u,w) for |u| = k is row rank w of
-    block [k][|w|] of the left table (``_left_tables``), built up to |w| =
-    m_max, and w*u has rank (rank w) n^k + rank u."""
-    n, depth, offsets = space.n, space.depth, space.basis.level_offsets
+    ``coeffs`` as ``_support_operator`` takes them, with W(u,w) read off the
+    prepend tables (``_prepend_tables``) up to |w| = m_max.  A support word
+    whose W(e,w) underflowed to 0 raises ValueError naming it."""
+    depth, offsets = space.depth, space.basis.level_offsets
     longest = offsets.index(coeffs.size) - 1
+
+    def columns(m, ranks, c):
+        if normalized:  # scalar divisions: numpy's complex-by-float division rounds otherwise
+            norms = left[0][m][0, ranks].tolist()
+            if 0.0 in norms:
+                w = space.word_at(offsets[m] + int(ranks[norms.index(0.0)]))
+                raise ValueError(f"W(e, {w}) of the support word {w} (length {m}) underflows to 0")
+            c = np.array([x / complex(y) for x, y in zip(c.tolist(), norms)], dtype=complex)
+        return [c[:, None] * left[k][m][:, ranks].T for k in range(depth - m + 1)]
+
     with np.errstate(over="ignore", invalid="ignore"):  # weights past the float range give inf or NaN entries
-        left = _left_tables(ws, depth, longest)
-        pieces = []
-        for m in range(longest + 1):
-            ranks = np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]])
-            scale = coeffs[offsets[m] + ranks].tolist()
-            if normalized:  # scalar divisions: a W(e,w) that underflowed to 0 raises, where numpy gives NaN
-                scale = [c / complex(x) for c, x in zip(scale, left[0][m][ranks, 0].tolist())]
-            scale = np.array(scale, dtype=complex)[:, None]
-            for k in range(depth - m + 1):
-                rows = offsets[m + k] + ranks[:, None] * n**k + np.arange(n**k)
-                cols = np.tile(np.arange(offsets[k], offsets[k + 1]), ranks.size)
-                pieces.append((rows.ravel(), cols, (scale * left[k][m][ranks]).ravel()))
-    return _assemble(space, pieces)
+        # the deepest u first, so the lambda levels are built once, to depth - 1
+        left = {k: _prepend_tables(ws, k, None, min(depth - k, longest), ratio=False) for k in range(depth, -1, -1)}
+        return _support_operator(space, coeffs, columns)
 
 
 def word_operator(space: TruncatedFock, ws: WeightSystem, w: Word) -> GradedOperator:
@@ -164,9 +163,7 @@ def word_operator(space: TruncatedFock, ws: WeightSystem, w: Word) -> GradedOper
 def operator_from_fourier(a: FourierElement, space: TruncatedFock) -> GradedOperator:
     """The compressed operator sum_w a_w W(e,w)^{-1} T_w of an expansion.
     Words longer than the depth have T_w = 0."""
-    support = TruncatedFock(space.n, min(a.support_length(), space.depth))
-    coeffs = support.vector_from_coeffs({w: c for w, c in a.coeffs.items() if len(w) <= support.depth})
-    return _word_sum(space, a.weights, coeffs, normalized=True)
+    return _word_sum(space, a.weights, a.vector(space.depth), normalized=True)
 
 
 def pk_polynomial(a: FourierElement, k: int, space: TruncatedFock) -> GradedOperator:

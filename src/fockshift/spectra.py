@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from .words import Word
 from .weights import ConstantWeights
-from .fock import GradedOperator, TruncatedFock, column_norms, left_shift_maps
+from .fock import GradedOperator, TruncatedFock, left_shift_maps, max_column_norm
 from .algebra import _word_sum
 from .eigen import eigen_residual, eigenvector_coeffs
 
@@ -36,14 +36,6 @@ class SpectrumReport:
     verdict: str
     defects: dict[str, float]
     witness: dict
-
-
-def _split_defect(space: TruncatedFock, diff: GradedOperator) -> tuple[float, float]:
-    """Max column norms of a defect matrix over rows below the top level and
-    at the top level."""
-    top = space.level_slice(space.depth)
-    mat = diff.mat.tocsr()
-    return float(np.max(column_norms(mat[: top.start, :]))), float(np.max(column_norms(mat[top, :])))
 
 
 @dataclass(frozen=True)
@@ -72,9 +64,10 @@ def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
     affine = GradedOperator.identity(space)
     for i in range(1, space.n + 1):
         affine = affine - point[i - 1].conjugate() * shifts.operator(i)
-    diff = affine @ series - GradedOperator.identity(space)
-    low, top = _split_defect(space, diff)
-    return ResolventReport(point, depth, low, top)
+    diff, top = (affine @ series - GradedOperator.identity(space)).mat, space.level_slice(depth)
+    every = np.ones(space.dimension, dtype=bool)
+    low, high = (max_column_norm(diff[rows, :], every)[0] for rows in (slice(top.start), top))
+    return ResolventReport(point, depth, low, high)
 
 
 def right_membership(point: Sequence[complex], depth: int) -> SpectrumReport:
@@ -219,7 +212,7 @@ def zero_left_inverses(
             space, [space.index_of(w) for w in eta], [0] * len(eta), list(eta.values()))
         for j in (1, 2):
             diff = a_i @ shifts[j - 1] - (identity if i == j else zero)
-            defects[(i, j)] = float(np.max(column_norms(diff.mat[:, :top])))
+            defects[(i, j)] = max_column_norm(diff.mat, space.levels() < depth)[0]
 
     stacked = sp.hstack([shifts[0].mat, shifts[1].mat])
     gram = (stacked @ stacked.conj().T).tocoo()

@@ -13,8 +13,9 @@ The table families, ``TableMu`` included, hold their tables in that layout
 as read-only arrays ``levels[k]``, built once, at construction.  From the
 weights derive the left weight function W(u, w) (products of edge weights
 down the tree), the commutant weights mu, and the right weight function
-W_mu.  This module also houses the identities and conditions those
-functions satisfy: both cocycle laws, the intertwining identity, the
+W_mu, all by one recursion read in two directions (``_prepend_tables``,
+``_append_tables``).  This module also houses the identities and conditions
+those functions satisfy: both cocycle laws, the intertwining identity, the
 boundedness condition governing the commutant description (decided once per
 weight-system object), a finite-range semisimplicity estimate, and the
 generation of left weights from prescribed right weights.
@@ -294,15 +295,27 @@ class TwoLetterRunWeights(WeightSystem):
 @dataclass(frozen=True, eq=False)
 class TabulatedWeights(WeightSystem):
     """Explicitly tabulated weights ``levels[k][i-1]``, one (n, n^k) array per
-    level (made read-only), for base words up to a depth; queries beyond the
-    table are an error."""
+    level k <= depth (made read-only), for base words up to a depth; queries
+    beyond the table are an error.  A missing level, a level of another shape
+    or a weight not strictly positive and finite raises ValueError at
+    construction, naming the first bad weight word by word, letter by letter."""
 
     n: int
     depth: int
     levels: list[np.ndarray]
 
     def __post_init__(self):
-        for level in self.levels:
+        if len(self.levels) != self.depth + 1:
+            raise ValueError(f"table depth {self.depth} needs {self.depth + 1} weight levels, got {len(self.levels)}")
+        basis = BasisEnumeration(self.n, self.depth)
+        for k, level in enumerate(self.levels):
+            if np.shape(level) != (self.n, self.n**k):
+                raise ValueError(f"weight level {k} has shape {np.shape(level)}, expected {(self.n, self.n**k)}")
+            bad = np.flatnonzero(~((level.T > 0.0) & (level.T < math.inf)))
+            if bad.size:
+                rank, i = divmod(int(bad[0]), self.n)
+                w = basis.word_at(basis.level_offsets[k] + rank)
+                _check_positive(level[i, rank], f"weight ({i + 1}, {w}) at level {k}")
             level.setflags(write=False)
 
     def lambda_of(self, i: int, w: Word) -> float:
@@ -373,15 +386,8 @@ class CommutantMu(MuSystem):
         return _kept_levels(self.weights, "_commutant_mu_levels", depth, self.mu_levels)
 
     def mu_levels(self, depth: int) -> list[np.ndarray]:
-        """The ratio recursion of ``commutant_mu``, one level at a time: j*w has
-        rank (j-1) n^k + r, and lambda_{j,w*i} sits at [i-1, j-1, r] of level k+1."""
-        n = self.weights.n
-        lam = self.weights.kept_lambda_levels(depth)
-        levels = [np.ones((n, 1))]
-        for k in range(depth):
-            appended = lam[k + 1].reshape(n, n**k, n).transpose(2, 0, 1)
-            levels.append((levels[k][:, None, :] * appended / lam[k]).reshape(n, n ** (k + 1)))
-        return levels
+        """W(i,w) / W(e,w), the ratio prepend tables of the one-letter words."""
+        return _prepend_tables(self.weights, 1, None, depth, ratio=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,6 +467,39 @@ def _right_path(mu: MuSystem, v: Word, u: Word, count: int = 1, log: bool = Fals
     return path
 
 
+def _prepend_tables(ws: WeightSystem, a: int, ranks: np.ndarray | None, bound: int, ratio: bool) -> list[np.ndarray]:
+    """[b][index, rank w] = W(u, w), or W(u, w) / W(e, w) if ``ratio``, for u of
+    length a and rank ``ranks[index]`` (every rank, through views, if None) and
+    |w| = b <= bound: W(u, j*w) = W(u, w) lambda_{j,w*u} (/ lambda_{j,w}); j*w
+    has rank (j-1) n^b + rank w, and w*u rank (rank w) n^a + rank u."""
+    n = ws.n
+    lam = ws.kept_lambda_levels(max(a + bound - 1, 0))
+    tables = [np.ones((n**a if ranks is None else ranks.size, 1))]
+    for b in range(bound):
+        step = lam[a + b].reshape(n, n**b, n**a).transpose(2, 0, 1)  # [rank u, j-1, rank w]
+        table = tables[b][:, None, :] * (step if ranks is None else step[ranks])
+        if ratio:
+            table /= lam[b]
+        tables.append(table.reshape(-1, n ** (b + 1)))
+    return tables
+
+
+def _append_tables(mu: MuSystem, a: int, ranks: np.ndarray | None, bound: int, ratio: bool) -> list[np.ndarray]:
+    """``_prepend_tables`` for W_mu(v, w), appending: W_mu(v, w*j) = W_mu(v, w)
+    mu_{j,v*w} (/ mu_{j,w}); w*j has rank (rank w) n + j-1, and v*w rank
+    (rank v) n^b + rank w."""
+    n = mu.n
+    m = mu.kept_mu_levels(max(a + bound - 1, 0))
+    tables = [np.ones((n**a if ranks is None else ranks.size, 1))]
+    for b in range(bound):
+        step = m[a + b].reshape(n, n**a, n**b).transpose(1, 2, 0)  # [rank v, rank w, j-1]
+        table = tables[b][:, :, None] * (step if ranks is None else step[ranks])
+        if ratio:
+            table /= m[b].T
+        tables.append(table.reshape(-1, n ** (b + 1)))
+    return tables
+
+
 def mu_table(ws: WeightSystem, depth: int) -> dict[tuple[int, Word], float]:
     """Tabulate the commutant weights for all base words up to ``depth``,
     keyed by (letter, word): words in graded-lex order, letters in order."""
@@ -486,32 +525,6 @@ class DefectReport:
     max_defect: float
     witness: tuple | None
     checks: int
-
-
-def _left_tables(ws: WeightSystem, depth: int, longest: int) -> list[list[np.ndarray]]:
-    """The left table: [a][b] holds W(u, w) for |u| = a, |w| = b <= min(depth - a, longest)
-    at [rank w, rank u], by the recursion W(u, j*w) = W(u, w) lambda_{j,w*u} of
-    ``left_weight``; j*w has rank (j-1) n^b + rank w, w*u rank w n^a + rank u."""
-    n = ws.n
-    lam = ws.kept_lambda_levels(max(depth - 1, 0))
-    tables = [[np.ones((1, n**a))] for a in range(depth + 1)]
-    for a, row in enumerate(tables):
-        for b in range(min(depth - a, longest)):
-            row.append((row[b] * lam[a + b].reshape(n, n**b, n**a)).reshape(n ** (b + 1), n**a))
-    return tables
-
-
-def _right_tables(mu: MuSystem, depth: int) -> list[list[np.ndarray]]:
-    """The right table: [a][b] holds W_mu(v, w) for |v| = a, |w| = b <= depth - a
-    at [rank v, rank w], by the recursion W_mu(v, w*j) = W_mu(v, w) mu_{j,v*w} of
-    ``right_weight``; w*j has rank rank w n + j-1, v*w rank v n^b + rank w."""
-    n = mu.n
-    m = mu.kept_mu_levels(max(depth - 1, 0))
-    tables = [[np.ones((n**a, 1))] for a in range(depth + 1)]
-    for a, row in enumerate(tables):
-        for b in range(depth - a):
-            row.append((row[b][:, :, None] * m[a + b].reshape(n, n**a, n**b).transpose(1, 2, 0)).reshape(n**a, -1))
-    return tables
 
 
 def _sweep_report(block, blocks: list[tuple[int, ...]], n: int, labels) -> DefectReport:
@@ -545,11 +558,11 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
         W(u, v*w)    = W(w*u, v) * W(u, w)
         W_mu(u, v*w) = W_mu(u, v) * W_mu(u*v, w)
 
-    ``mu`` None means ``CommutantMu(ws)``.  Both sides are read off the left
-    and right tables (``_left_tables``, ``_right_tables``) one block of fixed
-    |u|, |v|, |w| at a time.  The witness is the first maximum in the order
-    u, v, w, left before right; a NaN defect (an overflowed product) counts
-    as the largest.  More than ``MAX_SWEEP_WORDS`` triples raise
+    ``mu`` None means ``CommutantMu(ws)``.  Both sides are read off the
+    prepend and append tables (``_prepend_tables``, ``_append_tables``) one
+    block of fixed |u|, |v|, |w| at a time.  The witness is the first maximum
+    in the order u, v, w, left before right; a NaN defect (an overflowed
+    product) counts as the largest.  More than ``MAX_SWEEP_WORDS`` triples raise
     ``ValueError`` before any table is built.
     """
     if depth < 0:
@@ -560,18 +573,20 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
     def block(a, b, c):
         # [rank u, rank v, rank w]: v*w has rank rank v n^c + rank w, w*u
         # rank w n^a + rank u, and u*v rank u n^b + rank v
-        by_w, shape = (n**b, n**c, n**a), (n**a, n**b, n**c)
-        lhs = [left[a][b + c].reshape(by_w).transpose(2, 0, 1), right[a][b + c].reshape(shape)]
+        shape = (n**a, n**b, n**c)
+        lhs = [left[a][b + c].reshape(shape), right[a][b + c].reshape(shape)]
         rhs = [
-            left[a + c][b].reshape(by_w).transpose(2, 0, 1) * left[a][c].T[:, None, :],
+            left[a + c][b].reshape(n**c, n**a, n**b).transpose(1, 2, 0) * left[a][c][:, None, :],
             right[a][b][:, :, None] * right[a + b][c].reshape(shape),
         ]
         return np.stack(lhs, axis=3), np.stack(rhs, axis=3)
 
     triples = [(a, b, c) for a in range(depth + 1) for b in range(depth - a + 1) for c in range(depth - a - b + 1)]
+    mu = CommutantMu(ws) if mu is None else mu
     # products overflow as the scalar ones do, and inf - inf is a NaN defect
     with np.errstate(over="ignore", invalid="ignore"):
-        left, right = _left_tables(ws, depth, depth), _right_tables(CommutantMu(ws) if mu is None else mu, depth)
+        left = [_prepend_tables(ws, a, None, depth - a, ratio=False) for a in range(depth + 1)]
+        right = [_append_tables(mu, a, None, depth - a, ratio=False) for a in range(depth + 1)]
         return _sweep_report(block, triples, n, ("left", "right"))
 
 
@@ -579,10 +594,10 @@ def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
     """Sweep the intertwining identity mu_{i,v} W(v*i, w) = mu_{i,w*v} W(v, w)
     over all i, v, w with |v| + |w| + 1 <= depth.
 
-    W is read off the left table (``_left_tables``) and mu_{i,x} = W_mu(x, i)
-    off the right table (``_right_tables``) of ``CommutantMu(ws)``, one block
-    of fixed |v|, |w| at a time.  The witness is the first maximum in the
-    order v, w, i; a NaN defect counts as the largest.  More than
+    W is read off the prepend tables (``_prepend_tables``) and mu off the
+    levels of ``CommutantMu(ws)``, one block of fixed |v|, |w| at a time.  The
+    witness is the first maximum in the order v, w, i; a NaN defect counts as
+    the largest.  More than
     ``MAX_SWEEP_WORDS`` triples raise ``ValueError`` before any table is built.
     """
     if depth < 1:
@@ -592,12 +607,13 @@ def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
 
     def block(a, b):
         # [rank v, rank w, i]: v*i has rank rank v n + i-1, w*v rank w n^a + rank v
-        lhs = right[a][1][:, None, :] * left[a + 1][b].reshape(n**b, n**a, n).transpose(1, 0, 2)
-        return lhs, right[a + b][1].reshape(n**b, n**a, n).transpose(1, 0, 2) * left[a][b].T[:, :, None]
+        lhs = mu[a].T[:, None, :] * left[a + 1][b].reshape(n**a, n, n**b).transpose(0, 2, 1)
+        return lhs, mu[a + b].reshape(n, n**b, n**a).transpose(2, 1, 0) * left[a][b][:, :, None]
 
     pairs = [(a, b) for a in range(depth) for b in range(depth - a)]
     with np.errstate(over="ignore", invalid="ignore"):
-        left, right = _left_tables(ws, depth, depth), _right_tables(CommutantMu(ws), depth)
+        left = [_prepend_tables(ws, a, None, depth - a, ratio=False) for a in range(depth + 1)]
+        mu = CommutantMu(ws).kept_mu_levels(depth - 1)
         return _sweep_report(block, pairs, n, range(1, n + 1))
 
 
@@ -811,7 +827,8 @@ def lambda_from_mu(mu: MuSystem, depth: int) -> TabulatedWeights:
     by prescribed right weights, tabulated for |w| <= depth.
 
     The right weights must be normalized (mu_{i,e} = 1); the commutant weights
-    of the result reproduce ``mu`` on the tabulated range.
+    of the result reproduce ``mu`` on the tabulated range.  The levels are the
+    ratio append tables of the one-letter words (``_append_tables``).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -819,12 +836,4 @@ def lambda_from_mu(mu: MuSystem, depth: int) -> TabulatedWeights:
         if abs(mu.mu_of(i, EMPTY) - 1.0) > 1e-12:
             raise ValueError(f"right weights must be normalized: mu_({i}, e) != 1")
     _sweep_guard(mu.n, depth)
-    # ratio recursion lambda_{i,wj} = lambda_{i,w} mu_{j,iw} / mu_{j,w}: the word
-    # w*j has rank r n + j-1, and mu_{j,i*w} sits at [i-1, r, j-1] of level k+1
-    n = mu.n
-    m = mu.kept_mu_levels(depth)
-    levels = [np.ones((n, 1))]
-    for k in range(depth):
-        prepended = m[k + 1].reshape(n, n, n**k).transpose(1, 2, 0)
-        levels.append((levels[k][:, :, None] * prepended / m[k].T).reshape(n, n ** (k + 1)))
-    return TabulatedWeights(n, depth, levels)
+    return TabulatedWeights(mu.n, depth, _append_tables(mu, 1, None, depth, ratio=True))

@@ -323,7 +323,7 @@ def test_coefficient_document_with_a_list_of_coeffs_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("value", [1e-200, 1e300])
 @pytest.mark.parametrize("verb, extra, code", [("region", ["--grid", "0:1:0.5"], 0), ("commutant", [], 2)])
 def test_weights_past_the_float_range_raise_no_numpy_warning(tmp_path, capsys, value, verb, extra, code):
-    # 1 / lam^2 in the transfer steps and classes, and the left table of the round trip, used to warn.
+    # 1 / lam^2 in the transfer steps and classes, and the prepend tables of the round trip, used to warn.
     # commutant exits 2: W(e, w) leaves the float range by depth 2, and the round trip divides by it; its table
     # used to be printed before that
     config = _write_config(tmp_path, "far.json", {"n": 2, "family": "constant", "value": value})
@@ -436,6 +436,13 @@ def test_arithmetic_error_exits_2(tmp_path, capsys):
     assert main(["cesaro", "--config", config, "--coeffs", str(coeffs), "--depth", "100"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition error:") and len(err.strip().splitlines()) == 1
+
+
+def test_underflowed_normalization_names_the_support_word(tmp_path, capsys):
+    # W(e, 111) = 1e-450 underflows to 0, and the round trip's support reaches length 3 at depth 6
+    config = _write_config(tmp_path, "tiny.json", {"n": 2, "family": "constant", "value": 1e-150})
+    _exits_2_naming(["commutant", "--config", config, "--depth", "6"], capsys,
+                    "precondition error: W(e, 111) of the support word 111 (length 3) underflows to 0")
 
 
 def test_deep_commutant_round_trip(tmp_path, capsys):

@@ -521,7 +521,7 @@ SWEEP_SYSTEMS = SYSTEMS + [("two_letter_m_diverging", TwoLetterRunWeights(4.0, 1
 
 @pytest.mark.parametrize("label, ws, depth", SWEEP_SYSTEMS, ids=[s[0] for s in SWEEP_SYSTEMS])
 def test_sweeps_read_one_mu_table(label, ws, depth):
-    # the sweeps read one set of mu levels and one left table; the oracle
+    # the sweeps read one set of mu levels and the prepend tables; the oracle
     # evaluates every weight product word by word
     mu = table_mu(ws.n, 75)
     for d in range(7 if ws.n < 3 else 6):

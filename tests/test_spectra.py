@@ -18,6 +18,7 @@ from fockshift import (
     right_membership,
     zero_left_inverses,
 )
+from fockshift.fock import max_column_norm
 from fockshift.spectra import (
     IN_SPECTRUM,
     INCONCLUSIVE,
@@ -25,7 +26,6 @@ from fockshift.spectra import (
     NOT_IN_SPECTRUM,
     ResolventReport,
     SpectrumReport,
-    _split_defect,
 )
 from fockshift.words import EMPTY, BasisEnumeration, Word
 
@@ -196,8 +196,10 @@ def _dict_resolvent_check(point, depth):
     affine = GradedOperator.identity(space)
     for i in range(1, space.n + 1):
         affine = affine - point[i - 1].conjugate() * left_creation(space, i)
-    low, top = _split_defect(space, affine @ _dict_series(space, point) - GradedOperator.identity(space))
-    return ResolventReport(point, depth, low, top)
+    diff, top = (affine @ _dict_series(space, point) - GradedOperator.identity(space)).mat, space.level_slice(depth)
+    every = np.ones(space.dimension, dtype=bool)
+    low, high = (max_column_norm(diff[rows, :], every)[0] for rows in (slice(top.start), top))
+    return ResolventReport(point, depth, low, high)
 
 
 def _dict_right_membership(point, depth):

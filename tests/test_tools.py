@@ -1,0 +1,36 @@
+"""tools/compare_outputs.py on one verify seed: a tree against itself, and
+against a copy whose check lines print another tolerance format."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _compare(parent: Path, change: Path) -> subprocess.CompletedProcess:
+    argv = [sys.executable, str(ROOT / "tools" / "compare_outputs.py"), "--parent", str(parent),
+            "--change", str(change), "--seeds", "1", "--workloads", "verify"]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=120)
+
+
+def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
+    result = _compare(ROOT, ROOT)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "7 invocations on 1 workloads x 1 seeds: 0 differences\n"
+
+
+def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    cli = tmp_path / "src" / "fockshift" / "cli.py"
+    text = cli.read_text()
+    assert text.count("tolerance {entry['tolerance']:.1e}") == 1
+    cli.write_text(text.replace("tolerance {entry['tolerance']:.1e}", "tolerance {entry['tolerance']:.2e}"))
+    result = _compare(ROOT, tmp_path)
+    assert result.returncode == 1, result.stderr
+    lines = result.stdout.splitlines()
+    # the warm-up and the six checks each print changed check lines; reports and stderr are unchanged
+    assert lines[-1] == "7 invocations on 1 workloads x 1 seeds: 7 differences"
+    assert all(": stdout differs, line " in line for line in lines[:-1])
+    assert "tolerance 1.0e-10" in lines[0] and "tolerance 1.00e-10" in lines[0]

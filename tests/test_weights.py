@@ -12,6 +12,7 @@ from fockshift import (
     PeriodicWeights,
     ScaledWeights,
     TableMu,
+    TabulatedWeights,
     TwoLetterRunWeights,
     check_cocycles,
     check_intertwining,
@@ -26,6 +27,8 @@ from fockshift import (
 from fockshift.weights import (
     BOUNDED,
     DIVERGING,
+    _append_tables,
+    _prepend_tables,
     table_from_strings,
 )
 from fockshift.words import EMPTY, Word
@@ -228,6 +231,59 @@ def test_table_mu_requires_normalization():
     entries[(1, EMPTY)] = 2.0
     with pytest.raises(ValueError):
         TableMu(2, 1, entries)
+
+
+@pytest.mark.parametrize("ratio", [False, True])
+def test_prepend_and_append_tables_match_the_scalar_weights(ratio):
+    # W(u, w) and W_mu(v, w) for two words of length 2 and every w with |w| <= 3, against the scalar walks
+    ws = random_finite_perturbation(8, n=3, cutoff=2)
+    mu = CommutantMu(ws)
+    basis, ranks = BasisEnumeration(3, 5), np.array([7, 2])
+    words = [basis.word_at(basis.level_offsets[2] + rank) for rank in ranks]
+    prepended, appended = _prepend_tables(ws, 2, ranks, 3, ratio), _append_tables(mu, 2, ranks, 3, ratio)
+    for b in range(4):
+        for rank, w in enumerate(basis.level_words(b)):
+            for index, x in enumerate(words):
+                left = left_weight(ws, x, w) / (left_weight(ws, EMPTY, w) if ratio else 1.0)
+                right = right_weight(mu, x, w) / (right_weight(mu, EMPTY, w) if ratio else 1.0)
+                assert prepended[b][index, rank] == pytest.approx(left, rel=1e-12)
+                assert appended[b][index, rank] == pytest.approx(right, rel=1e-12)
+    # every rank, read through views, holds the same numbers; no rank gives (0, n^b) arrays
+    for build, system in ((_prepend_tables, ws), (_append_tables, mu)):
+        full = build(system, 2, None, 3, ratio)
+        assert all(np.array_equal(table[ranks], part) for table, part in zip(full, build(system, 2, ranks, 3, ratio)))
+        assert [table.shape for table in build(system, 2, ranks[:0], 3, ratio)] == [(0, 3**b) for b in range(4)]
+
+
+def _unit_levels(depth: int) -> list:
+    return [np.ones((2, 2**k)) for k in range(depth + 1)]
+
+
+@pytest.mark.parametrize("depth, levels, message", [
+    (3, [np.ones((2, 1))], r"^table depth 3 needs 4 weight levels, got 1$"),
+    (1, [np.ones((2, 1)), np.ones((2, 3))], r"^weight level 1 has shape \(2, 3\), expected \(2, 2\)$"),
+    (1, [np.ones((2, 1)), np.ones(2)], r"^weight level 1 has shape \(2,\), expected \(2, 2\)$"),
+    # word by word, letter by letter: (2, 1) at [1, 0] is read before (1, 2) at [0, 1]
+    (2, [*_unit_levels(0), np.array([[1.0, -2.0], [0.0, 1.0]]), np.ones((2, 4))],
+     r"^weight \(2, 1\) at level 1 must be strictly positive and finite, got 0.0$"),
+    (2, [*_unit_levels(1), np.where(np.arange(4) == 3, -2.0, 1.0) * np.ones((2, 1))],
+     r"^weight \(1, 22\) at level 2 must be strictly positive and finite, got -2.0$"),
+    (1, [np.array([[1.0], [math.inf]]), np.ones((2, 2))],
+     r"^weight \(2, e\) at level 0 must be strictly positive and finite, got inf$"),
+    (0, [np.array([[math.nan], [1.0]])], r"^weight \(1, e\) at level 0 must be strictly positive and finite, got nan$"),
+])
+def test_tabulated_weights_validate_their_levels(depth, levels, message):
+    with pytest.raises(ValueError, match=message):
+        TabulatedWeights(2, depth, levels)
+
+
+def test_tabulated_weights_accept_full_tables_and_lambda_from_mu_outputs():
+    assert len(TabulatedWeights(2, 3, _unit_levels(3)).lambda_levels(3)) == 4
+    rng = np.random.default_rng(5)
+    entries = {(i, w): 1.0 if w == EMPTY else float(rng.uniform(0.5, 2.0))
+               for w in BasisEnumeration(3, 2).words() for i in (1, 2, 3)}
+    ws = lambda_from_mu(TableMu(3, 2, entries), 4)
+    assert [level.shape for level in ws.levels] == [(3, 3**k) for k in range(5)]
 
 
 def test_lambda_from_mu_unweighted_fixed_point():

@@ -1,0 +1,122 @@
+"""Compare what two source trees write on the benchmark invocations.
+
+    python3 tools/compare_outputs.py --parent ../base --change . [--seeds 1-12] [--workloads verify recover]
+
+Builds the invocations of ``bench/workloads.py`` (warm-ups included) for
+every workload and seed, and runs them on each tree's ``src`` in a fresh
+Python process, one tree after the other, through ``fockshift.cli.main`` as
+``bench/run.py`` does.  Both trees run in the same scratch directory, so the
+argv are the same.  For every invocation it compares the exit code, stdout,
+stderr, the CSV and the report (with every ``timing_seconds`` field dropped),
+prints each difference, and exits 1 if there is any, 0 otherwise.  The
+invocations come from this checkout's ``bench/``, which is only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import multiprocessing
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+FIELDS = ("code", "stdout", "stderr", "csv", "report")
+
+
+def _untimed(value):
+    """``value`` with every ``timing_seconds`` entry dropped, at any depth."""
+    if isinstance(value, dict):
+        return {k: _untimed(v) for k, v in value.items() if k != "timing_seconds"}
+    if isinstance(value, list):
+        return [_untimed(v) for v in value]
+    return value
+
+
+def collect(tree: str, names: list[str], seeds: list[int], workdir: str) -> dict[tuple, dict]:
+    """Run every invocation on ``tree/src``: {(workload, seed, index, label): fields}.
+    Meant for a fresh process, since it imports the tree's package."""
+    sys.path.insert(0, str(BENCH))
+    import run
+    import workloads
+
+    run._limit_blas_threads()
+    src = (Path(tree) / "src").resolve()
+    sys.path.insert(0, str(src))
+    outputs = {}
+    for name in names:
+        for seed in seeds:
+            for module in [m for m in sys.modules if m == "fockshift" or m.startswith("fockshift.")]:
+                del sys.modules[module]
+            cli = importlib.import_module("fockshift.cli")
+            if not Path(cli.__file__).resolve().is_relative_to(src):
+                raise RuntimeError(f"fockshift imported from {cli.__file__}, not from {src}")
+            shutil.rmtree(workdir, ignore_errors=True)
+            Path(workdir).mkdir(parents=True)
+            workload = workloads.build(name, seed, workdir)
+            for index, invocation in enumerate(workload.warmups + workload.invocations):
+                outcome = run.run_invocation(cli, invocation)[1]
+                report = json.dumps(_untimed(outcome.report), sort_keys=True)
+                outputs[(name, seed, index, invocation.label)] = {
+                    "code": outcome.code, "stdout": outcome.stdout, "stderr": outcome.stderr,
+                    "csv": outcome.csv, "report": report,
+                }
+    return outputs
+
+
+def _first_difference(before, after) -> str:
+    """Where two outputs first differ, with 40 characters around it."""
+    if not isinstance(before, str) or not isinstance(after, str):
+        return f"{before!r} -> {after!r}"
+    at = next((i for i, (x, y) in enumerate(zip(before, after)) if x != y), min(len(before), len(after)))
+    lo, line = max(at - 40, 0), before.count("\n", 0, at) + 1
+    return f"line {line}: {before[lo:at + 40]!r} -> {after[lo:at + 40]!r}"
+
+
+def _seeds(text: str) -> list[int]:
+    if "-" in text:
+        lo, hi = (int(part) for part in text.split("-", 1))
+        return list(range(lo, hi + 1))
+    return [int(part) for part in text.split(",")]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="the source tree to compare against")
+    parser.add_argument("--change", required=True, help="the source tree under review")
+    parser.add_argument("--seeds", type=_seeds, default=_seeds("1-12"), help="a range A-B or a list A,B,C")
+    parser.add_argument("--workloads", nargs="+", default=["verify", "region", "recover"])
+    args = parser.parse_args(argv)
+    for tree in (args.parent, args.change):
+        if not (Path(tree) / "src" / "fockshift" / "__init__.py").is_file():
+            parser.error(f"{tree} holds no src/fockshift package")
+
+    context = multiprocessing.get_context("spawn")
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as scratch:
+        workdir = str(Path(scratch) / "work")
+        results = []
+        for tree in (args.parent, args.change):
+            with context.Pool(1) as pool:
+                results.append(pool.apply(collect, (tree, args.workloads, args.seeds, workdir)))
+    before, after = results
+    differences = 0
+    for key in sorted(before.keys() | after.keys()):
+        if key not in before or key not in after:
+            differences += 1
+            print(f"{key}: only in the {'change' if key in after else 'parent'}")
+            continue
+        for field in FIELDS:
+            if before[key][field] != after[key][field]:
+                differences += 1
+                name, seed, _, label = key
+                print(f"{name} seed {seed}, {label}: {field} differs, {_first_difference(before[key][field], after[key][field])}")
+    print(f"{len(after)} invocations on {len(args.workloads)} workloads x {len(args.seeds)} seeds: "
+          f"{differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
