@@ -52,7 +52,7 @@ for k in (2, 4, 8):
     polynomial = pk_polynomial(element, k, space)
     worst = 0.0
     for level in range(space.depth - k + 1):
-        for v in space.basis.level_words(level):
+        for v in space.level_words(level):
             worst = max(worst, float(np.linalg.norm(smoothed.column(v) - polynomial.column(v))))
     print(f"k = {k}: max |Sigma_k(A) xi_v - p_k(A) xi_v| = {worst:.3e}")
 

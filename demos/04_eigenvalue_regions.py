@@ -38,18 +38,18 @@ print(f"partial sum = {np.sum(sums):.10f}")
 print(f"verdict: {membership_verdict(sums, 0.02)}")
 
 # Sampling the moduli quarter-plane traces out the unit ball.
-samples = region_sample(unweighted, GridSpec(0.0, 1.2, 0.2), 10, 0.02)
-for s in samples:
-    if s.moduli[1] == 0.0:
-        print(f"r = {s.moduli}: {s.verdict} (tail ratio {s.tail_ratio:.3f})")
+sample = region_sample(unweighted, GridSpec(0.0, 1.2, 0.2).points(2), 10, 0.02)
+axis = sample.moduli[:, 1] == 0.0
+for moduli, verdict, ratio in zip(sample.moduli[axis].tolist(), sample.verdict[axis], sample.tail_ratio[axis]):
+    print(f"r = {tuple(moduli)}: {verdict} (tail ratio {ratio:.3f})")
 buffer = io.StringIO()
-write_region_csv(samples, buffer)
+write_region_csv(sample, buffer)
 print(f"\nCSV rows emitted: {len(buffer.getvalue().splitlines())}")
 
 # Scaled weights stretch the ball into an ellipse with semi-axes c_i.
 report = ellipse_predicate(scaled, (1.0, 1.0), 6)
 print(f"\nscaled(2,3) at r = (1,1): inside ellipse = {report.inside}, axes = {report.axes}")
-inside = sum(1 for s in region_sample(scaled, GridSpec(0.0, 3.0, 0.5), 8, 0.02) if s.verdict == "inside")
+inside = np.count_nonzero(region_sample(scaled, GridSpec(0.0, 3.0, 0.5).points(2), 8, 0.02).verdict == "inside")
 print(f"inside points on the [0,3]^2 grid: {inside}")
 
 # Eigenvalue membership is hereditary: shrinking each modulus preserves it.

@@ -74,7 +74,7 @@ def _support_operator(space: TruncatedFock, coeffs: np.ndarray, columns) -> Grad
     coefficients c given to ``columns(m, ranks, c)``, which returns x per k.
     ``coeffs`` holds c_w for every word of length <= m_max <= depth in basis
     order, 0 off the support; w*u has rank (rank w) n^k + rank u."""
-    n, depth, offsets = space.n, space.depth, space.basis.level_offsets
+    n, depth, offsets = space.n, space.depth, space.level_offsets
     rows, cols, values = [], [], []
     for m in range(offsets.index(coeffs.size)):
         ranks = np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]])
@@ -134,16 +134,19 @@ def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normal
     """sum_w c_w T_w, or sum_w c_w W(e,w)^{-1} T_w if ``normalized``, for
     ``coeffs`` as ``_support_operator`` takes them, with W(u,w) read off the
     prepend tables (``_prepend_tables``) up to |w| = m_max.  A support word
-    whose W(e,w) underflowed to 0 raises ValueError naming it."""
-    depth, offsets = space.depth, space.basis.level_offsets
+    whose W(e,w) underflowed to 0 or overflowed to inf raises ValueError
+    naming it: dividing by inf would zero a coefficient whose entries
+    W(u,w)/W(e,w) can be O(1)."""
+    depth, offsets = space.depth, space.level_offsets
     longest = offsets.index(coeffs.size) - 1
 
     def columns(m, ranks, c):
         if normalized:  # scalar divisions: numpy's complex-by-float division rounds otherwise
             norms = left[0][m][0, ranks].tolist()
-            if 0.0 in norms:
-                w = space.word_at(offsets[m] + int(ranks[norms.index(0.0)]))
-                raise ValueError(f"W(e, {w}) of the support word {w} (length {m}) underflows to 0")
+            for bound, fate in ((0.0, "underflows to 0"), (math.inf, "overflows to inf")):
+                if bound in norms:
+                    w = space.word_at(offsets[m] + int(ranks[norms.index(bound)]))
+                    raise ValueError(f"W(e, {w}) of the support word {w} (length {m}) {fate}")
             c = np.array([x / complex(y) for x, y in zip(c.tolist(), norms)], dtype=complex)
         return [c[:, None] * left[k][m][:, ranks].T for k in range(depth - m + 1)]
 
@@ -211,7 +214,7 @@ def commutant_extract(
     element = FourierElement.build(space.coeffs_from_vector(x.column(EMPTY)), ws, mu)
     reach = space.depth - element.support_length()
     residual, _ = max_column_norm((x - expansion_operator(element, space)).mat, levels <= reach)
-    return ExtractionResult(element, residual, space.basis.level_offsets[reach + 1])
+    return ExtractionResult(element, residual, space.level_offsets[reach + 1])
 
 
 @dataclass(frozen=True)

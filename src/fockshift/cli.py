@@ -49,7 +49,7 @@ from .algebra import (
     operator_from_fourier,
     pk_polynomial,
 )
-from .eigen import GridSpec, region_sample, verdict_rule, write_region_csv
+from .eigen import VERDICTS, GridSpec, region_sample, write_region_csv
 from .spectra import (
     MODE_LEFT_GROWTH,
     MODE_RIGHT,
@@ -361,7 +361,7 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
     rng = np.random.default_rng(0)
     support_cap = max(0, min(3, config.depth - 2))
     coeffs = {}
-    for w in TruncatedFock(ws.n, support_cap).basis.words():
+    for w in TruncatedFock(ws.n, support_cap).words():
         coeffs[w] = complex(rng.standard_normal(), rng.standard_normal())
     element = FourierElement.build(coeffs, ws)
     extraction = commutant_extract(operator_from_fourier(element, space), ws)
@@ -401,23 +401,20 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
 def _cmd_region(config: RunConfig, args) -> tuple[int, dict]:
     grid = GridSpec.parse(args.grid)
     start = time.perf_counter()
-    samples = region_sample(config.weights, grid, config.depth, config.epsilon)
+    sample = region_sample(config.weights, grid.points(config.weights.n), config.depth, config.epsilon)
     timing = {"region_sample": time.perf_counter() - start}
     start = time.perf_counter()
     buffer = io.StringIO()
-    write_region_csv(samples, buffer)
+    write_region_csv(sample, buffer)
     _emit(buffer.getvalue(), args.out)
     timing["csv"] = time.perf_counter() - start
-    counts = {"inside": 0, "outside": 0, "inconclusive": 0}
-    for s in samples:
-        counts[s.verdict] += 1
     report = {
         "command": "region",
         "config": config.echo(),
         "grid": {"lo": grid.lo, "hi": grid.hi, "step": grid.step},
-        "samples": len(samples),
-        "verdict_rule": verdict_rule(config.weights, config.epsilon),
-        "verdicts": counts,
+        "samples": len(sample.verdict),
+        "verdict_rule": sample.rule,
+        "verdicts": {verdict: int(np.count_nonzero(sample.verdict == verdict)) for verdict in VERDICTS},
         "csv": args.out,
         "timing_seconds": timing,
     }

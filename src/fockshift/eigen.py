@@ -24,6 +24,11 @@ inside when the spectral radius of M(r), on the states reachable from state
 [1 - DELTA, 1 + DELTA] (``_bracket_verdicts``); DELTA = 1e-9 and no option
 sets it.  Systems without an automaton keep the tail heuristic of
 ``membership_verdict``, which reads epsilon.
+
+``region_sample`` returns one ``RegionSample`` per call: the moduli, level
+sums, partial sums, tail ratios and verdicts of all its points as arrays, one
+row per point, with the rule that judged them; ``write_region_csv`` formats
+that table column by column.
 """
 
 from __future__ import annotations
@@ -170,10 +175,9 @@ def level_sums(ws: WeightSystem, moduli: Sequence[float], depth: int) -> np.ndar
 
 def _moduli(ws: WeightSystem, points: Sequence[Sequence[float]]) -> np.ndarray:
     """The points as a (P, n) array of nonnegative moduli."""
-    for moduli in points:
-        if len(moduli) != ws.n:
-            raise ValueError(f"expected {ws.n} moduli, got {len(moduli)}")
-    array = np.array(points, dtype=float).reshape(len(points), ws.n)
+    array = np.array(points, dtype=float)
+    if array.ndim != 2 or array.shape[1] != ws.n:
+        raise ValueError(f"expected {ws.n} moduli, got {array.shape[-1]}")
     if (array < 0).any():
         raise ValueError("moduli must be nonnegative")
     return array
@@ -289,7 +293,7 @@ def _cycles(next_state: np.ndarray, lam: np.ndarray, letters: np.ndarray) -> lis
     return cycles
 
 
-def _bracket_verdicts(next_state: np.ndarray, lam: np.ndarray, moduli: np.ndarray) -> list[str]:
+def _bracket_verdicts(next_state: np.ndarray, lam: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     """The verdict of each row of moduli from the spectral radius rho of M(r),
     M[s, next[s, j]] += (r_j / lam[s, j])^2, on the states reachable from
     state 0: the largest radius of a class of ``_cycles``, which the letters
@@ -329,7 +333,7 @@ def _bracket_verdicts(next_state: np.ndarray, lam: np.ndarray, moduli: np.ndarra
                         break
                     rows, squares = rows[keep], squares[:, keep]
                     xs = [(x + image)[:, keep] / (x + image)[:, keep].max(axis=0) for x, image in zip(xs, images)]
-    return [VERDICTS[code] for code in codes.tolist()]
+    return np.array(VERDICTS)[codes]
 
 
 def membership_verdict(sums: Sequence[float], epsilon: float) -> tuple[str, float]:
@@ -343,10 +347,10 @@ def membership_verdict(sums: Sequence[float], epsilon: float) -> tuple[str, floa
     Region sampling applies this rule only to systems without an automaton.
     """
     verdicts, tail_ratios, _ = _verdicts(np.asarray(sums, dtype=float)[None, :], epsilon)
-    return verdicts[0], tail_ratios[0]
+    return str(verdicts[0]), float(tail_ratios[0])
 
 
-def _verdicts(sums: np.ndarray, epsilon: float) -> tuple[list[str], list[float], list[float]]:
+def _verdicts(sums: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rule of ``membership_verdict`` on a (P, levels) block of level
     sums, one row per point: the verdicts, tail ratios and partial sums."""
     if sums.shape[1] < 4:
@@ -360,43 +364,21 @@ def _verdicts(sums: np.ndarray, epsilon: float) -> tuple[list[str], list[float],
     inside = np.all(window <= 1.0 - epsilon, axis=1)
     growing = np.all(window >= 1.0 + epsilon, axis=1)
     verdicts = np.select([overflowed, inside, growing], [OUTSIDE, INSIDE, OUTSIDE], INCONCLUSIVE)
-    return verdicts.tolist(), window[:, -1].tolist(), partials.tolist()
+    return verdicts, window[:, -1], partials
 
 
-def verdict_rule(ws: WeightSystem, epsilon: float) -> dict:
-    """How ``region_sample`` judges the points of this system."""
-    if ws.kept_automaton() is None:
-        return {"rule": "tail ratios of the level sums (heuristic)", "epsilon": epsilon}
-    return {"rule": "Collatz-Wielandt bracket on the transfer matrix's spectral radius", "delta": DELTA}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionSample:
-    moduli: tuple[float, ...]
-    sums: tuple[float, ...]
-    partial_sum: float
-    tail_ratio: float
-    verdict: str
+    """A region sample as arrays, one row per point: the moduli (P, n), the
+    level sums (P, depth + 1), the partial sums, tail ratios and verdicts (P,),
+    and the rule that judged the points."""
 
-
-def sample_point(ws: WeightSystem, moduli: Sequence[float], depth: int, epsilon: float) -> RegionSample:
-    return _samples(ws, _moduli(ws, [moduli]), depth, epsilon)[0]
-
-
-def _samples(ws: WeightSystem, moduli: np.ndarray, depth: int, epsilon: float) -> list[RegionSample]:
-    """One RegionSample per row of a (P, n) array of moduli: the level sums, and
-    the tail columns and verdicts of the whole block at once, the verdicts
-    from the transfer matrix where the system has an automaton."""
-    automaton = ws.kept_automaton()
-    sums = _propagate(_transfer_steps(ws, depth), moduli)
-    verdicts, tail_ratios, partials = _verdicts(sums, epsilon)
-    if automaton is not None:
-        verdicts = _bracket_verdicts(*automaton, moduli)
-    return [
-        RegionSample(tuple(point), tuple(row), partial, tail_ratio, verdict)
-        for point, row, partial, tail_ratio, verdict in zip(moduli.tolist(), sums.tolist(), partials, tail_ratios,
-                                                            verdicts)
-    ]
+    moduli: np.ndarray
+    sums: np.ndarray
+    partial_sum: np.ndarray
+    tail_ratio: np.ndarray
+    verdict: np.ndarray
+    rule: dict
 
 
 @dataclass(frozen=True)
@@ -422,6 +404,14 @@ class GridSpec:
     def values(self) -> list[float]:
         return [self.lo + j * self.step for j in range(self.count())]
 
+    def points(self, n: int) -> np.ndarray:
+        """The grid's points in moduli n-space as a (count^n, n) array, in
+        lexicographic order; refused past MAX_SWEEP_WORDS points before any
+        is listed."""
+        if self.count() ** n > MAX_SWEEP_WORDS:
+            raise ValueError(f"region grid of {self.count() ** n} points exceeds the {MAX_SWEEP_WORDS} guard")
+        return np.stack(np.meshgrid(*[self.values()] * n, indexing="ij"), axis=-1).reshape(-1, n)
+
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
         parts = text.split(":")
@@ -430,32 +420,36 @@ class GridSpec:
         return cls(float(parts[0]), float(parts[1]), float(parts[2]))
 
 
-def region_sample(
-    ws: WeightSystem,
-    grid: GridSpec,
-    depth: int,
-    epsilon: float,
-) -> list[RegionSample]:
-    """One RegionSample per grid point over moduli space, in lexicographic
-    grid order, all points propagated and judged together (``_samples``)."""
+def region_sample(ws: WeightSystem, points: Sequence[Sequence[float]], depth: int, epsilon: float) -> RegionSample:
+    """The level sums, tail columns and verdicts of a (P, n) array of moduli,
+    all points propagated and judged together: the verdicts by the
+    transfer-matrix bracket where the system has an automaton, else by the
+    tail rule of ``membership_verdict``."""
     if depth < 3:
         raise ValueError(f"region depth {depth} gives {depth + 1} level sums; the verdict needs depth at least 3")
-    if grid.count() ** ws.n > MAX_SWEEP_WORDS:
-        raise ValueError(f"region grid of {grid.count() ** ws.n} points exceeds the {MAX_SWEEP_WORDS} guard")
-    points = list(itertools.product(grid.values(), repeat=ws.n))
-    return _samples(ws, np.array(points, dtype=float), depth, epsilon)
+    moduli = _moduli(ws, points)
+    sums = _propagate(_transfer_steps(ws, depth), moduli)
+    verdicts, tail_ratios, partials = _verdicts(sums, epsilon)
+    automaton = ws.kept_automaton()
+    if automaton is None:
+        rule = {"rule": "tail ratios of the level sums (heuristic)", "epsilon": epsilon}
+    else:
+        verdicts = _bracket_verdicts(*automaton, moduli)
+        rule = {"rule": "Collatz-Wielandt bracket on the transfer matrix's spectral radius", "delta": DELTA}
+    return RegionSample(moduli, sums, partials, tail_ratios, verdicts, rule)
 
 
-def write_region_csv(samples: Sequence[RegionSample], stream: TextIO) -> None:
+def write_region_csv(sample: RegionSample, stream: TextIO) -> None:
     """CSV schema: r1,...,rn,levels,partial_sum,tail_ratio,verdict with floats
-    at 17 significant digits."""
-    if not samples:
+    at 17 significant digits, formatted column by column."""
+    points, n = sample.moduli.shape
+    if not points:
         return
-    n = len(samples[0].moduli)
     header = ",".join(f"r{j + 1}" for j in range(n)) + ",levels,partial_sum,tail_ratio,verdict\n"
-    row = ",".join(["%.17g"] * n) + ",%d,%.17g,%.17g,%s\n"
-    stream.write(header + "".join(row % (*s.moduli, len(s.sums), s.partial_sum, s.tail_ratio, s.verdict)
-                                  for s in samples))
+    floats = [list(map("%.17g".__mod__, column)) for column in
+              (*sample.moduli.T.tolist(), sample.partial_sum.tolist(), sample.tail_ratio.tolist())]
+    rows = zip(*floats[:n], itertools.repeat(str(sample.sums.shape[1])), *floats[n:], sample.verdict.tolist())
+    stream.write(header + "\n".join(map(",".join, rows)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -28,50 +28,35 @@ from .weights import (
 DENSE_LIMIT = 4096
 
 
-class TruncatedFock:
+class TruncatedFock(BasisEnumeration):
     """The span of the Fock basis vectors for words of length <= depth."""
 
     def __init__(self, n: int, depth: int):
-        self.basis = BasisEnumeration(n, depth)
-        if self.basis.dimension > MAX_SWEEP_WORDS:
-            raise ValueError(f"Fock space for n = {n}, depth = {depth} has dimension {self.basis.dimension}, "
+        super().__init__(n, depth)
+        if self.dimension > MAX_SWEEP_WORDS:
+            raise ValueError(f"Fock space for n = {n}, depth = {depth} has dimension {self.dimension}, "
                              f"above the {MAX_SWEEP_WORDS} guard; lower depth or n")
-        self.n = n
-        self.depth = depth
-        self.dimension = self.basis.dimension
-        levels = np.empty(self.dimension, dtype=np.int64)
-        for k in range(depth + 1):
-            levels[self.basis.level_slice(k)] = k
-        self._levels = levels
+        self._levels = np.repeat(np.arange(depth + 1), np.diff(self.level_offsets))
 
     def levels(self) -> np.ndarray:
         """Per-index word length, as an array aligned with the basis."""
         return self._levels
 
-    def level_slice(self, k: int) -> slice:
-        return self.basis.level_slice(k)
-
-    def index_of(self, w: Word) -> int:
-        return self.basis.index_of(w)
-
-    def word_at(self, index: int) -> Word:
-        return self.basis.word_at(index)
-
     def basis_vector(self, w: Word) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=complex)
-        vec[self.basis.index_of(w)] = 1.0
+        vec[self.index_of(w)] = 1.0
         return vec
 
     def vector_from_coeffs(self, coeffs: Mapping[Word, complex]) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=complex)
         for w, value in coeffs.items():
-            vec[self.basis.index_of(w)] = value
+            vec[self.index_of(w)] = value
         return vec
 
     def coeffs_from_vector(self, vec: np.ndarray) -> dict[Word, complex]:
         out: dict[Word, complex] = {}
         for idx in np.nonzero(np.abs(vec) > 0)[0]:  # NaN entries are dropped too
-            out[self.basis.word_at(int(idx))] = complex(vec[idx])
+            out[self.word_at(int(idx))] = complex(vec[idx])
         return out
 
     def __repr__(self) -> str:
@@ -171,7 +156,7 @@ def _level_shifts(space: TruncatedFock, levels: list[np.ndarray], left: bool) ->
     Prepending i moves rank r at level k to (i-1) n^k + r at level k+1;
     appending i moves it to r n + i-1.
     """
-    n, offsets = space.n, space.basis.level_offsets
+    n, offsets = space.n, space.level_offsets
     rows = np.empty((n, offsets[space.depth]), dtype=np.int64)
     values = np.empty(rows.shape)
     letters = np.arange(n)[:, None]
@@ -266,7 +251,7 @@ def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | No
     if mu is None:
         mu = CommutantMu(ws)
     cap, n = space.depth - 2, space.n
-    cols = space.basis.level_offsets[space.depth - 1]
+    cols = space.level_offsets[space.depth - 1]
     if cols == 0:
         return CommutationReport(0.0, None, cap)
     lefts, rights = left_shift_maps(space, ws), right_shift_maps(space, mu)

@@ -40,7 +40,7 @@ from fockshift import (
     zero_left_inverses,
 )
 from fockshift.algebra import cesaro_sum, pk_polynomial
-from fockshift.eigen import INSIDE, sample_point
+from fockshift.eigen import INSIDE
 from fockshift.weights import BOUNDED, DIVERGING, mu_table
 from fockshift.words import EMPTY, Word
 
@@ -134,7 +134,7 @@ def test_criterion_04_cesaro_recovery():
         smoothed = cesaro_sum(operator, k)
         polynomial = pk_polynomial(element, k, space)
         for level in range(DEPTH - k + 1):
-            for v in space.basis.level_words(level):
+            for v in space.level_words(level):
                 defect = float(np.linalg.norm(smoothed.column(v) - polynomial.column(v)))
                 assert defect <= 1e-12, f"k={k}, v={v}: defect {defect}"
     extraction = commutant_extract(operator, periodic)
@@ -152,12 +152,13 @@ def test_criterion_05_unweighted_eigenvalue_region():
         assert abs(sums[k] - 0.5**k) <= 1e-13
     assert abs(float(np.sum(sums)) - 1.9990234375) <= 1e-12
     epsilon = 0.02
-    samples = region_sample(unweighted, GridSpec(0.0, 1.2, 0.1), 10, epsilon)
-    inside = {s.moduli for s in samples if s.verdict == INSIDE}
+    sample = region_sample(unweighted, GridSpec(0.0, 1.2, 0.1).points(2), 10, epsilon)
+    points = list(map(tuple, sample.moduli.tolist()))
+    inside = {moduli for moduli, verdict in zip(points, sample.verdict.tolist()) if verdict == INSIDE}
     expected = {
-        s.moduli
-        for s in samples
-        if s.moduli[0] ** 2 + s.moduli[1] ** 2 <= 1.0 - epsilon + 1e-12
+        moduli
+        for moduli in points
+        if moduli[0] ** 2 + moduli[1] ** 2 <= 1.0 - epsilon + 1e-12
     }
     assert inside == expected
     _passed(5, "unweighted level sums are geometric and the inside set is the ball")
@@ -170,8 +171,8 @@ def test_criterion_06_eigenvector_residuals():
     checked = 0
     while checked < 100:
         moduli = tuple(rng.uniform(0.0, 0.65, 2))
-        sample = sample_point(periodic, moduli, DEPTH, 0.02)
-        if sample.verdict != INSIDE:
+        sample = region_sample(periodic, [moduli], DEPTH, 0.02)
+        if sample.verdict[0] != INSIDE:
             continue
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2))
         point = tuple(m * p for m, p in zip(moduli, phases))
@@ -185,11 +186,11 @@ def test_criterion_06_eigenvector_residuals():
 def test_criterion_07_ellipse_lower_bound():
     scaled = ScaledWeights(2, (2.0, 3.0))
     epsilon = 0.02
-    samples = region_sample(scaled, GridSpec(0.0, 3.0, 0.25), DEPTH, epsilon)
-    for s in samples:
-        ellipse_value = (s.moduli[0] / 2.0) ** 2 + (s.moduli[1] / 3.0) ** 2
+    sample = region_sample(scaled, GridSpec(0.0, 3.0, 0.25).points(2), DEPTH, epsilon)
+    for moduli, verdict in zip(map(tuple, sample.moduli.tolist()), sample.verdict.tolist()):
+        ellipse_value = (moduli[0] / 2.0) ** 2 + (moduli[1] / 3.0) ** 2
         if ellipse_value <= 0.95:
-            assert s.verdict == INSIDE, f"{s.moduli}: {s.verdict}"
+            assert verdict == INSIDE, f"{moduli}: {verdict}"
     rng = np.random.default_rng(707)
     ws = random_finite_perturbation(808)
     for _ in range(1000):

@@ -138,7 +138,7 @@ def test_cesaro_equals_pk_on_columns(space, periodic_example):
         smoothed = cesaro_sum(x, k)
         polynomial = pk_polynomial(element, k, space)
         for level in range(space.depth - k + 1):
-            for v in space.basis.level_words(level):
+            for v in space.level_words(level):
                 defect = np.linalg.norm(smoothed.column(v) - polynomial.column(v))
                 assert defect <= 1e-12
 

@@ -445,6 +445,16 @@ def test_underflowed_normalization_names_the_support_word(tmp_path, capsys):
                     "precondition error: W(e, 111) of the support word 111 (length 3) underflows to 0")
 
 
+def test_overflowed_normalization_names_the_support_word(tmp_path, capsys):
+    # W(e, 11) = 1e400 overflows to inf; dividing by it zeroed the coefficient, and the checks read NaN
+    config = _write_config(tmp_path, "huge.json", {"n": 2, "family": "constant", "value": 1e200})
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"coeffs": {"11": [1, 0]}}))
+    message = "precondition error: W(e, 11) of the support word 11 (length 2) overflows to inf"
+    _exits_2_naming(["commutant", "--config", config, "--depth", "4"], capsys, message)
+    _exits_2_naming(["cesaro", "--config", config, "--coeffs", str(coeffs), "--depth", "4"], capsys, message)
+
+
 def test_deep_commutant_round_trip(tmp_path, capsys):
     # W_mu(e, v) underflows near |v| = 190; the expansion carries only its ratios
     config = _write_config(tmp_path, "deep.json", DEEP_N1)
@@ -711,7 +721,7 @@ def _parent_cmd_commutant(config, args):
     rng = np.random.default_rng(0)
     support_cap = max(0, min(3, config.depth - 2))
     coeffs = {}
-    for w in TruncatedFock(ws.n, support_cap).basis.words():
+    for w in TruncatedFock(ws.n, support_cap).words():
         coeffs[w] = complex(rng.standard_normal(), rng.standard_normal())
     element = FourierElement.build(coeffs, ws)
     extraction = commutant_extract(operator_from_fourier(element, space), ws)

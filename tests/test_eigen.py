@@ -10,6 +10,7 @@ from fockshift import (
     ConstantWeights,
     GridSpec,
     PeriodicWeights,
+    RegionSample,
     ScaledWeights,
     TabulatedWeights,
     TruncatedFock,
@@ -27,7 +28,7 @@ from fockshift import (
     write_region_csv,
 )
 from fockshift import eigen
-from fockshift.eigen import DELTA, INCONCLUSIVE, INSIDE, OUTSIDE, sample_point
+from fockshift.eigen import DELTA, INCONCLUSIVE, INSIDE, OUTSIDE
 from fockshift.words import EMPTY, Word
 
 from conftest import ILL_CONDITIONED, ORACLE_DEPTH, SYSTEMS, random_finite_perturbation
@@ -175,20 +176,21 @@ def test_ellipse_predicate(unweighted, scaled23, periodic_example):
 
 def test_region_sample_unweighted_unit_ball(unweighted):
     grid = GridSpec(0.0, 1.2, 0.1)
-    samples = region_sample(unweighted, grid, 10, 0.02)
-    for s in samples:
-        norm_sq = sum(r * r for r in s.moduli)
-        if s.verdict == INSIDE:
+    sample = region_sample(unweighted, grid.points(2), 10, 0.02)
+    points = list(map(tuple, sample.moduli.tolist()))
+    for moduli, verdict in zip(points, sample.verdict.tolist()):
+        norm_sq = sum(r * r for r in moduli)
+        if verdict == INSIDE:
             assert norm_sq <= 1.0 - 0.02 + 1e-9
         if norm_sq <= 1.0 - 0.02 - 1e-9:
-            assert s.verdict == INSIDE
+            assert verdict == INSIDE
     # rows are sorted lexicographically in the moduli
-    assert [s.moduli for s in samples] == sorted(s.moduli for s in samples)
+    assert points == sorted(points)
 
 
 def test_region_verdicts_respect_domination(periodic_example):
-    samples = region_sample(periodic_example, GridSpec(0.0, 1.4, 0.2), 8, 0.02)
-    by_point = {s.moduli: s.verdict for s in samples}
+    sample = region_sample(periodic_example, GridSpec(0.0, 1.4, 0.2).points(2), 8, 0.02)
+    by_point = dict(zip(map(tuple, sample.moduli.tolist()), sample.verdict.tolist()))
     for p, verdict in by_point.items():
         if verdict != INSIDE:
             continue
@@ -199,30 +201,60 @@ def test_region_verdicts_respect_domination(periodic_example):
 
 def test_region_inside_norm_bounded_by_weight_sup(periodic_example):
     # eigenvalues live inside the ball of radius sup lambda_{i,w} = 2
-    samples = region_sample(periodic_example, GridSpec(0.0, 2.4, 0.4), 8, 0.02)
-    for s in samples:
-        if s.verdict == INSIDE:
-            assert math.sqrt(sum(r * r for r in s.moduli)) <= 2.0 + 1e-9
+    sample = region_sample(periodic_example, GridSpec(0.0, 2.4, 0.4).points(2), 8, 0.02)
+    for moduli, verdict in zip(sample.moduli.tolist(), sample.verdict.tolist()):
+        if verdict == INSIDE:
+            assert math.sqrt(sum(r * r for r in moduli)) <= 2.0 + 1e-9
 
 
 def test_region_origin_only():
     unweighted = ConstantWeights(2, 1.0)
-    samples = region_sample(unweighted, GridSpec(0.0, 0.0, 1.0), 6, 0.02)
-    assert len(samples) == 1
-    assert samples[0].verdict == INSIDE
-    assert samples[0].partial_sum == 1.0
+    sample = region_sample(unweighted, GridSpec(0.0, 0.0, 1.0).points(2), 6, 0.02)
+    assert len(sample.verdict) == 1
+    assert sample.verdict[0] == INSIDE
+    assert sample.partial_sum[0] == 1.0
 
 
 def test_region_csv_schema(unweighted):
-    samples = region_sample(unweighted, GridSpec(0.0, 0.4, 0.2), 6, 0.02)
+    sample = region_sample(unweighted, GridSpec(0.0, 0.4, 0.2).points(2), 6, 0.02)
     buffer = io.StringIO()
-    write_region_csv(samples, buffer)
+    write_region_csv(sample, buffer)
     lines = buffer.getvalue().strip().split("\n")
     assert lines[0] == "r1,r2,levels,partial_sum,tail_ratio,verdict"
-    assert len(lines) == 1 + len(samples)
+    assert len(lines) == 1 + len(sample.verdict)
     first = lines[1].split(",")
     assert first[-1] in (INSIDE, OUTSIDE, INCONCLUSIVE)
     assert int(first[2]) == 7
+
+
+def _row_oracle_csv(sample) -> str:
+    """The region CSV written row by row with one %-format per row."""
+    n = sample.moduli.shape[1]
+    header = ",".join(f"r{j + 1}" for j in range(n)) + ",levels,partial_sum,tail_ratio,verdict\n"
+    row = ",".join(["%.17g"] * n) + ",%d,%.17g,%.17g,%s\n"
+    columns = (sample.moduli.tolist(), sample.sums.tolist(), sample.partial_sum.tolist(),
+               sample.tail_ratio.tolist(), sample.verdict.tolist())
+    return header + "".join(row % (*moduli, len(sums), partial, ratio, verdict)
+                            for moduli, sums, partial, ratio, verdict in zip(*columns))
+
+
+CSV_FLOATS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308]),
+                       st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_region_csv_bytes_equal_the_row_oracle(data):
+    n, points, depth = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8)), data.draw(st.integers(3, 12))
+
+    def column(size, values=CSV_FLOATS):
+        return np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+    sample = RegionSample(column(points * n).reshape(points, n), np.ones((points, depth + 1)), column(points),
+                          column(points), column(points, st.sampled_from(eigen.VERDICTS)), {})
+    buffer = io.StringIO()
+    write_region_csv(sample, buffer)
+    assert buffer.getvalue() == _row_oracle_csv(sample)
 
 
 def test_inside_implies_small_residual(periodic_example):
@@ -232,8 +264,8 @@ def test_inside_implies_small_residual(periodic_example):
     count = 0
     while count < 10:
         moduli = rng.uniform(0.0, 0.8, 2)
-        sample = sample_point(periodic_example, tuple(moduli), 8, 0.02)
-        if sample.verdict != INSIDE:
+        sample = region_sample(periodic_example, [moduli], 8, 0.02)
+        if sample.verdict[0] != INSIDE:
             continue
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         point = tuple(m * p for m, p in zip(moduli, phases))
@@ -304,7 +336,7 @@ def test_verdicts_split_rays_at_the_radius(monkeypatch, label, ws):
         boundary = rho ** -0.5
         for factor in (0.5, 0.9, 1.0 - 1e-8, 1.0 + 1e-8, 1.1, 2.0):
             point = tuple(factor * boundary * r for r in direction)
-            assert sample_point(ws, point, 8, 0.02).verdict == (INSIDE if factor < 1.0 else OUTSIDE), factor
+            assert region_sample(ws, [point], 8, 0.02).verdict[0] == (INSIDE if factor < 1.0 else OUTSIDE), factor
 
 
 @pytest.mark.parametrize("period", (1, 3))
@@ -325,37 +357,37 @@ def test_bracket_splits_rays_on_random_automata(seed, period):
         for factor in (0.5, 1.0 - 1e-8, 1.0 + 1e-8, 2.0):
             points.append(tuple(factor * boundary * r for r in direction))
             expected.append(INSIDE if factor < 1.0 else OUTSIDE)
-    assert eigen._bracket_verdicts(*automaton, np.array(points)) == expected
+    assert eigen._bracket_verdicts(*automaton, np.array(points)).tolist() == expected
 
 
-def _assert_region(samples, value) -> None:
+def _assert_region(sample, value) -> None:
     """Inside where value(moduli) < 1 - 2 DELTA, outside where it is above
     1 + 2 DELTA, and inconclusive exactly on the boundary value 1."""
-    for s in samples:
-        v = value(s.moduli)
+    for moduli, verdict in zip(map(tuple, sample.moduli.tolist()), sample.verdict.tolist()):
+        v = value(moduli)
         if v < 1.0 - 2 * DELTA:
-            assert s.verdict == INSIDE, s.moduli
+            assert verdict == INSIDE, moduli
         elif v > 1.0 + 2 * DELTA:
-            assert s.verdict == OUTSIDE, s.moduli
+            assert verdict == OUTSIDE, moduli
         elif v == 1.0:
-            assert s.verdict == INCONCLUSIVE, s.moduli
+            assert verdict == INCONCLUSIVE, moduli
 
 
 def test_scaled_region_is_the_ellipse(scaled23):
-    samples = region_sample(scaled23, GridSpec(0.0, 3.0, 0.25), 8, 0.02)
-    _assert_region(samples, lambda r: (r[0] / 2.0) ** 2 + (r[1] / 3.0) ** 2)
-    assert {s.moduli for s in samples if s.verdict == INCONCLUSIVE} == {(0.0, 3.0), (2.0, 0.0)}
+    sample = region_sample(scaled23, GridSpec(0.0, 3.0, 0.25).points(2), 8, 0.02)
+    _assert_region(sample, lambda r: (r[0] / 2.0) ** 2 + (r[1] / 3.0) ** 2)
+    assert set(map(tuple, sample.moduli[sample.verdict == INCONCLUSIVE].tolist())) == {(0.0, 3.0), (2.0, 0.0)}
 
 
 def test_periodic_example_region_is_the_disc_of_radius_sqrt2(periodic_example):
-    samples = region_sample(periodic_example, GridSpec(0.0, 1.2, 0.05), 10, 0.02)
-    _assert_region(samples, lambda r: (r[0] ** 2 + r[1] ** 2) / 2.0)
-    verdicts = [s.verdict for s in samples]
+    sample = region_sample(periodic_example, GridSpec(0.0, 1.2, 0.05).points(2), 10, 0.02)
+    _assert_region(sample, lambda r: (r[0] ** 2 + r[1] ** 2) / 2.0)
+    verdicts = sample.verdict.tolist()
     assert (verdicts.count(INSIDE), verdicts.count(OUTSIDE), verdicts.count(INCONCLUSIVE)) == (578, 46, 1)
-    assert sample_point(periodic_example, (1.0, 1.0), 10, 0.02).verdict == INCONCLUSIVE
+    assert region_sample(periodic_example, [(1.0, 1.0)], 10, 0.02).verdict[0] == INCONCLUSIVE
     # rho = (r1^2 + r2^2) / 2 = 1 + 0.7 DELTA lies in the band, though rho^2 for the period-2 class does not
-    assert sample_point(periodic_example, (math.sqrt(1.0 + 1.4 * DELTA), 1.0), 10, 0.02).verdict == INCONCLUSIVE
-    assert sample_point(periodic_example, (math.sqrt(1.0 + 2.2 * DELTA), 1.0), 10, 0.02).verdict == OUTSIDE
+    assert region_sample(periodic_example, [(math.sqrt(1.0 + 1.4 * DELTA), 1.0)], 10, 0.02).verdict[0] == INCONCLUSIVE
+    assert region_sample(periodic_example, [(math.sqrt(1.0 + 2.2 * DELTA), 1.0)], 10, 0.02).verdict[0] == OUTSIDE
 
 
 @pytest.mark.parametrize("alpha, t", [((0.75, 1.25), 1.5), ((1.0, 1.0), 2.5), ((1.25, 0.75), 2.0), ((1.0, 0.5), 1.75)])
@@ -364,21 +396,21 @@ def test_benchmark_periodic_region(alpha, t):
     remainders = {(a, EMPTY): alpha[a - 1] for a in (1, 2)}
     remainders.update({(a, Word([b])): t * alpha[a - 1] for a in (1, 2) for b in (1, 2)})
     ws = PeriodicWeights(2, 2, remainders)
-    samples = region_sample(ws, GridSpec(0.0, 1.2, 0.05), 10, 0.02)
-    _assert_region(samples, lambda r: sum((x / a) ** 2 for x, a in zip(r, alpha)) / t)
-    assert any(s.verdict == OUTSIDE for s in samples) and any(s.verdict == INSIDE for s in samples)
+    sample = region_sample(ws, GridSpec(0.0, 1.2, 0.05).points(2), 10, 0.02)
+    _assert_region(sample, lambda r: sum((x / a) ** 2 for x, a in zip(r, alpha)) / t)
+    assert OUTSIDE in sample.verdict and INSIDE in sample.verdict
 
 
 def test_zero_coordinates_drop_their_letters_edges():
     # two-letter runs with m = 0.5, c = 0.1: the 1-run state loops with (r1 m)^2, and every word
     # holding a 2 reaches the state that loops with (r1^2 + r2^2) / c^2, which r2 = 0 cuts off
     ws = TwoLetterRunWeights(0.5, 0.1)
-    assert sample_point(ws, (1.0, 0.0), 8, 0.02).verdict == INSIDE
+    assert region_sample(ws, [(1.0, 0.0)], 8, 0.02).verdict[0] == INSIDE
     assert level_sums(ws, (1.0, 0.0), 8).tolist() == [0.25**k for k in range(9)]
-    assert sample_point(ws, (1.0, 1e-300), 8, 0.02).verdict == OUTSIDE
-    assert sample_point(ws, (0.0, 0.09), 8, 0.02).verdict == INSIDE
-    assert sample_point(ws, (0.0, 0.11), 8, 0.02).verdict == OUTSIDE
-    assert sample_point(ws, (0.0, 0.0), 8, 0.02).verdict == INSIDE
+    assert region_sample(ws, [(1.0, 1e-300)], 8, 0.02).verdict[0] == OUTSIDE
+    assert region_sample(ws, [(0.0, 0.09)], 8, 0.02).verdict[0] == INSIDE
+    assert region_sample(ws, [(0.0, 0.11)], 8, 0.02).verdict[0] == OUTSIDE
+    assert region_sample(ws, [(0.0, 0.0)], 8, 0.02).verdict[0] == INSIDE
     # scaled weights: a zero coordinate leaves the other letter's ellipse axis
-    assert sample_point(ScaledWeights(2, (2.0, 3.0)), (0.0, 2.99), 8, 0.02).verdict == INSIDE
-    assert sample_point(ScaledWeights(2, (2.0, 3.0)), (0.0, 3.01), 8, 0.02).verdict == OUTSIDE
+    assert region_sample(ScaledWeights(2, (2.0, 3.0)), [(0.0, 2.99)], 8, 0.02).verdict[0] == INSIDE
+    assert region_sample(ScaledWeights(2, (2.0, 3.0)), [(0.0, 3.01)], 8, 0.02).verdict[0] == OUTSIDE

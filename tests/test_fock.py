@@ -114,7 +114,7 @@ def test_left_unweighted_columns(space):
     assert col[space.index_of(parse_word("1"))] == 1.0
     assert np.count_nonzero(col) == 1
     # top-level columns vanish under the compression
-    top_word = next(space.basis.level_words(space.depth))
+    top_word = next(space.level_words(space.depth))
     assert np.count_nonzero(l1.column(top_word)) == 0
 
 
@@ -166,7 +166,7 @@ def test_columns_orthogonal(space, periodic_example):
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) == 0.0
         for k in range(space.depth):
-            for w in space.basis.level_words(k):
+            for w in space.level_words(k):
                 idx = space.index_of(w)
                 assert gram[idx, idx] == pytest.approx(periodic_example.lambda_of(i, w) ** 2)
         top = space.level_slice(space.depth)
@@ -182,7 +182,7 @@ def test_range_sum_diagonal(space, periodic_example):
     assert np.max(np.abs(off)) == 0.0
     assert total[0, 0] == 0.0
     for i in (1, 2):
-        for w in space.basis.level_words(2):
+        for w in space.level_words(2):
             idx = space.index_of(prepend(i, w))
             assert total[idx, idx] == pytest.approx(periodic_example.lambda_of(i, w) ** 2)
 
@@ -255,7 +255,7 @@ def test_commutator_columns_on_rows_apart(space, periodic_example):
     # T_1 T_2 and T_2 T_1 send xi_w to xi_{12w} and xi_{21w}: two entries per column
     lefts = left_shift_maps(space, periodic_example)
     maps = [(lefts, 1), (lefts, 2), (right_shift_maps(space, table_mu(2, 75)), 1)]
-    cols = space.basis.level_offsets[space.depth - 1]
+    cols = space.level_offsets[space.depth - 1]
     for t, i in maps:
         for s, j in maps:
             t_op, s_op = t.operator(i), s.operator(j)
@@ -324,7 +324,7 @@ def test_vacuum_rank_matches_sparse_oracle(label, ws, depth):
 
 def test_maps_that_are_not_injective_are_refused(monkeypatch, space):
     # every column sent to the vacuum row: no norm or rank is read off such a map
-    dim, cols = space.dimension, space.basis.level_offsets[space.depth]
+    dim, cols = space.dimension, space.level_offsets[space.depth]
 
     def broken(space, levels, left):
         return fock.ShiftMap(space, np.zeros((space.n, cols), dtype=np.int64), np.ones((space.n, cols)))

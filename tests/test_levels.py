@@ -71,7 +71,7 @@ import level_sum_kernel as kernel
 def _oracle_shift(space: TruncatedFock, weight, i: int, left: bool) -> GradedOperator:
     rows, cols, values = [], [], []
     for k in range(space.depth):
-        for w in space.basis.level_words(k):
+        for w in space.level_words(k):
             cols.append(space.index_of(w))
             rows.append(space.index_of(prepend(i, w) if left else append(w, i)))
             values.append(weight(i, w))
@@ -81,7 +81,7 @@ def _oracle_shift(space: TruncatedFock, weight, i: int, left: bool) -> GradedOpe
 def _oracle_word_operator(space: TruncatedFock, ws, w: Word) -> GradedOperator:
     rows, cols, values = [], [], []
     for k in range(space.depth - len(w) + 1):
-        for u in space.basis.level_words(k):
+        for u in space.level_words(k):
             cols.append(space.index_of(u))
             rows.append(space.index_of(w * u))
             values.append(left_weight(ws, u, w))
@@ -134,7 +134,7 @@ def _oracle_fourier_sum(space: TruncatedFock, ws, coeffs: dict) -> GradedOperato
 def _oracle_series(space: TruncatedFock, coeffs: dict) -> GradedOperator:
     """sum_w c_w L_w, one entry per column and term."""
     rows, cols, values = [], [], []
-    for v in space.basis.words():
+    for v in space.words():
         for w, c_w in coeffs.items():
             if len(w) <= space.depth - len(v):
                 rows.append(space.index_of(w * v))
@@ -155,7 +155,7 @@ def _oracle_expansion(space: TruncatedFock, a: FourierElement) -> dict:
     """(row, column) -> a_w W_mu(w,v) / W_mu(e,v) for every |w| + |v| <= depth."""
     mu = _CachedMu(a.mu)
     entries = {}
-    for v in space.basis.words():
+    for v in space.words():
         base = right_weight(mu, EMPTY, v)
         for w, coeff in a.coeffs.items():
             if len(w) + len(v) <= space.depth:
@@ -291,12 +291,12 @@ def _closed_form_radius(ws, moduli) -> float:
     return max(run, rest)
 
 
-def _assert_closed_form_verdicts(ws, samples) -> None:
+def _assert_closed_form_verdicts(ws, sample) -> None:
     """Every verdict off the band |rho - 1| <= 2 DELTA is the closed form's."""
-    for s in samples:
-        rho = _closed_form_radius(ws, s.moduli)
+    for moduli, verdict in zip(map(tuple, sample.moduli.tolist()), sample.verdict.tolist()):
+        rho = _closed_form_radius(ws, moduli)
         if abs(rho - 1.0) > 2 * eigen.DELTA:
-            assert s.verdict == (INSIDE if rho < 1.0 else OUTSIDE), (s.moduli, rho)
+            assert verdict == (INSIDE if rho < 1.0 else OUTSIDE), (moduli, rho)
 
 
 @pytest.mark.parametrize("label, ws, depth", SYSTEMS, ids=[s[0] for s in SYSTEMS])
@@ -315,16 +315,16 @@ def test_region_blocks_equal_scalar_oracle(monkeypatch, label, ws, depth):
         return build(system)
 
     monkeypatch.setattr(type(ws), "automaton", counted)
-    samples = region_sample(ws, grid, depth, 0.02)
-    assert [s.moduli for s in samples] == points and len(points) >= 9 and points[0] == (0.0,) * ws.n
+    sample = region_sample(ws, grid.points(ws.n), depth, 0.02)
+    assert list(map(tuple, sample.moduli.tolist())) == points and len(points) >= 9 and points[0] == (0.0,) * ws.n
     oracle = [_oracle_level_sums(ws, p, depth) for p in points]
-    for s, sums in zip(samples, oracle):
-        _assert_sums_close(s.sums, sums)
+    for sums, expected in zip(sample.sums, oracle):
+        _assert_sums_close(sums, expected)
     if automaton is None:
         # tabulated weights keep the tail heuristic
-        assert [s.verdict for s in samples] == [membership_verdict(sums, 0.02)[0] for sums in oracle]
+        assert sample.verdict.tolist() == [membership_verdict(sums, 0.02)[0] for sums in oracle]
     else:
-        _assert_closed_form_verdicts(ws, samples)
+        _assert_closed_form_verdicts(ws, sample)
     # the automaton is built at most once per object: a shared system may already keep it
     assert len(built) <= 1 and all(system is ws for system in built)
 
@@ -338,14 +338,14 @@ def test_region_blocks_at_the_block_size():
     points = list(itertools.product(grid.values(), repeat=2))
     expected = np.array([_oracle_level_sums(ws, p, 13) for p in points])
     assert np.array_equal(kernel.kernel_level_sums(ws, points, 13), expected)
-    for s, sums in zip(region_sample(ws, grid, 13, 0.02), expected):
-        _assert_sums_close(s.sums, sums)
+    for sums, oracle in zip(region_sample(ws, grid.points(2), 13, 0.02).sums, expected):
+        _assert_sums_close(sums, oracle)
 
 
 def test_region_guard_raises_before_building_tables():
     # a system without an automaton propagates on its word tree: sum over k <= 7 of 10^k words
     with pytest.raises(ValueError, match=r"level enumeration of 11111111 words exceeds"):
-        region_sample(_Unbuildable(10), GridSpec(0.0, 1.0, 0.5), 7, 0.02)
+        region_sample(_Unbuildable(10), GridSpec(0.0, 1.0, 0.5).points(10), 7, 0.02)
 
 
 def _parent_level_sums_block(ws, moduli: np.ndarray, depth: int) -> np.ndarray:
@@ -436,8 +436,8 @@ def test_region_sample_judges_each_grid_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(eigen, name, counted(name))
-    samples = region_sample(ScaledWeights(2, (1.5, 2.0)), GridSpec(0.0, 3.2, 0.2), 10, 0.02)
-    assert len(samples) == 289
+    sample = region_sample(ScaledWeights(2, (1.5, 2.0)), GridSpec(0.0, 3.2, 0.2).points(2), 10, 0.02)
+    assert len(sample.verdict) == 289
     assert calls == {"_verdicts": 1, "_bracket_verdicts": 1}
 
 
@@ -854,7 +854,7 @@ def test_automaton_built_once_per_system(tmp_path, capsys, monkeypatch):
     ws.lambda_levels(5)
     assert [ws.exact_min_weight(i) for i in (1, 2)] == [1.0, 1.0]
     weights._decide_condition6(ws)
-    eigen.region_sample(ws, GridSpec(0.0, 1.0, 0.5), 5, 0.02)
+    eigen.region_sample(ws, GridSpec(0.0, 1.0, 0.5).points(2), 5, 0.02)
     assert len(built) == 1
     for array in ws.kept_automaton():
         with pytest.raises(ValueError, match="read-only"):

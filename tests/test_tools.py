@@ -1,5 +1,6 @@
-"""tools/compare_outputs.py on one verify seed: a tree against itself, and
-against a copy whose check lines print another tolerance format."""
+"""tools/compare_outputs.py on one seed: a tree against itself, against a
+copy whose check lines print another tolerance format, and against a copy
+whose region CSV prints 16 digits."""
 
 import shutil
 import subprocess
@@ -9,9 +10,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _compare(parent: Path, change: Path) -> subprocess.CompletedProcess:
+def _compare(parent: Path, change: Path, workload: str = "verify") -> subprocess.CompletedProcess:
     argv = [sys.executable, str(ROOT / "tools" / "compare_outputs.py"), "--parent", str(parent),
-            "--change", str(change), "--seeds", "1", "--workloads", "verify"]
+            "--change", str(change), "--seeds", "1", "--workloads", workload]
     return subprocess.run(argv, capture_output=True, text=True, timeout=120)
 
 
@@ -34,3 +35,17 @@ def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
     assert lines[-1] == "7 invocations on 1 workloads x 1 seeds: 7 differences"
     assert all(": stdout differs, line " in line for line in lines[:-1])
     assert "tolerance 1.0e-10" in lines[0] and "tolerance 1.00e-10" in lines[0]
+
+
+def test_compare_outputs_lists_each_csv_difference(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    eigen = tmp_path / "src" / "fockshift" / "eigen.py"
+    text = eigen.read_text()
+    assert text.count('"%.17g"') == 1
+    eigen.write_text(text.replace('"%.17g"', '"%.16g"'))
+    result = _compare(ROOT, tmp_path, "region")
+    assert result.returncode == 1, result.stderr
+    lines = result.stdout.splitlines()
+    # the warm-up and the three grids each write a changed CSV; stdout, reports and stderr are unchanged
+    assert lines[-1] == "4 invocations on 1 workloads x 1 seeds: 4 differences"
+    assert len(lines) == 5 and all(": csv differs, line " in line for line in lines[:-1])
