@@ -37,6 +37,7 @@ class TruncatedFock(BasisEnumeration):
             raise ValueError(f"Fock space for n = {n}, depth = {depth} has dimension {self.dimension}, "
                              f"above the {MAX_SWEEP_WORDS} guard; lower depth or n")
         self._levels = np.repeat(np.arange(depth + 1), np.diff(self.level_offsets))
+        self._left_maps = None  # (weight system, its left shifts), see left_shift_maps
 
     def levels(self) -> np.ndarray:
         """Per-index word length, as an array aligned with the basis."""
@@ -169,7 +170,15 @@ def _level_shifts(space: TruncatedFock, levels: list[np.ndarray], left: bool) ->
 
 
 def left_shift_maps(space: TruncatedFock, ws: WeightSystem) -> ShiftMap:
-    return _level_shifts(space, ws.kept_lambda_levels(space.depth - 1), left=True)
+    """The weighted left shifts of ``ws``, built once per (space, weight-system
+    object) and kept read-only on the space, for the last weight system asked."""
+    kept = space._left_maps
+    if kept is None or kept[0] is not ws:
+        shifts = _level_shifts(space, ws.kept_lambda_levels(space.depth - 1), left=True)
+        shifts.rows.setflags(write=False)
+        shifts.values.setflags(write=False)
+        kept = space._left_maps = (ws, shifts)
+    return kept[1]
 
 
 def right_shift_maps(space: TruncatedFock, mu: MuSystem) -> ShiftMap:
@@ -280,10 +289,10 @@ class NormReport:
 def norm_check(space: TruncatedFock, ws: WeightSystem) -> list[NormReport]:
     """||T_i||, the largest |weight| of its certified column map, against the
     sup of lambda_{i,w} over the columns the compression keeps (|w| < depth)."""
-    levels = ws.kept_lambda_levels(space.depth - 1)
-    shifts = _level_shifts(space, levels, left=True)
+    shifts = left_shift_maps(space, ws)
     for rows in shifts.rows:
         certify_injective(rows, (space.dimension, space.dimension))
+    levels = ws.kept_lambda_levels(space.depth - 1)
     norms, sups = np.abs(shifts.values).max(axis=1).tolist(), np.concatenate(levels, axis=1).max(axis=1).tolist()
     return [NormReport(i, norm, sup) for i, (norm, sup) in enumerate(zip(norms, sups), start=1)]
 

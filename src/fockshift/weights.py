@@ -18,13 +18,17 @@ W_mu, all by one recursion read in two directions (``_prepend_tables``,
 those functions satisfy: both cocycle laws, the intertwining identity, the
 boundedness condition governing the commutant description (decided once per
 weight-system object), a finite-range semisimplicity estimate, and the
-generation of left weights from prescribed right weights.
+generation of left weights from prescribed right weights.  The identity
+sweeps take their defects one chunk of blocks at a time, in one numpy pass
+over reused buffers, with the witness rule of a block-by-block sweep.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -112,11 +116,19 @@ class WeightSystem:
         return None
 
     def kept_automaton(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``automaton()``, built once per object and kept read-only on it."""
+        """``automaton()``, built once per object and kept read-only on it; a
+        step outside [0, states) raises ValueError naming the state it leaves."""
         if "_automaton" not in vars(self):
             automaton = self.automaton()
             for array in automaton or ():
                 array.setflags(write=False)
+            if automaton is not None:
+                next_state = automaton[0]
+                bad = np.flatnonzero((next_state < 0) | (next_state >= next_state.shape[0]))
+                if bad.size:
+                    state, a = divmod(int(bad[0]), next_state.shape[1])
+                    raise ValueError(f"automaton state {state} steps on letter {a + 1} to state "
+                                     f"{next_state[state, a]}, outside [0, {next_state.shape[0]})")
             object.__setattr__(self, "_automaton", automaton)
         return vars(self)["_automaton"]
 
@@ -124,14 +136,15 @@ class WeightSystem:
         """lambda_{i,w} for every |w| <= depth: one (n, n^k) array per level k,
         row i-1 for letter i, words in graded-lex order, read off the kept
         automaton walked from state 0: a*w has rank (a-1) n^k + r at level
-        k+1 for w of rank r at level k."""
+        k+1 for w of rank r at level k.  ``kept_automaton`` checked every step
+        in range, so the walk skips numpy's bounds check (``mode="wrap"``)."""
         next_state, lam = self.kept_automaton()
         steps, weights = np.ascontiguousarray(next_state.T, dtype=np.int32), np.ascontiguousarray(lam.T)
         states, levels = np.zeros(1, dtype=np.int32), []
         for k in range(depth + 1):
-            levels.append(np.take(weights, states, axis=1))
+            levels.append(np.take(weights, states, axis=1, mode="wrap"))
             if k < depth:
-                states = np.take(steps, states, axis=1).ravel()
+                states = np.take(steps, states, axis=1, mode="wrap").ravel()
         return levels
 
     def kept_lambda_levels(self, depth: int) -> list[np.ndarray]:
@@ -527,29 +540,68 @@ class DefectReport:
     checks: int
 
 
-def _sweep_report(block, blocks: list[tuple[int, ...]], n: int, labels) -> DefectReport:
-    """The relative defects |lhs - rhs| / max(|lhs|, |rhs|, 1) of the sides
-    ``block(*levels)`` returns for each entry of ``blocks``: arrays with one
-    rank axis per word length in ``levels`` and a last axis indexing
-    ``labels``.  The sweep visits (length, rank) pairs in order, the label
-    last; the witness is the first maximum in that order, a NaN defect
-    counting as the largest."""
-    candidates, checks = [], 0
-    for levels in blocks:
-        lhs, rhs = block(*levels)
-        defects = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-        # argmax finds the first maximum in C order, or the first NaN
-        idx = tuple(int(x) for x in np.unravel_index(int(np.argmax(defects)), defects.shape))
-        candidates.append((float(defects[idx]), sum(zip(levels, idx), ()) + idx[-1:]))
-        checks += defects.size
-    nans = [key for value, key in candidates if math.isnan(value)]
-    worst = math.nan if nans else max(value for value, _ in candidates)
-    if worst == 0.0:
+def _sweep_report(write, chunks: list[tuple[tuple[int, ...], range]], n: int, labels) -> DefectReport:
+    """The relative defects |lhs - rhs| / max(|lhs|, |rhs|, 1) of an identity,
+    one chunk (head, lasts) of blocks at a time: the leading words have the
+    lengths ``head``, the last one each length in ``lasts``, and
+    ``write(*head, last, lhs, rhs)`` writes both sides of a block into views
+    of shape (n^h for h in head, n^last, len(labels)).  The views tile buffers
+    sized to the largest chunk and reused; each chunk's defects take one pass,
+    in place.  A chunk's flat order is the witness key ((length, rank) of
+    each word, then the label), so its first maximum or NaN is its witness;
+    the report's is the smallest key of the worst, a NaN counting as largest."""
+    width = len(labels)
+    layouts = []
+    for head, lasts in chunks:
+        starts = list(accumulate((n**last for last in lasts), initial=0))
+        layouts.append((head, lasts, starts, (*(n**h for h in head), starts[-1], width)))
+    capacity = max(math.prod(shape) for *_, shape in layouts)
+    lhs_buffer, rhs_buffer, defect_buffer = np.empty(capacity), np.empty(capacity), np.empty(capacity)
+    worst, key, checks = (False, 0.0), None, 0  # (NaN, defect): a NaN outranks every number
+    for head, lasts, starts, shape in layouts:
+        size = math.prod(shape)
+        lhs, rhs, defects = lhs_buffer[:size], rhs_buffer[:size], defect_buffer[:size]
+        lhs_blocks, rhs_blocks = lhs.reshape(shape), rhs.reshape(shape)
+        for last, start, stop in zip(lasts, starts, starts[1:]):
+            write(*head, last, lhs_blocks[..., start:stop, :], rhs_blocks[..., start:stop, :])
+        np.subtract(lhs, rhs, out=defects)
+        np.abs(defects, out=defects)
+        np.abs(lhs, out=lhs)
+        np.abs(rhs, out=rhs)
+        np.maximum(lhs, rhs, out=lhs)
+        np.maximum(lhs, 1.0, out=lhs)
+        np.divide(defects, lhs, out=defects)
+        checks += size
+        at = int(defects.argmax())  # the first maximum, or the first NaN
+        value = float(defects[at])
+        rank = (True, 0.0) if math.isnan(value) else (False, value)
+        if rank < worst or rank == (False, 0.0):
+            continue
+        *ranks, position, label = (int(x) for x in np.unravel_index(at, shape))
+        last = bisect_right(starts, position) - 1
+        chunk_key = (*(x for pair in zip(head, ranks) for x in pair), lasts[last], position - starts[last], label)
+        if rank > worst or chunk_key < key:
+            worst, key = rank, chunk_key
+    if key is None:
         return DefectReport(0.0, None, checks)
-    *pairs, label = min(nans or [key for value, key in candidates if value == worst])
+    *pairs, label = key
     basis = BasisEnumeration(n, max(pairs[::2]))
     words = (basis.word_at(basis.level_offsets[k] + rank) for k, rank in zip(pairs[::2], pairs[1::2]))
-    return DefectReport(worst, (labels[label], *words), checks)
+    return DefectReport(math.nan if worst[0] else worst[1], (labels[label], *words), checks)
+
+
+def _kept_prepend_tables(ws: WeightSystem, depth: int) -> list[list[np.ndarray]]:
+    """[a][b] = W(u, w) for |u| = a, |w| = b and a + b <= depth, the sweeps'
+    prepend tables: built once per object at the deepest depth asked, kept
+    read-only on it and sliced."""
+    kept = vars(ws).get("_sweep_tables")
+    if kept is None or len(kept) <= depth:
+        kept = [_prepend_tables(ws, a, None, depth - a, ratio=False) for a in range(depth + 1)]
+        for tables in kept:
+            for table in tables:
+                table.setflags(write=False)
+        object.__setattr__(ws, "_sweep_tables", kept)
+    return [tables[: depth - a + 1] for a, tables in enumerate(kept[: depth + 1])]
 
 
 def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectReport:
@@ -559,62 +611,63 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
         W_mu(u, v*w) = W_mu(u, v) * W_mu(u*v, w)
 
     ``mu`` None means ``CommutantMu(ws)``.  Both sides are read off the
-    prepend and append tables (``_prepend_tables``, ``_append_tables``) one
-    block of fixed |u|, |v|, |w| at a time.  The witness is the first maximum
-    in the order u, v, w, left before right; a NaN defect (an overflowed
-    product) counts as the largest.  More than ``MAX_SWEEP_WORDS`` triples raise
-    ``ValueError`` before any table is built.
+    prepend and append tables (``_kept_prepend_tables``, ``_append_tables``),
+    written block by block of fixed |u|, |v|, |w|, and their defects taken
+    in one pass per chunk of fixed |u|, |v| (``_sweep_report``).  The witness
+    is the first maximum in the order u, v, w, left before right; a NaN defect
+    (an overflowed product) counts as the largest.  More than
+    ``MAX_SWEEP_WORDS`` triples raise ``ValueError`` before any table is built.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = ws.n
     _sweep_guard(n, depth, lambda k: math.comb(k + 2, 2), "triples")
 
-    def block(a, b, c):
-        # [rank u, rank v, rank w]: v*w has rank rank v n^c + rank w, w*u
-        # rank w n^a + rank u, and u*v rank u n^b + rank v
+    def write(a, b, c, lhs, rhs):
+        # [rank u, rank v, rank w, label]: v*w has rank rank v n^c + rank w,
+        # w*u rank w n^a + rank u, and u*v rank u n^b + rank v
         shape = (n**a, n**b, n**c)
-        lhs = [left[a][b + c].reshape(shape), right[a][b + c].reshape(shape)]
-        rhs = [
-            left[a + c][b].reshape(n**c, n**a, n**b).transpose(1, 2, 0) * left[a][c][:, None, :],
-            right[a][b][:, :, None] * right[a + b][c].reshape(shape),
-        ]
-        return np.stack(lhs, axis=3), np.stack(rhs, axis=3)
+        lhs[..., 0] = left[a][b + c].reshape(shape)
+        lhs[..., 1] = right[a][b + c].reshape(shape)
+        shifted = left[a + c][b].reshape(n**c, n**a, n**b).transpose(1, 2, 0)
+        np.multiply(shifted, left[a][c][:, None, :], out=rhs[..., 0])
+        np.multiply(right[a][b][:, :, None], right[a + b][c].reshape(shape), out=rhs[..., 1])
 
-    triples = [(a, b, c) for a in range(depth + 1) for b in range(depth - a + 1) for c in range(depth - a - b + 1)]
+    chunks = [((a, b), range(depth - a - b + 1)) for a in range(depth + 1) for b in range(depth - a + 1)]
     mu = CommutantMu(ws) if mu is None else mu
     # products overflow as the scalar ones do, and inf - inf is a NaN defect
     with np.errstate(over="ignore", invalid="ignore"):
-        left = [_prepend_tables(ws, a, None, depth - a, ratio=False) for a in range(depth + 1)]
+        left = _kept_prepend_tables(ws, depth)
         right = [_append_tables(mu, a, None, depth - a, ratio=False) for a in range(depth + 1)]
-        return _sweep_report(block, triples, n, ("left", "right"))
+        return _sweep_report(write, chunks, n, ("left", "right"))
 
 
 def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
     """Sweep the intertwining identity mu_{i,v} W(v*i, w) = mu_{i,w*v} W(v, w)
     over all i, v, w with |v| + |w| + 1 <= depth.
 
-    W is read off the prepend tables (``_prepend_tables``) and mu off the
-    levels of ``CommutantMu(ws)``, one block of fixed |v|, |w| at a time.  The
-    witness is the first maximum in the order v, w, i; a NaN defect counts as
-    the largest.  More than
-    ``MAX_SWEEP_WORDS`` triples raise ``ValueError`` before any table is built.
+    W is read off the prepend tables (``_kept_prepend_tables``) and mu off the
+    levels of ``CommutantMu(ws)``, written block by block of fixed |v|, |w|,
+    and their defects taken in one pass per chunk of fixed |v|
+    (``_sweep_report``).  The witness is the first maximum in the order v, w,
+    i; a NaN defect counts as the largest.  More than ``MAX_SWEEP_WORDS``
+    triples raise ``ValueError`` before any table is built.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     n = ws.n
     _sweep_guard(n, depth - 1, lambda k: (k + 1) * n, "triples")
 
-    def block(a, b):
+    def write(a, b, lhs, rhs):
         # [rank v, rank w, i]: v*i has rank rank v n + i-1, w*v rank w n^a + rank v
-        lhs = mu[a].T[:, None, :] * left[a + 1][b].reshape(n**a, n, n**b).transpose(0, 2, 1)
-        return lhs, mu[a + b].reshape(n, n**b, n**a).transpose(2, 1, 0) * left[a][b][:, :, None]
+        np.multiply(mu[a].T[:, None, :], left[a + 1][b].reshape(n**a, n, n**b).transpose(0, 2, 1), out=lhs)
+        np.multiply(mu[a + b].reshape(n, n**b, n**a).transpose(2, 1, 0), left[a][b][:, :, None], out=rhs)
 
-    pairs = [(a, b) for a in range(depth) for b in range(depth - a)]
+    chunks = [((a,), range(depth - a)) for a in range(depth)]
     with np.errstate(over="ignore", invalid="ignore"):
-        left = [_prepend_tables(ws, a, None, depth - a, ratio=False) for a in range(depth + 1)]
+        left = _kept_prepend_tables(ws, depth)
         mu = CommutantMu(ws).kept_mu_levels(depth - 1)
-        return _sweep_report(block, pairs, n, range(1, n + 1))
+        return _sweep_report(write, chunks, n, range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -567,6 +568,81 @@ def test_sweep_guards_raise_before_allocating():
     assert check_cocycles(ConstantWeights(10, 1.0), None, 4).max_defect == 0.0
 
 
+def test_sweep_witness_is_the_graded_lex_first_maximum():
+    # equal maxima planted in blocks whose block order (|u|, |v|, |w|) is not
+    # their (u, v, w, label) order, in different chunks of fixed |u|, |v|
+    n, depth, planted = 2, 4, {}
+
+    def write(a, b, c, lhs, rhs):
+        lhs[...], rhs[...] = 1.0, 1.0
+        for (lengths, ranks), value in planted.items():
+            if lengths == (a, b, c):
+                rhs[ranks] = value
+
+    chunks = [((a, b), range(depth - a - b + 1)) for a in range(depth + 1) for b in range(depth - a + 1)]
+    checks = sum(math.comb(k + 2, 2) * n**k * 2 for k in range(depth + 1))
+
+    def sweep() -> DefectReport:
+        return weights._sweep_report(write, chunks, n, ("left", "right"))
+
+    assert sweep() == DefectReport(0.0, None, checks)
+    planted[((1, 0, 2), (1, 0, 3, 0))] = 3.0  # u = 2, v = e, w = 22, left: the earlier block
+    planted[((1, 1, 0), (0, 1, 0, 1))] = 3.0  # u = 1, v = 2, w = e, right: the earlier key
+    planted[((1, 1, 1), (0, 1, 0, 0))] = 3.0  # u = 1, v = 2, w = 1: a later key in a later block
+    assert sweep() == DefectReport(2.0 / 3.0, ("right", Word([1]), Word([2]), EMPTY), checks)
+    # a NaN in a later block outranks every number; of two NaNs the earlier key wins
+    planted[((2, 0, 2), (3, 0, 0, 0))] = math.nan  # u = 22, v = e, w = 11, left: the earlier chunk
+    planted[((2, 1, 1), (0, 1, 0, 1))] = math.nan  # u = 11, v = 2, w = 1, right: the earlier key
+    planted[((2, 2, 0), (0, 3, 0, 0))] = math.nan  # u = 11, v = 22, w = e: a later key in a later chunk
+    report = sweep()
+    assert math.isnan(report.max_defect)
+    assert (report.witness, report.checks) == (("right", Word([1, 1]), Word([2]), Word([1])), checks)
+
+
+def test_cocycle_sweep_peak_memory():
+    # 2,692,496 checks, under the 2^21-triple guard; 13.3 MiB was the peak
+    # when every block stacked both sides and took its defects on its own
+    tracemalloc.start()
+    try:
+        report = check_cocycles(ConstantWeights(9, 1.0), None, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == DefectReport(0.0, None, 2_692_496)
+    assert peak <= 13.3 * 2**20
+
+
+def test_check_builds_each_map_and_table_once(tmp_path, capsys, monkeypatch):
+    # the left shifts are kept on the space and the sweeps' prepend tables on
+    # the weight system: a bounded check builds the left and the right map
+    # once, a diverging one only the left, and both sweeps share one set of tables
+    shifts, tables = [], []
+    build_shifts, build_tables = fock._level_shifts, weights._prepend_tables
+
+    def counted_shifts(space, levels, left):
+        shifts.append(left)
+        return build_shifts(space, levels, left)
+
+    def counted_tables(ws, a, ranks, bound, ratio):
+        if not ratio:
+            tables.append(a)
+        return build_tables(ws, a, ranks, bound, ratio)
+
+    monkeypatch.setattr(fock, "_level_shifts", counted_shifts)
+    monkeypatch.setattr(weights, "_prepend_tables", counted_tables)
+    periodic = {"n": 2, "family": "periodic", "period": 2,
+                "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2}}
+    diverging = {"n": 2, "family": "two_letter_m", "m": 4, "c": 1}
+    for document, left_and_right in ((periodic, [True, False]), (diverging, [True])):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        shifts.clear()
+        tables.clear()
+        assert main(["check", "--config", str(config), "--depth", "9"]) == 0
+        assert (shifts, tables) == (left_and_right, list(range(7)))
+    capsys.readouterr()
+
+
 def test_deep_single_letter_system(tmp_path):
     # W(e, 1^k) ~ 0.01^k underflows long before depth 200; the ratios settle at 0.02
     table = table_from_strings({"1:e": 0.5, "1:1": 2.0})
@@ -757,6 +833,26 @@ def test_every_weight_family_has_an_automaton_but_tables():
         if isinstance(ws, TabulatedWeights):
             assert weights._decide_condition6(ws) == (weights.BOUNDED_SO_FAR, {})
             assert ws.exact_min_weight(1) is None
+
+
+class _MalformedAutomaton(WeightSystem):
+    n = 2
+
+    def __init__(self, next_state):
+        self.next_state = next_state
+
+    def automaton(self):
+        return np.array(self.next_state), np.ones((len(self.next_state), 2))
+
+
+def test_automaton_steps_outside_the_states_are_refused():
+    # the walk takes its steps unchecked, so the kept automaton checks each once
+    with pytest.raises(ValueError, match=r"automaton state 1 steps on letter 2 to state 2, outside \[0, 2\)"):
+        _MalformedAutomaton([[1, 1], [0, 2]]).lambda_levels(3)
+    with pytest.raises(ValueError, match=r"automaton state 0 steps on letter 1 to state -1, outside \[0, 1\)"):
+        _MalformedAutomaton([[-1, 0]]).kept_automaton()
+    assert [level.tolist() for level in _MalformedAutomaton([[1, 1], [0, 1]]).lambda_levels(2)] == [
+        [[1.0], [1.0]], [[1.0] * 2] * 2, [[1.0] * 4] * 2]
 
 
 def test_diverging_certificates_pump_the_ratios():
