@@ -3,9 +3,9 @@ around them: band decompositions, Cesaro smoothing, polynomial approximants,
 extraction of expansion coefficients from commutant members, the injectivity
 pairing, and spectral-radius lower bounds from leading coefficients.
 
-The operator forms read W(u,w) off ``weights._prepend_tables``, as the
-identity sweeps do, or the mu ratios off ``weights._append_tables``, and
-place their entries through one assembly, ``_support_operator``.
+The operator forms read W(u,w), or the ratios W(u,w)/W(e,w), off
+``weights._prepend_tables``, or the mu ratios off ``weights._append_tables``,
+and place their entries through one assembly, ``_support_operator``.
 """
 
 from __future__ import annotations
@@ -133,26 +133,18 @@ def cesaro_sum(x: GradedOperator, k: int) -> GradedOperator:
 def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normalized: bool) -> GradedOperator:
     """sum_w c_w T_w, or sum_w c_w W(e,w)^{-1} T_w if ``normalized``, for
     ``coeffs`` as ``_support_operator`` takes them, with W(u,w) read off the
-    prepend tables (``_prepend_tables``) up to |w| = m_max.  A support word
-    whose W(e,w) underflowed to 0 or overflowed to inf raises ValueError
-    naming it: dividing by inf would zero a coefficient whose entries
-    W(u,w)/W(e,w) can be O(1)."""
-    depth, offsets = space.depth, space.level_offsets
-    longest = offsets.index(coeffs.size) - 1
+    prepend tables (``_prepend_tables``) up to |w| = m_max.  Normalized, the
+    entries are c_w W(u,w)/W(e,w), read off the ratio tables, which stay O(1)
+    where both products leave the float range."""
+    depth = space.depth
+    longest = space.level_offsets.index(coeffs.size) - 1
 
     def columns(m, ranks, c):
-        if normalized:  # scalar divisions: numpy's complex-by-float division rounds otherwise
-            norms = left[0][m][0, ranks].tolist()
-            for bound, fate in ((0.0, "underflows to 0"), (math.inf, "overflows to inf")):
-                if bound in norms:
-                    w = space.word_at(offsets[m] + int(ranks[norms.index(bound)]))
-                    raise ValueError(f"W(e, {w}) of the support word {w} (length {m}) {fate}")
-            c = np.array([x / complex(y) for x, y in zip(c.tolist(), norms)], dtype=complex)
         return [c[:, None] * left[k][m][:, ranks].T for k in range(depth - m + 1)]
 
     with np.errstate(over="ignore", invalid="ignore"):  # weights past the float range give inf or NaN entries
         # the deepest u first, so the lambda levels are built once, to depth - 1
-        left = {k: _prepend_tables(ws, k, None, min(depth - k, longest), ratio=False) for k in range(depth, -1, -1)}
+        left = {k: _prepend_tables(ws, k, None, min(depth - k, longest), ratio=normalized) for k in range(depth, -1, -1)}
         return _support_operator(space, coeffs, columns)
 
 

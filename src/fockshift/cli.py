@@ -628,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
-        # ArithmeticError: a weight product under- or overflowed at this depth
+        # ArithmeticError: no known input reaches it; kept so that an overflow still exits 2 with one line
         print(f"precondition error: {exc}", file=sys.stderr)
         return 2
 

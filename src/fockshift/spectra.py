@@ -172,7 +172,13 @@ def left_growth_certificate(
     if case == "marginal":
         bounds = [math.sqrt(k) - assumed_bound for k in ks]
     else:
-        bounds = [modulus**k * assumed_bound for k in ks]
+        bounds = []
+        for k in ks:
+            try:
+                bounds.append(modulus**k * assumed_bound)
+            except OverflowError:
+                raise ValueError(
+                    f"growth bound |z_{run_letter}|^k = {modulus!r}^k leaves the float range at k = {k}") from None
     return GrowthCertificate(
         (z1, z2), case, operator_index, run_letter, assumed_bound, ks, bounds
     )

@@ -400,7 +400,8 @@ class CommutantMu(MuSystem):
 
     def mu_levels(self, depth: int) -> list[np.ndarray]:
         """W(i,w) / W(e,w), the ratio prepend tables of the one-letter words."""
-        return _prepend_tables(self.weights, 1, None, depth, ratio=True)
+        with np.errstate(over="ignore"):  # a ratio past the float range is inf
+            return _prepend_tables(self.weights, 1, None, depth, ratio=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -773,7 +774,12 @@ def _automaton_decision(next_state: np.ndarray, lam: np.ndarray) -> tuple[str, d
         top = np.maximum.reduceat(candidate, heads)
         gains = top > best[targets] + 1e-12
         if not gains.any():
-            return BOUNDED, {"exact_sup": math.exp(best.max()), "method": "max-plus sweep of the ratio pairs",
+            try:
+                sup = math.exp(best.max())
+            except OverflowError:
+                raise ValueError(f"commutant weights are bounded, but their supremum exp({best.max():.2f}) "
+                                 "is past the float range") from None
+            return BOUNDED, {"exact_sup": sup, "method": "max-plus sweep of the ratio pairs",
                              "states": codes.size}
         argmax = np.minimum.reduceat(np.where(candidate == top[segment], np.arange(dst.size), dst.size), heads)
         improved, argmax = targets[gains], argmax[gains]
@@ -805,8 +811,9 @@ def condition6_sup(ws: WeightSystem, depth: int) -> Condition6Report:
 
     Every family with a prepend automaton is decided exactly by one max-plus
     sweep of its ratio pairs (``_automaton_decision``): ``bounded`` with the
-    exact supremum over all words, or ``diverging`` with a cycle whose factor
-    exceeds 1.  Tabulated systems can only report ``bounded_so_far``.
+    exact supremum over all words (a ValueError naming its log if that is past
+    the float range), or ``diverging`` with a cycle whose factor exceeds 1.
+    Tabulated systems can only report ``bounded_so_far``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")

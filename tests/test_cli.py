@@ -320,21 +320,24 @@ def test_coefficient_document_with_a_list_of_coeffs_exits_2(tmp_path, capsys):
     assert captured.err == f"configuration error: {coeffs}: expected an object with a 'coeffs' field\n"
 
 
-@pytest.mark.parametrize("value", [1e-200, 1e300])
-@pytest.mark.parametrize("verb, extra, code", [("region", ["--grid", "0:1:0.5"], 0), ("commutant", [], 2)])
-def test_weights_past_the_float_range_raise_no_numpy_warning(tmp_path, capsys, value, verb, extra, code):
+ROUND_TRIP_EXACT = "round-trip: PASS (residual 0.000e+00, recovery 0.000e+00)\n"
+
+
+@pytest.mark.parametrize("value, depth", [(1e-200, 4), (1e300, 4), (1e300, 8)],
+                         ids=["1e-200", "1e+300", "1e+300-depth-8"])
+@pytest.mark.parametrize("verb, extra, code", [("region", ["--grid", "0:1:0.5"], 0), ("commutant", [], 0)])
+def test_weights_past_the_float_range_raise_no_numpy_warning(tmp_path, capsys, value, depth, verb, extra, code):
     # 1 / lam^2 in the transfer steps and classes, and the prepend tables of the round trip, used to warn.
-    # commutant exits 2: W(e, w) leaves the float range by depth 2, and the round trip divides by it; its table
-    # used to be printed before that
+    # W(e, w) leaves the float range by depth 2; the round trip reads only the ratios W(u, w) / W(e, w) = 1
     config = _write_config(tmp_path, "far.json", {"n": 2, "family": "constant", "value": value})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        exit_code = main([verb, "--config", config, "--depth", "4", *extra])
+        exit_code = main([verb, "--config", config, "--depth", str(depth), *extra])
     captured = capsys.readouterr()
     assert caught == []
     assert exit_code == code
-    if code == 2:
-        assert captured.out == "" and captured.err.startswith("precondition error:")
+    if verb == "commutant":
+        assert captured.out.endswith(ROUND_TRIP_EXACT)
 
 
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
@@ -427,32 +430,56 @@ DEEP_N1 = {
     "table": {"1:e": 0.5, "1:1": 2.0}, "tail": [0.01],
 }
 
+FAR_SUPREMUM = {"n": 1, "family": "finite_perturbation", "cutoff": 0, "table": {"1:e": 1e-300}, "tail": [1e300]}
 
-def test_arithmetic_error_exits_2(tmp_path, capsys):
-    # W(e, 1^90) = 0.0001^88 underflows to 0, and operator_from_fourier divides by it
+
+def test_arithmetic_error_exits_2(tmp_path, capsys, monkeypatch):
+    # no known input reaches this branch; it stays as a guard for any under- or overflow the checks raise
+    def overflowing(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(cli.COMMANDS, "commutant", overflowing)
+    config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
+    _exits_2_naming(["commutant", "--config", config], capsys, "precondition error: math range error")
+
+
+def test_normalization_past_the_float_range_reads_the_ratios(tmp_path, capsys):
+    # W(e, 1^90) = 0.0001^88 underflows to 0; the Cesaro sums read W(u, 1^90) / W(e, 1^90) instead
     config = _write_config(tmp_path, "deep.json", dict(DEEP_N1, tail=[0.0001]))
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text(json.dumps({"coeffs": {"1" * 90: [1, 0]}}))
-    assert main(["cesaro", "--config", config, "--coeffs", str(coeffs), "--depth", "100"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("precondition error:") and len(err.strip().splitlines()) == 1
+    assert main(["cesaro", "--config", config, "--coeffs", str(coeffs), "--depth", "100"]) == 0
+    assert capsys.readouterr().out == "cesaro order 4: PASS (max column defect 0.000e+00 over |v| <= 96)\n"
 
 
 def test_underflowed_normalization_names_the_support_word(tmp_path, capsys):
-    # W(e, 111) = 1e-450 underflows to 0, and the round trip's support reaches length 3 at depth 6
+    # W(e, 111) = 1e-450 underflows to 0 at the round trip's support length 3; the ratios are all 1
     config = _write_config(tmp_path, "tiny.json", {"n": 2, "family": "constant", "value": 1e-150})
-    _exits_2_naming(["commutant", "--config", config, "--depth", "6"], capsys,
-                    "precondition error: W(e, 111) of the support word 111 (length 3) underflows to 0")
+    assert main(["commutant", "--config", config, "--depth", "6"]) == 0
+    assert capsys.readouterr().out.endswith(ROUND_TRIP_EXACT)
 
 
 def test_overflowed_normalization_names_the_support_word(tmp_path, capsys):
-    # W(e, 11) = 1e400 overflows to inf; dividing by it zeroed the coefficient, and the checks read NaN
+    # W(e, 11) = 1e400 overflows to inf; dividing by it zeroed the coefficient, where the ratios are all 1
     config = _write_config(tmp_path, "huge.json", {"n": 2, "family": "constant", "value": 1e200})
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text(json.dumps({"coeffs": {"11": [1, 0]}}))
-    message = "precondition error: W(e, 11) of the support word 11 (length 2) overflows to inf"
-    _exits_2_naming(["commutant", "--config", config, "--depth", "4"], capsys, message)
-    _exits_2_naming(["cesaro", "--config", config, "--coeffs", str(coeffs), "--depth", "4"], capsys, message)
+    assert main(["commutant", "--config", config, "--depth", "4"]) == 0
+    assert capsys.readouterr().out.endswith(ROUND_TRIP_EXACT)
+    assert main(["cesaro", "--config", config, "--coeffs", str(coeffs), "--depth", "4"]) == 0
+    assert capsys.readouterr().out == "cesaro order 4: PASS (max column defect 0.000e+00 over |v| <= 0)\n"
+
+
+def test_commutant_supremum_past_the_float_range_exits_2(tmp_path, capsys):
+    # mu_{1,1} = 1e300 / 1e-300: the table used to warn, and exp of the supremum raised OverflowError
+    config = _write_config(tmp_path, "far.json", FAR_SUPREMUM)
+    message = ("precondition error: commutant weights are bounded, "
+               "but their supremum exp(1381.55) is past the float range")
+    for verb in ("check", "commutant"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _exits_2_naming([verb, "--config", config, "--depth", "4"], capsys, message)
+        assert caught == []
 
 
 def test_deep_commutant_round_trip(tmp_path, capsys):
@@ -537,9 +564,13 @@ def test_nonfinite_coefficients_rejected(tmp_path, capsys, mode, bad):
     (["--mode", "left_growth", "--lambda=1e400,0"], "complex literal '1e400': expected finite numbers"),
     (["--mode", "left_growth", "--lambda=2,0", "--bound", "nan"], "assumed bound must be nonnegative and finite"),
     (["--mode", "left_growth", "--lambda=2,0", "--bound", "inf"], "assumed bound must be nonnegative and finite"),
+    (["--mode", "left_growth", "--lambda=1e300,0"], "growth bound |z_1|^k = 1e+300^k leaves the float range at k = 2"),
+    (["--mode", "left_growth", "--lambda=0,1e300", "--bound", "1"],
+     "growth bound |z_2|^k = 1e+300^k leaves the float range at k = 2"),
 ])
 def test_nonfinite_spectra_inputs_rejected(tmp_path, capsys, argv, message):
-    # these used to exit 1 (not_in_spectrum) or 0 (inconclusive, in_spectrum) on a NaN or inf
+    # these used to exit 1 (not_in_spectrum) or 0 (inconclusive, in_spectrum) on a NaN or inf;
+    # 1e300**2 in the growth table used to raise OverflowError, printed as "(34, 'Numerical result out of range')"
     config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
     report = tmp_path / "spectra.json"
     assert main(["spectra", "--config", config, "--depth", "5", *argv, "--report", str(report)]) == 2
@@ -1218,6 +1249,7 @@ _DOCUMENTS = [
      "table": {"1:e": 0.5, "2:e": 1.5, "1:1": 2.0, "2:1": 0.75, "1:2": 1.25, "2:2": 3.0}, "tail": [0.9, 1.1]},
     {"n": 2, "family": "two_letter_m", "m": 0.81, "c": 0.9},
     {"n": 2, "family": "two_letter_m", "m": 4, "c": 1},
+    FAR_SUPREMUM,
 ]
 _FIELDS = ["n", "family", "value", "scales", "period", "remainders", "cutoff", "table", "tail", "m", "c",
            "depth", "tolerance", "epsilon", "bogus"]
@@ -1282,7 +1314,7 @@ def test_main_exits_0_1_or_2_and_exit_2_prints_nothing(tmp_path, capsys, data):
     elif verb == "spectra":
         argv += option("--mode", ["right", "left_growth", "zero_left_inverse", "bogus"])
         for point in draw(st.lists(st.sampled_from(["0,0", "0.3,0.1", "0.3+0.1i,0.4", "2,0", "1,0", "0.5",
-                                                   "1e400,0", "x,0", "0,0,0"]), max_size=2), label="points"):
+                                                   "1e400,0", "1e300,0", "x,0", "0,0,0"]), max_size=2), label="points"):
             argv += ["--lambda", point]
         argv += option("--k", ["3", "0"]) + option("--bound", ["0", "-1", "nan"])
         if draw(st.booleans(), label="eta file"):

@@ -125,11 +125,29 @@ def _oracle_level_sums(ws, moduli, depth: int) -> np.ndarray:
 
 
 def _oracle_fourier_sum(space: TruncatedFock, ws, coeffs: dict) -> GradedOperator:
-    """sum_w c_w W(e,w)^{-1} T_w, one sparse add per word."""
+    """sum_w c_w W(e,w)^{-1} T_w in product order, one sparse add per word."""
     total = GradedOperator.zero(space)
     for w, coeff in coeffs.items():
         total = total + (coeff / left_weight(ws, EMPTY, w)) * _oracle_word_operator(space, ws, w)
     return total
+
+
+def _oracle_ratio_sum(space: TruncatedFock, ws, coeffs: dict) -> GradedOperator:
+    """sum_w c_w W(e,w)^{-1} T_w in ratio order: the entry at row w*u, column u
+    is c_w r, with r <- r lambda_{j,x*u} / lambda_{j,x} as the letters j of w
+    are prepended to x, from the right."""
+    rows, cols, values = [], [], []
+    for w, coeff in coeffs.items():
+        for k in range(space.depth - len(w) + 1):
+            for u in space.level_words(k):
+                r, x = 1.0, EMPTY
+                for j in reversed(w.letters):
+                    r = r * ws.lambda_of(j, x * u) / ws.lambda_of(j, x)
+                    x = prepend(j, x)
+                rows.append(space.index_of(w * u))
+                cols.append(space.index_of(u))
+                values.append(coeff * r)
+    return GradedOperator.from_entries(space, rows, cols, values)
 
 
 def _oracle_series(space: TruncatedFock, coeffs: dict) -> GradedOperator:
@@ -185,6 +203,12 @@ def _close(values: dict, oracle: dict) -> bool:
     return values.keys() == oracle.keys() and all(abs(values[key] - x) <= 1e-14 * abs(x) for key, x in oracle.items())
 
 
+def _entries(x: GradedOperator) -> dict:
+    """(row, column) -> the stored entries of x."""
+    coo = x.mat.tocoo()
+    return dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))
+
+
 def _element(ws, seed: int, mu=None) -> FourierElement:
     rng = np.random.default_rng(seed)
     words = list(BasisEnumeration(ws.n, 2).words()) + [Word([ws.n, 1, ws.n])]
@@ -192,22 +216,25 @@ def _element(ws, seed: int, mu=None) -> FourierElement:
 
 
 def _check_expansions(space: TruncatedFock, a: FourierElement) -> None:
-    """The level-array builders against the per-word formulas."""
+    """The level-array builders against the per-word formulas: bit for bit
+    against the ratio-order sums, within 1e-14 of the product-order ones."""
     ws = a.weights
-    assert _same(operator_from_fourier(a, space), _oracle_fourier_sum(space, ws, a.coeffs))
+
+    def assert_sum(produced: GradedOperator, coeffs: dict) -> None:
+        assert _same(produced, _oracle_ratio_sum(space, ws, coeffs))
+        assert _close(_entries(produced), _entries(_oracle_fourier_sum(space, ws, coeffs)))
+
+    assert_sum(operator_from_fourier(a, space), a.coeffs)
     for k in (1, 2, space.depth):
         fejer = {w: (1.0 - len(w) / k) * c for w, c in a.coeffs.items() if len(w) < k}
-        assert _same(pk_polynomial(a, k, space), _oracle_fourier_sum(space, ws, fejer))
-    coo = expansion_operator(a, space).mat.tocoo()
-    produced = dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))
-    assert _close(produced, _oracle_expansion(space, a))
+        assert_sum(pk_polynomial(a, k, space), fejer)
+    assert _close(_entries(expansion_operator(a, space)), _oracle_expansion(space, a))
     point = tuple(cmath.rect(0.6, 0.4 + j) for j in range(ws.n))
     assert eigenvector_coeffs(ws, point, space.depth).coeffs == _oracle_eigenvector(ws, point, space.depth)
     # an empty expansion, and a support word past the depth, whose T_w is 0
-    assert _same(operator_from_fourier(FourierElement.build({}, ws, a.mu), space), _oracle_fourier_sum(space, ws, {}))
+    assert_sum(operator_from_fourier(FourierElement.build({}, ws, a.mu), space), {})
     longer = {**a.coeffs, Word([ws.n] * (space.depth + 1)): 0.5 - 0.25j}
-    produced = operator_from_fourier(FourierElement.build(longer, ws, a.mu), space)
-    assert _same(produced, _oracle_fourier_sum(space, ws, longer))
+    assert_sum(operator_from_fourier(FourierElement.build(longer, ws, a.mu), space), longer)
 
 
 @pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED, ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED])
