@@ -144,7 +144,7 @@ def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normal
 
     with np.errstate(over="ignore", invalid="ignore"):  # weights past the float range give inf or NaN entries
         # the deepest u first, so the lambda levels are built once, to depth - 1
-        left = {k: _prepend_tables(ws, k, None, min(depth - k, longest), ratio=normalized) for k in range(depth, -1, -1)}
+        left = {k: _prepend_tables(ws, k, min(depth - k, longest), ratio=normalized) for k in range(depth, -1, -1)}
         return _support_operator(space, coeffs, columns)
 
 

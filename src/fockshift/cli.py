@@ -296,8 +296,9 @@ def _cmd_check(config: RunConfig, args) -> tuple[int, dict]:
     recorder = _CheckRecorder()
     tol = config.tolerance
 
-    cocycle_depth = min(config.depth, 6)
-    recorder.run("cocycles", tol, lambda: check_cocycles(ws, None, cocycle_depth))
+    sweep_depth = min(config.depth, 6)  # each sweep's entry names it, with the defects taken
+    cocycles = recorder.run("cocycles", tol, lambda: check_cocycles(ws, None, sweep_depth))
+    recorder.entries[-1].update(depth=sweep_depth, checks=cocycles.checks)
     condition = recorder.run(
         "condition6",
         tol,
@@ -311,7 +312,8 @@ def _cmd_check(config: RunConfig, args) -> tuple[int, dict]:
         recorder.skip("intertwining", "commutant weights diverge; identity not meaningful here")
         recorder.skip("commutation", "right shifts unbounded; commutant checks skipped")
     else:
-        recorder.run("intertwining", tol, lambda: check_intertwining(ws, cocycle_depth))
+        intertwining = recorder.run("intertwining", tol, lambda: check_intertwining(ws, sweep_depth))
+        recorder.entries[-1].update(depth=sweep_depth, checks=intertwining.checks)
         recorder.run("commutation", tol, lambda: commutation_defect(space, ws))
 
     recorder.run(

@@ -40,8 +40,8 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .words import BasisEnumeration, Word
-from .weights import MAX_SWEEP_WORDS, WeightSystem, _prepended_ranks
+from .words import MAX_SWEEP_WORDS, BasisEnumeration, Word
+from .weights import WeightSystem, _prepended_ranks
 from .fock import TruncatedFock, left_shift_maps
 
 # region work arrays hold about this many floats per block of points
@@ -190,13 +190,11 @@ def _transfer_steps(ws: WeightSystem, depth: int) -> list[tuple[np.ndarray, ...]
     step, start at heads[i].  The states are the kept automaton's states
     reachable in exactly k steps from state 0, or, without an automaton, the
     words of level k in graded-lex order (j*w has rank (j-1) n^k + rank w),
-    refused past MAX_SWEEP_WORDS words before any weight is read.  Repeated
-    state sets share their step."""
+    whose ``BasisEnumeration`` refuses them before any weight is read.
+    Repeated state sets share their step."""
     automaton = ws.kept_automaton()
     if automaton is None:
-        total_words = sum(ws.n**k for k in range(depth + 1))
-        if total_words > MAX_SWEEP_WORDS:
-            raise ValueError(f"level enumeration of {total_words} words exceeds the {MAX_SWEEP_WORDS} guard")
+        BasisEnumeration(ws.n, depth)
     maps = [automaton] * depth if automaton is not None else [
         (_prepended_ranks(ws.n, k), level.T) for k, level in enumerate(ws.kept_lambda_levels(depth - 1))]
     states, steps, built = np.zeros(1, dtype=np.int64), [], {}

@@ -17,7 +17,6 @@ import scipy.sparse as sp
 
 from .words import BasisEnumeration, Word
 from .weights import (
-    MAX_SWEEP_WORDS,
     CommutantMu,
     ConstantWeights,
     MuSystem,
@@ -33,9 +32,6 @@ class TruncatedFock(BasisEnumeration):
 
     def __init__(self, n: int, depth: int):
         super().__init__(n, depth)
-        if self.dimension > MAX_SWEEP_WORDS:
-            raise ValueError(f"Fock space for n = {n}, depth = {depth} has dimension {self.dimension}, "
-                             f"above the {MAX_SWEEP_WORDS} guard; lower depth or n")
         self._levels = np.repeat(np.arange(depth + 1), np.diff(self.level_offsets))
         self._left_maps = None  # (weight system, its left shifts), see left_shift_maps
 

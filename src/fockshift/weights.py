@@ -28,15 +28,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
 
-from .words import EMPTY, BasisEnumeration, Word, append, parse_word, prepend, word_label
+from .words import EMPTY, MAX_SWEEP_WORDS, BasisEnumeration, Word, append, parse_word, prepend, word_label
 
-# enumeration guards for sweeps over all words of bounded length
-MAX_SWEEP_WORDS = 1 << 21
 MAX_AUTOMATON_STATES = 100_000
 
 BOUNDED = "bounded"
@@ -65,6 +64,13 @@ def _table_levels(table: Mapping[tuple[int, Word], float], n: int, depth: int, e
     by_letter = np.array(values).reshape(-1, n).T.copy()
     by_letter.setflags(write=False)  # the families hand these arrays out as they are
     return np.split(by_letter, basis.level_offsets[1:-1], axis=1)
+
+
+def _kept_once(owner, name: str, build):
+    """``build()``, run on the first call for ``owner`` and kept on it under ``name``."""
+    if name not in vars(owner):
+        object.__setattr__(owner, name, build())
+    return vars(owner)[name]
 
 
 def _kept_levels(owner, name: str, depth: int, build) -> list[np.ndarray]:
@@ -118,7 +124,7 @@ class WeightSystem:
     def kept_automaton(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``automaton()``, built once per object and kept read-only on it; a
         step outside [0, states) raises ValueError naming the state it leaves."""
-        if "_automaton" not in vars(self):
+        def build():
             automaton = self.automaton()
             for array in automaton or ():
                 array.setflags(write=False)
@@ -129,8 +135,8 @@ class WeightSystem:
                     state, a = divmod(int(bad[0]), next_state.shape[1])
                     raise ValueError(f"automaton state {state} steps on letter {a + 1} to state "
                                      f"{next_state[state, a]}, outside [0, {next_state.shape[0]})")
-            object.__setattr__(self, "_automaton", automaton)
-        return vars(self)["_automaton"]
+            return automaton
+        return _kept_once(self, "_automaton", build)
 
     def lambda_levels(self, depth: int) -> list[np.ndarray]:
         """lambda_{i,w} for every |w| <= depth: one (n, n^k) array per level k,
@@ -401,7 +407,7 @@ class CommutantMu(MuSystem):
     def mu_levels(self, depth: int) -> list[np.ndarray]:
         """W(i,w) / W(e,w), the ratio prepend tables of the one-letter words."""
         with np.errstate(over="ignore"):  # a ratio past the float range is inf
-            return _prepend_tables(self.weights, 1, None, depth, ratio=True)
+            return _prepend_tables(self.weights, 1, depth, ratio=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,17 +487,17 @@ def _right_path(mu: MuSystem, v: Word, u: Word, count: int = 1, log: bool = Fals
     return path
 
 
-def _prepend_tables(ws: WeightSystem, a: int, ranks: np.ndarray | None, bound: int, ratio: bool) -> list[np.ndarray]:
-    """[b][index, rank w] = W(u, w), or W(u, w) / W(e, w) if ``ratio``, for u of
-    length a and rank ``ranks[index]`` (every rank, through views, if None) and
-    |w| = b <= bound: W(u, j*w) = W(u, w) lambda_{j,w*u} (/ lambda_{j,w}); j*w
-    has rank (j-1) n^b + rank w, and w*u rank (rank w) n^a + rank u."""
+def _prepend_tables(ws: WeightSystem, a: int, bound: int, ratio: bool) -> list[np.ndarray]:
+    """[b][rank u, rank w] = W(u, w), or W(u, w) / W(e, w) if ``ratio``, for
+    every u of length a and |w| = b <= bound: W(u, j*w) = W(u, w)
+    lambda_{j,w*u} (/ lambda_{j,w}); j*w has rank (j-1) n^b + rank w, and w*u
+    rank (rank w) n^a + rank u."""
     n = ws.n
     lam = ws.kept_lambda_levels(max(a + bound - 1, 0))
-    tables = [np.ones((n**a if ranks is None else ranks.size, 1))]
+    tables = [np.ones((n**a, 1))]
     for b in range(bound):
         step = lam[a + b].reshape(n, n**b, n**a).transpose(2, 0, 1)  # [rank u, j-1, rank w]
-        table = tables[b][:, None, :] * (step if ranks is None else step[ranks])
+        table = tables[b][:, None, :] * step
         if ratio:
             table /= lam[b]
         tables.append(table.reshape(-1, n ** (b + 1)))
@@ -499,9 +505,10 @@ def _prepend_tables(ws: WeightSystem, a: int, ranks: np.ndarray | None, bound: i
 
 
 def _append_tables(mu: MuSystem, a: int, ranks: np.ndarray | None, bound: int, ratio: bool) -> list[np.ndarray]:
-    """``_prepend_tables`` for W_mu(v, w), appending: W_mu(v, w*j) = W_mu(v, w)
-    mu_{j,v*w} (/ mu_{j,w}); w*j has rank (rank w) n + j-1, and v*w rank
-    (rank v) n^b + rank w."""
+    """``_prepend_tables`` for W_mu(v, w), appending, with row index for v of
+    rank ``ranks[index]`` (every rank, through views, if None): W_mu(v, w*j)
+    = W_mu(v, w) mu_{j,v*w} (/ mu_{j,w}); w*j has rank (rank w) n + j-1, and
+    v*w rank (rank v) n^b + rank w."""
     n = mu.n
     m = mu.kept_mu_levels(max(a + bound - 1, 0))
     tables = [np.ones((n**a if ranks is None else ranks.size, 1))]
@@ -593,16 +600,9 @@ def _sweep_report(write, chunks: list[tuple[tuple[int, ...], range]], n: int, la
 
 def _kept_prepend_tables(ws: WeightSystem, depth: int) -> list[list[np.ndarray]]:
     """[a][b] = W(u, w) for |u| = a, |w| = b and a + b <= depth, the sweeps'
-    prepend tables: built once per object at the deepest depth asked, kept
-    read-only on it and sliced."""
-    kept = vars(ws).get("_sweep_tables")
-    if kept is None or len(kept) <= depth:
-        kept = [_prepend_tables(ws, a, None, depth - a, ratio=False) for a in range(depth + 1)]
-        for tables in kept:
-            for table in tables:
-                table.setflags(write=False)
-        object.__setattr__(ws, "_sweep_tables", kept)
-    return [tables[: depth - a + 1] for a, tables in enumerate(kept[: depth + 1])]
+    prepend tables: one list per a, each kept by ``_kept_levels``."""
+    return [_kept_levels(ws, f"_sweep_tables_{a}", depth - a, partial(_prepend_tables, ws, a, ratio=False))
+            for a in range(depth + 1)]
 
 
 def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectReport:
@@ -622,7 +622,7 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = ws.n
-    _sweep_guard(n, depth, lambda k: math.comb(k + 2, 2), "triples")
+    _sweep_guard(n, depth, lambda k: math.comb(k + 2, 2))
 
     def write(a, b, c, lhs, rhs):
         # [rank u, rank v, rank w, label]: v*w has rank rank v n^c + rank w,
@@ -657,7 +657,7 @@ def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     n = ws.n
-    _sweep_guard(n, depth - 1, lambda k: (k + 1) * n, "triples")
+    _sweep_guard(n, depth - 1, lambda k: (k + 1) * n)
 
     def write(a, b, lhs, rhs):
         # [rank v, rank w, i]: v*i has rank rank v n + i-1, w*v rank w n^a + rank v
@@ -693,17 +693,16 @@ class Condition6Report:
     certificate: dict
 
 
-def _sweep_guard(n: int, depth: int, per_word=lambda k: 1, what: str = "words") -> None:
-    # per_word(k) items for each word of length k <= depth
+def _sweep_guard(n: int, depth: int, per_word) -> None:
+    # per_word(k) triples for each word of length k <= depth
     total = sum(per_word(k) * n**k for k in range(depth + 1))
     if total > MAX_SWEEP_WORDS:
-        raise ValueError(f"sweep over {total} {what} exceeds the {MAX_SWEEP_WORDS} guard; lower depth or n")
+        raise ValueError(f"sweep over {total} triples exceeds the {MAX_SWEEP_WORDS} guard; lower depth or n")
 
 
 def _enumerated_sup(ws: WeightSystem, depth: int) -> tuple[float, tuple[int, Word]]:
-    _sweep_guard(ws.n, depth)
-    levels = CommutantMu(ws).kept_mu_levels(depth)
     basis = BasisEnumeration(ws.n, depth)
+    levels = CommutantMu(ws).kept_mu_levels(depth)
     best = 0.0
     witness = (1, EMPTY)
     for k in range(depth + 1):
@@ -719,12 +718,10 @@ def _enumerated_sup(ws: WeightSystem, depth: int) -> tuple[float, tuple[int, Wor
 def _decide_condition6(ws: WeightSystem) -> tuple[str, dict]:
     """The family's verdict and certificate, decided once per weight-system
     object and kept on it; each caller gets its own copy of the certificate."""
-    decision = vars(ws).get("_condition6")
-    if decision is None:
+    def decide():
         automaton = ws.kept_automaton()
-        decision = (BOUNDED_SO_FAR, {}) if automaton is None else _automaton_decision(*automaton)
-        object.__setattr__(ws, "_condition6", decision)
-    verdict, certificate = decision
+        return (BOUNDED_SO_FAR, {}) if automaton is None else _automaton_decision(*automaton)
+    verdict, certificate = _kept_once(ws, "_condition6", decide)
     return verdict, dict(certificate)
 
 
@@ -861,7 +858,6 @@ def semisimple_estimate(source: WeightSystem | MuSystem, max_v_len: int, max_k: 
         mu: MuSystem = CommutantMu(source)
     else:
         mu = source
-    _sweep_guard(mu.n, max_v_len)
     basis = BasisEnumeration(mu.n, max_v_len)
     k_lo = max(1, math.ceil(max_k / 2))
     best = math.inf
@@ -890,10 +886,8 @@ def lambda_from_mu(mu: MuSystem, depth: int) -> TabulatedWeights:
     of the result reproduce ``mu`` on the tabulated range.  The levels are the
     ratio append tables of the one-letter words (``_append_tables``).
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    BasisEnumeration(mu.n, depth)  # refuses a negative depth or too many words before any weight is read
     for i in range(1, mu.n + 1):
         if abs(mu.mu_of(i, EMPTY) - 1.0) > 1e-12:
             raise ValueError(f"right weights must be normalized: mu_({i}, e) != 1")
-    _sweep_guard(mu.n, depth)
     return TabulatedWeights(mu.n, depth, _append_tables(mu, 1, None, depth, ratio=True))

@@ -6,6 +6,8 @@ from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
 MAX_ALPHABET = 255
+# the most words of length <= depth that any stage enumerates: the one word guard
+MAX_SWEEP_WORDS = 1 << 21
 
 
 class Word:
@@ -127,7 +129,10 @@ class BasisEnumeration:
     """Graded-lexicographic enumeration of all words of length <= depth.
 
     Level k occupies the contiguous index range [offset(k), offset(k+1)), so
-    level projections are slices, and index 0 is the empty word.
+    level projections are slices, and index 0 is the empty word.  More than
+    ``MAX_SWEEP_WORDS`` words raise ValueError naming n, the depth and the
+    dimension, so every stage that enumerates words is refused here, before
+    it allocates anything.
     """
 
     def __init__(self, n: int, depth: int):
@@ -146,6 +151,9 @@ class BasisEnumeration:
             count *= n
         self.level_offsets = offsets  # length depth + 2
         self.dimension = offsets[-1]
+        if self.dimension > MAX_SWEEP_WORDS:
+            raise ValueError(f"Fock space for n = {n}, depth = {depth} has dimension {self.dimension}, "
+                             f"above the {MAX_SWEEP_WORDS} guard; lower depth or n")
 
     def index_of(self, w: Word) -> int:
         k = len(w)

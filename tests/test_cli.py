@@ -23,7 +23,7 @@ from fockshift.cli import (
     parse_lambda,
 )
 from fockshift.fock import TruncatedFock
-from fockshift.weights import DIVERGING, condition6_sup, mu_table
+from fockshift.weights import DIVERGING, check_cocycles, check_intertwining, condition6_sup, mu_table
 from fockshift.words import EMPTY, Word, level_labels
 
 
@@ -99,6 +99,11 @@ def test_check_command_unweighted(tmp_path, capsys):
     assert report["config"]["depth"] == 8
     assert all(entry.get("pass", True) for entry in report["checks"])
     assert set(report["timing_seconds"]) == {entry["check"] for entry in report["checks"]}
+    # the sweeps run to depth 6 of the 8 asked, and their entries say so
+    sweeps = {entry["check"]: (entry["depth"], entry["checks"]) for entry in report["checks"] if "depth" in entry}
+    ws = ConstantWeights(2, 1.0)
+    assert sweeps == {"cocycles": (6, check_cocycles(ws, None, 6).checks),
+                      "intertwining": (6, check_intertwining(ws, 6).checks)}
 
 
 def test_check_command_diverging_is_a_finding(tmp_path, capsys):

@@ -279,7 +279,7 @@ def test_level_sums_past_the_word_guard():
     assert level_sums(unweighted, (0.5, 0.5), 25).tolist() == [0.5**k for k in range(26)]
     # a system without an automaton propagates on its word tree, which keeps the word guard
     tabulated = TabulatedWeights(2, 2, [np.ones((2, 2**k)) for k in range(3)])
-    with pytest.raises(ValueError, match="level enumeration of 67108863 words exceeds"):
+    with pytest.raises(ValueError, match="Fock space for n = 2, depth = 25 has dimension 67108863, above"):
         level_sums(tabulated, (0.5, 0.5), 25)
 
 

@@ -58,7 +58,7 @@ from fockshift import (
     weighted_right_shift,
     word_operator,
 )
-from fockshift import PeriodicWeights, TableMu, TabulatedWeights, algebra, eigen, fock, weights
+from fockshift import PeriodicWeights, TableMu, TabulatedWeights, algebra, eigen, fock, weights, words
 from fockshift.cli import main
 from fockshift.eigen import INSIDE, OUTSIDE
 from fockshift.weights import BOUNDED, DIVERGING, DefectReport, MuSystem, WeightSystem, mu_table, table_from_strings
@@ -372,7 +372,7 @@ def test_region_blocks_at_the_block_size():
 
 def test_region_guard_raises_before_building_tables():
     # a system without an automaton propagates on its word tree: sum over k <= 7 of 10^k words
-    with pytest.raises(ValueError, match=r"level enumeration of 11111111 words exceeds"):
+    with pytest.raises(ValueError, match=r"Fock space for n = 10, depth = 7 has dimension 11111111, above"):
         region_sample(_Unbuildable(10), GridSpec(0.0, 1.0, 0.5).points(10), 7, 0.02)
 
 
@@ -595,6 +595,39 @@ def test_sweep_guards_raise_before_allocating():
     assert check_cocycles(ConstantWeights(10, 1.0), None, 4).max_defect == 0.0
 
 
+class _UnbuildableMu(MuSystem):
+    def __init__(self, n: int):
+        self.n = n
+
+    def mu_of(self, i, w):
+        raise AssertionError("the guard must fire before any weight is read")
+
+    mu_levels = mu_of
+
+
+def test_every_word_enumeration_meets_the_one_guard(monkeypatch):
+    # the guard lowered to 100 words: n = 2 to depth 6 has 127; each entry point
+    # that enumerates words refuses with the BasisEnumeration message
+    assert kernel.MAX_DP_WORDS == words.MAX_SWEEP_WORDS
+    monkeypatch.setattr(words, "MAX_SWEEP_WORDS", 100)
+    message = "Fock space for n = 2, depth = 6 has dimension 127, above the 100 guard; lower depth or n"
+    tabulated = TabulatedWeights(2, 2, [np.ones((2, 2**k)) for k in range(3)])
+    entries = [
+        lambda: TruncatedFock(2, 6),
+        lambda: condition6_sup(_Unbuildable(2), 6),
+        lambda: semisimple_estimate(_Unbuildable(2), 6, 4),
+        lambda: semisimple_estimate(_UnbuildableMu(2), 6, 4),
+        lambda: lambda_from_mu(_UnbuildableMu(2), 6),
+        lambda: level_sums(tabulated, (0.5, 0.5), 6),
+        lambda: region_sample(_Unbuildable(2), [[0.5, 0.5]], 6, 0.02),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError) as raised:
+            entry()
+        assert str(raised.value) == message
+    assert TruncatedFock(2, 5).dimension == 63
+
+
 def test_sweep_witness_is_the_graded_lex_first_maximum():
     # equal maxima planted in blocks whose block order (|u|, |v|, |w|) is not
     # their (u, v, w, label) order, in different chunks of fixed |u|, |v|
@@ -650,10 +683,10 @@ def test_check_builds_each_map_and_table_once(tmp_path, capsys, monkeypatch):
         shifts.append(left)
         return build_shifts(space, levels, left)
 
-    def counted_tables(ws, a, ranks, bound, ratio):
+    def counted_tables(ws, a, bound, ratio):
         if not ratio:
             tables.append(a)
-        return build_tables(ws, a, ranks, bound, ratio)
+        return build_tables(ws, a, bound, ratio)
 
     monkeypatch.setattr(fock, "_level_shifts", counted_shifts)
     monkeypatch.setattr(weights, "_prepend_tables", counted_tables)

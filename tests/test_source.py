@@ -1,0 +1,56 @@
+"""Structural checks on the package source: the one place each size and keep
+policy is decided.
+
+The word guard ``MAX_SWEEP_WORDS`` is defined in ``words`` and compared in
+three places only: ``BasisEnumeration.__init__`` (every enumeration of
+words), ``_sweep_guard`` (the sweeps' triples) and ``GridSpec.points`` (the
+region grid's points).  Derived data is kept on an object by the two keep
+helpers of ``weights`` only: ``_kept_once`` and ``_kept_levels``.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "fockshift"
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+KEEP_HELPERS = {"weights.py:_kept_once", "weights.py:_kept_levels"}
+
+
+def _nodes():
+    """(``file:qualified scope``, node) for every node of the package's modules."""
+    for path in sorted(SOURCE.glob("*.py")):
+        work = [(ast.parse(path.read_text(), filename=str(path)), "")]
+        while work:
+            node, scope = work.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, SCOPES) else scope
+                yield f"{path.name}:{inner}", child
+                work.append((child, inner))
+
+
+def _names(node) -> set[str]:
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def test_the_word_guard_is_defined_once_and_compared_in_three_places():
+    nodes = list(_nodes())
+    defined = {scope for scope, node in nodes
+               if isinstance(node, ast.Assign) and any("MAX_SWEEP_WORDS" in _names(t) for t in node.targets)}
+    compared = {scope for scope, node in nodes if isinstance(node, ast.Compare) and "MAX_SWEEP_WORDS" in _names(node)}
+    assert defined == {"words.py:"}
+    assert compared == {"words.py:BasisEnumeration.__init__", "weights.py:_sweep_guard", "eigen.py:GridSpec.points"}
+
+
+def test_only_the_keep_helpers_memoise_on_objects():
+    # object.__setattr__ also sets a frozen dataclass's own fields in __post_init__
+    setters, readers = set(), set()
+    for scope, node in _nodes():
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "__setattr__" and _names(func) == {"object"}:
+            setters.add(scope)
+        if isinstance(func, ast.Name) and func.id == "vars":
+            readers.add(scope)
+    assert {scope for scope in setters if not scope.endswith(".__post_init__")} == KEEP_HELPERS
+    assert readers == KEEP_HELPERS

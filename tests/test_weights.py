@@ -240,7 +240,8 @@ def test_prepend_and_append_tables_match_the_scalar_weights(ratio):
     mu = CommutantMu(ws)
     basis, ranks = BasisEnumeration(3, 5), np.array([7, 2])
     words = [basis.word_at(basis.level_offsets[2] + rank) for rank in ranks]
-    prepended, appended = _prepend_tables(ws, 2, ranks, 3, ratio), _append_tables(mu, 2, ranks, 3, ratio)
+    prepended = [table[ranks] for table in _prepend_tables(ws, 2, 3, ratio)]
+    appended = _append_tables(mu, 2, ranks, 3, ratio)
     for b in range(4):
         for rank, w in enumerate(basis.level_words(b)):
             for index, x in enumerate(words):
@@ -249,10 +250,9 @@ def test_prepend_and_append_tables_match_the_scalar_weights(ratio):
                 assert prepended[b][index, rank] == pytest.approx(left, rel=1e-12)
                 assert appended[b][index, rank] == pytest.approx(right, rel=1e-12)
     # every rank, read through views, holds the same numbers; no rank gives (0, n^b) arrays
-    for build, system in ((_prepend_tables, ws), (_append_tables, mu)):
-        full = build(system, 2, None, 3, ratio)
-        assert all(np.array_equal(table[ranks], part) for table, part in zip(full, build(system, 2, ranks, 3, ratio)))
-        assert [table.shape for table in build(system, 2, ranks[:0], 3, ratio)] == [(0, 3**b) for b in range(4)]
+    full = _append_tables(mu, 2, None, 3, ratio)
+    assert all(np.array_equal(table[ranks], part) for table, part in zip(full, appended))
+    assert [table.shape for table in _append_tables(mu, 2, ranks[:0], 3, ratio)] == [(0, 3**b) for b in range(4)]
 
 
 def _unit_levels(depth: int) -> list:
