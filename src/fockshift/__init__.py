@@ -8,6 +8,7 @@ from .weights import (
     FinitePerturbationWeights,
     MuSystem,
     PeriodicWeights,
+    PrefixWeights,
     ScaledWeights,
     TableMu,
     TabulatedWeights,

@@ -2,25 +2,25 @@
 
 A weight system assigns a strictly positive scalar to every edge of the tree:
 ``lambda_of(i, w)`` weights the edge from the basis vector at ``w`` to the one
-at ``i*w``.  Every family but ``TabulatedWeights`` defines only that and one
-finite automaton along the prepend direction (``automaton``), built once per
-object and kept read-only (``kept_automaton``); its weight levels, weight
-infima and commutant boundedness are all read off that one copy.
-``lambda_levels`` gives the weights as one (n, n^k) array per level k, row
-i-1 for letter i, and ``kept_lambda_levels`` (``kept_mu_levels`` for mu)
-builds them once per object, at the deepest depth asked, and slices them.
-The table families, ``TableMu`` included, hold their tables in that layout
-as read-only arrays ``levels[k]``, built once, at construction.  From the
-weights derive the left weight function W(u, w) (products of edge weights
-down the tree), the commutant weights mu, and the right weight function
-W_mu, all by one recursion read in two directions (``_prepend_tables``,
-``_append_tables``).  This module also houses the identities and conditions
-those functions satisfy: both cocycle laws, the intertwining identity, the
-boundedness condition governing the commutant description (decided once per
-weight-system object), a finite-range semisimplicity estimate, and the
-generation of left weights from prescribed right weights.  The identity
-sweeps take their defects one chunk of blocks at a time, in one numpy pass
-over reused buffers, with the witness rule of a block-by-block sweep.
+at ``i*w``.  Every family defines only that and one prepend automaton
+(``automaton``, from ``_prefix_automaton`` but for the two-letter family),
+built once per object and kept read-only (``kept_automaton``): weight levels,
+infima and commutant boundedness are read off it.  Only a ``TabulatedWeights``
+table (hand-made, or from a mu without structure) has none; it gets the tail
+heuristic and ``bounded_so_far``.  ``lambda_levels`` gives the weights as one
+(n, n^k) array per level k, row i-1 for letter i, and ``kept_lambda_levels``
+(``kept_mu_levels`` for mu) builds them once per object, at the deepest depth
+asked, and slices them.  The table families and ``TableMu`` hold read-only
+``levels[k]`` in that layout, built at construction.  From the weights derive
+the left weight function W(u, w) (products of edge weights down the tree), the
+commutant weights mu, and the right weight function W_mu, all by one recursion
+read in two directions (``_prepend_tables``, ``_append_tables``).  This module
+also houses the identities and conditions those functions satisfy: both
+cocycle laws, the intertwining identity, the boundedness condition governing
+the commutant description, a finite-range semisimplicity estimate, and the
+generation of left weights from prescribed right weights.  The identity sweeps
+take their defects one chunk of blocks at a time, in one numpy pass over
+reused buffers, with the witness rule of a block-by-block sweep.
 """
 
 from __future__ import annotations
@@ -88,6 +88,22 @@ def _kept_levels(owner, name: str, depth: int, build) -> list[np.ndarray]:
 def _prepended_ranks(n: int, k: int) -> np.ndarray:
     """[r, a-1]: the rank of a*w at level k+1 for w of rank r at level k."""
     return np.arange(n) * n**k + np.arange(n**k)[:, None]
+
+
+def _prefix_automaton(short: list[np.ndarray], long: np.ndarray, period: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The automaton of weights read off the first L = len(short) letters of a
+    word and its length mod ``period``: a state per word shorter than L, in
+    graded-lex order, lambda ``short[k][:, rank]``, then the state S + q period
+    + r, lambda ``long[q, r]``, of the words whose first L letters have rank q
+    (``long`` holds n^L heads, or one if they do not matter) and length r mod period."""
+    heads, n, size = long.shape[0], long.shape[-1], len(short)
+    offsets = list(accumulate((n**k for k in range(size)), initial=0))
+    steps = [offsets[k + 1] + _prepended_ranks(n, k) for k in range(size - 1)]
+    if size:  # a*w for |w| = L-1 is a head with residue L mod period
+        steps.append(offsets[-1] + _prepended_ranks(n, size - 1) % heads * period + size % period)
+    q, r, a = np.arange(heads)[:, None, None], np.arange(period)[:, None], np.arange(n)
+    steps.append((offsets[-1] + (a * n**size + q) // n % heads * period + (r + 1) % period).reshape(-1, n))
+    return np.concatenate(steps), np.concatenate([level.T for level in short] + [long.reshape(-1, n)])
 
 
 def table_from_strings(entries: Mapping[str, float], n: int | None = None) -> dict[tuple[int, Word], float]:
@@ -183,7 +199,7 @@ class ConstantWeights(WeightSystem):
         return self.value
 
     def automaton(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros((1, self.n), dtype=np.int64), np.full((1, self.n), self.value)
+        return _prefix_automaton([], np.full((1, 1, self.n), self.value))
 
 
 @dataclass(frozen=True)
@@ -203,7 +219,7 @@ class ScaledWeights(WeightSystem):
         return self.scales[i - 1]
 
     def automaton(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros((1, self.n), dtype=np.int64), np.array([self.scales])
+        return _prefix_automaton([], np.array([[self.scales]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,12 +246,7 @@ class FinitePerturbationWeights(WeightSystem):
         return self.tail[i - 1]
 
     def automaton(self) -> tuple[np.ndarray, np.ndarray]:
-        # one state per word up to the cutoff, in graded-lex order, then the tail
-        n, cutoff = self.n, self.cutoff
-        offsets = BasisEnumeration(n, cutoff).level_offsets
-        steps = [offsets[k + 1] + _prepended_ranks(n, k) for k in range(cutoff)]
-        next_state = np.concatenate(steps + [np.full((n**cutoff + 1, n), offsets[-1])])
-        return next_state, np.concatenate([level.T for level in self.levels] + [np.array([self.tail])])
+        return _prefix_automaton(self.levels, np.array([[self.tail]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,19 +270,10 @@ class PeriodicWeights(WeightSystem):
         return self.remainders[(i, u)]
 
     def automaton(self) -> tuple[np.ndarray, np.ndarray]:
-        # the words shorter than p-1 in graded-lex order, then the state
-        # short + q p + r of the words with first p-1 letters of rank q and
-        # length r mod p, whose remainder prefix has rank q // n^(p-1-r)
+        # the head of rank q and residue r has the remainder prefix of rank q // n^(p-1-r)
         n, p = self.n, self.period
-        offsets = BasisEnumeration(n, p - 1).level_offsets
-        short, heads = offsets[p - 1], n ** (p - 1)
-        steps = [offsets[k + 1] + _prepended_ranks(n, k) for k in range(p - 2)]
-        if p > 1:  # a*w for |w| = p-2 enters with residue p-1
-            steps.append(short + _prepended_ranks(n, p - 2) * p + p - 1)
-        q, r, a = np.ogrid[:heads, :p, :n]
-        steps.append((short + (a * heads + q) // n * p + (r + 1) % p).reshape(-1, n))
-        long = np.stack([self.levels[r][:, np.arange(heads) // n ** (p - 1 - r)].T for r in range(p)], axis=1)
-        return np.concatenate(steps), np.concatenate([level.T for level in self.levels[: p - 1]] + [long.reshape(-1, n)])
+        long = np.stack([self.levels[r][:, np.arange(n ** (p - 1)) // n ** (p - 1 - r)].T for r in range(p)], axis=1)
+        return _prefix_automaton(self.levels[: p - 1], long, p)
 
 
 @dataclass(frozen=True)
@@ -348,6 +350,18 @@ class TabulatedWeights(WeightSystem):
         if depth > self.depth:
             self.lambda_of(1, Word([1] * (self.depth + 1)))  # raises: the first word past the table
         return self.levels[: depth + 1]
+
+
+class PrefixWeights(TabulatedWeights):
+    """Weights tabulated to depth L; a longer word reads those of its first L letters."""
+
+    lambda_levels = WeightSystem.lambda_levels  # walked off the automaton, to any depth
+
+    def lambda_of(self, i: int, w: Word) -> float:
+        return super().lambda_of(i, w[: self.depth])
+
+    def automaton(self) -> tuple[np.ndarray, np.ndarray]:
+        return _prefix_automaton(self.levels[:-1], self.levels[-1].T[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +824,7 @@ def condition6_sup(ws: WeightSystem, depth: int) -> Condition6Report:
     sweep of its ratio pairs (``_automaton_decision``): ``bounded`` with the
     exact supremum over all words (a ValueError naming its log if that is past
     the float range), or ``diverging`` with a cycle whose factor exceeds 1.
-    Tabulated systems can only report ``bounded_so_far``.
+    ``TabulatedWeights`` tables can only report ``bounded_so_far``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -884,9 +898,13 @@ def lambda_from_mu(mu: MuSystem, depth: int) -> TabulatedWeights:
 
     The right weights must be normalized (mu_{i,e} = 1); the commutant weights
     of the result reproduce ``mu`` on the tabulated range.  The levels are the
-    ratio append tables of the one-letter words (``_append_tables``).
+    ratio append tables of the one-letter words (``_append_tables``); from a
+    ``TableMu`` of cutoff C, ``PrefixWeights`` of depth C + 1, defined at every depth.
     """
     BasisEnumeration(mu.n, depth)  # refuses a negative depth or too many words before any weight is read
+    if isinstance(mu, TableMu):  # normalized at construction; every factor past letter C + 1 is fill / fill
+        BasisEnumeration(mu.n, mu.cutoff + 1)
+        return PrefixWeights(mu.n, mu.cutoff + 1, _append_tables(mu, 1, None, mu.cutoff + 1, ratio=True))
     for i in range(1, mu.n + 1):
         if abs(mu.mu_of(i, EMPTY) - 1.0) > 1e-12:
             raise ValueError(f"right weights must be normalized: mu_({i}, e) != 1")

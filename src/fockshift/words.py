@@ -131,8 +131,9 @@ class BasisEnumeration:
     Level k occupies the contiguous index range [offset(k), offset(k+1)), so
     level projections are slices, and index 0 is the empty word.  More than
     ``MAX_SWEEP_WORDS`` words raise ValueError naming n, the depth and the
-    dimension, so every stage that enumerates words is refused here, before
-    it allocates anything.
+    dimension (a lower bound if the count passed the guard at a shallower
+    level), so every stage that enumerates words is refused here, before it
+    allocates anything.
     """
 
     def __init__(self, n: int, depth: int):
@@ -145,15 +146,14 @@ class BasisEnumeration:
         self.n = n
         self.depth = depth
         offsets = [0]
-        count = 1
-        for _ in range(depth + 1):
-            offsets.append(offsets[-1] + count)
-            count *= n
+        for k in range(depth + 1):  # counted only until the guard trips, so the message is short
+            offsets.append(offsets[-1] + n**k)
+            if offsets[-1] > MAX_SWEEP_WORDS:
+                size = offsets[-1] if k == depth else f"over {offsets[-1]}"
+                raise ValueError(f"Fock space for n = {n}, depth = {depth} has dimension {size}, "
+                                 f"above the {MAX_SWEEP_WORDS} guard; lower depth or n")
         self.level_offsets = offsets  # length depth + 2
         self.dimension = offsets[-1]
-        if self.dimension > MAX_SWEEP_WORDS:
-            raise ValueError(f"Fock space for n = {n}, depth = {depth} has dimension {self.dimension}, "
-                             f"above the {MAX_SWEEP_WORDS} guard; lower depth or n")
 
     def index_of(self, w: Word) -> int:
         k = len(w)

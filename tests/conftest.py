@@ -8,10 +8,11 @@ from fockshift import (
     PeriodicWeights,
     ScaledWeights,
     TableMu,
+    TabulatedWeights,
     TwoLetterRunWeights,
     lambda_from_mu,
 )
-from fockshift.weights import table_from_strings
+from fockshift.weights import _append_tables, table_from_strings
 from fockshift.words import EMPTY, Word
 
 
@@ -86,8 +87,10 @@ def system_depth(n: int) -> int:
 
 
 def _systems():
-    """(label, system, depth): the five families and a tabulated system from
-    ``lambda_from_mu``, for n in {1, 2, 3}."""
+    """(label, system, depth): the five families, a ``TabulatedWeights`` table
+    of the append ratios of a ``TableMu`` (the heuristic path) and the
+    ``PrefixWeights`` that ``lambda_from_mu`` generates from it, for n in
+    {1, 2, 3}."""
     for n in (1, 2, 3):
         depth = system_depth(n)
         # np.log(1.05) is one ulp off math.log(1.05): level sums must use the latter
@@ -95,7 +98,9 @@ def _systems():
         yield f"scaled-n{n}", ScaledWeights(n, tuple(0.5 + 0.75 * j for j in range(n))), depth
         yield f"finite_perturbation-n{n}", random_finite_perturbation(40 + n, n=n, cutoff=2), depth
         yield f"periodic-n{n}", periodic_weights(n, 50 + n), depth
-        yield f"tabulated-n{n}", lambda_from_mu(table_mu(n, 60 + n), depth), depth
+        mu = table_mu(n, 60 + n)
+        yield f"tabulated-n{n}", TabulatedWeights(n, depth, _append_tables(mu, 1, None, depth, ratio=True)), depth
+        yield f"prefix-n{n}", lambda_from_mu(mu, depth), depth
     yield "two_letter_m", TwoLetterRunWeights(0.81, 0.9), 8
 
 
@@ -118,3 +123,21 @@ ILL_CONDITIONED = [
         8,
     ),
 ]
+
+
+def dense_radius(automaton, moduli) -> float:
+    """rho(M(r)) by np.linalg.eigvals on the states reachable from e along the
+    letters with r_j > 0: the oracle of the Collatz-Wielandt bracket."""
+    next_state, lam = automaton
+    letters = [j for j, r in enumerate(moduli) if r > 0]
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [t for s in frontier for t in next_state[s, letters].tolist() if t not in reached]
+        reached.update(frontier)
+    states = sorted(reached)
+    position = {s: p for p, s in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for s in states:
+        for j in letters:
+            matrix[position[s], position[int(next_state[s, j])]] += (moduli[j] / lam[s, j]) ** 2
+    return float(np.max(np.abs(np.linalg.eigvals(matrix))))

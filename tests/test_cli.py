@@ -188,15 +188,23 @@ def test_region_non_finite_grid_exits_2(tmp_path, capsys, monkeypatch, grid, mes
 
 
 def test_region_oversized_grid_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
-    # 11 values per axis make 121 points, past the guard lowered to 100
-    monkeypatch.setattr(eigen, "MAX_SWEEP_WORDS", 100)
     monkeypatch.setattr(eigen, "_transfer_steps", None)
     monkeypatch.setattr(eigen.GridSpec, "values", None)
+    # 1e300 + 1 values per axis: the count stops at the first axis, and the message
+    # names count^n, not the 6000-digit total that Python refuses to format
+    config = _write_config(tmp_path, "n20.json", {"n": 20, "family": "constant", "value": 1.0})
+    assert main(["region", "--config", config, "--grid", "0:1e300:1", "--depth", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"precondition error: region grid of 1\d{300}\^20 points exceeds the 2097152 guard\n",
+                        captured.err)
+    # 11 values per axis make 121 points, past the guard lowered to 100
+    monkeypatch.setattr(eigen, "MAX_SWEEP_WORDS", 100)
     config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
     assert main(["region", "--config", config, "--grid", "0:1:0.1", "--depth", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "precondition error: region grid of 121 points exceeds the 100 guard\n"
+    assert captured.err == "precondition error: region grid of 11^2 points exceeds the 100 guard\n"
 
 
 def test_commutant_command(tmp_path, capsys):
@@ -1205,15 +1213,20 @@ def test_fock_space_size_guard_exits_2_before_allocating(tmp_path, capsys):
     with pytest.raises(ValueError, match=r"n = 2, depth = 21 has dimension 4194303, above the 2097152 guard"):
         TruncatedFock(2, 21)
     assert TruncatedFock(2, 20).dimension == 2**21 - 1  # the largest space admitted for n = 2
+    # past the guard's level the count stops: the message names a lower bound, never an
+    # integer of more digits than Python formats (depth 20000 has 6021)
+    with pytest.raises(ValueError, match=r"^Fock space for n = 2, depth = 80000 has dimension over 4194303, above"):
+        TruncatedFock(2, 80000)
     config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text(json.dumps({"coeffs": {"e": [0.5, 0], "1": [1, -0.5]}}))
-    for argv in (["cesaro", "--coeffs", str(coeffs)], ["spectra", "--lambda", "2,0"]):
-        assert main([argv[0], "--config", config, "--depth", "45", *argv[1:]]) == 2
+    for argv, depth in ((["cesaro", "--coeffs", str(coeffs)], 45), (["spectra", "--lambda", "2,0"], 45),
+                        (["check"], 20000)):
+        assert main([argv[0], "--config", config, "--depth", str(depth), *argv[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("precondition error: Fock space for n = 2, depth = 45 has dimension "
-                                "70368744177663, above the 2097152 guard; lower depth or n\n")
+        assert captured.err == (f"precondition error: Fock space for n = 2, depth = {depth} has dimension "
+                                "over 4194303, above the 2097152 guard; lower depth or n\n")
 
 
 def test_cli_loads_neither_csgraph_nor_linalg(tmp_path):

@@ -58,13 +58,13 @@ from fockshift import (
     weighted_right_shift,
     word_operator,
 )
-from fockshift import PeriodicWeights, TableMu, TabulatedWeights, algebra, eigen, fock, weights, words
+from fockshift import PeriodicWeights, PrefixWeights, TableMu, TabulatedWeights, algebra, eigen, fock, weights, words
 from fockshift.cli import main
 from fockshift.eigen import INSIDE, OUTSIDE
 from fockshift.weights import BOUNDED, DIVERGING, DefectReport, MuSystem, WeightSystem, mu_table, table_from_strings
 from fockshift.words import EMPTY, Word, append, parse_word, prepend
 
-from conftest import ILL_CONDITIONED, SYSTEMS, random_finite_perturbation, system_depth, table_mu
+from conftest import ILL_CONDITIONED, SYSTEMS, dense_radius, random_finite_perturbation, system_depth, table_mu
 import level_sum_kernel as kernel
 
 
@@ -100,6 +100,18 @@ def _oracle_lambda_from_mu(mu, depth: int) -> dict:
                 value = value * mu.mu_of(letter, prepend(i, prefix)) / mu.mu_of(letter, prefix)
             table[(i, w)] = value
     return table
+
+
+def _assert_generated_lambda(mu, depth: int) -> None:
+    """``lambda_from_mu`` against the oracle, bit for bit: from a ``TableMu``
+    of cutoff C, a level past C + 1 reads the oracle at its (C + 1)-prefix."""
+    ws, oracle = lambda_from_mu(mu, depth), _oracle_lambda_from_mu(mu, depth)
+    cut = mu.cutoff + 1 if isinstance(mu, TableMu) else depth
+    assert isinstance(ws, PrefixWeights) == isinstance(mu, TableMu)
+    assert _lambda_table(ws, depth) == {(i, w): oracle[(i, w[:cut])] for i, w in oracle}
+    assert [level.T.ravel().tolist() for level in ws.lambda_levels(depth)] == [
+        [oracle[(i, w[:cut])] for w in BasisEnumeration(mu.n, depth).level_words(k) for i in range(1, mu.n + 1)]
+        for k in range(depth + 1)]
 
 
 def _lambda_table(ws, depth: int) -> dict:
@@ -261,7 +273,7 @@ def test_level_arrays_equal_scalar_oracle(label, ws, depth):
     table = mu_table(ws, depth)
     assert list(table) == list(oracle)
     assert table == oracle
-    assert _lambda_table(lambda_from_mu(mu, depth), depth) == _oracle_lambda_from_mu(mu, depth)
+    _assert_generated_lambda(mu, depth)
 
     # the ellipse axes: the per-letter minimum over lambda_of where no exact infimum is known
     axes = [ws.exact_min_weight(i) for i in range(1, n + 1)]
@@ -313,6 +325,8 @@ def _closed_form_radius(ws, moduli) -> float:
         alpha = [ws.remainders[(a, EMPTY)] for a in range(1, ws.n + 1)]
         t = ws.remainders[(1, Word([1]))] / alpha[0]
         return sum(x / a**2 for x, a in zip(squares, alpha)) / t
+    if isinstance(ws, PrefixWeights):  # no closed form: the eigenvalues of the dense transfer matrix
+        return dense_radius(ws.kept_automaton(), moduli)
     # two-letter runs: the 1-run state loops on letter 1, every word with a 2 past the first letter on both
     run = (moduli[0] * ws.m) ** 2 if moduli[0] > 0 else 0.0
     rest = (squares[0] + squares[1]) / ws.c**2 if moduli[1] > 0 else 0.0
@@ -479,7 +493,7 @@ def test_table_mu_and_unweighted_shifts_equal_scalar_oracle(n):
         assert _same(weighted_right_shift(space, mu, i), _oracle_shift(space, mu.mu_of, i, left=False))
         assert _same(left_creation(space, i), _oracle_shift(space, unit, i, left=True))
         assert _same(right_creation(space, i), _oracle_shift(space, unit, i, left=False))
-    assert _lambda_table(lambda_from_mu(mu, depth), depth) == _oracle_lambda_from_mu(mu, depth)
+    _assert_generated_lambda(mu, depth)
     _check_expansions(space, _element(lambda_from_mu(mu, depth), 90 + n, mu))
 
     # the resolvent series of the spectra checks
@@ -605,6 +619,10 @@ class _UnbuildableMu(MuSystem):
     mu_levels = mu_of
 
 
+class _UnbuildableTableMu(TableMu):
+    mu_of = mu_levels = _UnbuildableMu.mu_of
+
+
 def test_every_word_enumeration_meets_the_one_guard(monkeypatch):
     # the guard lowered to 100 words: n = 2 to depth 6 has 127; each entry point
     # that enumerates words refuses with the BasisEnumeration message
@@ -618,6 +636,11 @@ def test_every_word_enumeration_meets_the_one_guard(monkeypatch):
         lambda: semisimple_estimate(_Unbuildable(2), 6, 4),
         lambda: semisimple_estimate(_UnbuildableMu(2), 6, 4),
         lambda: lambda_from_mu(_UnbuildableMu(2), 6),
+        # a TableMu generates a table to depth C + 1: refused at max(depth, C + 1)
+        lambda: lambda_from_mu(_UnbuildableTableMu(2, 1, {(i, w): 1.0 for w in BasisEnumeration(2, 1).words()
+                                                          for i in (1, 2)}), 6),
+        lambda: lambda_from_mu(_UnbuildableTableMu(2, 5, {(i, w): 1.0 for w in BasisEnumeration(2, 5).words()
+                                                          for i in (1, 2)}), 2),
         lambda: level_sums(tabulated, (0.5, 0.5), 6),
         lambda: region_sample(_Unbuildable(2), [[0.5, 0.5]], 6, 0.02),
     ]
@@ -807,11 +830,12 @@ def _oracle_decision(ws: WeightSystem) -> tuple[str, dict]:
     """Each family's decision as it was made family by family: constant and
     scaled ratios are 1, finite-perturbation ratio factors cancel beyond
     length cutoff + 1, so enumerating commutant_mu that far gives the
-    supremum, and the two-letter and periodic oracles above."""
+    supremum, as it does to length L for weights read off the first L
+    letters, and the two-letter and periodic oracles above."""
     if isinstance(ws, (ConstantWeights, ScaledWeights)):
         return BOUNDED, {"exact_sup": 1.0}
-    if isinstance(ws, FinitePerturbationWeights):
-        words = BasisEnumeration(ws.n, ws.cutoff + 1).words()
+    if isinstance(ws, (FinitePerturbationWeights, PrefixWeights)):
+        words = BasisEnumeration(ws.n, ws.depth if isinstance(ws, PrefixWeights) else ws.cutoff + 1).words()
         return BOUNDED, {"exact_sup": max(commutant_mu(ws, i, w) for w in words for i in range(1, ws.n + 1))}
     if isinstance(ws, TwoLetterRunWeights):
         return _oracle_two_letter_decision(ws)
@@ -826,7 +850,7 @@ def _oracle_min_weight(ws: WeightSystem, i: int) -> float | None:
         return ws.scales[i - 1]
     if isinstance(ws, FinitePerturbationWeights):
         return min(min(float(level[i - 1].min()) for level in ws.levels), ws.tail[i - 1])
-    if isinstance(ws, PeriodicWeights):
+    if isinstance(ws, (PeriodicWeights, PrefixWeights)):
         return min(float(level[i - 1].min()) for level in ws.levels)
     if isinstance(ws, TwoLetterRunWeights):
         return min(1.0 / ws.m, 1.0 / math.sqrt(ws.m), ws.c) if i == 1 else ws.c
@@ -836,7 +860,7 @@ def _oracle_min_weight(ws: WeightSystem, i: int) -> float | None:
 TWO_LETTER_GRID = [TwoLetterRunWeights(m, c) for m in (0.25, 0.81, 1.0, 1.44, 4.0) for c in (0.5, 0.9, 1.0, 1.5)]
 FINITE_PERTURBATIONS = [random_finite_perturbation(seed, n, cutoff)
                         for seed, (n, cutoff) in enumerate(itertools.product((1, 2, 3), (0, 1, 2)))]
-AUTOMATON_SYSTEMS = [ws for _, ws, _ in SYSTEMS + ILL_CONDITIONED if not isinstance(ws, TabulatedWeights)]
+AUTOMATON_SYSTEMS = [ws for _, ws, _ in SYSTEMS + ILL_CONDITIONED if type(ws) is not TabulatedWeights]
 AUTOMATON_SYSTEMS += RANDOM_PERIODIC + FINITE_PERTURBATIONS + TWO_LETTER_GRID
 
 
@@ -868,9 +892,9 @@ def test_every_family_decision_equals_its_oracle():
 
 
 def test_automaton_walk_reproduces_the_weights():
-    # lambda_levels walks the automaton; past the period and the cutoff it still equals lambda_of
+    # lambda_levels walks the automaton; past the period, the cutoff and the table it still equals lambda_of
     for ws in AUTOMATON_SYSTEMS:
-        depth = max(4, getattr(ws, "period", 0) + 2, getattr(ws, "cutoff", 0) + 2)
+        depth = max(4, getattr(ws, "period", 0) + 2, getattr(ws, "cutoff", 0) + 2, getattr(ws, "depth", 0) + 2)
         levels = ws.lambda_levels(depth)
         assert len(levels) == depth + 1
         basis = BasisEnumeration(ws.n, depth)
@@ -881,6 +905,64 @@ def test_automaton_walk_reproduces_the_weights():
         ]
 
 
+def _hand_written_automaton(ws: WeightSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Each config family's automaton as it was written family by family: the
+    constant and scaled single state, the finite-perturbation word tree and its
+    tail, and the periodic tree followed by one state per (head, residue)."""
+    n = ws.n
+    if isinstance(ws, ConstantWeights):
+        return np.zeros((1, n), dtype=np.int64), np.full((1, n), ws.value)
+    if isinstance(ws, ScaledWeights):
+        return np.zeros((1, n), dtype=np.int64), np.array([ws.scales])
+    if isinstance(ws, FinitePerturbationWeights):
+        # one state per word up to the cutoff, in graded-lex order, then the tail
+        offsets = BasisEnumeration(n, ws.cutoff).level_offsets
+        steps = [offsets[k + 1] + weights._prepended_ranks(n, k) for k in range(ws.cutoff)]
+        next_state = np.concatenate(steps + [np.full((n**ws.cutoff + 1, n), offsets[-1])])
+        return next_state, np.concatenate([level.T for level in ws.levels] + [np.array([ws.tail])])
+    # the words shorter than p-1 in graded-lex order, then the state short + q p + r
+    # of the words with first p-1 letters of rank q and length r mod p, whose
+    # remainder prefix has rank q // n^(p-1-r)
+    p = ws.period
+    offsets = BasisEnumeration(n, p - 1).level_offsets
+    short, heads = offsets[p - 1], n ** (p - 1)
+    steps = [offsets[k + 1] + weights._prepended_ranks(n, k) for k in range(p - 2)]
+    if p > 1:  # a*w for |w| = p-2 enters with residue p-1
+        steps.append(short + weights._prepended_ranks(n, p - 2) * p + p - 1)
+    q, r, a = np.ogrid[:heads, :p, :n]
+    steps.append((short + (a * heads + q) // n * p + (r + 1) % p).reshape(-1, n))
+    long = np.stack([ws.levels[r][:, np.arange(heads) // n ** (p - 1 - r)].T for r in range(p)], axis=1)
+    return np.concatenate(steps), np.concatenate([level.T for level in ws.levels[: p - 1]] + [long.reshape(-1, n)])
+
+
+def test_prefix_builder_lays_out_the_hand_written_automata():
+    config = (ConstantWeights, ScaledWeights, FinitePerturbationWeights, PeriodicWeights)
+    systems = [ws for _, ws, _ in SYSTEMS + ILL_CONDITIONED] + FINITE_PERTURBATIONS + RANDOM_PERIODIC
+    systems = [ws for ws in systems if isinstance(ws, config)]
+    assert {type(ws) for ws in systems} == set(config) and len(systems) == 84
+    for ws in systems:
+        for built, oracle in zip(ws.automaton(), _hand_written_automaton(ws), strict=True):
+            assert built.dtype == oracle.dtype and built.shape == oracle.shape
+            assert np.array_equal(built, oracle)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_weights_generated_from_a_table_mu_are_decided_exactly(n):
+    # the commutant of the generated weights is the prescribed mu, so its exact
+    # supremum is the largest prescribed mu: a table entry, or the fill past the cutoff
+    for fill in (1.25, 0.5, 4.0):
+        base = table_mu(n, 90 + n)
+        mu = TableMu(n, base.cutoff, base.entries, fill=fill)
+        ws = lambda_from_mu(mu, 4)
+        report = condition6_sup(ws, 4)
+        largest = max(max(mu.entries.values()), fill)
+        assert report.verdict == BOUNDED
+        assert report.certificate["exact_sup"] == pytest.approx(largest, rel=1e-12, abs=0.0)
+        depth = mu.cutoff + 4
+        for generated, prescribed in zip(CommutantMu(ws).mu_levels(depth), mu.mu_levels(depth), strict=True):
+            assert np.allclose(generated, prescribed, rtol=1e-12, atol=0.0)
+
+
 def test_every_weight_family_has_an_automaton_but_tables():
     # a new family without an automaton would fall back to bounded_so_far unnoticed
     families = {
@@ -889,8 +971,8 @@ def test_every_weight_family_has_an_automaton_but_tables():
     }
     assert families == {type(ws) for _, ws, _ in SYSTEMS}
     for _, ws, _ in SYSTEMS:
-        assert (ws.automaton() is None) == isinstance(ws, TabulatedWeights)
-        if isinstance(ws, TabulatedWeights):
+        assert (ws.automaton() is None) == (type(ws) is TabulatedWeights)
+        if type(ws) is TabulatedWeights:
             assert weights._decide_condition6(ws) == (weights.BOUNDED_SO_FAR, {})
             assert ws.exact_min_weight(1) is None
 
@@ -1088,7 +1170,7 @@ def test_level_paths_build_no_word(monkeypatch):
 def test_table_families_hand_out_no_writable_stored_array():
     tables = [ws for _, ws, _ in SYSTEMS + ILL_CONDITIONED if hasattr(ws, "levels")]
     tables += [table_mu(n, 70 + n) for n in (1, 2, 3)]
-    kinds = {FinitePerturbationWeights, PeriodicWeights, TabulatedWeights, TableMu}
+    kinds = {FinitePerturbationWeights, PeriodicWeights, TabulatedWeights, PrefixWeights, TableMu}
     assert {type(system) for system in tables} == kinds
     for system in tables:
         stored = system.levels
@@ -1146,8 +1228,8 @@ def _parent_closed_forms(a: FourierElement, v: Word, k_max: int) -> list[complex
             for k in range(1, k_max + 1)]
 
 
-# tabulated weights end at their table depth, short of the walks along v^(k-1)
-WALK_SYSTEMS = [s for s in SYSTEMS + ILL_CONDITIONED if not isinstance(s[1], TabulatedWeights)]
+# tabulated weights end at their table depth, short of the walks along v^(k-1); prefix weights do not
+WALK_SYSTEMS = [s for s in SYSTEMS + ILL_CONDITIONED if type(s[1]) is not TabulatedWeights]
 PATH_SYSTEMS = [ws for _, ws, _ in WALK_SYSTEMS] + [table_mu(n, 80 + n) for n in (1, 2, 3)]
 
 

@@ -5,7 +5,10 @@ The word guard ``MAX_SWEEP_WORDS`` is defined in ``words`` and compared in
 three places only: ``BasisEnumeration.__init__`` (every enumeration of
 words), ``_sweep_guard`` (the sweeps' triples) and ``GridSpec.points`` (the
 region grid's points).  Derived data is kept on an object by the two keep
-helpers of ``weights`` only: ``_kept_once`` and ``_kept_levels``.
+helpers of ``weights`` only: ``_kept_once`` and ``_kept_levels``.  Automaton
+states are laid out in one place: ``weights._prepended_ranks`` is called only
+by the builder ``_prefix_automaton`` and by the word-tree steps of
+``eigen._transfer_steps``, so no family writes a ``next`` array by hand.
 """
 
 import ast
@@ -54,3 +57,14 @@ def test_only_the_keep_helpers_memoise_on_objects():
             readers.add(scope)
     assert {scope for scope in setters if not scope.endswith(".__post_init__")} == KEEP_HELPERS
     assert readers == KEEP_HELPERS
+
+
+def test_only_the_prefix_builder_and_the_word_tree_lay_out_states():
+    callers = set()
+    for scope, node in _nodes():
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "_prepended_ranks":
+                callers.add(scope)
+    assert callers == {"weights.py:_prefix_automaton", "eigen.py:_transfer_steps"}

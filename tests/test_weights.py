@@ -67,8 +67,7 @@ def test_tables_name_their_first_bad_entry():
 
 
 def test_tabulated_weights_refuse_queries_past_the_table():
-    entries = {(i, w): 1.0 for w in BasisEnumeration(2, 1).words() for i in (1, 2)}
-    ws = lambda_from_mu(TableMu(2, 1, entries), 2)
+    ws = TabulatedWeights(2, 2, _unit_levels(2))
     assert ws.lambda_of(2, parse_word("21")) == 1.0
     for query in (lambda: ws.lambda_levels(3), lambda: ws.lambda_of(1, parse_word("111"))):
         with pytest.raises(ValueError, match=r"^weight \(1, 111\) not tabulated \(table depth 2\)$"):
@@ -283,7 +282,9 @@ def test_tabulated_weights_accept_full_tables_and_lambda_from_mu_outputs():
     entries = {(i, w): 1.0 if w == EMPTY else float(rng.uniform(0.5, 2.0))
                for w in BasisEnumeration(3, 2).words() for i in (1, 2, 3)}
     ws = lambda_from_mu(TableMu(3, 2, entries), 4)
-    assert [level.shape for level in ws.levels] == [(3, 3**k) for k in range(5)]
+    # a TableMu of cutoff 2 gives a table to depth 3, walked to any depth
+    assert [level.shape for level in ws.levels] == [(3, 3**k) for k in range(4)]
+    assert [level.shape for level in ws.lambda_levels(5)] == [(3, 3**k) for k in range(6)]
 
 
 def test_lambda_from_mu_unweighted_fixed_point():
