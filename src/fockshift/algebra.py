@@ -5,7 +5,7 @@ pairing, and spectral-radius lower bounds from leading coefficients.
 
 The operator forms read W(u,w), or the ratios W(u,w)/W(e,w), off
 ``weights._prepend_tables``, or the mu ratios off ``weights._append_tables``,
-and place their entries through one assembly, ``_support_operator``.
+and write their compressed columns in order through one assembly, ``_support_operator``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 from .words import EMPTY, Word
 from .weights import (
@@ -69,30 +70,35 @@ class FourierElement:
 
 
 def _support_operator(space: TruncatedFock, coeffs: np.ndarray, columns) -> GradedOperator:
-    """The operator with entry x[index, rank u] at row w*u, column u, for u with
-    |u| = k <= depth - m and the support words w of length m, their ranks and
-    coefficients c given to ``columns(m, ranks, c)``, which returns x per k.
-    ``coeffs`` holds c_w for every word of length <= m_max <= depth in basis
-    order, 0 off the support; w*u has rank (rank w) n^k + rank u."""
-    n, depth, offsets = space.n, space.depth, space.level_offsets
-    rows, cols, values = [], [], []
-    for m in range(offsets.index(coeffs.size)):
-        ranks = np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]])
-        for k, block in enumerate(columns(m, ranks, coeffs[offsets[m] + ranks])):
-            rows.append((offsets[m + k] + ranks[:, None] * n**k + np.arange(n**k)).ravel())
-            cols.append(np.tile(np.arange(offsets[k], offsets[k + 1]), ranks.size))
-            values.append(block.ravel())
-    return GradedOperator.from_entries(space, *map(np.concatenate, (rows, cols, values)))
+    """The operator with entry c_w x[rank u, index] at row w*u, column u, for each column
+    level k, deepest first, and the support words w with |w| <= depth - k, whose basis
+    indices ``columns(k, support)`` takes to return x, n^k by their count.  ``coeffs``
+    holds c_w for every word of length <= m_max <= depth in basis order, 0 off the support.
+    Row offset(|w| + k) + (rank w) n^k + rank u grows down each column: a canonical CSC."""
+    n, depth, offsets = space.n, space.depth, np.asarray(space.level_offsets)
+    support = np.flatnonzero(coeffs)
+    lengths = space.levels()[support]
+    ranks = support - offsets[lengths]
+    sizes = np.searchsorted(support, offsets[:0:-1])  # sizes[k]: the support words with |w| <= depth - k
+    data, rows = [], []
+    for k in range(depth, -1, -1):
+        s = sizes[k]
+        data.append((coeffs[support[:s]] * columns(k, support[:s])).ravel())
+        rows.append((offsets[lengths[:s] + k] + ranks[:s] * n**k + np.arange(n**k)[:, None]).ravel())
+    indptr = np.concatenate(([0], np.cumsum(np.repeat(sizes, np.diff(offsets)))))
+    mat = sp.csc_array((np.concatenate(data[::-1]), np.concatenate(rows[::-1]), indptr), shape=(space.dimension,) * 2)
+    return GradedOperator(space, mat.tocsr())
 
 
 def expansion_operator(a: FourierElement, space: TruncatedFock) -> GradedOperator:
     """The compressed operator with columns A xi_v = W_mu(e,v)^{-1} sum_w a_w W_mu(w,v) xi_{w*v},
     less the terms with |w| + |v| > depth.  The weight is carried as the ratio
-    W_mu(w,v) / W_mu(e,v) of the append tables (``_append_tables``), since the
-    products under- or overflow on long words."""
-    depth = space.depth
-    return _support_operator(space, a.vector(depth), lambda m, ranks, c: [
-        c[:, None] * ratio for ratio in _append_tables(a.mu, m, ranks, depth - m, ratio=True)])
+    W_mu(w,v) / W_mu(e,v) of the append tables (``_append_tables``), one set
+    per support length, since the products under- or overflow on long words."""
+    depth, offsets, coeffs = space.depth, space.level_offsets, a.vector(space.depth)
+    tables = [_append_tables(a.mu, m, np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]]), depth - m, ratio=True)
+              for m in range(offsets.index(coeffs.size))]
+    return _support_operator(space, coeffs, lambda k, support: np.vstack([t[k] for t in tables[:depth - k + 1]]).T)
 
 
 def apply_fourier(a: FourierElement, v: Word, depth: int) -> dict[Word, complex]:
@@ -120,31 +126,32 @@ def phi_band(x: GradedOperator, j: int) -> GradedOperator:
 
 
 def cesaro_sum(x: GradedOperator, k: int) -> GradedOperator:
-    """The order-k Cesaro smoothing: bands scaled by 1 - |j|/k, |j| < k."""
+    """The order-k Cesaro smoothing: bands scaled by 1 - |j|/k, |j| < k, in a canonical copy of x."""
     if k < 1:
         raise ValueError("Cesaro order must be at least 1")
     levels = x.space.levels()
-    coo = x.mat.tocoo()
-    offsets = np.abs(levels[coo.col] - levels[coo.row])
-    factors = np.where(offsets < k, 1.0 - offsets / k, 0.0)
-    return GradedOperator.from_entries(x.space, coo.row, coo.col, coo.data * factors)
+    mat = x.mat.copy()
+    mat.sum_duplicates()
+    offsets = np.abs(levels[mat.indices] - np.repeat(levels, np.diff(mat.indptr)))
+    mat.data *= np.where(offsets < k, 1.0 - offsets / k, 0.0)
+    return GradedOperator(x.space, mat)
 
 
 def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normalized: bool) -> GradedOperator:
     """sum_w c_w T_w, or sum_w c_w W(e,w)^{-1} T_w if ``normalized``, for
-    ``coeffs`` as ``_support_operator`` takes them, with W(u,w) read off the
-    prepend tables (``_prepend_tables``) up to |w| = m_max.  Normalized, the
-    entries are c_w W(u,w)/W(e,w), read off the ratio tables, which stay O(1)
-    where both products leave the float range."""
+    ``coeffs`` as ``_support_operator`` takes them.  Column level k gathers the
+    support columns of the level-concatenated prepend tables W(u,w) of |u| = k
+    (``_prepend_tables``), up to |w| = m_max; the deepest k comes first, so the
+    lambda levels are built once, to depth - 1.  Normalized, the entries are
+    c_w W(u,w)/W(e,w), read off the ratio tables, which stay O(1) where both
+    products leave the float range."""
     depth = space.depth
     longest = space.level_offsets.index(coeffs.size) - 1
 
-    def columns(m, ranks, c):
-        return [c[:, None] * left[k][m][:, ranks].T for k in range(depth - m + 1)]
+    def columns(k, support):
+        return np.hstack(_prepend_tables(ws, k, min(depth - k, longest), ratio=normalized))[:, support]
 
     with np.errstate(over="ignore", invalid="ignore"):  # weights past the float range give inf or NaN entries
-        # the deepest u first, so the lambda levels are built once, to depth - 1
-        left = {k: _prepend_tables(ws, k, min(depth - k, longest), ratio=normalized) for k in range(depth, -1, -1)}
         return _support_operator(space, coeffs, columns)
 
 

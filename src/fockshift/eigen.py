@@ -405,9 +405,10 @@ class GridSpec:
     def points(self, n: int) -> np.ndarray:
         """The grid's points in moduli n-space as a (count^n, n) array, in
         lexicographic order; refused, counting axis by axis only until the
-        count passes MAX_SWEEP_WORDS, before any is listed."""
+        count passes MAX_SWEEP_WORDS, before any is listed (%.3g past 15 digits)."""
         if any(self.count() ** axes > MAX_SWEEP_WORDS for axes in range(1, n + 1)):
-            raise ValueError(f"region grid of {self.count()}^{n} points exceeds the {MAX_SWEEP_WORDS} guard")
+            shown = self.count() if len(str(self.count())) <= 15 else f"{self.count():.3g}"
+            raise ValueError(f"region grid of {shown}^{n} points exceeds the {MAX_SWEEP_WORDS} guard")
         return np.stack(np.meshgrid(*[self.values()] * n, indexing="ij"), axis=-1).reshape(-1, n)
 
     @classmethod

@@ -69,7 +69,7 @@ class GradedOperator:
 
     def __init__(self, space: TruncatedFock, mat):
         self.space = space
-        self.mat = sp.csr_array(mat, dtype=complex)
+        self.mat = mat if isinstance(mat, sp.csr_array) and mat.dtype == complex else sp.csr_array(mat, dtype=complex)
         if self.mat.shape != (space.dimension, space.dimension):
             raise ValueError(f"matrix shape {self.mat.shape} does not match dimension {space.dimension}")
 
@@ -139,11 +139,13 @@ class ShiftMap:
     values: np.ndarray
 
     def operator(self, i: int) -> GradedOperator:
-        """The sparse matrix of shift i."""
+        """The sparse matrix of shift i, written as a CSC of one entry per column below the top level."""
         if not 1 <= i <= self.space.n:
             raise ValueError(f"letter {i} outside [1, {self.space.n}]")
-        rows, values = self.rows[i - 1], self.values[i - 1]
-        return GradedOperator.from_entries(self.space, rows, np.arange(rows.size), values)
+        rows, dim = self.rows[i - 1], self.space.dimension
+        indptr = np.minimum(np.arange(dim + 1), rows.size)  # column c < rows.size holds one entry, at rows[c]
+        mat = sp.csc_array((self.values[i - 1].astype(complex), rows, indptr), shape=(dim, dim))
+        return GradedOperator(self.space, mat.tocsr())
 
 
 def _level_shifts(space: TruncatedFock, levels: list[np.ndarray], left: bool) -> ShiftMap:

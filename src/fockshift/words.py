@@ -148,8 +148,9 @@ class BasisEnumeration:
         offsets = [0]
         for k in range(depth + 1):  # counted only until the guard trips, so the message is short
             offsets.append(offsets[-1] + n**k)
-            if offsets[-1] > MAX_SWEEP_WORDS:
-                size = offsets[-1] if k == depth else f"over {offsets[-1]}"
+            count = depth + 1 if n == 1 else offsets[-1]  # one word per level: n = 1 is refused at once
+            if count > MAX_SWEEP_WORDS:
+                size = count if n == 1 or k == depth else f"over {count}"
                 raise ValueError(f"Fock space for n = {n}, depth = {depth} has dimension {size}, "
                                  f"above the {MAX_SWEEP_WORDS} guard; lower depth or n")
         self.level_offsets = offsets  # length depth + 2

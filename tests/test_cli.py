@@ -191,13 +191,12 @@ def test_region_oversized_grid_exits_2_before_allocating(tmp_path, capsys, monke
     monkeypatch.setattr(eigen, "_transfer_steps", None)
     monkeypatch.setattr(eigen.GridSpec, "values", None)
     # 1e300 + 1 values per axis: the count stops at the first axis, and the message
-    # names count^n, not the 6000-digit total that Python refuses to format
+    # names count^n in %.3g form, not the 6000-digit total that Python refuses to format
     config = _write_config(tmp_path, "n20.json", {"n": 20, "family": "constant", "value": 1.0})
     assert main(["region", "--config", config, "--grid", "0:1e300:1", "--depth", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"precondition error: region grid of 1\d{300}\^20 points exceeds the 2097152 guard\n",
-                        captured.err)
+    assert captured.err == "precondition error: region grid of 1e+300^20 points exceeds the 2097152 guard\n"
     # 11 values per axis make 121 points, past the guard lowered to 100
     monkeypatch.setattr(eigen, "MAX_SWEEP_WORDS", 100)
     config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
@@ -1217,6 +1216,10 @@ def test_fock_space_size_guard_exits_2_before_allocating(tmp_path, capsys):
     # integer of more digits than Python formats (depth 20000 has 6021)
     with pytest.raises(ValueError, match=r"^Fock space for n = 2, depth = 80000 has dimension over 4194303, above"):
         TruncatedFock(2, 80000)
+    # n = 1 has one word per level, so its dimension depth + 1 is exact and refused without counting
+    with pytest.raises(ValueError, match=r"^Fock space for n = 1, depth = 1000000000 has dimension 1000000001, "
+                                         r"above the 2097152 guard; lower depth or n$"):
+        TruncatedFock(1, 10**9)
     config = _write_config(tmp_path, "unw.json", {"n": 2, "family": "constant", "value": 1.0})
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text(json.dumps({"coeffs": {"e": [0.5, 0], "1": [1, -0.5]}}))

@@ -8,14 +8,20 @@ import scipy.sparse as sp
 from fockshift import (
     CommutantMu,
     ConstantWeights,
+    FourierElement,
     GradedOperator,
     ScaledWeights,
     TruncatedFock,
     TwoLetterRunWeights,
+    cesaro_sum,
+    commutant_extract,
     commutation_defect,
+    expansion_operator,
     left_creation,
     norm_check,
+    operator_from_fourier,
     parse_word,
+    resolvent_check,
     right_creation,
     vacuum_kernel_check,
     weighted_left_shift,
@@ -345,6 +351,20 @@ def test_checks_build_no_sparse_matrix(monkeypatch, space, periodic_example):
     assert commutation_defect(space, periodic_example).max_defect == 0.0
     assert [r.gap for r in norm_check(space, periodic_example)] == [0.0, 0.0]
     assert vacuum_kernel_check(space, ConstantWeights(2, 1.0)) == fock.VacuumReport(1, 0.0)
+
+
+def test_operator_forms_build_no_coo_matrix(monkeypatch, space, periodic_example):
+    # the Fourier operators, shifts and Cesaro bands are written as compressed arrays directly
+    def refuse(*args, **kwargs):
+        raise AssertionError("a COO matrix was built")
+
+    monkeypatch.setattr(fock.sp, "coo_array", refuse)
+    a = FourierElement.build({EMPTY: 1.0, parse_word("2"): 0.5j, parse_word("121"): -0.25}, periodic_example)
+    x = operator_from_fourier(a, space)
+    assert expansion_operator(a, space).mat.nnz == x.mat.nnz
+    assert commutant_extract(x, periodic_example).element.coeffs == a.coeffs
+    assert cesaro_sum(x, 2).mat.nnz == x.mat.nnz
+    assert resolvent_check((0.3, 0.4j), space.depth).low_level_defect <= 1e-12
 
 
 def test_vacuum_kernel_near_the_float_range(space):

@@ -249,6 +249,102 @@ def _check_expansions(space: TruncatedFock, a: FourierElement) -> None:
     assert_sum(operator_from_fourier(FourierElement.build(longer, ws, a.mu), space), longer)
 
 
+def _oracle_support_operator(space: TruncatedFock, coeffs: np.ndarray, columns) -> GradedOperator:
+    """The COO assembly that ``algebra._support_operator`` replaced: the entry
+    x[index, rank u] at row w*u, column u, for |u| = k <= depth - m and the
+    support words w of length m, whose ranks and coefficients c go to
+    ``columns(m, ranks, c)``, which returns x per k; sorted into CSR."""
+    n, depth, offsets = space.n, space.depth, space.level_offsets
+    rows, cols, values = [], [], []
+    for m in range(offsets.index(coeffs.size)):
+        ranks = np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]])
+        for k, block in enumerate(columns(m, ranks, coeffs[offsets[m] + ranks])):
+            rows.append((offsets[m + k] + ranks[:, None] * n**k + np.arange(n**k)).ravel())
+            cols.append(np.tile(np.arange(offsets[k], offsets[k + 1]), ranks.size))
+            values.append(block.ravel())
+    return GradedOperator.from_entries(space, *map(np.concatenate, (rows, cols, values)))
+
+
+def _oracle_word_sum(space: TruncatedFock, ws, coeffs: np.ndarray, normalized: bool) -> GradedOperator:
+    """``algebra._word_sum`` through the COO assembly, every prepend table built first."""
+    depth = space.depth
+    longest = space.level_offsets.index(coeffs.size) - 1
+
+    def columns(m, ranks, c):
+        return [c[:, None] * left[k][m][:, ranks].T for k in range(depth - m + 1)]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = {k: weights._prepend_tables(ws, k, min(depth - k, longest), ratio=normalized)
+                for k in range(depth, -1, -1)}
+        return _oracle_support_operator(space, coeffs, columns)
+
+
+def _oracle_expansion_assembly(space: TruncatedFock, a: FourierElement) -> GradedOperator:
+    """``expansion_operator`` through the COO assembly."""
+    depth = space.depth
+    return _oracle_support_operator(space, a.vector(depth), lambda m, ranks, c: [
+        c[:, None] * ratio for ratio in weights._append_tables(a.mu, m, ranks, depth - m, ratio=True)])
+
+
+def _oracle_cesaro(x: GradedOperator, k: int) -> GradedOperator:
+    """``cesaro_sum`` through a COO copy of x."""
+    levels = x.space.levels()
+    coo = x.mat.tocoo()
+    offsets = np.abs(levels[coo.col] - levels[coo.row])
+    factors = np.where(offsets < k, 1.0 - offsets / k, 0.0)
+    return GradedOperator.from_entries(x.space, coo.row, coo.col, coo.data * factors)
+
+
+def _identical(x: GradedOperator, y: GradedOperator) -> bool:
+    """The same CSR arrays, bit for bit but for NaN payloads: ``indptr``,
+    ``indices``, and ``data`` compared on its real and imaginary parts."""
+    a, b = x.mat, y.mat
+    return (a.data.dtype == b.data.dtype == complex and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data.view(float), b.data.view(float), equal_nan=True))
+
+
+OVERFLOWING = [("constant-1e300", ConstantWeights(2, 1e300), 6)]
+
+
+@pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED + OVERFLOWING,
+                         ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED + OVERFLOWING])
+def test_compressed_assembly_equals_the_coo_oracle(label, ws, depth):
+    n, space = ws.n, TruncatedFock(ws.n, depth)
+    rng = np.random.default_rng(depth + n)
+    supports = {
+        "dense": list(BasisEnumeration(n, 2).words()) + [Word([n, 1, n])],
+        "sparse": [Word([n]), Word([1, n, 1]), Word([n] * depth)],
+        "e-only": [EMPTY],
+    }
+    mus = [CommutantMu(ws), table_mu(n, 70 + n)]
+    for words_ in supports.values():
+        coeffs = {w: complex(*rng.standard_normal(2)) for w in words_}
+        for mu in mus:
+            a = FourierElement.build(coeffs, ws, mu)
+            assert _identical(expansion_operator(a, space), _oracle_expansion_assembly(space, a))
+        vector = a.vector(depth)
+        x = operator_from_fourier(a, space)
+        assert _identical(x, _oracle_word_sum(space, ws, vector, normalized=True))
+        for k in (1, 2, depth):
+            fejer = FourierElement({w: (1.0 - len(w) / k) * c for w, c in a.coeffs.items() if len(w) < k}, ws, a.mu)
+            assert _identical(pk_polynomial(a, k, space), _oracle_word_sum(space, ws, fejer.vector(depth), True))
+        for w in words_:
+            unit = TruncatedFock(n, len(w)).basis_vector(w)
+            assert _identical(word_operator(space, ws, w), _oracle_word_sum(space, ws, unit, normalized=False))
+        # a product has unsorted indices; the smoothing of a word operator past the float range has NaN entries
+        shifted = x @ weighted_left_shift(space, ws, n)
+        with np.errstate(invalid="ignore"):
+            for y in (x, shifted, word_operator(space, ws, words_[-1])):
+                for k in (1, 2, depth):
+                    assert _identical(algebra.cesaro_sum(y, k), _oracle_cesaro(y, k))
+    for shifts in (fock.left_shift_maps(space, ws), fock.right_shift_maps(space, mus[0])):
+        for i in range(1, n + 1):
+            oracle = GradedOperator.from_entries(space, shifts.rows[i - 1], np.arange(shifts.rows.shape[1]),
+                                                 shifts.values[i - 1])
+            assert _identical(shifts.operator(i), oracle)
+
+
 @pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED, ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED])
 def test_level_arrays_equal_scalar_oracle(label, ws, depth):
     n = ws.n

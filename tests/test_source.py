@@ -9,6 +9,9 @@ helpers of ``weights`` only: ``_kept_once`` and ``_kept_levels``.  Automaton
 states are laid out in one place: ``weights._prepended_ranks`` is called only
 by the builder ``_prefix_automaton`` and by the word-tree steps of
 ``eigen._transfer_steps``, so no family writes a ``next`` array by hand.
+Operators are written as compressed arrays: ``coo_array`` is called only by
+``GradedOperator.from_entries``, which only ``phi_band`` and
+``zero_left_inverses`` call, for entries placed one by one.
 """
 
 import ast
@@ -59,12 +62,21 @@ def test_only_the_keep_helpers_memoise_on_objects():
     assert readers == KEEP_HELPERS
 
 
-def test_only_the_prefix_builder_and_the_word_tree_lay_out_states():
+def _callers(name: str) -> set[str]:
+    """The scopes that call a function or method of this name."""
     callers = set()
     for scope, node in _nodes():
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "_prepended_ranks":
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
                 callers.add(scope)
-    assert callers == {"weights.py:_prefix_automaton", "eigen.py:_transfer_steps"}
+    return callers
+
+
+def test_only_the_prefix_builder_and_the_word_tree_lay_out_states():
+    assert _callers("_prepended_ranks") == {"weights.py:_prefix_automaton", "eigen.py:_transfer_steps"}
+
+
+def test_only_hand_placed_entries_take_the_coo_route():
+    assert _callers("coo_array") == {"fock.py:GradedOperator.from_entries"}
+    assert _callers("from_entries") == {"algebra.py:phi_band", "spectra.py:zero_left_inverses"}
