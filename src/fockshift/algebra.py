@@ -117,24 +117,20 @@ def apply_fourier(a: FourierElement, v: Word, depth: int) -> dict[Word, complex]
 
 def phi_band(x: GradedOperator, j: int) -> GradedOperator:
     """The j-th level band of x: the part mapping level k+j into level k."""
-    levels = x.space.levels()
     if abs(j) > x.space.depth:
         raise ValueError(f"band {j} outside the {x.space.depth + 1} levels")
-    coo = x.mat.tocoo()
-    keep = (levels[coo.col] - levels[coo.row]) == j
-    return GradedOperator.from_entries(x.space, coo.row[keep], coo.col[keep], coo.data[keep])
+    return GradedOperator.from_row_order(x.space, x.entry_rows(), x.mat.indices, x.mat.data, x.entry_bands() == j)
 
 
 def cesaro_sum(x: GradedOperator, k: int) -> GradedOperator:
     """The order-k Cesaro smoothing: bands scaled by 1 - |j|/k, |j| < k, in a canonical copy of x."""
     if k < 1:
         raise ValueError("Cesaro order must be at least 1")
-    levels = x.space.levels()
-    mat = x.mat.copy()
-    mat.sum_duplicates()
-    offsets = np.abs(levels[mat.indices] - np.repeat(levels, np.diff(mat.indptr)))
-    mat.data *= np.where(offsets < k, 1.0 - offsets / k, 0.0)
-    return GradedOperator(x.space, mat)
+    out = GradedOperator(x.space, x.mat.copy())
+    out.mat.sum_duplicates()
+    offsets = np.abs(out.entry_bands())
+    out.mat.data *= np.where(offsets < k, 1.0 - offsets / k, 0.0)
+    return out
 
 
 def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normalized: bool) -> GradedOperator:
@@ -202,8 +198,7 @@ def commutant_extract(
     levels = space.levels()
     shifts = right_shift_maps(space, mu)
     for i in range(1, space.n + 1):
-        s_i = shifts.operator(i)
-        defect, idx = max_column_norm((x @ s_i - s_i @ x).mat, levels <= space.depth - 2)
+        defect, idx = max_column_norm((shifts.before(i, x) - shifts.after(i, x)).mat, levels <= space.depth - 2)
         if not defect <= 1e-9:
             raise ValueError(
                 f"operator does not commute with right shift {i}: defect "

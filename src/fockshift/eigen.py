@@ -42,7 +42,7 @@ import numpy as np
 
 from .words import MAX_SWEEP_WORDS, BasisEnumeration, Word
 from .weights import WeightSystem, _prepended_ranks
-from .fock import TruncatedFock, left_shift_maps
+from .fock import TruncatedFock, complex_product, left_shift_maps
 
 # region work arrays hold about this many floats per block of points
 WORK_FLOATS = 1 << 18
@@ -119,12 +119,11 @@ def eigen_residual(
         vec = eigenvector_coeffs(ws, point, space.depth).vector
     else:
         vec = space.vector_from_coeffs(coeffs)
-    keep = space.levels() <= space.depth - 1
     shifts = left_shift_maps(space, ws)
     residuals = []
-    for i in range(1, space.n + 1):
-        res = shifts.operator(i).adjoint().apply(vec) - complex(point[i - 1]).conjugate() * vec
-        residuals.append(float(np.linalg.norm(res[keep])))
+    for i, (rows, values) in enumerate(zip(shifts.rows, shifts.values)):  # (T_i* nu)_w = lambda_{i,w} nu_{i*w}
+        res = complex_product(values, vec[rows]) - complex(point[i]).conjugate() * vec[: rows.size]
+        residuals.append(float(np.linalg.norm(res)))
     return ResidualReport(tuple(residuals), space.depth - 1)
 
 

@@ -4,7 +4,8 @@ Operators live on the span of the basis vectors for words of length <= depth
 and are stored sparse.  Raising operators are compressed: their columns at
 the top level are zero, so every identity below is checked on the levels
 where the compressed statement is exact, making defects true zeros instead
-of truncation noise.
+of truncation noise.  Shifts act through their column maps (``ShiftMap``):
+X S_i gathers columns and S_i X moves rows, one term per entry.
 """
 
 from __future__ import annotations
@@ -82,6 +83,13 @@ class GradedOperator:
         return cls(space, mat.tocsr())
 
     @classmethod
+    def from_row_order(cls, space: TruncatedFock, rows, cols, data, keep) -> "GradedOperator":
+        """The entries ``data[keep]`` at ``(rows, cols)[keep]``, listed in CSR order: rows nondecreasing."""
+        indptr = np.zeros(space.dimension + 1, dtype=cols.dtype)
+        np.cumsum(np.bincount(rows[keep], minlength=space.dimension), out=indptr[1:])
+        return cls(space, sp.csr_array((data[keep], cols[keep], indptr), shape=(space.dimension,) * 2))
+
+    @classmethod
     def identity(cls, space: TruncatedFock) -> "GradedOperator":
         return cls(space, sp.eye_array(space.dimension, dtype=complex, format="csr"))
 
@@ -91,10 +99,15 @@ class GradedOperator:
 
     @property
     def bands(self) -> frozenset[int]:
-        coo = self.mat.tocoo()
-        levels = self.space.levels()
-        mask = coo.data != 0
-        return frozenset((levels[coo.col[mask]] - levels[coo.row[mask]]).tolist())
+        return frozenset(self.entry_bands()[self.mat.data != 0].tolist())
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry, in storage order."""
+        return np.repeat(np.arange(self.space.dimension), np.diff(self.mat.indptr))
+
+    def entry_bands(self) -> np.ndarray:
+        """The band |column| - |row| of every stored entry, in storage order."""
+        return self.space.levels()[self.mat.indices] - self.space.levels()[self.entry_rows()]
 
     def adjoint(self) -> "GradedOperator":
         return GradedOperator(self.space, self.mat.conj().T.tocsr())
@@ -132,20 +145,46 @@ class GradedOperator:
 class ShiftMap:
     """The compressed shifts of all n letters as their column maps: shift i
     sends column c (|w| < depth) to row ``rows[i-1, c]`` with weight
-    ``values[i-1, c]``, and its top-level columns to 0."""
+    ``values[i-1, c]``, and its top-level columns to 0.  The rows increase
+    with c, so a product by a shift keeps a canonical CSR in order."""
 
     space: TruncatedFock
     rows: np.ndarray
     values: np.ndarray
 
-    def operator(self, i: int) -> GradedOperator:
-        """The sparse matrix of shift i, written as a CSC of one entry per column below the top level."""
+    def _letter(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         if not 1 <= i <= self.space.n:
             raise ValueError(f"letter {i} outside [1, {self.space.n}]")
-        rows, dim = self.rows[i - 1], self.space.dimension
-        indptr = np.minimum(np.arange(dim + 1), rows.size)  # column c < rows.size holds one entry, at rows[c]
-        mat = sp.csc_array((self.values[i - 1].astype(complex), rows, indptr), shape=(dim, dim))
-        return GradedOperator(self.space, mat.tocsr())
+        return self.rows[i - 1], self.values[i - 1]
+
+    def before(self, i: int, x: GradedOperator) -> GradedOperator:
+        """X S_i: column c (|w| < depth) is column ``rows[i-1, c]`` of X times ``values[i-1, c]``."""
+        rows, values = self._letter(i)
+        source = np.full(self.space.dimension, -1, dtype=x.mat.indices.dtype)
+        source[rows] = np.arange(rows.size)
+        cols = source[x.mat.indices]
+        data = complex_product(x.mat.data, values[cols])
+        return GradedOperator.from_row_order(self.space, x.entry_rows(), cols, data, (cols >= 0) & (data != 0))
+
+    def after(self, i: int, x: GradedOperator) -> GradedOperator:
+        """S_i X: row r (|w| < depth) of X, times ``values[i-1, r]``, moves to row ``rows[i-1, r]``."""
+        rows, values = self._letter(i)
+        counts, end = np.diff(x.mat.indptr[: rows.size + 1]), x.mat.indptr[rows.size]
+        data = complex_product(np.repeat(values, counts), x.mat.data[:end])
+        return GradedOperator.from_row_order(self.space, np.repeat(rows, counts), x.mat.indices[:end], data, data != 0)
+
+    def operator(self, i: int) -> GradedOperator:
+        """The sparse matrix of shift i: S_i times the identity."""
+        return self.after(i, GradedOperator.identity(self.space))
+
+
+def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for arrays of one shape, part by part, as Python and scipy's sparse products
+    multiply complex numbers; numpy's complex ``*`` may differ from them in the last bit."""
+    out = np.empty(b.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN entries come out as scipy's do
+        out.real, out.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _level_shifts(space: TruncatedFock, levels: list[np.ndarray], left: bool) -> ShiftMap:
@@ -213,8 +252,9 @@ def certify_injective(rows: np.ndarray, shape: tuple[int, int]) -> None:
 
 
 def column_norms(mat) -> np.ndarray:
-    """The Euclidean norm of every column of a sparse matrix."""
-    return np.sqrt(np.asarray(abs(mat).power(2).sum(axis=0)).ravel())
+    """The Euclidean norm of every column of a CSR matrix that holds no duplicate entries:
+    each column's squares are added in row order, as scipy's ``sum(axis=0)`` adds them."""
+    return np.sqrt(np.bincount(mat.indices, weights=np.abs(mat.data) ** 2, minlength=mat.shape[1]))
 
 
 def max_column_norm(mat, mask: np.ndarray) -> tuple[float, int | None]:

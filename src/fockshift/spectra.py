@@ -1,7 +1,7 @@
 """Joint right/left spectrum experiments for the unweighted creation tuple:
 resolvent-series right inverses, membership verdicts with witnesses, analytic
 left-inverse growth certificates, and the rank-one left-inverse family at the
-origin."""
+origin, with every product by a shift a gather on its column map (``fock.ShiftMap``)."""
 
 from __future__ import annotations
 
@@ -10,11 +10,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .words import Word
+from .words import EMPTY, Word
 from .weights import ConstantWeights
-from .fock import GradedOperator, TruncatedFock, left_shift_maps, max_column_norm
+from .fock import GradedOperator, ShiftMap, TruncatedFock, certify_injective, left_shift_maps, max_column_norm
 from .algebra import _word_sum
 from .eigen import eigen_residual, eigenvector_coeffs
 
@@ -61,10 +60,9 @@ def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
     unit = ConstantWeights(len(point), 1.0)
     series = _word_sum(space, unit, eigenvector_coeffs(unit, point, depth - 1).vector, normalized=True)
     shifts = left_shift_maps(space, unit)
-    affine = GradedOperator.identity(space)
-    for i in range(1, space.n + 1):
-        affine = affine - point[i - 1].conjugate() * shifts.operator(i)
-    diff, top = (affine @ series - GradedOperator.identity(space)).mat, space.level_slice(depth)
+    scaled = ShiftMap(space, shifts.rows, shifts.values * np.conj(point)[:, None])  # conj(z_i) L_i
+    lowered = sum((scaled.after(i, series) for i in range(1, space.n + 1)), GradedOperator.zero(space))
+    diff, top = (series - lowered - GradedOperator.identity(space)).mat, space.level_slice(depth)
     every = np.ones(space.dimension, dtype=bool)
     low, high = (max_column_norm(diff[rows, :], every)[0] for rows in (slice(top.start), top))
     return ResolventReport(point, depth, low, high)
@@ -202,30 +200,25 @@ def zero_left_inverses(
 ) -> ZeroLeftReport:
     """Check A_i = L_i* + (eta_i at the vacuum column) against A_i L_j = delta_ij
     on levels <= depth-1 (exactly: each column of L_j is a single 1), then
-    solve X L_j = delta_1j for the minimum-norm X and verify X = L_1* + (X xi_e)
-    at the vacuum column.  V = [L_1 L_2] is a partial isometry, certified by
-    V V* being a diagonal 0/1 projection, so V* is its pseudo-inverse and
-    X = [I 0] V*."""
+    take the minimum-norm solution X of X L_j = delta_1j and verify X = L_1* +
+    (X xi_e) at the vacuum column.  V = [L_1 L_2] is a partial isometry,
+    certified by its column maps: no two columns share a row and every entry
+    is 1.  So V* is its pseudo-inverse, and X = [I 0] V* = L_1*."""
     space = TruncatedFock(2, depth)
     maps = left_shift_maps(space, ConstantWeights(2, 1.0))
-    shifts = [maps.operator(i) for i in (1, 2)]
-    top = space.level_slice(space.depth).start  # levels <= depth-1 come first
+    certify_injective(maps.rows.ravel(), (space.dimension, 2 * space.dimension))
+    if np.any(maps.values != 1.0):
+        raise ValueError("[L_1 L_2] is not a partial isometry: an entry is not 1")
     identity, zero = GradedOperator.identity(space), GradedOperator.zero(space)
 
     defects: dict[tuple[int, int], float] = {}
     for i, eta in ((1, eta1), (2, eta2)):
-        a_i = shifts[i - 1].adjoint() + GradedOperator.from_entries(
+        a_i = maps.operator(i).adjoint() + GradedOperator.from_entries(
             space, [space.index_of(w) for w in eta], [0] * len(eta), list(eta.values()))
         for j in (1, 2):
-            diff = a_i @ shifts[j - 1] - (identity if i == j else zero)
+            diff = maps.before(j, a_i) - (identity if i == j else zero)
             defects[(i, j)] = max_column_norm(diff.mat, space.levels() < depth)[0]
 
-    stacked = sp.hstack([shifts[0].mat, shifts[1].mat])
-    gram = (stacked @ stacked.conj().T).tocoo()
-    gram.eliminate_zeros()
-    if np.any(gram.row != gram.col) or np.any(gram.data != 1.0):
-        raise ValueError(f"[L_1 L_2] of shape {stacked.shape} is not a partial isometry")
-    x = GradedOperator(space, sp.hstack([identity.mat, zero.mat]) @ stacked.conj().T)
-    reconstructed = shifts[0].adjoint() + x @ GradedOperator.from_entries(space, [0], [0], [1.0])
-    residual = float(abs((x - reconstructed).mat[:top, :top]).max())
+    # X = L_1*, so X - L_1* - (X xi_e at the vacuum column) is -X xi_e, read on levels <= depth-1
+    residual = float(np.abs(maps.operator(1).adjoint().column(EMPTY)[: space.level_slice(space.depth).start]).max())
     return ZeroLeftReport(defects, max(defects.values()), residual)

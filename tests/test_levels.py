@@ -50,13 +50,16 @@ from fockshift import (
     operator_from_fourier,
     pk_polynomial,
     region_sample,
+    resolvent_check,
     right_creation,
+    right_membership,
     right_weight,
     semisimple_estimate,
     spectral_radius_lower,
     weighted_left_shift,
     weighted_right_shift,
     word_operator,
+    zero_left_inverses,
 )
 from fockshift import PeriodicWeights, PrefixWeights, TableMu, TabulatedWeights, algebra, eigen, fock, weights, words
 from fockshift.cli import main
@@ -343,6 +346,71 @@ def test_compressed_assembly_equals_the_coo_oracle(label, ws, depth):
             oracle = GradedOperator.from_entries(space, shifts.rows[i - 1], np.arange(shifts.rows.shape[1]),
                                                  shifts.values[i - 1])
             assert _identical(shifts.operator(i), oracle)
+
+
+def _gather_cases(ws, depth):
+    """(maps, X) pairs: the left and right shift maps of ``ws`` and a left map
+    with complex values, each against an ``operator_from_fourier`` output, its
+    adjoint and a word operator, whose entries past the float range are inf."""
+    n, space = ws.n, TruncatedFock(ws.n, depth)
+    rng = np.random.default_rng(depth + n)
+    words_ = list(BasisEnumeration(n, 2).words()) + [Word([n, 1, n])]
+    x = operator_from_fourier(FourierElement.build({w: complex(*rng.standard_normal(2)) for w in words_}, ws,
+                                                   CommutantMu(ws)), space)
+    lefts = fock.left_shift_maps(space, ws)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, lefts.values.shape))
+    complex_map = fock.ShiftMap(space, lefts.rows, lefts.values * phases)
+    maps = [lefts, fock.right_shift_maps(space, table_mu(n, 70 + n)), complex_map]
+    for shifts in maps:
+        for y in (x, x.adjoint(), word_operator(space, ws, words_[-1])):
+            yield shifts, y
+
+
+def _sorted_product(a: GradedOperator, b: GradedOperator) -> GradedOperator:
+    mat = a.mat @ b.mat
+    mat.sort_indices()
+    return GradedOperator(a.space, mat)
+
+
+@pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED + OVERFLOWING,
+                         ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED + OVERFLOWING])
+def test_shift_gathers_equal_sparse_products(label, ws, depth):
+    # bit for bit, the complex-valued map too: the gathers multiply part by part, as scipy does
+    for shifts, x in _gather_cases(ws, depth):
+        for i in range(1, ws.n + 1):
+            s_i = shifts.operator(i)
+            assert _identical(shifts.before(i, x), _sorted_product(x, s_i))
+            assert _identical(shifts.after(i, x), _sorted_product(s_i, x))
+
+
+def _parent_column_norms(mat) -> np.ndarray:
+    """``fock.column_norms`` through scipy's column sums."""
+    return np.sqrt(np.asarray(abs(mat).power(2).sum(axis=0)).ravel())
+
+
+@pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED + OVERFLOWING,
+                         ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED + OVERFLOWING])
+def test_column_norms_equal_the_sparse_column_sums(label, ws, depth):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for shifts, x in _gather_cases(ws, depth):
+            for i in range(1, ws.n + 1):
+                diff = (shifts.before(i, x) - shifts.after(i, x)).mat
+                assert np.array_equal(fock.column_norms(diff), _parent_column_norms(diff), equal_nan=True)
+
+
+def test_shift_products_form_no_sparse_product(monkeypatch):
+    def refused(self, other):
+        raise AssertionError("a sparse product of operators")
+
+    monkeypatch.setattr(GradedOperator, "__matmul__", refused)
+    ws = ConstantWeights(2, 1.05)
+    space = TruncatedFock(2, 5)
+    x = operator_from_fourier(_element(ws, 5), space)
+    assert algebra.commutant_extract(x, ws).residual <= 1e-12
+    assert resolvent_check((0.3, 0.2j), 6).low_level_defect == 0.0
+    assert right_membership((0.3, 0.2j), 6).verdict == "in_spectrum"
+    assert right_membership((1.3, 0.2j), 6).verdict == "not_in_spectrum"
+    assert zero_left_inverses({EMPTY: 1.0, Word([1]): 0.5j}, {EMPTY: 0.5}, 4).max_identity_defect == 0.0
 
 
 @pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED, ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED])

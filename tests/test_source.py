@@ -10,8 +10,10 @@ states are laid out in one place: ``weights._prepended_ranks`` is called only
 by the builder ``_prefix_automaton`` and by the word-tree steps of
 ``eigen._transfer_steps``, so no family writes a ``next`` array by hand.
 Operators are written as compressed arrays: ``coo_array`` is called only by
-``GradedOperator.from_entries``, which only ``phi_band`` and
-``zero_left_inverses`` call, for entries placed one by one.
+``GradedOperator.from_entries``, which only ``zero_left_inverses`` calls, for
+entries placed one by one.  Shifts act through their column maps: the matrix
+product ``@`` appears only in ``GradedOperator.apply`` and
+``GradedOperator.__matmul__``, which the tests keep as their oracle.
 """
 
 import ast
@@ -79,4 +81,16 @@ def test_only_the_prefix_builder_and_the_word_tree_lay_out_states():
 
 def test_only_hand_placed_entries_take_the_coo_route():
     assert _callers("coo_array") == {"fock.py:GradedOperator.from_entries"}
-    assert _callers("from_entries") == {"algebra.py:phi_band", "spectra.py:zero_left_inverses"}
+    assert _callers("from_entries") == {"spectra.py:zero_left_inverses"}
+
+
+def test_operator_products_are_gathers_on_the_shift_maps():
+    nodes = list(_nodes())
+    products = {scope for scope, node in nodes if isinstance(node, ast.MatMult)}
+    assert products == {"fock.py:GradedOperator.apply", "fock.py:GradedOperator.__matmul__"}
+    stacks = {scope for scope, node in nodes
+              if isinstance(node, ast.Attribute) and node.attr in ("hstack", "vstack") and _names(node) == {"sp"}}
+    assert stacks == set()
+    scipy_imports = {scope for scope, node in nodes
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in ast.unparse(node)}
+    assert scipy_imports == {"fock.py:", "algebra.py:"}

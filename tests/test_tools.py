@@ -1,6 +1,6 @@
-"""tools/compare_outputs.py on one seed: a tree against itself, against a
-copy whose check lines print another tolerance format, and against a copy
-whose region CSV prints 16 digits."""
+"""tools/compare_outputs.py on one seed: a tree against itself on ``verify``
+and ``recover``, against a copy whose check lines print another tolerance
+format, and against a copy whose region CSV prints 16 digits."""
 
 import shutil
 import subprocess
@@ -20,6 +20,13 @@ def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
     result = _compare(ROOT, ROOT)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "7 invocations on 1 workloads x 1 seeds: 0 differences\n"
+
+
+def test_compare_outputs_finds_no_difference_on_recover():
+    # recover runs commutant, cesaro and spectra, whose shift products are gathers on the column maps
+    result = _compare(ROOT, ROOT, "recover")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "9 invocations on 1 workloads x 1 seeds: 0 differences\n"
 
 
 def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
