@@ -11,13 +11,11 @@ and write their compressed columns in order through one assembly, ``_support_ope
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
-from .words import EMPTY, Word
+from .words import EMPTY, Word, record
 from .weights import (
     CommutantMu,
     MuSystem,
@@ -31,7 +29,7 @@ from .weights import (
 from .fock import GradedOperator, TruncatedFock, max_column_norm, right_shift_maps
 
 
-@dataclass(frozen=True)
+@record
 class FourierElement:
     """A finitely supported coefficient map w -> a_w, the expansion of an
     algebra element A through A xi_e = sum_w a_w xi_w, carried together with
@@ -75,6 +73,7 @@ def _support_operator(space: TruncatedFock, coeffs: np.ndarray, columns) -> Grad
     indices ``columns(k, support)`` takes to return x, n^k by their count.  ``coeffs``
     holds c_w for every word of length <= m_max <= depth in basis order, 0 off the support.
     Row offset(|w| + k) + (rank w) n^k + rank u grows down each column: a canonical CSC."""
+    import scipy.sparse as sp
     n, depth, offsets = space.n, space.depth, np.asarray(space.level_offsets)
     support = np.flatnonzero(coeffs)
     lengths = space.levels()[support]
@@ -172,7 +171,7 @@ def pk_polynomial(a: FourierElement, k: int, space: TruncatedFock) -> GradedOper
     return operator_from_fourier(FourierElement(fejer, a.weights, a.mu), space)
 
 
-@dataclass(frozen=True)
+@record
 class ExtractionResult:
     element: FourierElement
     residual: float
@@ -211,7 +210,7 @@ def commutant_extract(
     return ExtractionResult(element, residual, space.level_offsets[reach + 1])
 
 
-@dataclass(frozen=True)
+@record
 class PairingCheck:
     """The matrix element <A xi, xi_{v1*v2}> computed through the expansion
     formula and through its closed form; they agree, and are nonzero whenever
@@ -265,7 +264,7 @@ def fourier_power_coeffs(a: FourierElement, k: int, depth: int) -> dict[Word, co
     return space.coeffs_from_vector(state)
 
 
-@dataclass(frozen=True)
+@record
 class SpectralRadiusBounds:
     """Lower bounds |<A^k xi_e, xi_{v^k}>|^{1/k} on the spectral radius, with
     the closed form of the leading coefficient for cross-checking."""

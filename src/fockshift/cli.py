@@ -21,12 +21,11 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .words import Word, level_labels, parse_word
+from .words import Word, level_labels, parse_word, record
 from .weights import (
     DIVERGING,
     CommutantMu,
@@ -70,7 +69,7 @@ class ConfigError(ValueError):
     """A configuration document violated the schema."""
 
 
-@dataclass
+@record
 class RunConfig:
     weights: WeightSystem
     document: dict
@@ -612,15 +611,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(_read_json(args.config))
-        if args.depth is not None:
-            if args.depth < 1:
-                raise ConfigError("--depth must be at least 1")
-            config.depth = args.depth
-        tol = getattr(args, "tol", None)  # region has no --tol
-        if tol is not None:
-            if not 0 < tol < math.inf:
-                raise ConfigError("--tol must be positive and finite")
-            config.tolerance = tol
+        depth, tol = args.depth, getattr(args, "tol", None)  # region has no --tol
+        if depth is not None and depth < 1:
+            raise ConfigError("--depth must be at least 1")
+        if tol is not None and not 0 < tol < math.inf:
+            raise ConfigError("--tol must be positive and finite")
+        config = RunConfig(config.weights, config.document, config.depth if depth is None else depth,
+                           config.tolerance if tol is None else tol, config.epsilon)
         for flag, path in (("--report", args.report), ("--out", getattr(args, "out", None))):
             directory = os.path.dirname(os.path.abspath(path)) if path else None
             _expect(directory is None or os.path.isdir(directory), f"{flag} {path}", f"no directory {directory}")

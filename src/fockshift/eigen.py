@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .words import MAX_SWEEP_WORDS, BasisEnumeration, Word
+from .words import MAX_SWEEP_WORDS, BasisEnumeration, Word, record
 from .weights import WeightSystem, _prepended_ranks
 from .fock import TruncatedFock, complex_product, left_shift_maps
 
@@ -59,7 +58,7 @@ VERDICTS = (INSIDE, OUTSIDE, INCONCLUSIVE)
 PARTIAL_SUM_OVERFLOW = 1e18
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class EigenCandidate:
     """The joint-eigenvector candidate at a point of complex n-space: the
     vector whose coefficient at w is conj(w(point)) / W(e,w), normalized to 1
@@ -96,7 +95,7 @@ def eigenvector_coeffs(ws: WeightSystem, point: Sequence[complex], depth: int) -
     return EigenCandidate(point, depth, vector)
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
     per_letter: tuple[float, ...]
     level_cap: int
@@ -364,7 +363,7 @@ def _verdicts(sums: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray,
     return verdicts, window[:, -1], partials
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class RegionSample:
     """A region sample as arrays, one row per point: the moduli (P, n), the
     level sums (P, depth + 1), the partial sums, tail ratios and verdicts (P,),
@@ -378,7 +377,7 @@ class RegionSample:
     rule: dict
 
 
-@dataclass(frozen=True)
+@record
 class GridSpec:
     lo: float
     hi: float
@@ -471,7 +470,7 @@ def hereditary_check(
     return bool(np.all(lower <= upper * (1.0 + slack) + slack))
 
 
-@dataclass(frozen=True)
+@record
 class EllipseReport:
     inside: bool
     axes: tuple[float, ...]

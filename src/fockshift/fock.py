@@ -10,13 +10,11 @@ X S_i gathers columns and S_i X moves rows, one term per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
-from .words import BasisEnumeration, Word
+from .words import BasisEnumeration, Word, record
 from .weights import (
     CommutantMu,
     ConstantWeights,
@@ -69,6 +67,7 @@ class GradedOperator:
     """
 
     def __init__(self, space: TruncatedFock, mat):
+        import scipy.sparse as sp  # here, not at the top: checks and regions build no sparse matrix
         self.space = space
         self.mat = mat if isinstance(mat, sp.csr_array) and mat.dtype == complex else sp.csr_array(mat, dtype=complex)
         if self.mat.shape != (space.dimension, space.dimension):
@@ -76,6 +75,7 @@ class GradedOperator:
 
     @classmethod
     def from_entries(cls, space: TruncatedFock, rows, cols, values) -> "GradedOperator":
+        import scipy.sparse as sp
         mat = sp.coo_array(
             (np.asarray(values, dtype=complex), (rows, cols)),
             shape=(space.dimension, space.dimension),
@@ -85,16 +85,19 @@ class GradedOperator:
     @classmethod
     def from_row_order(cls, space: TruncatedFock, rows, cols, data, keep) -> "GradedOperator":
         """The entries ``data[keep]`` at ``(rows, cols)[keep]``, listed in CSR order: rows nondecreasing."""
+        import scipy.sparse as sp
         indptr = np.zeros(space.dimension + 1, dtype=cols.dtype)
         np.cumsum(np.bincount(rows[keep], minlength=space.dimension), out=indptr[1:])
         return cls(space, sp.csr_array((data[keep], cols[keep], indptr), shape=(space.dimension,) * 2))
 
     @classmethod
     def identity(cls, space: TruncatedFock) -> "GradedOperator":
+        import scipy.sparse as sp
         return cls(space, sp.eye_array(space.dimension, dtype=complex, format="csr"))
 
     @classmethod
     def zero(cls, space: TruncatedFock) -> "GradedOperator":
+        import scipy.sparse as sp
         return cls(space, sp.csr_array((space.dimension, space.dimension), dtype=complex))
 
     @property
@@ -141,7 +144,7 @@ class GradedOperator:
         return f"GradedOperator(dim={self.space.dimension}, nnz={self.mat.nnz})"
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ShiftMap:
     """The compressed shifts of all n letters as their column maps: shift i
     sends column c (|w| < depth) to row ``rows[i-1, c]`` with weight
@@ -270,7 +273,7 @@ def max_column_norm(mat, mask: np.ndarray) -> tuple[float, int | None]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CommutationReport:
     max_defect: float
     witness: tuple[int, int, Word] | None
@@ -313,7 +316,7 @@ def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | No
     return CommutationReport(worst, witness, cap)
 
 
-@dataclass(frozen=True)
+@record
 class NormReport:
     letter: int
     operator_norm: float
@@ -335,7 +338,7 @@ def norm_check(space: TruncatedFock, ws: WeightSystem) -> list[NormReport]:
     return [NormReport(i, norm, sup) for i, (norm, sup) in enumerate(zip(norms, sups), start=1)]
 
 
-@dataclass(frozen=True)
+@record
 class VacuumReport:
     joint_kernel_dim: int
     projection_defect: float | None

@@ -6,12 +6,11 @@ origin, with every product by a shift a gather on its column map (``fock.ShiftMa
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .words import EMPTY, Word
+from .words import EMPTY, Word, record
 from .weights import ConstantWeights
 from .fock import GradedOperator, ShiftMap, TruncatedFock, certify_injective, left_shift_maps, max_column_norm
 from .algebra import _word_sum
@@ -28,7 +27,7 @@ MODE_LEFT_GROWTH = "left_growth"
 MODE_ZERO_LEFT_INVERSE = "zero_left_inverse"
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumReport:
     point: tuple[complex, ...]
     mode: str
@@ -37,7 +36,7 @@ class SpectrumReport:
     witness: dict
 
 
-@dataclass(frozen=True)
+@record
 class ResolventReport:
     point: tuple[complex, ...]
     depth: int
@@ -108,7 +107,7 @@ def right_membership(point: Sequence[complex], depth: int) -> SpectrumReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GrowthCertificate:
     """An analytic growth table certifying that no bounded left inverse exists.
 
@@ -182,7 +181,7 @@ def left_growth_certificate(
     )
 
 
-@dataclass(frozen=True)
+@record
 class ZeroLeftReport:
     """Verification that rank-one perturbations of the adjoint creation
     operators solve the left-inverse equations at the origin, and that the

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
 
-from .words import EMPTY, MAX_SWEEP_WORDS, BasisEnumeration, Word, append, parse_word, prepend, word_label
+from .words import EMPTY, MAX_SWEEP_WORDS, BasisEnumeration, Word, append, parse_word, prepend, record, word_label
 
 MAX_AUTOMATON_STATES = 100_000
 
@@ -184,7 +183,7 @@ class WeightSystem:
         return None if automaton is None else float(automaton[1].min(axis=0)[i - 1])
 
 
-@dataclass(frozen=True)
+@record
 class ConstantWeights(WeightSystem):
     """lambda_{i,w} == value; value 1 is the unweighted system."""
 
@@ -202,7 +201,7 @@ class ConstantWeights(WeightSystem):
         return _prefix_automaton([], np.full((1, 1, self.n), self.value))
 
 
-@dataclass(frozen=True)
+@record
 class ScaledWeights(WeightSystem):
     """lambda_{i,w} == scales[i-1]: scalar multiples of the unweighted shifts."""
 
@@ -222,7 +221,7 @@ class ScaledWeights(WeightSystem):
         return _prefix_automaton([], np.array([[self.scales]]))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FinitePerturbationWeights(WeightSystem):
     """Free weights on base words up to the cutoff length, constant per letter beyond."""
 
@@ -249,7 +248,7 @@ class FinitePerturbationWeights(WeightSystem):
         return _prefix_automaton(self.levels, np.array([[self.tail]]))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PeriodicWeights(WeightSystem):
     """lambda_{i,w} = lambda_{i,u} for the decomposition w = u*v with
     |u| = |w| mod period; the remainder scalars determine the system."""
@@ -276,7 +275,7 @@ class PeriodicWeights(WeightSystem):
         return _prefix_automaton(self.levels[: p - 1], long, p)
 
 
-@dataclass(frozen=True)
+@record
 class TwoLetterRunWeights(WeightSystem):
     """The two-letter family with lambda_{1,1^k} = 1/m, lambda_{1,1^k 2} = 1/sqrt(m),
     and every other weight equal to c.
@@ -313,7 +312,7 @@ class TwoLetterRunWeights(WeightSystem):
         return next_state, np.array([[run, self.c], [run, self.c], [end, self.c], [self.c, self.c]])
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TabulatedWeights(WeightSystem):
     """Explicitly tabulated weights ``levels[k][i-1]``, one (n, n^k) array per
     level k <= depth (made read-only), for base words up to a depth; queries
@@ -401,7 +400,7 @@ class MuSystem:
         return _kept_levels(self, "_mu_levels", depth, self.mu_levels)
 
 
-@dataclass(frozen=True)
+@record
 class CommutantMu(MuSystem):
     """The commutant weights mu_{i,w} = W(i,w) / W(e,w) of a weight system."""
 
@@ -424,7 +423,7 @@ class CommutantMu(MuSystem):
             return _prepend_tables(self.weights, 1, depth, ratio=True)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TableMu(MuSystem):
     """Explicit right-shift weights: tabulated up to the cutoff length and
     equal to ``fill`` beyond it.
@@ -552,7 +551,7 @@ def mu_table(ws: WeightSystem, depth: int) -> dict[tuple[int, Word], float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DefectReport:
     """Maximum relative defect of an identity over a swept range, with the
     witnessing tuple attaining it."""
@@ -690,7 +689,7 @@ def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Condition6Report:
     """Supremum of W(i,w)/W(e,w) over the swept range, with the verdict of the
     decision on the family's automaton.
@@ -845,7 +844,7 @@ def require_bounded_mu(ws: WeightSystem) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SemisimpleEstimate:
     """Finite-range proxy for the semisimplicity constant.
 

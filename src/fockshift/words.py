@@ -10,6 +10,57 @@ MAX_ALPHABET = 255
 MAX_SWEEP_WORDS = 1 << 21
 
 
+def _refuse(self, name, *value):  # a record's __setattr__ (one value) and __delattr__ (none)
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def record(cls=None, *, eq: bool = True):
+    """The class as a frozen record, as ``dataclass(frozen=True, eq=eq)`` makes it, from
+    closures: dataclasses compile their methods with ``exec`` at every import.  The fields
+    are the annotations of its record bases, then its own; class attributes give defaults.
+    ``__init__`` takes them by position or keyword, then calls ``__post_init__``, which sets
+    attributes with ``object.__setattr__``; ``repr`` is the dataclass text; with ``eq``,
+    records of one class compare and hash by their field tuples."""
+    if cls is None:
+        return lambda cls: record(cls, eq=eq)
+    names = tuple(dict.fromkeys([*getattr(cls, "_record_fields", ()), *cls.__dict__.get("__annotations__", ())]))
+    defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+    post_init, init = hasattr(cls, "__post_init__"), f"{cls.__qualname__}.__init__()"
+
+    def bind(args: tuple, kwargs: dict) -> list:
+        if len(args) > len(names):
+            raise TypeError(f"{init} takes {len(names)} arguments but {len(args)} were given")
+        values = list(args)
+        for name in names[len(args):]:
+            if name not in kwargs and name not in defaults:
+                raise TypeError(f"{init} missing required argument {name!r}")
+            values.append(kwargs.pop(name) if name in kwargs else defaults[name])
+        if kwargs:
+            raise TypeError(f"{init} got an unexpected or repeated keyword argument {next(iter(kwargs))!r}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        for name, value in zip(names, args if len(args) == len(names) and not kwargs else bind(args, kwargs)):
+            object.__setattr__(self, name, value)  # keeps the values inline, where attribute reads are fastest
+        if post_init:
+            self.__post_init__()
+
+    def fields_of(self) -> tuple:
+        return tuple(getattr(self, name) for name in names)
+
+    def __eq__(self, other):
+        return fields_of(self) == fields_of(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    cls._record_fields, cls.__init__, cls.__repr__ = names, __init__, __repr__
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    if eq:
+        cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(fields_of(self))
+    return cls
+
+
 class Word:
     """A finite word over the alphabet {1..n}; the empty word is the unit.
 

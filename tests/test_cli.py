@@ -1255,6 +1255,31 @@ def test_cli_loads_neither_csgraph_nor_linalg(tmp_path):
     assert result.stdout == "[]\n[]\n"
 
 
+def test_only_commands_that_build_sparse_matrices_load_scipy_sparse(tmp_path):
+    # a fresh interpreter: check and region compose column maps and build no sparse matrix, so they
+    # never pay the scipy.sparse import; commutant builds its operators as sparse matrices
+    config = _write_config(tmp_path, "periodic.json", PERIODIC)
+    commands = [["check", "--config", config, "--depth", "6"],
+                ["region", "--config", config, "--grid", "0:1.2:0.2", "--depth", "6",
+                 "--out", str(tmp_path / "region.csv")],
+                ["commutant", "--config", config, "--depth", "5"]]
+    code = (
+        "import contextlib, io, sys\n"
+        "from fockshift.cli import main\n"
+        "codes, loaded = [], ['scipy.sparse' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in {commands!r}:\n"
+        "        codes.append(main(argv))\n"
+        "        loaded.append('scipy.sparse' in sys.modules)\n"
+        "print(codes, loaded)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0] [False, False, False, True]\n"
+
+
 # ---------------------------------------------------------------------------
 # every verb over generated command lines, config documents and input files
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ def test_checks_build_no_sparse_matrix(monkeypatch, space, periodic_example):
         raise AssertionError("a sparse matrix was built")
 
     for name in ("coo_array", "csr_array"):
-        monkeypatch.setattr(fock.sp, name, refuse)
+        monkeypatch.setattr(sp, name, refuse)
     assert commutation_defect(space, periodic_example).max_defect == 0.0
     assert [r.gap for r in norm_check(space, periodic_example)] == [0.0, 0.0]
     assert vacuum_kernel_check(space, ConstantWeights(2, 1.0)) == fock.VacuumReport(1, 0.0)
@@ -358,7 +358,7 @@ def test_operator_forms_build_no_coo_matrix(monkeypatch, space, periodic_example
     def refuse(*args, **kwargs):
         raise AssertionError("a COO matrix was built")
 
-    monkeypatch.setattr(fock.sp, "coo_array", refuse)
+    monkeypatch.setattr(sp, "coo_array", refuse)
     a = FourierElement.build({EMPTY: 1.0, parse_word("2"): 0.5j, parse_word("121"): -0.25}, periodic_example)
     x = operator_from_fourier(a, space)
     assert expansion_operator(a, space).mat.nnz == x.mat.nnz

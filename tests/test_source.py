@@ -14,6 +14,10 @@ Operators are written as compressed arrays: ``coo_array`` is called only by
 entries placed one by one.  Shifts act through their column maps: the matrix
 product ``@`` appears only in ``GradedOperator.apply`` and
 ``GradedOperator.__matmul__``, which the tests keep as their oracle.
+Records are built by ``words.record`` from closures: no module imports
+``dataclasses`` or calls ``exec``, ``eval`` or ``compile``.  scipy is
+imported only inside the functions that build a sparse matrix, so a command
+that builds none never loads it.
 """
 
 import ast
@@ -22,6 +26,7 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "fockshift"
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 KEEP_HELPERS = {"weights.py:_kept_once", "weights.py:_kept_levels"}
+RECORD_INIT = "words.py:record.__init__"
 
 
 def _nodes():
@@ -50,7 +55,7 @@ def test_the_word_guard_is_defined_once_and_compared_in_three_places():
 
 
 def test_only_the_keep_helpers_memoise_on_objects():
-    # object.__setattr__ also sets a frozen dataclass's own fields in __post_init__
+    # object.__setattr__ also sets a frozen record's fields in the record initialiser and in __post_init__
     setters, readers = set(), set()
     for scope, node in _nodes():
         if not isinstance(node, ast.Call):
@@ -60,7 +65,7 @@ def test_only_the_keep_helpers_memoise_on_objects():
             setters.add(scope)
         if isinstance(func, ast.Name) and func.id == "vars":
             readers.add(scope)
-    assert {scope for scope in setters if not scope.endswith(".__post_init__")} == KEEP_HELPERS
+    assert {scope for scope in setters if not scope.endswith(".__post_init__")} == KEEP_HELPERS | {RECORD_INIT}
     assert readers == KEEP_HELPERS
 
 
@@ -93,4 +98,14 @@ def test_operator_products_are_gathers_on_the_shift_maps():
     assert stacks == set()
     scipy_imports = {scope for scope, node in nodes
                      if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in ast.unparse(node)}
-    assert scipy_imports == {"fock.py:", "algebra.py:"}
+    constructors = ("__init__", "from_entries", "from_row_order", "identity", "zero")
+    assert scipy_imports == {f"fock.py:GradedOperator.{name}" for name in constructors} | {"algebra.py:_support_operator"}
+
+
+def test_records_are_built_without_generated_code():
+    nodes = list(_nodes())
+    imports = {scope for scope, node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+               and "dataclasses" in ast.unparse(node)}
+    calls = {scope for scope, node in nodes if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("exec", "eval", "compile")}
+    assert imports == set() and calls == set()

@@ -56,3 +56,14 @@ def test_compare_outputs_lists_each_csv_difference(tmp_path):
     # the warm-up and the three grids each write a changed CSV; stdout, reports and stderr are unchanged
     assert lines[-1] == "4 invocations on 1 workloads x 1 seeds: 4 differences"
     assert len(lines) == 5 and all(": csv differs, line " in line for line in lines[:-1])
+
+
+def test_cold_start_runs_every_verb_once_and_sees_which_load_scipy_sparse():
+    argv = [sys.executable, str(ROOT / "tools" / "cold_start.py"), "--change", str(ROOT), "--runs", "1"]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header.startswith("PYTHONDONTWRITEBYTECODE=") and header.endswith("1 runs per verb and tree, medians:")
+    # check and region build no sparse matrix; the other verbs build their operators as sparse matrices
+    assert {row.split()[0]: "scipy.sparse loaded" in row for row in rows} == {
+        "check": False, "commutant": True, "region": False, "cesaro": True, "spectra": True}
