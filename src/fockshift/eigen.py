@@ -438,13 +438,17 @@ def region_sample(ws: WeightSystem, points: Sequence[Sequence[float]], depth: in
 
 def write_region_csv(sample: RegionSample, stream: TextIO) -> None:
     """CSV schema: r1,...,rn,levels,partial_sum,tail_ratio,verdict with floats
-    at 17 significant digits, formatted column by column."""
+    at 17 significant digits, formatted column by column, each distinct modulus once."""
     points, n = sample.moduli.shape
     if not points:
         return
     header = ",".join(f"r{j + 1}" for j in range(n)) + ",levels,partial_sum,tail_ratio,verdict\n"
-    floats = [list(map("%.17g".__mod__, column)) for column in
-              (*sample.moduli.T.tolist(), sample.partial_sum.tolist(), sample.tail_ratio.tolist())]
+    text, floats = "%.17g".__mod__, []
+    for column in sample.moduli.T:  # a grid repeats few moduli: each bit pattern is formatted once
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        texts = list(map(text, bits.view(np.float64).tolist()))
+        floats.append([texts[i] for i in inverse.tolist()])
+    floats += [list(map(text, column)) for column in (sample.partial_sum.tolist(), sample.tail_ratio.tolist())]
     rows = zip(*floats[:n], itertools.repeat(str(sample.sums.shape[1])), *floats[n:], sample.verdict.tolist())
     stream.write(header + "\n".join(map(",".join, rows)) + "\n")
 

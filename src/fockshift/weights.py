@@ -4,29 +4,24 @@ A weight system assigns a strictly positive scalar to every edge of the tree:
 ``lambda_of(i, w)`` weights the edge from the basis vector at ``w`` to the one
 at ``i*w``.  Every family defines only that and one prepend automaton
 (``automaton``, from ``_prefix_automaton`` but for the two-letter family),
-built once per object and kept read-only (``kept_automaton``): weight levels,
-infima and commutant boundedness are read off it.  Only a ``TabulatedWeights``
-table (hand-made, or from a mu without structure) has none; it gets the tail
-heuristic and ``bounded_so_far``.  ``lambda_levels`` gives the weights as one
-(n, n^k) array per level k, row i-1 for letter i, and ``kept_lambda_levels``
-(``kept_mu_levels`` for mu) builds them once per object, at the deepest depth
-asked, and slices them.  The table families and ``TableMu`` hold read-only
-``levels[k]`` in that layout, built at construction.  From the weights derive
-the left weight function W(u, w) (products of edge weights down the tree), the
-commutant weights mu, and the right weight function W_mu, all by one recursion
-read in two directions (``_prepend_tables``, ``_append_tables``).  This module
-also houses the identities and conditions those functions satisfy: both
-cocycle laws, the intertwining identity, the boundedness condition governing
-the commutant description, a finite-range semisimplicity estimate, and the
-generation of left weights from prescribed right weights.  The identity sweeps
-take their defects one chunk of blocks at a time, in one numpy pass over
-reused buffers, with the witness rule of a block-by-block sweep.
+kept read-only once built (``kept_automaton``): weight levels, infima and
+commutant boundedness are read off it.  Only a ``TabulatedWeights`` table
+(hand-made, or from a mu without structure) has none; it gets the tail
+heuristic and ``bounded_so_far``.  ``lambda_levels`` gives one (n, n^k) array
+per level k, row i-1 for letter i, the layout of the read-only ``levels`` the
+table families and ``TableMu`` build at construction; ``kept_lambda_levels``
+(``kept_mu_levels``) keeps them per object at the deepest depth asked.  From
+them derive W(u, w), the commutant weights mu and W_mu, by one recursion read
+in two directions (``_prepend_tables``, ``_append_tables``, and the sweeps'
+total-length tables, ``_total_tables``, each side of an identity one broadcast
+product in small reused buffers).  The module also houses the cocycle laws,
+the intertwining identity, the boundedness condition of the commutant, a
+semisimplicity estimate, and left weights generated from right weights.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import partial
 from itertools import accumulate
 from typing import Mapping
@@ -36,6 +31,7 @@ import numpy as np
 from .words import EMPTY, MAX_SWEEP_WORDS, BasisEnumeration, Word, append, parse_word, prepend, record, word_label
 
 MAX_AUTOMATON_STATES = 100_000
+SWEEP_FLOATS = 2**13  # the floats of each buffer the identity sweeps reuse
 
 BOUNDED = "bounded"
 BOUNDED_SO_FAR = "bounded_so_far"
@@ -369,12 +365,8 @@ class PrefixWeights(TabulatedWeights):
 
 
 def left_weight(ws: WeightSystem, u: Word, w: Word) -> float:
-    """W(u, w): the product of edge weights on the path from xi_u to xi_{wu}.
-
-    W(u, e) = 1.
-    """
-    total = 1.0
-    base = u
+    """W(u, w): the product of edge weights on the path from xi_u to xi_{wu}; W(u, e) = 1."""
+    total, base = 1.0, u
     for letter in reversed(w.letters):
         total *= ws.lambda_of(letter, base)
         base = prepend(letter, base)
@@ -425,12 +417,8 @@ class CommutantMu(MuSystem):
 
 @record(eq=False)
 class TableMu(MuSystem):
-    """Explicit right-shift weights: tabulated up to the cutoff length and
-    equal to ``fill`` beyond it.
-
-    The table must be complete up to the cutoff, strictly positive, and
-    normalized with mu_{i,e} = 1.
-    """
+    """Explicit right-shift weights: tabulated up to the cutoff length, complete,
+    strictly positive and normalized with mu_{i,e} = 1, and ``fill`` beyond it."""
 
     n: int
     cutoff: int
@@ -469,8 +457,7 @@ def commutant_mu(ws: WeightSystem, i: int, w: Word) -> float:
     overflow on long words even where their ratio stays bounded.
     """
     ws._check_letter(i)
-    mu = 1.0
-    tail = EMPTY
+    mu, tail = 1.0, EMPTY
     for letter in reversed(w.letters):
         mu = mu * ws.lambda_of(letter, append(tail, i)) / ws.lambda_of(letter, tail)
         tail = prepend(letter, tail)
@@ -478,19 +465,15 @@ def commutant_mu(ws: WeightSystem, i: int, w: Word) -> float:
 
 
 def right_weight(mu: MuSystem, v: Word, w: Word) -> float:
-    """W_mu(v, w): the product of right-shift weights appending w to v.
-
-    W_mu(v, e) = 1.
-    """
+    """W_mu(v, w): the product of right-shift weights appending w to v; W_mu(v, e) = 1."""
     return _right_path(mu, v, w)[-1]
 
 
 def _right_path(mu: MuSystem, v: Word, u: Word, count: int = 1, log: bool = False) -> list[float]:
     """W_mu(v, u^m), or its log, for m = 0 .. count: one walk appending count
     copies of u to v, read after each copy."""
-    total = 0.0 if log else 1.0
+    total, base = 0.0 if log else 1.0, v
     path = [total]
-    base = v
     for _ in range(count):
         for letter in u.letters:
             value = mu.mu_of(letter, base)
@@ -561,61 +544,88 @@ class DefectReport:
     checks: int
 
 
-def _sweep_report(write, chunks: list[tuple[tuple[int, ...], range]], n: int, labels) -> DefectReport:
-    """The relative defects |lhs - rhs| / max(|lhs|, |rhs|, 1) of an identity,
-    one chunk (head, lasts) of blocks at a time: the leading words have the
-    lengths ``head``, the last one each length in ``lasts``, and
-    ``write(*head, last, lhs, rhs)`` writes both sides of a block into views
-    of shape (n^h for h in head, n^last, len(labels)).  The views tile buffers
-    sized to the largest chunk and reused; each chunk's defects take one pass,
-    in place.  A chunk's flat order is the witness key ((length, rank) of
-    each word, then the label), so its first maximum or NaN is its witness;
-    the report's is the smallest key of the worst, a NaN counting as largest."""
-    width = len(labels)
-    layouts = []
-    for head, lasts in chunks:
-        starts = list(accumulate((n**last for last in lasts), initial=0))
-        layouts.append((head, lasts, starts, (*(n**h for h in head), starts[-1], width)))
-    capacity = max(math.prod(shape) for *_, shape in layouts)
-    lhs_buffer, rhs_buffer, defect_buffer = np.empty(capacity), np.empty(capacity), np.empty(capacity)
-    worst, key, checks = (False, 0.0), None, 0  # (NaN, defect): a NaN outranks every number
-    for head, lasts, starts, shape in layouts:
-        size = math.prod(shape)
-        lhs, rhs, defects = lhs_buffer[:size], rhs_buffer[:size], defect_buffer[:size]
-        lhs_blocks, rhs_blocks = lhs.reshape(shape), rhs.reshape(shape)
-        for last, start, stop in zip(lasts, starts, starts[1:]):
-            write(*head, last, lhs_blocks[..., start:stop, :], rhs_blocks[..., start:stop, :])
-        np.subtract(lhs, rhs, out=defects)
-        np.abs(defects, out=defects)
-        np.abs(lhs, out=lhs)
-        np.abs(rhs, out=rhs)
-        np.maximum(lhs, rhs, out=lhs)
-        np.maximum(lhs, 1.0, out=lhs)
-        np.divide(defects, lhs, out=defects)
-        checks += size
-        at = int(defects.argmax())  # the first maximum, or the first NaN
-        value = float(defects[at])
-        rank = (True, 0.0) if math.isnan(value) else (False, value)
-        if rank < worst or rank == (False, 0.0):
-            continue
-        *ranks, position, label = (int(x) for x in np.unravel_index(at, shape))
-        last = bisect_right(starts, position) - 1
-        chunk_key = (*(x for pair in zip(head, ranks) for x in pair), lasts[last], position - starts[last], label)
-        if rank > worst or chunk_key < key:
-            worst, key = rank, chunk_key
-    if key is None:
+def _total_tables(levels, depth: int, append: bool) -> list[np.ndarray]:
+    """[t][a, rank y], |y| = t <= depth: W(u, x) for y = x*u, |u| = a, off ``levels(depth - 1)``
+    of lambda, or if ``append`` W_mu(v, w) for y = v*w, |v| = a, off those of mu; row t is 1.
+    A step multiplies by lambda_{j,y} (mu_{j,y}): ``_prepend_tables`` (``_append_tables``)'s factors, in order."""
+    tables = [np.ones((1, 1))]
+    for t, level in enumerate(levels(max(depth - 1, 0))[:depth]):
+        tables.append(np.ones((t + 2, level.size)))  # y*j has rank (rank y) n + j-1, j*y (j-1) n^t + rank y
+        grown, level = (tables[t][:, :, None], level.T) if append else (tables[t][:, None, :], level)
+        np.multiply(grown, level, out=tables[-1][:-1].reshape(t + 1, *level.shape))
+    return tables
+
+
+def _cut_block(shape: tuple[int, ...], lhs: list, rhs: list, key, axis: int = 0):
+    """A block of one term a side as blocks of at most ``SWEEP_FLOATS`` floats,
+    in flat order: runs of whole rows along ``axis`` where a row fits, else
+    each row cut along the next axis.  An operand's axes of length 1 stay whole."""
+    inner = math.prod(shape[axis + 1:])
+    step = max(SWEEP_FLOATS // inner, 1)
+    for i in range(0, shape[axis], step):
+        cut = (slice(None),) * axis + (slice(i, i + step),)
+        sides = [[tuple(x[cut] if x.shape[axis] > 1 else x for x in side[0])] for side in (lhs, rhs)]
+        piece = ((*shape[:axis], min(step, shape[axis] - i), *shape[axis + 1:]), *sides,
+                 lambda *at, i=i: key(*at[:axis], at[axis] + i, *at[axis + 1:]))
+        yield from _cut_block(*piece, axis + 1) if inner > SWEEP_FLOATS else [piece]
+
+
+def _defect_pass(buffers: np.ndarray, fill: int, placed: list) -> tuple[tuple[bool, float], tuple | None]:
+    """The relative defects of the first ``fill`` floats of the (lhs, rhs, defect)
+    ``buffers``, in place: the worst, (is NaN, value), and the smallest key of
+    the ``placed`` blocks (start, shape, key) attaining it, None at 0."""
+    lhs, rhs, defects = buffers[:, :fill]
+    np.subtract(lhs, rhs, out=defects)
+    np.abs(buffers[:, :fill], out=buffers[:, :fill])
+    np.maximum(lhs, rhs, out=lhs)
+    value = float(np.divide(defects, np.maximum(lhs, 1.0, out=lhs), out=defects).max())  # NaN if any
+    if value == 0.0:
+        return (False, 0.0), None
+    ties = np.flatnonzero(np.isnan(defects) if math.isnan(value) else defects == value)
+    owners, keys = np.searchsorted([start for start, *_ in placed], ties, "right") - 1, []
+    for owner in np.unique(owners).tolist():
+        start, shape, key = placed[owner]
+        columns = np.broadcast_arrays(*key(*np.unravel_index(ties[owners == owner] - start, shape)))
+        keys.append(min(zip(*(column.tolist() for column in columns))))
+    return (math.isnan(value), 0.0 if math.isnan(value) else value), min(keys)
+
+
+def _sweep(blocks: list, n: int, labels) -> DefectReport:
+    """The relative defects |lhs - rhs| / max(|lhs|, |rhs|, 1) of an identity over
+    ``blocks`` (shape, lhs, rhs, key): each side a list of terms, one array
+    (copied) or two (multiplied) of the block's ndim, broadcast over the block
+    or, of several terms, over successive stretches each the shape of its first
+    array; ``key(*index)`` gives the keys ((length, rank) of each word, label
+    index) of positions.  Blocks fill three reused buffers of ``SWEEP_FLOATS``
+    floats (cut by ``_cut_block`` if larger), one ``_defect_pass`` each.  The
+    witness is the smallest key of the worst defect, NaN (inf - inf) the worst."""
+    buffers, placed, fill, passes, checks = np.empty((3, SWEEP_FLOATS)), [], 0, [], 0
+    for block in blocks:
+        for shape, lhs, rhs, key in [block] if math.prod(block[0]) <= SWEEP_FLOATS else _cut_block(*block):
+            size = math.prod(shape)
+            if fill + size > SWEEP_FLOATS:
+                passes.append(_defect_pass(buffers, fill, placed))
+                placed, fill = [], 0
+            for buffer, side in zip(buffers, (lhs, rhs)):
+                at = fill
+                for term in side:
+                    part = shape if len(side) == 1 else term[0].shape
+                    out = buffer[at: at + math.prod(part)].reshape(part)
+                    if len(term) == 2:
+                        np.multiply(*term, out=out)
+                    else:
+                        out[...] = term[0]
+                    at += out.size
+            placed.append((fill, shape, key))
+            fill, checks = fill + size, checks + size
+    passes.append(_defect_pass(buffers, fill, placed))
+    worst = max(rank for rank, _ in passes)
+    if worst == (False, 0.0):
         return DefectReport(0.0, None, checks)
-    *pairs, label = key
+    *pairs, label = min(key for rank, key in passes if rank == worst)
     basis = BasisEnumeration(n, max(pairs[::2]))
     words = (basis.word_at(basis.level_offsets[k] + rank) for k, rank in zip(pairs[::2], pairs[1::2]))
     return DefectReport(math.nan if worst[0] else worst[1], (labels[label], *words), checks)
-
-
-def _kept_prepend_tables(ws: WeightSystem, depth: int) -> list[list[np.ndarray]]:
-    """[a][b] = W(u, w) for |u| = a, |w| = b and a + b <= depth, the sweeps'
-    prepend tables: one list per a, each kept by ``_kept_levels``."""
-    return [_kept_levels(ws, f"_sweep_tables_{a}", depth - a, partial(_prepend_tables, ws, a, ratio=False))
-            for a in range(depth + 1)]
 
 
 def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectReport:
@@ -624,64 +634,62 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
         W(u, v*w)    = W(w*u, v) * W(u, w)
         W_mu(u, v*w) = W_mu(u, v) * W_mu(u*v, w)
 
-    ``mu`` None means ``CommutantMu(ws)``.  Both sides are read off the
-    prepend and append tables (``_kept_prepend_tables``, ``_append_tables``),
-    written block by block of fixed |u|, |v|, |w|, and their defects taken
-    in one pass per chunk of fixed |u|, |v| (``_sweep_report``).  The witness
-    is the first maximum in the order u, v, w, left before right; a NaN defect
-    (an overflowed product) counts as the largest.  More than
+    ``mu`` None means ``CommutantMu(ws)``.  Per t = |u|+|v|+|w| and s = |w*u|
+    (|u*v|), a block [|u|, rank v, rank w*u] ([|u|, rank u*v, rank w]) holds
+    the left side as rows of the total-length table t (``_total_tables``) and
+    the right as one broadcast product, for ``_sweep``.  More than
     ``MAX_SWEEP_WORDS`` triples raise ``ValueError`` before any table is built.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = ws.n
     _sweep_guard(n, depth, lambda k: math.comb(k + 2, 2))
-
-    def write(a, b, c, lhs, rhs):
-        # [rank u, rank v, rank w, label]: v*w has rank rank v n^c + rank w,
-        # w*u rank w n^a + rank u, and u*v rank u n^b + rank v
-        shape = (n**a, n**b, n**c)
-        lhs[..., 0] = left[a][b + c].reshape(shape)
-        lhs[..., 1] = right[a][b + c].reshape(shape)
-        shifted = left[a + c][b].reshape(n**c, n**a, n**b).transpose(1, 2, 0)
-        np.multiply(shifted, left[a][c][:, None, :], out=rhs[..., 0])
-        np.multiply(right[a][b][:, :, None], right[a + b][c].reshape(shape), out=rhs[..., 1])
-
-    chunks = [((a, b), range(depth - a - b + 1)) for a in range(depth + 1) for b in range(depth - a + 1)]
     mu = CommutantMu(ws) if mu is None else mu
-    # products overflow as the scalar ones do, and inf - inf is a NaN defect
-    with np.errstate(over="ignore", invalid="ignore"):
-        left = _kept_prepend_tables(ws, depth)
-        right = [_append_tables(mu, a, None, depth - a, ratio=False) for a in range(depth + 1)]
-        return _sweep_report(write, chunks, n, ("left", "right"))
+    with np.errstate(over="ignore", invalid="ignore"):  # products overflow as the scalar ones do
+        left = _kept_levels(ws, "_left_tables", depth, partial(_total_tables, ws.kept_lambda_levels, append=False))
+        right = _kept_levels(mu.weights if isinstance(mu, CommutantMu) else mu, "_right_tables", depth,
+                             partial(_total_tables, mu.kept_mu_levels, append=True))
+        blocks = []
+        for t, s in ((t, s) for t in range(depth + 1) for s in range(t + 1)):
+            shape = (s + 1, n ** (t - s), n**s)  # [|u|, rank v, rank w*u], w*u of rank (rank w) n^a + rank u
+            rhs = [(left[t][s].reshape(1, *shape[1:]), left[s][:, None])]
+            key = partial(lambda t, s, a, v, y: (a, y % n**a, t - s, v, s - a, y // n**a, 0), t, s)
+            blocks.append((shape, [(left[t][: s + 1].reshape(shape),)], rhs, key))
+            shape = (s + 1, n**s, n ** (t - s))  # [|u|, rank u*v, rank w], u*v of rank (rank u) n^(s-a) + rank v
+            rhs = [(right[s][:, :, None], right[t][s].reshape(1, *shape[1:]))]
+            key = partial(lambda t, s, a, y, w: (a, y // n ** (s - a), s - a, y % n ** (s - a), t - s, w, 1), t, s)
+            blocks.append((shape, [(right[t][: s + 1].reshape(shape),)], rhs, key))
+        return _sweep(blocks, n, ("left", "right"))
 
 
 def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
     """Sweep the intertwining identity mu_{i,v} W(v*i, w) = mu_{i,w*v} W(v, w)
     over all i, v, w with |v| + |w| + 1 <= depth.
 
-    W is read off the prepend tables (``_kept_prepend_tables``) and mu off the
-    levels of ``CommutantMu(ws)``, written block by block of fixed |v|, |w|,
-    and their defects taken in one pass per chunk of fixed |v|
-    (``_sweep_report``).  The witness is the first maximum in the order v, w,
-    i; a NaN defect counts as the largest.  More than ``MAX_SWEEP_WORDS``
+    Per t = |v| + |w|, a block [|v|, rank w*v, i] of W off the total-length
+    tables (``_total_tables``) and mu off ``CommutantMu(ws)`` holds the right
+    side as one broadcast product and the left as one per |v| (past the
+    buffers, a block per |v|), for ``_sweep``.  More than ``MAX_SWEEP_WORDS``
     triples raise ``ValueError`` before any table is built.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     n = ws.n
     _sweep_guard(n, depth - 1, lambda k: (k + 1) * n)
-
-    def write(a, b, lhs, rhs):
-        # [rank v, rank w, i]: v*i has rank rank v n + i-1, w*v rank w n^a + rank v
-        np.multiply(mu[a].T[:, None, :], left[a + 1][b].reshape(n**a, n, n**b).transpose(0, 2, 1), out=lhs)
-        np.multiply(mu[a + b].reshape(n, n**b, n**a).transpose(2, 1, 0), left[a][b][:, :, None], out=rhs)
-
-    chunks = [((a,), range(depth - a)) for a in range(depth)]
     with np.errstate(over="ignore", invalid="ignore"):
-        left = _kept_prepend_tables(ws, depth)
+        left = _kept_levels(ws, "_left_tables", depth, partial(_total_tables, ws.kept_lambda_levels, append=False))
         mu = CommutantMu(ws).kept_mu_levels(depth - 1)
-        return _sweep_report(write, chunks, n, range(1, n + 1))
+        blocks = []
+        for t in range(depth):
+            rows = [(n ** (t - a), n**a, n) for a in range(t + 1)]  # [rank w, rank v, i]: w*v of rank w n^a + rank v
+            lhs = [(left[t + 1][a + 1].reshape(row), mu[a].T[None]) for a, row in enumerate(rows)]
+            if (t + 1) * n ** (t + 1) <= SWEEP_FLOATS:
+                blocks.append(((t + 1, n**t, n), lhs, [(left[t][:, :, None], mu[t].T[None])],
+                               partial(lambda t, a, y, i: (a, y % n**a, t - a, y // n**a, i), t)))
+            else:
+                blocks += [(row, [lhs[a]], [(left[t][a].reshape(*row[:2], 1), mu[t].T.reshape(row))],
+                            partial(lambda t, a, w, v, i: (a, v, t - a, w, i), t, a)) for a, row in enumerate(rows)]
+        return _sweep(blocks, n, range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +699,10 @@ def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
 
 @record
 class Condition6Report:
-    """Supremum of W(i,w)/W(e,w) over the swept range, with the verdict of the
-    decision on the family's automaton.
-
-    ``value`` is the exact supremum over |w| <= depth.  ``verdict`` is
-    ``bounded`` or ``diverging`` when the family has an automaton and
-    ``bounded_so_far`` otherwise; ``certificate`` carries the reasoning
-    (exact supremum, or the cycle whose ratios grow geometrically).
-    """
+    """The exact supremum ``value`` of W(i,w)/W(e,w) over |w| <= depth, and the
+    ``verdict`` decided on the family's automaton, ``bounded`` or ``diverging``
+    (``bounded_so_far`` without one); ``certificate`` carries the reasoning
+    (exact supremum, or the cycle whose ratios grow geometrically)."""
 
     value: float
     verdict: str
@@ -846,13 +850,9 @@ def require_bounded_mu(ws: WeightSystem) -> None:
 
 @record
 class SemisimpleEstimate:
-    """Finite-range proxy for the semisimplicity constant.
-
-    The true constant is an infimum over all words of a liminf over all
-    powers; this estimate restricts to |v| <= max_v_len and to roots of order
-    k in [max_k/2, max_k], and is exact only for families whose right weights
-    are eventually constant.
-    """
+    """Finite-range proxy for the semisimplicity constant, an infimum over all
+    words of a liminf over all powers: restricted to |v| <= max_v_len and roots
+    of order k in [max_k/2, max_k], exact only for eventually constant right weights."""
 
     value: float
     witness_v: Word

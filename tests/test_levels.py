@@ -815,35 +815,100 @@ def test_every_word_enumeration_meets_the_one_guard(monkeypatch):
     assert TruncatedFock(2, 5).dimension == 63
 
 
-def test_sweep_witness_is_the_graded_lex_first_maximum():
-    # equal maxima planted in blocks whose block order (|u|, |v|, |w|) is not
-    # their (u, v, w, label) order, in different chunks of fixed |u|, |v|
+def _planted_cocycle_blocks(n: int, depth: int, planted: dict) -> list:
+    """The blocks of ``check_cocycles``, in its total-length layouts, with both
+    sides 1 but for the planted right-hand values ((|u|, |v|, |w|), (rank u,
+    rank v, rank w, label)) -> value."""
+    blocks = []
+    for t, s in ((t, s) for t in range(depth + 1) for s in range(t + 1)):
+        for label, shape in enumerate(((s + 1, n ** (t - s), n**s), (s + 1, n**s, n ** (t - s)))):
+            rhs = np.ones(shape)
+            for ((a, b, c), (ru, rv, rw, lab)), value in planted.items():
+                if (lab, a + b + c, a + (c, b)[lab]) == (label, t, s):
+                    rhs[(a, rv, rw * n**a + ru) if label == 0 else (a, ru * n**b + rv, rw)] = value
+            if label == 0:  # [|u|, rank v, rank w*u]
+                key = functools.partial(lambda t, s, a, v, y: (a, y % n**a, t - s, v, s - a, y // n**a, 0), t, s)
+            else:  # [|u|, rank u*v, rank w]
+                key = functools.partial(lambda t, s, a, y, w: (a, y // n ** (s - a), s - a, y % n ** (s - a), t - s, w, 1),
+                                        t, s)
+            blocks.append((shape, [(np.ones(shape),)], [(rhs,)], key))
+    return blocks
+
+
+def test_sweep_witness_is_the_graded_lex_first_maximum(monkeypatch):
+    # equal maxima planted in blocks whose flat order [|u|, rank v, rank w*u] is
+    # not the witness order (u, v, w, label), in one buffer, in several, and cut
     n, depth, planted = 2, 4, {}
-
-    def write(a, b, c, lhs, rhs):
-        lhs[...], rhs[...] = 1.0, 1.0
-        for (lengths, ranks), value in planted.items():
-            if lengths == (a, b, c):
-                rhs[ranks] = value
-
-    chunks = [((a, b), range(depth - a - b + 1)) for a in range(depth + 1) for b in range(depth - a + 1)]
     checks = sum(math.comb(k + 2, 2) * n**k * 2 for k in range(depth + 1))
 
     def sweep() -> DefectReport:
-        return weights._sweep_report(write, chunks, n, ("left", "right"))
+        # one buffer, several, and blocks cut row by row and float by float
+        reports = []
+        for buffer_floats in (2**13, 24, 1):
+            monkeypatch.setattr(weights, "SWEEP_FLOATS", buffer_floats)
+            reports.append(weights._sweep(_planted_cocycle_blocks(n, depth, planted), n, ("left", "right")))
+        assert all(_same_report(report, reports[0]) for report in reports)
+        return reports[0]
 
+    assert weights.SWEEP_FLOATS == 2**13  # the buffers' size
     assert sweep() == DefectReport(0.0, None, checks)
     planted[((1, 0, 2), (1, 0, 3, 0))] = 3.0  # u = 2, v = e, w = 22, left: the earlier block
     planted[((1, 1, 0), (0, 1, 0, 1))] = 3.0  # u = 1, v = 2, w = e, right: the earlier key
     planted[((1, 1, 1), (0, 1, 0, 0))] = 3.0  # u = 1, v = 2, w = 1: a later key in a later block
+    planted[((2, 0, 0), (0, 0, 0, 0))] = 3.0  # u = 11, v = w = e, left: a later key, earlier in the buffer
     assert sweep() == DefectReport(2.0 / 3.0, ("right", Word([1]), Word([2]), EMPTY), checks)
     # a NaN in a later block outranks every number; of two NaNs the earlier key wins
-    planted[((2, 0, 2), (3, 0, 0, 0))] = math.nan  # u = 22, v = e, w = 11, left: the earlier chunk
+    planted[((2, 0, 2), (3, 0, 0, 0))] = math.nan  # u = 22, v = e, w = 11, left: the earlier block
     planted[((2, 1, 1), (0, 1, 0, 1))] = math.nan  # u = 11, v = 2, w = 1, right: the earlier key
-    planted[((2, 2, 0), (0, 3, 0, 0))] = math.nan  # u = 11, v = 22, w = e: a later key in a later chunk
+    planted[((2, 2, 0), (0, 3, 0, 0))] = math.nan  # u = 11, v = 22, w = e: a later key in a later block
+    planted[((3, 0, 0), (0, 0, 0, 0))] = math.nan  # u = 111, v = w = e: a later key, earlier in the buffer
     report = sweep()
     assert math.isnan(report.max_defect)
     assert (report.witness, report.checks) == (("right", Word([1, 1]), Word([2]), Word([1])), checks)
+
+
+def test_sweeps_take_whole_table_products_in_one_buffer_pass(monkeypatch):
+    # n = 2, depth 6: each side of a block is one broadcast product over whole
+    # tables, 2 C(d+2, 2) for the cocycles and d + C(d+1, 2) for the
+    # intertwining, and every defect fits one buffer pass
+    products, passes = [], []
+    sweep, defect_pass = weights._sweep, weights._defect_pass
+
+    def counted_sweep(blocks, n, labels):
+        products.append(sum(len(term) == 2 for _, *sides, _ in blocks for side in sides for term in side))
+        passes.append(0)
+        return sweep(blocks, n, labels)
+
+    def counted_pass(*args):
+        passes[-1] += 1
+        return defect_pass(*args)
+
+    monkeypatch.setattr(weights, "_sweep", counted_sweep)
+    monkeypatch.setattr(weights, "_defect_pass", counted_pass)
+    ws, depth = ConstantWeights(2, 1.5), 6
+    check_cocycles(ws, None, depth)
+    check_intertwining(ws, depth)
+    assert products[0] <= 2 * math.comb(depth + 2, 2) == 56
+    assert products[1] <= depth + math.comb(depth + 1, 2) == 27
+    assert passes == [1, 1]
+
+
+def _same_report(report: DefectReport, oracle: DefectReport) -> bool:
+    """``==``, with a NaN defect equal to a NaN defect."""
+    nan = math.isnan(report.max_defect) and math.isnan(oracle.max_defect)
+    return (report.witness, report.checks) == (oracle.witness, oracle.checks) and (
+        nan or report.max_defect == oracle.max_defect)
+
+
+@pytest.mark.parametrize("ws, depth", [(ConstantWeights(2, 1e300), 4), (ConstantWeights(2, 1e300), 6),
+                                       (ConstantWeights(3, 1e-150), 6)], ids=["1e300-d4", "1e300-d6", "1e-150-d6"])
+def test_float_range_sweeps_match_the_oracle(ws, depth):
+    # pinned as they are: past 1e308 the products overflow, inf - inf is a NaN
+    # defect with its witness; below 5e-324 they underflow to 0 and compare 0 with 0
+    cocycles, intertwining = check_cocycles(ws, None, depth), check_intertwining(ws, depth)
+    assert _same_report(cocycles, _oracle_cocycles(ws, None, depth))
+    assert _same_report(intertwining, _oracle_intertwining(ws, depth))
+    assert math.isnan(cocycles.max_defect) == (ws.value > 1.0) == math.isnan(intertwining.max_defect)
 
 
 def test_cocycle_sweep_peak_memory():
@@ -860,23 +925,23 @@ def test_cocycle_sweep_peak_memory():
 
 
 def test_check_builds_each_map_and_table_once(tmp_path, capsys, monkeypatch):
-    # the left shifts are kept on the space and the sweeps' prepend tables on
-    # the weight system: a bounded check builds the left and the right map
-    # once, a diverging one only the left, and both sweeps share one set of tables
+    # the left shifts are kept on the space and the sweeps' total-length tables
+    # on the weight system: a bounded check builds the left and the right map
+    # once, a diverging one only the left; both sweeps share one build of the
+    # W tables, and the cocycle sweep builds the W_mu tables once
     shifts, tables = [], []
-    build_shifts, build_tables = fock._level_shifts, weights._prepend_tables
+    build_shifts, build_tables = fock._level_shifts, weights._total_tables
 
     def counted_shifts(space, levels, left):
         shifts.append(left)
         return build_shifts(space, levels, left)
 
-    def counted_tables(ws, a, bound, ratio):
-        if not ratio:
-            tables.append(a)
-        return build_tables(ws, a, bound, ratio)
+    def counted_tables(levels, depth, append):
+        tables.append(("W_mu" if append else "W", depth))
+        return build_tables(levels, depth, append)
 
     monkeypatch.setattr(fock, "_level_shifts", counted_shifts)
-    monkeypatch.setattr(weights, "_prepend_tables", counted_tables)
+    monkeypatch.setattr(weights, "_total_tables", counted_tables)
     periodic = {"n": 2, "family": "periodic", "period": 2,
                 "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2}}
     diverging = {"n": 2, "family": "two_letter_m", "m": 4, "c": 1}
@@ -886,7 +951,7 @@ def test_check_builds_each_map_and_table_once(tmp_path, capsys, monkeypatch):
         shifts.clear()
         tables.clear()
         assert main(["check", "--config", str(config), "--depth", "9"]) == 0
-        assert (shifts, tables) == (left_and_right, list(range(7)))
+        assert (shifts, tables) == (left_and_right, [("W", 6), ("W_mu", 6)])
     capsys.readouterr()
 
 

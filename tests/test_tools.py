@@ -1,6 +1,7 @@
 """tools/compare_outputs.py on one seed: a tree against itself on ``verify``
 and ``recover``, against a copy whose check lines print another tolerance
-format, and against a copy whose region CSV prints 16 digits."""
+format, against a copy whose region CSV prints 16 digits, and against a copy
+whose sweeps pick another witness, which only the fixed checks reach."""
 
 import shutil
 import subprocess
@@ -19,14 +20,14 @@ def _compare(parent: Path, change: Path, workload: str = "verify") -> subprocess
 def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
     result = _compare(ROOT, ROOT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "7 invocations on 1 workloads x 1 seeds: 0 differences\n"
+    assert result.stdout == "9 invocations on 1 workloads x 1 seeds and 2 fixed checks: 0 differences\n"
 
 
 def test_compare_outputs_finds_no_difference_on_recover():
     # recover runs commutant, cesaro and spectra, whose shift products are gathers on the column maps
     result = _compare(ROOT, ROOT, "recover")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "9 invocations on 1 workloads x 1 seeds: 0 differences\n"
+    assert result.stdout == "11 invocations on 1 workloads x 1 seeds and 2 fixed checks: 0 differences\n"
 
 
 def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
@@ -38,8 +39,9 @@ def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
     result = _compare(ROOT, tmp_path)
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
-    # the warm-up and the six checks each print changed check lines; reports and stderr are unchanged
-    assert lines[-1] == "7 invocations on 1 workloads x 1 seeds: 7 differences"
+    # the warm-up, the six checks and the two fixed checks each print changed
+    # check lines; reports and stderr are unchanged
+    assert lines[-1] == "9 invocations on 1 workloads x 1 seeds and 2 fixed checks: 9 differences"
     assert all(": stdout differs, line " in line for line in lines[:-1])
     assert "tolerance 1.0e-10" in lines[0] and "tolerance 1.00e-10" in lines[0]
 
@@ -54,8 +56,24 @@ def test_compare_outputs_lists_each_csv_difference(tmp_path):
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
     # the warm-up and the three grids each write a changed CSV; stdout, reports and stderr are unchanged
-    assert lines[-1] == "4 invocations on 1 workloads x 1 seeds: 4 differences"
+    assert lines[-1] == "6 invocations on 1 workloads x 1 seeds and 2 fixed checks: 4 differences"
     assert len(lines) == 5 and all(": csv differs, line " in line for line in lines[:-1])
+
+
+def test_compare_outputs_always_compares_the_fixed_checks_witnesses(tmp_path):
+    # region runs no check, so only the fixed checks see sweeps that take the
+    # largest key of the worst defect: constant 1e300 has many NaN defects,
+    # and its witness changes; the rounding maximum of scaled (1, 1e-14) is unique
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    weights = tmp_path / "src" / "fockshift" / "weights.py"
+    text = weights.read_text()
+    assert text.count("keys.append(min(") == 1
+    weights.write_text(text.replace("keys.append(min(", "keys.append(max("))
+    result = _compare(ROOT, tmp_path, "region")
+    assert result.returncode == 1, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[-1] == "6 invocations on 1 workloads x 1 seeds and 2 fixed checks: 1 differences"
+    assert lines[0].startswith("fixed seed 0, check constant_1e300 depth 4: report differs")
 
 
 def test_cold_start_runs_every_verb_once_and_sees_which_load_scipy_sparse():

@@ -3,7 +3,8 @@
     python3 tools/compare_outputs.py --parent ../base --change . [--seeds 1-12] [--workloads verify recover]
 
 Builds the invocations of ``bench/workloads.py`` (warm-ups included) for
-every workload and seed, and runs them on each tree's ``src`` in a fresh
+every workload and seed, plus the ``FIXED_CHECKS``, which run whatever the
+workloads and seeds, and runs them on each tree's ``src`` in a fresh
 Python process, one tree after the other, through ``fockshift.cli.main`` as
 ``bench/run.py`` does.  Both trees run in the same scratch directory, so the
 argv are the same.  For every invocation it compares the exit code, stdout,
@@ -25,6 +26,12 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 FIELDS = ("code", "stdout", "stderr", "csv", "report")
+# (label, config, depth) of check invocations no workload reaches: the witness
+# of a NaN defect (overflowed products) and of a nonzero rounding defect
+FIXED_CHECKS = (
+    ("constant_1e300", {"n": 2, "family": "constant", "value": 1e300}, 4),
+    ("scaled_1e-14", {"n": 2, "family": "scaled", "scales": [1.0, 1e-14]}, 8),
+)
 
 
 def _untimed(value):
@@ -36,9 +43,21 @@ def _untimed(value):
     return value
 
 
+def _fixed_checks(workloads, workdir: str) -> list:
+    """The ``FIXED_CHECKS`` as invocations, their configs written under ``workdir``."""
+    invocations = []
+    for label, document, depth in FIXED_CHECKS:
+        config, report = Path(workdir) / f"{label}.json", str(Path(workdir) / f"{label}.check.json")
+        config.write_text(json.dumps(document))
+        argv = ["check", "--config", str(config), "--depth", str(depth), "--report", report]
+        invocations.append(workloads.Invocation(f"check {label} depth {depth}", "check", argv, None, report=report))
+    return invocations
+
+
 def collect(tree: str, names: list[str], seeds: list[int], workdir: str) -> dict[tuple, dict]:
-    """Run every invocation on ``tree/src``: {(workload, seed, index, label): fields}.
-    Meant for a fresh process, since it imports the tree's package."""
+    """Run every invocation on ``tree/src``: {(workload, seed, index, label): fields},
+    the fixed checks under workload "fixed", seed 0.  Meant for a fresh
+    process, since it imports the tree's package."""
     sys.path.insert(0, str(BENCH))
     import run
     import workloads
@@ -47,23 +66,26 @@ def collect(tree: str, names: list[str], seeds: list[int], workdir: str) -> dict
     src = (Path(tree) / "src").resolve()
     sys.path.insert(0, str(src))
     outputs = {}
-    for name in names:
-        for seed in seeds:
-            for module in [m for m in sys.modules if m == "fockshift" or m.startswith("fockshift.")]:
-                del sys.modules[module]
-            cli = importlib.import_module("fockshift.cli")
-            if not Path(cli.__file__).resolve().is_relative_to(src):
-                raise RuntimeError(f"fockshift imported from {cli.__file__}, not from {src}")
-            shutil.rmtree(workdir, ignore_errors=True)
-            Path(workdir).mkdir(parents=True)
+    for name, seed in [(name, seed) for name in names for seed in seeds] + [("fixed", 0)]:
+        for module in [m for m in sys.modules if m == "fockshift" or m.startswith("fockshift.")]:
+            del sys.modules[module]
+        cli = importlib.import_module("fockshift.cli")
+        if not Path(cli.__file__).resolve().is_relative_to(src):
+            raise RuntimeError(f"fockshift imported from {cli.__file__}, not from {src}")
+        shutil.rmtree(workdir, ignore_errors=True)
+        Path(workdir).mkdir(parents=True)
+        if name == "fixed":
+            invocations = _fixed_checks(workloads, workdir)
+        else:
             workload = workloads.build(name, seed, workdir)
-            for index, invocation in enumerate(workload.warmups + workload.invocations):
-                outcome = run.run_invocation(cli, invocation)[1]
-                report = json.dumps(_untimed(outcome.report), sort_keys=True)
-                outputs[(name, seed, index, invocation.label)] = {
-                    "code": outcome.code, "stdout": outcome.stdout, "stderr": outcome.stderr,
-                    "csv": outcome.csv, "report": report,
-                }
+            invocations = workload.warmups + workload.invocations
+        for index, invocation in enumerate(invocations):
+            outcome = run.run_invocation(cli, invocation)[1]
+            report = json.dumps(_untimed(outcome.report), sort_keys=True)
+            outputs[(name, seed, index, invocation.label)] = {
+                "code": outcome.code, "stdout": outcome.stdout, "stderr": outcome.stderr,
+                "csv": outcome.csv, "report": report,
+            }
     return outputs
 
 
@@ -113,8 +135,8 @@ def main(argv: list[str] | None = None) -> int:
                 differences += 1
                 name, seed, _, label = key
                 print(f"{name} seed {seed}, {label}: {field} differs, {_first_difference(before[key][field], after[key][field])}")
-    print(f"{len(after)} invocations on {len(args.workloads)} workloads x {len(args.seeds)} seeds: "
-          f"{differences} differences")
+    print(f"{len(after)} invocations on {len(args.workloads)} workloads x {len(args.seeds)} seeds "
+          f"and {len(FIXED_CHECKS)} fixed checks: {differences} differences")
     return 1 if differences else 0
 
 
