@@ -17,7 +17,6 @@ import numpy as np
 
 from .words import EMPTY, Word, record
 from .weights import (
-    CommutantMu,
     MuSystem,
     WeightSystem,
     _append_tables,
@@ -49,7 +48,7 @@ class FourierElement:
         cleaned = {w: complex(a) for w, a in coeffs.items() if a != 0}
         if mu is None:
             require_bounded_mu(weights)
-            mu = CommutantMu(weights)
+            mu = weights.kept_commutant_mu()
         return cls(cleaned, weights, mu)
 
     def support_length(self) -> int:
@@ -95,7 +94,7 @@ def expansion_operator(a: FourierElement, space: TruncatedFock) -> GradedOperato
     W_mu(w,v) / W_mu(e,v) of the append tables (``_append_tables``), one set
     per support length, since the products under- or overflow on long words."""
     depth, offsets, coeffs = space.depth, space.level_offsets, a.vector(space.depth)
-    tables = [_append_tables(a.mu, m, np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]]), depth - m, ratio=True)
+    tables = [_append_tables(a.mu, m, np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]]), depth - m)
               for m in range(offsets.index(coeffs.size))]
     return _support_operator(space, coeffs, lambda k, support: np.vstack([t[k] for t in tables[:depth - k + 1]]).T)
 
@@ -192,8 +191,7 @@ def commutant_extract(
     |v| <= depth - support length.
     """
     space = x.space
-    if mu is None:
-        mu = CommutantMu(ws)
+    mu = ws.kept_commutant_mu() if mu is None else mu
     levels = space.levels()
     shifts = right_shift_maps(space, mu)
     for i in range(1, space.n + 1):
@@ -220,6 +218,15 @@ class PairingCheck:
     closed_form: complex
 
 
+def _require_minimal_support(v: Word, coeffs: Mapping[Word, complex], what: str) -> None:
+    """ValueError unless ``v`` is a word of least length among the nonzero ``coeffs``."""
+    support = [w for w, c in coeffs.items() if c != 0]
+    if v not in support:
+        raise ValueError(f"{v} is not a support word of the {what}")
+    if any(len(w) < len(v) for w in support):
+        raise ValueError(f"{v} is not of minimal length in the {what} support")
+
+
 def injectivity_pairing(
     a: FourierElement,
     xi: Mapping[Word, complex],
@@ -228,15 +235,8 @@ def injectivity_pairing(
 ) -> PairingCheck:
     """Pair A xi against the basis vector at v1*v2 for minimal-length support
     words v1 (of A) and v2 (of xi)."""
-    if v1 not in a.coeffs or a.coeffs[v1] == 0:
-        raise ValueError(f"{v1} is not a support word of the expansion")
-    if any(len(w) < len(v1) for w in a.coeffs):
-        raise ValueError(f"{v1} is not of minimal length in the expansion support")
-    xi_support = [w for w, b in xi.items() if b != 0]
-    if v2 not in xi_support:
-        raise ValueError(f"{v2} is not a support word of the vector")
-    if any(len(w) < len(v2) for w in xi_support):
-        raise ValueError(f"{v2} is not of minimal length in the vector support")
+    _require_minimal_support(v1, a.coeffs, "expansion")
+    _require_minimal_support(v2, xi, "vector")
 
     target = v1 * v2
     space = TruncatedFock(a.weights.n, len(target))
@@ -284,10 +284,7 @@ def spectral_radius_lower(a: FourierElement, v: Word, k_max: int, depth: int) ->
     a_v^k W_mu(e,v)^{-(k-1)} W_mu(v, v^{k-1}); every other component of
     A^k xi_e sits at words of length >= k |v|.
     """
-    if v not in a.coeffs or a.coeffs[v] == 0:
-        raise ValueError(f"{v} is not a support word of the expansion")
-    if any(len(w) < len(v) for w in a.coeffs):
-        raise ValueError(f"{v} is not of minimal length in the expansion support")
+    _require_minimal_support(v, a.coeffs, "expansion")
     if len(v) * k_max > depth:
         raise ValueError(f"|v| * k_max = {len(v) * k_max} exceeds depth {depth}")
     ks: list[int] = []

@@ -28,7 +28,6 @@ import numpy as np
 from .words import Word, level_labels, parse_word, record
 from .weights import (
     DIVERGING,
-    CommutantMu,
     ConstantWeights,
     FinitePerturbationWeights,
     PeriodicWeights,
@@ -182,21 +181,18 @@ def parse_config(document: Any) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _to_jsonable(value: Any) -> Any:
-    # exact types: np.float64 subclasses float and still goes through .item()
-    if type(value) in (str, float, int, bool, type(None)):
-        return value
+def _json_default(value: Any) -> Any:
+    """What ``json`` cannot write itself: a word as its text, a complex number as
+    [re, im], a numpy scalar as the Python number, a set as a list."""
     if isinstance(value, Word):
         return str(value)
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, dict):
-        return {str(_to_jsonable(k)): _to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, frozenset, set)):
-        return [_to_jsonable(v) for v in value]
-    return value
+    if isinstance(value, (set, frozenset)):
+        return list(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -222,7 +218,8 @@ def _emit(text: str, path: str | None) -> None:
 def _emit_report(report: dict, path: str | None) -> None:
     block = report.get("mu_table")  # as text, it is the JSON json.dumps would write there
     spliced = isinstance(block, str)
-    text = json.dumps(_to_jsonable(dict(report, mu_table=None) if spliced else report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(dict(report, mu_table=None) if spliced else report, indent=2, sort_keys=True,
+                      default=_json_default) + "\n"
     # strings hold no raw newline, so only the top-level key starts a line at indent 2
     _emit(text.replace('\n  "mu_table": null', '\n  "mu_table": ' + block, 1) if spliced else text, path)
 
@@ -373,7 +370,7 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
     # printed only now, so a failed round trip leaves stdout empty; each distinct mu is formatted once
     prefixes = [f"{i}:" for i in range(1, ws.n + 1)]
     keys = [prefix + label for labels in level_labels(ws.n, config.depth) for label in labels for prefix in prefixes]
-    levels = CommutantMu(ws).kept_mu_levels(config.depth)
+    levels = ws.kept_commutant_mu().kept_mu_levels(config.depth)
     distinct, inverse = np.unique(np.concatenate([level.T.ravel() for level in levels]), return_inverse=True)
     inverse, distinct = inverse.tolist(), distinct.tolist()
     printed = [format(value, ".17g") for value in distinct]

@@ -85,14 +85,13 @@ def eigenvector_coeffs(ws: WeightSystem, point: Sequence[complex], depth: int) -
         raise ValueError("depth must be nonnegative")
     point = tuple(complex(z) for z in point)
     conj, lam = np.conj(np.array(point))[:, None], ws.kept_lambda_levels(depth - 1)
-    # Python's complex arithmetic part by part; numpy's differs in the last bit
-    re, im = [np.ones(1)], [np.zeros(1)]
-    for k in range(depth):
-        re.append(((re[k] * conj.real - im[k] * conj.imag) / lam[k]).ravel())
-        im.append(((re[k] * conj.imag + im[k] * conj.real) / lam[k]).ravel())
-    vector = np.empty(sum(level.size for level in re), dtype=complex)
-    vector.real, vector.imag = np.concatenate(re), np.concatenate(im)
-    return EigenCandidate(point, depth, vector)
+    levels = [np.ones(1, dtype=complex)]
+    for k in range(depth):  # each part divided by lambda: numpy's complex division by a real differs in the last bit
+        level = complex_product(levels[k], np.broadcast_to(conj, lam[k].shape))
+        level.real /= lam[k]
+        level.imag /= lam[k]
+        levels.append(level.ravel())
+    return EigenCandidate(point, depth, np.concatenate(levels))
 
 
 @record
@@ -172,12 +171,14 @@ def level_sums(ws: WeightSystem, moduli: Sequence[float], depth: int) -> np.ndar
 
 
 def _moduli(ws: WeightSystem, points: Sequence[Sequence[float]]) -> np.ndarray:
-    """The points as a (P, n) array of nonnegative moduli."""
+    """The points as a (P, n) array of nonnegative finite moduli."""
     array = np.array(points, dtype=float)
     if array.ndim != 2 or array.shape[1] != ws.n:
         raise ValueError(f"expected {ws.n} moduli, got {array.shape[-1]}")
     if (array < 0).any():
         raise ValueError("moduli must be nonnegative")
+    if not np.isfinite(array).all():
+        raise ValueError(f"point {array[~np.isfinite(array).all(axis=1)][0].tolist()} is not finite")
     return array
 
 
@@ -488,8 +489,7 @@ def ellipse_predicate(ws: WeightSystem, moduli: Sequence[float], depth_for_inf: 
     length <= depth_for_inf.  Weights must stay away from zero on the range
     inspected.
     """
-    if len(moduli) != ws.n:
-        raise ValueError(f"expected {ws.n} moduli, got {len(moduli)}")
+    moduli = _moduli(ws, [moduli])[0].tolist()
     axes = [ws.exact_min_weight(i) for i in range(1, ws.n + 1)]
     if None in axes:
         lows = zip(*(level.min(axis=1).tolist() for level in ws.kept_lambda_levels(depth_for_inf)))
@@ -497,5 +497,5 @@ def ellipse_predicate(ws: WeightSystem, moduli: Sequence[float], depth_for_inf: 
     for i, c_i in enumerate(axes, start=1):
         if c_i <= 1e-12:
             raise ValueError(f"weight infimum for letter {i} vanishes within tolerance")
-    value = sum((float(r) / c) ** 2 for r, c in zip(moduli, axes))
+    value = sum((r / c) ** 2 for r, c in zip(moduli, axes))
     return EllipseReport(value < 1.0, tuple(axes))

@@ -15,13 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .words import BasisEnumeration, Word, record
-from .weights import (
-    CommutantMu,
-    ConstantWeights,
-    MuSystem,
-    WeightSystem,
-    require_bounded_mu,
-)
+from .weights import ConstantWeights, MuSystem, WeightSystem
 
 DENSE_LIMIT = 4096
 
@@ -92,13 +86,13 @@ class GradedOperator:
 
     @classmethod
     def identity(cls, space: TruncatedFock) -> "GradedOperator":
-        import scipy.sparse as sp
-        return cls(space, sp.eye_array(space.dimension, dtype=complex, format="csr"))
+        diagonal = np.arange(space.dimension)
+        return cls.from_row_order(space, diagonal, diagonal, np.ones(space.dimension, dtype=complex), slice(None))
 
     @classmethod
     def zero(cls, space: TruncatedFock) -> "GradedOperator":
-        import scipy.sparse as sp
-        return cls(space, sp.csr_array((space.dimension, space.dimension), dtype=complex))
+        empty = np.zeros(0, dtype=np.int64)
+        return cls.from_row_order(space, empty, empty, np.zeros(0, dtype=complex), slice(None))
 
     @property
     def bands(self) -> frozenset[int]:
@@ -222,8 +216,7 @@ def left_shift_maps(space: TruncatedFock, ws: WeightSystem) -> ShiftMap:
 
 
 def right_shift_maps(space: TruncatedFock, mu: MuSystem) -> ShiftMap:
-    if isinstance(mu, CommutantMu):
-        require_bounded_mu(mu.weights)
+    mu.require_bounded()
     return _level_shifts(space, mu.kept_mu_levels(space.depth - 1), left=False)
 
 
@@ -242,8 +235,7 @@ def left_creation(space: TruncatedFock, i: int) -> GradedOperator:
 
 
 def right_creation(space: TruncatedFock, i: int) -> GradedOperator:
-    unit = ConstantWeights(space.n, 1.0).lambda_levels(space.depth - 1)
-    return _level_shifts(space, unit, left=False).operator(i)
+    return weighted_right_shift(space, ConstantWeights(space.n, 1.0).kept_commutant_mu(), i)
 
 
 def certify_injective(rows: np.ndarray, shape: tuple[int, int]) -> None:
@@ -298,8 +290,7 @@ def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | No
     Both products stay within the truncation on those columns, so the defect
     vanishes exactly when mu carries the commutant weights of ws.
     """
-    if mu is None:
-        mu = CommutantMu(ws)
+    mu = ws.kept_commutant_mu() if mu is None else mu
     cap, n = space.depth - 2, space.n
     cols = space.level_offsets[space.depth - 1]
     if cols == 0:

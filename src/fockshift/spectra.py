@@ -44,6 +44,13 @@ class ResolventReport:
     top_level_defect: float
 
 
+def _finite(point: Sequence[complex]) -> tuple[complex, ...]:
+    point = tuple(complex(z) for z in point)
+    if not np.isfinite(point).all():
+        raise ValueError(f"point {point} is not finite")
+    return point
+
+
 def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
     """Verify the geometric resolvent series inverts I - sum_i conj(z_i) L_i.
 
@@ -51,7 +58,7 @@ def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
     the identity exactly on levels <= depth-1 while the top level carries the
     dropped geometric tail, whose norm is exactly ||z||^depth.
     """
-    point = tuple(complex(z) for z in point)
+    point = _finite(point)
     norm = math.sqrt(sum(abs(z) ** 2 for z in point))
     if norm >= 1.0:
         raise ValueError(f"resolvent series needs ||point|| < 1, got {norm}")
@@ -77,7 +84,7 @@ def right_membership(point: Sequence[complex], depth: int) -> SpectrumReport:
     ``BOUNDARY_TOL`` of the unit sphere are inconclusive: boundary membership follows
     from verdict continuity, not from a finite witness.
     """
-    point = tuple(complex(z) for z in point)
+    point = _finite(point)
     norm = math.sqrt(sum(abs(z) ** 2 for z in point))
     if abs(norm - 1.0) <= BOUNDARY_TOL:
         return SpectrumReport(point, MODE_RIGHT, INCONCLUSIVE, {}, {"norm": norm})
@@ -152,7 +159,7 @@ def left_growth_certificate(
         raise ValueError("k_max must be at least 1")
     if not 0 <= assumed_bound < math.inf:
         raise ValueError(f"assumed bound must be nonnegative and finite, got {assumed_bound}")
-    z1, z2 = (complex(z) for z in point)
+    z1, z2 = _finite(point)
     parameters = None
     for modulus, letter in ((abs(z1), 1), (abs(z2), 2)):
         if abs(modulus - 1.0) <= 1e-12:

@@ -10,13 +10,15 @@ commutant boundedness are read off it.  Only a ``TabulatedWeights`` table
 heuristic and ``bounded_so_far``.  ``lambda_levels`` gives one (n, n^k) array
 per level k, row i-1 for letter i, the layout of the read-only ``levels`` the
 table families and ``TableMu`` build at construction; ``kept_lambda_levels``
-(``kept_mu_levels``) keeps them per object at the deepest depth asked.  From
-them derive W(u, w), the commutant weights mu and W_mu, by one recursion read
-in two directions (``_prepend_tables``, ``_append_tables``, and the sweeps'
-total-length tables, ``_total_tables``, each side of an identity one broadcast
-product in small reused buffers).  The module also houses the cocycle laws,
-the intertwining identity, the boundedness condition of the commutant, a
-semisimplicity estimate, and left weights generated from right weights.
+(``kept_mu_levels``) keeps them per object at the deepest depth asked, and
+each system keeps one commutant mu (``kept_commutant_mu``).  From them derive
+W(u, w), the commutant weights mu and W_mu, by one recursion read in two
+directions (``_prepend_tables``, the mu ratios of ``_append_tables``, and the
+sweeps' total-length tables, ``_total_tables``, each side of an identity one
+broadcast product in small reused buffers).  The module also houses the
+cocycle laws, the intertwining identity, the boundedness condition of the
+commutant, a semisimplicity estimate, and left weights generated from right
+weights.
 """
 
 from __future__ import annotations
@@ -168,6 +170,10 @@ class WeightSystem:
         """``lambda_levels(depth)``, built once per object at the deepest depth
         asked and sliced; the arrays are read-only."""
         return _kept_levels(self, "_lambda_levels", depth, self.lambda_levels)
+
+    def kept_commutant_mu(self) -> "CommutantMu":
+        """The commutant weights of this system, one ``CommutantMu`` built once per object and kept on it."""
+        return _kept_once(self, "_commutant_mu", lambda: CommutantMu(self))
 
     def _check_letter(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -391,10 +397,14 @@ class MuSystem:
         and sliced; the arrays are read-only."""
         return _kept_levels(self, "_mu_levels", depth, self.mu_levels)
 
+    def require_bounded(self) -> None:
+        """Refuse right shifts from weights known to be unbounded; prescribed weights pass."""
+
 
 @record
 class CommutantMu(MuSystem):
-    """The commutant weights mu_{i,w} = W(i,w) / W(e,w) of a weight system."""
+    """The commutant weights mu_{i,w} = W(i,w) / W(e,w) of a weight system; each
+    system keeps one (``WeightSystem.kept_commutant_mu``)."""
 
     weights: WeightSystem
 
@@ -405,9 +415,8 @@ class CommutantMu(MuSystem):
     def mu_of(self, i: int, w: Word) -> float:
         return commutant_mu(self.weights, i, w)
 
-    def kept_mu_levels(self, depth: int) -> list[np.ndarray]:
-        # kept on the weight system, since each caller builds its own CommutantMu
-        return _kept_levels(self.weights, "_commutant_mu_levels", depth, self.mu_levels)
+    def require_bounded(self) -> None:
+        require_bounded_mu(self.weights)
 
     def mu_levels(self, depth: int) -> list[np.ndarray]:
         """W(i,w) / W(e,w), the ratio prepend tables of the one-letter words."""
@@ -500,19 +509,18 @@ def _prepend_tables(ws: WeightSystem, a: int, bound: int, ratio: bool) -> list[n
     return tables
 
 
-def _append_tables(mu: MuSystem, a: int, ranks: np.ndarray | None, bound: int, ratio: bool) -> list[np.ndarray]:
-    """``_prepend_tables`` for W_mu(v, w), appending, with row index for v of
-    rank ``ranks[index]`` (every rank, through views, if None): W_mu(v, w*j)
-    = W_mu(v, w) mu_{j,v*w} (/ mu_{j,w}); w*j has rank (rank w) n + j-1, and
-    v*w rank (rank v) n^b + rank w."""
+def _append_tables(mu: MuSystem, a: int, ranks: np.ndarray | None, bound: int) -> list[np.ndarray]:
+    """The ratio ``_prepend_tables`` for W_mu(v, w) / W_mu(e, w), appending, with
+    row index for v of rank ``ranks[index]`` (every rank, through views, if None):
+    the ratio at w*j is that at w times mu_{j,v*w} / mu_{j,w}; w*j has rank
+    (rank w) n + j-1, and v*w rank (rank v) n^b + rank w."""
     n = mu.n
     m = mu.kept_mu_levels(max(a + bound - 1, 0))
     tables = [np.ones((n**a if ranks is None else ranks.size, 1))]
     for b in range(bound):
         step = m[a + b].reshape(n, n**a, n**b).transpose(1, 2, 0)  # [rank v, rank w, j-1]
         table = tables[b][:, :, None] * (step if ranks is None else step[ranks])
-        if ratio:
-            table /= m[b].T
+        table /= m[b].T
         tables.append(table.reshape(-1, n ** (b + 1)))
     return tables
 
@@ -520,7 +528,7 @@ def _append_tables(mu: MuSystem, a: int, ranks: np.ndarray | None, bound: int, r
 def mu_table(ws: WeightSystem, depth: int) -> dict[tuple[int, Word], float]:
     """Tabulate the commutant weights for all base words up to ``depth``,
     keyed by (letter, word): words in graded-lex order, letters in order."""
-    levels = CommutantMu(ws).kept_mu_levels(depth)
+    levels = ws.kept_commutant_mu().kept_mu_levels(depth)
     basis = BasisEnumeration(ws.n, depth)
     table: dict[tuple[int, Word], float] = {}
     for k, level in enumerate(levels):
@@ -547,7 +555,7 @@ class DefectReport:
 def _total_tables(levels, depth: int, append: bool) -> list[np.ndarray]:
     """[t][a, rank y], |y| = t <= depth: W(u, x) for y = x*u, |u| = a, off ``levels(depth - 1)``
     of lambda, or if ``append`` W_mu(v, w) for y = v*w, |v| = a, off those of mu; row t is 1.
-    A step multiplies by lambda_{j,y} (mu_{j,y}): ``_prepend_tables`` (``_append_tables``)'s factors, in order."""
+    A step multiplies by lambda_{j,y} (mu_{j,y}), the factors of ``_prepend_tables`` (``_append_tables``), in order."""
     tables = [np.ones((1, 1))]
     for t, level in enumerate(levels(max(depth - 1, 0))[:depth]):
         tables.append(np.ones((t + 2, level.size)))  # y*j has rank (rank y) n + j-1, j*y (j-1) n^t + rank y
@@ -634,7 +642,7 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
         W(u, v*w)    = W(w*u, v) * W(u, w)
         W_mu(u, v*w) = W_mu(u, v) * W_mu(u*v, w)
 
-    ``mu`` None means ``CommutantMu(ws)``.  Per t = |u|+|v|+|w| and s = |w*u|
+    ``mu`` None means ``ws.kept_commutant_mu()``.  Per t = |u|+|v|+|w| and s = |w*u|
     (|u*v|), a block [|u|, rank v, rank w*u] ([|u|, rank u*v, rank w]) holds
     the left side as rows of the total-length table t (``_total_tables``) and
     the right as one broadcast product, for ``_sweep``.  More than
@@ -644,11 +652,10 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
         raise ValueError("depth must be nonnegative")
     n = ws.n
     _sweep_guard(n, depth, lambda k: math.comb(k + 2, 2))
-    mu = CommutantMu(ws) if mu is None else mu
+    mu = ws.kept_commutant_mu() if mu is None else mu
     with np.errstate(over="ignore", invalid="ignore"):  # products overflow as the scalar ones do
         left = _kept_levels(ws, "_left_tables", depth, partial(_total_tables, ws.kept_lambda_levels, append=False))
-        right = _kept_levels(mu.weights if isinstance(mu, CommutantMu) else mu, "_right_tables", depth,
-                             partial(_total_tables, mu.kept_mu_levels, append=True))
+        right = _kept_levels(mu, "_right_tables", depth, partial(_total_tables, mu.kept_mu_levels, append=True))
         blocks = []
         for t, s in ((t, s) for t in range(depth + 1) for s in range(t + 1)):
             shape = (s + 1, n ** (t - s), n**s)  # [|u|, rank v, rank w*u], w*u of rank (rank w) n^a + rank u
@@ -667,7 +674,7 @@ def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
     over all i, v, w with |v| + |w| + 1 <= depth.
 
     Per t = |v| + |w|, a block [|v|, rank w*v, i] of W off the total-length
-    tables (``_total_tables``) and mu off ``CommutantMu(ws)`` holds the right
+    tables (``_total_tables``) and mu off ``ws.kept_commutant_mu()`` holds the right
     side as one broadcast product and the left as one per |v| (past the
     buffers, a block per |v|), for ``_sweep``.  More than ``MAX_SWEEP_WORDS``
     triples raise ``ValueError`` before any table is built.
@@ -678,7 +685,7 @@ def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
     _sweep_guard(n, depth - 1, lambda k: (k + 1) * n)
     with np.errstate(over="ignore", invalid="ignore"):
         left = _kept_levels(ws, "_left_tables", depth, partial(_total_tables, ws.kept_lambda_levels, append=False))
-        mu = CommutantMu(ws).kept_mu_levels(depth - 1)
+        mu = ws.kept_commutant_mu().kept_mu_levels(depth - 1)
         blocks = []
         for t in range(depth):
             rows = [(n ** (t - a), n**a, n) for a in range(t + 1)]  # [rank w, rank v, i]: w*v of rank w n^a + rank v
@@ -719,7 +726,7 @@ def _sweep_guard(n: int, depth: int, per_word) -> None:
 
 def _enumerated_sup(ws: WeightSystem, depth: int) -> tuple[float, tuple[int, Word]]:
     basis = BasisEnumeration(ws.n, depth)
-    levels = CommutantMu(ws).kept_mu_levels(depth)
+    levels = ws.kept_commutant_mu().kept_mu_levels(depth)
     best = 0.0
     witness = (1, EMPTY)
     for k in range(depth + 1):
@@ -751,11 +758,8 @@ def _ratio_pairs(next_state: np.ndarray) -> np.ndarray:
     level = seen = np.unique(next_state[0]) * states
     while level.size:
         s, t = np.divmod(level, states)
-        reached = np.unique(next_state[s] * states + next_state[t])
-        at = np.searchsorted(seen, reached)
-        fresh = seen[np.minimum(at, seen.size - 1)] != reached
-        level = reached[fresh]
-        seen = np.sort(np.concatenate([seen, level]))
+        level = np.setdiff1d(next_state[s] * states + next_state[t], seen)
+        seen = np.union1d(seen, level)
         if seen.size > MAX_AUTOMATON_STATES:
             raise ValueError(
                 f"condition-6 automaton reaches {seen.size} ratio pairs, over the {MAX_AUTOMATON_STATES} guard")
@@ -866,11 +870,8 @@ def semisimple_estimate(source: WeightSystem | MuSystem, max_v_len: int, max_k: 
         raise ValueError("max_v_len must be at least 1")
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    if isinstance(source, WeightSystem):
-        require_bounded_mu(source)
-        mu: MuSystem = CommutantMu(source)
-    else:
-        mu = source
+    mu = source.kept_commutant_mu() if isinstance(source, WeightSystem) else source
+    mu.require_bounded()
     basis = BasisEnumeration(mu.n, max_v_len)
     k_lo = max(1, math.ceil(max_k / 2))
     best = math.inf
@@ -903,8 +904,8 @@ def lambda_from_mu(mu: MuSystem, depth: int) -> TabulatedWeights:
     BasisEnumeration(mu.n, depth)  # refuses a negative depth or too many words before any weight is read
     if isinstance(mu, TableMu):  # normalized at construction; every factor past letter C + 1 is fill / fill
         BasisEnumeration(mu.n, mu.cutoff + 1)
-        return PrefixWeights(mu.n, mu.cutoff + 1, _append_tables(mu, 1, None, mu.cutoff + 1, ratio=True))
+        return PrefixWeights(mu.n, mu.cutoff + 1, _append_tables(mu, 1, None, mu.cutoff + 1))
     for i in range(1, mu.n + 1):
         if abs(mu.mu_of(i, EMPTY) - 1.0) > 1e-12:
             raise ValueError(f"right weights must be normalized: mu_({i}, e) != 1")
-    return TabulatedWeights(mu.n, depth, _append_tables(mu, 1, None, depth, ratio=True))
+    return TabulatedWeights(mu.n, depth, _append_tables(mu, 1, None, depth))

@@ -99,7 +99,7 @@ def _systems():
         yield f"finite_perturbation-n{n}", random_finite_perturbation(40 + n, n=n, cutoff=2), depth
         yield f"periodic-n{n}", periodic_weights(n, 50 + n), depth
         mu = table_mu(n, 60 + n)
-        yield f"tabulated-n{n}", TabulatedWeights(n, depth, _append_tables(mu, 1, None, depth, ratio=True)), depth
+        yield f"tabulated-n{n}", TabulatedWeights(n, depth, _append_tables(mu, 1, None, depth)), depth
         yield f"prefix-n{n}", lambda_from_mu(mu, depth), depth
     yield "two_letter_m", TwoLetterRunWeights(0.81, 0.9), 8
 

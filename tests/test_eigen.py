@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,17 @@ def test_ellipse_predicate(unweighted, scaled23, periodic_example):
     report = ellipse_predicate(scaled23, (1.0, 1.0), 4)
     assert report.inside and report.axes == (2.0, 3.0)
     assert ellipse_predicate(periodic_example, (0.5, 0.5), 4).axes == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.5), (0.5, math.inf)])
+def test_moduli_that_are_not_finite_are_refused(unweighted, point):
+    # a NaN modulus ran the bracket to MAX_BRACKET_SWEEPS, read level sums inf, and lay outside the ellipse
+    named = re.escape(f"point {list(point)} is not finite")
+    for run in (lambda: region_sample(unweighted, [(0.25, 0.5), point], 6, 0.02),
+                lambda: level_sums(unweighted, point, 6), lambda: hereditary_check(unweighted, point, (0.0, 0.0), 6),
+                lambda: ellipse_predicate(unweighted, point, 4)):
+        with pytest.raises(ValueError, match=named):
+            run()
 
 
 def test_region_sample_unweighted_unit_ball(unweighted):

@@ -164,6 +164,14 @@ def test_band_structure(space, periodic_example):
     assert GradedOperator.identity(space).bands == frozenset({0})
 
 
+def test_identity_and_zero_equal_scipys(space):
+    import scipy.sparse as sp
+    identity, zero = GradedOperator.identity(space).mat, GradedOperator.zero(space).mat
+    assert identity.has_canonical_format and zero.has_canonical_format
+    assert (identity != sp.eye_array(space.dimension, dtype=complex, format="csr")).nnz == 0
+    assert zero.nnz == 0 and zero.shape == identity.shape == (space.dimension,) * 2
+
+
 def test_columns_orthogonal(space, periodic_example):
     # T_i* T_i is diagonal with entries lambda_{i,w}^2, zero at the top level
     for i in (1, 2):

@@ -286,7 +286,7 @@ def _oracle_expansion_assembly(space: TruncatedFock, a: FourierElement) -> Grade
     """``expansion_operator`` through the COO assembly."""
     depth = space.depth
     return _oracle_support_operator(space, a.vector(depth), lambda m, ranks, c: [
-        c[:, None] * ratio for ratio in weights._append_tables(a.mu, m, ranks, depth - m, ratio=True)])
+        c[:, None] * ratio for ratio in weights._append_tables(a.mu, m, ranks, depth - m)])
 
 
 def _oracle_cesaro(x: GradedOperator, k: int) -> GradedOperator:

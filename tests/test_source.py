@@ -5,7 +5,11 @@ The word guard ``MAX_SWEEP_WORDS`` is defined in ``words`` and compared in
 three places only: ``BasisEnumeration.__init__`` (every enumeration of
 words), ``_sweep_guard`` (the sweeps' triples) and ``GridSpec.points`` (the
 region grid's points).  Derived data is kept on an object by the two keep
-helpers of ``weights`` only: ``_kept_once`` and ``_kept_levels``.  Automaton
+helpers of ``weights`` only: ``_kept_once`` and ``_kept_levels``, with one
+exception, ``fock.left_shift_maps``, which keeps the left shifts of the last
+weight system asked on the space (``space._left_maps``).  Each weight system
+keeps one commutant mu: ``CommutantMu`` is built only by
+``WeightSystem.kept_commutant_mu``.  Automaton
 states are laid out in one place: ``weights._prepended_ranks`` is called only
 by the builder ``_prefix_automaton`` and by the word-tree steps of
 ``eigen._transfer_steps``, so no family writes a ``next`` array by hand.
@@ -26,6 +30,7 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "fockshift"
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 KEEP_HELPERS = {"weights.py:_kept_once", "weights.py:_kept_levels"}
+KEPT_ON_THE_SPACE = "fock.py:left_shift_maps"
 RECORD_INIT = "words.py:record.__init__"
 
 
@@ -67,6 +72,16 @@ def test_only_the_keep_helpers_memoise_on_objects():
             readers.add(scope)
     assert {scope for scope in setters if not scope.endswith(".__post_init__")} == KEEP_HELPERS | {RECORD_INIT}
     assert readers == KEEP_HELPERS
+    # a store to a private attribute of an object other than self or cls keeps data on that object
+    stores = set()
+    for scope, node in _nodes():
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for sub in ast.walk(target):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) and sub.attr.startswith("_")
+                            and not sub.attr.startswith("__") and _names(sub.value) - {"self", "cls"}):
+                        stores.add(scope)
+    assert stores == {KEPT_ON_THE_SPACE}
 
 
 def _callers(name: str) -> set[str]:
@@ -78,6 +93,10 @@ def _callers(name: str) -> set[str]:
             if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
                 callers.add(scope)
     return callers
+
+
+def test_each_weight_system_keeps_one_commutant_mu():
+    assert _callers("CommutantMu") == {"weights.py:WeightSystem.kept_commutant_mu"}
 
 
 def test_only_the_prefix_builder_and_the_word_tree_lay_out_states():
@@ -98,7 +117,7 @@ def test_operator_products_are_gathers_on_the_shift_maps():
     assert stacks == set()
     scipy_imports = {scope for scope, node in nodes
                      if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in ast.unparse(node)}
-    constructors = ("__init__", "from_entries", "from_row_order", "identity", "zero")
+    constructors = ("__init__", "from_entries", "from_row_order")
     assert scipy_imports == {f"fock.py:GradedOperator.{name}" for name in constructors} | {"algebra.py:_support_operator"}
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,16 @@ def test_growth_tables_monotone():
 def test_growth_requires_admissible_point():
     with pytest.raises(ValueError):
         left_growth_certificate((0.5, 0.5), 10, 1.0)
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (math.inf, 0.0), (0.5, complex(0.0, math.nan))])
+def test_points_that_are_not_finite_are_refused(point):
+    # NaN and inf gave not_in_spectrum with NaN defects, and NaN a growth certificate's "inside the unit disc"
+    named = re.escape(f"point {tuple(complex(z) for z in point)} is not finite")
+    for run in (lambda: right_membership(point, 4), lambda: resolvent_check(point, 4),
+                lambda: left_growth_certificate(point, 3, 1.0)):
+        with pytest.raises(ValueError, match=named):
+            run()
 
 
 @pytest.mark.parametrize("bound", [-1.0, math.nan, math.inf])

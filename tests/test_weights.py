@@ -234,24 +234,32 @@ def test_table_mu_requires_normalization():
 
 @pytest.mark.parametrize("ratio", [False, True])
 def test_prepend_and_append_tables_match_the_scalar_weights(ratio):
-    # W(u, w) and W_mu(v, w) for two words of length 2 and every w with |w| <= 3, against the scalar walks
+    # W(u, w) and W_mu(v, w) for two words of length 2 and every w with |w| <= 3, against the scalar walks;
+    # the append tables hold only the ratios W_mu(v, w) / W_mu(e, w)
     ws = random_finite_perturbation(8, n=3, cutoff=2)
     mu = CommutantMu(ws)
     basis, ranks = BasisEnumeration(3, 5), np.array([7, 2])
     words = [basis.word_at(basis.level_offsets[2] + rank) for rank in ranks]
     prepended = [table[ranks] for table in _prepend_tables(ws, 2, 3, ratio)]
-    appended = _append_tables(mu, 2, ranks, 3, ratio)
+    appended = _append_tables(mu, 2, ranks, 3)
     for b in range(4):
         for rank, w in enumerate(basis.level_words(b)):
             for index, x in enumerate(words):
                 left = left_weight(ws, x, w) / (left_weight(ws, EMPTY, w) if ratio else 1.0)
-                right = right_weight(mu, x, w) / (right_weight(mu, EMPTY, w) if ratio else 1.0)
                 assert prepended[b][index, rank] == pytest.approx(left, rel=1e-12)
-                assert appended[b][index, rank] == pytest.approx(right, rel=1e-12)
+                if ratio:
+                    right = right_weight(mu, x, w) / right_weight(mu, EMPTY, w)
+                    assert appended[b][index, rank] == pytest.approx(right, rel=1e-12)
     # every rank, read through views, holds the same numbers; no rank gives (0, n^b) arrays
-    full = _append_tables(mu, 2, None, 3, ratio)
+    full = _append_tables(mu, 2, None, 3)
     assert all(np.array_equal(table[ranks], part) for table, part in zip(full, appended))
-    assert [table.shape for table in _append_tables(mu, 2, ranks[:0], 3, ratio)] == [(0, 3**b) for b in range(4)]
+    assert [table.shape for table in _append_tables(mu, 2, ranks[:0], 3)] == [(0, 3**b) for b in range(4)]
+
+
+def test_each_weight_system_keeps_one_commutant_mu(periodic_example):
+    mu = periodic_example.kept_commutant_mu()
+    assert mu is periodic_example.kept_commutant_mu() and mu == CommutantMu(periodic_example)
+    assert ConstantWeights(2, 1.0).kept_commutant_mu() is not ConstantWeights(2, 1.0).kept_commutant_mu()
 
 
 def _unit_levels(depth: int) -> list:
