@@ -3,9 +3,9 @@ around them: band decompositions, Cesaro smoothing, polynomial approximants,
 extraction of expansion coefficients from commutant members, the injectivity
 pairing, and spectral-radius lower bounds from leading coefficients.
 
-The operator forms read W(u,w), or the ratios W(u,w)/W(e,w), off
-``weights._prepend_tables``, or the mu ratios off ``weights._append_tables``,
-and write their compressed columns in order through one assembly, ``_support_operator``.
+The operator forms read W(u,w), or the ratios W(u,w)/W(e,w), off ``weights._prepend_tables``, or the mu
+ratios off ``weights._append_tables``, and write their compressed columns in order through one assembly,
+``_support_operator``, to a column level ``bound``: cesaro and the extraction build only the columns they compare.
 """
 
 from __future__ import annotations
@@ -66,20 +66,23 @@ class FourierElement:
         return support.vector_from_coeffs({w: c for w, c in self.coeffs.items() if len(w) <= support.depth})
 
 
-def _support_operator(space: TruncatedFock, coeffs: np.ndarray, columns) -> GradedOperator:
-    """The operator with entry c_w x[rank u, index] at row w*u, column u, for each column
-    level k, deepest first, and the support words w with |w| <= depth - k, whose basis
-    indices ``columns(k, support)`` takes to return x, n^k by their count.  ``coeffs``
-    holds c_w for every word of length <= m_max <= depth in basis order, 0 off the support.
-    Row offset(|w| + k) + (rank w) n^k + rank u grows down each column: a canonical CSC."""
+def _support_operator(space: TruncatedFock, coeffs: np.ndarray, columns, *,
+                      bound: int | None = None) -> GradedOperator:
+    """The operator with entry c_w x[rank u, index] at row w*u, column u, for each column level
+    k <= ``bound`` (all if None; the columns above stay empty), deepest first, and the support words
+    w with |w| <= depth - k, whose basis indices ``columns(k, support)`` takes to return x, n^k by
+    their count.  ``coeffs`` holds c_w for every word of length <= m_max <= depth in basis order,
+    0 off the support.  Row offset(|w| + k) + (rank w) n^k + rank u grows down each column: a canonical CSC."""
     import scipy.sparse as sp
     n, depth, offsets = space.n, space.depth, np.asarray(space.level_offsets)
+    top = depth if bound is None else bound
     support = np.flatnonzero(coeffs)
     lengths = space.levels()[support]
     ranks = support - offsets[lengths]
     sizes = np.searchsorted(support, offsets[:0:-1])  # sizes[k]: the support words with |w| <= depth - k
+    sizes[top + 1:] = 0
     data, rows = [], []
-    for k in range(depth, -1, -1):
+    for k in range(top, -1, -1):
         s = sizes[k]
         data.append((coeffs[support[:s]] * columns(k, support[:s])).ravel())
         rows.append((offsets[lengths[:s] + k] + ranks[:s] * n**k + np.arange(n**k)[:, None]).ravel())
@@ -88,15 +91,17 @@ def _support_operator(space: TruncatedFock, coeffs: np.ndarray, columns) -> Grad
     return GradedOperator(space, mat.tocsr())
 
 
-def expansion_operator(a: FourierElement, space: TruncatedFock) -> GradedOperator:
+def expansion_operator(a: FourierElement, space: TruncatedFock, *, bound: int | None = None) -> GradedOperator:
     """The compressed operator with columns A xi_v = W_mu(e,v)^{-1} sum_w a_w W_mu(w,v) xi_{w*v},
-    less the terms with |w| + |v| > depth.  The weight is carried as the ratio
-    W_mu(w,v) / W_mu(e,v) of the append tables (``_append_tables``), one set
-    per support length, since the products under- or overflow on long words."""
+    less the terms with |w| + |v| > depth, for |v| <= ``bound`` (``_support_operator``).  The weight
+    is carried as the ratio W_mu(w,v) / W_mu(e,v) of the append tables (``_append_tables``), one set
+    per support length and |v| <= bound, since the products under- or overflow on long words."""
     depth, offsets, coeffs = space.depth, space.level_offsets, a.vector(space.depth)
-    tables = [_append_tables(a.mu, m, np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]]), depth - m)
+    top = depth if bound is None else bound
+    tables = [_append_tables(a.mu, m, np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]]), min(depth - m, top))
               for m in range(offsets.index(coeffs.size))]
-    return _support_operator(space, coeffs, lambda k, support: np.vstack([t[k] for t in tables[:depth - k + 1]]).T)
+    return _support_operator(space, coeffs, lambda k, support: np.vstack([t[k] for t in tables[:depth - k + 1]]).T,
+                             bound=bound)
 
 
 def apply_fourier(a: FourierElement, v: Word, depth: int) -> dict[Word, complex]:
@@ -131,14 +136,13 @@ def cesaro_sum(x: GradedOperator, k: int) -> GradedOperator:
     return out
 
 
-def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normalized: bool) -> GradedOperator:
-    """sum_w c_w T_w, or sum_w c_w W(e,w)^{-1} T_w if ``normalized``, for
-    ``coeffs`` as ``_support_operator`` takes them.  Column level k gathers the
-    support columns of the level-concatenated prepend tables W(u,w) of |u| = k
-    (``_prepend_tables``), up to |w| = m_max; the deepest k comes first, so the
-    lambda levels are built once, to depth - 1.  Normalized, the entries are
-    c_w W(u,w)/W(e,w), read off the ratio tables, which stay O(1) where both
-    products leave the float range."""
+def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normalized: bool,
+              bound: int | None = None) -> GradedOperator:
+    """sum_w c_w T_w, or sum_w c_w W(e,w)^{-1} T_w if ``normalized``, for ``coeffs`` and the column
+    ``bound`` as ``_support_operator`` takes them.  Column level k gathers the support columns of the
+    level-concatenated prepend tables W(u,w) of |u| = k (``_prepend_tables``), up to |w| = m_max; the
+    deepest k comes first, so the lambda levels are built once.  Normalized, the entries are
+    c_w W(u,w)/W(e,w), read off the ratio tables, which stay O(1) where both products leave the float range."""
     depth = space.depth
     longest = space.level_offsets.index(coeffs.size) - 1
 
@@ -146,7 +150,7 @@ def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normal
         return np.hstack(_prepend_tables(ws, k, min(depth - k, longest), ratio=normalized))[:, support]
 
     with np.errstate(over="ignore", invalid="ignore"):  # weights past the float range give inf or NaN entries
-        return _support_operator(space, coeffs, columns)
+        return _support_operator(space, coeffs, columns, bound=bound)
 
 
 def word_operator(space: TruncatedFock, ws: WeightSystem, w: Word) -> GradedOperator:
@@ -156,18 +160,18 @@ def word_operator(space: TruncatedFock, ws: WeightSystem, w: Word) -> GradedOper
     return _word_sum(space, ws, TruncatedFock(space.n, len(w)).basis_vector(w), normalized=False)
 
 
-def operator_from_fourier(a: FourierElement, space: TruncatedFock) -> GradedOperator:
-    """The compressed operator sum_w a_w W(e,w)^{-1} T_w of an expansion.
-    Words longer than the depth have T_w = 0."""
-    return _word_sum(space, a.weights, a.vector(space.depth), normalized=True)
+def operator_from_fourier(a: FourierElement, space: TruncatedFock, *, bound: int | None = None) -> GradedOperator:
+    """The compressed operator sum_w a_w W(e,w)^{-1} T_w of an expansion, on the columns
+    of level <= ``bound`` (every column if None).  Words longer than the depth have T_w = 0."""
+    return _word_sum(space, a.weights, a.vector(space.depth), True, bound)
 
 
-def pk_polynomial(a: FourierElement, k: int, space: TruncatedFock) -> GradedOperator:
-    """The Fejer-weighted polynomial sum_{|w|<k} (1 - |w|/k) a_w W(e,w)^{-1} T_w."""
+def pk_polynomial(a: FourierElement, k: int, space: TruncatedFock, *, bound: int | None = None) -> GradedOperator:
+    """The Fejer-weighted polynomial sum_{|w|<k} (1 - |w|/k) a_w W(e,w)^{-1} T_w, on the columns <= ``bound``."""
     if k < 1:
         raise ValueError("polynomial order must be at least 1")
     fejer = {w: (1.0 - len(w) / k) * coeff for w, coeff in a.coeffs.items() if len(w) < k}
-    return operator_from_fourier(FourierElement(fejer, a.weights, a.mu), space)
+    return operator_from_fourier(FourierElement(fejer, a.weights, a.mu), space, bound=bound)
 
 
 @record
@@ -204,7 +208,7 @@ def commutant_extract(
 
     element = FourierElement.build(space.coeffs_from_vector(x.column(EMPTY)), ws, mu)
     reach = space.depth - element.support_length()
-    residual, _ = max_column_norm((x - expansion_operator(element, space)).mat, levels <= reach)
+    residual, _ = max_column_norm((x - expansion_operator(element, space, bound=reach)).mat, levels <= reach)
     return ExtractionResult(element, residual, space.level_offsets[reach + 1])
 
 

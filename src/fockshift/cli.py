@@ -34,6 +34,7 @@ from .weights import (
     ScaledWeights,
     TwoLetterRunWeights,
     WeightSystem,
+    _sweep_guard,
     check_cocycles,
     check_intertwining,
     condition6_sup,
@@ -293,6 +294,9 @@ def _cmd_check(config: RunConfig, args) -> tuple[int, dict]:
     tol = config.tolerance
 
     sweep_depth = min(config.depth, 6)  # each sweep's entry names it, with the defects taken
+    _sweep_guard(ws.n, sweep_depth)  # the sweep's guard, then the dimension guard, refuse before any level
+    space = TruncatedFock(ws.n, config.depth)
+    ws.kept_commutant_mu().kept_mu_levels(config.depth)  # lambda and mu, built once to the full depth
     cocycles = recorder.run("cocycles", tol, lambda: check_cocycles(ws, None, sweep_depth))
     recorder.entries[-1].update(depth=sweep_depth, checks=cocycles.checks)
     condition = recorder.run(
@@ -303,7 +307,6 @@ def _cmd_check(config: RunConfig, args) -> tuple[int, dict]:
                          "argmax": [c.witness[0], c.witness[1]], "certificate": c.certificate}),
     )
 
-    space = TruncatedFock(ws.n, config.depth)
     if condition.verdict == DIVERGING:
         recorder.skip("intertwining", "commutant weights diverge; identity not meaningful here")
         recorder.skip("commutation", "right shifts unbounded; commutant checks skipped")
@@ -453,16 +456,13 @@ def _cmd_cesaro(config: RunConfig, args) -> tuple[int, dict]:
     element = FourierElement.build(coeffs, ws)
     if element.support_length() > config.depth:
         raise ConfigError("coefficient support exceeds the configured depth")
-    operator = operator_from_fourier(element, space)
-    smoothed = cesaro_sum(operator, order)
-    polynomial = pk_polynomial(element, order, space)
-    worst, idx = max_column_norm((smoothed - polynomial).mat, space.levels() <= max(config.depth - order, 0))
+    exact = max(config.depth - order, 0)  # the columns where the compressed identity holds, the only ones built
+    smoothed = cesaro_sum(operator_from_fourier(element, space, bound=exact), order)
+    polynomial = pk_polynomial(element, order, space, bound=exact)
+    worst, idx = max_column_norm((smoothed - polynomial).mat, space.levels() <= exact)
     witness = None if idx is None else space.word_at(idx)
     passed = worst <= config.tolerance
-    print(
-        f"cesaro order {order}: {'PASS' if passed else 'FAIL'} "
-        f"(max column defect {worst:.3e} over |v| <= {max(config.depth - order, 0)})"
-    )
+    print(f"cesaro order {order}: {'PASS' if passed else 'FAIL'} (max column defect {worst:.3e} over |v| <= {exact})")
     report = {
         "command": "cesaro",
         "config": config.echo(),

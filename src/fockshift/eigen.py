@@ -75,23 +75,32 @@ class EigenCandidate:
         return dict(zip(words, map(complex, self.vector.real.tolist(), self.vector.imag.tolist())))
 
 
+def _finite(point: Sequence[complex]) -> tuple[complex, ...]:
+    point = tuple(complex(z) for z in point)
+    if not np.isfinite(point).all():
+        raise ValueError(f"point {point} is not finite")
+    return point
+
+
 def eigenvector_coeffs(ws: WeightSystem, point: Sequence[complex], depth: int) -> EigenCandidate:
     """Coefficients conj(w(point)) W(e,w)^{-1}, built level by level: the word
     i*w has rank (i-1) n^k + r, so row i-1 of the (n, n^k) view of level k+1
-    is level k times conj(point_i) / lambda_{i,w}."""
+    is level k times conj(point_i) / lambda_{i,w}.  A point with a coordinate
+    that is not finite raises ValueError naming it."""
     if len(point) != ws.n:
         raise ValueError(f"expected {ws.n} coordinates, got {len(point)}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    point = tuple(complex(z) for z in point)
+    point = _finite(point)
     conj, lam = np.conj(np.array(point))[:, None], ws.kept_lambda_levels(depth - 1)
-    levels = [np.ones(1, dtype=complex)]
-    for k in range(depth):  # each part divided by lambda: numpy's complex division by a real differs in the last bit
-        level = complex_product(levels[k], np.broadcast_to(conj, lam[k].shape))
-        level.real /= lam[k]
-        level.imag /= lam[k]
-        levels.append(level.ravel())
-    return EigenCandidate(point, depth, np.concatenate(levels))
+    re, im = [np.ones(1)], [np.zeros(1)]  # Python's complex arithmetic part by part; numpy's differs in the last bit
+    with np.errstate(over="ignore", invalid="ignore"):  # coefficients past the float range are inf or NaN
+        for k in range(depth):
+            re.append(((re[k] * conj.real - im[k] * conj.imag) / lam[k]).ravel())
+            im.append(((re[k] * conj.imag + im[k] * conj.real) / lam[k]).ravel())
+    vector = np.empty(sum(level.size for level in re), dtype=complex)
+    vector.real, vector.imag = np.concatenate(re), np.concatenate(im)
+    return EigenCandidate(point, depth, vector)
 
 
 @record
@@ -112,7 +121,9 @@ def eigen_residual(
 ) -> ResidualReport:
     """Max over i of ||(T_i* - conj(point_i)) nu|| on levels <= depth-1, where
     the top level is excluded because the compression cannot see it.  The
-    vector nu is ``coeffs``, or the eigenvector candidate at the point."""
+    vector nu is ``coeffs``, or the eigenvector candidate at the point, which
+    must be finite, as in ``eigenvector_coeffs``."""
+    point = _finite(point)
     if coeffs is None:
         vec = eigenvector_coeffs(ws, point, space.depth).vector
     else:
@@ -136,9 +147,9 @@ def joint_eigenspace_dim(
     Row (i, w) reads lambda_{i,w} x_{i*w} - conj(point_i) x_w, with entries at
     or below 1e-8 times the largest entry taken as zero.  A row keeping both
     entries joins w to i*w on the word tree, a row keeping one pins its word,
-    and each tree component that no row pins adds one to the nullity.
+    and each tree component that no row pins adds one to the nullity; a point that is not finite raises ValueError.
     """
-    conj = [complex(z).conjugate() for z in point]
+    conj = [z.conjugate() for z in _finite(point)]
     lam = ws.kept_lambda_levels(space.depth - 1)
     cut = 1e-8 * max([abs(z) for z in conj] + [float(level.max()) for level in lam])
     pinned = np.zeros(space.dimension, dtype=bool)  # by component

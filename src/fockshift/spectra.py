@@ -14,7 +14,7 @@ from .words import EMPTY, Word, record
 from .weights import ConstantWeights
 from .fock import GradedOperator, ShiftMap, TruncatedFock, certify_injective, left_shift_maps, max_column_norm
 from .algebra import _word_sum
-from .eigen import eigen_residual, eigenvector_coeffs
+from .eigen import _finite, eigen_residual, eigenvector_coeffs
 
 BOUNDARY_TOL = 1e-9
 
@@ -42,13 +42,6 @@ class ResolventReport:
     depth: int
     low_level_defect: float
     top_level_defect: float
-
-
-def _finite(point: Sequence[complex]) -> tuple[complex, ...]:
-    point = tuple(complex(z) for z in point)
-    if not np.isfinite(point).all():
-        raise ValueError(f"point {point} is not finite")
-    return point
 
 
 def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:

@@ -651,7 +651,7 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = ws.n
-    _sweep_guard(n, depth, lambda k: math.comb(k + 2, 2))
+    _sweep_guard(n, depth)
     mu = ws.kept_commutant_mu() if mu is None else mu
     with np.errstate(over="ignore", invalid="ignore"):  # products overflow as the scalar ones do
         left = _kept_levels(ws, "_left_tables", depth, partial(_total_tables, ws.kept_lambda_levels, append=False))
@@ -717,8 +717,8 @@ class Condition6Report:
     certificate: dict
 
 
-def _sweep_guard(n: int, depth: int, per_word) -> None:
-    # per_word(k) triples for each word of length k <= depth
+def _sweep_guard(n: int, depth: int, per_word=lambda k: math.comb(k + 2, 2)) -> None:
+    # per_word(k) triples for each word of length k <= depth; by default the cocycle sweep's, which check runs first
     total = sum(per_word(k) * n**k for k in range(depth + 1))
     if total > MAX_SWEEP_WORDS:
         raise ValueError(f"sweep over {total} triples exceeds the {MAX_SWEEP_WORDS} guard; lower depth or n")
@@ -758,8 +758,10 @@ def _ratio_pairs(next_state: np.ndarray) -> np.ndarray:
     level = seen = np.unique(next_state[0]) * states
     while level.size:
         s, t = np.divmod(level, states)
-        level = np.setdiff1d(next_state[s] * states + next_state[t], seen)
-        seen = np.union1d(seen, level)
+        reached = np.unique(next_state[s] * states + next_state[t])
+        at = np.searchsorted(seen, reached)
+        level = reached[seen[np.minimum(at, seen.size - 1)] != reached]
+        seen = np.sort(np.concatenate([seen, level]))
         if seen.size > MAX_AUTOMATON_STATES:
             raise ValueError(
                 f"condition-6 automaton reaches {seen.size} ratio pairs, over the {MAX_AUTOMATON_STATES} guard")

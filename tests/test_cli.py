@@ -794,6 +794,19 @@ PERIODIC = {
 }
 
 
+def test_check_builds_its_lambda_and_mu_levels_once(tmp_path, monkeypatch):
+    # the sweeps read the levels to depth 5 and condition 6 to depth 9: one build at depth 9 serves both
+    calls = []
+    for owner, name in ((weights.WeightSystem, "lambda_levels"), (weights.CommutantMu, "mu_levels")):
+        def counted(self, depth, build=getattr(owner, name), name=name):
+            calls.append((name, depth))
+            return build(self, depth)
+        monkeypatch.setattr(owner, name, counted)
+    config = _write_config(tmp_path, "periodic.json", PERIODIC)
+    assert main(["check", "--config", config, "--depth", "9"]) == 0
+    assert calls == [("mu_levels", 9), ("lambda_levels", 9)]
+
+
 @pytest.mark.parametrize("document, depth", [
     ({"n": 2, "family": "constant", "value": 1.5}, 7),
     (PERIODIC, 8),

@@ -186,6 +186,19 @@ def test_moduli_that_are_not_finite_are_refused(unweighted, point):
             run()
 
 
+@pytest.mark.parametrize("point", [(math.nan, 0), (0.5, complex(0, math.inf))])
+def test_eigen_candidates_refuse_points_that_are_not_finite(unweighted, point):
+    # at (nan, 0) the candidate held NaN coefficients, the residuals read (nan, nan) and the
+    # joint eigenspace had dimension 31 at depth 4, all without a word
+    named = re.escape(f"point {tuple(complex(z) for z in point)} is not finite")
+    space = TruncatedFock(2, 4)
+    for run in (lambda: eigenvector_coeffs(unweighted, point, 4), lambda: eigen_residual(unweighted, space, point),
+                lambda: eigen_residual(unweighted, space, point, {EMPTY: 1.0}),
+                lambda: joint_eigenspace_dim(unweighted, space, point)):
+        with pytest.raises(ValueError, match=named):
+            run()
+
+
 def test_region_sample_unweighted_unit_ball(unweighted):
     grid = GridSpec(0.0, 1.2, 0.1)
     sample = region_sample(unweighted, grid.points(2), 10, 0.02)

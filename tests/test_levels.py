@@ -307,6 +307,12 @@ def _identical(x: GradedOperator, y: GradedOperator) -> bool:
             and np.array_equal(a.data.view(float), b.data.view(float), equal_nan=True))
 
 
+def _columns_to(x: GradedOperator, bound: int) -> GradedOperator:
+    """x with its columns above level ``bound`` dropped, still a canonical CSR."""
+    kept = x.space.levels()[x.mat.indices] <= bound
+    return GradedOperator.from_row_order(x.space, x.entry_rows(), x.mat.indices, x.mat.data, kept)
+
+
 OVERFLOWING = [("constant-1e300", ConstantWeights(2, 1e300), 6)]
 
 
@@ -335,6 +341,16 @@ def test_compressed_assembly_equals_the_coo_oracle(label, ws, depth):
         for w in words_:
             unit = TruncatedFock(n, len(w)).basis_vector(w)
             assert _identical(word_operator(space, ws, w), _oracle_word_sum(space, ws, unit, normalized=False))
+        # a column bound builds the columns at or below it exactly as the unbounded assembly does, and no other
+        for bound in (0, depth - 2, depth):
+            assert _identical(operator_from_fourier(a, space, bound=bound), _columns_to(x, bound))
+            for k in (1, 2, depth):
+                polynomial = pk_polynomial(a, k, space)
+                assert _identical(pk_polynomial(a, k, space, bound=bound), _columns_to(polynomial, bound))
+            for mu in mus:
+                b = FourierElement.build(coeffs, ws, mu)
+                assert _identical(expansion_operator(b, space, bound=bound),
+                                  _columns_to(expansion_operator(b, space), bound))
         # a product has unsorted indices; the smoothing of a word operator past the float range has NaN entries
         shifted = x @ weighted_left_shift(space, ws, n)
         with np.errstate(invalid="ignore"):

@@ -1,8 +1,10 @@
 """tools/compare_outputs.py on one seed: a tree against itself on ``verify``
 and ``recover``, against a copy whose check lines print another tolerance
 format, against a copy whose region CSV prints 16 digits, and against a copy
-whose sweeps pick another witness, which only the fixed checks reach."""
+whose sweeps pick another witness, which only the fixed checks reach; and its
+fixed invocations, each run to the exit and the column range it names."""
 
+import json
 import shutil
 import subprocess
 import sys
@@ -20,14 +22,14 @@ def _compare(parent: Path, change: Path, workload: str = "verify") -> subprocess
 def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
     result = _compare(ROOT, ROOT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "9 invocations on 1 workloads x 1 seeds and 2 fixed checks: 0 differences\n"
+    assert result.stdout == "11 invocations on 1 workloads x 1 seeds and 4 fixed invocations: 0 differences\n"
 
 
 def test_compare_outputs_finds_no_difference_on_recover():
     # recover runs commutant, cesaro and spectra, whose shift products are gathers on the column maps
     result = _compare(ROOT, ROOT, "recover")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "11 invocations on 1 workloads x 1 seeds and 2 fixed checks: 0 differences\n"
+    assert result.stdout == "13 invocations on 1 workloads x 1 seeds and 4 fixed invocations: 0 differences\n"
 
 
 def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
@@ -40,8 +42,8 @@ def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
     # the warm-up, the six checks and the two fixed checks each print changed
-    # check lines; reports and stderr are unchanged
-    assert lines[-1] == "9 invocations on 1 workloads x 1 seeds and 2 fixed checks: 9 differences"
+    # check lines; reports and stderr are unchanged, and cesaro and commutant print no check line
+    assert lines[-1] == "11 invocations on 1 workloads x 1 seeds and 4 fixed invocations: 9 differences"
     assert all(": stdout differs, line " in line for line in lines[:-1])
     assert "tolerance 1.0e-10" in lines[0] and "tolerance 1.00e-10" in lines[0]
 
@@ -56,7 +58,7 @@ def test_compare_outputs_lists_each_csv_difference(tmp_path):
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
     # the warm-up and the three grids each write a changed CSV; stdout, reports and stderr are unchanged
-    assert lines[-1] == "6 invocations on 1 workloads x 1 seeds and 2 fixed checks: 4 differences"
+    assert lines[-1] == "8 invocations on 1 workloads x 1 seeds and 4 fixed invocations: 4 differences"
     assert len(lines) == 5 and all(": csv differs, line " in line for line in lines[:-1])
 
 
@@ -72,8 +74,26 @@ def test_compare_outputs_always_compares_the_fixed_checks_witnesses(tmp_path):
     result = _compare(ROOT, tmp_path, "region")
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[-1] == "6 invocations on 1 workloads x 1 seeds and 2 fixed checks: 1 differences"
+    assert lines[-1] == "8 invocations on 1 workloads x 1 seeds and 4 fixed invocations: 1 differences"
     assert lines[0].startswith("fixed seed 0, check constant_1e300 depth 4: report differs")
+
+
+def test_fixed_invocations_reach_what_they_are_there_for(tmp_path):
+    # an invocation refused at its config would read the same on both trees and compare nothing
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); import compare_outputs; "
+             "outputs = compare_outputs.collect(sys.argv[2], [], [], sys.argv[3]); "
+             "print(json.dumps({key[3]: [out['code'], out['stdout']] for key, out in outputs.items()}))")
+    argv = [sys.executable, "-c", probe, str(ROOT / "tools"), str(ROOT), str(tmp_path / "work")]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    outputs = json.loads(result.stdout)
+    # both checks fail on purpose: a NaN defect and the scaled (1, 1e-14) vacuum kernel
+    assert {label: code for label, (code, _) in outputs.items()} == {
+        "check constant_1e300 depth 4": 1, "check scaled_1e-14 depth 8": 1,
+        "cesaro periodic_support_5 depth 7": 0, "commutant periodic depth 3": 0}
+    assert outputs["cesaro periodic_support_5 depth 7"][1].endswith("over |v| <= 5)\n")
+    assert outputs["commutant periodic depth 3"][1].endswith(
+        "round-trip: PASS (residual 0.000e+00, recovery 0.000e+00)\n")
 
 
 def test_cold_start_runs_every_verb_once_and_sees_which_load_scipy_sparse():

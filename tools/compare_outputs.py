@@ -3,8 +3,8 @@
     python3 tools/compare_outputs.py --parent ../base --change . [--seeds 1-12] [--workloads verify recover]
 
 Builds the invocations of ``bench/workloads.py`` (warm-ups included) for
-every workload and seed, plus the ``FIXED_CHECKS``, which run whatever the
-workloads and seeds, and runs them on each tree's ``src`` in a fresh
+every workload and seed, plus the ``FIXED`` invocations, which run whatever
+the workloads and seeds, and runs them on each tree's ``src`` in a fresh
 Python process, one tree after the other, through ``fockshift.cli.main`` as
 ``bench/run.py`` does.  Both trees run in the same scratch directory, so the
 argv are the same.  For every invocation it compares the exit code, stdout,
@@ -26,11 +26,20 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 FIELDS = ("code", "stdout", "stderr", "csv", "report")
-# (label, config, depth) of check invocations no workload reaches: the witness
-# of a NaN defect (overflowed products) and of a nonzero rounding defect
-FIXED_CHECKS = (
-    ("constant_1e300", {"n": 2, "family": "constant", "value": 1e300}, 4),
-    ("scaled_1e-14", {"n": 2, "family": "scaled", "scales": [1.0, 1e-14]}, 8),
+PERIODIC = {"n": 2, "family": "periodic", "period": 2,
+            "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2}}
+# (label, verb, config, depth, options) of invocations no workload reaches: the check
+# witnesses of a NaN defect (overflowed products) and of a nonzero rounding defect; cesaro
+# with support words longer than its order, so its columns reach words past the columns it
+# compares (|v| <= 5); and commutant at depth 3, whose round trip compares |v| <= 2.  An
+# option whose value is a dict is passed the path of a file holding it as JSON.
+FIXED = (
+    ("constant_1e300", "check", {"n": 2, "family": "constant", "value": 1e300}, 4, {}),
+    ("scaled_1e-14", "check", {"n": 2, "family": "scaled", "scales": [1.0, 1e-14]}, 8, {}),
+    ("periodic_support_5", "cesaro", PERIODIC, 7, {"--k": 2, "--coeffs": {"coeffs": {
+        "e": [0.5, 0.0], "1": [0.25, -0.5], "21": [-0.75, 0.25], "112": [0.5, 0.5],
+        "2121": [-0.25, 1.0], "12212": [1.0, -0.25]}}}),
+    ("periodic", "commutant", PERIODIC, 3, {}),
 )
 
 
@@ -43,20 +52,26 @@ def _untimed(value):
     return value
 
 
-def _fixed_checks(workloads, workdir: str) -> list:
-    """The ``FIXED_CHECKS`` as invocations, their configs written under ``workdir``."""
+def _fixed(workloads, workdir: str) -> list:
+    """The ``FIXED`` invocations, their configs and option files written under ``workdir``."""
     invocations = []
-    for label, document, depth in FIXED_CHECKS:
-        config, report = Path(workdir) / f"{label}.json", str(Path(workdir) / f"{label}.check.json")
+    for label, verb, document, depth, options in FIXED:
+        config, report = Path(workdir) / f"{label}.json", str(Path(workdir) / f"{label}.{verb}.json")
         config.write_text(json.dumps(document))
-        argv = ["check", "--config", str(config), "--depth", str(depth), "--report", report]
-        invocations.append(workloads.Invocation(f"check {label} depth {depth}", "check", argv, None, report=report))
+        argv = [verb, "--config", str(config), "--depth", str(depth), "--report", report]
+        for option, value in options.items():
+            if isinstance(value, dict):
+                path = Path(workdir) / f"{label}.{option.lstrip('-')}.json"
+                path.write_text(json.dumps(value))
+                value = path
+            argv += [option, str(value)]
+        invocations.append(workloads.Invocation(f"{verb} {label} depth {depth}", verb, argv, None, report=report))
     return invocations
 
 
 def collect(tree: str, names: list[str], seeds: list[int], workdir: str) -> dict[tuple, dict]:
     """Run every invocation on ``tree/src``: {(workload, seed, index, label): fields},
-    the fixed checks under workload "fixed", seed 0.  Meant for a fresh
+    the fixed invocations under workload "fixed", seed 0.  Meant for a fresh
     process, since it imports the tree's package."""
     sys.path.insert(0, str(BENCH))
     import run
@@ -75,7 +90,7 @@ def collect(tree: str, names: list[str], seeds: list[int], workdir: str) -> dict
         shutil.rmtree(workdir, ignore_errors=True)
         Path(workdir).mkdir(parents=True)
         if name == "fixed":
-            invocations = _fixed_checks(workloads, workdir)
+            invocations = _fixed(workloads, workdir)
         else:
             workload = workloads.build(name, seed, workdir)
             invocations = workload.warmups + workload.invocations
@@ -136,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
                 name, seed, _, label = key
                 print(f"{name} seed {seed}, {label}: {field} differs, {_first_difference(before[key][field], after[key][field])}")
     print(f"{len(after)} invocations on {len(args.workloads)} workloads x {len(args.seeds)} seeds "
-          f"and {len(FIXED_CHECKS)} fixed checks: {differences} differences")
+          f"and {len(FIXED)} fixed invocations: {differences} differences")
     return 1 if differences else 0
 
 
