@@ -3,9 +3,9 @@ around them: band decompositions, Cesaro smoothing, polynomial approximants,
 extraction of expansion coefficients from commutant members, the injectivity
 pairing, and spectral-radius lower bounds from leading coefficients.
 
-The operator forms read W(u,w), or the ratios W(u,w)/W(e,w), off ``weights._prepend_tables``, or the mu
-ratios off ``weights._append_tables``, and write their compressed columns in order through one assembly,
-``_support_operator``, to a column level ``bound``: cesaro and the extraction build only the columns they compare.
+The operator forms write their rows in order through one assembly, ``_support_operator``, one step per support
+length, to a column level ``bound`` (cesaro and the extraction build only the columns they compare), with W(u,w)
+or W(u,w)/W(e,w) grown along the words' tails as ``weights._prepend_tables`` grows it, or ``_append_tables``' ratios.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .weights import (
     MuSystem,
     WeightSystem,
     _append_tables,
-    _prepend_tables,
     _right_path,
     require_bounded_mu,
     right_weight,
@@ -66,42 +65,41 @@ class FourierElement:
         return support.vector_from_coeffs({w: c for w, c in self.coeffs.items() if len(w) <= support.depth})
 
 
-def _support_operator(space: TruncatedFock, coeffs: np.ndarray, columns, *,
+def _support_operator(space: TruncatedFock, coeffs: np.ndarray, weights, *,
                       bound: int | None = None) -> GradedOperator:
-    """The operator with entry c_w x[rank u, index] at row w*u, column u, for each column level
-    k <= ``bound`` (all if None; the columns above stay empty), deepest first, and the support words
-    w with |w| <= depth - k, whose basis indices ``columns(k, support)`` takes to return x, n^k by
-    their count.  ``coeffs`` holds c_w for every word of length <= m_max <= depth in basis order,
-    0 off the support.  Row offset(|w| + k) + (rank w) n^k + rank u grows down each column: a canonical CSC."""
-    import scipy.sparse as sp
-    n, depth, offsets = space.n, space.depth, np.asarray(space.level_offsets)
-    top = depth if bound is None else bound
-    support = np.flatnonzero(coeffs)
-    lengths = space.levels()[support]
-    ranks = support - offsets[lengths]
-    sizes = np.searchsorted(support, offsets[:0:-1])  # sizes[k]: the support words with |w| <= depth - k
-    sizes[top + 1:] = 0
-    data, rows = [], []
-    for k in range(top, -1, -1):
-        s = sizes[k]
-        data.append((coeffs[support[:s]] * columns(k, support[:s])).ravel())
-        rows.append((offsets[lengths[:s] + k] + ranks[:s] * n**k + np.arange(n**k)[:, None]).ravel())
-    indptr = np.concatenate(([0], np.cumsum(np.repeat(sizes, np.diff(offsets)))))
-    mat = sp.csc_array((np.concatenate(data[::-1]), np.concatenate(rows[::-1]), indptr), shape=(space.dimension,) * 2)
-    return GradedOperator(space, mat.tocsr())
+    """The operator with entry c_v R_m(y) at row y = v*u, column u, for the support words v of each length m
+    and |u| <= ``bound`` (all if None; the columns above stay empty); ``coeffs`` holds c for every word of
+    length <= m_max in basis order, 0 off the support.  Length m is one step over the rows of levels m .. m + bound:
+    prefix and suffix indices are those of m - 1 read at the tails ``at`` (``TruncatedFock.heads``), and
+    ``weights(m, rows, prefix, at)`` gives R_m there.  By decreasing m a row's columns increase, so the
+    (rows x support lengths) grid, read row by row where c != 0, is a canonical CSR."""
+    n, depth, offsets = space.n, space.depth, space.level_offsets
+    top, longest = depth if bound is None else bound, offsets.index(coeffs.size) - 1
+    first, tail = space.heads()
+    lengths = [m for m in range(longest, -1, -1) if coeffs[offsets[m]:offsets[m + 1]].any()]  # the grid's columns
+    cols, data, keep = (np.zeros((space.dimension, len(lengths)), dtype) for dtype in (np.int64, complex, bool))
+    prefix, suffix = np.zeros(space.dimension, dtype=np.int64), np.arange(space.dimension)  # length 0: e and y
+    for m in range(longest + 1):
+        rows = slice(offsets[m], offsets[min(m + top, depth) + 1])
+        at = tail[rows]
+        if m:
+            prefix[rows], suffix[rows] = first[rows] * n ** (m - 1) + prefix[at], suffix[at]
+        weight = weights(m, rows, prefix[rows], at)
+        if m in lengths:
+            c, j = coeffs[prefix[rows]], lengths.index(m)
+            cols[rows, j], keep[rows, j], data[rows, j] = suffix[rows], c != 0, c * weight
+    every = np.broadcast_to(np.arange(space.dimension)[:, None], keep.shape)
+    return GradedOperator.from_row_order(space, every, cols, data, keep)
 
 
 def expansion_operator(a: FourierElement, space: TruncatedFock, *, bound: int | None = None) -> GradedOperator:
     """The compressed operator with columns A xi_v = W_mu(e,v)^{-1} sum_w a_w W_mu(w,v) xi_{w*v},
     less the terms with |w| + |v| > depth, for |v| <= ``bound`` (``_support_operator``).  The weight
-    is carried as the ratio W_mu(w,v) / W_mu(e,v) of the append tables (``_append_tables``), one set
-    per support length and |v| <= bound, since the products under- or overflow on long words."""
-    depth, offsets, coeffs = space.depth, space.level_offsets, a.vector(space.depth)
-    top = depth if bound is None else bound
-    tables = [_append_tables(a.mu, m, np.flatnonzero(coeffs[offsets[m]:offsets[m + 1]]), min(depth - m, top))
-              for m in range(offsets.index(coeffs.size))]
-    return _support_operator(space, coeffs, lambda k, support: np.vstack([t[k] for t in tables[:depth - k + 1]]).T,
-                             bound=bound)
+    is carried as the ratio W_mu(w,v) / W_mu(e,v) of the append tables (``_append_tables``), since the products
+    under- or overflow on long words; over every w of a length, they are that length's rows, raveled, in order."""
+    top = space.depth if bound is None else bound
+    return _support_operator(space, a.vector(space.depth), lambda m, *_: np.concatenate(
+        [table.ravel() for table in _append_tables(a.mu, m, None, min(space.depth - m, top))]), bound=bound)
 
 
 def apply_fourier(a: FourierElement, v: Word, depth: int) -> dict[Word, complex]:
@@ -139,18 +137,23 @@ def cesaro_sum(x: GradedOperator, k: int) -> GradedOperator:
 def _word_sum(space: TruncatedFock, ws: WeightSystem, coeffs: np.ndarray, normalized: bool,
               bound: int | None = None) -> GradedOperator:
     """sum_w c_w T_w, or sum_w c_w W(e,w)^{-1} T_w if ``normalized``, for ``coeffs`` and the column
-    ``bound`` as ``_support_operator`` takes them.  Column level k gathers the support columns of the
-    level-concatenated prepend tables W(u,w) of |u| = k (``_prepend_tables``), up to |w| = m_max; the
-    deepest k comes first, so the lambda levels are built once.  Normalized, the entries are
-    c_w W(u,w)/W(e,w), read off the ratio tables, which stay O(1) where both products leave the float range."""
-    depth = space.depth
-    longest = space.level_offsets.index(coeffs.size) - 1
+    ``bound`` as ``_support_operator`` takes them.  R_m(y), W(u,w) for y = w*u and |w| = m (normalized, W(u,w)/W(e,w)),
+    is R_{m-1}(tail y) lambda_{first y, tail y}, divided by lambda_{first y, prefix_{m-1}(tail y)} if normalized:
+    the factors of ``_prepend_tables`` in order, read off the raveled lambda levels, which line up with the basis
+    one level up.  The normalized entries stay O(1) where both products leave the float range."""
+    top, longest = space.depth if bound is None else bound, space.level_offsets.index(coeffs.size) - 1
+    levels = ws.kept_lambda_levels(max(min(longest + top, space.depth) - 1, 0))
+    lam, weight = np.concatenate([np.ones(1)] + [level.ravel() for level in levels]), np.ones(space.dimension)
 
-    def columns(k, support):
-        return np.hstack(_prepend_tables(ws, k, min(depth - k, longest), ratio=normalized))[:, support]
+    def weights(m, rows, prefix, at):
+        if m:
+            weight[rows] = weight[at] * lam[rows]
+            if normalized:
+                weight[rows] /= lam[prefix]
+        return weight[rows]
 
     with np.errstate(over="ignore", invalid="ignore"):  # weights past the float range give inf or NaN entries
-        return _support_operator(space, coeffs, columns, bound=bound)
+        return _support_operator(space, coeffs, weights, bound=bound)
 
 
 def word_operator(space: TruncatedFock, ws: WeightSystem, w: Word) -> GradedOperator:

@@ -365,7 +365,8 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
     for w in TruncatedFock(ws.n, support_cap).words():
         coeffs[w] = complex(rng.standard_normal(), rng.standard_normal())
     element = FourierElement.build(coeffs, ws)
-    extraction = commutant_extract(operator_from_fourier(element, space), ws)
+    # the commutation test reads X's columns to depth - 1, the extraction those to depth - support_cap
+    extraction = commutant_extract(operator_from_fourier(element, space, bound=config.depth - min(support_cap, 1)), ws)
     recovery = max(abs(extraction.element.coeffs.get(w, 0.0) - a) for w, a in coeffs.items())
     defect = max(extraction.residual, recovery)
     passed = defect <= config.tolerance

@@ -60,10 +60,9 @@ def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
     series = _word_sum(space, unit, eigenvector_coeffs(unit, point, depth - 1).vector, normalized=True)
     shifts = left_shift_maps(space, unit)
     scaled = ShiftMap(space, shifts.rows, shifts.values * np.conj(point)[:, None])  # conj(z_i) L_i
-    lowered = sum((scaled.after(i, series) for i in range(1, space.n + 1)), GradedOperator.zero(space))
+    lowered = sum((scaled.after(i, series) for i in range(2, space.n + 1)), scaled.after(1, series))
     diff, top = (series - lowered - GradedOperator.identity(space)).mat, space.level_slice(depth)
-    every = np.ones(space.dimension, dtype=bool)
-    low, high = (max_column_norm(diff[rows, :], every)[0] for rows in (slice(top.start), top))
+    low, high = (max_column_norm(diff, rows=rows)[0] for rows in (slice(top.start), top))
     return ResolventReport(point, depth, low, high)
 
 
@@ -208,16 +207,17 @@ def zero_left_inverses(
     certify_injective(maps.rows.ravel(), (space.dimension, 2 * space.dimension))
     if np.any(maps.values != 1.0):
         raise ValueError("[L_1 L_2] is not a partial isometry: an entry is not 1")
-    identity, zero = GradedOperator.identity(space), GradedOperator.zero(space)
+    identity, low = GradedOperator.identity(space), space.levels() < depth
+    adjoints = [maps.operator(i).adjoint() for i in (1, 2)]  # L_1* and L_2*, each built once
 
     defects: dict[tuple[int, int], float] = {}
     for i, eta in ((1, eta1), (2, eta2)):
-        a_i = maps.operator(i).adjoint() + GradedOperator.from_entries(
+        a_i = adjoints[i - 1] + GradedOperator.from_entries(
             space, [space.index_of(w) for w in eta], [0] * len(eta), list(eta.values()))
         for j in (1, 2):
-            diff = maps.before(j, a_i) - (identity if i == j else zero)
-            defects[(i, j)] = max_column_norm(diff.mat, space.levels() < depth)[0]
+            product = maps.before(j, a_i)  # A_i L_j, against I for i = j and against 0 otherwise
+            defects[(i, j)] = max_column_norm((product - identity if i == j else product).mat, low)[0]
 
     # X = L_1*, so X - L_1* - (X xi_e at the vacuum column) is -X xi_e, read on levels <= depth-1
-    residual = float(np.abs(maps.operator(1).adjoint().column(EMPTY)[: space.level_slice(space.depth).start]).max())
+    residual = float(np.abs(adjoints[0].column(EMPTY)[: space.level_slice(space.depth).start]).max())
     return ZeroLeftReport(defects, max(defects.values()), residual)

@@ -21,6 +21,7 @@ from fockshift import (
     norm_check,
     operator_from_fourier,
     parse_word,
+    pk_polynomial,
     resolvent_check,
     right_creation,
     vacuum_kernel_check,
@@ -372,6 +373,23 @@ def test_operator_forms_build_no_coo_matrix(monkeypatch, space, periodic_example
     assert expansion_operator(a, space).mat.nnz == x.mat.nnz
     assert commutant_extract(x, periodic_example).element.coeffs == a.coeffs
     assert cesaro_sum(x, 2).mat.nnz == x.mat.nnz
+    assert resolvent_check((0.3, 0.4j), space.depth).low_level_defect <= 1e-12
+
+
+def test_operator_forms_are_written_in_row_order(monkeypatch, space, periodic_example):
+    # one assembly writes each operator straight into CSR: no CSC matrix, and no conversion to CSR
+    # (a CSR's own tocsr, which scipy calls in toarray, returns the matrix itself)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSC matrix was built, or a matrix converted to CSR")
+
+    for cls in (sp.csc_array, sp.coo_array):
+        monkeypatch.setattr(cls, "tocsr", refuse)
+    monkeypatch.setattr(sp, "csc_array", refuse)
+    a = FourierElement.build({EMPTY: 1.0, parse_word("2"): 0.5j, parse_word("121"): -0.25}, periodic_example)
+    x = operator_from_fourier(a, space)
+    assert expansion_operator(a, space, bound=space.depth - 3).mat.nnz < expansion_operator(a, space).mat.nnz
+    assert commutant_extract(x, periodic_example).element.coeffs == a.coeffs
+    assert pk_polynomial(a, 2, space).mat.nnz < x.mat.nnz
     assert resolvent_check((0.3, 0.4j), space.depth).low_level_defect <= 1e-12
 
 

@@ -325,6 +325,9 @@ def test_compressed_assembly_equals_the_coo_oracle(label, ws, depth):
         "dense": list(BasisEnumeration(n, 2).words()) + [Word([n, 1, n])],
         "sparse": [Word([n]), Word([1, n, 1]), Word([n] * depth)],
         "e-only": [EMPTY],
+        # supports that skip whole lengths: the grid holds only the lengths present, the tails step through all
+        "gapped": [EMPTY, Word([1, n, 1]), Word([n, n, 1])],
+        "no-e": [Word([n, 1]), Word([1] * (depth - 1))],
     }
     mus = [CommutantMu(ws), table_mu(n, 70 + n)]
     for words_ in supports.values():
@@ -362,6 +365,16 @@ def test_compressed_assembly_equals_the_coo_oracle(label, ws, depth):
             oracle = GradedOperator.from_entries(space, shifts.rows[i - 1], np.arange(shifts.rows.shape[1]),
                                                  shifts.values[i - 1])
             assert _identical(shifts.operator(i), oracle)
+
+
+@pytest.mark.parametrize("n, depth", [(1, 7), (2, 6), (3, 4), (11, 3)])
+def test_heads_are_the_first_letter_and_the_tail_of_every_word(n, depth):
+    space = TruncatedFock(n, depth)
+    first, tail = space.heads()
+    assert tail[0] == 0 and space.heads()[0] is first
+    for y in range(1, space.dimension):
+        word = space.word_at(y)
+        assert (Word([first[y]]), space.word_at(tail[y])) == (word[:1], word[1:])
 
 
 def _gather_cases(ws, depth):

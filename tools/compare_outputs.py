@@ -31,7 +31,8 @@ PERIODIC = {"n": 2, "family": "periodic", "period": 2,
 # (label, verb, config, depth, options) of invocations no workload reaches: the check
 # witnesses of a NaN defect (overflowed products) and of a nonzero rounding defect; cesaro
 # with support words longer than its order, so its columns reach words past the columns it
-# compares (|v| <= 5); and commutant at depth 3, whose round trip compares |v| <= 2.  An
+# compares (|v| <= 5); commutant at depth 3, whose round trip compares |v| <= 2; and commutant
+# at depth 2, whose support is e alone, so its round trip reads the top column level.  An
 # option whose value is a dict is passed the path of a file holding it as JSON.
 FIXED = (
     ("constant_1e300", "check", {"n": 2, "family": "constant", "value": 1e300}, 4, {}),
@@ -40,6 +41,7 @@ FIXED = (
         "e": [0.5, 0.0], "1": [0.25, -0.5], "21": [-0.75, 0.25], "112": [0.5, 0.5],
         "2121": [-0.25, 1.0], "12212": [1.0, -0.25]}}}),
     ("periodic", "commutant", PERIODIC, 3, {}),
+    ("periodic_e_support", "commutant", PERIODIC, 2, {}),
 )
 
 
