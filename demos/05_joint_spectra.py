@@ -46,7 +46,9 @@ geometric = left_growth_certificate((2.0, 0.0), 10, 1.0)
 print(f"geometric growth at k = 10: {geometric.bounds[-1]:g}")
 
 # At the origin the left equations do have solutions: exactly the rank-one
-# perturbations of the adjoint shifts, recovered here by least squares.
+# perturbations of the adjoint shifts.  [L_1 L_2] is a certified partial
+# isometry, so the minimum-norm solution is L_1* itself and its reconstruction
+# residual is 0 by construction; no least-squares solve runs.
 report = zero_left_inverses({parse_word("21"): 1.0}, {EMPTY: 0.25j}, 6)
 print(f"\nzero-point left inverses: identity defect {report.max_identity_defect:.1e}, "
       f"rank-one reconstruction residual {report.reconstruction_residual:.1e}")

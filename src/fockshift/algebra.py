@@ -75,6 +75,8 @@ def _support_operator(space: TruncatedFock, coeffs: np.ndarray, weights, *,
     (rows x support lengths) grid, read row by row where c != 0, is a canonical CSR."""
     n, depth, offsets = space.n, space.depth, space.level_offsets
     top, longest = depth if bound is None else bound, offsets.index(coeffs.size) - 1
+    if top < 0:  # no column level, so no entry, at any support length
+        return GradedOperator.zero(space)
     first, tail = space.heads()
     lengths = [m for m in range(longest, -1, -1) if coeffs[offsets[m]:offsets[m + 1]].any()]  # the grid's columns
     cols, data, keep = (np.zeros((space.dimension, len(lengths)), dtype) for dtype in (np.int64, complex, bool))

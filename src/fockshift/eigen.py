@@ -4,7 +4,8 @@ convergence series, hereditary domination, the ellipse lower bound, and the
 region-sampling harness with its CSV emission.
 
 An ``EigenCandidate`` holds its coefficients as a vector in basis order and
-builds the ``Word``-keyed dict only on request.
+builds the ``Word``-keyed dict only on request.  At a finite point the joint
+eigenspace is its line, by structure (``joint_eigenspace_dim``).
 
 The level sums come from the transfer matrix M(r) of the family's prepend
 automaton, M(r)[s, next[s, j]] += (r_j / lam[s, j])^2: sigma_k is the mass
@@ -141,32 +142,19 @@ def joint_eigenspace_dim(
     space: TruncatedFock,
     point: Sequence[complex],
 ) -> int:
-    """Numerical dimension of the joint eigenspace at a point: the nullity of
-    the stacked operators (T_i* - conj(point_i)) restricted to levels <= depth-1.
+    """Dimension of the joint eigenspace at a point: the nullity of the stacked
+    operators (T_i* - conj(point_i)) restricted to levels <= depth-1, which is 1.
 
-    Row (i, w) reads lambda_{i,w} x_{i*w} - conj(point_i) x_w, with entries at
-    or below 1e-8 times the largest entry taken as zero.  A row keeping both
-    entries joins w to i*w on the word tree, a row keeping one pins its word,
-    and each tree component that no row pins adds one to the nullity; a point that is not finite raises ValueError.
+    Row (i, w), |w| <= depth-1, reads lambda_{i,w} x_{i*w} = conj(point_i) x_w.
+    Every word other than e is i*w for exactly one row, and since every
+    lambda is strictly positive that row fixes x_{i*w} from its parent x_w:
+    the vacuum coefficient alone is free, at every finite point.  A point of
+    the wrong length, or one that is not finite, raises ValueError.
     """
-    conj = [z.conjugate() for z in _finite(point)]
-    lam = ws.kept_lambda_levels(space.depth - 1)
-    cut = 1e-8 * max([abs(z) for z in conj] + [float(level.max()) for level in lam])
-    pinned = np.zeros(space.dimension, dtype=bool)  # by component
-    components, count = np.zeros(1, dtype=np.int64), 1  # the component of each word at level k
-    for k in range(space.depth):
-        children = []
-        for z, weights in zip(conj, lam[k], strict=True):
-            pivot, coupled = weights > cut, abs(z) > cut
-            fresh = ~pivot | (not coupled)
-            ids = np.where(fresh, count + np.cumsum(fresh) - 1, components)
-            count += int(np.count_nonzero(fresh))
-            pinned[ids[fresh]] = pivot[fresh] & (not coupled)
-            if coupled:
-                pinned[components[~pivot]] = True
-            children.append(ids)
-        components = np.concatenate(children)
-    return count - int(np.count_nonzero(pinned))
+    if len(point) != ws.n:
+        raise ValueError(f"expected {ws.n} coordinates, got {len(point)}")
+    _finite(point)
+    return 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ and are stored sparse.  Raising operators are compressed: their columns at
 the top level are zero, so every identity below is checked on the levels
 where the compressed statement is exact, making defects true zeros instead
 of truncation noise.  Shifts act through their column maps (``ShiftMap``):
-X S_i gathers columns and S_i X moves rows, one term per entry.
+X S_i gathers columns and S_i X moves rows, one term per entry.  A map certified
+injective is a scaled partial permutation: norms and ranks are read off its weights.
 """
 
 from __future__ import annotations
@@ -350,26 +351,22 @@ def vacuum_kernel_check(space: TruncatedFock, ws: WeightSystem) -> VacuumReport:
 
     The stacked adjoints [T_1*; ...; T_n*] hold lambda_{i,w} at row (i, w) and
     column i*w.  Once the images i*w of all letters are certified distinct,
-    the stack is a partial permutation, and its rank counts the weights above
-    the ``np.linalg.matrix_rank`` cutoff sigma_max * max(rows, cols) * eps,
-    after each letter's weights are divided by the power of two at or below
-    their largest: row scaling keeps the exact rank.  For the unweighted
-    system the vacuum projection identity I - sum_i L_i L_i* = P_e is also
-    checked on levels <= depth-1, exactly: each L_i L_i* is diagonal with the
-    squared weights at the images, and every entry is 0 or 1.
+    the stack is a partial permutation, so its rank is exactly its count of
+    nonzero entries.  For the unweighted system the vacuum projection identity
+    I - sum_i L_i L_i* = P_e is also checked on levels <= depth-1, exactly:
+    each L_i L_i* is diagonal with the squared weights at the images, and
+    every entry is 0 or 1.
     """
     dim = space.dimension
     shifts = left_shift_maps(space, ws)
     rows = shifts.rows.ravel()
     certify_injective(rows, (space.n * dim, dim))
-    weights = np.abs(shifts.values)
-    singular = np.ldexp(weights, -np.maximum(np.frexp(weights.max(axis=1))[1] - 1, 0)[:, None])
-    kernel_dim = dim - int(np.count_nonzero(singular > singular.max() * (space.n * dim) * np.finfo(float).eps))
+    kernel_dim = dim - int(np.count_nonzero(shifts.values))
 
     projection_defect = None
     if isinstance(ws, ConstantWeights) and ws.value == 1.0:
         diff = np.ones(dim)
         diff[0] = 0.0
-        diff -= np.bincount(rows, weights=(weights**2).ravel(), minlength=dim)
+        diff -= np.bincount(rows, weights=(shifts.values**2).ravel(), minlength=dim)
         projection_defect = float(np.abs(diff[: space.level_slice(space.depth).start]).max())
     return VacuumReport(kernel_dim, projection_defect)

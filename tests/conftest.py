@@ -109,9 +109,10 @@ SYSTEMS = list(_systems())
 # depths at which the dense oracles stay fast
 ORACLE_DEPTH = {1: 8, 2: 7, 3: 5}
 
-# Systems with pivots of 1e-14, below the rank cutoffs of both the dense
-# oracles and the structural counts, so kernels grow past the vacuum line.
-# The finite perturbation has its tiny pivot at one word only.
+# Systems with pivots of 1e-14, below the cutoffs of dense rank and SVD
+# nullity counts on the weighted matrices; the structural counts, and the
+# dense oracles run on the unit weights, keep them.  The finite
+# perturbation has its tiny pivot at one word only.
 ILL_CONDITIONED = [
     ("scaled-1e-14", ScaledWeights(2, (1.0, 1e-14)), 8),
     ("scaled-n3-1e-14", ScaledWeights(3, (2.0, 1e-14, 1.0)), 5),

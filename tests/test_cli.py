@@ -1021,7 +1021,7 @@ def _parent_cmd_spectra(config, args):
             reports.append({
                 "lambda": list(point), "mode": mode, "verdict": "solutions_exist" if ok else "check_failed",
                 "defects": {"identity": result.max_identity_defect, "reconstruction": result.reconstruction_residual},
-                "witness": {"form": "rank-one perturbations of the adjoint shifts"},
+                "witness": {"form": "rank-one perturbations of the adjoint shifts", "method": "structural"},
                 "pass": ok,
             })
     for entry in reports:

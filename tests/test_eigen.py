@@ -25,6 +25,7 @@ from fockshift import (
     membership_verdict,
     parse_word,
     region_sample,
+    vacuum_kernel_check,
     weighted_left_shift,
     write_region_csv,
 )
@@ -85,7 +86,7 @@ def test_joint_eigenspace_dimension(periodic_example):
 
 
 def _svd_nullity(ws, space, point, rtol=1e-8):
-    """The dense SVD that joint_eigenspace_dim replaced."""
+    """The dense SVD nullity of the stacked (T_i* - conj(point_i)) on levels <= depth-1."""
     keep = space.levels() <= space.depth - 1
     blocks = []
     for i in range(1, space.n + 1):
@@ -107,9 +108,26 @@ def test_joint_eigenspace_dim_matches_svd_oracle(label, ws, depth):
     for radius in (0.3, 0.9, 2.5):
         direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         points.append(tuple(radius * direction / np.linalg.norm(direction)))
+    # the oracle runs on the unit weights: x_w = y_w / W(e,w), with row (i, w) scaled by W(e,w), maps
+    # lambda_{i,w} x_{i*w} - conj(z_i) x_w onto y_{i*w} - conj(z_i) y_w and keeps the rank exactly
+    unit = ConstantWeights(n, 1.0)
     dims = [joint_eigenspace_dim(ws, space, p) for p in points]
-    assert dims == [_svd_nullity(ws, space, p) for p in points]
-    assert (max(dims) > 1) == (label in {s[0] for s in ILL_CONDITIONED})
+    assert dims == [_svd_nullity(unit, space, p) for p in points] == [1] * len(points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_and_eigenspace_are_lines_at_every_scale(data):
+    # scales across the float range, so any cutoff relative to the largest weight would drop the small
+    # ones: at (1, 1e-14) such cutoffs read a kernel of 2^depth and an eigenspace of 2^depth at (0, 0)
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    exponents = data.draw(st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=n, max_size=n))
+    ws = ScaledWeights(n, tuple(10.0**e for e in exponents))
+    space = TruncatedFock(n, data.draw(st.integers(min_value=1, max_value=6)))
+    assert vacuum_kernel_check(space, ws).joint_kernel_dim == 1
+    finite = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+    point = data.draw(st.lists(st.just(0j) | finite, min_size=n, max_size=n))
+    assert joint_eigenspace_dim(ws, space, point) == 1
 
 
 def test_level_sums_unweighted_geometric():

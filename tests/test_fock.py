@@ -90,20 +90,19 @@ def spectral_norm(op, tol=1e-10, max_iter=10_000):
 
 
 def partial_permutation_rank(mat) -> int:
-    """The ``np.linalg.matrix_rank`` count of a sparse matrix with at most one
-    entry per row and column (ValueError for any other pattern)."""
+    """The rank of a sparse matrix with at most one entry per row and column:
+    its count of nonzero entries (ValueError for any other pattern)."""
     mat = sp.csr_array(mat, copy=True)
     mat.eliminate_zeros()
     rows, cols = mat.shape
     if np.diff(mat.indptr).max(initial=0) > 1 or np.bincount(mat.indices, minlength=cols).max(initial=0) > 1:
         raise ValueError(f"the {rows}x{cols} matrix is not a partial permutation with scaled entries")
-    singular = np.abs(mat.data)
-    return int(np.count_nonzero(singular > singular.max(initial=0.0) * max(rows, cols) * np.finfo(float).eps))
+    return mat.nnz
 
 
 def _sparse_vacuum_rank(space, ws):
-    blocks = [weighted_left_shift(space, ws, i).adjoint().mat for i in range(1, space.n + 1)]
-    return partial_permutation_rank(sp.vstack([block / math.ldexp(1.0, _scale_exponent(block)) for block in blocks]))
+    return partial_permutation_rank(sp.vstack([weighted_left_shift(space, ws, i).adjoint().mat
+                                               for i in range(1, space.n + 1)]))
 
 
 def _same(a, b):
@@ -394,16 +393,17 @@ def test_operator_forms_are_written_in_row_order(monkeypatch, space, periodic_ex
 
 
 def test_vacuum_kernel_near_the_float_range(space):
-    # the 1e300 block is divided by 2^996 first, so the cutoff keeps the unit weights
+    # every weight is an entry of the partial permutation, however large or small
     assert vacuum_kernel_check(space, ScaledWeights(2, (1e300, 1.0))).joint_kernel_dim == 1
-    # a block below 1 is not scaled up: the 1e-14 weights stay below the cutoff,
-    # as for scales (1, 1e-14), and the 2^depth words not starting with 1 span the kernel
-    assert vacuum_kernel_check(space, ScaledWeights(2, (1e300, 1e-14))).joint_kernel_dim == 2**space.depth
+    # the 1e-14 weights lie below matrix_rank's cutoff relative to the 1e300 ones, yet each is an entry
+    assert vacuum_kernel_check(space, ScaledWeights(2, (1e300, 1e-14))).joint_kernel_dim == 1
 
 
-def _dense_vacuum_oracle(space, ws):
-    """The dense rank and projection identity that vacuum_kernel_check replaced."""
-    stacked = np.vstack([weighted_left_shift(space, ws, i).adjoint().to_dense() for i in range(1, space.n + 1)])
+def _dense_vacuum_oracle(space):
+    """The dense rank and projection identity that vacuum_kernel_check replaced, on the unit
+    weights: dividing each row of [T_1*; ...; T_n*] by its one weight maps it onto [L_1*; ...; L_n*],
+    and that row scaling keeps the rank exactly."""
+    stacked = np.vstack([left_creation(space, i).adjoint().to_dense() for i in range(1, space.n + 1)])
     kernel_dim = space.dimension - int(np.linalg.matrix_rank(stacked))
     diff = np.eye(space.dimension, dtype=complex)
     diff[0, 0] -= 1.0
@@ -417,19 +417,18 @@ def _dense_vacuum_oracle(space, ws):
 @pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED, ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED])
 def test_vacuum_kernel_matches_dense_oracle(label, ws, depth):
     space = TruncatedFock(ws.n, min(depth, ORACLE_DEPTH[ws.n]))
-    kernel_dim, projection_defect = _dense_vacuum_oracle(space, ws)
-    assert vacuum_kernel_check(space, ws).joint_kernel_dim == kernel_dim
-    assert (kernel_dim > 1) == (label in {s[0] for s in ILL_CONDITIONED})
+    kernel_dim, projection_defect = _dense_vacuum_oracle(space)
+    assert vacuum_kernel_check(space, ws).joint_kernel_dim == kernel_dim == 1
     assert vacuum_kernel_check(space, ConstantWeights(ws.n, 1.0)).projection_defect == projection_defect == 0.0
 
 
 def test_partial_permutation_guard(space):
-    # an explicit zero is no entry; the cutoff sigma_max * max(rows, cols) * eps is matrix_rank's
+    # an explicit zero is no entry; an entry below matrix_rank's cutoff sigma_max * max(rows, cols) * eps is one
     tiny = 3.5 * np.finfo(float).eps
     for shape in ((4, 3), (3, 4)):
         mat = sp.csr_array(([1.0, 0.0, tiny], ([0, 0, 2], [1, 0, 2])), shape=shape)
-        assert partial_permutation_rank(mat) == np.linalg.matrix_rank(mat.toarray()) == 1
-        assert partial_permutation_rank(mat * 1e100) == 1
+        assert np.linalg.matrix_rank(mat.toarray()) == 1
+        assert partial_permutation_rank(mat) == partial_permutation_rank(mat * 1e100) == 2
     # L_1 + L_2 maps xi_w to xi_{1w} + xi_{2w}: two entries in a column, and in a row of its adjoint
     both = left_creation(space, 1) + left_creation(space, 2)
     dim = space.dimension

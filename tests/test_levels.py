@@ -344,8 +344,9 @@ def test_compressed_assembly_equals_the_coo_oracle(label, ws, depth):
         for w in words_:
             unit = TruncatedFock(n, len(w)).basis_vector(w)
             assert _identical(word_operator(space, ws, w), _oracle_word_sum(space, ws, unit, normalized=False))
-        # a column bound builds the columns at or below it exactly as the unbounded assembly does, and no other
-        for bound in (0, depth - 2, depth):
+        # a column bound builds the columns at or below it exactly as the unbounded assembly does, and no other;
+        # a negative bound builds no column
+        for bound in (-1, 0, depth - 2, depth):
             assert _identical(operator_from_fourier(a, space, bound=bound), _columns_to(x, bound))
             for k in (1, 2, depth):
                 polynomial = pk_polynomial(a, k, space)

@@ -128,3 +128,17 @@ def test_records_are_built_without_generated_code():
     calls = {scope for scope, node in nodes if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("exec", "eval", "compile")}
     assert imports == set() and calls == set()
+
+
+def test_the_structural_counts_read_no_cutoff():
+    # the vacuum kernel and the joint eigenspace are counted on a certified structure: no float
+    # tolerance is read, and the only float literals are the unit weight and an empty entry
+    scopes = {"fock.py:vacuum_kernel_check", "eigen.py:joint_eigenspace_dim"}
+    names, floats = set(), set()
+    for scope, node in _nodes():
+        if scope in scopes:
+            names |= {node.id} if isinstance(node, ast.Name) else {node.attr} if isinstance(node, ast.Attribute) else set()
+            if isinstance(node, ast.Constant) and type(node.value) is float and node.value not in (0.0, 1.0):
+                floats.add(node.value)
+    assert names & {"finfo", "frexp", "ldexp", "eps"} == set() and floats == set()
+    assert {scope for scope, _ in _nodes()} >= scopes

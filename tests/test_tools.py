@@ -87,11 +87,12 @@ def test_fixed_invocations_reach_what_they_are_there_for(tmp_path):
     result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     outputs = json.loads(result.stdout)
-    # both checks fail on purpose: a NaN defect and the scaled (1, 1e-14) vacuum kernel
+    # the first check fails on purpose, on a NaN defect; the scaled (1, 1e-14) vacuum kernel is the vacuum line
     assert {label: code for label, (code, _) in outputs.items()} == {
-        "check constant_1e300 depth 4": 1, "check scaled_1e-14 depth 8": 1,
+        "check constant_1e300 depth 4": 1, "check scaled_1e-14 depth 8": 0,
         "cesaro periodic_support_5 depth 7": 0, "commutant periodic depth 3": 0,
         "commutant periodic_e_support depth 2": 0}
+    assert "check vacuum_kernel: PASS" in outputs["check scaled_1e-14 depth 8"][1]
     assert outputs["cesaro periodic_support_5 depth 7"][1].endswith("over |v| <= 5)\n")
     for label in ("commutant periodic depth 3", "commutant periodic_e_support depth 2"):
         assert outputs[label][1].endswith("round-trip: PASS (residual 0.000e+00, recovery 0.000e+00)\n")

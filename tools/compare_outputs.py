@@ -29,11 +29,13 @@ FIELDS = ("code", "stdout", "stderr", "csv", "report")
 PERIODIC = {"n": 2, "family": "periodic", "period": 2,
             "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2}}
 # (label, verb, config, depth, options) of invocations no workload reaches: the check
-# witnesses of a NaN defect (overflowed products) and of a nonzero rounding defect; cesaro
-# with support words longer than its order, so its columns reach words past the columns it
-# compares (|v| <= 5); commutant at depth 3, whose round trip compares |v| <= 2; and commutant
-# at depth 2, whose support is e alone, so its round trip reads the top column level.  An
-# option whose value is a dict is passed the path of a file holding it as JSON.
+# witnesses of a NaN defect (overflowed products) and of the structural vacuum kernel at
+# weights of 1e-14, which a rank cutoff would drop (its cocycle sweep also takes a unique
+# nonzero rounding defect); cesaro with support words longer than its order, so its columns
+# reach words past the columns it compares (|v| <= 5); commutant at depth 3, whose round
+# trip compares |v| <= 2; and commutant at depth 2, whose support is e alone, so its round
+# trip reads the top column level.  An option whose value is a dict is passed the path of a
+# file holding it as JSON.
 FIXED = (
     ("constant_1e300", "check", {"n": 2, "family": "constant", "value": 1e300}, 4, {}),
     ("scaled_1e-14", "check", {"n": 2, "family": "scaled", "scales": [1.0, 1e-14]}, 8, {}),
