@@ -355,7 +355,8 @@ def _verdicts(sums: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray,
         ratios = np.divide(sums[:, 1:], sums[:, :-1], out=np.zeros((len(sums), sums.shape[1] - 1)),
                            where=sums[:, :-1] > 0)
     window = ratios[:, -max(1, ratios.shape[1] // 4):]
-    partials = np.sum(sums, axis=1)
+    with np.errstate(over="ignore"):  # finite level sums adding up past the float range: inf is judged outside
+        partials = np.sum(sums, axis=1)
     overflowed = ~np.isfinite(partials) | (partials > PARTIAL_SUM_OVERFLOW)
     inside = np.all(window <= 1.0 - epsilon, axis=1)
     growing = np.all(window >= 1.0 + epsilon, axis=1)

@@ -256,17 +256,16 @@ def certify_injective(rows: np.ndarray, shape: tuple[int, int]) -> None:
         raise ValueError(f"the {shape[0]}x{shape[1]} matrix is not a partial permutation with scaled entries")
 
 
-def column_norms(mat, rows: slice = slice(None)) -> np.ndarray:
-    """The Euclidean norm of every column of a CSR matrix that holds no duplicate entries, on the range
-    of ``rows``: each column's squares are added in row order, as scipy's ``sum(axis=0)`` adds them."""
-    entries = slice(*(mat.indptr[end] for end in rows.indices(mat.shape[0])[:2]))  # the rows' stored entries
-    return np.sqrt(np.bincount(mat.indices[entries], weights=np.abs(mat.data[entries]) ** 2, minlength=mat.shape[1]))
+def column_norms(mat) -> np.ndarray:
+    """The Euclidean norm of every column of a CSR matrix that holds no duplicate entries: each
+    column's squares are added in row order, as scipy's ``sum(axis=0)`` adds them."""
+    return np.sqrt(np.bincount(mat.indices, weights=np.abs(mat.data) ** 2, minlength=mat.shape[1]))
 
 
-def max_column_norm(mat, mask: np.ndarray | bool = True, rows: slice = slice(None)) -> tuple[float, int | None]:
-    """The largest column norm over the columns in ``mask`` (every column by default), read on the range
-    of ``rows``, and the first column attaining it, None if it is 0.  A NaN norm counts as the largest."""
-    norms = np.where(mask, column_norms(mat, rows), 0.0)
+def max_column_norm(mat, mask: np.ndarray | bool = True) -> tuple[float, int | None]:
+    """The largest column norm over the columns in ``mask`` (every column by default), and the first
+    column attaining it, None if it is 0.  A NaN norm counts as the largest."""
+    norms = np.where(mask, column_norms(mat), 0.0)
     idx = int(np.argmax(norms))
     return float(norms[idx]), (None if norms[idx] == 0.0 else idx)
 

@@ -1,7 +1,8 @@
 """Joint right/left spectrum experiments for the unweighted creation tuple:
-resolvent-series right inverses, membership verdicts with witnesses, analytic
-left-inverse growth certificates, and the rank-one left-inverse family at the
-origin, with every product by a shift a gather on its column map (``fock.ShiftMap``)."""
+resolvent-series right inverses, read off one coefficient vector with no
+operator built, membership verdicts with witnesses, analytic left-inverse
+growth certificates, and the rank-one left-inverse family at the origin, whose
+products by a shift are gathers on its column map (``fock.ShiftMap``)."""
 
 from __future__ import annotations
 
@@ -12,8 +13,7 @@ import numpy as np
 
 from .words import EMPTY, Word, record
 from .weights import ConstantWeights
-from .fock import GradedOperator, ShiftMap, TruncatedFock, certify_injective, left_shift_maps, max_column_norm
-from .algebra import _word_sum
+from .fock import GradedOperator, TruncatedFock, certify_injective, complex_product, left_shift_maps, max_column_norm
 from .eigen import _finite, eigen_residual, eigenvector_coeffs
 
 BOUNDARY_TOL = 1e-9
@@ -47,23 +47,24 @@ class ResolventReport:
 def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
     """Verify the geometric resolvent series inverts I - sum_i conj(z_i) L_i.
 
-    The series is truncated to terms of length < depth, so the product equals
-    the identity exactly on levels <= depth-1 while the top level carries the
-    dropped geometric tail, whose norm is exactly ||z||^depth.
+    The series R = sum_{|u| < depth} c_u L_u, for c the joint eigenvector's coefficients at the point, is
+    truncated to terms of length < depth, so the product equals the identity exactly on levels <= depth-1
+    while the top level carries the dropped geometric tail, whose norm is exactly ||z||^depth.  Both factors
+    raise the level, so their compressions compose exactly, and column v of the product minus I holds d_u at
+    row u*v: d_e = c_e - 1 and d_{i*u} = c_{i*u} - conj(z_i) c_u, with c = 0 at level depth.  No operator is
+    built: ``max_column_norm`` would add a column's |d_u|^2 one by one in the graded-lex order of u, so the
+    low levels' norm is column e's, over |u| <= depth-1, and the top level's one level's, the same floats.
     """
     point = _finite(point)
     norm = math.sqrt(sum(abs(z) ** 2 for z in point))
     if norm >= 1.0:
         raise ValueError(f"resolvent series needs ||point|| < 1, got {norm}")
-    space = TruncatedFock(len(point), depth)
-    unit = ConstantWeights(len(point), 1.0)
-    series = _word_sum(space, unit, eigenvector_coeffs(unit, point, depth - 1).vector, normalized=True)
-    shifts = left_shift_maps(space, unit)
-    scaled = ShiftMap(space, shifts.rows, shifts.values * np.conj(point)[:, None])  # conj(z_i) L_i
-    lowered = sum((scaled.after(i, series) for i in range(2, space.n + 1)), scaled.after(1, series))
-    diff, top = (series - lowered - GradedOperator.identity(space)).mat, space.level_slice(depth)
-    low, high = (max_column_norm(diff, rows=rows)[0] for rows in (slice(top.start), top))
-    return ResolventReport(point, depth, low, high)
+    space = TruncatedFock(len(point), depth)  # the word-count guard, before any level is built
+    c = np.append(eigenvector_coeffs(ConstantWeights(space.n, 1.0), point, depth - 1).vector, np.zeros(space.n**depth))
+    first, tail = space.heads()  # y = a*x reads c_x: every level of d in one product
+    squares = np.abs(np.append(c[:1] - 1.0, (c - complex_product(np.conj(point)[first - 1], c[tail]))[1:])) ** 2
+    low, top = np.cumsum(squares[: space.level_offsets[depth]])[-1], np.bincount(space.levels(), weights=squares).max()
+    return ResolventReport(point, depth, float(np.sqrt(low)), float(np.sqrt(top)))
 
 
 def right_membership(point: Sequence[complex], depth: int) -> SpectrumReport:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import itertools
 import json
 import math
@@ -1270,12 +1271,14 @@ def test_cli_loads_neither_csgraph_nor_linalg(tmp_path):
 
 
 def test_only_commands_that_build_sparse_matrices_load_scipy_sparse(tmp_path):
-    # a fresh interpreter: check and region compose column maps and build no sparse matrix, so they
-    # never pay the scipy.sparse import; commutant builds its operators as sparse matrices
+    # a fresh interpreter: check and region compose column maps and spectra --mode right reads one
+    # coefficient vector, so none of them pays the scipy.sparse import; commutant builds sparse matrices
     config = _write_config(tmp_path, "periodic.json", PERIODIC)
+    unweighted = _write_config(tmp_path, "unweighted.json", {"n": 2, "family": "constant", "value": 1.0})
     commands = [["check", "--config", config, "--depth", "6"],
                 ["region", "--config", config, "--grid", "0:1.2:0.2", "--depth", "6",
                  "--out", str(tmp_path / "region.csv")],
+                ["spectra", "--config", unweighted, "--depth", "6", "--lambda", "0.3,0.4", "--lambda", "1.2,0"],
                 ["commutant", "--config", config, "--depth", "5"]]
     code = (
         "import contextlib, io, sys\n"
@@ -1291,7 +1294,19 @@ def test_only_commands_that_build_sparse_matrices_load_scipy_sparse(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0, 0] [False, False, False, True]\n"
+    assert result.stdout == "[0, 0, 0, 0] [False, False, False, False, True]\n"
+
+
+def test_region_at_depth_1000_writes_nothing_to_stderr(tmp_path):
+    # the README example's level sums add up past the float range at the outer points, whose inf
+    # partial sum is judged outside; numpy's overflow warning went to stderr, and the CSV is unchanged
+    csv, src = tmp_path / "region.csv", str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-m", "fockshift.cli", "region", "--config", _write_config(tmp_path, "p.json", PERIODIC),
+            "--grid", "0:1.5:0.05", "--depth", "1000", "--out", str(csv)]
+    result = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "1c43e61341843d02fa75e2d88ac8c3a0b0ce435dc4b36d1c3c33967acc6d9cc4")
 
 
 # ---------------------------------------------------------------------------

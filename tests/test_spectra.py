@@ -19,7 +19,8 @@ from fockshift import (
     right_membership,
     zero_left_inverses,
 )
-from fockshift.fock import max_column_norm
+from fockshift.algebra import _word_sum
+from fockshift.fock import ShiftMap, left_shift_maps, max_column_norm
 from fockshift.spectra import (
     IN_SPECTRUM,
     INCONCLUSIVE,
@@ -213,6 +214,62 @@ def _dict_resolvent_check(point, depth):
     return ResolventReport(point, depth, low, high)
 
 
+def _sparse_resolvent_check(point, depth):
+    """The sparse product that resolvent_check replaced: the series R as an operator, minus
+    sum_i conj(z_i) L_i R through ``after`` gathers, minus I, read through max_column_norm."""
+    point = tuple(complex(z) for z in point)
+    space, unit = TruncatedFock(len(point), depth), ConstantWeights(len(point), 1.0)
+    series = _word_sum(space, unit, eigenvector_coeffs(unit, point, depth - 1).vector, normalized=True)
+    shifts = left_shift_maps(space, unit)
+    scaled = ShiftMap(space, shifts.rows, shifts.values * np.conj(point)[:, None])
+    lowered = sum((scaled.after(i, series) for i in range(2, space.n + 1)), scaled.after(1, series))
+    diff, top = (series - lowered - GradedOperator.identity(space)).mat, space.level_slice(depth)
+    low, high = (max_column_norm(diff[rows, :])[0] for rows in (slice(top.start), top))
+    return ResolventReport(point, depth, low, high)
+
+
+def _resolvent_cases():
+    """Points at norms in (0.05, 0.95), just below 1 and at 1e-3 and 1e-150, some coordinates zero,
+    for n = 1, 2, 3 at depths 1-8 and n = 1 at depths up to 30."""
+    rng = np.random.default_rng(3401)
+    for n, depths in ((1, range(1, 31)), (2, range(1, 9)), (3, range(1, 9))):
+        for depth in depths:
+            for norm in (rng.uniform(0.05, 0.95), 1.0 - 1e-12, 1e-3, 1e-150):
+                direction = rng.standard_normal(n) + 1j * rng.standard_normal(n) * (rng.random() < 0.7)
+                direction[rng.random(n) < 0.3] = 0.0
+                if not direction.any():
+                    direction[-1] = 1.0
+                yield tuple(complex(z) for z in norm * direction / np.linalg.norm(direction)), depth
+
+
+def test_resolvent_check_equals_the_sparse_and_dict_oracles():
+    # the coefficient reading gives the floats of both operator products, bit for bit
+    cases = list(_resolvent_cases())
+    assert len(cases) == 4 * (30 + 8 + 8)
+    for point, depth in cases:
+        report = resolvent_check(point, depth)
+        assert report == _sparse_resolvent_check(point, depth) == _dict_resolvent_check(point, depth), (point, depth)
+
+
+def test_right_membership_builds_no_operator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a GradedOperator was built")
+
+    monkeypatch.setattr(GradedOperator, "__init__", refuse)
+    assert right_membership((0.6, 0.3j), 8).verdict == IN_SPECTRUM
+    assert right_membership((2.0, 0.5), 8).verdict == NOT_IN_SPECTRUM
+
+
+def test_resolvent_check_guards_the_word_count_before_any_level(monkeypatch):
+    # a level of 2^44 weights would be allocated before a later guard could refuse it
+    def refuse(ws, depth):
+        raise AssertionError(f"lambda levels built to depth {depth}")
+
+    monkeypatch.setattr(ConstantWeights, "lambda_levels", refuse)
+    with pytest.raises(ValueError, match=r"^Fock space for n = 2, depth = 45 has dimension over 4194303, above"):
+        resolvent_check((0.5, 0.0), 45)
+
+
 def _dict_right_membership(point, depth):
     point = tuple(complex(z) for z in point)
     n = len(point)
@@ -279,7 +336,7 @@ def test_spectra_build_the_creation_tuple_once_per_call(monkeypatch):
         return calls[0]
 
     monkeypatch.setattr(ConstantWeights, "lambda_levels", counted)
-    # the eigenvector coefficients build, the resolvent series deepens that build once, the shifts slice it
-    assert count(lambda: resolvent_check((0.4, 0.3), 6)) == 2
-    assert count(lambda: right_membership((2.0, 0.5), 6)) == 2
+    # the eigenvector coefficients build; the resolvent identity is read off them, with no operator
+    assert count(lambda: resolvent_check((0.4, 0.3), 6)) == 1
+    assert count(lambda: right_membership((2.0, 0.5), 6)) == 1
     assert count(lambda: zero_left_inverses({}, {}, 6)) == 1

@@ -34,8 +34,11 @@ PERIODIC = {"n": 2, "family": "periodic", "period": 2,
 # nonzero rounding defect); cesaro with support words longer than its order, so its columns
 # reach words past the columns it compares (|v| <= 5); commutant at depth 3, whose round
 # trip compares |v| <= 2; and commutant at depth 2, whose support is e alone, so its round
-# trip reads the top column level.  An option whose value is a dict is passed the path of a
-# file holding it as JSON.
+# trip reads the top column level; and spectra --mode right on the unweighted n = 3 tuple, at
+# two points outside the ball with zero coordinates and one inside (the workloads run spectra
+# at n = 2 only, with no zero coordinate outside the ball).  An option whose value is a dict
+# is passed the path of a file holding it as JSON, and one whose value is a list is passed
+# once per item.
 FIXED = (
     ("constant_1e300", "check", {"n": 2, "family": "constant", "value": 1e300}, 4, {}),
     ("scaled_1e-14", "check", {"n": 2, "family": "scaled", "scales": [1.0, 1e-14]}, 8, {}),
@@ -44,6 +47,8 @@ FIXED = (
         "2121": [-0.25, 1.0], "12212": [1.0, -0.25]}}}),
     ("periodic", "commutant", PERIODIC, 3, {}),
     ("periodic_e_support", "commutant", PERIODIC, 2, {}),
+    ("unweighted_3", "spectra", {"n": 3, "family": "constant", "value": 1.0}, 6, {
+        "--mode": "right", "--lambda": ["0,1.2,0.3-0.4i", "1.5,0,0", "0.3,0,0.4i"]}),
 )
 
 
@@ -68,7 +73,8 @@ def _fixed(workloads, workdir: str) -> list:
                 path = Path(workdir) / f"{label}.{option.lstrip('-')}.json"
                 path.write_text(json.dumps(value))
                 value = path
-            argv += [option, str(value)]
+            for item in value if isinstance(value, list) else [value]:
+                argv += [option, str(item)]
         invocations.append(workloads.Invocation(f"{verb} {label} depth {depth}", verb, argv, None, report=report))
     return invocations
 
