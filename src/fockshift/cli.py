@@ -54,7 +54,7 @@ from .spectra import (
     MODE_RIGHT,
     MODE_ZERO_LEFT_INVERSE,
     left_growth_certificate,
-    right_membership,
+    right_memberships,
     zero_left_inverses,
 )
 
@@ -495,34 +495,33 @@ def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
         raise ConfigError(f"--mode {mode} is defined for n = 2, not n = {ws.n}")
     k, bound = 16 if args.k is None else args.k, 0.0 if args.bound is None else args.bound
     zero_left = None  # the origin's outcome, computed at its first point: it depends on no point
-    reports = []
+    points, outcomes = [], []  # (verdict, defects, witness, pass) per point
     for text in args.lam or ["0,0"]:  # zero_left_inverse checks the origin when given no point
         point = parse_lambda(text)
         if len(point) != ws.n:
             raise ConfigError(f"--lambda {text!r} has {len(point)} coordinates, expected {ws.n}")
-        if mode == MODE_RIGHT:
-            result = right_membership(point, config.depth)
-            # the top-level defect is the truncated geometric tail, not a failure
-            ok = all(d <= config.tolerance for name, d in result.defects.items() if name != "identity_top_level")
-            verdict, defects, witness = result.verdict, result.defects, result.witness
-        elif mode == MODE_LEFT_GROWTH:
-            ok, defects = True, {}
+        points.append(point)
+        if mode == MODE_LEFT_GROWTH:
             if all(abs(z) < 1.0 - 1e-12 for z in point):
                 # no certificate covers the polydisc interior; membership there is open
-                verdict, witness = "unknown", {}
-            else:
-                cert = left_growth_certificate(point, k, bound)
-                verdict = "in_spectrum" if cert.unbounded else "inconclusive"
-                witness = {"case": cert.case, "operator_index": cert.operator_index, "run_letter": cert.run_letter,
-                           "assumed_bound": cert.assumed_bound, "bounds": cert.bounds}
-        else:  # MODE_ZERO_LEFT_INVERSE
+                outcomes.append(("unknown", {}, {}, True))
+                continue
+            cert = left_growth_certificate(point, k, bound)
+            outcomes.append(("in_spectrum" if cert.unbounded else "inconclusive", {}, {
+                "case": cert.case, "operator_index": cert.operator_index, "run_letter": cert.run_letter,
+                "assumed_bound": cert.assumed_bound, "bounds": cert.bounds}, True))
+        elif mode == MODE_ZERO_LEFT_INVERSE:
             if any(point):
                 raise ConfigError(f"--lambda {text!r} is not the origin, the only point --mode {mode} checks")
             if zero_left is None:
                 zero_left = _zero_left_outcome(args.coeffs, config)
-            verdict, defects, witness, ok = zero_left
-        reports.append({"lambda": list(point), "mode": mode, "verdict": verdict, "defects": defects,
-                        "witness": witness, "pass": ok})
+            outcomes.append(zero_left)
+    if mode == MODE_RIGHT:  # every point in one call; the top-level defect is the truncated tail, not a failure
+        outcomes = [(result.verdict, result.defects, result.witness, all(
+            d <= config.tolerance for name, d in result.defects.items() if name != "identity_top_level"))
+            for result in right_memberships(points, config.depth)]
+    reports = [{"lambda": list(point), "mode": mode, "verdict": verdict, "defects": defects, "witness": witness,
+                "pass": ok} for point, (verdict, defects, witness, ok) in zip(points, outcomes)]
     for entry in reports:
         print(f"lambda {entry['lambda']}: {entry['verdict']} ({'PASS' if entry['pass'] else 'FAIL'})")
     report = {"command": "spectra", "config": config.echo(), "mode": mode, "results": reports}

@@ -84,24 +84,30 @@ def _finite(point: Sequence[complex]) -> tuple[complex, ...]:
 
 
 def eigenvector_coeffs(ws: WeightSystem, point: Sequence[complex], depth: int) -> EigenCandidate:
-    """Coefficients conj(w(point)) W(e,w)^{-1}, built level by level: the word
-    i*w has rank (i-1) n^k + r, so row i-1 of the (n, n^k) view of level k+1
-    is level k times conj(point_i) / lambda_{i,w}.  A point with a coordinate
-    that is not finite raises ValueError naming it."""
-    if len(point) != ws.n:
-        raise ValueError(f"expected {ws.n} coordinates, got {len(point)}")
+    """Coefficients conj(w(point)) W(e,w)^{-1}: row 0 of ``eigenvector_rows``."""
+    vector = eigenvector_rows(ws, [point], depth)[0]
+    return EigenCandidate(_finite(point), depth, vector)
+
+
+def eigenvector_rows(ws: WeightSystem, points: Sequence[Sequence[complex]], depth: int) -> np.ndarray:
+    """The coefficients of every point, one row each, built level by level: the word i*w has rank
+    (i-1) n^k + r, so row i-1 of the (n, n^k) view of level k+1 is level k times conj(point_i) /
+    lambda_{i,w}.  A point with a coordinate that is not finite raises ValueError naming it."""
+    for point in points:
+        if len(point) != ws.n:
+            raise ValueError(f"expected {ws.n} coordinates, got {len(point)}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    point = _finite(point)
-    conj, lam = np.conj(np.array(point))[:, None], ws.kept_lambda_levels(depth - 1)
-    re, im = [np.ones(1)], [np.zeros(1)]  # Python's complex arithmetic part by part; numpy's differs in the last bit
+    conj = np.conj(np.array([_finite(point) for point in points], dtype=complex).reshape(-1, ws.n, 1))
+    lam, count = ws.kept_lambda_levels(depth - 1), conj.shape[0]
+    re, im = [np.ones((count, 1))], [np.zeros((count, 1))]  # Python's complex arithmetic part by part; numpy's differs
     with np.errstate(over="ignore", invalid="ignore"):  # coefficients past the float range are inf or NaN
         for k in range(depth):
-            re.append(((re[k] * conj.real - im[k] * conj.imag) / lam[k]).ravel())
-            im.append(((re[k] * conj.imag + im[k] * conj.real) / lam[k]).ravel())
-    vector = np.empty(sum(level.size for level in re), dtype=complex)
-    vector.real, vector.imag = np.concatenate(re), np.concatenate(im)
-    return EigenCandidate(point, depth, vector)
+            re.append(((re[k][:, None] * conj.real - im[k][:, None] * conj.imag) / lam[k]).reshape(count, -1))
+            im.append(((re[k][:, None] * conj.imag + im[k][:, None] * conj.real) / lam[k]).reshape(count, -1))
+    rows = np.empty((count, sum(level.shape[1] for level in re)), dtype=complex)
+    rows.real, rows.imag = np.concatenate(re, axis=1), np.concatenate(im, axis=1)
+    return rows
 
 
 @record
@@ -114,21 +120,18 @@ class ResidualReport:
         return max(self.per_letter)
 
 
-def eigen_residual(
-    ws: WeightSystem,
-    space: TruncatedFock,
-    point: Sequence[complex],
-    coeffs: dict[Word, complex] | None = None,
-) -> ResidualReport:
+def eigen_residual(ws: WeightSystem, space: TruncatedFock, point: Sequence[complex],
+                   coeffs: dict[Word, complex] | np.ndarray | None = None) -> ResidualReport:
     """Max over i of ||(T_i* - conj(point_i)) nu|| on levels <= depth-1, where
     the top level is excluded because the compression cannot see it.  The
-    vector nu is ``coeffs``, or the eigenvector candidate at the point, which
-    must be finite, as in ``eigenvector_coeffs``."""
+    vector nu is ``coeffs``, keyed by word or in basis order, or the
+    eigenvector candidate at the point, which must be finite, as in
+    ``eigenvector_coeffs``."""
     point = _finite(point)
     if coeffs is None:
         vec = eigenvector_coeffs(ws, point, space.depth).vector
     else:
-        vec = space.vector_from_coeffs(coeffs)
+        vec = space.vector_from_coeffs(coeffs) if isinstance(coeffs, dict) else coeffs
     shifts = left_shift_maps(space, ws)
     residuals = []
     for i, (rows, values) in enumerate(zip(shifts.rows, shifts.values)):  # (T_i* nu)_w = lambda_{i,w} nu_{i*w}

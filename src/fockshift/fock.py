@@ -78,15 +78,6 @@ class GradedOperator:
             raise ValueError(f"matrix shape {self.mat.shape} does not match dimension {space.dimension}")
 
     @classmethod
-    def from_entries(cls, space: TruncatedFock, rows, cols, values) -> "GradedOperator":
-        import scipy.sparse as sp
-        mat = sp.coo_array(
-            (np.asarray(values, dtype=complex), (rows, cols)),
-            shape=(space.dimension, space.dimension),
-        )
-        return cls(space, mat.tocsr())
-
-    @classmethod
     def from_row_order(cls, space: TruncatedFock, rows, cols, data, keep) -> "GradedOperator":
         """The entries ``data[keep]`` at ``(rows, cols)[keep]``, listed in CSR order: rows nondecreasing."""
         import scipy.sparse as sp

@@ -1,8 +1,7 @@
-"""Joint right/left spectrum experiments for the unweighted creation tuple:
-resolvent-series right inverses, read off one coefficient vector with no
-operator built, membership verdicts with witnesses, analytic left-inverse
-growth certificates, and the rank-one left-inverse family at the origin, whose
-products by a shift are gathers on its column map (``fock.ShiftMap``)."""
+"""Joint right/left spectrum experiments for the unweighted creation tuple: resolvent-series right
+inverses, membership verdicts with witnesses for all points of a call read off one array of coefficients,
+analytic left-inverse growth certificates, and the rank-one left-inverse family at the origin, read off
+the column maps of the shifts (``fock.ShiftMap``).  No mode builds an operator or loads ``scipy.sparse``."""
 
 from __future__ import annotations
 
@@ -11,10 +10,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .words import EMPTY, Word, record
+from .words import Word, record
 from .weights import ConstantWeights
-from .fock import GradedOperator, TruncatedFock, certify_injective, complex_product, left_shift_maps, max_column_norm
-from .eigen import _finite, eigen_residual, eigenvector_coeffs
+from .fock import TruncatedFock, certify_injective, complex_product, left_shift_maps
+from .eigen import WORK_FLOATS, _finite, eigen_residual, eigenvector_rows
 
 BOUNDARY_TOL = 1e-9
 
@@ -54,52 +53,66 @@ def resolvent_check(point: Sequence[complex], depth: int) -> ResolventReport:
     row u*v: d_e = c_e - 1 and d_{i*u} = c_{i*u} - conj(z_i) c_u, with c = 0 at level depth.  No operator is
     built: ``max_column_norm`` would add a column's |d_u|^2 one by one in the graded-lex order of u, so the
     low levels' norm is column e's, over |u| <= depth-1, and the top level's one level's, the same floats.
+    The low levels' norm is 0 by construction, since conj(z_i) c_u is formed part by part as c_{i*u} was
+    (lambda = 1 divides exactly): only the top level's carries information.
     """
     point = _finite(point)
     norm = math.sqrt(sum(abs(z) ** 2 for z in point))
     if norm >= 1.0:
         raise ValueError(f"resolvent series needs ||point|| < 1, got {norm}")
     space = TruncatedFock(len(point), depth)  # the word-count guard, before any level is built
-    c = np.append(eigenvector_coeffs(ConstantWeights(space.n, 1.0), point, depth - 1).vector, np.zeros(space.n**depth))
+    return _resolvent_reports(space, [point], eigenvector_rows(ConstantWeights(space.n, 1.0), [point], depth))[0]
+
+
+def _resolvent_reports(space: TruncatedFock, points: list, c: np.ndarray) -> list[ResolventReport]:
+    """``resolvent_check`` at each point, from its row of coefficients c, which the top level is cut from."""
+    c[:, space.level_slice(space.depth)] = 0.0
     first, tail = space.heads()  # y = a*x reads c_x: every level of d in one product
-    squares = np.abs(np.append(c[:1] - 1.0, (c - complex_product(np.conj(point)[first - 1], c[tail]))[1:])) ** 2
-    low, top = np.cumsum(squares[: space.level_offsets[depth]])[-1], np.bincount(space.levels(), weights=squares).max()
-    return ResolventReport(point, depth, float(np.sqrt(low)), float(np.sqrt(top)))
+    d = c - complex_product(np.conj(np.array(points, dtype=complex).reshape(-1, space.n))[:, first - 1], c[:, tail])
+    d[:, 0] = c[:, 0] - 1.0
+    squares = np.abs(d) ** 2
+    low = np.cumsum(squares[:, : space.level_offsets[space.depth]], axis=1)[:, -1]
+    top = [np.bincount(space.levels(), weights=row).max() for row in squares]
+    return [ResolventReport(p, space.depth, float(np.sqrt(a)), float(np.sqrt(b))) for p, a, b in zip(points, low, top)]
+
+
+def right_memberships(points: Sequence[Sequence[complex]], depth: int) -> list[SpectrumReport]:
+    """Membership of each point in the joint right spectrum of the creation tuple, listed by position.
+
+    Inside the unit ball the joint eigenvector of the adjoints witnesses membership (a right inverse would
+    contradict it); outside, the scaled resolvent series yields an explicit right inverse, verified on levels
+    <= depth-1 with the top-level truncation defect reported.  Points within ``BOUNDARY_TOL`` of the unit
+    sphere are inconclusive: boundary membership follows from verdict continuity, not from a finite witness.
+    The others share one space and one array of coefficient rows, in blocks of about ``WORK_FLOATS`` entries.
+    """
+    points = [_finite(point) for point in points]
+    norms = [math.sqrt(sum(abs(z) ** 2 for z in point)) for point in points]
+    reports = [SpectrumReport(z, MODE_RIGHT, INCONCLUSIVE, {}, {"norm": norm}) for z, norm in zip(points, norms)]
+    solved = [p for p, norm in enumerate(norms) if abs(norm - 1.0) > BOUNDARY_TOL]
+    if not solved:
+        return reports
+    ws, space = ConstantWeights(len(points[solved[0]]), 1.0), TruncatedFock(len(points[solved[0]]), depth)
+    size = max(1, WORK_FLOATS // space.dimension)  # rows per array: memory does not grow with the points
+    for block in (solved[start: start + size] for start in range(0, len(solved), size)):
+        # ||z|| > 1: the right inverse B_i = conj(z_i) / ||z||^2 R, for R the resolvent series at
+        # s = z / ||z||^2, has sum_i (z_i - L_i) B_i = (I - sum_i conj(s_i) L_i) R, which resolvent_check checks
+        at = [points[p] if norms[p] < 1.0 else tuple(z / norms[p] ** 2 for z in points[p]) for p in block]
+        rows, outside = eigenvector_rows(ws, at, depth), [q for q, p in enumerate(block) if norms[p] > 1.0]
+        checks = iter(_resolvent_reports(space, [at[q] for q in outside], rows[outside]))
+        for q, p in enumerate(block):
+            if norms[p] < 1.0:
+                verdict, witness = IN_SPECTRUM, "joint eigenvector of the adjoint tuple"
+                defects = {"eigen_residual": eigen_residual(ws, space, points[p], rows[q]).max_residual}
+            else:
+                verdict, witness, check = NOT_IN_SPECTRUM, "resolvent-series right inverse", next(checks)
+                defects = {"identity_low_levels": check.low_level_defect, "identity_top_level": check.top_level_defect}
+            reports[p] = SpectrumReport(points[p], MODE_RIGHT, verdict, defects, dict(norm=norms[p], witness=witness))
+    return reports
 
 
 def right_membership(point: Sequence[complex], depth: int) -> SpectrumReport:
-    """Membership of a point in the joint right spectrum of the creation tuple.
-
-    Inside the unit ball the joint eigenvector of the adjoints witnesses
-    membership (a right inverse would contradict it); outside, the scaled
-    resolvent series yields an explicit right inverse, verified on levels
-    <= depth-1 with the top-level truncation defect reported.  Points within
-    ``BOUNDARY_TOL`` of the unit sphere are inconclusive: boundary membership follows
-    from verdict continuity, not from a finite witness.
-    """
-    point = _finite(point)
-    norm = math.sqrt(sum(abs(z) ** 2 for z in point))
-    if abs(norm - 1.0) <= BOUNDARY_TOL:
-        return SpectrumReport(point, MODE_RIGHT, INCONCLUSIVE, {}, {"norm": norm})
-    if norm < 1.0:
-        residual = eigen_residual(ConstantWeights(len(point), 1.0), TruncatedFock(len(point), depth), point)
-        return SpectrumReport(
-            point,
-            MODE_RIGHT,
-            IN_SPECTRUM,
-            {"eigen_residual": residual.max_residual},
-            {"norm": norm, "witness": "joint eigenvector of the adjoint tuple"},
-        )
-    # ||point|| > 1: the right inverse B_i = conj(z_i) / ||z||^2 R, for R the resolvent series at
-    # s = z / ||z||^2, has sum_i (z_i - L_i) B_i = (I - sum_i conj(s_i) L_i) R, which resolvent_check checks
-    report = resolvent_check(tuple(z / norm**2 for z in point), depth)
-    return SpectrumReport(
-        point,
-        MODE_RIGHT,
-        NOT_IN_SPECTRUM,
-        {"identity_low_levels": report.low_level_defect, "identity_top_level": report.top_level_defect},
-        {"norm": norm, "witness": "resolvent-series right inverse"},
-    )
+    """Membership of one point in the joint right spectrum: ``right_memberships`` of it alone."""
+    return right_memberships([point], depth)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +145,7 @@ class GrowthCertificate:
         return self.assumed_bound > 0
 
 
-def left_growth_certificate(
-    point: Sequence[complex],
-    k_max: int,
-    assumed_bound: float,
-) -> GrowthCertificate:
+def left_growth_certificate(point: Sequence[complex], k_max: int, assumed_bound: float) -> GrowthCertificate:
     """Growth table along 1^k or 2^k for a point with some |z_i| >= 1.
 
     For |z_1| = 1 the recursion A_1 L_1 = z_1 A_1 + I forces
@@ -176,9 +185,7 @@ def left_growth_certificate(
             except OverflowError:
                 raise ValueError(
                     f"growth bound |z_{run_letter}|^k = {modulus!r}^k leaves the float range at k = {k}") from None
-    return GrowthCertificate(
-        (z1, z2), case, operator_index, run_letter, assumed_bound, ks, bounds
-    )
+    return GrowthCertificate((z1, z2), case, operator_index, run_letter, assumed_bound, ks, bounds)
 
 
 @record
@@ -192,33 +199,33 @@ class ZeroLeftReport:
     reconstruction_residual: float
 
 
-def zero_left_inverses(
-    eta1: Mapping[Word, complex],
-    eta2: Mapping[Word, complex],
-    depth: int,
-) -> ZeroLeftReport:
-    """Check A_i = L_i* + (eta_i at the vacuum column) against A_i L_j = delta_ij
-    on levels <= depth-1 (exactly: each column of L_j is a single 1), then
-    take the minimum-norm solution X of X L_j = delta_1j and verify X = L_1* +
-    (X xi_e) at the vacuum column.  V = [L_1 L_2] is a partial isometry,
-    certified by its column maps: no two columns share a row and every entry
-    is 1.  So V* is its pseudo-inverse, and X = [I 0] V* = L_1*."""
+def zero_left_inverses(eta1: Mapping[Word, complex], eta2: Mapping[Word, complex], depth: int) -> ZeroLeftReport:
+    """Check A_i = L_i* + (eta_i at the vacuum column) against A_i L_j = delta_ij on levels <= depth-1
+    (exactly: each column of L_j is a single 1), then take the minimum-norm solution X of X L_j = delta_1j
+    and verify X = L_1* + (X xi_e) at the vacuum column.  V = [L_1 L_2] is a partial isometry, certified by
+    its column maps: no two columns share a row and every entry is 1.  So V* is its pseudo-inverse, and
+    X = [I 0] V* = L_1*.  Both are read off the maps, with no operator built: column c (|w| < depth) of
+    A_i L_j is ``values[j-1, c]`` times column t = ``rows[j-1, c]`` of A_i, which holds
+    conj(``values[i-1, c']``) at the one c' that letter i sends to t, if any, and eta_i only if t is the
+    vacuum, which no shift reaches.  So a column of A_i L_j - delta_ij I holds at most two entries, and the
+    sum of their squares is the one ``max_column_norm`` takes in row order."""
     space = TruncatedFock(2, depth)
     maps = left_shift_maps(space, ConstantWeights(2, 1.0))
-    certify_injective(maps.rows.ravel(), (space.dimension, 2 * space.dimension))
-    if np.any(maps.values != 1.0):
+    rows, values, columns = maps.rows, maps.values, np.arange(space.level_offsets[depth])
+    certify_injective(rows.ravel(), (space.dimension, 2 * space.dimension))
+    if np.any(values != 1.0):
         raise ValueError("[L_1 L_2] is not a partial isometry: an entry is not 1")
-    identity, low = GradedOperator.identity(space), space.levels() < depth
-    adjoints = [maps.operator(i).adjoint() for i in (1, 2)]  # L_1* and L_2*, each built once
-
+    for w in [*eta1, *eta2]:
+        space.index_of(w)  # each eta word lies in the space
+    sends = np.full((2, space.dimension), -1)  # sends[i-1, t]: the column that letter i sends to row t, or -1
+    sends[[[0], [1]], rows] = columns
     defects: dict[tuple[int, int], float] = {}
-    for i, eta in ((1, eta1), (2, eta2)):
-        a_i = adjoints[i - 1] + GradedOperator.from_entries(
-            space, [space.index_of(w) for w in eta], [0] * len(eta), list(eta.values()))
-        for j in (1, 2):
-            product = maps.before(j, a_i)  # A_i L_j, against I for i = j and against 0 otherwise
-            defects[(i, j)] = max_column_norm((product - identity if i == j else product).mat, low)[0]
-
-    # X = L_1*, so X - L_1* - (X xi_e at the vacuum column) is -X xi_e, read on levels <= depth-1
-    residual = float(np.abs(adjoints[0].column(EMPTY)[: space.level_slice(space.depth).start]).max())
+    for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        hit = sends[i - 1, rows[j - 1]]  # the row of column c's one entry in A_i L_j, or -1
+        entry = np.where(hit >= 0, complex_product(np.conj(values[i - 1, hit]), values[j - 1]), 0.0)
+        squares = np.abs(entry - ((i == j) & (hit == columns))) ** 2 + ((i == j) & (hit != columns))
+        defects[(i, j)] = float(np.sqrt(squares.max()))
+    # X = L_1*, so X - L_1* - (X xi_e at the vacuum column) is -X xi_e, read on levels <= depth-1:
+    # conj(values[0, c]) at each column c that letter 1 sends to the vacuum row
+    residual = float(np.abs(np.where(rows[0] == 0, np.conj(values[0]), 0.0)).max())
     return ZeroLeftReport(defects, max(defects.values()), residual)

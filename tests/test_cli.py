@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fockshift import ConstantWeights, PeriodicWeights, TwoLetterRunWeights, cli, eigen, weights
+from fockshift import ConstantWeights, PeriodicWeights, TwoLetterRunWeights, cli, eigen, spectra, weights
 from fockshift.algebra import FourierElement, commutant_extract, operator_from_fourier
 from fockshift.cli import (
     ConfigError,
@@ -986,7 +986,7 @@ def _parent_cmd_spectra(config, args):
         if len(point) != config.weights.n:
             raise ConfigError(f"--lambda {text!r} has {len(point)} coordinates, expected {config.weights.n}")
         if mode == cli.MODE_RIGHT:
-            result = cli.right_membership(point, config.depth)
+            result = spectra.right_membership(point, config.depth)
             ok = all(d <= config.tolerance for name, d in result.defects.items() if name != "identity_top_level")
             failed |= not ok
             reports.append({"lambda": list(point), "mode": result.mode, "verdict": result.verdict,
@@ -1271,14 +1271,16 @@ def test_cli_loads_neither_csgraph_nor_linalg(tmp_path):
 
 
 def test_only_commands_that_build_sparse_matrices_load_scipy_sparse(tmp_path):
-    # a fresh interpreter: check and region compose column maps and spectra --mode right reads one
-    # coefficient vector, so none of them pays the scipy.sparse import; commutant builds sparse matrices
+    # a fresh interpreter: check and region compose column maps, spectra --mode right reads one
+    # coefficient array and --mode zero_left_inverse the shifts' column maps, so none of them pays the
+    # scipy.sparse import; commutant builds sparse matrices
     config = _write_config(tmp_path, "periodic.json", PERIODIC)
     unweighted = _write_config(tmp_path, "unweighted.json", {"n": 2, "family": "constant", "value": 1.0})
     commands = [["check", "--config", config, "--depth", "6"],
                 ["region", "--config", config, "--grid", "0:1.2:0.2", "--depth", "6",
                  "--out", str(tmp_path / "region.csv")],
                 ["spectra", "--config", unweighted, "--depth", "6", "--lambda", "0.3,0.4", "--lambda", "1.2,0"],
+                ["spectra", "--config", unweighted, "--depth", "6", "--mode", "zero_left_inverse"],
                 ["commutant", "--config", config, "--depth", "5"]]
     code = (
         "import contextlib, io, sys\n"
@@ -1294,7 +1296,7 @@ def test_only_commands_that_build_sparse_matrices_load_scipy_sparse(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0, 0, 0] [False, False, False, False, True]\n"
+    assert result.stdout == "[0, 0, 0, 0, 0] [False, False, False, False, False, True]\n"
 
 
 def test_region_at_depth_1000_writes_nothing_to_stderr(tmp_path):

@@ -23,6 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fockshift import (
     BasisEnumeration,
@@ -72,6 +73,12 @@ import level_sum_kernel as kernel
 
 
 
+def _entry_operator(space: TruncatedFock, rows, cols, values) -> GradedOperator:
+    """The operator holding ``values`` at ``(rows, cols)``, duplicates summed, through scipy's COO route."""
+    coo = sp.coo_array((np.asarray(values, dtype=complex), (rows, cols)), shape=(space.dimension,) * 2)
+    return GradedOperator(space, coo)
+
+
 def _oracle_shift(space: TruncatedFock, weight, i: int, left: bool) -> GradedOperator:
     rows, cols, values = [], [], []
     for k in range(space.depth):
@@ -79,7 +86,7 @@ def _oracle_shift(space: TruncatedFock, weight, i: int, left: bool) -> GradedOpe
             cols.append(space.index_of(w))
             rows.append(space.index_of(prepend(i, w) if left else append(w, i)))
             values.append(weight(i, w))
-    return GradedOperator.from_entries(space, rows, cols, values)
+    return _entry_operator(space, rows, cols, values)
 
 
 def _oracle_word_operator(space: TruncatedFock, ws, w: Word) -> GradedOperator:
@@ -89,7 +96,7 @@ def _oracle_word_operator(space: TruncatedFock, ws, w: Word) -> GradedOperator:
             cols.append(space.index_of(u))
             rows.append(space.index_of(w * u))
             values.append(left_weight(ws, u, w))
-    return GradedOperator.from_entries(space, rows, cols, values)
+    return _entry_operator(space, rows, cols, values)
 
 
 def _oracle_lambda_from_mu(mu, depth: int) -> dict:
@@ -162,7 +169,7 @@ def _oracle_ratio_sum(space: TruncatedFock, ws, coeffs: dict) -> GradedOperator:
                 rows.append(space.index_of(w * u))
                 cols.append(space.index_of(u))
                 values.append(coeff * r)
-    return GradedOperator.from_entries(space, rows, cols, values)
+    return _entry_operator(space, rows, cols, values)
 
 
 def _oracle_series(space: TruncatedFock, coeffs: dict) -> GradedOperator:
@@ -174,7 +181,7 @@ def _oracle_series(space: TruncatedFock, coeffs: dict) -> GradedOperator:
                 rows.append(space.index_of(w * v))
                 cols.append(space.index_of(v))
                 values.append(c_w)
-    return GradedOperator.from_entries(space, rows, cols, values)
+    return _entry_operator(space, rows, cols, values)
 
 
 class _CachedMu(MuSystem):
@@ -265,7 +272,7 @@ def _oracle_support_operator(space: TruncatedFock, coeffs: np.ndarray, columns) 
             rows.append((offsets[m + k] + ranks[:, None] * n**k + np.arange(n**k)).ravel())
             cols.append(np.tile(np.arange(offsets[k], offsets[k + 1]), ranks.size))
             values.append(block.ravel())
-    return GradedOperator.from_entries(space, *map(np.concatenate, (rows, cols, values)))
+    return _entry_operator(space, *map(np.concatenate, (rows, cols, values)))
 
 
 def _oracle_word_sum(space: TruncatedFock, ws, coeffs: np.ndarray, normalized: bool) -> GradedOperator:
@@ -295,7 +302,7 @@ def _oracle_cesaro(x: GradedOperator, k: int) -> GradedOperator:
     coo = x.mat.tocoo()
     offsets = np.abs(levels[coo.col] - levels[coo.row])
     factors = np.where(offsets < k, 1.0 - offsets / k, 0.0)
-    return GradedOperator.from_entries(x.space, coo.row, coo.col, coo.data * factors)
+    return _entry_operator(x.space, coo.row, coo.col, coo.data * factors)
 
 
 def _identical(x: GradedOperator, y: GradedOperator) -> bool:
@@ -363,7 +370,7 @@ def test_compressed_assembly_equals_the_coo_oracle(label, ws, depth):
                     assert _identical(algebra.cesaro_sum(y, k), _oracle_cesaro(y, k))
     for shifts in (fock.left_shift_maps(space, ws), fock.right_shift_maps(space, mus[0])):
         for i in range(1, n + 1):
-            oracle = GradedOperator.from_entries(space, shifts.rows[i - 1], np.arange(shifts.rows.shape[1]),
+            oracle = _entry_operator(space, shifts.rows[i - 1], np.arange(shifts.rows.shape[1]),
                                                  shifts.values[i - 1])
             assert _identical(shifts.operator(i), oracle)
 

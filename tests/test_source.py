@@ -13,15 +13,15 @@ keeps one commutant mu: ``CommutantMu`` is built only by
 states are laid out in one place: ``weights._prepended_ranks`` is called only
 by the builder ``_prefix_automaton`` and by the word-tree steps of
 ``eigen._transfer_steps``, so no family writes a ``next`` array by hand.
-Operators are written as compressed arrays: ``coo_array`` is called only by
-``GradedOperator.from_entries``, which only ``zero_left_inverses`` calls, for
-entries placed one by one.  Shifts act through their column maps: the matrix
+Operators are written as compressed arrays: ``coo_array`` appears nowhere in
+the package.  Shifts act through their column maps: the matrix
 product ``@`` appears only in ``GradedOperator.apply`` and
 ``GradedOperator.__matmul__``, which the tests keep as their oracle.
 Records are built by ``words.record`` from closures: no module imports
 ``dataclasses`` or calls ``exec``, ``eval`` or ``compile``.  scipy is
-imported only inside the ``GradedOperator`` constructors, which build every
-sparse matrix, so a command that builds none never loads it.
+imported only inside ``GradedOperator.__init__`` and
+``GradedOperator.from_row_order``, which build every sparse matrix, so a
+command that builds none never loads it.
 """
 
 import ast
@@ -103,9 +103,12 @@ def test_only_the_prefix_builder_and_the_word_tree_lay_out_states():
     assert _callers("_prepended_ranks") == {"weights.py:_prefix_automaton", "eigen.py:_transfer_steps"}
 
 
-def test_only_hand_placed_entries_take_the_coo_route():
-    assert _callers("coo_array") == {"fock.py:GradedOperator.from_entries"}
-    assert _callers("from_entries") == {"spectra.py:zero_left_inverses"}
+def test_no_operator_takes_the_coo_route():
+    # not called, and not named either: no name, attribute, import or definition of it
+    named = {scope for scope, node in _nodes()
+             if "coo_array" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))}
+    assert named == set()
+    assert _callers("from_entries") == set()
 
 
 def test_operator_products_are_gathers_on_the_shift_maps():
@@ -117,8 +120,7 @@ def test_operator_products_are_gathers_on_the_shift_maps():
     assert stacks == set()
     scipy_imports = {scope for scope, node in nodes
                      if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in ast.unparse(node)}
-    constructors = ("__init__", "from_entries", "from_row_order")
-    assert scipy_imports == {f"fock.py:GradedOperator.{name}" for name in constructors}
+    assert scipy_imports == {"fock.py:GradedOperator.__init__", "fock.py:GradedOperator.from_row_order"}
 
 
 def test_records_are_built_without_generated_code():

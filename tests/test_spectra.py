@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from fockshift import (
     ConstantWeights,
@@ -20,15 +22,19 @@ from fockshift import (
     zero_left_inverses,
 )
 from fockshift.algebra import _word_sum
-from fockshift.fock import ShiftMap, left_shift_maps, max_column_norm
+from fockshift.fock import ShiftMap, certify_injective, left_shift_maps, max_column_norm
 from fockshift.spectra import (
+    BOUNDARY_TOL,
     IN_SPECTRUM,
     INCONCLUSIVE,
     MODE_RIGHT,
     NOT_IN_SPECTRUM,
     ResolventReport,
     SpectrumReport,
+    ZeroLeftReport,
+    right_memberships,
 )
+from fockshift import spectra
 from fockshift.words import EMPTY, BasisEnumeration, Word
 
 
@@ -260,6 +266,16 @@ def test_right_membership_builds_no_operator(monkeypatch):
     assert right_membership((2.0, 0.5), 8).verdict == NOT_IN_SPECTRUM
 
 
+def test_zero_left_inverses_build_no_operator(monkeypatch):
+    # the identities and the reconstruction are read off the shifts' column maps
+    def refuse(*args):
+        raise AssertionError("a GradedOperator was built")
+
+    monkeypatch.setattr(GradedOperator, "__init__", refuse)
+    report = zero_left_inverses({parse_word("21"): 1.0}, {EMPTY: 0.5 - 0.25j}, 6)
+    assert report.max_identity_defect == report.reconstruction_residual == 0.0
+
+
 def test_resolvent_check_guards_the_word_count_before_any_level(monkeypatch):
     # a level of 2^44 weights would be allocated before a later guard could refuse it
     def refuse(ws, depth):
@@ -340,3 +356,115 @@ def test_spectra_build_the_creation_tuple_once_per_call(monkeypatch):
     assert count(lambda: resolvent_check((0.4, 0.3), 6)) == 1
     assert count(lambda: right_membership((2.0, 0.5), 6)) == 1
     assert count(lambda: zero_left_inverses({}, {}, 6)) == 1
+    # one weight system per right-mode call: one build whatever the number of points, none for the sphere alone
+    inside, outside = [(0.3, 0.4j), (0.0, 0.5)], [(1.5, 0.2), (0.0, 3.0)]
+    for points in ([inside[0]], inside + outside, (inside + outside) * 3, outside):
+        assert count(lambda: right_memberships(points, 6)) == 1, points
+    assert count(lambda: right_memberships([(1.0, 0.0)], 6)) == 0
+
+
+def _sparse_zero_left_inverses(eta1, eta2, depth):
+    """The sparse products that zero_left_inverses replaced: A_i = L_i* plus the eta_i entries at the
+    vacuum column, A_i L_j as ``before(j, A_i)``, minus I for i = j, read through max_column_norm."""
+    space = TruncatedFock(2, depth)
+    maps = left_shift_maps(space, ConstantWeights(2, 1.0))
+    certify_injective(maps.rows.ravel(), (space.dimension, 2 * space.dimension))
+    if np.any(maps.values != 1.0):
+        raise ValueError("[L_1 L_2] is not a partial isometry: an entry is not 1")
+    identity, low = GradedOperator.identity(space), space.levels() < depth
+    adjoints = [maps.operator(i).adjoint() for i in (1, 2)]
+    defects = {}
+    for i, eta in ((1, eta1), (2, eta2)):
+        entries = sp.coo_array((np.asarray(list(eta.values()), dtype=complex),
+                                ([space.index_of(w) for w in eta], [0] * len(eta))), shape=(space.dimension,) * 2)
+        a_i = adjoints[i - 1] + GradedOperator(space, entries)
+        for j in (1, 2):
+            product = maps.before(j, a_i)
+            defects[(i, j)] = max_column_norm((product - identity if i == j else product).mat, low)[0]
+    residual = float(np.abs(adjoints[0].column(EMPTY)[: space.level_slice(space.depth).start]).max())
+    return ZeroLeftReport(defects, max(defects.values()), residual)
+
+
+FINITE = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_zero_left_inverses_equal_the_sparse_products(data):
+    # every field, with eta on any words up to the depth, e among them, or on none
+    depth = data.draw(st.integers(min_value=1, max_value=8))
+    words = st.sampled_from(list(TruncatedFock(2, depth).words()))
+    eta1, eta2 = (data.draw(st.dictionaries(st.just(EMPTY) | words, FINITE, max_size=6)) for _ in range(2))
+    assert zero_left_inverses(eta1, eta2, depth) == _sparse_zero_left_inverses(eta1, eta2, depth)
+
+
+def test_zero_left_inverses_refuse_a_word_outside_the_space():
+    # a word past the depth, or with a letter past n, with the message of the sparse entry placement
+    for eta1, eta2 in (({parse_word("121"): 1.0}, {}), ({EMPTY: 1.0}, {parse_word("3"): 1.0})):
+        messages = []
+        for run in (zero_left_inverses, _sparse_zero_left_inverses):
+            with pytest.raises(ValueError) as refused:
+                run(eta1, eta2, 2)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1], messages
+
+
+def _per_point_right_membership(point, depth):
+    """The one-point path that right_memberships replaced: a weight system, a space and a
+    coefficient vector per point, through eigen_residual and resolvent_check."""
+    point = tuple(complex(z) for z in point)
+    norm = math.sqrt(sum(abs(z) ** 2 for z in point))
+    if abs(norm - 1.0) <= BOUNDARY_TOL:
+        return SpectrumReport(point, MODE_RIGHT, INCONCLUSIVE, {}, {"norm": norm})
+    if norm < 1.0:
+        residual = eigen_residual(ConstantWeights(len(point), 1.0), TruncatedFock(len(point), depth), point)
+        witness = {"norm": norm, "witness": "joint eigenvector of the adjoint tuple"}
+        return SpectrumReport(point, MODE_RIGHT, IN_SPECTRUM, {"eigen_residual": residual.max_residual}, witness)
+    report = resolvent_check(tuple(z / norm**2 for z in point), depth)
+    defects = {"identity_low_levels": report.low_level_defect, "identity_top_level": report.top_level_defect}
+    witness = {"norm": norm, "witness": "resolvent-series right inverse"}
+    return SpectrumReport(point, MODE_RIGHT, NOT_IN_SPECTRUM, defects, witness)
+
+
+def _points(data, n: int) -> list:
+    """1-6 points inside the ball, outside it, on the sphere or within BOUNDARY_TOL of it, some
+    coordinates zero, some points repeated."""
+    norms = (st.floats(min_value=0.0, max_value=0.999) | st.floats(min_value=1.001, max_value=4.0)
+             | st.floats(min_value=-0.9, max_value=0.9).map(lambda t: 1.0 + t * BOUNDARY_TOL))
+    drawn = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        if drawn and data.draw(st.booleans()):
+            drawn.append(data.draw(st.sampled_from(drawn)))
+            continue
+        direction = np.array(data.draw(st.lists(st.just(0j) | FINITE, min_size=n, max_size=n)))
+        if not np.abs(direction).max() > 1e-3:
+            direction[-1] = 1.0
+        drawn.append(tuple(complex(z) for z in data.draw(norms) * direction / np.linalg.norm(direction)))
+    return drawn
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_right_memberships_equal_the_per_point_path(data):
+    # listed by position: a repeated point, and a point whose scaled s equals another point, each keep their own
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    depth = data.draw(st.integers(min_value=1, max_value=(8, 7, 5)[n - 1]))
+    points = _points(data, n)
+    assert right_memberships(points, depth) == [_per_point_right_membership(point, depth) for point in points]
+
+
+def test_right_memberships_keep_a_point_apart_from_its_scaled_image():
+    # s = z / ||z||^2 for z = (2, 0) is (0.5, 0), itself a point inside the ball
+    points = [(2.0, 0.0), (0.5, 0.0), (2.0, 0.0), (1.0, 0.0), (0.5, 0.0)]
+    reports = right_memberships(points, 6)
+    assert [r.verdict for r in reports] == [NOT_IN_SPECTRUM, IN_SPECTRUM, NOT_IN_SPECTRUM, INCONCLUSIVE, IN_SPECTRUM]
+    assert reports == [_per_point_right_membership(point, 6) for point in points]
+    assert right_memberships([], 6) == []
+
+
+def test_right_memberships_cut_their_rows_into_blocks(monkeypatch):
+    # the coefficient rows of a call come in blocks of about WORK_FLOATS entries, the same floats as one block
+    points = [(0.3, 0.4j), (1.5, 0.0), (0.0, 0.2), (0.9, -1.2j), (0.3, 0.4j)]
+    whole = right_memberships(points, 6)
+    monkeypatch.setattr(spectra, "WORK_FLOATS", 2 * TruncatedFock(2, 6).dimension)
+    assert right_memberships(points, 6) == whole == [_per_point_right_membership(point, 6) for point in points]

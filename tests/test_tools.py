@@ -22,14 +22,14 @@ def _compare(parent: Path, change: Path, workload: str = "verify") -> subprocess
 def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
     result = _compare(ROOT, ROOT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "13 invocations on 1 workloads x 1 seeds and 6 fixed invocations: 0 differences\n"
+    assert result.stdout == "15 invocations on 1 workloads x 1 seeds and 8 fixed invocations: 0 differences\n"
 
 
 def test_compare_outputs_finds_no_difference_on_recover():
     # recover runs commutant, cesaro and spectra, whose shift products are gathers on the column maps
     result = _compare(ROOT, ROOT, "recover")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "15 invocations on 1 workloads x 1 seeds and 6 fixed invocations: 0 differences\n"
+    assert result.stdout == "17 invocations on 1 workloads x 1 seeds and 8 fixed invocations: 0 differences\n"
 
 
 def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
@@ -43,7 +43,7 @@ def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
     lines = result.stdout.splitlines()
     # the warm-up, the six checks and the two fixed checks each print changed
     # check lines; reports and stderr are unchanged, and cesaro and commutant print no check line
-    assert lines[-1] == "13 invocations on 1 workloads x 1 seeds and 6 fixed invocations: 9 differences"
+    assert lines[-1] == "15 invocations on 1 workloads x 1 seeds and 8 fixed invocations: 9 differences"
     assert all(": stdout differs, line " in line for line in lines[:-1])
     assert "tolerance 1.0e-10" in lines[0] and "tolerance 1.00e-10" in lines[0]
 
@@ -58,7 +58,7 @@ def test_compare_outputs_lists_each_csv_difference(tmp_path):
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
     # the warm-up and the three grids each write a changed CSV; stdout, reports and stderr are unchanged
-    assert lines[-1] == "10 invocations on 1 workloads x 1 seeds and 6 fixed invocations: 4 differences"
+    assert lines[-1] == "12 invocations on 1 workloads x 1 seeds and 8 fixed invocations: 4 differences"
     assert len(lines) == 5 and all(": csv differs, line " in line for line in lines[:-1])
 
 
@@ -74,7 +74,7 @@ def test_compare_outputs_always_compares_the_fixed_checks_witnesses(tmp_path):
     result = _compare(ROOT, tmp_path, "region")
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[-1] == "10 invocations on 1 workloads x 1 seeds and 6 fixed invocations: 1 differences"
+    assert lines[-1] == "12 invocations on 1 workloads x 1 seeds and 8 fixed invocations: 1 differences"
     assert lines[0].startswith("fixed seed 0, check constant_1e300 depth 4: report differs")
 
 
@@ -91,11 +91,16 @@ def test_fixed_invocations_reach_what_they_are_there_for(tmp_path):
     assert {label: code for label, (code, _) in outputs.items()} == {
         "check constant_1e300 depth 4": 1, "check scaled_1e-14 depth 8": 0,
         "cesaro periodic_support_5 depth 7": 0, "commutant periodic depth 3": 0,
-        "commutant periodic_e_support depth 2": 0, "spectra unweighted_3 depth 6": 0}
+        "commutant periodic_e_support depth 2": 0, "spectra unweighted_3 depth 6": 0,
+        "spectra eta_e_1 depth 1": 0, "spectra unweighted_2_repeated depth 3": 0}
     assert "check vacuum_kernel: PASS" in outputs["check scaled_1e-14 depth 8"][1]
     assert outputs["cesaro periodic_support_5 depth 7"][1].endswith("over |v| <= 5)\n")
     assert [line.split(": ")[1] for line in outputs["spectra unweighted_3 depth 6"][1].splitlines()] == [
         "not_in_spectrum (PASS)", "not_in_spectrum (PASS)", "in_spectrum (PASS)"]
+    assert outputs["spectra eta_e_1 depth 1"][1] == "lambda [0j, 0j]: solutions_exist (PASS)\n"
+    # one result per --lambda, by position: the repeated point twice, the point on the sphere inconclusive
+    assert [line.split(": ")[1] for line in outputs["spectra unweighted_2_repeated depth 3"][1].splitlines()] == [
+        "in_spectrum (PASS)", "in_spectrum (PASS)", "inconclusive (PASS)", "not_in_spectrum (PASS)"]
     for label in ("commutant periodic depth 3", "commutant periodic_e_support depth 2"):
         assert outputs[label][1].endswith("round-trip: PASS (residual 0.000e+00, recovery 0.000e+00)\n")
 

@@ -34,11 +34,14 @@ PERIODIC = {"n": 2, "family": "periodic", "period": 2,
 # nonzero rounding defect); cesaro with support words longer than its order, so its columns
 # reach words past the columns it compares (|v| <= 5); commutant at depth 3, whose round
 # trip compares |v| <= 2; and commutant at depth 2, whose support is e alone, so its round
-# trip reads the top column level; and spectra --mode right on the unweighted n = 3 tuple, at
+# trip reads the top column level; spectra --mode right on the unweighted n = 3 tuple, at
 # two points outside the ball with zero coordinates and one inside (the workloads run spectra
-# at n = 2 only, with no zero coordinate outside the ball).  An option whose value is a dict
-# is passed the path of a file holding it as JSON, and one whose value is a list is passed
-# once per item.
+# at n = 2 only, with no zero coordinate outside the ball); spectra --mode zero_left_inverse
+# at depth 1, whose identities read the vacuum column alone, with eta1 on e and on the top
+# word 1 and eta2 empty; and spectra --mode right at n = 2, depth 3, with one point given twice, one on
+# the sphere (inconclusive) and one outside, whose results are listed by position.  An option
+# whose value is a dict is passed the path of a file holding it as JSON, and one whose value
+# is a list is passed once per item.
 FIXED = (
     ("constant_1e300", "check", {"n": 2, "family": "constant", "value": 1e300}, 4, {}),
     ("scaled_1e-14", "check", {"n": 2, "family": "scaled", "scales": [1.0, 1e-14]}, 8, {}),
@@ -49,6 +52,10 @@ FIXED = (
     ("periodic_e_support", "commutant", PERIODIC, 2, {}),
     ("unweighted_3", "spectra", {"n": 3, "family": "constant", "value": 1.0}, 6, {
         "--mode": "right", "--lambda": ["0,1.2,0.3-0.4i", "1.5,0,0", "0.3,0,0.4i"]}),
+    ("eta_e_1", "spectra", {"n": 2, "family": "constant", "value": 1.0}, 1, {
+        "--mode": "zero_left_inverse", "--coeffs": {"eta1": {"e": [0.5, -0.25], "1": [-1.0, 0.75]}, "eta2": {}}}),
+    ("unweighted_2_repeated", "spectra", {"n": 2, "family": "constant", "value": 1.0}, 3, {
+        "--mode": "right", "--lambda": ["0.3,0.4", "0.3,0.4", "0.6,0.8i", "2,0"]}),
 )
 
 
