@@ -40,14 +40,8 @@ from .weights import (
     condition6_sup,
     table_from_strings,
 )
-from .fock import TruncatedFock, commutation_defect, max_column_norm, norm_check, vacuum_kernel_check
-from .algebra import (
-    FourierElement,
-    cesaro_sum,
-    commutant_extract,
-    operator_from_fourier,
-    pk_polynomial,
-)
+from .fock import TruncatedFock, commutation_defect, norm_check, vacuum_kernel_check
+from .algebra import FourierElement, cesaro_defect, commutant_round_trip
 from .eigen import VERDICTS, GridSpec, region_sample, write_region_csv
 from .spectra import (
     MODE_LEFT_GROWTH,
@@ -368,7 +362,7 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
         coeffs[w] = complex(rng.standard_normal(), rng.standard_normal())
     element = FourierElement.build(coeffs, ws)
     # the commutation test reads X's columns to depth - 1, the extraction those to depth - support_cap
-    extraction = commutant_extract(operator_from_fourier(element, space, bound=config.depth - min(support_cap, 1)), ws)
+    extraction = commutant_round_trip(element, space, bound=config.depth - min(support_cap, 1))
     recovery = max(abs(extraction.element.coeffs.get(w, 0.0) - a) for w, a in coeffs.items())
     defect = max(extraction.residual, recovery)
     passed = defect <= config.tolerance
@@ -460,9 +454,7 @@ def _cmd_cesaro(config: RunConfig, args) -> tuple[int, dict]:
     if element.support_length() > config.depth:
         raise ConfigError("coefficient support exceeds the configured depth")
     exact = max(config.depth - order, 0)  # the columns where the compressed identity holds, the only ones built
-    smoothed = cesaro_sum(operator_from_fourier(element, space, bound=exact), order)
-    polynomial = pk_polynomial(element, order, space, bound=exact)
-    worst, idx = max_column_norm((smoothed - polynomial).mat, space.levels() <= exact)
+    worst, idx = cesaro_defect(element, order, space, bound=exact)
     witness = None if idx is None else space.word_at(idx)
     passed = worst <= config.tolerance
     print(f"cesaro order {order}: {'PASS' if passed else 'FAIL'} (max column defect {worst:.3e} over |v| <= {exact})")

@@ -247,16 +247,21 @@ def certify_injective(rows: np.ndarray, shape: tuple[int, int]) -> None:
         raise ValueError(f"the {shape[0]}x{shape[1]} matrix is not a partial permutation with scaled entries")
 
 
-def column_norms(mat) -> np.ndarray:
-    """The Euclidean norm of every column of a CSR matrix that holds no duplicate entries: each
-    column's squares are added in row order, as scipy's ``sum(axis=0)`` adds them."""
-    return np.sqrt(np.bincount(mat.indices, weights=np.abs(mat.data) ** 2, minlength=mat.shape[1]))
+def column_norms(cols: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The Euclidean norm of each of ``size`` columns holding ``values`` at ``cols``, listed in row order, at most one
+    per row and column (a CSR's ``indices`` and ``data``): one ``np.bincount`` adds each column's squares in row
+    order, as scipy's ``sum(axis=0)`` adds them."""
+    return np.sqrt(np.bincount(cols, weights=np.abs(values) ** 2, minlength=size))
 
 
 def max_column_norm(mat, mask: np.ndarray | bool = True) -> tuple[float, int | None]:
     """The largest column norm over the columns in ``mask`` (every column by default), and the first
     column attaining it, None if it is 0.  A NaN norm counts as the largest."""
-    norms = np.where(mask, column_norms(mat), 0.0)
+    return largest_norm(np.where(mask, column_norms(mat.indices, mat.data, mat.shape[1]), 0.0))
+
+
+def largest_norm(norms: np.ndarray) -> tuple[float, int | None]:
+    """The largest of ``norms`` and the first index attaining it, None if it is 0.  A NaN counts as the largest."""
     idx = int(np.argmax(norms))
     return float(norms[idx]), (None if norms[idx] == 0.0 else idx)
 

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockshift import (
     ConstantWeights,
@@ -22,7 +25,12 @@ from fockshift import (
     spectral_radius_lower,
     word_operator,
 )
+from fockshift import algebra
+from fockshift.algebra import cesaro_defect, commutant_round_trip
+from fockshift.fock import max_column_norm, right_shift_maps
 from fockshift.words import EMPTY, BasisEnumeration
+
+from conftest import ILL_CONDITIONED, SYSTEMS, table_mu
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +256,81 @@ def test_spectral_radius_depth_guard(periodic_example):
     element = FourierElement.build({parse_word("12"): 1.0}, periodic_example)
     with pytest.raises(ValueError):
         spectral_radius_lower(element, parse_word("12"), 5, 8)
+
+
+# The grid readings of the commutant round trip and of the Cesaro defect against the operator path they replaced
+# in the command line: sparse products on the shifts' column maps, scipy differences and column norms.
+GRID_SYSTEMS = SYSTEMS + ILL_CONDITIONED + [("constant-1e300", ConstantWeights(2, 1e300), 6)]
+PARTS = st.floats(min_value=-1e308, max_value=1e308) | st.sampled_from([0.0, 1.0, -0.5, 1e300, 1e-320])
+
+
+def _same(a, b) -> bool:
+    """Equal floats, NaN matching NaN, in (norm, column) pairs or alone."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b or (isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b))
+
+
+def _sparse_commutation_defects(x: GradedOperator, mu) -> list:
+    shifts, space = right_shift_maps(x.space, mu), x.space
+    return [max_column_norm((shifts.before(i, x) - shifts.after(i, x)).mat, space.levels() <= space.depth - 2)
+            for i in range(1, space.n + 1)]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return exc
+
+
+def _same_extraction(got, oracle) -> bool:
+    if isinstance(oracle, ValueError):
+        return isinstance(got, ValueError) and str(got) == str(oracle)
+    parts = [np.array(list(r.element.coeffs.values()), dtype=complex).view(float) for r in (got, oracle)]
+    return (list(got.element.coeffs) == list(oracle.element.coeffs) and np.array_equal(*parts, equal_nan=True)
+            and _same(got.residual, oracle.residual) and got.columns_checked == oracle.columns_checked)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_grid_readings_equal_the_operator_path(data):
+    label, ws, top = data.draw(st.sampled_from(GRID_SYSTEMS), label="system")
+    depth = data.draw(st.integers(min_value=1, max_value=top), label="depth")
+    space, n = TruncatedFock(ws.n, depth), ws.n
+    words = list(BasisEnumeration(n, min(depth, 3)).words())
+    support = data.draw(st.lists(st.sampled_from(words), max_size=8, unique=True), label="support")
+    coeffs = {w: complex(data.draw(PARTS), data.draw(PARTS)) for w in support}
+    # the weights' own commutant mu, or another table, whose commutators do not vanish
+    mu = data.draw(st.sampled_from([ws.kept_commutant_mu(), table_mu(n, 70 + n)]), label="mu")
+    a = FourierElement.build(coeffs, ws, mu)
+    bound = data.draw(st.sampled_from([None, 0, max(depth - 2, 0), depth - 1, depth]), label="bound")
+    k = data.draw(st.integers(min_value=1, max_value=depth + 1), label="k")
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past the float range are inf on both paths
+        x = operator_from_fourier(a, space, bound=bound)
+        grid = algebra._word_grid(space, ws, a.vector(depth), True, bound)
+        assert _same(tuple(algebra._commutation_defects(space, grid, mu)), tuple(_sparse_commutation_defects(x, mu)))
+        assert _same_extraction(_outcome(lambda: commutant_round_trip(a, space, bound=bound)),
+                                _outcome(lambda: commutant_extract(x, ws, mu)))
+        columns = True if bound is None else space.levels() <= bound
+        oracle = max_column_norm((cesaro_sum(x, k) - pk_polynomial(a, k, space, bound=bound)).mat, columns)
+        assert _same(cesaro_defect(a, k, space, bound=bound), oracle)
+
+
+def test_round_trip_refuses_a_commutation_defect_as_the_operator_path_does():
+    # X is built from the weights' lambda; the shifts of another mu do not commute with it
+    ws = ConstantWeights(2, 1.5)
+    a = FourierElement.build({EMPTY: 1.0, parse_word("1"): 0.5 - 0.25j, parse_word("21"): 2.0}, ws, table_mu(2, 72))
+    space = TruncatedFock(2, 6)
+    with pytest.raises(ValueError) as oracle:
+        commutant_extract(operator_from_fourier(a, space, bound=5), ws, a.mu)
+    with pytest.raises(ValueError) as got:
+        commutant_round_trip(a, space, bound=5)
+    assert str(got.value) == str(oracle.value)
+    assert str(got.value).startswith("operator does not commute with right shift 1: defect ")
+
+
+def test_cesaro_defect_refuses_order_0_as_cesaro_sum_does():
+    a = FourierElement.build({EMPTY: 1.0}, ConstantWeights(2, 1.0))
+    with pytest.raises(ValueError, match="^Cesaro order must be at least 1$"):
+        cesaro_defect(a, 0, TruncatedFock(2, 3))

@@ -1272,16 +1272,18 @@ def test_cli_loads_neither_csgraph_nor_linalg(tmp_path):
 
 def test_only_commands_that_build_sparse_matrices_load_scipy_sparse(tmp_path):
     # a fresh interpreter: check and region compose column maps, spectra --mode right reads one
-    # coefficient array and --mode zero_left_inverse the shifts' column maps, so none of them pays the
-    # scipy.sparse import; commutant builds sparse matrices
+    # coefficient array and --mode zero_left_inverse the shifts' column maps, and commutant and cesaro
+    # read their defects off the support grids, so no verb pays the scipy.sparse import
     config = _write_config(tmp_path, "periodic.json", PERIODIC)
     unweighted = _write_config(tmp_path, "unweighted.json", {"n": 2, "family": "constant", "value": 1.0})
+    coeffs = _write_config(tmp_path, "coeffs.json", {"coeffs": {"e": [0.5, 0], "1": [1, -0.5], "21": [0, 0.25]}})
     commands = [["check", "--config", config, "--depth", "6"],
                 ["region", "--config", config, "--grid", "0:1.2:0.2", "--depth", "6",
                  "--out", str(tmp_path / "region.csv")],
                 ["spectra", "--config", unweighted, "--depth", "6", "--lambda", "0.3,0.4", "--lambda", "1.2,0"],
                 ["spectra", "--config", unweighted, "--depth", "6", "--mode", "zero_left_inverse"],
-                ["commutant", "--config", config, "--depth", "5"]]
+                ["commutant", "--config", config, "--depth", "5"],
+                ["cesaro", "--config", config, "--depth", "6", "--coeffs", coeffs, "--k", "2"]]
     code = (
         "import contextlib, io, sys\n"
         "from fockshift.cli import main\n"
@@ -1296,7 +1298,7 @@ def test_only_commands_that_build_sparse_matrices_load_scipy_sparse(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0, 0, 0, 0] [False, False, False, False, False, True]\n"
+    assert result.stdout == "[0, 0, 0, 0, 0, 0] [False, False, False, False, False, False, False]\n"
 
 
 def test_region_at_depth_1000_writes_nothing_to_stderr(tmp_path):

@@ -273,7 +273,8 @@ def test_commutator_columns_on_rows_apart(space, periodic_example):
     for t, i in maps:
         for s, j in maps:
             t_op, s_op = t.operator(i), s.operator(j)
-            oracle = fock.column_norms((t_op @ s_op - s_op @ t_op).mat)[:cols]
+            product = (t_op @ s_op - s_op @ t_op).mat
+            oracle = fock.column_norms(product.indices, product.data, product.shape[1])[:cols]
             assert np.array_equal(fock._commutator_columns(t, i, s, j, cols), oracle)
     assert np.all(fock._commutator_columns(lefts, 1, lefts, 2, cols) > 0.0)
 

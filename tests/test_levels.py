@@ -276,7 +276,7 @@ def _oracle_support_operator(space: TruncatedFock, coeffs: np.ndarray, columns) 
 
 
 def _oracle_word_sum(space: TruncatedFock, ws, coeffs: np.ndarray, normalized: bool) -> GradedOperator:
-    """``algebra._word_sum`` through the COO assembly, every prepend table built first."""
+    """The operator on ``algebra._word_grid`` through the COO assembly, every prepend table built first."""
     depth = space.depth
     longest = space.level_offsets.index(coeffs.size) - 1
 
@@ -432,7 +432,8 @@ def test_column_norms_equal_the_sparse_column_sums(label, ws, depth):
         for shifts, x in _gather_cases(ws, depth):
             for i in range(1, ws.n + 1):
                 diff = (shifts.before(i, x) - shifts.after(i, x)).mat
-                assert np.array_equal(fock.column_norms(diff), _parent_column_norms(diff), equal_nan=True)
+                norms = fock.column_norms(diff.indices, diff.data, diff.shape[1])
+                assert np.array_equal(norms, _parent_column_norms(diff), equal_nan=True)
 
 
 def test_shift_products_form_no_sparse_product(monkeypatch):
@@ -703,7 +704,8 @@ def test_table_mu_and_unweighted_shifts_equal_scalar_oracle(n):
     candidate = eigenvector_coeffs(unweighted, point, depth - 1)
     oracle = _oracle_series(space, candidate.coeffs)
     assert _same(operator_from_fourier(FourierElement.build(candidate.coeffs, unweighted), space), oracle)
-    assert _same(algebra._word_sum(space, unweighted, candidate.vector, normalized=True), oracle)
+    grid = algebra._word_grid(space, unweighted, candidate.vector, True)
+    assert _same(algebra._support_operator(space, grid), oracle)
 
 
 def _relative_defect(lhs: float, rhs: float) -> float:

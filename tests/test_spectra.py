@@ -21,7 +21,7 @@ from fockshift import (
     right_membership,
     zero_left_inverses,
 )
-from fockshift.algebra import _word_sum
+from fockshift.algebra import _support_operator, _word_grid
 from fockshift.fock import ShiftMap, certify_injective, left_shift_maps, max_column_norm
 from fockshift.spectra import (
     BOUNDARY_TOL,
@@ -225,7 +225,7 @@ def _sparse_resolvent_check(point, depth):
     sum_i conj(z_i) L_i R through ``after`` gathers, minus I, read through max_column_norm."""
     point = tuple(complex(z) for z in point)
     space, unit = TruncatedFock(len(point), depth), ConstantWeights(len(point), 1.0)
-    series = _word_sum(space, unit, eigenvector_coeffs(unit, point, depth - 1).vector, normalized=True)
+    series = _support_operator(space, _word_grid(space, unit, eigenvector_coeffs(unit, point, depth - 1).vector, True))
     shifts = left_shift_maps(space, unit)
     scaled = ShiftMap(space, shifts.rows, shifts.values * np.conj(point)[:, None])
     lowered = sum((scaled.after(i, series) for i in range(2, space.n + 1)), scaled.after(1, series))

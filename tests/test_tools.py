@@ -22,14 +22,14 @@ def _compare(parent: Path, change: Path, workload: str = "verify") -> subprocess
 def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
     result = _compare(ROOT, ROOT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "15 invocations on 1 workloads x 1 seeds and 8 fixed invocations: 0 differences\n"
+    assert result.stdout == "19 invocations on 1 workloads x 1 seeds and 12 fixed invocations: 0 differences\n"
 
 
 def test_compare_outputs_finds_no_difference_on_recover():
     # recover runs commutant, cesaro and spectra, whose shift products are gathers on the column maps
     result = _compare(ROOT, ROOT, "recover")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "17 invocations on 1 workloads x 1 seeds and 8 fixed invocations: 0 differences\n"
+    assert result.stdout == "21 invocations on 1 workloads x 1 seeds and 12 fixed invocations: 0 differences\n"
 
 
 def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
@@ -43,7 +43,7 @@ def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
     lines = result.stdout.splitlines()
     # the warm-up, the six checks and the two fixed checks each print changed
     # check lines; reports and stderr are unchanged, and cesaro and commutant print no check line
-    assert lines[-1] == "15 invocations on 1 workloads x 1 seeds and 8 fixed invocations: 9 differences"
+    assert lines[-1] == "19 invocations on 1 workloads x 1 seeds and 12 fixed invocations: 9 differences"
     assert all(": stdout differs, line " in line for line in lines[:-1])
     assert "tolerance 1.0e-10" in lines[0] and "tolerance 1.00e-10" in lines[0]
 
@@ -58,7 +58,7 @@ def test_compare_outputs_lists_each_csv_difference(tmp_path):
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
     # the warm-up and the three grids each write a changed CSV; stdout, reports and stderr are unchanged
-    assert lines[-1] == "12 invocations on 1 workloads x 1 seeds and 8 fixed invocations: 4 differences"
+    assert lines[-1] == "16 invocations on 1 workloads x 1 seeds and 12 fixed invocations: 4 differences"
     assert len(lines) == 5 and all(": csv differs, line " in line for line in lines[:-1])
 
 
@@ -74,7 +74,7 @@ def test_compare_outputs_always_compares_the_fixed_checks_witnesses(tmp_path):
     result = _compare(ROOT, tmp_path, "region")
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[-1] == "12 invocations on 1 workloads x 1 seeds and 8 fixed invocations: 1 differences"
+    assert lines[-1] == "16 invocations on 1 workloads x 1 seeds and 12 fixed invocations: 1 differences"
     assert lines[0].startswith("fixed seed 0, check constant_1e300 depth 4: report differs")
 
 
@@ -92,7 +92,9 @@ def test_fixed_invocations_reach_what_they_are_there_for(tmp_path):
         "check constant_1e300 depth 4": 1, "check scaled_1e-14 depth 8": 0,
         "cesaro periodic_support_5 depth 7": 0, "commutant periodic depth 3": 0,
         "commutant periodic_e_support depth 2": 0, "spectra unweighted_3 depth 6": 0,
-        "spectra eta_e_1 depth 1": 0, "spectra unweighted_2_repeated depth 3": 0}
+        "spectra eta_e_1 depth 1": 0, "spectra unweighted_2_repeated depth 3": 0,
+        "commutant perturbed depth 10": 0, "cesaro perturbed depth 10": 0,
+        "commutant constant_1e300 depth 6": 0, "cesaro constant_1e300 depth 6": 0}
     assert "check vacuum_kernel: PASS" in outputs["check scaled_1e-14 depth 8"][1]
     assert outputs["cesaro periodic_support_5 depth 7"][1].endswith("over |v| <= 5)\n")
     assert [line.split(": ")[1] for line in outputs["spectra unweighted_3 depth 6"][1].splitlines()] == [
@@ -101,8 +103,16 @@ def test_fixed_invocations_reach_what_they_are_there_for(tmp_path):
     # one result per --lambda, by position: the repeated point twice, the point on the sphere inconclusive
     assert [line.split(": ")[1] for line in outputs["spectra unweighted_2_repeated depth 3"][1].splitlines()] == [
         "in_spectrum (PASS)", "in_spectrum (PASS)", "inconclusive (PASS)", "not_in_spectrum (PASS)"]
-    for label in ("commutant periodic depth 3", "commutant periodic_e_support depth 2"):
+    for label in ("commutant periodic depth 3", "commutant periodic_e_support depth 2",
+                  "commutant constant_1e300 depth 6"):
         assert outputs[label][1].endswith("round-trip: PASS (residual 0.000e+00, recovery 0.000e+00)\n")
+    # the perturbed weights are not powers of two: the residual and the Cesaro defect are rounding, not 0
+    assert outputs["commutant perturbed depth 10"][1].endswith(
+        "round-trip: PASS (residual 4.326e-15, recovery 0.000e+00)\n")
+    assert outputs["cesaro perturbed depth 10"][1] == (
+        "cesaro order 3: PASS (max column defect 1.302e-16 over |v| <= 7)\n")
+    assert outputs["cesaro constant_1e300 depth 6"][1] == (
+        "cesaro order 2: PASS (max column defect 0.000e+00 over |v| <= 4)\n")
 
 
 def test_cold_start_runs_every_verb_once_and_sees_which_load_scipy_sparse():
@@ -111,6 +121,61 @@ def test_cold_start_runs_every_verb_once_and_sees_which_load_scipy_sparse():
     assert result.returncode == 0, result.stderr
     header, *rows = result.stdout.splitlines()
     assert header.startswith("PYTHONDONTWRITEBYTECODE=") and header.endswith("1 runs per verb and tree, medians:")
-    # check, region and spectra --mode right build no sparse matrix; commutant and cesaro build theirs
+    # no verb builds a sparse matrix: commutant and cesaro read their defects off the support grids
     assert {row.split()[0]: "scipy.sparse loaded" in row for row in rows} == {
-        "check": False, "commutant": True, "region": False, "cesaro": True, "spectra": False}
+        "check": False, "commutant": False, "region": False, "cesaro": False, "spectra": False}
+
+
+STUB_RUN = """import argparse, json
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+with open({log!r}, "a") as log:
+    log.write(f"{{SIDE}} {{args.workload}} {{args.seed}}\\n")
+print("env nproc=2 python=3.0")
+wall = WALL + int(args.seed) / 1000
+print(json.dumps({{"correct": True, "attempted": 4, "failed": 0, "metrics": {{
+    "wall_s": {{"value": wall, "unit": "s"}}, "peak_rss_mb": {{"value": 50.0, "unit": "MiB"}}}}}}))
+"""
+
+
+def test_ab_runs_alternating_pairs_of_two_commits_and_writes_the_bench_layout(tmp_path):
+    # two commits of a stub repository, whose bench/run.py logs each run and reads 0.1 s faster on the change
+    repo, log = tmp_path / "repo", tmp_path / "runs.log"
+    (repo / "bench").mkdir(parents=True)
+
+    def commit(side: str, wall: float) -> None:
+        (repo / "bench" / "run.py").write_text(f"SIDE, WALL = {side!r}, {wall}\n" + STUB_RUN.format(log=str(log)))
+        subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", side],
+                       check=True)
+
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    commit("parent", 0.5)
+    commit("change", 0.4)
+    (repo / "bench" / "run.py").write_text("raise SystemExit(3)\n")  # not committed, so never run
+    out = tmp_path / "BENCH_stub.json"
+    argv = [sys.executable, str(ROOT / "tools" / "ab.py"), "--parent", "HEAD~1", "--change", str(repo),
+            "--workloads", "recover", "verify", "--seeds", "7-9", "--seconds", "1", "--json", str(out)]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert log.read_text().split("\n")[:-1] == [
+        f"{side} {workload} {seed}" for workload in ("recover", "verify")
+        for seed, order in zip((7, 8, 9), ("pc", "cp", "pc"))
+        for side in (("parent", "change") if order == "pc" else ("change", "parent"))]
+    document = json.loads(out.read_text())
+    assert document["environment"] == {"nproc": 2, "python": "3.0"}
+    entry = document["workloads"]["verify"]
+    assert {key: entry[key] for key in ("seeds", "pairs", "correct", "failed", "attempted", "first_in_pair")} == {
+        "seeds": "7-9", "pairs": 3, "correct": True, "failed": {"parent": 0, "change": 0},
+        "attempted": {"parent": 12, "change": 12}, "first_in_pair": {"7": "parent", "8": "change", "9": "parent"}}
+    assert entry["metrics"]["wall_s"] == {
+        "parent": {"runs": [0.507, 0.508, 0.509], "median": 0.508, "q1": 0.5075, "q3": 0.5085},
+        "change": {"runs": [0.407, 0.408, 0.409], "median": 0.408, "q1": 0.4075, "q3": 0.4085},
+        "change_lower_in_pairs": "3/3", "median_change": "-19.7 %"}
+    assert entry["metrics"]["peak_rss_mb"]["change_lower_in_pairs"] == "0/3"
+    assert "verify wall_s: 0.508 -> 0.408 (-19.7 %, lower in 3/3)" in result.stdout
+    # the worktrees are gone
+    assert subprocess.run(["git", "-C", str(repo), "worktree", "list"], capture_output=True,
+                          text=True).stdout.count("\n") == 1

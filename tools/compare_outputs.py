@@ -28,6 +28,10 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 FIELDS = ("code", "stdout", "stderr", "csv", "report")
 PERIODIC = {"n": 2, "family": "periodic", "period": 2,
             "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2}}
+PERTURBED = {"n": 2, "family": "finite_perturbation", "cutoff": 1, "tail": [0.8, 1.3],
+             "table": {"1:e": 0.7, "2:e": 1.3, "1:1": 1.1, "1:2": 0.9, "2:1": 1.7, "2:2": 0.55}}
+CESARO_COEFFS = {"e": [0.214, 0.941], "1": [0.574, 0.58], "2": [-0.892, -0.261], "12": [-0.83, -0.613],
+                 "21": [-0.572, 0.717], "112": [-0.746, -0.406], "221": [-0.014, 0.699], "2121": [0.5, -0.25]}
 # (label, verb, config, depth, options) of invocations no workload reaches: the check
 # witnesses of a NaN defect (overflowed products) and of the structural vacuum kernel at
 # weights of 1e-14, which a rank cutoff would drop (its cocycle sweep also takes a unique
@@ -39,7 +43,11 @@ PERIODIC = {"n": 2, "family": "periodic", "period": 2,
 # at n = 2 only, with no zero coordinate outside the ball); spectra --mode zero_left_inverse
 # at depth 1, whose identities read the vacuum column alone, with eta1 on e and on the top
 # word 1 and eta2 empty; and spectra --mode right at n = 2, depth 3, with one point given twice, one on
-# the sphere (inconclusive) and one outside, whose results are listed by position.  An option
+# the sphere (inconclusive) and one outside, whose results are listed by position; commutant and
+# cesaro on the bounded finite perturbation at depth 10, whose weights are not powers of two, so
+# its round-trip residual and Cesaro defect are rounding, not 0 (the cesaro support also holds a
+# word longer than the order); and commutant and cesaro on constant weights 1e300, whose
+# products W(u,w) leave the float range while the ratios the grids carry stay 1.  An option
 # whose value is a dict is passed the path of a file holding it as JSON, and one whose value
 # is a list is passed once per item.
 FIXED = (
@@ -56,6 +64,11 @@ FIXED = (
         "--mode": "zero_left_inverse", "--coeffs": {"eta1": {"e": [0.5, -0.25], "1": [-1.0, 0.75]}, "eta2": {}}}),
     ("unweighted_2_repeated", "spectra", {"n": 2, "family": "constant", "value": 1.0}, 3, {
         "--mode": "right", "--lambda": ["0.3,0.4", "0.3,0.4", "0.6,0.8i", "2,0"]}),
+    ("perturbed", "commutant", PERTURBED, 10, {}),
+    ("perturbed", "cesaro", PERTURBED, 10, {"--k": 3, "--coeffs": {"coeffs": CESARO_COEFFS}}),
+    ("constant_1e300", "commutant", {"n": 2, "family": "constant", "value": 1e300}, 6, {}),
+    ("constant_1e300", "cesaro", {"n": 2, "family": "constant", "value": 1e300}, 6, {
+        "--k": 2, "--coeffs": {"coeffs": CESARO_COEFFS}}),
 )
 
 
