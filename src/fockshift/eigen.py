@@ -218,15 +218,18 @@ def _propagate(steps: list[tuple[np.ndarray, ...]], moduli: np.ndarray) -> np.nd
     its source.  Each step rescales the vector to peak in [0.5, 1) by a
     power of two, exactly, and carries the exponent, so a sum is inf only
     past the float range (or from the level of an edge weight past it on).
-    Points go in blocks of about WORK_FLOATS edge flows."""
+    A repeated step is one shared tuple, whose edge flows are formed once per
+    block of points: about WORK_FLOATS flows over the distinct steps."""
     sums = np.ones((len(moduli), len(steps) + 1))
-    block = max(1, WORK_FLOATS // max([len(step[0]) for step in steps], default=1))
+    distinct = {id(weight): (letter, weight) for _, letter, weight, _ in steps}
+    block = max(1, WORK_FLOATS // max(sum(len(weight) for _, weight in distinct.values()), 1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, len(moduli), block):
             squares = np.square(moduli[start:start + block].T)
+            flows = {key: squares[letter] * weight[:, None] for key, (letter, weight) in distinct.items()}
             mass, exponent, lost = np.ones((1, squares.shape[1])), 0, np.zeros(squares.shape[1], dtype=bool)
-            for k, (source, letter, weight, heads) in enumerate(steps, start=1):
-                mass = np.add.reduceat(mass[source] * (squares[letter] * weight[:, None]), heads, axis=0)
+            for k, (source, _, weight, heads) in enumerate(steps, start=1):
+                mass = np.add.reduceat(mass[source] * flows[id(weight)], heads, axis=0)
                 peak = mass.max(axis=0)
                 lost |= ~np.isfinite(peak)
                 mass[:, lost] = 0.0
@@ -292,11 +295,19 @@ def _cycles(next_state: np.ndarray, lam: np.ndarray, letters: np.ndarray) -> lis
     return cycles
 
 
+def _zero_patterns(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each pattern of moduli > 0, in the order of the rows' axis-0 unique, and each row's pattern:
+    a 1-D unique of one key per row, its bits packed into bytes, first bit highest, so keys compare as rows do."""
+    keys = np.packbits(moduli > 0, axis=1)
+    return np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True)[1:]
+
+
 def _bracket_verdicts(next_state: np.ndarray, lam: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     """The verdict of each row of moduli from the spectral radius rho of M(r),
     M[s, next[s, j]] += (r_j / lam[s, j])^2, on the states reachable from
     state 0: the largest radius of a class of ``_cycles``, which the letters
-    with r_j > 0 fix, once per pattern of zero moduli.  A class with period d
+    with r_j > 0 fix, once per pattern of zero moduli (``_zero_patterns``),
+    its letters read off its first row.  A class with period d
     has rho(M_C)^d = rho(A) for A = M_C^d on its phase 0, where A is
     primitive, and for x > 0, min_s (A x)_s / x_s <= rho(A) <= max_s (A x)_s / x_s
     (Collatz-Wielandt).  From x = 1, sweeps x <- x + A x, each one pass over
@@ -305,11 +316,11 @@ def _bracket_verdicts(next_state: np.ndarray, lam: np.ndarray, moduli: np.ndarra
     (inconclusive), for at most MAX_BRACKET_SWEEPS sweeps, after which the
     point is inconclusive."""
     codes = np.full(len(moduli), 2)  # an index into VERDICTS
-    patterns, pattern_of = np.unique(moduli > 0, axis=0, return_inverse=True)
+    firsts, pattern_of = _zero_patterns(moduli)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # weights and radii past the float range
-        for pattern, letters in enumerate(patterns):
-            cycles = _cycles(next_state, lam, letters)
-            points = np.flatnonzero(pattern_of.ravel() == pattern)
+        for pattern, first in enumerate(firsts.tolist()):
+            cycles = _cycles(next_state, lam, moduli[first] > 0)
+            points = np.flatnonzero(pattern_of == pattern)
             block = max(1, WORK_FLOATS // max([weight.size for phases in cycles for _, weight in phases], default=1))
             for start in range(0, len(points), block):
                 rows = points[start:start + block]
@@ -442,17 +453,16 @@ def region_sample(ws: WeightSystem, points: Sequence[Sequence[float]], depth: in
 
 def write_region_csv(sample: RegionSample, stream: TextIO) -> None:
     """CSV schema: r1,...,rn,levels,partial_sum,tail_ratio,verdict with floats
-    at 17 significant digits, formatted column by column, each distinct modulus once."""
+    at 17 significant digits, formatted column by column, each distinct bit pattern once."""
     points, n = sample.moduli.shape
     if not points:
         return
     header = ",".join(f"r{j + 1}" for j in range(n)) + ",levels,partial_sum,tail_ratio,verdict\n"
     text, floats = "%.17g".__mod__, []
-    for column in sample.moduli.T:  # a grid repeats few moduli: each bit pattern is formatted once
+    for column in (*sample.moduli.T, sample.partial_sum, sample.tail_ratio):
         bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
         texts = list(map(text, bits.view(np.float64).tolist()))
         floats.append([texts[i] for i in inverse.tolist()])
-    floats += [list(map(text, column)) for column in (sample.partial_sum.tolist(), sample.tail_ratio.tolist())]
     rows = zip(*floats[:n], itertools.repeat(str(sample.sums.shape[1])), *floats[n:], sample.verdict.tolist())
     stream.write(header + "\n".join(map(",".join, rows)) + "\n")
 

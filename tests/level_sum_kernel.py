@@ -6,7 +6,8 @@ float only changes its exponent, and extends each level one letter at a
 time, so every numpy loop runs over a whole level of words.  Points go in
 blocks of about BLOCK_FLOATS terms at the deepest level, each row with the
 same float operations whatever its block.  A level sum past the float range
-is inf.
+is inf.  ``stepped_level_sums`` is the propagation itself with every
+level's edge flows formed anew: the oracle its bits are compared with.
 """
 
 import math
@@ -89,3 +90,23 @@ def _exact_logs(values: np.ndarray) -> np.ndarray:
     distinct value."""
     distinct, inverse = np.unique(values, return_inverse=True)
     return np.array([math.log(v) for v in distinct.tolist()])[inverse].reshape(values.shape)
+
+
+def stepped_level_sums(steps, moduli: np.ndarray) -> np.ndarray:
+    """The level sums of ``eigen._propagate`` on its transfer steps with every
+    level's edge flows formed anew from its step, all points in one block:
+    the same float operations on every row that a block of two or more
+    points takes."""
+    squares = np.square(moduli.T)
+    sums = np.ones((len(moduli), len(steps) + 1))
+    mass, exponent, lost = np.ones((1, len(moduli))), 0, np.zeros(len(moduli), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, (source, letter, weight, heads) in enumerate(steps, start=1):
+            mass = np.add.reduceat(mass[source] * (squares[letter] * weight[:, None]), heads, axis=0)
+            peak = mass.max(axis=0)
+            lost |= ~np.isfinite(peak)
+            mass[:, lost] = 0.0
+            shift = np.frexp(peak)[1]
+            mass, exponent = np.ldexp(mass, -shift), exponent + shift.astype(np.int64)
+            sums[:, k] = np.where(lost, math.inf, np.ldexp(mass.sum(axis=0), exponent))
+    return sums

@@ -439,3 +439,30 @@ def test_zero_coordinates_drop_their_letters_edges():
     # scaled weights: a zero coordinate leaves the other letter's ellipse axis
     assert region_sample(ScaledWeights(2, (2.0, 3.0)), [(0.0, 2.99)], 8, 0.02).verdict[0] == INSIDE
     assert region_sample(ScaledWeights(2, (2.0, 3.0)), [(0.0, 3.01)], 8, 0.02).verdict[0] == OUTSIDE
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_zero_patterns_equal_the_rows_unique(data):
+    # keys of one to three bytes: the points' patterns drawn from a few, the zero row always among them, and a
+    # zero modulus either sign; each pattern's first point gives the rows of the axis-0 unique, in its order
+    n = data.draw(st.sampled_from([1, 7, 8, 9, 16, 17]))
+    rows = st.lists(st.booleans(), min_size=n, max_size=n)
+    pool = [[False] * n] + data.draw(st.lists(rows, min_size=0, max_size=5))
+    mask = np.array([pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))])
+    zeros = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=mask.size, max_size=mask.size)))
+    moduli = np.where(mask, data.draw(st.floats(5e-324, 1e300)), zeros.reshape(mask.shape))
+    firsts, pattern_of = eigen._zero_patterns(moduli)
+    patterns, inverse = np.unique(mask, axis=0, return_inverse=True)
+    assert np.array_equal(mask[firsts], patterns)
+    assert pattern_of.shape == (len(mask),) and np.array_equal(pattern_of, inverse.ravel())
+
+
+@pytest.mark.parametrize("n", (9, 10))
+def test_every_zero_pattern_of_the_unit_cube_corners(n):
+    # 2^n patterns with two-byte keys: rho(M(r)) is the number of nonzero moduli, so the origin is inside,
+    # a corner with one modulus 1 has rho = 1 in the DELTA band, and every other corner is outside
+    sample = region_sample(ConstantWeights(n, 1.0), GridSpec.parse("0:1:1").points(n), 3, 0.02)
+    ones = sample.moduli.sum(axis=1)
+    assert len(ones) == 2**n and set(sample.moduli.ravel().tolist()) == {0.0, 1.0}
+    assert sample.verdict.tolist() == np.select([ones == 0, ones == 1], [INSIDE, INCONCLUSIVE], OUTSIDE).tolist()

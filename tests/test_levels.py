@@ -586,6 +586,45 @@ def test_region_blocks_at_the_block_size():
         _assert_sums_close(sums, oracle)
 
 
+class _CountedProducts(np.ndarray):
+    """A transfer step's weights, counting the products they enter."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountedProducts.products += ufunc is np.multiply
+        return getattr(ufunc, method)(*(x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs),
+                                      **kwargs)
+
+
+PROPAGATED = ["scaled-n2", "periodic-n2", "two_letter_m", "tabulated-n2", "prefix-n2", "constant-n3", "prefix-n3"]
+
+
+@pytest.mark.parametrize("per_block", [None, 4], ids=["one-block", "blocks-of-4"])
+@pytest.mark.parametrize("label, ws, depth", [s for s in SYSTEMS if s[0] in PROPAGATED], ids=PROPAGATED)
+def test_propagation_forms_each_distinct_steps_flows_once_per_block(monkeypatch, per_block, label, ws, depth):
+    # repeated steps are one shared tuple: 1 distinct step of 8 on scaled, 3 on periodic and the
+    # two-letter runs, 8 of 8 on the word tree; each block of points takes one edge-flow product
+    # per distinct step, and the sums are those of a propagation that forms every level's flows
+    # anew; the grids leave no block of one point, whose mass numpy sums pairwise
+    steps = eigen._transfer_steps(ws, depth)
+    counted = {id(step): (*step[:2], step[2].view(_CountedProducts), step[3]) for step in steps}
+    steps = [counted[id(step)] for step in steps]
+    edges = sum(len(step[0]) for step in counted.values())
+    if per_block:
+        monkeypatch.setattr(eigen, "WORK_FLOATS", per_block * edges + edges - 1)
+    moduli = GridSpec(0.0, 1.25, 0.25).points(2) if ws.n == 2 else GridSpec(0.0, 1.2, 0.6).points(3)
+    blocks = 1 if per_block is None else -(-len(moduli) // per_block)
+    assert len(moduli) % (per_block or len(moduli)) != 1 and (blocks > 1) == bool(per_block)
+    _CountedProducts.products = 0
+    sums = eigen._propagate(steps, moduli)
+    assert _CountedProducts.products == len(counted) * blocks
+    assert len(counted) < len(steps) or label.startswith("tabulated")
+    assert np.array_equal(sums, kernel.stepped_level_sums(steps, moduli))
+    for row, expected in zip(sums, kernel.kernel_level_sums(ws, moduli, depth)):
+        _assert_sums_close(row, expected)
+
+
 def test_region_guard_raises_before_building_tables():
     # a system without an automaton propagates on its word tree: sum over k <= 7 of 10^k words
     with pytest.raises(ValueError, match=r"Fock space for n = 10, depth = 7 has dimension 11111111, above"):

@@ -15,7 +15,19 @@ Per workload and gated metric, the file holds every run of each side, their medi
 cent; with the attempted and failed operations of each side, whether every run was correct, which side
 ran first in each pair, and the ``environment`` block that ``bench/run.py`` prints.  This is the
 ``workloads`` layout of the committed ``BENCH_*.json`` files.  Prints one line per workload and metric,
-and exits 1 if a run fails or is not correct.
+with the parent's quartiles, and exits 1 if a run fails or is not correct.
+
+    python3 tools/ab.py --parent HEAD --change . --workloads region --seeds 101-110 --seconds 10 --json null.json
+
+is the null control: both worktrees are the one commit, so what it prints, the change of the medians, the
+pairs "won" and the parent's quartile distance, is the run-to-run spread that a claimed gain has to beat.
+
+    python3 tools/ab.py --summary [--change .]
+
+runs nothing and writes no file: it prints the gated medians, parent -> change, of every ``BENCH_*.json``
+committed at the HEAD of ``--change`` that has the ``workloads`` layout, as one trajectory per workload
+and metric, the files in the order of the commits that added them, then lists the other files apart.  The
+gated metrics are the ``end_to_end`` names of the committed ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -86,15 +98,46 @@ def summarize(seeds: list[int], results: dict[str, list[dict]], first: dict[int,
     }
 
 
+def summary(repo: str) -> None:
+    """Print the trajectory of the gated medians over the committed ``BENCH_*.json`` files."""
+    gated = [m["name"] for m in json.loads(_git(repo, "show", "HEAD:BENCHMARK.json"))["end_to_end"]]
+    committed, added = set(_git(repo, "ls-tree", "--name-only", "HEAD").split()), {}
+    for line in _git(repo, "log", "--diff-filter=A", "--reverse", "--format=commit %h", "--name-only", "HEAD", "--",
+                     "BENCH_*.json").splitlines():
+        if line.startswith("commit "):
+            commit = line.split()[1]
+        elif line in committed:
+            added.setdefault(line, commit)
+    documents = {name: json.loads(_git(repo, "show", f"HEAD:{name}")) for name in added}
+    layout = [name for name, document in documents.items() if isinstance(document.get("workloads"), dict)
+              and all(isinstance(entry.get("metrics"), dict) for entry in document["workloads"].values())]
+    for workload in dict.fromkeys(workload for name in layout for workload in documents[name]["workloads"]):
+        for metric in gated:
+            print(f"{workload} {metric}")
+            for name in layout:
+                entry = documents[name]["workloads"].get(workload, {}).get("metrics", {}).get(metric)
+                if entry:
+                    parent, change = entry["parent"]["median"], entry["change"]["median"]
+                    print(f"  {added[name]} {name}: {parent:.6g} -> {change:.6g} ({(change / parent - 1) * 100:+.1f} %,"
+                          f" lower in {entry['change_lower_in_pairs']})")
+    print("not in the workloads layout: " + (", ".join(name for name in documents if name not in layout) or "none"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="a revision of the --change repository")
+    parser.add_argument("--parent", help="a revision of the --change repository; HEAD for the null control")
     parser.add_argument("--change", default=".", help="a git checkout; its committed HEAD is the change")
     parser.add_argument("--workloads", nargs="+", default=["recover", "verify", "region"])
-    parser.add_argument("--seeds", type=_seeds, required=True, help="a range A-B, one pair per seed")
+    parser.add_argument("--seeds", type=_seeds, help="a range A-B, one pair per seed")
     parser.add_argument("--seconds", type=float, default=10.0, help="--seconds of every bench/run.py run")
-    parser.add_argument("--json", required=True, help="the file to write")
+    parser.add_argument("--json", help="the file to write")
+    parser.add_argument("--summary", action="store_true", help="print the committed files' medians and run nothing")
     args = parser.parse_args(argv)
+    if args.summary:
+        summary(args.change)
+        return 0
+    if None in (args.parent, args.seeds, args.json):
+        parser.error("--parent, --seeds and --json are required unless --summary is given")
     revisions = {"parent": _git(args.change, "rev-parse", "--verify", f"{args.parent}^{{commit}}"),
                  "change": _git(args.change, "rev-parse", "--verify", "HEAD^{commit}")}
 
@@ -114,8 +157,10 @@ def main(argv: list[str] | None = None) -> int:
                         results[side].append(result)
                 document["workloads"][workload] = entry = summarize(args.seeds, results, first)
                 for name, metric in entry["metrics"].items():
-                    print(f"{workload} {name}: {metric['parent']['median']:.6g} -> {metric['change']['median']:.6g} "
-                          f"({metric['median_change']}, lower in {metric['change_lower_in_pairs']})")
+                    parent = metric["parent"]
+                    print(f"{workload} {name}: {parent['median']:.6g} -> {metric['change']['median']:.6g} "
+                          f"({metric['median_change']}, lower in {metric['change_lower_in_pairs']}), "
+                          f"parent quartiles {parent['q1']:.6g} to {parent['q3']:.6g}")
         finally:
             for tree in trees.values():
                 if tree.exists():

@@ -47,9 +47,12 @@ CESARO_COEFFS = {"e": [0.214, 0.941], "1": [0.574, 0.58], "2": [-0.892, -0.261],
 # cesaro on the bounded finite perturbation at depth 10, whose weights are not powers of two, so
 # its round-trip residual and Cesaro defect are rounding, not 0 (the cesaro support also holds a
 # word longer than the order); and commutant and cesaro on constant weights 1e300, whose
-# products W(u,w) leave the float range while the ratios the grids carry stay 1.  An option
-# whose value is a dict is passed the path of a file holding it as JSON, and one whose value
-# is a list is passed once per item.
+# products W(u,w) leave the float range while the ratios the grids carry stay 1; region on
+# constant n = 9 weights at the 512 corners of the unit cube, 512 patterns of zero moduli
+# with keys of two bytes, and on the unweighted n = 3 tuple at 15,625 points, whose level
+# sums repeat.  An option whose value is a dict is passed the path of a file holding it as
+# JSON, and one whose value is a list is passed once per item; a region invocation writes
+# its CSV to a file given as --out.
 FIXED = (
     ("constant_1e300", "check", {"n": 2, "family": "constant", "value": 1e300}, 4, {}),
     ("scaled_1e-14", "check", {"n": 2, "family": "scaled", "scales": [1.0, 1e-14]}, 8, {}),
@@ -69,6 +72,8 @@ FIXED = (
     ("constant_1e300", "commutant", {"n": 2, "family": "constant", "value": 1e300}, 6, {}),
     ("constant_1e300", "cesaro", {"n": 2, "family": "constant", "value": 1e300}, 6, {
         "--k": 2, "--coeffs": {"coeffs": CESARO_COEFFS}}),
+    ("corners_9", "region", {"n": 9, "family": "constant", "value": 1.0}, 3, {"--grid": "0:1:1"}),
+    ("unweighted_3", "region", {"n": 3, "family": "constant", "value": 1.0}, 7, {"--grid": "0:1.2:0.05"}),
 )
 
 
@@ -82,12 +87,15 @@ def _untimed(value):
 
 
 def _fixed(workloads, workdir: str) -> list:
-    """The ``FIXED`` invocations, their configs and option files written under ``workdir``."""
+    """The ``FIXED`` invocations, their configs and option files written under ``workdir``, where a
+    region invocation also writes its CSV."""
     invocations = []
     for label, verb, document, depth, options in FIXED:
         config, report = Path(workdir) / f"{label}.json", str(Path(workdir) / f"{label}.{verb}.json")
         config.write_text(json.dumps(document))
+        csv = str(Path(workdir) / f"{label}.{verb}.csv") if verb == "region" else None
         argv = [verb, "--config", str(config), "--depth", str(depth), "--report", report]
+        argv += ["--out", csv] if csv else []
         for option, value in options.items():
             if isinstance(value, dict):
                 path = Path(workdir) / f"{label}.{option.lstrip('-')}.json"
@@ -95,7 +103,7 @@ def _fixed(workloads, workdir: str) -> list:
                 value = path
             for item in value if isinstance(value, list) else [value]:
                 argv += [option, str(item)]
-        invocations.append(workloads.Invocation(f"{verb} {label} depth {depth}", verb, argv, None, report=report))
+        invocations.append(workloads.Invocation(f"{verb} {label} depth {depth}", verb, argv, None, report, csv))
     return invocations
 
 
