@@ -35,10 +35,10 @@ scaled = ScaledWeights(2, (2.0, 3.0))
 sums = level_sums(unweighted, (0.5, 0.5), 10)
 print(f"sigma_0..3 = {sums[:4]}")
 print(f"partial sum = {np.sum(sums):.10f}")
-print(f"verdict: {membership_verdict(sums, 0.02)}")
+print(f"verdict: {membership_verdict(sums)}")
 
 # Sampling the moduli quarter-plane traces out the unit ball.
-sample = region_sample(unweighted, GridSpec(0.0, 1.2, 0.2).points(2), 10, 0.02)
+sample = region_sample(unweighted, GridSpec(0.0, 1.2, 0.2).points(2), 10)
 axis = sample.moduli[:, 1] == 0.0
 for moduli, verdict, ratio in zip(sample.moduli[axis].tolist(), sample.verdict[axis], sample.tail_ratio[axis]):
     print(f"r = {tuple(moduli)}: {verdict} (tail ratio {ratio:.3f})")
@@ -49,7 +49,7 @@ print(f"\nCSV rows emitted: {len(buffer.getvalue().splitlines())}")
 # Scaled weights stretch the ball into an ellipse with semi-axes c_i.
 report = ellipse_predicate(scaled, (1.0, 1.0), 6)
 print(f"\nscaled(2,3) at r = (1,1): inside ellipse = {report.inside}, axes = {report.axes}")
-inside = np.count_nonzero(region_sample(scaled, GridSpec(0.0, 3.0, 0.5).points(2), 8, 0.02).verdict == "inside")
+inside = np.count_nonzero(region_sample(scaled, GridSpec(0.0, 3.0, 0.5).points(2), 8).verdict == "inside")
 print(f"inside points on the [0,3]^2 grid: {inside}")
 
 # Eigenvalue membership is hereditary: shrinking each modulus preserves it.

@@ -54,7 +54,6 @@ from .spectra import (
 
 DEFAULT_DEPTH = 8
 DEFAULT_TOLERANCE = 1e-10
-DEFAULT_EPSILON = 0.02
 
 POSITIVITY_MESSAGE = "weights must be strictly positive (every lambda_{i,w} > 0)"
 
@@ -69,15 +68,9 @@ class RunConfig:
     document: dict
     depth: int
     tolerance: float
-    epsilon: float
 
     def echo(self) -> dict:
-        return {
-            "weights": self.document,
-            "depth": self.depth,
-            "tolerance": self.tolerance,
-            "epsilon": self.epsilon,
-        }
+        return {"weights": self.document, "depth": self.depth, "tolerance": self.tolerance}
 
 
 def _expect(condition: bool, path: str, message: str) -> None:
@@ -136,7 +129,7 @@ FAMILIES = {
     "two_letter_m": (("m", "c"), _two_letter),
 }
 
-RUN_FIELDS = {"depth", "tolerance", "epsilon"}
+RUN_FIELDS = {"depth", "tolerance"}
 
 
 def parse_config(document: Any) -> RunConfig:
@@ -166,9 +159,7 @@ def parse_config(document: Any) -> RunConfig:
     depth = _integer(document.get("depth", DEFAULT_DEPTH), "$.depth", 1)
     tolerance = document.get("tolerance", DEFAULT_TOLERANCE)
     _expect(_is_number(tolerance) and 0 < tolerance < math.inf, "$.tolerance", "expected a positive finite number")
-    epsilon = document.get("epsilon", DEFAULT_EPSILON)
-    _expect(_is_number(epsilon) and 0 < epsilon < math.inf, "$.epsilon", "expected a positive finite number")
-    return RunConfig(weights, dict(document), depth, float(tolerance), float(epsilon))
+    return RunConfig(weights, dict(document), depth, float(tolerance))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +390,7 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
 def _cmd_region(config: RunConfig, args) -> tuple[int, dict]:
     grid = GridSpec.parse(args.grid)
     start = time.perf_counter()
-    sample = region_sample(config.weights, grid.points(config.weights.n), config.depth, config.epsilon)
+    sample = region_sample(config.weights, grid.points(config.weights.n), config.depth)
     timing = {"region_sample": time.perf_counter() - start}
     start = time.perf_counter()
     buffer = io.StringIO()
@@ -609,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
         if tol is not None and not 0 < tol < math.inf:
             raise ConfigError("--tol must be positive and finite")
         config = RunConfig(config.weights, config.document, config.depth if depth is None else depth,
-                           config.tolerance if tol is None else tol, config.epsilon)
+                           config.tolerance if tol is None else tol)
         for flag, path in (("--report", args.report), ("--out", getattr(args, "out", None))):
             directory = os.path.dirname(os.path.abspath(path)) if path else None
             _expect(directory is None or os.path.isdir(directory), f"{flag} {path}", f"no directory {directory}")

@@ -24,7 +24,7 @@ inside when the spectral radius of M(r), on the states reachable from state
 1 + DELTA, and inconclusive when its Collatz-Wielandt bracket lies within
 [1 - DELTA, 1 + DELTA] (``_bracket_verdicts``); DELTA = 1e-9 and no option
 sets it.  Systems without an automaton keep the tail heuristic of
-``membership_verdict``, which reads epsilon.
+``membership_verdict``, whose band EPSILON = 0.02 no option sets either.
 
 ``region_sample`` returns one ``RegionSample`` per call: the moduli, level
 sums, partial sums, tail ratios and verdicts of all its points as arrays, one
@@ -48,6 +48,8 @@ from .fock import TruncatedFock, complex_product, left_shift_maps
 WORK_FLOATS = 1 << 18
 # the half-width of the band around 1 in which a spectral radius is inconclusive
 DELTA = 1e-9
+# the half-width of the tail heuristic's band around 1 for systems without an automaton; no option sets it
+EPSILON = 0.02
 # power-iteration sweeps a point's bracket may take before it is left inconclusive
 MAX_BRACKET_SWEEPS = 1000
 
@@ -219,10 +221,15 @@ def _propagate(steps: list[tuple[np.ndarray, ...]], moduli: np.ndarray) -> np.nd
     power of two, exactly, and carries the exponent, so a sum is inf only
     past the float range (or from the level of an edge weight past it on).
     A repeated step is one shared tuple, whose edge flows are formed once per
-    block of points: about WORK_FLOATS flows over the distinct steps."""
-    sums = np.ones((len(moduli), len(steps) + 1))
+    block of points: about WORK_FLOATS flows over the distinct steps, and at
+    least two points, since numpy sums one column pairwise but two or more row
+    by row: a lone last point is propagated twice."""
+    count = len(moduli)
     distinct = {id(weight): (letter, weight) for _, letter, weight, _ in steps}
-    block = max(1, WORK_FLOATS // max(sum(len(weight) for _, weight in distinct.values()), 1))
+    block = max(2, WORK_FLOATS // max(sum(len(weight) for _, weight in distinct.values()), 1))
+    if count % block == 1:
+        moduli = np.concatenate([moduli, moduli[-1:]])
+    sums = np.ones((len(moduli), len(steps) + 1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, len(moduli), block):
             squares = np.square(moduli[start:start + block].T)
@@ -236,7 +243,7 @@ def _propagate(steps: list[tuple[np.ndarray, ...]], moduli: np.ndarray) -> np.nd
                 shift = np.frexp(peak)[1]
                 mass, exponent = np.ldexp(mass, -shift), exponent + shift.astype(np.int64)
                 sums[start:start + block, k] = np.where(lost, math.inf, np.ldexp(mass.sum(axis=0), exponent))
-    return sums
+    return sums[:count]
 
 
 def _classes(next_state: np.ndarray, letters: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -346,23 +353,23 @@ def _bracket_verdicts(next_state: np.ndarray, lam: np.ndarray, moduli: np.ndarra
     return np.array(VERDICTS)[codes]
 
 
-def membership_verdict(sums: Sequence[float], epsilon: float) -> tuple[str, float]:
+def membership_verdict(sums: Sequence[float]) -> tuple[str, float]:
     """Judge the series from its level sums by the tail heuristic: inside when
-    the last quartile of consecutive ratios is uniformly below 1 - epsilon,
-    outside when uniformly above 1 + epsilon or the partial sum has
+    the last quartile of consecutive ratios is uniformly below 1 - EPSILON,
+    outside when uniformly above 1 + EPSILON or the partial sum has
     overflowed, else inconclusive.
 
     Returns (verdict, tail ratio).  The raw sums stay with the caller, who can
     always re-judge; the boundary is genuinely undecidable from finite data.
     Region sampling applies this rule only to systems without an automaton.
     """
-    verdicts, tail_ratios, _ = _verdicts(np.asarray(sums, dtype=float)[None, :], epsilon)
+    verdicts, tail_ratios, _ = _verdicts(np.asarray(sums, dtype=float)[None, :])
     return str(verdicts[0]), float(tail_ratios[0])
 
 
-def _verdicts(sums: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _verdicts(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rule of ``membership_verdict`` on a (P, levels) block of level
-    sums, one row per point: the verdicts, tail ratios and partial sums."""
+    sums, one row per point: the verdicts, tail ratios (copied) and partial sums."""
     if sums.shape[1] < 4:
         raise ValueError("need at least 4 level sums")
     with np.errstate(invalid="ignore"):  # two overflowed levels: inf / inf is nan
@@ -372,10 +379,10 @@ def _verdicts(sums: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray,
     with np.errstate(over="ignore"):  # finite level sums adding up past the float range: inf is judged outside
         partials = np.sum(sums, axis=1)
     overflowed = ~np.isfinite(partials) | (partials > PARTIAL_SUM_OVERFLOW)
-    inside = np.all(window <= 1.0 - epsilon, axis=1)
-    growing = np.all(window >= 1.0 + epsilon, axis=1)
+    inside = np.all(window <= 1.0 - EPSILON, axis=1)
+    growing = np.all(window >= 1.0 + EPSILON, axis=1)
     verdicts = np.select([overflowed, inside, growing], [OUTSIDE, INSIDE, OUTSIDE], INCONCLUSIVE)
-    return verdicts, window[:, -1], partials
+    return verdicts, window[:, -1].copy(), partials
 
 
 @record(eq=False)
@@ -432,7 +439,7 @@ class GridSpec:
         return cls(float(parts[0]), float(parts[1]), float(parts[2]))
 
 
-def region_sample(ws: WeightSystem, points: Sequence[Sequence[float]], depth: int, epsilon: float) -> RegionSample:
+def region_sample(ws: WeightSystem, points: Sequence[Sequence[float]], depth: int) -> RegionSample:
     """The level sums, tail columns and verdicts of a (P, n) array of moduli,
     all points propagated and judged together: the verdicts by the
     transfer-matrix bracket where the system has an automaton, else by the
@@ -441,10 +448,10 @@ def region_sample(ws: WeightSystem, points: Sequence[Sequence[float]], depth: in
         raise ValueError(f"region depth {depth} gives {depth + 1} level sums; the verdict needs depth at least 3")
     moduli = _moduli(ws, points)
     sums = _propagate(_transfer_steps(ws, depth), moduli)
-    verdicts, tail_ratios, partials = _verdicts(sums, epsilon)
+    verdicts, tail_ratios, partials = _verdicts(sums)
     automaton = ws.kept_automaton()
     if automaton is None:
-        rule = {"rule": "tail ratios of the level sums (heuristic)", "epsilon": epsilon}
+        rule = {"rule": "tail ratios of the level sums (heuristic)", "epsilon": EPSILON}
     else:
         verdicts = _bracket_verdicts(*automaton, moduli)
         rule = {"rule": "Collatz-Wielandt bracket on the transfer matrix's spectral radius", "delta": DELTA}

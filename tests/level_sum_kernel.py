@@ -94,9 +94,11 @@ def _exact_logs(values: np.ndarray) -> np.ndarray:
 
 def stepped_level_sums(steps, moduli: np.ndarray) -> np.ndarray:
     """The level sums of ``eigen._propagate`` on its transfer steps with every
-    level's edge flows formed anew from its step, all points in one block:
-    the same float operations on every row that a block of two or more
-    points takes."""
+    level's edge flows formed anew from its step, all points in one block
+    with the last point once more, so that even one point is summed over two
+    columns, row by row: the same float operations on every row that a block
+    of two or more points takes."""
+    count, moduli = len(moduli), np.concatenate([moduli, moduli[-1:]])
     squares = np.square(moduli.T)
     sums = np.ones((len(moduli), len(steps) + 1))
     mass, exponent, lost = np.ones((1, len(moduli))), 0, np.zeros(len(moduli), dtype=bool)
@@ -109,4 +111,4 @@ def stepped_level_sums(steps, moduli: np.ndarray) -> np.ndarray:
             shift = np.frexp(peak)[1]
             mass, exponent = np.ldexp(mass, -shift), exponent + shift.astype(np.int64)
             sums[:, k] = np.where(lost, math.inf, np.ldexp(mass.sum(axis=0), exponent))
-    return sums
+    return sums[:count]

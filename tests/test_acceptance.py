@@ -152,7 +152,7 @@ def test_criterion_05_unweighted_eigenvalue_region():
         assert abs(sums[k] - 0.5**k) <= 1e-13
     assert abs(float(np.sum(sums)) - 1.9990234375) <= 1e-12
     epsilon = 0.02
-    sample = region_sample(unweighted, GridSpec(0.0, 1.2, 0.1).points(2), 10, epsilon)
+    sample = region_sample(unweighted, GridSpec(0.0, 1.2, 0.1).points(2), 10)
     points = list(map(tuple, sample.moduli.tolist()))
     inside = {moduli for moduli, verdict in zip(points, sample.verdict.tolist()) if verdict == INSIDE}
     expected = {
@@ -171,7 +171,7 @@ def test_criterion_06_eigenvector_residuals():
     checked = 0
     while checked < 100:
         moduli = tuple(rng.uniform(0.0, 0.65, 2))
-        sample = region_sample(periodic, [moduli], DEPTH, 0.02)
+        sample = region_sample(periodic, [moduli], DEPTH)
         if sample.verdict[0] != INSIDE:
             continue
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2))
@@ -186,7 +186,7 @@ def test_criterion_06_eigenvector_residuals():
 def test_criterion_07_ellipse_lower_bound():
     scaled = ScaledWeights(2, (2.0, 3.0))
     epsilon = 0.02
-    sample = region_sample(scaled, GridSpec(0.0, 3.0, 0.25).points(2), DEPTH, epsilon)
+    sample = region_sample(scaled, GridSpec(0.0, 3.0, 0.25).points(2), DEPTH)
     for moduli, verdict in zip(map(tuple, sample.moduli.tolist()), sample.verdict.tolist()):
         ellipse_value = (moduli[0] / 2.0) ** 2 + (moduli[1] / 3.0) ** 2
         if ellipse_value <= 0.95:

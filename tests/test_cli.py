@@ -33,7 +33,6 @@ def test_parse_config_constant_defaults():
     assert isinstance(config.weights, ConstantWeights)
     assert config.depth == 8
     assert config.tolerance == 1e-10
-    assert config.epsilon == 0.02
 
 
 def test_parse_config_periodic_subclass():
@@ -391,7 +390,7 @@ def test_boolean_numeric_fields_rejected(tmp_path, capsys, field):
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 @pytest.mark.parametrize("field, argv", [("tolerance", ["check"]), ("epsilon", ["region", "--grid", "0:1:0.5"])])
 def test_nonfinite_run_fields_rejected(tmp_path, capsys, field, argv, value):
-    # an infinite tolerance passed every check; an infinite epsilon left every point inconclusive
+    # an infinite tolerance passed every check; epsilon is no longer a field, so any value of it is refused
     config = _write_config(tmp_path, "inf.json", {"n": 2, "family": "constant", "value": 1.0, field: value})
     assert main([argv[0], "--config", config, *argv[1:]]) == 2
     assert f"$.{field}" in capsys.readouterr().err
@@ -540,6 +539,46 @@ def test_output_into_a_missing_directory_exits_2_before_any_work(tmp_path, capsy
     argv = [verb, "--config", config, *extra, flag, str(missing / "out.file")]
     _exits_2_naming(argv, capsys, f"no directory {missing}")
     assert not missing.exists()
+
+
+FAMILY_DOCUMENTS = {
+    "constant": {"n": 2, "family": "constant", "value": 1.0},
+    "scaled": {"n": 3, "family": "scaled", "scales": [0.5, 1.0, 2.0]},
+    "finite_perturbation": {"n": 2, "family": "finite_perturbation", "cutoff": 1, "table": {
+        "1:e": 0.7, "2:e": 1.3, "1:1": 1.1, "1:2": 0.9, "2:1": 1.7, "2:2": 0.55}, "tail": [0.8, 1.3]},
+    "periodic": {"n": 2, "family": "periodic", "period": 2,
+                 "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2}},
+    "two_letter_m": {"n": 2, "family": "two_letter_m", "m": 0.81, "c": 0.9},
+}
+
+
+@pytest.mark.parametrize("family", sorted(cli.FAMILIES))
+def test_every_family_has_an_automaton(family):
+    # so every CLI region verdict is the bracket's, and the tail heuristic's band is never read
+    assert set(FAMILY_DOCUMENTS) == set(cli.FAMILIES)
+    assert parse_config(FAMILY_DOCUMENTS[family]).weights.kept_automaton() is not None
+
+
+@pytest.mark.parametrize("verb, extra", [("check", []), ("region", ["--grid", "0:1:0.5"])])
+def test_epsilon_field_exits_2(tmp_path, capsys, verb, extra):
+    config = _write_config(tmp_path, "eps.json", {"n": 2, "family": "constant", "value": 1.0, "epsilon": 0.02})
+    assert main([verb, "--config", config, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: $.epsilon: unknown field for family 'constant'\n"
+
+
+def test_no_report_echoes_epsilon(tmp_path, capsys):
+    config = _write_config(tmp_path, "unw.json", FAMILY_DOCUMENTS["constant"])  # spectra takes no other
+    coeffs = _write_config(tmp_path, "coeffs.json", {"coeffs": {"e": [0.5, 0], "1": [1, -0.5]}})
+    extras = {"check": [], "commutant": [], "region": ["--grid", "0:1:0.5"], "cesaro": ["--coeffs", coeffs],
+              "spectra": ["--lambda", "0.3,0.4"]}
+    assert set(extras) == set(cli.COMMANDS)
+    for verb, extra in extras.items():
+        report = tmp_path / f"{verb}.json"
+        assert main([verb, "--config", config, "--depth", "4", *extra, "--report", str(report)]) == 0, verb
+        assert set(json.loads(report.read_text())["config"]) == {"weights", "depth", "tolerance"}, verb
+    capsys.readouterr()
 
 
 def test_region_report_names_the_verdict_rule(tmp_path, capsys):
@@ -1080,9 +1119,7 @@ def _parent_parse_config(document):
     depth = _integer(document.get("depth", cli.DEFAULT_DEPTH), "$.depth", 1)
     tolerance = document.get("tolerance", cli.DEFAULT_TOLERANCE)
     _expect(cli._is_number(tolerance) and 0 < tolerance < math.inf, "$.tolerance", "expected a positive finite number")
-    epsilon = document.get("epsilon", cli.DEFAULT_EPSILON)
-    _expect(cli._is_number(epsilon) and 0 < epsilon < math.inf, "$.epsilon", "expected a positive finite number")
-    return cli.RunConfig(weights, dict(document), depth, float(tolerance), float(epsilon))
+    return cli.RunConfig(weights, dict(document), depth, float(tolerance))
 
 
 def _outcomes(tmp_path, capsys, argv, report):

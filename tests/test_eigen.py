@@ -156,15 +156,15 @@ def test_level_sums_scaled_substitution():
 def test_membership_verdict_cases():
     unweighted = ConstantWeights(2, 1.0)
     r_half = math.sqrt(0.25)  # ||r||^2 = 0.5
-    verdict, ratio = membership_verdict(level_sums(unweighted, (r_half, r_half), 10), 0.05)
+    verdict, ratio = membership_verdict(level_sums(unweighted, (r_half, r_half), 10))
     assert verdict == INSIDE and ratio == pytest.approx(0.5)
-    verdict, _ = membership_verdict(level_sums(unweighted, (1.0, 1.0), 10), 0.05)
+    verdict, _ = membership_verdict(level_sums(unweighted, (1.0, 1.0), 10))
     assert verdict == OUTSIDE
     boundary = math.sqrt(0.5)
-    verdict, _ = membership_verdict(level_sums(unweighted, (boundary, boundary), 10), 0.05)
+    verdict, _ = membership_verdict(level_sums(unweighted, (boundary, boundary), 10))
     assert verdict == INCONCLUSIVE
     with pytest.raises(ValueError):
-        membership_verdict([1.0, 0.5], 0.05)
+        membership_verdict([1.0, 0.5])
 
 
 def test_hereditary_check_basic(periodic_example):
@@ -197,7 +197,7 @@ def test_ellipse_predicate(unweighted, scaled23, periodic_example):
 def test_moduli_that_are_not_finite_are_refused(unweighted, point):
     # a NaN modulus ran the bracket to MAX_BRACKET_SWEEPS, read level sums inf, and lay outside the ellipse
     named = re.escape(f"point {list(point)} is not finite")
-    for run in (lambda: region_sample(unweighted, [(0.25, 0.5), point], 6, 0.02),
+    for run in (lambda: region_sample(unweighted, [(0.25, 0.5), point], 6),
                 lambda: level_sums(unweighted, point, 6), lambda: hereditary_check(unweighted, point, (0.0, 0.0), 6),
                 lambda: ellipse_predicate(unweighted, point, 4)):
         with pytest.raises(ValueError, match=named):
@@ -219,7 +219,7 @@ def test_eigen_candidates_refuse_points_that_are_not_finite(unweighted, point):
 
 def test_region_sample_unweighted_unit_ball(unweighted):
     grid = GridSpec(0.0, 1.2, 0.1)
-    sample = region_sample(unweighted, grid.points(2), 10, 0.02)
+    sample = region_sample(unweighted, grid.points(2), 10)
     points = list(map(tuple, sample.moduli.tolist()))
     for moduli, verdict in zip(points, sample.verdict.tolist()):
         norm_sq = sum(r * r for r in moduli)
@@ -232,7 +232,7 @@ def test_region_sample_unweighted_unit_ball(unweighted):
 
 
 def test_region_verdicts_respect_domination(periodic_example):
-    sample = region_sample(periodic_example, GridSpec(0.0, 1.4, 0.2).points(2), 8, 0.02)
+    sample = region_sample(periodic_example, GridSpec(0.0, 1.4, 0.2).points(2), 8)
     by_point = dict(zip(map(tuple, sample.moduli.tolist()), sample.verdict.tolist()))
     for p, verdict in by_point.items():
         if verdict != INSIDE:
@@ -244,7 +244,7 @@ def test_region_verdicts_respect_domination(periodic_example):
 
 def test_region_inside_norm_bounded_by_weight_sup(periodic_example):
     # eigenvalues live inside the ball of radius sup lambda_{i,w} = 2
-    sample = region_sample(periodic_example, GridSpec(0.0, 2.4, 0.4).points(2), 8, 0.02)
+    sample = region_sample(periodic_example, GridSpec(0.0, 2.4, 0.4).points(2), 8)
     for moduli, verdict in zip(sample.moduli.tolist(), sample.verdict.tolist()):
         if verdict == INSIDE:
             assert math.sqrt(sum(r * r for r in moduli)) <= 2.0 + 1e-9
@@ -252,14 +252,21 @@ def test_region_inside_norm_bounded_by_weight_sup(periodic_example):
 
 def test_region_origin_only():
     unweighted = ConstantWeights(2, 1.0)
-    sample = region_sample(unweighted, GridSpec(0.0, 0.0, 1.0).points(2), 6, 0.02)
+    sample = region_sample(unweighted, GridSpec(0.0, 0.0, 1.0).points(2), 6)
     assert len(sample.verdict) == 1
     assert sample.verdict[0] == INSIDE
     assert sample.partial_sum[0] == 1.0
 
 
+def test_tail_ratios_own_their_data(unweighted):
+    # a view of the last ratio column kept the whole (points, depth) ratio array alive in the sample
+    sample = region_sample(unweighted, GridSpec(0.0, 1.2, 0.2).points(2), 8)
+    assert sample.tail_ratio.shape == (49,) and sample.tail_ratio.base is None
+    assert eigen._verdicts(sample.sums)[1].base is None
+
+
 def test_region_csv_schema(unweighted):
-    sample = region_sample(unweighted, GridSpec(0.0, 0.4, 0.2).points(2), 6, 0.02)
+    sample = region_sample(unweighted, GridSpec(0.0, 0.4, 0.2).points(2), 6)
     buffer = io.StringIO()
     write_region_csv(sample, buffer)
     lines = buffer.getvalue().strip().split("\n")
@@ -307,7 +314,7 @@ def test_inside_implies_small_residual(periodic_example):
     count = 0
     while count < 10:
         moduli = rng.uniform(0.0, 0.8, 2)
-        sample = region_sample(periodic_example, [moduli], 8, 0.02)
+        sample = region_sample(periodic_example, [moduli], 8)
         if sample.verdict[0] != INSIDE:
             continue
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
@@ -361,7 +368,7 @@ def test_verdicts_split_rays_at_the_radius(monkeypatch, label, ws):
         boundary = rho ** -0.5
         for factor in (0.5, 0.9, 1.0 - 1e-8, 1.0 + 1e-8, 1.1, 2.0):
             point = tuple(factor * boundary * r for r in direction)
-            assert region_sample(ws, [point], 8, 0.02).verdict[0] == (INSIDE if factor < 1.0 else OUTSIDE), factor
+            assert region_sample(ws, [point], 8).verdict[0] == (INSIDE if factor < 1.0 else OUTSIDE), factor
 
 
 @pytest.mark.parametrize("period", (1, 3))
@@ -399,20 +406,20 @@ def _assert_region(sample, value) -> None:
 
 
 def test_scaled_region_is_the_ellipse(scaled23):
-    sample = region_sample(scaled23, GridSpec(0.0, 3.0, 0.25).points(2), 8, 0.02)
+    sample = region_sample(scaled23, GridSpec(0.0, 3.0, 0.25).points(2), 8)
     _assert_region(sample, lambda r: (r[0] / 2.0) ** 2 + (r[1] / 3.0) ** 2)
     assert set(map(tuple, sample.moduli[sample.verdict == INCONCLUSIVE].tolist())) == {(0.0, 3.0), (2.0, 0.0)}
 
 
 def test_periodic_example_region_is_the_disc_of_radius_sqrt2(periodic_example):
-    sample = region_sample(periodic_example, GridSpec(0.0, 1.2, 0.05).points(2), 10, 0.02)
+    sample = region_sample(periodic_example, GridSpec(0.0, 1.2, 0.05).points(2), 10)
     _assert_region(sample, lambda r: (r[0] ** 2 + r[1] ** 2) / 2.0)
     verdicts = sample.verdict.tolist()
     assert (verdicts.count(INSIDE), verdicts.count(OUTSIDE), verdicts.count(INCONCLUSIVE)) == (578, 46, 1)
-    assert region_sample(periodic_example, [(1.0, 1.0)], 10, 0.02).verdict[0] == INCONCLUSIVE
+    assert region_sample(periodic_example, [(1.0, 1.0)], 10).verdict[0] == INCONCLUSIVE
     # rho = (r1^2 + r2^2) / 2 = 1 + 0.7 DELTA lies in the band, though rho^2 for the period-2 class does not
-    assert region_sample(periodic_example, [(math.sqrt(1.0 + 1.4 * DELTA), 1.0)], 10, 0.02).verdict[0] == INCONCLUSIVE
-    assert region_sample(periodic_example, [(math.sqrt(1.0 + 2.2 * DELTA), 1.0)], 10, 0.02).verdict[0] == OUTSIDE
+    assert region_sample(periodic_example, [(math.sqrt(1.0 + 1.4 * DELTA), 1.0)], 10).verdict[0] == INCONCLUSIVE
+    assert region_sample(periodic_example, [(math.sqrt(1.0 + 2.2 * DELTA), 1.0)], 10).verdict[0] == OUTSIDE
 
 
 @pytest.mark.parametrize("alpha, t", [((0.75, 1.25), 1.5), ((1.0, 1.0), 2.5), ((1.25, 0.75), 2.0), ((1.0, 0.5), 1.75)])
@@ -421,7 +428,7 @@ def test_benchmark_periodic_region(alpha, t):
     remainders = {(a, EMPTY): alpha[a - 1] for a in (1, 2)}
     remainders.update({(a, Word([b])): t * alpha[a - 1] for a in (1, 2) for b in (1, 2)})
     ws = PeriodicWeights(2, 2, remainders)
-    sample = region_sample(ws, GridSpec(0.0, 1.2, 0.05).points(2), 10, 0.02)
+    sample = region_sample(ws, GridSpec(0.0, 1.2, 0.05).points(2), 10)
     _assert_region(sample, lambda r: sum((x / a) ** 2 for x, a in zip(r, alpha)) / t)
     assert OUTSIDE in sample.verdict and INSIDE in sample.verdict
 
@@ -430,15 +437,15 @@ def test_zero_coordinates_drop_their_letters_edges():
     # two-letter runs with m = 0.5, c = 0.1: the 1-run state loops with (r1 m)^2, and every word
     # holding a 2 reaches the state that loops with (r1^2 + r2^2) / c^2, which r2 = 0 cuts off
     ws = TwoLetterRunWeights(0.5, 0.1)
-    assert region_sample(ws, [(1.0, 0.0)], 8, 0.02).verdict[0] == INSIDE
+    assert region_sample(ws, [(1.0, 0.0)], 8).verdict[0] == INSIDE
     assert level_sums(ws, (1.0, 0.0), 8).tolist() == [0.25**k for k in range(9)]
-    assert region_sample(ws, [(1.0, 1e-300)], 8, 0.02).verdict[0] == OUTSIDE
-    assert region_sample(ws, [(0.0, 0.09)], 8, 0.02).verdict[0] == INSIDE
-    assert region_sample(ws, [(0.0, 0.11)], 8, 0.02).verdict[0] == OUTSIDE
-    assert region_sample(ws, [(0.0, 0.0)], 8, 0.02).verdict[0] == INSIDE
+    assert region_sample(ws, [(1.0, 1e-300)], 8).verdict[0] == OUTSIDE
+    assert region_sample(ws, [(0.0, 0.09)], 8).verdict[0] == INSIDE
+    assert region_sample(ws, [(0.0, 0.11)], 8).verdict[0] == OUTSIDE
+    assert region_sample(ws, [(0.0, 0.0)], 8).verdict[0] == INSIDE
     # scaled weights: a zero coordinate leaves the other letter's ellipse axis
-    assert region_sample(ScaledWeights(2, (2.0, 3.0)), [(0.0, 2.99)], 8, 0.02).verdict[0] == INSIDE
-    assert region_sample(ScaledWeights(2, (2.0, 3.0)), [(0.0, 3.01)], 8, 0.02).verdict[0] == OUTSIDE
+    assert region_sample(ScaledWeights(2, (2.0, 3.0)), [(0.0, 2.99)], 8).verdict[0] == INSIDE
+    assert region_sample(ScaledWeights(2, (2.0, 3.0)), [(0.0, 3.01)], 8).verdict[0] == OUTSIDE
 
 
 @settings(max_examples=200, deadline=None)
@@ -462,7 +469,7 @@ def test_packed_zero_patterns_equal_the_rows_unique(data):
 def test_every_zero_pattern_of_the_unit_cube_corners(n):
     # 2^n patterns with two-byte keys: rho(M(r)) is the number of nonzero moduli, so the origin is inside,
     # a corner with one modulus 1 has rho = 1 in the DELTA band, and every other corner is outside
-    sample = region_sample(ConstantWeights(n, 1.0), GridSpec.parse("0:1:1").points(n), 3, 0.02)
+    sample = region_sample(ConstantWeights(n, 1.0), GridSpec.parse("0:1:1").points(n), 3)
     ones = sample.moduli.sum(axis=1)
     assert len(ones) == 2**n and set(sample.moduli.ravel().tolist()) == {0.0, 1.0}
     assert sample.verdict.tolist() == np.select([ones == 0, ones == 1], [INSIDE, INCONCLUSIVE], OUTSIDE).tolist()

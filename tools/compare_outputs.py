@@ -30,6 +30,13 @@ PERIODIC = {"n": 2, "family": "periodic", "period": 2,
             "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2}}
 PERTURBED = {"n": 2, "family": "finite_perturbation", "cutoff": 1, "tail": [0.8, 1.3],
              "table": {"1:e": 0.7, "2:e": 1.3, "1:1": 1.1, "1:2": 0.9, "2:1": 1.7, "2:2": 0.55}}
+# period 4, whose automaton holds 8 states at every level from 3 on
+PERIODIC_4 = {"n": 2, "family": "periodic", "period": 4, "remainders": {
+    "1:e": 1.247, "2:e": 1.894, "1:1": 0.718, "2:1": 1.365, "1:2": 1.541, "2:2": 0.835, "1:11": 1.012,
+    "2:11": 1.659, "1:12": 1.835, "2:12": 1.129, "1:21": 1.306, "2:21": 0.6, "1:22": 0.776, "2:22": 1.424,
+    "1:111": 1.6, "2:111": 0.894, "1:112": 1.071, "2:112": 1.718, "1:121": 1.894, "2:121": 1.188,
+    "1:122": 1.365, "2:122": 0.659, "1:211": 0.835, "2:211": 1.482, "1:212": 1.659, "2:212": 0.953,
+    "1:221": 1.129, "2:221": 1.776, "1:222": 0.6, "2:222": 1.247}}
 CESARO_COEFFS = {"e": [0.214, 0.941], "1": [0.574, 0.58], "2": [-0.892, -0.261], "12": [-0.83, -0.613],
                  "21": [-0.572, 0.717], "112": [-0.746, -0.406], "221": [-0.014, 0.699], "2121": [0.5, -0.25]}
 # (label, verb, config, depth, options) of invocations no workload reaches: the check
@@ -50,7 +57,8 @@ CESARO_COEFFS = {"e": [0.214, 0.941], "1": [0.574, 0.58], "2": [-0.892, -0.261],
 # products W(u,w) leave the float range while the ratios the grids carry stay 1; region on
 # constant n = 9 weights at the 512 corners of the unit cube, 512 patterns of zero moduli
 # with keys of two bytes, and on the unweighted n = 3 tuple at 15,625 points, whose level
-# sums repeat.  An option whose value is a dict is passed the path of a file holding it as
+# sums repeat; and region at one point of a period-4 system with 8 states a level, whose level
+# sums are those of the same point in a wider grid.  An option whose value is a dict is passed the path of a file holding it as
 # JSON, and one whose value is a list is passed once per item; a region invocation writes
 # its CSV to a file given as --out.
 FIXED = (
@@ -74,6 +82,7 @@ FIXED = (
         "--k": 2, "--coeffs": {"coeffs": CESARO_COEFFS}}),
     ("corners_9", "region", {"n": 9, "family": "constant", "value": 1.0}, 3, {"--grid": "0:1:1"}),
     ("unweighted_3", "region", {"n": 3, "family": "constant", "value": 1.0}, 7, {"--grid": "0:1.2:0.05"}),
+    ("periodic_4_one_point", "region", PERIODIC_4, 10, {"--grid": "0.5:0.5:1"}),
 )
 
 
