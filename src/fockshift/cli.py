@@ -322,13 +322,7 @@ def _cmd_check(config: RunConfig, args) -> tuple[int, dict]:
     recorder.entries[-1].update(method="structural")
 
     _print_check_lines(recorder.entries)
-    report = {
-        "command": "check",
-        "config": config.echo(),
-        "checks": recorder.entries,
-        "timing_seconds": recorder.timing,
-    }
-    return (0 if recorder.all_passed else 1), report
+    return (0 if recorder.all_passed else 1), {"checks": recorder.entries, "timing_seconds": recorder.timing}
 
 
 def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
@@ -336,13 +330,7 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
     condition = condition6_sup(ws, config.depth)
     if condition.verdict == DIVERGING:
         print(f"commutant weights diverge: {condition.certificate}")
-        report = {
-            "command": "commutant",
-            "config": config.echo(),
-            "condition6": {"verdict": condition.verdict, "certificate": condition.certificate},
-            "mu_table": None,
-        }
-        return 0, report
+        return 0, {"condition6": {"verdict": condition.verdict, "certificate": condition.certificate}, "mu_table": None}
 
     # round-trip a deterministic polynomial through coefficient extraction
     space = TruncatedFock(ws.n, config.depth)
@@ -373,8 +361,6 @@ def _cmd_commutant(config: RunConfig, args) -> tuple[int, dict]:
         table = "{\n" + ",\n".join(sorted([f'    "{key}": {encoded[j]}' for key, j in zip(keys, inverse)])) + "\n  }"
 
     report = {
-        "command": "commutant",
-        "config": config.echo(),
         "condition6": {"verdict": condition.verdict, "sup_value": condition.value},
         "mu_table": table,
         "round_trip": {
@@ -398,8 +384,6 @@ def _cmd_region(config: RunConfig, args) -> tuple[int, dict]:
     _emit(buffer.getvalue(), args.out)
     timing["csv"] = time.perf_counter() - start
     report = {
-        "command": "region",
-        "config": config.echo(),
         "grid": {"lo": grid.lo, "hi": grid.hi, "step": grid.step},
         "samples": len(sample.verdict),
         "verdict_rule": sample.rule,
@@ -450,8 +434,6 @@ def _cmd_cesaro(config: RunConfig, args) -> tuple[int, dict]:
     passed = worst <= config.tolerance
     print(f"cesaro order {order}: {'PASS' if passed else 'FAIL'} (max column defect {worst:.3e} over |v| <= {exact})")
     report = {
-        "command": "cesaro",
-        "config": config.echo(),
         "order": order,
         "max_defect": worst,
         "witness": witness,
@@ -507,8 +489,7 @@ def _cmd_spectra(config: RunConfig, args) -> tuple[int, dict]:
                 "pass": ok} for point, (verdict, defects, witness, ok) in zip(points, outcomes)]
     for entry in reports:
         print(f"lambda {entry['lambda']}: {entry['verdict']} ({'PASS' if entry['pass'] else 'FAIL'})")
-    report = {"command": "spectra", "config": config.echo(), "mode": mode, "results": reports}
-    return (0 if all(entry["pass"] for entry in reports) else 1), report
+    return (0 if all(entry["pass"] for entry in reports) else 1), {"mode": mode, "results": reports}
 
 
 def _zero_left_outcome(path: str | None, config: RunConfig) -> tuple[str, dict, dict, bool]:
@@ -540,8 +521,8 @@ COMMANDS = {
 
 def run_command(verb: str, config: RunConfig, args) -> int:
     code, report = COMMANDS[verb](config, args)
-    if args.report:
-        _emit_report(report, args.report)
+    if args.report:  # every report carries the verb and the config it ran
+        _emit_report({"command": verb, "config": config.echo(), **report}, args.report)
     return code
 
 

@@ -4,9 +4,10 @@ Operators live on the span of the basis vectors for words of length <= depth
 and are stored sparse.  Raising operators are compressed: their columns at
 the top level are zero, so every identity below is checked on the levels
 where the compressed statement is exact, making defects true zeros instead
-of truncation noise.  Shifts act through their column maps (``ShiftMap``):
-X S_i gathers columns and S_i X moves rows, one term per entry.  A map certified
-injective is a scaled partial permutation: norms and ranks are read off its weights.
+of truncation noise.  Shifts act through their column maps (``ShiftMap``, the space's
+kept rows beside the weight system's kept levels): X S_i gathers columns and S_i X moves
+rows, one term per entry.  A map certified injective is a scaled partial permutation:
+norms and ranks are read off its weights.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class TruncatedFock(BasisEnumeration):
     def __init__(self, n: int, depth: int):
         super().__init__(n, depth)
         self._levels = np.repeat(np.arange(depth + 1), np.diff(self.level_offsets))
-        self._left_maps = None  # (weight system, its left shifts), see left_shift_maps
 
     def levels(self) -> np.ndarray:
         """Per-index word length, as an array aligned with the basis."""
@@ -41,6 +41,10 @@ class TruncatedFock(BasisEnumeration):
             first, rank = np.divmod(np.arange(self.dimension) - offsets[self._levels], self.n**below)
             return first + 1, offsets[below] + rank
         return _kept_once(self, "_heads", build)
+
+    def shift_rows(self, left: bool) -> np.ndarray:
+        """The rows of i*w (left) or w*i (right), ``_shift_rows``, built once per direction and kept read-only."""
+        return _kept_once(self, "_left_rows" if left else "_right_rows", lambda: _shift_rows(self, left))
 
     def basis_vector(self, w: Word) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=complex)
@@ -185,35 +189,31 @@ def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_shifts(space: TruncatedFock, levels: list[np.ndarray], left: bool) -> ShiftMap:
-    """The compressed shifts xi_w -> levels[|w|][i-1, rank of w] xi_{i*w} (left)
-    or xi_{w*i} (right), for |w| < depth and every letter i.
-
-    Prepending i moves rank r at level k to (i-1) n^k + r at level k+1;
-    appending i moves it to r n + i-1.
-    """
+def _shift_rows(space: TruncatedFock, left: bool) -> np.ndarray:
+    """The row of i*w (left) or w*i (right) at [i-1, index of w], for |w| < depth:
+    prepending i moves rank r at level k to (i-1) n^k + r at level k+1;
+    appending i moves it to r n + i-1."""
     n, offsets = space.n, space.level_offsets
     rows = np.empty((n, offsets[space.depth]), dtype=np.int64)
-    values = np.empty(rows.shape)
     letters = np.arange(n)[:, None]
     for k in range(space.depth):
         rank = np.arange(n**k)
         target = letters * n**k + rank if left else rank * n + letters
         rows[:, space.level_slice(k)] = offsets[k + 1] + target
-        values[:, space.level_slice(k)] = levels[k]
-    return ShiftMap(space, rows, values)
+    rows.setflags(write=False)
+    return rows
+
+
+def _level_shifts(space: TruncatedFock, levels: list[np.ndarray], left: bool) -> ShiftMap:
+    """The compressed shifts xi_w -> levels[|w|][i-1, rank of w] xi_{i*w} (left)
+    or xi_{w*i} (right), for |w| < depth and every letter i: the space's kept
+    rows, and the levels side by side as floats."""
+    values = np.concatenate(levels, axis=1, dtype=float) if levels else np.empty((space.n, 0))
+    return ShiftMap(space, space.shift_rows(left), values)
 
 
 def left_shift_maps(space: TruncatedFock, ws: WeightSystem) -> ShiftMap:
-    """The weighted left shifts of ``ws``, built once per (space, weight-system
-    object) and kept read-only on the space, for the last weight system asked."""
-    kept = space._left_maps
-    if kept is None or kept[0] is not ws:
-        shifts = _level_shifts(space, ws.kept_lambda_levels(space.depth - 1), left=True)
-        shifts.rows.setflags(write=False)
-        shifts.values.setflags(write=False)
-        kept = space._left_maps = (ws, shifts)
-    return kept[1]
+    return _level_shifts(space, ws.kept_lambda_levels(space.depth - 1), left=True)
 
 
 def right_shift_maps(space: TruncatedFock, mu: MuSystem) -> ShiftMap:

@@ -725,18 +725,12 @@ def _sweep_guard(n: int, depth: int, per_word=lambda k: math.comb(k + 2, 2)) -> 
 
 
 def _enumerated_sup(ws: WeightSystem, depth: int) -> tuple[float, tuple[int, Word]]:
-    basis = BasisEnumeration(ws.n, depth)
-    levels = ws.kept_commutant_mu().kept_mu_levels(depth)
-    best = 0.0
-    witness = (1, EMPTY)
-    for k in range(depth + 1):
-        # rank-major, letter-minor: argmax keeps the first maximum in sweep order
-        ratios = levels[k].T.ravel()
-        idx = int(np.argmax(ratios))
-        if ratios[idx] > best:
-            rank, letter = divmod(idx, ws.n)
-            best, witness = float(ratios[idx]), (letter + 1, basis.word_at(basis.level_offsets[k] + rank))
-    return best, witness
+    basis = BasisEnumeration(ws.n, depth)  # the word guard refuses before any weight is read
+    # rank-major, letter-minor: argmax keeps the first maximum in sweep order
+    ratios = np.concatenate([level.T.ravel() for level in ws.kept_commutant_mu().kept_mu_levels(depth)])
+    best = int(np.argmax(ratios))
+    index, letter = divmod(best, ws.n)
+    return float(ratios[best]), (letter + 1, basis.word_at(index))
 
 
 def _decide_condition6(ws: WeightSystem) -> tuple[str, dict]:

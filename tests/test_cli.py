@@ -924,8 +924,9 @@ def test_spliced_mu_table_equals_json_dumps_of_the_table(tmp_path, capsys, monke
     returned, command = [], cli.COMMANDS["commutant"]
 
     def recorded(config, args):
-        returned.append(command(config, args))
-        return returned[-1]
+        code, report = command(config, args)
+        returned.append((code, {"command": "commutant", "config": config.echo(), **report}))  # as run_command writes it
+        return code, report
 
     monkeypatch.setitem(cli.COMMANDS, "commutant", recorded)
     path = tmp_path / "report.json"

@@ -11,6 +11,7 @@ from fockshift import (
     FourierElement,
     GradedOperator,
     ScaledWeights,
+    TabulatedWeights,
     TruncatedFock,
     TwoLetterRunWeights,
     cesaro_sum,
@@ -349,6 +350,30 @@ def test_maps_that_are_not_injective_are_refused(monkeypatch, space):
         norm_check(space, ConstantWeights(2, 1.0))
     with pytest.raises(ValueError, match=f"the {2 * dim}x{dim} matrix is not a partial permutation"):
         vacuum_kernel_check(space, ConstantWeights(2, 1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_shift_map_values_are_the_levels_cast_to_float64(dtype):
+    # a table of integers or of float32 thirds: the values are its levels side by side, as float64
+    levels = [(np.arange(3, 2 * 2**k + 3).reshape(2, 2**k) / 3).astype(dtype) for k in range(4)]
+    values = left_shift_maps(TruncatedFock(2, 4), TabulatedWeights(2, 3, levels)).values
+    assert values.dtype == np.float64
+    assert np.array_equal(values, np.concatenate([level.astype(np.float64) for level in levels], axis=1))
+
+
+def test_the_space_keeps_one_read_only_row_array_per_direction(periodic_example):
+    # the rows belong to the space and the values to the weight system: maps of two systems share the rows
+    space = TruncatedFock(2, 5)
+    lefts = left_shift_maps(space, periodic_example)
+    assert lefts.rows is left_shift_maps(space, ConstantWeights(2, 1.0)).rows is space.shift_rows(True)
+    rights = right_shift_maps(space, table_mu(2, 75))
+    assert rights.rows is right_shift_maps(space, periodic_example.kept_commutant_mu()).rows is space.shift_rows(False)
+    for rows in (lefts.rows, rights.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0
+    assert np.array_equal(lefts.values, np.concatenate(periodic_example.kept_lambda_levels(4), axis=1))
+    empty = left_shift_maps(TruncatedFock(2, 0), periodic_example)  # no column below the top level
+    assert empty.rows.shape == empty.values.shape == (2, 0)
 
 
 def test_checks_build_no_sparse_matrix(monkeypatch, space, periodic_example):

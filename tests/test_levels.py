@@ -503,6 +503,65 @@ def test_level_arrays_equal_scalar_oracle(label, ws, depth):
     _check_expansions(space, _element(ws, 80 + n))
 
 
+def _level_scan_sup(ws: WeightSystem, depth: int) -> tuple[float, tuple[int, Word]]:
+    """The largest commutant ratio and its witness by a strict-greater scan, level by level, each level's
+    first maximum in rank-major, letter-minor order: the oracle of ``_enumerated_sup``'s one argmax."""
+    basis = BasisEnumeration(ws.n, depth)
+    levels = ws.kept_commutant_mu().kept_mu_levels(depth)
+    best, witness = 0.0, (1, EMPTY)
+    for k in range(depth + 1):
+        ratios = levels[k].T.ravel()
+        idx = int(np.argmax(ratios))
+        if ratios[idx] > best:
+            rank, letter = divmod(idx, ws.n)
+            best, witness = float(ratios[idx]), (letter + 1, basis.word_at(basis.level_offsets[k] + rank))
+    return best, witness
+
+
+@pytest.mark.parametrize("label, ws, depth", SYSTEMS + ILL_CONDITIONED, ids=[s[0] for s in SYSTEMS + ILL_CONDITIONED])
+def test_enumerated_sup_equals_the_level_by_level_scan(label, ws, depth):
+    assert weights._enumerated_sup(ws, depth) == _level_scan_sup(ws, depth)
+
+
+def _doubled(ws: WeightSystem) -> WeightSystem:
+    """The same family with every weight times 2."""
+    def twice(table):
+        return {key: 2 * value for key, value in table.items()}
+    if isinstance(ws, ConstantWeights):
+        return ConstantWeights(ws.n, 2 * ws.value)
+    if isinstance(ws, ScaledWeights):
+        return ScaledWeights(ws.n, tuple(2 * c for c in ws.scales))
+    if isinstance(ws, FinitePerturbationWeights):
+        return FinitePerturbationWeights(ws.n, ws.cutoff, twice(ws.table), tuple(2 * c for c in ws.tail))
+    if isinstance(ws, PeriodicWeights):
+        return PeriodicWeights(ws.n, ws.period, twice(ws.remainders))
+    return type(ws)(ws.n, ws.depth, [2 * level for level in ws.levels])  # TabulatedWeights and PrefixWeights
+
+
+DOUBLED = [s for s in SYSTEMS if s[0] != "two_letter_m"]  # its weights 1/m, 1/sqrt(m) and c double in no (m, c)
+
+
+@pytest.mark.parametrize("label, ws, depth", DOUBLED, ids=[s[0] for s in DOUBLED])
+def test_doubling_every_weight_keeps_mu_and_the_region_and_doubles_the_commutation_defect(label, ws, depth):
+    # a power of two moves only exponents: mu and the condition-6 supremum are ratios with as many
+    # weights above as below, the level sums read (r / lambda)^2, and a commutation defect is one weight
+    # times one mu.  The cocycle defect is not pinned: its floor of 1 is not scale-invariant.
+    doubled = _doubled(ws)
+    lambdas = zip(ws.kept_lambda_levels(depth), doubled.kept_lambda_levels(depth))
+    assert all(np.array_equal(2 * a, b) for a, b in lambdas)
+    mu, same_mu = (system.kept_commutant_mu().kept_mu_levels(depth) for system in (ws, doubled))
+    assert all(np.array_equal(a, b) for a, b in zip(mu, same_mu))
+    one, two = condition6_sup(ws, depth), condition6_sup(doubled, depth)
+    assert (two.value, two.witness, two.verdict) == (one.value, one.witness, one.verdict)
+    grid = np.array(list(itertools.product([0.0, 0.3, 0.7, 1.1, 1.6], repeat=ws.n)))
+    one, two = region_sample(ws, grid, depth), region_sample(doubled, 2 * grid, depth)
+    assert np.array_equal(one.sums, two.sums) and np.array_equal(one.verdict, two.verdict)
+    space = TruncatedFock(ws.n, depth)
+    for mu in (None, table_mu(ws.n, 75)):  # the commutant mu, and a prescribed mu whose defect is not rounding
+        one, two = fock.commutation_defect(space, ws, mu), fock.commutation_defect(space, doubled, mu)
+        assert (two.max_defect, two.witness) == (2 * one.max_defect, one.witness)
+
+
 def _assert_sums_close(sums, oracle) -> None:
     """The transfer matrix's level sums against an oracle's: inf at the same
     levels, and the finite ones within 1e-13 relative."""
@@ -1019,22 +1078,22 @@ def test_cocycle_sweep_peak_memory():
 
 
 def test_check_builds_each_map_and_table_once(tmp_path, capsys, monkeypatch):
-    # the left shifts are kept on the space and the sweeps' total-length tables
-    # on the weight system: a bounded check builds the left and the right map
+    # the shift rows are kept on the space and the sweeps' total-length tables
+    # on the weight system: a bounded check builds the left and the right rows
     # once, a diverging one only the left; both sweeps share one build of the
     # W tables, and the cocycle sweep builds the W_mu tables once
     shifts, tables = [], []
-    build_shifts, build_tables = fock._level_shifts, weights._total_tables
+    build_rows, build_tables = fock._shift_rows, weights._total_tables
 
-    def counted_shifts(space, levels, left):
+    def counted_rows(space, left):
         shifts.append(left)
-        return build_shifts(space, levels, left)
+        return build_rows(space, left)
 
     def counted_tables(levels, depth, append):
         tables.append(("W_mu" if append else "W", depth))
         return build_tables(levels, depth, append)
 
-    monkeypatch.setattr(fock, "_level_shifts", counted_shifts)
+    monkeypatch.setattr(fock, "_shift_rows", counted_rows)
     monkeypatch.setattr(weights, "_total_tables", counted_tables)
     periodic = {"n": 2, "family": "periodic", "period": 2,
                 "remainders": {"1:e": 1, "2:e": 1, "1:1": 2, "2:1": 2, "1:2": 2, "2:2": 2}}

@@ -5,11 +5,11 @@ The word guard ``MAX_SWEEP_WORDS`` is defined in ``words`` and compared in
 three places only: ``BasisEnumeration.__init__`` (every enumeration of
 words), ``_sweep_guard`` (the sweeps' triples) and ``GridSpec.points`` (the
 region grid's points).  Derived data is kept on an object by the two keep
-helpers of ``weights`` only: ``_kept_once`` and ``_kept_levels``, with one
-exception, ``fock.left_shift_maps``, which keeps the left shifts of the last
-weight system asked on the space (``space._left_maps``).  Each weight system
-keeps one commutant mu: ``CommutantMu`` is built only by
-``WeightSystem.kept_commutant_mu``.  Automaton
+helpers of ``weights`` only: ``_kept_once`` and ``_kept_levels``, with no
+exception; no scope stores a private attribute on another object, so a shift
+map is the space's kept rows beside the weight system's kept levels and is
+kept on neither.  Each weight system keeps one commutant mu: ``CommutantMu`` is
+built only by ``WeightSystem.kept_commutant_mu``.  Automaton
 states are laid out in one place: ``weights._prepended_ranks`` is called only
 by the builder ``_prefix_automaton`` and by the word-tree steps of
 ``eigen._transfer_steps``, so no family writes a ``next`` array by hand.
@@ -30,7 +30,6 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "fockshift"
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 KEEP_HELPERS = {"weights.py:_kept_once", "weights.py:_kept_levels"}
-KEPT_ON_THE_SPACE = "fock.py:left_shift_maps"
 RECORD_INIT = "words.py:record.__init__"
 
 
@@ -81,7 +80,7 @@ def test_only_the_keep_helpers_memoise_on_objects():
                     if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) and sub.attr.startswith("_")
                             and not sub.attr.startswith("__") and _names(sub.value) - {"self", "cls"}):
                         stores.add(scope)
-    assert stores == {KEPT_ON_THE_SPACE}
+    assert stores == set()
 
 
 def _callers(name: str) -> set[str]:

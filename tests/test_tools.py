@@ -24,14 +24,14 @@ def _compare(parent: Path, change: Path, workload: str = "verify") -> subprocess
 def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
     result = _compare(ROOT, ROOT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "22 invocations on 1 workloads x 1 seeds and 15 fixed invocations: 0 differences\n"
+    assert result.stdout == "23 invocations on 1 workloads x 1 seeds and 16 fixed invocations: 0 differences\n"
 
 
 def test_compare_outputs_finds_no_difference_on_recover():
     # recover runs commutant, cesaro and spectra, whose shift products are gathers on the column maps
     result = _compare(ROOT, ROOT, "recover")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "24 invocations on 1 workloads x 1 seeds and 15 fixed invocations: 0 differences\n"
+    assert result.stdout == "25 invocations on 1 workloads x 1 seeds and 16 fixed invocations: 0 differences\n"
 
 
 def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
@@ -43,9 +43,9 @@ def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
     result = _compare(ROOT, tmp_path)
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
-    # the warm-up, the six checks and the two fixed checks each print changed
+    # the warm-up, the six checks and the three fixed checks each print changed
     # check lines; reports and stderr are unchanged, and cesaro and commutant print no check line
-    assert lines[-1] == "22 invocations on 1 workloads x 1 seeds and 15 fixed invocations: 9 differences"
+    assert lines[-1] == "23 invocations on 1 workloads x 1 seeds and 16 fixed invocations: 10 differences"
     assert all(": stdout differs, line " in line for line in lines[:-1])
     assert "tolerance 1.0e-10" in lines[0] and "tolerance 1.00e-10" in lines[0]
 
@@ -62,7 +62,7 @@ def test_compare_outputs_lists_each_csv_difference(tmp_path):
     # the warm-up, the three grids, the fixed n = 3 grid and the fixed one-point grid each write a changed
     # CSV; the fixed corners of the unit cube write integers alone, at 16 digits as at 17; stdout, reports
     # and stderr are unchanged
-    assert lines[-1] == "19 invocations on 1 workloads x 1 seeds and 15 fixed invocations: 6 differences"
+    assert lines[-1] == "20 invocations on 1 workloads x 1 seeds and 16 fixed invocations: 6 differences"
     assert len(lines) == 7 and all(": csv differs, line " in line for line in lines[:-1])
 
 
@@ -78,7 +78,7 @@ def test_compare_outputs_always_compares_the_fixed_checks_witnesses(tmp_path):
     result = _compare(ROOT, tmp_path, "region")
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[-1] == "19 invocations on 1 workloads x 1 seeds and 15 fixed invocations: 1 differences"
+    assert lines[-1] == "20 invocations on 1 workloads x 1 seeds and 16 fixed invocations: 1 differences"
     assert lines[0].startswith("fixed seed 0, check constant_1e300 depth 4: report differs")
 
 
@@ -100,7 +100,7 @@ def test_fixed_invocations_reach_what_they_are_there_for(tmp_path):
         "commutant perturbed depth 10": 0, "cesaro perturbed depth 10": 0,
         "commutant constant_1e300 depth 6": 0, "cesaro constant_1e300 depth 6": 0,
         "region corners_9 depth 3": 0, "region unweighted_3 depth 7": 0,
-        "region periodic_4_one_point depth 10": 0}
+        "region periodic_4_one_point depth 10": 0, "check unweighted_3 depth 2": 0}
     assert "check vacuum_kernel: PASS" in outputs["check scaled_1e-14 depth 8"][1]
     assert outputs["cesaro periodic_support_5 depth 7"][1].endswith("over |v| <= 5)\n")
     assert [line.split(": ")[1] for line in outputs["spectra unweighted_3 depth 6"][1].splitlines()] == [

@@ -58,7 +58,9 @@ CESARO_COEFFS = {"e": [0.214, 0.941], "1": [0.574, 0.58], "2": [-0.892, -0.261],
 # constant n = 9 weights at the 512 corners of the unit cube, 512 patterns of zero moduli
 # with keys of two bytes, and on the unweighted n = 3 tuple at 15,625 points, whose level
 # sums repeat; and region at one point of a period-4 system with 8 states a level, whose level
-# sums are those of the same point in a wider grid.  An option whose value is a dict is passed the path of a file holding it as
+# sums are those of the same point in a wider grid; and check on the unweighted n = 3 tuple at depth 2, the
+# smallest depth at which it builds both shift maps (at depth 1 the commutation check has no column).  An option
+# whose value is a dict is passed the path of a file holding it as
 # JSON, and one whose value is a list is passed once per item; a region invocation writes
 # its CSV to a file given as --out.
 FIXED = (
@@ -83,6 +85,7 @@ FIXED = (
     ("corners_9", "region", {"n": 9, "family": "constant", "value": 1.0}, 3, {"--grid": "0:1:1"}),
     ("unweighted_3", "region", {"n": 3, "family": "constant", "value": 1.0}, 7, {"--grid": "0:1.2:0.05"}),
     ("periodic_4_one_point", "region", PERIODIC_4, 10, {"--grid": "0.5:0.5:1"}),
+    ("unweighted_3", "check", {"n": 3, "family": "constant", "value": 1.0}, 2, {}),
 )
 
 
