@@ -296,6 +296,8 @@ def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | No
     Both products stay within the truncation on those columns, so the defect
     vanishes exactly when mu carries the commutant weights of ws.
     """
+    if space.depth < 1:
+        raise ValueError("depth must be at least 1")
     mu = ws.kept_commutant_mu() if mu is None else mu
     cap, n = space.depth - 2, space.n
     cols = space.level_offsets[space.depth - 1]
@@ -305,11 +307,10 @@ def commutation_defect(space: TruncatedFock, ws: WeightSystem, mu: MuSystem | No
     letters = range(1, n + 1)
     # products may overflow, and inf - inf is a NaN defect that fails the check
     with np.errstate(over="ignore", invalid="ignore"):
-        defects = np.stack([_commutator_columns(lefts, i, rights, j, cols) for i in letters for j in letters])
-    # the first pair, then the first column, attaining the maximum, a NaN counting as the largest
-    pair, idx = divmod(int(np.argmax(defects)), cols)
-    worst = float(defects[pair, idx])
-    witness = None if worst == 0.0 else (pair // n + 1, pair % n + 1, space.word_at(idx))
+        defects = np.concatenate([_commutator_columns(lefts, i, rights, j, cols) for i in letters for j in letters])
+    # the first pair, then the first column, attaining the maximum
+    worst, at = largest_norm(defects)
+    witness = None if at is None else (at // cols // n + 1, at // cols % n + 1, space.word_at(at % cols))
     return CommutationReport(worst, witness, cap)
 
 
@@ -327,6 +328,8 @@ class NormReport:
 def norm_check(space: TruncatedFock, ws: WeightSystem) -> list[NormReport]:
     """||T_i||, the largest |weight| of its certified column map, against the
     sup of lambda_{i,w} over the columns the compression keeps (|w| < depth)."""
+    if space.depth < 1:
+        raise ValueError("depth must be at least 1")
     shifts = left_shift_maps(space, ws)
     for rows in shifts.rows:
         certify_injective(rows, (space.dimension, space.dimension))
@@ -352,6 +355,8 @@ def vacuum_kernel_check(space: TruncatedFock, ws: WeightSystem) -> VacuumReport:
     each L_i L_i* is diagonal with the squared weights at the images, and
     every entry is 0 or 1.
     """
+    if space.depth < 1:
+        raise ValueError("depth must be at least 1")
     dim = space.dimension
     shifts = left_shift_maps(space, ws)
     rows = shifts.rows.ravel()

@@ -14,11 +14,11 @@ table families and ``TableMu`` build at construction; ``kept_lambda_levels``
 each system keeps one commutant mu (``kept_commutant_mu``).  From them derive
 W(u, w), the commutant weights mu and W_mu, by one recursion read in two
 directions (``_prepend_tables``, the mu ratios of ``_append_tables``, and the
-sweeps' total-length tables, ``_total_tables``, each side of an identity one
-broadcast product in small reused buffers).  The module also houses the
-cocycle laws, the intertwining identity, the boundedness condition of the
-commutant, a semisimplicity estimate, and left weights generated from right
-weights.
+sweeps' total-length tables, ``_total_tables``: one stacked array per law,
+W_mu's words read from the right, so each identity takes one block per length
+of the word its sides share, a side one copy or product in reused buffers).
+Also here: the cocycle laws, the intertwining identity, the commutant's
+boundedness condition, a semisimplicity estimate and right-to-left weights.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _kept_levels(owner, name: str, depth: int, build) -> list[np.ndarray]:
     kept = vars(owner).get(name)
     if kept is None or len(kept) <= depth:
         kept = build(depth)
-        for level in kept:
+        for level in [kept] if isinstance(kept, np.ndarray) else kept:
             level.setflags(write=False)
         object.__setattr__(owner, name, kept)
     return kept[: depth + 1]
@@ -552,27 +552,29 @@ class DefectReport:
     checks: int
 
 
-def _total_tables(levels, depth: int, append: bool) -> list[np.ndarray]:
-    """[t][a, rank y], |y| = t <= depth: W(u, x) for y = x*u, |u| = a, off ``levels(depth - 1)``
-    of lambda, or if ``append`` W_mu(v, w) for y = v*w, |v| = a, off those of mu; row t is 1.
-    A step multiplies by lambda_{j,y} (mu_{j,y}), the factors of ``_prepend_tables`` (``_append_tables``), in order."""
-    tables = [np.ones((1, 1))]
-    for t, level in enumerate(levels(max(depth - 1, 0))[:depth]):
-        tables.append(np.ones((t + 2, level.size)))  # y*j has rank (rank y) n + j-1, j*y (j-1) n^t + rank y
-        grown, level = (tables[t][:, :, None], level.T) if append else (tables[t][:, None, :], level)
-        np.multiply(grown, level, out=tables[-1][:-1].reshape(t + 1, *level.shape))
-    return tables
+def _total_tables(levels, depth: int, append: bool) -> np.ndarray:
+    """[a, off_t + rank y], |y| = t <= depth, off_t = sum n^k over k < t: W(u, x) for y = x*u, |u| = a <= t,
+    off ``levels(depth - 1)`` of lambda, or if ``append`` W_mu(v, w) for y = v*w, |v| = a, off those of mu,
+    y ranked read from the right; row t of level t is 1.  Both prepend: j*y (y*j read from the right) has rank
+    (j-1) n^t + rank y, times lambda_{j,y} (mu_{j,y}), the factors of ``_prepend_tables`` (``_append_tables``)."""
+    levels = levels(max(depth - 1, 0))[:depth]
+    offsets = list(accumulate([1] + [level.size for level in levels], initial=0))
+    table = np.ones((depth + 1, offsets[-1]))
+    for t, level in enumerate(levels):
+        level = level[:, np.arange(level.shape[1]).reshape((len(level),) * t).T.ravel()] if append else level
+        out = table[: t + 1, offsets[t + 1]: offsets[t + 2]].reshape(t + 1, *level.shape)
+        np.multiply(table[: t + 1, None, offsets[t]: offsets[t + 1]], level, out=out)
+    return table
 
 
-def _cut_block(shape: tuple[int, ...], lhs: list, rhs: list, key, axis: int = 0):
-    """A block of one term a side as blocks of at most ``SWEEP_FLOATS`` floats,
-    in flat order: runs of whole rows along ``axis`` where a row fits, else
-    each row cut along the next axis.  An operand's axes of length 1 stay whole."""
+def _cut_block(shape: tuple[int, ...], lhs: tuple, rhs: tuple, key, axis: int = 0):
+    """A block as blocks of at most ``SWEEP_FLOATS`` floats, in flat order: runs of whole rows along
+    ``axis`` where a row fits, else each row cut along the next axis.  An operand's axes of length 1 stay whole."""
     inner = math.prod(shape[axis + 1:])
     step = max(SWEEP_FLOATS // inner, 1)
     for i in range(0, shape[axis], step):
         cut = (slice(None),) * axis + (slice(i, i + step),)
-        sides = [[tuple(x[cut] if x.shape[axis] > 1 else x for x in side[0])] for side in (lhs, rhs)]
+        sides = [tuple(x[cut] if x.shape[axis] > 1 else x for x in side) for side in (lhs, rhs)]
         piece = ((*shape[:axis], min(step, shape[axis] - i), *shape[axis + 1:]), *sides,
                  lambda *at, i=i: key(*at[:axis], at[axis] + i, *at[axis + 1:]))
         yield from _cut_block(*piece, axis + 1) if inner > SWEEP_FLOATS else [piece]
@@ -598,15 +600,12 @@ def _defect_pass(buffers: np.ndarray, fill: int, placed: list) -> tuple[tuple[bo
     return (math.isnan(value), 0.0 if math.isnan(value) else value), min(keys)
 
 
-def _sweep(blocks: list, n: int, labels) -> DefectReport:
-    """The relative defects |lhs - rhs| / max(|lhs|, |rhs|, 1) of an identity over
-    ``blocks`` (shape, lhs, rhs, key): each side a list of terms, one array
-    (copied) or two (multiplied) of the block's ndim, broadcast over the block
-    or, of several terms, over successive stretches each the shape of its first
-    array; ``key(*index)`` gives the keys ((length, rank) of each word, label
-    index) of positions.  Blocks fill three reused buffers of ``SWEEP_FLOATS``
-    floats (cut by ``_cut_block`` if larger), one ``_defect_pass`` each.  The
-    witness is the smallest key of the worst defect, NaN (inf - inf) the worst."""
+def _sweep(blocks: list, basis: BasisEnumeration, labels) -> DefectReport:
+    """The relative defects |lhs - rhs| / max(|lhs|, |rhs|, 1) of an identity over ``blocks`` (shape, lhs,
+    rhs, key): each side one array (copied) or two (multiplied), of the block's ndim and broadcast over it;
+    ``key(*index)`` gives the keys (``basis`` index of each word, label index) of positions.  Blocks fill
+    three reused buffers of ``SWEEP_FLOATS`` floats (cut by ``_cut_block`` if larger), one ``_defect_pass``
+    each.  The witness is the smallest key of the worst defect, NaN (inf - inf) the worst."""
     buffers, placed, fill, passes, checks = np.empty((3, SWEEP_FLOATS)), [], 0, [], 0
     for block in blocks:
         for shape, lhs, rhs, key in [block] if math.prod(block[0]) <= SWEEP_FLOATS else _cut_block(*block):
@@ -615,25 +614,19 @@ def _sweep(blocks: list, n: int, labels) -> DefectReport:
                 passes.append(_defect_pass(buffers, fill, placed))
                 placed, fill = [], 0
             for buffer, side in zip(buffers, (lhs, rhs)):
-                at = fill
-                for term in side:
-                    part = shape if len(side) == 1 else term[0].shape
-                    out = buffer[at: at + math.prod(part)].reshape(part)
-                    if len(term) == 2:
-                        np.multiply(*term, out=out)
-                    else:
-                        out[...] = term[0]
-                    at += out.size
+                out = buffer[fill: fill + size].reshape(shape)
+                if len(side) == 2:
+                    np.multiply(*side, out=out)
+                else:
+                    out[...] = side[0]
             placed.append((fill, shape, key))
             fill, checks = fill + size, checks + size
     passes.append(_defect_pass(buffers, fill, placed))
     worst = max(rank for rank, _ in passes)
     if worst == (False, 0.0):
         return DefectReport(0.0, None, checks)
-    *pairs, label = min(key for rank, key in passes if rank == worst)
-    basis = BasisEnumeration(n, max(pairs[::2]))
-    words = (basis.word_at(basis.level_offsets[k] + rank) for k, rank in zip(pairs[::2], pairs[1::2]))
-    return DefectReport(math.nan if worst[0] else worst[1], (labels[label], *words), checks)
+    *words, label = min(key for rank, key in passes if rank == worst)
+    return DefectReport(math.nan if worst[0] else worst[1], (labels[label], *map(basis.word_at, words)), checks)
 
 
 def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectReport:
@@ -642,61 +635,63 @@ def check_cocycles(ws: WeightSystem, mu: MuSystem | None, depth: int) -> DefectR
         W(u, v*w)    = W(w*u, v) * W(u, w)
         W_mu(u, v*w) = W_mu(u, v) * W_mu(u*v, w)
 
-    ``mu`` None means ``ws.kept_commutant_mu()``.  Per t = |u|+|v|+|w| and s = |w*u|
-    (|u*v|), a block [|u|, rank v, rank w*u] ([|u|, rank u*v, rank w]) holds
-    the left side as rows of the total-length table t (``_total_tables``) and
-    the right as one broadcast product, for ``_sweep``.  More than
-    ``MAX_SWEEP_WORDS`` triples raise ``ValueError`` before any table is built.
+    ``mu`` None means ``ws.kept_commutant_mu()``.  Per law and length s of the word y both sides
+    share, w*u (u*v), a block [|u|, k, rank y] holds the columns x*y of the stacked total-length
+    table T (``_total_tables``), x = v (w) of graded-lex index k, the words of W_mu read from the
+    right: its left side is their rows T[:s+1], its right one broadcast product of their row s and
+    the rows T[:s+1] of y, for ``_sweep``.  More than ``MAX_SWEEP_WORDS`` triples raise
+    ``ValueError`` before any table is built.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = ws.n
     _sweep_guard(n, depth)
     mu = ws.kept_commutant_mu() if mu is None else mu
+    basis = BasisEnumeration(n, depth)
+    offsets, end = np.array(basis.level_offsets), basis.dimension
+    turned = np.concatenate([offsets[t] + np.arange(n**t).reshape((n,) * t).T.ravel() for t in range(depth + 1)])
+
+    def key(law, s, a, k, y):  # y = rank w n^a + rank u; for W_mu those of v and u, read from the right
+        u, x = offsets[a] + y % n**a, offsets[s - a] + y // n**a
+        return (u, k, x, 0) if law == 0 else (turned[u], turned[x], turned[k], 1)
     with np.errstate(over="ignore", invalid="ignore"):  # products overflow as the scalar ones do
         left = _kept_levels(ws, "_left_tables", depth, partial(_total_tables, ws.kept_lambda_levels, append=False))
         right = _kept_levels(mu, "_right_tables", depth, partial(_total_tables, mu.kept_mu_levels, append=True))
         blocks = []
-        for t, s in ((t, s) for t in range(depth + 1) for s in range(t + 1)):
-            shape = (s + 1, n ** (t - s), n**s)  # [|u|, rank v, rank w*u], w*u of rank (rank w) n^a + rank u
-            rhs = [(left[t][s].reshape(1, *shape[1:]), left[s][:, None])]
-            key = partial(lambda t, s, a, v, y: (a, y % n**a, t - s, v, s - a, y // n**a, 0), t, s)
-            blocks.append((shape, [(left[t][: s + 1].reshape(shape),)], rhs, key))
-            shape = (s + 1, n**s, n ** (t - s))  # [|u|, rank u*v, rank w], u*v of rank (rank u) n^(s-a) + rank v
-            rhs = [(right[s][:, :, None], right[t][s].reshape(1, *shape[1:]))]
-            key = partial(lambda t, s, a, y, w: (a, y // n ** (s - a), s - a, y % n ** (s - a), t - s, w, 1), t, s)
-            blocks.append((shape, [(right[t][: s + 1].reshape(shape),)], rhs, key))
-        return _sweep(blocks, n, ("left", "right"))
+        for law, table in enumerate((left, right)):
+            for s, start in enumerate(basis.level_offsets[:-1]):
+                shape = (s + 1, (end - start) // n**s, n**s)
+                rhs = (table[s, start:end].reshape(1, *shape[1:]), table[: s + 1, None, start: start + n**s])
+                blocks.append((shape, (table[: s + 1, start:end].reshape(shape),), rhs, partial(key, law, s)))
+        return _sweep(blocks, basis, ("left", "right"))
 
 
 def check_intertwining(ws: WeightSystem, depth: int) -> DefectReport:
     """Sweep the intertwining identity mu_{i,v} W(v*i, w) = mu_{i,w*v} W(v, w)
     over all i, v, w with |v| + |w| + 1 <= depth.
 
-    Per t = |v| + |w|, a block [|v|, rank w*v, i] of W off the total-length
-    tables (``_total_tables``) and mu off ``ws.kept_commutant_mu()`` holds the right
-    side as one broadcast product and the left as one per |v| (past the
-    buffers, a block per |v|), for ``_sweep``.  More than ``MAX_SWEEP_WORDS``
+    Per a = |v|, a block [k, rank v, i] holds every w, of graded-lex index k: its left side one
+    broadcast product of row a + 1 of the stacked total-length table T (``_total_tables``) over the
+    words w*v*i and mu_{i,v}, its right one of row a over the words w*v and the mu levels a .. depth - 1
+    of ``ws.kept_commutant_mu()`` stacked as rows, for ``_sweep``.  More than ``MAX_SWEEP_WORDS``
     triples raise ``ValueError`` before any table is built.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     n = ws.n
     _sweep_guard(n, depth - 1, lambda k: (k + 1) * n)
+    basis = BasisEnumeration(n, depth)
+    offsets = basis.level_offsets
     with np.errstate(over="ignore", invalid="ignore"):
         left = _kept_levels(ws, "_left_tables", depth, partial(_total_tables, ws.kept_lambda_levels, append=False))
-        mu = ws.kept_commutant_mu().kept_mu_levels(depth - 1)
+        mu = np.concatenate([level.T for level in ws.kept_commutant_mu().kept_mu_levels(depth - 1)])
         blocks = []
-        for t in range(depth):
-            rows = [(n ** (t - a), n**a, n) for a in range(t + 1)]  # [rank w, rank v, i]: w*v of rank w n^a + rank v
-            lhs = [(left[t + 1][a + 1].reshape(row), mu[a].T[None]) for a, row in enumerate(rows)]
-            if (t + 1) * n ** (t + 1) <= SWEEP_FLOATS:
-                blocks.append(((t + 1, n**t, n), lhs, [(left[t][:, :, None], mu[t].T[None])],
-                               partial(lambda t, a, y, i: (a, y % n**a, t - a, y // n**a, i), t)))
-            else:
-                blocks += [(row, [lhs[a]], [(left[t][a].reshape(*row[:2], 1), mu[t].T.reshape(row))],
-                            partial(lambda t, a, w, v, i: (a, v, t - a, w, i), t, a)) for a, row in enumerate(rows)]
-        return _sweep(blocks, n, range(1, n + 1))
+        for a, (start, stop) in enumerate(zip(offsets[:depth], offsets[1:])):
+            shape = ((offsets[depth] - start) // n**a, n**a, n)  # w*v of rank (rank w) n^a + rank v
+            lhs = (left[a + 1, stop: offsets[-1]].reshape(shape), mu[start:stop][None])
+            rhs = (left[a, start: offsets[depth]].reshape(*shape[:2], 1), mu[start:].reshape(shape))
+            blocks.append((shape, lhs, rhs, partial(lambda start, k, v, i: (start + v, k, i), start)))
+        return _sweep(blocks, basis, range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

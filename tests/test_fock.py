@@ -501,3 +501,30 @@ def test_max_column_norm_witness_and_nan():
     values[0, 2] = 0.0
     values[1, 3] = np.nan  # outside the mask
     assert max_column_norm(sp.csr_array(values), mask) == (5.0, 1)
+
+
+class _Unread(ConstantWeights):
+    def lambda_levels(self, depth):
+        raise AssertionError("the depth guard must refuse before any weight is read")
+
+
+def test_commutation_defect_refuses_depth_0():
+    # depth 0 has no column below the top level; depth 1 has no column below depth - 1, and a defect of 0
+    with pytest.raises(ValueError, match=r"^depth must be at least 1$"):
+        commutation_defect(TruncatedFock(2, 0), _Unread(2))
+    report = commutation_defect(TruncatedFock(2, 1), ConstantWeights(2, 1.0))
+    assert (report.max_defect, report.witness, report.level_cap) == (0.0, None, -1)
+
+
+def test_norm_check_refuses_depth_0():
+    with pytest.raises(ValueError, match=r"^depth must be at least 1$"):
+        norm_check(TruncatedFock(2, 0), _Unread(2))
+    assert [(r.operator_norm, r.weight_sup) for r in norm_check(TruncatedFock(2, 1), ScaledWeights(2, (2.0, 0.5)))] \
+        == [(2.0, 2.0), (0.5, 0.5)]
+
+
+def test_vacuum_kernel_check_refuses_depth_0():
+    with pytest.raises(ValueError, match=r"^depth must be at least 1$"):
+        vacuum_kernel_check(TruncatedFock(2, 0), _Unread(2))
+    report = vacuum_kernel_check(TruncatedFock(2, 1), ConstantWeights(2, 1.0))
+    assert (report.joint_kernel_dim, report.projection_defect) == (1, 0.0)

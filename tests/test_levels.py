@@ -969,28 +969,43 @@ def test_every_word_enumeration_meets_the_one_guard(monkeypatch):
 
 
 def _planted_cocycle_blocks(n: int, depth: int, planted: dict) -> list:
-    """The blocks of ``check_cocycles``, in its total-length layouts, with both
-    sides 1 but for the planted right-hand values ((|u|, |v|, |w|), (rank u,
-    rank v, rank w, label)) -> value."""
+    """The blocks of ``check_cocycles``, one per law and length s of the word
+    both sides share, with both sides 1 but for the planted right-hand values
+    ((|u|, |v|, |w|), (rank u, rank v, rank w, label)) -> value."""
+    basis = BasisEnumeration(n, depth)
+    offsets = basis.level_offsets
+
+    def turned(index):  # the index of the word read from the right
+        return basis.index_of(Word(basis.word_at(index).letters[::-1]))
+
+    def key(label, s, a, k, y):
+        def one(a, k, y):
+            u, x = offsets[a] + y % n**a, offsets[s - a] + y // n**a
+            if label == 0:  # [|u|, index of v, rank w*u]
+                return u, k, x, 0
+            # [|u|, index of w read from the right, rank of u*v read from the right]
+            return turned(u), turned(x), turned(k), 1
+        return np.vectorize(one)(a, k, y)
+
     blocks = []
-    for t, s in ((t, s) for t in range(depth + 1) for s in range(t + 1)):
-        for label, shape in enumerate(((s + 1, n ** (t - s), n**s), (s + 1, n**s, n ** (t - s)))):
+    for label in (0, 1):
+        for s in range(depth + 1):
+            shape = (s + 1, (offsets[-1] - offsets[s]) // n**s, n**s)
             rhs = np.ones(shape)
-            for ((a, b, c), (ru, rv, rw, lab)), value in planted.items():
-                if (lab, a + b + c, a + (c, b)[lab]) == (label, t, s):
-                    rhs[(a, rv, rw * n**a + ru) if label == 0 else (a, ru * n**b + rv, rw)] = value
-            if label == 0:  # [|u|, rank v, rank w*u]
-                key = functools.partial(lambda t, s, a, v, y: (a, y % n**a, t - s, v, s - a, y // n**a, 0), t, s)
-            else:  # [|u|, rank u*v, rank w]
-                key = functools.partial(lambda t, s, a, y, w: (a, y // n ** (s - a), s - a, y % n ** (s - a), t - s, w, 1),
-                                        t, s)
-            blocks.append((shape, [(np.ones(shape),)], [(rhs,)], key))
+            for ((lu, lv, lw), (ru, rv, rw, lab)), value in planted.items():
+                u, v, w = offsets[lu] + ru, offsets[lv] + rv, offsets[lw] + rw
+                if lab == label == 0 and lw + lu == s:
+                    rhs[lu, v, rw * n**lu + ru] = value
+                elif lab == label == 1 and lu + lv == s:
+                    rhs[lu, turned(w), (turned(v) - offsets[lv]) * n**lu + turned(u) - offsets[lu]] = value
+            blocks.append((shape, (np.ones(shape),), (rhs,), functools.partial(key, label, s)))
     return blocks
 
 
 def test_sweep_witness_is_the_graded_lex_first_maximum(monkeypatch):
-    # equal maxima planted in blocks whose flat order [|u|, rank v, rank w*u] is
-    # not the witness order (u, v, w, label), in one buffer, in several, and cut
+    # equal maxima planted in blocks whose flat order [|u|, index of v, rank
+    # w*u] (of w and u*v read from the right, for the right law) is not the
+    # witness order (u, v, w, label), in one buffer, in several, and cut
     n, depth, planted = 2, 4, {}
     checks = sum(math.comb(k + 2, 2) * n**k * 2 for k in range(depth + 1))
 
@@ -999,36 +1014,40 @@ def test_sweep_witness_is_the_graded_lex_first_maximum(monkeypatch):
         reports = []
         for buffer_floats in (2**13, 24, 1):
             monkeypatch.setattr(weights, "SWEEP_FLOATS", buffer_floats)
-            reports.append(weights._sweep(_planted_cocycle_blocks(n, depth, planted), n, ("left", "right")))
+            blocks = _planted_cocycle_blocks(n, depth, planted)
+            reports.append(weights._sweep(blocks, BasisEnumeration(n, depth), ("left", "right")))
         assert all(_same_report(report, reports[0]) for report in reports)
         return reports[0]
 
     assert weights.SWEEP_FLOATS == 2**13  # the buffers' size
     assert sweep() == DefectReport(0.0, None, checks)
-    planted[((1, 0, 2), (1, 0, 3, 0))] = 3.0  # u = 2, v = e, w = 22, left: the earlier block
-    planted[((1, 1, 0), (0, 1, 0, 1))] = 3.0  # u = 1, v = 2, w = e, right: the earlier key
-    planted[((1, 1, 1), (0, 1, 0, 0))] = 3.0  # u = 1, v = 2, w = 1: a later key in a later block
-    planted[((2, 0, 0), (0, 0, 0, 0))] = 3.0  # u = 11, v = w = e, left: a later key, earlier in the buffer
+    planted[((1, 0, 2), (1, 0, 3, 0))] = 3.0  # u = 2, v = e, w = 22, left: a later key in an earlier block
+    planted[((1, 1, 0), (0, 1, 0, 1))] = 3.0  # u = 1, v = 2, w = e, right: the first key, in a later block
+    planted[((1, 1, 0), (1, 0, 0, 1))] = 3.0  # u = 2, v = 1, w = e, right: a later key, earlier in that block
+    planted[((1, 1, 1), (0, 1, 0, 0))] = 3.0  # u = 1, v = 2, w = 1, left: a later key in an earlier block
+    planted[((2, 0, 0), (0, 0, 0, 0))] = 3.0  # u = 11, v = w = e, left: a later key, later in that block
     assert sweep() == DefectReport(2.0 / 3.0, ("right", Word([1]), Word([2]), EMPTY), checks)
     # a NaN in a later block outranks every number; of two NaNs the earlier key wins
-    planted[((2, 0, 2), (3, 0, 0, 0))] = math.nan  # u = 22, v = e, w = 11, left: the earlier block
-    planted[((2, 1, 1), (0, 1, 0, 1))] = math.nan  # u = 11, v = 2, w = 1, right: the earlier key
-    planted[((2, 2, 0), (0, 3, 0, 0))] = math.nan  # u = 11, v = 22, w = e: a later key in a later block
-    planted[((3, 0, 0), (0, 0, 0, 0))] = math.nan  # u = 111, v = w = e: a later key, earlier in the buffer
+    planted[((2, 0, 2), (3, 0, 0, 0))] = math.nan  # u = 22, v = e, w = 11, left: a later key in an earlier block
+    planted[((2, 1, 1), (0, 1, 0, 1))] = math.nan  # u = 11, v = 2, w = 1, right: the first key, in a later block
+    planted[((2, 1, 1), (2, 0, 0, 1))] = math.nan  # u = 21, v = 1, w = 1, right: a later key, earlier in that block
+    planted[((2, 2, 0), (0, 3, 0, 0))] = math.nan  # u = 11, v = 22, w = e, left: a later key in an earlier block
+    planted[((3, 0, 0), (0, 0, 0, 0))] = math.nan  # u = 111, v = w = e, left: a later key in an earlier block
     report = sweep()
     assert math.isnan(report.max_defect)
     assert (report.witness, report.checks) == (("right", Word([1, 1]), Word([2]), Word([1])), checks)
 
 
 def test_sweeps_take_whole_table_products_in_one_buffer_pass(monkeypatch):
-    # n = 2, depth 6: each side of a block is one broadcast product over whole
-    # tables, 2 C(d+2, 2) for the cocycles and d + C(d+1, 2) for the
-    # intertwining, and every defect fits one buffer pass
+    # n = 2, depth 6: one block per length of the shared word, whose right side
+    # is one broadcast product over the stacked table, 2 (d+1) for the cocycles;
+    # one block per |v| with a product a side, 2 d for the intertwining; and
+    # every defect fits one buffer pass
     products, passes = [], []
     sweep, defect_pass = weights._sweep, weights._defect_pass
 
     def counted_sweep(blocks, n, labels):
-        products.append(sum(len(term) == 2 for _, *sides, _ in blocks for side in sides for term in side))
+        products.append(sum(len(side) == 2 for _, *sides, _ in blocks for side in sides))
         passes.append(0)
         return sweep(blocks, n, labels)
 
@@ -1041,8 +1060,7 @@ def test_sweeps_take_whole_table_products_in_one_buffer_pass(monkeypatch):
     ws, depth = ConstantWeights(2, 1.5), 6
     check_cocycles(ws, None, depth)
     check_intertwining(ws, depth)
-    assert products[0] <= 2 * math.comb(depth + 2, 2) == 56
-    assert products[1] <= depth + math.comb(depth + 1, 2) == 27
+    assert products == [2 * (depth + 1), 2 * depth] == [14, 12]
     assert passes == [1, 1]
 
 
@@ -1062,6 +1080,73 @@ def test_float_range_sweeps_match_the_oracle(ws, depth):
     assert _same_report(cocycles, _oracle_cocycles(ws, None, depth))
     assert _same_report(intertwining, _oracle_intertwining(ws, depth))
     assert math.isnan(cocycles.max_defect) == (ws.value > 1.0) == math.isnan(intertwining.max_defect)
+
+
+CUT_SYSTEMS = [s for s in SWEEP_SYSTEMS if s[0] in (
+    "periodic-n1", "finite_perturbation-n2", "tabulated-n2", "two_letter_m", "periodic-n3", "scaled-1e-14")]
+
+
+@pytest.mark.parametrize("buffer_floats", (1, 7, 300))
+@pytest.mark.parametrize("label, ws, depth", CUT_SYSTEMS, ids=[s[0] for s in CUT_SYSTEMS])
+def test_cut_blocks_match_the_oracle(monkeypatch, label, ws, depth, buffer_floats):
+    # buffers of 1, 7 and 300 floats cut every block of one length of the shared
+    # word (or of one |v|) row by row or float by float, and spread it over passes
+    monkeypatch.setattr(weights, "SWEEP_FLOATS", buffer_floats)
+    mu = table_mu(ws.n, 75)
+    for d in range(6 if ws.n < 3 else 5):
+        assert _same_report(check_cocycles(ws, None, d), _oracle_cocycles(ws, None, d))
+        assert _same_report(check_cocycles(ws, mu, d), _oracle_cocycles(ws, mu, d))
+        if d >= 1:
+            assert _same_report(check_intertwining(ws, d), _oracle_intertwining(ws, d))
+
+
+def _swapped(perm: list[int], i: int, w: Word) -> tuple[int, Word]:
+    """(i, w) with its letters relabelled by ``perm``, 0-based."""
+    return perm[i - 1] + 1, Word([perm[a - 1] + 1 for a in w.letters])
+
+
+def _relabelled(ws, perm: list[int]):
+    """``ws`` with its letters relabelled by the involution ``perm`` of [0, n): the
+    weight of ``_swapped(perm, i, w)`` is that of (i, w)."""
+    if isinstance(ws, ScaledWeights):
+        return ScaledWeights(ws.n, tuple(ws.scales[p] for p in perm))
+    if isinstance(ws, FinitePerturbationWeights):
+        table = {_swapped(perm, *key): value for key, value in ws.table.items()}
+        return FinitePerturbationWeights(ws.n, ws.cutoff, table, tuple(ws.tail[p] for p in perm))
+    if isinstance(ws, PeriodicWeights):
+        return PeriodicWeights(ws.n, ws.period, {_swapped(perm, *key): value for key, value in ws.remainders.items()})
+    levels = []
+    for k, level in enumerate(ws.levels):  # axes: the letter, then the letters of w
+        table = level.reshape((ws.n,) * (k + 1))
+        for axis in range(k + 1):
+            table = np.take(table, perm, axis=axis)
+        levels.append(table.reshape(level.shape))
+    return TabulatedWeights(ws.n, ws.depth, levels)
+
+
+RELABELLED = [s for s in SWEEP_SYSTEMS if s[1].n > 1 and type(s[1]) in (
+    ScaledWeights, FinitePerturbationWeights, PeriodicWeights, TabulatedWeights)]
+RELABELLED += [("scaled-1e300", ScaledWeights(2, (1e300, 1.0)), 4)]
+
+
+@pytest.mark.parametrize("label, ws, depth", RELABELLED, ids=[s[0] for s in RELABELLED])
+def test_swapping_two_letters_keeps_the_sweeps_defects(label, ws, depth):
+    # swapping letters 1 and 2 maps each triple to one whose products have the
+    # same factors in the same order: the defects are the same, so the maximum
+    # (NaN equal to NaN) and the count are; ties may reorder, so not the witness
+    perm = [1, 0, *range(2, ws.n)]
+    swapped = _relabelled(ws, perm)
+    edges = [(i, w) for w in BasisEnumeration(ws.n, 3).words() for i in range(1, ws.n + 1)]
+    assert all(swapped.lambda_of(*_swapped(perm, i, w)) == ws.lambda_of(i, w) for i, w in edges)
+    assert any(swapped.lambda_of(i, w) != ws.lambda_of(i, w) for i, w in edges)  # another system
+    for d in range(6 if ws.n < 3 else 5):
+        pairs = [(check_cocycles(ws, None, d), check_cocycles(swapped, None, d))]
+        if d >= 1:
+            pairs.append((check_intertwining(ws, d), check_intertwining(swapped, d)))
+        for report, relabelled in pairs:
+            assert report.checks == relabelled.checks
+            assert report.max_defect == relabelled.max_defect or (
+                math.isnan(report.max_defect) and math.isnan(relabelled.max_defect))
 
 
 def test_cocycle_sweep_peak_memory():

@@ -24,14 +24,14 @@ def _compare(parent: Path, change: Path, workload: str = "verify") -> subprocess
 def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
     result = _compare(ROOT, ROOT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "23 invocations on 1 workloads x 1 seeds and 16 fixed invocations: 0 differences\n"
+    assert result.stdout == "24 invocations on 1 workloads x 1 seeds and 17 fixed invocations: 0 differences\n"
 
 
 def test_compare_outputs_finds_no_difference_on_recover():
     # recover runs commutant, cesaro and spectra, whose shift products are gathers on the column maps
     result = _compare(ROOT, ROOT, "recover")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "25 invocations on 1 workloads x 1 seeds and 16 fixed invocations: 0 differences\n"
+    assert result.stdout == "26 invocations on 1 workloads x 1 seeds and 17 fixed invocations: 0 differences\n"
 
 
 def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
@@ -43,9 +43,9 @@ def test_compare_outputs_lists_each_difference_and_exits_1(tmp_path):
     result = _compare(ROOT, tmp_path)
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
-    # the warm-up, the six checks and the three fixed checks each print changed
+    # the warm-up, the six checks and the four fixed checks each print changed
     # check lines; reports and stderr are unchanged, and cesaro and commutant print no check line
-    assert lines[-1] == "23 invocations on 1 workloads x 1 seeds and 16 fixed invocations: 10 differences"
+    assert lines[-1] == "24 invocations on 1 workloads x 1 seeds and 17 fixed invocations: 11 differences"
     assert all(": stdout differs, line " in line for line in lines[:-1])
     assert "tolerance 1.0e-10" in lines[0] and "tolerance 1.00e-10" in lines[0]
 
@@ -62,14 +62,15 @@ def test_compare_outputs_lists_each_csv_difference(tmp_path):
     # the warm-up, the three grids, the fixed n = 3 grid and the fixed one-point grid each write a changed
     # CSV; the fixed corners of the unit cube write integers alone, at 16 digits as at 17; stdout, reports
     # and stderr are unchanged
-    assert lines[-1] == "20 invocations on 1 workloads x 1 seeds and 16 fixed invocations: 6 differences"
+    assert lines[-1] == "21 invocations on 1 workloads x 1 seeds and 17 fixed invocations: 6 differences"
     assert len(lines) == 7 and all(": csv differs, line " in line for line in lines[:-1])
 
 
 def test_compare_outputs_always_compares_the_fixed_checks_witnesses(tmp_path):
     # region runs no check, so only the fixed checks see sweeps that take the
-    # largest key of the worst defect: constant 1e300 has many NaN defects,
-    # and its witness changes; the rounding maximum of scaled (1, 1e-14) is unique
+    # largest key of the worst defect within a block: constant 1e300 has many
+    # NaN defects, scaled (1, 1e-14) 46 rounding maxima and the period-3 system
+    # a right-law witness, and each witness changes; unweighted n = 3 has none
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     weights = tmp_path / "src" / "fockshift" / "weights.py"
     text = weights.read_text()
@@ -78,7 +79,7 @@ def test_compare_outputs_always_compares_the_fixed_checks_witnesses(tmp_path):
     result = _compare(ROOT, tmp_path, "region")
     assert result.returncode == 1, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[-1] == "20 invocations on 1 workloads x 1 seeds and 16 fixed invocations: 1 differences"
+    assert lines[-1] == "21 invocations on 1 workloads x 1 seeds and 17 fixed invocations: 3 differences"
     assert lines[0].startswith("fixed seed 0, check constant_1e300 depth 4: report differs")
 
 
@@ -100,7 +101,8 @@ def test_fixed_invocations_reach_what_they_are_there_for(tmp_path):
         "commutant perturbed depth 10": 0, "cesaro perturbed depth 10": 0,
         "commutant constant_1e300 depth 6": 0, "cesaro constant_1e300 depth 6": 0,
         "region corners_9 depth 3": 0, "region unweighted_3 depth 7": 0,
-        "region periodic_4_one_point depth 10": 0, "check unweighted_3 depth 2": 0}
+        "region periodic_4_one_point depth 10": 0, "check unweighted_3 depth 2": 0, "check periodic_3 depth 5": 0}
+    assert outputs["check periodic_3 depth 5"][1].startswith("check cocycles: PASS (defect 2.507e-16, ")
     assert "check vacuum_kernel: PASS" in outputs["check scaled_1e-14 depth 8"][1]
     assert outputs["cesaro periodic_support_5 depth 7"][1].endswith("over |v| <= 5)\n")
     assert [line.split(": ")[1] for line in outputs["spectra unweighted_3 depth 6"][1].splitlines()] == [

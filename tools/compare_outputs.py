@@ -37,6 +37,10 @@ PERIODIC_4 = {"n": 2, "family": "periodic", "period": 4, "remainders": {
     "1:111": 1.6, "2:111": 0.894, "1:112": 1.071, "2:112": 1.718, "1:121": 1.894, "2:121": 1.188,
     "1:122": 1.365, "2:122": 0.659, "1:211": 0.835, "2:211": 1.482, "1:212": 1.659, "2:212": 0.953,
     "1:221": 1.129, "2:221": 1.776, "1:222": 0.6, "2:222": 1.247}}
+# period 3, whose check witnesses a cocycle defect of the right law on words that are not palindromes
+PERIODIC_3 = {"n": 2, "family": "periodic", "period": 3, "remainders": {
+    "1:e": 0.7, "2:e": 1.3, "1:1": 1.1, "1:2": 0.9, "2:1": 1.7, "2:2": 0.55, "1:11": 1.2, "1:12": 0.8,
+    "1:21": 1.45, "1:22": 0.6, "2:11": 1.9, "2:12": 1.05, "2:21": 0.75, "2:22": 1.35}}
 CESARO_COEFFS = {"e": [0.214, 0.941], "1": [0.574, 0.58], "2": [-0.892, -0.261], "12": [-0.83, -0.613],
                  "21": [-0.572, 0.717], "112": [-0.746, -0.406], "221": [-0.014, 0.699], "2121": [0.5, -0.25]}
 # (label, verb, config, depth, options) of invocations no workload reaches: the check
@@ -59,7 +63,9 @@ CESARO_COEFFS = {"e": [0.214, 0.941], "1": [0.574, 0.58], "2": [-0.892, -0.261],
 # with keys of two bytes, and on the unweighted n = 3 tuple at 15,625 points, whose level
 # sums repeat; and region at one point of a period-4 system with 8 states a level, whose level
 # sums are those of the same point in a wider grid; and check on the unweighted n = 3 tuple at depth 2, the
-# smallest depth at which it builds both shift maps (at depth 1 the commutation check has no column).  An option
+# smallest depth at which it builds both shift maps (at depth 1 the commutation check has no column); and check at
+# depth 5 on a period-3 system whose cocycle witness is ("right", e, 21, 121), whose W_mu columns are read from the
+# right, so the sweep reads the witness's words back to front.  An option
 # whose value is a dict is passed the path of a file holding it as
 # JSON, and one whose value is a list is passed once per item; a region invocation writes
 # its CSV to a file given as --out.
@@ -86,6 +92,7 @@ FIXED = (
     ("unweighted_3", "region", {"n": 3, "family": "constant", "value": 1.0}, 7, {"--grid": "0:1.2:0.05"}),
     ("periodic_4_one_point", "region", PERIODIC_4, 10, {"--grid": "0.5:0.5:1"}),
     ("unweighted_3", "check", {"n": 3, "family": "constant", "value": 1.0}, 2, {}),
+    ("periodic_3", "check", PERIODIC_3, 5, {}),
 )
 
 
